@@ -1,44 +1,30 @@
 //! `loadgen` — load generator and end-to-end harness for the
-//! `gridsec-serve` daemon.
-//!
-//! Three modes:
+//! `gridsec-serve` daemon. It checks *behaviour*; performance is measured
+//! by `gridbench/` (the repository's one benchmark, see its README).
 //!
 //! * **Replay** (default): spawn a daemon in-process on an ephemeral port
 //!   (or target `--host <addr>`), replay a PSA/NAS/SWF workload through
 //!   the NDJSON wire protocol at `--rate <jobs/sec>` (default: as fast as
 //!   the daemon accepts), then report sustained jobs/sec, round-latency
 //!   and batch-size distributions, and validate the returned schedule.
-//! * **`--bench-suite`**: the serving benchmark — {Min-Min, STGA-kernel}
-//!   × {1, 4} scheduler threads over the same replay (the `stga-kernel`
-//!   row measures the PR 6 compiled-fitness path end to end: jobs/sec and
-//!   mean round µs), written to `BENCH_PR4.json` (`--json` overrides the
-//!   path; the PR 6 artifact embeds it in `BENCH_PR6.json`).
 //! * **`--smoke`**: the CI end-to-end check — a 50-job SWF slice
 //!   (generated, written as SWF, parsed back) replayed against a daemon
 //!   on an ephemeral port; asserts the schedule validates, the metrics
 //!   frame round-trips through JSON, and the committed schedule is
 //!   bit-identical to the in-process engine for the same seed, workload
 //!   and batch policy.
-//!
-//! * **`--shard-suite`**: the PR 5 benchmark — {Min-Min, STGA} ×
-//!   {1, 2, 4} grid shards over the same replay (multi-tenant: each job
-//!   is routed to a shard it is eligible on), written to
-//!   `BENCH_PR5.json`.
-//!
-//! * **`--reshard-suite`**: the PR 8 benchmark — {Min-Min, STGA} ×
-//!   {1→2, 2→1, 2→4} live reshards halfway through the replay (drain
-//!   barrier, state transfer, session respawn, atomic plan swap),
-//!   reporting barrier cost and migration volume, written to
-//!   `BENCH_PR8.json`. `--reshard-smoke` is the CI slice: a 2-shard
-//!   daemon split to 4 under load, schedules validated on the final
-//!   topology.
+//! * **`--reshard-smoke`**: a 2-shard daemon split to 4 under load,
+//!   schedules validated on the final topology.
+//! * **`--connections <n>`**: `n` concurrent pipelining clients from one
+//!   epoll loop against a daemon in a child process; asserts every
+//!   request is answered and the daemon's connection gauge matches.
+//! * **`--scenario <spec.json>`**: replay a chaos scenario — virtual
+//!   clock cross-checks the engine bit for bit, `--wall-clock` soaks.
 //!
 //! ```console
 //! loadgen --workload psa --jobs 400 --scheduler stga --policy hybrid:16 --threads 4
 //! loadgen --shards 4 --scheduler minmin
 //! loadgen --wall-clock --rate 200 --max-pending 32
-//! loadgen --bench-suite --json BENCH_PR4.json
-//! loadgen --shard-suite --json BENCH_PR5.json
 //! loadgen --smoke
 //! loadgen --host 127.0.0.1:7070 --workload swf:trace.swf --rate 50
 //! ```
@@ -59,12 +45,6 @@ use gridsec_workloads::{swf, NasConfig, PsaConfig};
 use serde::{Deserialize, Serialize};
 use std::time::{Duration, Instant};
 
-/// Scheduler thread counts measured by `--bench-suite`.
-const SUITE_THREADS: [usize; 2] = [1, 4];
-
-/// Shard counts measured by `--shard-suite`.
-const SUITE_SHARDS: [usize; 3] = [1, 2, 4];
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let opts = match Options::parse(&args) {
@@ -77,18 +57,12 @@ fn main() {
     };
     let code = if opts.serve_connections_daemon {
         run_connections_daemon()
-    } else if opts.connections.is_some() || opts.connections_suite {
-        run_connections(&opts)
+    } else if let Some(n) = opts.connections {
+        run_connections(n)
     } else if opts.smoke {
         run_smoke(&opts)
     } else if opts.reshard_smoke {
         run_reshard_smoke(&opts)
-    } else if opts.bench_suite {
-        run_bench_suite(&opts)
-    } else if opts.shard_suite {
-        run_shard_suite(&opts)
-    } else if opts.reshard_suite {
-        run_reshard_suite(&opts)
     } else if opts.scenario.is_some() {
         run_scenario(&opts)
     } else {
@@ -104,8 +78,7 @@ fn usage() {
          \x20              [--rate <jobs-per-sec>] [--threads <n>] [--host <addr>]\n\
          \x20              [--shards <n>] [--wall-clock] [--max-pending <n>]\n\
          \x20              [--scenario <spec.json>] [--scrape-metrics]\n\
-         \x20              [--connections <n>] [--connections-suite]\n\
-         \x20              [--bench-suite] [--shard-suite] [--reshard-suite]\n\
+         \x20              [--connections <n>]\n\
          \x20              [--smoke] [--reshard-smoke] [--json <path>] [--quick]\n\
          \n\
          --scenario replays a chaos scenario spec (`gridsec example-scenario`)\n\
@@ -114,8 +87,7 @@ fn usage() {
          mode, asserting the zero-lost-jobs ledger under real-time churn.\n\
          --scrape-metrics additionally binds an ephemeral metrics listener and\n\
          scrapes the Prometheus-style exposition page mid-soak, asserting the\n\
-         required metric families are present and parseable.\n\
-         With --bench-suite, --scenario adds churn-vs-quiet rows to the report."
+         required metric families are present and parseable."
     );
 }
 
@@ -133,9 +105,6 @@ struct Options {
     shards: usize,
     wall_clock: bool,
     max_pending: Option<usize>,
-    bench_suite: bool,
-    shard_suite: bool,
-    reshard_suite: bool,
     smoke: bool,
     reshard_smoke: bool,
     json: Option<String>,
@@ -145,9 +114,6 @@ struct Options {
     /// client engine mirroring the daemon's own event loop) against an
     /// in-process daemon and report jobs/s + per-request RTT p99.
     connections: Option<usize>,
-    /// The PR 10 benchmark: `--connections` rows at 1, 100 and 10000,
-    /// written to `BENCH_PR10.json`.
-    connections_suite: bool,
     /// Hidden child mode: serve the `--connections` benchmark daemon in
     /// this process (spawned by the parent so 10k connections' two fd
     /// ends split across two `RLIMIT_NOFILE` budgets).
@@ -176,16 +142,12 @@ impl Options {
             shards: 1,
             wall_clock: false,
             max_pending: None,
-            bench_suite: false,
-            shard_suite: false,
-            reshard_suite: false,
             smoke: false,
             reshard_smoke: false,
             json: None,
             quick: false,
             scenario: None,
             connections: None,
-            connections_suite: false,
             serve_connections_daemon: false,
             scrape_metrics: false,
             policy_explicit: false,
@@ -252,9 +214,6 @@ impl Options {
                     }
                     o.max_pending = Some(n);
                 }
-                "--bench-suite" => o.bench_suite = true,
-                "--shard-suite" => o.shard_suite = true,
-                "--reshard-suite" => o.reshard_suite = true,
                 "--smoke" => o.smoke = true,
                 "--reshard-smoke" => o.reshard_smoke = true,
                 "--json" => o.json = Some(value("--json")?),
@@ -268,7 +227,6 @@ impl Options {
                     }
                     o.connections = Some(n);
                 }
-                "--connections-suite" => o.connections_suite = true,
                 "--serve-connections-daemon" => o.serve_connections_daemon = true,
                 "--scenario" => o.scenario = Some(value("--scenario")?),
                 "--scrape-metrics" => o.scrape_metrics = true,
@@ -335,8 +293,7 @@ fn build_scheduler(
         "minmin" => Box::new(MinMin::new(RiskMode::Risky)),
         "sufferage" => Box::new(Sufferage::new(RiskMode::Risky)),
         // `stga-kernel` is the same scheduler — since PR 6 the STGA's
-        // fitness path *is* the compiled kernel — kept as an explicit
-        // label so suite rows name the eval path they measured.
+        // fitness path *is* the compiled kernel.
         "stga" | "stga-kernel" => {
             let (population, generations) = if quick { (40, 20) } else { (100, 50) };
             Box::new(
@@ -1299,282 +1256,6 @@ fn run_scenario(opts: &Options) -> i32 {
     0
 }
 
-/// The whole `BENCH_PR4.json` document.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-struct SuiteReport {
-    schema: String,
-    command: String,
-    host_available_parallelism: usize,
-    workload: String,
-    jobs: usize,
-    policy: String,
-    seed: u64,
-    note: String,
-    configs: Vec<ReplayReport>,
-}
-
-fn run_bench_suite(opts: &Options) -> i32 {
-    let n = if opts.quick { 120 } else { opts.jobs };
-    let (jobs, grid) = match build_workload(&opts.workload, n, opts.seed) {
-        Ok(x) => x,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return 1;
-        }
-    };
-    let (policy, interval) = match parse_policy(&opts.policy, 1_000.0) {
-        Ok(x) => x,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return 1;
-        }
-    };
-    let host = std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(1);
-    println!(
-        "loadgen bench suite: {} jobs ({}) on {} sites, policy {}, schedulers \
-         [minmin, stga-kernel] × threads {:?} (host parallelism {host})",
-        jobs.len(),
-        opts.workload,
-        grid.len(),
-        opts.policy,
-        SUITE_THREADS,
-    );
-    let mut configs = Vec::new();
-    for scheduler in ["minmin", "stga-kernel"] {
-        for threads in SUITE_THREADS {
-            match replay(
-                &jobs,
-                &grid,
-                &ReplayConfig {
-                    scheduler,
-                    threads: Some(threads),
-                    policy,
-                    interval,
-                    seed: opts.seed,
-                    quick: opts.quick,
-                    rate: None,
-                    host: None,
-                    shards: 1,
-                    wall_clock: false,
-                    max_pending: None,
-                },
-            ) {
-                Ok((report, _, _, _)) => {
-                    print_report(&report);
-                    if !report.schedule_valid {
-                        eprintln!("error: {scheduler} @ {threads} produced an invalid schedule");
-                        return 1;
-                    }
-                    configs.push(report);
-                }
-                Err(e) => {
-                    eprintln!("error: {scheduler} @ {threads}: {e}");
-                    return 1;
-                }
-            }
-        }
-    }
-    // Scenario rows: the same daemon under the spec's churn program and
-    // under a quieted copy (faults and trust storms stripped), so the
-    // report quantifies what churn costs in jobs/s and p99 round latency.
-    if let Some(path) = &opts.scenario {
-        let (grid, config, scenario) = match load_scenario(path) {
-            Ok(x) => x,
-            Err(e) => {
-                eprintln!("error: {e}");
-                return 1;
-            }
-        };
-        let quiet = Scenario {
-            faults: Vec::new(),
-            trust: Vec::new(),
-            ..scenario.clone()
-        };
-        let plan = match ShardPlan::contiguous(&grid, 1) {
-            Ok(p) => p,
-            Err(e) => {
-                eprintln!("error: {e}");
-                return 1;
-            }
-        };
-        let row_opts = Options {
-            shards: 1,
-            wall_clock: false,
-            max_pending: None,
-            ..opts.clone()
-        };
-        for scheduler in ["minmin", "stga-kernel"] {
-            for (label, scn) in [("churn", &scenario), ("quiet", &quiet)] {
-                let stream = match scn.compile(&grid) {
-                    Ok(s) => s,
-                    Err(e) => {
-                        eprintln!("error: {e}");
-                        return 1;
-                    }
-                };
-                match replay_scenario(&stream, &grid, &plan, &config, scheduler, &row_opts) {
-                    Ok((mut report, views)) => {
-                        if let Err(e) = assert_scenario_ledger(&views.metrics, &stream, report.jobs)
-                        {
-                            eprintln!("error: {scheduler} ({label}): {e}");
-                            return 1;
-                        }
-                        report.scheduler = format!("{scheduler} ({label})");
-                        print_report(&report);
-                        configs.push(report);
-                    }
-                    Err(e) => {
-                        eprintln!("error: {scheduler} ({label}): {e}");
-                        return 1;
-                    }
-                }
-            }
-        }
-    }
-    let report = SuiteReport {
-        schema: "gridsec-loadgen/v3".to_string(),
-        command: format!(
-            "loadgen --bench-suite --workload {} --jobs {} --policy {} --seed {}{}{}",
-            opts.workload,
-            n,
-            opts.policy,
-            opts.seed,
-            if opts.quick { " --quick" } else { "" },
-            match &opts.scenario {
-                Some(p) => format!(" --scenario {p}"),
-                None => String::new(),
-            }
-        ),
-        host_available_parallelism: host,
-        workload: opts.workload.clone(),
-        jobs: n,
-        policy: opts.policy.clone(),
-        seed: opts.seed,
-        note: "Replay over loopback TCP against an in-process gridsec-serve daemon \
-               (virtual clock, as-fast-as-possible submission). jobs_per_sec is sustained \
-               end-to-end throughput (wire + batching + scheduling); round µs is \
-               scheduler wall-clock per round. Thread counts pin a dedicated rayon pool \
-               around the scheduler; on a single-core host the 4-thread rows measure \
-               pool overhead, not speedup."
-            .to_string(),
-        configs,
-    };
-    let path = opts.json.clone().unwrap_or_else(|| "BENCH_PR4.json".into());
-    let json = serde_json::to_string_pretty(&report).expect("report serialises");
-    std::fs::write(&path, json).expect("write suite report");
-    println!("[wrote {path}]");
-    0
-}
-
-/// The PR 5 benchmark: {Min-Min, STGA} × {1, 2, 4} shards over the same
-/// multi-tenant replay, written to `BENCH_PR5.json`.
-fn run_shard_suite(opts: &Options) -> i32 {
-    let n = if opts.quick { 120 } else { opts.jobs };
-    let (jobs, grid) = match build_workload(&opts.workload, n, opts.seed) {
-        Ok(x) => x,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return 1;
-        }
-    };
-    let (policy, interval) = match parse_policy(&opts.policy, 1_000.0) {
-        Ok(x) => x,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return 1;
-        }
-    };
-    let host = std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(1);
-    println!(
-        "loadgen shard suite: {} jobs ({}) on {} sites, policy {}, schedulers \
-         [minmin, stga] × shards {:?} (host parallelism {host})",
-        jobs.len(),
-        opts.workload,
-        grid.len(),
-        opts.policy,
-        SUITE_SHARDS,
-    );
-    let mut configs = Vec::new();
-    for scheduler in ["minmin", "stga"] {
-        for shards in SUITE_SHARDS {
-            match replay(
-                &jobs,
-                &grid,
-                &ReplayConfig {
-                    scheduler,
-                    threads: opts.threads,
-                    policy,
-                    interval,
-                    seed: opts.seed,
-                    quick: opts.quick,
-                    rate: None,
-                    host: None,
-                    shards,
-                    wall_clock: false,
-                    max_pending: None,
-                },
-            ) {
-                Ok((report, _, metrics, views)) => {
-                    print_report(&report);
-                    if !report.schedule_valid {
-                        eprintln!("error: {scheduler} @ {shards} produced an invalid schedule");
-                        return 1;
-                    }
-                    // The aggregated counters must be the per-shard sums.
-                    let merged = ServeMetrics::merge(&views.metrics);
-                    if merged != metrics {
-                        eprintln!(
-                            "error: {scheduler} @ {shards}: aggregated metrics diverge from \
-                             the per-shard sums"
-                        );
-                        return 1;
-                    }
-                    configs.push(report);
-                }
-                Err(e) => {
-                    eprintln!("error: {scheduler} @ {shards}: {e}");
-                    return 1;
-                }
-            }
-        }
-    }
-    let report = SuiteReport {
-        schema: "gridsec-loadgen/v2".to_string(),
-        command: format!(
-            "loadgen --shard-suite --workload {} --jobs {} --policy {} --seed {}{}",
-            opts.workload,
-            n,
-            opts.policy,
-            opts.seed,
-            if opts.quick { " --quick" } else { "" }
-        ),
-        host_available_parallelism: host,
-        workload: opts.workload.clone(),
-        jobs: n,
-        policy: opts.policy.clone(),
-        seed: opts.seed,
-        note: "Multi-tenant replay over loopback TCP against an in-process sharded \
-               gridsec-serve daemon (virtual clock, as-fast-as-possible submission; each \
-               job explicitly routed to a shard it is eligible on, round-robin by id over \
-               the candidates). Shard counts partition the grid site-disjointly, one \
-               scheduling thread per shard; on a single-core host the multi-shard rows \
-               measure routing + thread overhead, on a multi-core host they measure \
-               concurrent-round speedup. jobs_per_sec is sustained end-to-end throughput \
-               (wire + routing + batching + scheduling)."
-            .to_string(),
-        configs,
-    };
-    let path = opts.json.clone().unwrap_or_else(|| "BENCH_PR5.json".into());
-    let json = serde_json::to_string_pretty(&report).expect("report serialises");
-    std::fs::write(&path, json).expect("write suite report");
-    println!("[wrote {path}]");
-    0
-}
-
 /// The CI end-to-end smoke: a 50-job SWF slice through the full wire
 /// path, cross-checked bit for bit against the in-process engine.
 fn run_smoke(opts: &Options) -> i32 {
@@ -2003,131 +1684,12 @@ fn run_reshard_smoke(opts: &Options) -> i32 {
     0
 }
 
-/// One row of the `--reshard-suite` report.
-#[derive(Serialize)]
-struct ReshardRow {
-    scheduler: String,
-    from_shards: usize,
-    to_shards: usize,
-    jobs: usize,
-    /// Pending/in-flight jobs whose owning shard changed at the barrier.
-    jobs_migrated: usize,
-    /// Wall-clock milliseconds for the `reshard` frame round trip
-    /// (drain barrier + state transfer + session respawn + plan swap).
-    reshard_millis: f64,
-    rounds: usize,
-    makespan: f64,
-    schedule_valid: bool,
-}
-
-/// The `--reshard-suite` report written to `BENCH_PR8.json`.
-#[derive(Serialize)]
-struct ReshardSuiteReport {
-    schema: String,
-    command: String,
-    workload: String,
-    jobs: usize,
-    seed: u64,
-    note: String,
-    rows: Vec<ReshardRow>,
-}
-
-/// The elastic-topology benchmark: {Min-Min, STGA} × {1→2, 2→1, 2→4}
-/// live reshards halfway through the replay, reporting the barrier cost
-/// and the migration volume, written to `BENCH_PR8.json`.
-fn run_reshard_suite(opts: &Options) -> i32 {
-    let n = if opts.quick { 120 } else { opts.jobs };
-    let (jobs, grid) = match build_workload(&opts.workload, n, opts.seed) {
-        Ok(x) => x,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return 1;
-        }
-    };
-    println!(
-        "loadgen reshard suite: {} jobs ({}) on {} sites, schedulers [minmin, stga] × \
-         transitions [1→2, 2→1, 2→4]",
-        jobs.len(),
-        opts.workload,
-        grid.len(),
-    );
-    let mut rows = Vec::new();
-    for scheduler in ["minmin", "stga"] {
-        for (from, to) in [(1usize, 2usize), (2, 1), (2, 4)] {
-            let run = match replay_resharded(
-                &jobs,
-                &grid,
-                scheduler,
-                from,
-                to,
-                Time::new(1_000.0),
-                opts.seed,
-                opts.quick,
-            ) {
-                Ok(r) => r,
-                Err(e) => {
-                    eprintln!("error: {scheduler} {from}→{to}: {e}");
-                    return 1;
-                }
-            };
-            let valid = match check_reshard_run(&run, &grid, to) {
-                Ok(()) => true,
-                Err(e) => {
-                    eprintln!("error: {scheduler} {from}→{to}: {e}");
-                    return 1;
-                }
-            };
-            println!(
-                "  {scheduler:<7} {from}→{to}: {} migrated, barrier {:>7.1} ms, {} rounds",
-                run.jobs_migrated, run.reshard_millis, run.metrics.rounds,
-            );
-            rows.push(ReshardRow {
-                scheduler: scheduler.to_string(),
-                from_shards: from,
-                to_shards: to,
-                jobs: run.jobs.len(),
-                jobs_migrated: run.jobs_migrated,
-                reshard_millis: run.reshard_millis,
-                rounds: run.metrics.rounds,
-                makespan: run.metrics.max_completion.seconds(),
-                schedule_valid: valid,
-            });
-        }
-    }
-    let report = ReshardSuiteReport {
-        schema: "gridsec-loadgen-reshard/v1".to_string(),
-        command: format!(
-            "loadgen --reshard-suite --workload {} --jobs {} --seed {}{}",
-            opts.workload,
-            n,
-            opts.seed,
-            if opts.quick { " --quick" } else { "" }
-        ),
-        workload: opts.workload.clone(),
-        jobs: n,
-        seed: opts.seed,
-        note: "Elastic-topology replay over loopback TCP: half the stream is submitted, \
-               the daemon reshards live at a drain barrier (state transfer + session \
-               respawn + atomic plan swap), and the rest replays on the new topology. \
-               reshard_millis is the wall-clock frame round trip; jobs_migrated counts \
-               pending/in-flight jobs whose owning shard changed. Every row asserts the \
-               zero-lost-jobs ledger and validates the final schedule."
-            .to_string(),
-        rows,
-    };
-    let path = opts.json.clone().unwrap_or_else(|| "BENCH_PR8.json".into());
-    let json = serde_json::to_string_pretty(&report).expect("report serialises");
-    std::fs::write(&path, json).expect("write suite report");
-    println!("[wrote {path}]");
-    0
-}
-
 // ---------------------------------------------------------------------
-// `--connections` / `--connections-suite`: the C10k benchmark.
+// `--connections`: the C10k check.
 // ---------------------------------------------------------------------
 
-/// One `--connections` row.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// The result of one `--connections` run.
+#[derive(Debug, Clone)]
 struct ConnectionsReport {
     connections: usize,
     /// Lock-step requests completed per connection.
@@ -2500,16 +2062,6 @@ fn connections_row(n: usize, requests_per_connection: usize) -> Result<Connectio
     })
 }
 
-/// The whole `BENCH_PR10.json` document.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-struct ConnectionsSuiteReport {
-    schema: String,
-    command: String,
-    host_available_parallelism: usize,
-    note: String,
-    rows: Vec<ConnectionsReport>,
-}
-
 fn print_connections_row(r: &ConnectionsReport) {
     println!(
         "connections={:<6} requests/conn={:<3} jobs={:<7} wall={:>7.3}s  {:>9.1} jobs/s  \
@@ -2529,77 +2081,33 @@ fn print_connections_row(r: &ConnectionsReport) {
     );
 }
 
-fn run_connections(opts: &Options) -> i32 {
+fn run_connections(n: usize) -> i32 {
     // One client fd per connection in this process (the daemon's side
     // lives in the child, under its own limit): lift the nofile limit
-    // up front so 10k rows don't hit EMFILE.
-    let wanted = opts.connections.unwrap_or(10_000) as u64 + 512;
+    // up front so 10k connections don't hit EMFILE.
+    let wanted = n as u64 + 512;
     match epoll::raise_nofile_limit(wanted) {
         Ok(limit) if limit < wanted => {
-            eprintln!("warning: nofile limit {limit} < {wanted}; large rows may fail");
+            eprintln!("warning: nofile limit {limit} < {wanted}; large runs may fail");
         }
         Ok(_) => {}
         Err(e) => eprintln!("warning: cannot raise nofile limit: {e}"),
     }
-    let rows_spec: Vec<(usize, usize)> = if opts.connections_suite {
-        // requests/conn scaled down as rows fan out, keeping each row's
-        // total work (and runtime) comparable.
-        vec![(1, 2000), (100, 40), (10_000, 4)]
-    } else {
-        let n = opts.connections.expect("checked by the dispatcher");
-        vec![(n, if n >= 1000 { 4 } else { 40 })]
-    };
-    let mut rows = Vec::with_capacity(rows_spec.len());
-    for (n, reqs) in rows_spec {
-        match connections_row(n, reqs) {
-            Ok(row) => {
-                print_connections_row(&row);
-                if row.daemon_connections != n {
-                    eprintln!(
-                        "error: daemon counted {} connections, expected {n}",
-                        row.daemon_connections
-                    );
-                    return 1;
-                }
-                rows.push(row);
-            }
-            Err(e) => {
-                eprintln!("error: connections={n}: {e}");
+    match connections_row(n, if n >= 1000 { 4 } else { 40 }) {
+        Ok(row) => {
+            print_connections_row(&row);
+            if row.daemon_connections != n {
+                eprintln!(
+                    "error: daemon counted {} connections, expected {n}",
+                    row.daemon_connections
+                );
                 return 1;
             }
+            0
+        }
+        Err(e) => {
+            eprintln!("error: connections={n}: {e}");
+            1
         }
     }
-    if opts.connections_suite || opts.json.is_some() {
-        let host = std::thread::available_parallelism()
-            .map(|p| p.get())
-            .unwrap_or(1);
-        let report = ConnectionsSuiteReport {
-            schema: "gridsec-loadgen-connections/v1".to_string(),
-            command: if opts.connections_suite {
-                "loadgen --connections-suite".into()
-            } else {
-                format!("loadgen --connections {}", rows[0].connections)
-            },
-            host_available_parallelism: host,
-            note: "Concurrent lock-step clients over loopback TCP against a 2-shard \
-                   virtual-clock daemon (MCT, periodic batching — submits enqueue \
-                   without scheduling rounds, so rows measure the connection layer, not \
-                   the scheduler). The daemon runs in a child process so each side's \
-                   socket fds count against its own RLIMIT_NOFILE budget at 10k \
-                   connections; daemon_threads is scraped from /proc/<child>/status and \
-                   stays a small constant across rows. The client engine is itself one \
-                   epoll loop (client_threads), so client-side threads cannot mask \
-                   daemon-side scaling."
-                .to_string(),
-            rows,
-        };
-        let path = opts
-            .json
-            .clone()
-            .unwrap_or_else(|| "BENCH_PR10.json".into());
-        let json = serde_json::to_string_pretty(&report).expect("report serialises");
-        std::fs::write(&path, json).expect("write suite report");
-        println!("[wrote {path}]");
-    }
-    0
 }

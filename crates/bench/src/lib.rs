@@ -22,8 +22,8 @@
 //! parallel sections); `fig8` and `fig10` additionally honour `--reps <n>`
 //! (independent replications fanned out over the thread pool — see
 //! [`replicate`]; the other binaries warn and ignore it). `loadgen` has
-//! its own flags (`--help`): workload/rate/policy/scheduler selection, a
-//! `--bench-suite` mode and the CI `--smoke` mode. Criterion
+//! its own flags (`--help`): workload/rate/policy/scheduler selection
+//! and the CI `--smoke` modes. Criterion
 //! micro-benches live under `benches/`.
 
 #![warn(missing_docs)]

@@ -3,40 +3,44 @@
 //! thread per connection.
 //!
 //! Each accepted connection lives on exactly one I/O thread (round-robin
-//! at accept time), which owns its socket, its NDJSON frame decoder (the
-//! same overflow discipline as [`read_line_bounded`]'s blocking reader),
-//! its bounded outbound buffer, and the per-client sequence counter. The
-//! connection's [`ReplySink`] is the cross-thread half: shard threads and
-//! the router push [`Reply`] frames into it from anywhere, the owning
-//! I/O thread releases them **in request (sequence) order** into the
-//! socket — the reorder heap that used to live in `writer_loop`.
+//! at accept time), which owns its socket, its NDJSON frame decoder
+//! ([`LineDecoder`]), its bounded outbound buffer, and the per-client
+//! sequence counter. The connection's [`ReplySink`] is the cross-thread
+//! half: shard threads and the router push [`Reply`] frames into it from
+//! anywhere, the owning I/O thread releases them **in request (sequence)
+//! order** into the socket.
 //!
-//! Routing happens where the frame is decoded: `submit` frames that can
-//! be routed from the shared [`RoutingTable`] snapshot are pushed
-//! straight onto the owning shard's lock-free bounded queue (with a
-//! `Poke` on the shard's control channel), skipping the router hop
-//! entirely. Everything serialised — cross-shard queries, reshard,
-//! drain, shutdown, chaos injections — still flows through the single
-//! router thread, and a per-connection fence (`last_router_seq`) keeps
-//! the two paths from ever reordering one client's frames: a frame may
-//! only take the direct path once every earlier router-path frame from
-//! the same connection has been answered.
+//! There is **one submit path**: a `submit` is routed where it is decoded,
+//! against the shared [`RoutingTable`] snapshot, and pushed onto the
+//! owning shard's lock-free bounded queue (with a `Poke` on the shard's
+//! control channel). Everything serialised — cross-shard queries,
+//! reshard, drain, shutdown, chaos injections — goes to the router thread.
 //!
-//! The router *seals* the table (publishing a snapshot with no direct
-//! queues) and syncs with every I/O thread before a reshard or shutdown
-//! barrier, so no direct submit can race into a shard that is about to
-//! be retired — anything pushed before the seal is drained by the shard
-//! at the barrier, anything after goes through the router and lands on
-//! the new topology.
+//! A submit that cannot be pushed right now is **parked on its
+//! connection** ([`ParkReason`]): the connection keeps that one frame,
+//! stops decoding and drops read interest (TCP is the backpressure), so
+//! per-client order holds by construction. It retries on wakes the loop
+//! already takes —
+//!
+//! * *fenced*: an earlier control frame of this connection is unanswered
+//!   (the shard drains its queue ahead of every control message, so the
+//!   submit would overtake it) — retried when that reply is released;
+//! * *sealed*: the router sealed the table ahead of a reshard/shutdown
+//!   barrier (pushes hold the table's read lock, so once the sealed table
+//!   is written nothing can reach a retiring shard) — retried, against
+//!   the *new* plan, on the next publish;
+//! * *full*: the shard's queue is at [`DIRECT_QUEUE_CAP`] — retried every
+//!   loop pass, with a short poll timeout while any such connection
+//!   exists (the shard frees space without waking this thread).
 
-use crate::daemon::{derive_route, DaemonOptions, IngestEvent, Reply};
-use crate::protocol::{parse_request, Request, Response};
+use crate::daemon::{derive_route, shard_down, shutting_down, DaemonOptions, IngestEvent, Reply};
+use crate::protocol::{parse_request, Line, LineDecoder, Request, Response};
 use crate::shard::ShardMsg;
 use crossbeam_queue::ArrayQueue;
 use epoll::{Events, Interest, Poller, WakeReader, Waker};
 use gridsec_core::{Grid, Job};
 use gridsec_sim::ShardPlan;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
@@ -52,19 +56,27 @@ const LISTENER_KEY: u64 = u64::MAX - 1;
 /// Read scratch size; also the per-wake read cap before yielding to
 /// other connections (level-triggered epoll re-arms the rest).
 const READ_CHUNK: usize = 64 * 1024;
-/// Capacity of each shard's direct-submit queue. Overflow falls back to
-/// the router path, so this bounds memory, not throughput.
+/// Capacity of each shard's submit queue: the hard bound on frames taken
+/// off the sockets but not yet seen by the shard. Overflow parks on its
+/// connection (one frame each, reads paused): it costs throughput, never
+/// memory.
 pub(crate) const DIRECT_QUEUE_CAP: usize = 1024;
+/// Poll timeout while a connection is parked on a full queue — about how
+/// long a full queue of MCT work lasts, so the shard does not run dry.
+const FULL_RETRY: Duration = Duration::from_millis(1);
 
-/// A routed `submit` frame on the direct (router-bypassing) path.
+/// A decoded `submit` frame: in a shard's queue once routed, or parked
+/// on its connection until it can be.
 pub(crate) struct DirectSubmit {
     pub(crate) jobs: Vec<Job>,
+    /// The target the client named, if any (re-routed on every retry).
+    pub(crate) shard: Option<usize>,
     pub(crate) tenant: Option<String>,
     pub(crate) reply: ReplyHandle,
     pub(crate) seq: u64,
 }
 
-/// One shard's direct-path endpoints.
+/// One shard's submit endpoints.
 pub(crate) struct DirectShard {
     /// Lock-free bounded submit queue, drained by the shard thread
     /// before every control message it handles.
@@ -73,31 +85,44 @@ pub(crate) struct DirectShard {
     pub(crate) control: Sender<ShardMsg>,
 }
 
+/// Whether (and where) submits can be pushed under a table snapshot.
+pub(crate) enum DirectPath {
+    /// Normal serving: one endpoint per shard of the snapshot's plan.
+    Open(Vec<DirectShard>),
+    /// A reshard/shutdown barrier is in progress: submits park until the
+    /// next snapshot.
+    Sealed,
+    /// The shards are gone for good (shutdown): submits are refused.
+    Closed,
+}
+
 /// An immutable snapshot of everything an I/O thread needs to route a
-/// frame. The router publishes a fresh snapshot whenever the plan or the
-/// offline set changes; `direct: None` means *sealed* — every submit
-/// must take the router path (reshard/shutdown barrier in progress).
+/// frame; the router publishes a fresh one (and wakes every I/O thread)
+/// whenever the plan, the offline set or the direct path changes.
 pub(crate) struct RoutingTable {
     pub(crate) grid: Arc<Grid>,
     pub(crate) plan: Arc<ShardPlan>,
     pub(crate) offline: Arc<Vec<bool>>,
-    pub(crate) direct: Option<Vec<DirectShard>>,
+    pub(crate) direct: DirectPath,
 }
 
-/// A control message for one I/O thread (delivered via its inbox +
-/// waker).
-pub(crate) enum IoCtl {
-    /// Adopt a freshly accepted connection.
-    NewConn(TcpStream),
-    /// Acknowledge that this thread has observed the current routing
-    /// table (the router's seal barrier).
-    Sync(Sender<()>),
+/// Why a decoded `submit` is waiting on its connection (also the index
+/// of its [`IoShared::parked`] counter and [`PARK_LABELS`] entry).
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub(crate) enum ParkReason {
+    Fenced,
+    Sealed,
+    Full,
 }
+
+/// Exposition labels of the [`ParkReason`]s, in counter order.
+pub(crate) const PARK_LABELS: [&str; 3] = ["fenced", "sealed", "full"];
 
 /// The handle other threads use to reach one I/O thread.
 pub(crate) struct IoLoopHandle {
     pub(crate) waker: Waker,
-    pub(crate) inbox: Mutex<Vec<IoCtl>>,
+    /// Freshly accepted connections for this thread to adopt.
+    pub(crate) inbox: Mutex<Vec<TcpStream>>,
     /// Sinks with newly deliverable replies, drained by the I/O thread.
     ready: Mutex<Vec<Arc<ReplySink>>>,
 }
@@ -112,11 +137,15 @@ pub(crate) struct IoShared {
     pub(crate) slow_disconnects: AtomicUsize,
     /// Connections reaped by the idle sweep (half-open peers).
     pub(crate) idle_reaped: AtomicUsize,
+    /// Submit frames parked, by [`ParkReason`] (a frame counts once per
+    /// reason it waited for, however often it was retried).
+    pub(crate) parked: [AtomicUsize; 3],
     pub(crate) loops: Vec<Arc<IoLoopHandle>>,
 }
 
 impl IoShared {
-    /// Wakes every I/O thread (used after flipping `stop`).
+    /// Wakes every I/O thread (after flipping `stop` or publishing a
+    /// routing table).
     pub(crate) fn wake_all(&self) {
         for l in &self.loops {
             l.waker.wake();
@@ -124,29 +153,9 @@ impl IoShared {
     }
 }
 
-/// Min-heap entry ordering replies by sequence number.
-struct HeldReply(Reply);
-
-impl PartialEq for HeldReply {
-    fn eq(&self, other: &Self) -> bool {
-        self.0.seq == other.0.seq
-    }
-}
-impl Eq for HeldReply {}
-impl PartialOrd for HeldReply {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for HeldReply {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // Reversed: BinaryHeap is a max-heap, we pop the smallest seq.
-        other.0.seq.cmp(&self.0.seq)
-    }
-}
-
 struct SinkQueue {
-    held: BinaryHeap<HeldReply>,
+    /// Replies not yet released, by sequence number.
+    held: BTreeMap<u64, Reply>,
     /// Total bytes of held (not yet released) reply lines — counted
     /// against the connection's write-buffer bound.
     held_bytes: usize,
@@ -172,7 +181,9 @@ impl ReplySink {
         }
         let mut q = self.q.lock().expect("sink lock");
         q.held_bytes += reply.line.len();
-        q.held.push(HeldReply(reply));
+        if let Some(dup) = q.held.insert(reply.seq, reply) {
+            q.held_bytes -= dup.line.len(); // dead-shard race: one answer is enough
+        }
     }
 }
 
@@ -205,12 +216,13 @@ struct Conn {
     seq: u64,
     /// Sequence number of the next reply to release into the socket.
     next_release: u64,
-    /// The highest seq sent down the router path; the direct path is
-    /// fenced until its reply has been released (`next_release` past it).
-    last_router_seq: Option<u64>,
-    /// Frame decoder state (mirrors `read_line_bounded`).
-    line: Vec<u8>,
-    overflow: usize,
+    /// Seq of the latest control frame handed to the router; submits
+    /// are fenced until its reply is released (`next_release` past it).
+    last_control_seq: Option<u64>,
+    decoder: LineDecoder,
+    /// The submit that could not be dispatched yet; while set, nothing
+    /// is read or decoded.
+    parked: Option<(DirectSubmit, ParkReason)>,
     /// Outbound bytes: `out[out_pos..]` is unwritten.
     out: Vec<u8>,
     out_pos: usize,
@@ -299,6 +311,10 @@ pub(crate) struct IoLoop {
     max_write_buffer: usize,
     idle_timeout: Option<Duration>,
     last_sweep: Instant,
+    /// Connections parked sealed or full, retried every loop pass
+    /// (hints: a stale token is harmless), and how many of them on full.
+    waiting: Vec<usize>,
+    waiting_full: usize,
 }
 
 impl IoLoop {
@@ -332,6 +348,8 @@ impl IoLoop {
             max_write_buffer: options.max_write_buffer,
             idle_timeout: options.idle_timeout,
             last_sweep: Instant::now(),
+            waiting: Vec::new(),
+            waiting_full: 0,
         })
     }
 
@@ -343,7 +361,10 @@ impl IoLoop {
         loop {
             // Half the idle timeout bounds reap latency at ~1.5x the
             // configured timeout without a busy sweep.
-            let timeout = self.idle_timeout.map(|t| t / 2);
+            let mut timeout = self.idle_timeout.map(|t| t / 2);
+            if self.waiting_full > 0 {
+                timeout = Some(timeout.map_or(FULL_RETRY, |t| t.min(FULL_RETRY)));
+            }
             if self.poller.wait(&mut events, timeout).is_err() {
                 return; // unrecoverable poller failure
             }
@@ -359,6 +380,7 @@ impl IoLoop {
             }
             self.process_inbox();
             self.process_ready();
+            self.retry_waiting();
             self.sweep_idle();
             if self.shared.stop.load(Ordering::SeqCst) {
                 return;
@@ -382,10 +404,7 @@ impl IoLoop {
                         self.register(stream);
                     } else {
                         let l = &self.shared.loops[target];
-                        l.inbox
-                            .lock()
-                            .expect("inbox lock")
-                            .push(IoCtl::NewConn(stream));
+                        l.inbox.lock().expect("inbox lock").push(stream);
                         l.waker.wake();
                     }
                 }
@@ -412,7 +431,7 @@ impl IoLoop {
             closed: AtomicBool::new(false),
             queued: AtomicBool::new(false),
             q: Mutex::new(SinkQueue {
-                held: BinaryHeap::new(),
+                held: BTreeMap::new(),
                 held_bytes: 0,
             }),
         });
@@ -421,9 +440,9 @@ impl IoLoop {
             sink: placeholder,
             seq: 0,
             next_release: 0,
-            last_router_seq: None,
-            line: Vec::new(),
-            overflow: 0,
+            last_control_seq: None,
+            decoder: LineDecoder::new(self.max_line),
+            parked: None,
             out: Vec::new(),
             out_pos: 0,
             out_base: 0,
@@ -440,7 +459,7 @@ impl IoLoop {
             closed: AtomicBool::new(false),
             queued: AtomicBool::new(false),
             q: Mutex::new(SinkQueue {
-                held: BinaryHeap::new(),
+                held: BTreeMap::new(),
                 held_bytes: 0,
             }),
         });
@@ -462,12 +481,13 @@ impl IoLoop {
     }
 
     fn conn_ready(&mut self, token: usize, ev: epoll::Event, scratch: &mut [u8]) {
-        if self.conns.get(token).is_none() {
+        let Some(conn) = self.conns.get(token) else {
             return; // already killed this iteration
-        }
-        if ev.hangup && self.conns.get(token).is_some_and(|c| c.read_closed) {
+        };
+        if ev.hangup && (conn.read_closed || conn.parked.is_some()) {
             // Peer is gone in both directions: no response can ever be
-            // delivered, and the hang-up is level-triggered — reap now.
+            // delivered, and the hang-up is level-triggered (a parked
+            // connection does not read its way to the error) — reap now.
             self.kill(token);
             return;
         }
@@ -480,27 +500,27 @@ impl IoLoop {
         self.finish(token);
     }
 
-    /// Reads until `WouldBlock`, EOF, or the fairness cap, feeding every
-    /// byte through the frame decoder.
+    /// Reads until `WouldBlock`, EOF, a parked submit, or the fairness
+    /// cap, decoding and dispatching after every chunk.
     fn do_read(&mut self, token: usize, scratch: &mut [u8]) {
         let mut total = 0usize;
         loop {
             let Some(conn) = self.conns.get_mut(token) else {
                 return;
             };
-            if conn.read_closed {
+            if conn.read_closed || conn.parked.is_some() {
                 return;
             }
             match conn.stream.read(scratch) {
                 Ok(0) => {
                     conn.read_closed = true;
-                    conn.want_read = false;
-                    self.finish_input(token);
+                    self.pump_input(token);
                     return;
                 }
                 Ok(n) => {
                     conn.last_activity = Instant::now();
-                    self.feed(token, &scratch[..n]);
+                    conn.decoder.push(&scratch[..n]);
+                    self.pump_input(token);
                     total += n;
                     if total >= 4 * READ_CHUNK {
                         return; // fairness: level-triggering re-arms
@@ -516,222 +536,159 @@ impl IoLoop {
         }
     }
 
-    /// Streams `bytes` through the connection's line decoder —
-    /// bit-compatible with [`read_line_bounded`]: overflow counts body
-    /// bytes (newline excluded) and discards until the frame ends.
-    fn feed(&mut self, token: usize, mut bytes: &[u8]) {
-        while !bytes.is_empty() {
+    /// Retries the parked submit, then decodes and dispatches buffered
+    /// lines until they run out (after EOF: including the unterminated
+    /// tail) or a submit parks. Safe to call at any time.
+    fn pump_input(&mut self, token: usize) {
+        loop {
             let Some(conn) = self.conns.get_mut(token) else {
                 return;
             };
-            let nl = bytes.iter().position(|&b| b == b'\n');
-            let body = nl.map_or(bytes.len(), |p| p);
-            if conn.overflow == 0 {
-                if conn.line.len() + body > self.max_line {
-                    conn.overflow = conn.line.len() + body;
-                    conn.line.clear();
-                } else {
-                    conn.line.extend_from_slice(&bytes[..body]);
+            if let Some((submit, was)) = conn.parked.take() {
+                if !self.dispatch(token, submit, Some(was)) {
+                    return;
                 }
-            } else {
-                conn.overflow += body;
+                continue;
             }
-            match nl {
+            let parsed = match conn.decoder.next_line(conn.read_closed) {
                 None => return,
-                Some(p) => {
-                    bytes = &bytes[p + 1..];
-                    self.complete_line(token);
-                }
-            }
-        }
-    }
-
-    /// EOF: deliver the unterminated tail (or its overflow rejection)
-    /// exactly like the blocking reader does.
-    fn finish_input(&mut self, token: usize) {
-        let Some(conn) = self.conns.get_mut(token) else {
-            return;
-        };
-        if conn.overflow > 0 || !conn.line.is_empty() {
-            self.complete_line(token);
-        }
-    }
-
-    /// One complete decoded line: too-long rejection, parse, route.
-    fn complete_line(&mut self, token: usize) {
-        let Some(conn) = self.conns.get_mut(token) else {
-            return;
-        };
-        let overflow = std::mem::replace(&mut conn.overflow, 0);
-        let line = std::mem::take(&mut conn.line);
-        if overflow > 0 {
+                Some(Line::Frame(body)) => parse_request(body),
+                Some(Line::TooLong(n)) => Err(format!(
+                    "frame too long ({n} bytes > {} limit)",
+                    self.max_line
+                )),
+            };
+            let Some(request) = parsed.transpose() else {
+                continue; // blank keep-alive line, no sequence consumed
+            };
             let seq = conn.seq;
             conn.seq += 1;
-            let message = format!(
-                "frame too long ({overflow} bytes > {} limit)",
-                self.max_line
-            );
-            self.local_reply(token, seq, &Response::Error { message });
-            return;
-        }
-        match parse_request(&line) {
-            Ok(None) => {} // blank keep-alive line, no sequence consumed
-            Ok(Some(req)) => {
-                let seq = conn.seq;
-                conn.seq += 1;
-                self.route(token, req, seq);
-            }
-            Err(message) => {
-                let seq = conn.seq;
-                conn.seq += 1;
-                self.local_reply(token, seq, &Response::Error { message });
+            let reply = ReplyHandle(Arc::clone(&conn.sink));
+            match request {
+                Ok(Request::Submit {
+                    jobs,
+                    shard,
+                    tenant,
+                }) => {
+                    let submit = DirectSubmit {
+                        jobs,
+                        shard,
+                        tenant,
+                        reply,
+                        seq,
+                    };
+                    if !self.dispatch(token, submit, None) {
+                        return;
+                    }
+                }
+                Ok(control) => {
+                    // To the router; later submits are fenced behind it.
+                    conn.last_control_seq = Some(seq);
+                    let sent = self.ingest.send(IngestEvent::Frame(control, reply, seq));
+                    if sent.is_err() {
+                        self.local_reply(token, seq, &shutting_down());
+                    }
+                }
+                Err(message) => self.local_reply(token, seq, &Response::Error { message }),
             }
         }
     }
 
     /// Queues a locally generated response (no wake needed — the caller
-    /// is the owning I/O thread and pumps before returning to the
-    /// poller).
+    /// is the owning I/O thread and pumps before it polls again).
     fn local_reply(&mut self, token: usize, seq: u64, response: &Response) {
         if let Some(conn) = self.conns.get(token) {
             conn.sink.push(Reply::frame(seq, response));
         }
     }
 
-    /// Routes one parsed request: the direct shard path when possible,
-    /// the router's ingest queue otherwise.
-    fn route(&mut self, token: usize, req: Request, seq: u64) {
-        let req = match req {
-            Request::Submit {
-                jobs,
-                shard,
-                tenant,
-            } => {
-                let Some(conn) = self.conns.get(token) else {
-                    return;
-                };
-                // Fence: direct dispatch may only overtake the router
-                // once every earlier router-path frame is answered.
-                let direct_ok = conn.last_router_seq.is_none_or(|s| conn.next_release > s);
-                let table =
-                    direct_ok.then(|| Arc::clone(&self.shared.table.read().expect("table lock")));
-                match table
-                    .as_ref()
-                    .and_then(|t| t.direct.as_ref().map(|d| (t, d)))
-                {
-                    None => Request::Submit {
-                        jobs,
-                        shard,
-                        tenant,
-                    },
-                    Some((table, direct)) => {
-                        let n_shards = table.plan.n_shards();
-                        let target = match shard {
-                            Some(k) if k >= n_shards => {
-                                self.local_reply(
-                                    token,
-                                    seq,
-                                    &Response::UnknownShard { shard: k, n_shards },
-                                );
-                                return;
-                            }
-                            Some(k) => k,
-                            None => {
-                                match derive_route(&table.grid, &table.plan, &table.offline, &jobs)
-                                {
-                                    Ok(k) => k,
-                                    Err(response) => {
-                                        self.local_reply(token, seq, &response);
-                                        return;
-                                    }
-                                }
-                            }
-                        };
-                        gridsec_obs::event!("dispatch", shard = target, jobs = jobs.len());
-                        let d = &direct[target];
-                        let reply =
-                            ReplyHandle(Arc::clone(&self.conns.get(token).expect("checked").sink));
-                        match d.queue.push(DirectSubmit {
-                            jobs,
-                            tenant,
-                            reply,
-                            seq,
-                        }) {
-                            Ok(()) => {
-                                if d.control.send(ShardMsg::Poke).is_err() {
-                                    // Shard thread gone: the queued submit
-                                    // has no consumer, answer for it.
-                                    self.local_reply(
-                                        token,
-                                        seq,
-                                        &Response::Error {
-                                            message: "a shard thread is no longer running".into(),
-                                        },
-                                    );
-                                }
-                                return;
-                            }
-                            // Queue full: fall back to the router path
-                            // (which fences later frames behind it).
-                            Err(back) => Request::Submit {
-                                jobs: back.jobs,
-                                shard,
-                                tenant: back.tenant,
-                            },
-                        }
-                    }
-                }
+    /// The one submit path: pushes `submit` onto its shard's queue,
+    /// answers it locally (routing rejections, a closed table), or parks
+    /// it (`false`) — `was` is the reason it was parked for until now.
+    fn dispatch(&mut self, token: usize, submit: DirectSubmit, was: Option<ParkReason>) -> bool {
+        let Some(conn) = self.conns.get(token) else {
+            return false;
+        };
+        let seq = submit.seq;
+        let fenced = conn
+            .last_control_seq
+            .is_some_and(|s| conn.next_release <= s);
+        let outcome = if fenced {
+            Err((submit, ParkReason::Fenced))
+        } else {
+            // The read guard is held across the push: the router's write
+            // of a sealed table returns only once every push routed under
+            // the old one has landed, so nothing races a retiring shard.
+            push_submit(&self.shared.table.read().expect("table lock"), submit)
+        };
+        match outcome {
+            Ok(None) => true,
+            Ok(Some(response)) => {
+                self.local_reply(token, seq, &response);
+                true
             }
-            other => other,
-        };
-        let Some(conn) = self.conns.get_mut(token) else {
-            return;
-        };
-        conn.last_router_seq = Some(seq);
-        let reply = ReplyHandle(Arc::clone(&conn.sink));
-        if self
-            .ingest
-            .send(IngestEvent::Frame(req, reply, seq))
-            .is_err()
-        {
-            self.local_reply(
-                token,
-                seq,
-                &Response::Error {
-                    message: "daemon is shutting down".into(),
-                },
-            );
+            Err((submit, reason)) => {
+                if was != Some(reason) {
+                    self.shared.parked[reason as usize].fetch_add(1, Ordering::Relaxed);
+                }
+                if reason != ParkReason::Fenced {
+                    self.waiting.push(token);
+                    self.waiting_full += usize::from(reason == ParkReason::Full);
+                }
+                self.conns.get_mut(token).expect("checked above").parked = Some((submit, reason));
+                false
+            }
         }
     }
 
-    /// Releases in-sequence replies into the outbound buffer, writes,
-    /// enforces the write bound, updates epoll interest and closes
-    /// finished connections. Safe to call repeatedly.
+    /// Retries every connection parked on a sealed table or a full
+    /// queue; `dispatch` re-lists the ones that park again.
+    fn retry_waiting(&mut self) {
+        self.waiting_full = 0;
+        for token in std::mem::take(&mut self.waiting) {
+            self.pump_input(token);
+            self.finish(token);
+        }
+    }
+
+    /// Moves in-sequence replies from the reorder buffer into the
+    /// outbound one; returns the bytes still held for reordering.
+    fn release(&mut self, token: usize) -> usize {
+        let Some(conn) = self.conns.get_mut(token) else {
+            return 0;
+        };
+        let mut q = conn.sink.q.lock().expect("sink lock");
+        while let Some(entry) = q.held.first_entry() {
+            if *entry.key() > conn.next_release {
+                break;
+            }
+            let reply = entry.remove();
+            q.held_bytes -= reply.line.len();
+            if reply.seq < conn.next_release {
+                continue; // stale duplicate (dead-shard race); drop
+            }
+            conn.out.extend_from_slice(reply.line.as_bytes());
+            if let Some(tx) = reply.flushed {
+                conn.flush_marks
+                    .push_back((conn.out_base + conn.out.len() as u64, tx));
+            }
+            conn.next_release += 1;
+        }
+        q.held_bytes
+    }
+
+    /// Releases in-sequence replies (resuming a connection fenced behind
+    /// one of them), writes, enforces the write bound, updates epoll
+    /// interest and closes finished connections. Safe to call repeatedly.
     fn finish(&mut self, token: usize) {
+        let mut held_bytes = self.release(token);
+        let fenced = |c: &Conn| matches!(c.parked, Some((_, ParkReason::Fenced)));
+        if self.conns.get(token).is_some_and(fenced) {
+            self.pump_input(token);
+            held_bytes = self.release(token); // what the resumed frames answered locally
+        }
         let Some(conn) = self.conns.get_mut(token) else {
             return;
-        };
-        // Pump the reorder heap.
-        let held_bytes = {
-            let mut q = conn.sink.q.lock().expect("sink lock");
-            loop {
-                let release = matches!(q.held.peek(), Some(h) if h.0.seq <= conn.next_release);
-                if !release {
-                    break;
-                }
-                let reply = q.held.pop().expect("peeked").0;
-                q.held_bytes -= reply.line.len();
-                if reply.seq < conn.next_release {
-                    continue; // stale duplicate (dead-shard race); drop
-                }
-                conn.out.extend_from_slice(reply.line.as_bytes());
-                if let Some(tx) = reply.flushed {
-                    conn.flush_marks
-                        .push_back((conn.out_base + conn.out.len() as u64, tx));
-                }
-                conn.next_release += 1;
-            }
-            q.held_bytes
         };
         let backlog = conn.unwritten() + held_bytes;
         if backlog > self.max_write_buffer {
@@ -745,7 +702,9 @@ impl IoLoop {
         let Some(conn) = self.conns.get_mut(token) else {
             return;
         };
-        // Done? (EOF seen, every frame answered, every byte written.)
+        // Done? (EOF seen, every frame answered, every byte written. A
+        // parked frame is an unanswered one, and after EOF lines stay
+        // undecoded only behind a parked frame.)
         let idle_out = conn.unwritten() == 0
             && conn.next_release == conn.seq
             && conn.sink.q.lock().expect("sink lock").held.is_empty();
@@ -754,7 +713,7 @@ impl IoLoop {
             return;
         }
         // Re-arm epoll interest to match what we are waiting for.
-        let want_read = !conn.read_closed;
+        let want_read = !conn.read_closed && conn.parked.is_none();
         let want_write = conn.unwritten() > 0;
         if want_read != conn.want_read || want_write != conn.want_write {
             conn.want_read = want_read;
@@ -821,19 +780,11 @@ impl IoLoop {
         }
     }
 
-    /// Handles control messages from other threads.
+    /// Adopts the connections thread 0 accepted for this thread.
     fn process_inbox(&mut self) {
-        let ctls: Vec<IoCtl> = std::mem::take(&mut *self.handle.inbox.lock().expect("inbox lock"));
-        for ctl in ctls {
-            match ctl {
-                IoCtl::NewConn(stream) => self.register(stream),
-                IoCtl::Sync(ack) => {
-                    // By now this thread can no longer act on any table
-                    // snapshot read before the router republished it:
-                    // every route() reads the table fresh.
-                    let _ = ack.send(());
-                }
-            }
+        let streams = std::mem::take(&mut *self.handle.inbox.lock().expect("inbox lock"));
+        for stream in streams {
+            self.register(stream);
         }
     }
 
@@ -882,6 +833,44 @@ impl IoLoop {
     }
 }
 
+/// Routes `submit` under `table` and pushes it onto the owning shard's
+/// queue. `Ok(None)`: queued (the shard answers). `Ok(Some(_))`: answer
+/// locally. `Err`: cannot be queued right now — park it.
+fn push_submit(
+    table: &RoutingTable,
+    submit: DirectSubmit,
+) -> Result<Option<Response>, (DirectSubmit, ParkReason)> {
+    let direct = match &table.direct {
+        DirectPath::Open(direct) => direct,
+        DirectPath::Sealed => return Err((submit, ParkReason::Sealed)),
+        DirectPath::Closed => return Ok(Some(shutting_down())),
+    };
+    let n_shards = table.plan.n_shards();
+    let target = match submit.shard {
+        Some(k) if k >= n_shards => return Ok(Some(Response::UnknownShard { shard: k, n_shards })),
+        Some(k) => k,
+        None => match derive_route(&table.grid, &table.plan, &table.offline, &submit.jobs) {
+            Ok(k) => k,
+            Err(response) => return Ok(Some(*response)),
+        },
+    };
+    let n_jobs = submit.jobs.len();
+    let d = &direct[target];
+    let pushed = d.queue.push(submit);
+    // The poke doubles as the liveness probe: a dead shard neither
+    // drains a full queue nor answers a queued submit.
+    if d.control.send(ShardMsg::Poke).is_err() {
+        return Ok(Some(shard_down()));
+    }
+    match pushed {
+        Ok(()) => {
+            gridsec_obs::event!("dispatch", shard = target, jobs = n_jobs);
+            Ok(None)
+        }
+        Err(back) => Err((back, ParkReason::Full)),
+    }
+}
+
 /// Builds the shared state + per-thread handles for `n_io` I/O threads.
 pub(crate) fn build_io(
     n_io: usize,
@@ -905,6 +894,7 @@ pub(crate) fn build_io(
             connections: AtomicUsize::new(0),
             slow_disconnects: AtomicUsize::new(0),
             idle_reaped: AtomicUsize::new(0),
+            parked: Default::default(),
             loops,
         }),
         readers,

@@ -5,7 +5,7 @@
 //! cross-shard operations):
 //!
 //! ```text
-//!  10k clients ──► epoll I/O threads ──routable submits──► lock-free ┌─► shard 0 thread
+//!  10k clients ──► epoll I/O threads ──────submits────────► lock-free ┌─► shard 0 thread
 //!        (accept ▪ nonblocking read  ──────────────────►  per-shard  ├─► shard 1 thread
 //!         frame decode ▪ routing     ┐                    queues     └─► shard 2 thread
 //!         seq-ordered write buffers) └─► ingest ─► router ──control──────► (all shards)
@@ -14,22 +14,18 @@
 //! ```
 //!
 //! Connections are **event-driven** ([`crate::conn`]): a small pool of
-//! I/O threads owns every client socket through a vendored epoll wrapper.
-//! Each connection carries its own NDJSON frame decoder (the same
-//! overflow discipline as [`read_line_bounded`]), a per-client sequence
-//! counter, and a bounded outbound buffer that releases responses **in
-//! request order** — replies may arrive from different shard threads, so
-//! a reorder heap holds them until their sequence number is next. A
-//! `submit` frame whose route is decidable from the shared
-//! [`RoutingTable`](crate::conn::RoutingTable) snapshot is pushed
-//! straight onto the owning shard's lock-free bounded queue, skipping the
-//! router hop; everything serialised — aggregated queries, global
-//! reconfigures, `reshard`, `drain`, `shutdown`, site churn — flows
-//! through the single *router* thread, which scatters to every shard and
-//! gathers the results (a barrier across shards). A per-connection fence
-//! keeps the two paths in per-client order, and the router *seals* the
-//! direct path around every reshard/shutdown barrier so no submit can
-//! race into a retiring shard. Each shard thread owns an
+//! I/O threads owns every client socket through a vendored epoll wrapper,
+//! decodes NDJSON frames, and releases responses **in request order**
+//! from a bounded per-connection buffer (replies may arrive from
+//! different shard threads). There is one way for a job to reach a shard:
+//! the I/O thread routes a `submit` against the shared
+//! [`RoutingTable`](crate::conn::RoutingTable) snapshot and pushes it
+//! onto the owning shard's lock-free bounded queue; a submit that cannot
+//! be pushed yet waits *parked on its connection*. Everything serialised
+//! — aggregated queries, global reconfigures, `reshard`, `drain`,
+//! `shutdown`, site churn — flows through the single *router* thread,
+//! which scatters to every shard and gathers the results (a barrier
+//! across shards); it never sees a submit. Each shard thread owns an
 //! [`OnlineSession`] over its subgrid — the GA population pool, the STGA
 //! history table and the availability model live there untouched across
 //! rounds. A client disconnecting mid-round just drops its connection;
@@ -41,18 +37,19 @@
 //! exports their state, redistributes it with
 //! [`transfer`](crate::reshard::transfer), rebuilds the shard sessions
 //! through the session factory and atomically swaps the router's plan.
-//! Because the router serialises every frame, clients pipelined across
-//! the swap observe nothing but in-order responses; counters and
+//! Submits that arrive during the barrier wait parked on their
+//! connections and are routed under the new plan, so clients pipelined
+//! across the swap observe nothing but in-order responses; counters and
 //! committed schedules of retired shards are archived on the router so
 //! aggregated queries stay cumulative.
 
 use crate::conn::{
-    build_io, DirectShard, DirectSubmit, IoCtl, IoLoop, IoShared, ReplyHandle, RoutingTable,
-    DIRECT_QUEUE_CAP,
+    build_io, DirectPath, DirectShard, DirectSubmit, IoLoop, IoShared, ReplyHandle, RoutingTable,
+    DIRECT_QUEUE_CAP, PARK_LABELS,
 };
 use crate::protocol::{
-    encode, read_line_bounded, Line, Placed, QueryWhat, Request, Response, ServeMetrics,
-    TelemetryReport, MAX_LINE_BYTES,
+    encode, Line, LineDecoder, Placed, QueryWhat, Request, Response, ServeMetrics, TelemetryReport,
+    MAX_LINE_BYTES,
 };
 use crate::reshard::{
     transfer, AutoscaleConfig, AutoscalePolicy, SessionFactory, ShardBuildContext, ShardObservation,
@@ -63,7 +60,7 @@ use crossbeam_queue::ArrayQueue;
 use gridsec_core::{Grid, JobId, SiteId, Time};
 use gridsec_obs::{Histogram, HistogramSnapshot};
 use gridsec_sim::ShardPlan;
-use std::io::{self, BufReader, Write};
+use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::Ordering;
@@ -189,11 +186,12 @@ pub(crate) struct Reply {
     pub(crate) flushed: Option<Sender<()>>,
 }
 
-/// One parsed frame, tagged with its reply handle and per-client
-/// sequence number — or a tick from the autoscaler thread, which goes
-/// through the same queue so topology decisions are serialised with
-/// client frames. (Malformed frames are answered directly on the I/O
-/// threads and never reach this queue.)
+/// One parsed control frame (anything but a `submit`), tagged with its
+/// reply handle and per-client sequence number — or a tick from the
+/// autoscaler thread, which goes through the same queue so topology
+/// decisions are serialised with client frames. (Submits go straight to
+/// the shard queues and malformed frames are answered on the I/O
+/// threads; neither reaches this queue.)
 pub(crate) enum IngestEvent {
     Frame(Request, ReplyHandle, u64),
     Autoscale,
@@ -327,7 +325,7 @@ impl Daemon {
             grid: Arc::clone(&grid),
             plan: Arc::new(plan.clone()),
             offline: Arc::new(vec![false; grid.len()]),
-            direct: Some(direct_shards(&shard_txs, &direct_queues)),
+            direct: DirectPath::Open(direct_shards(&shard_txs, &direct_queues)),
         };
         let (shared, wake_readers) = build_io(n_io, table)?;
         let mut io = Vec::with_capacity(n_io);
@@ -459,6 +457,13 @@ impl Daemon {
         self.shared.idle_reaped.load(Ordering::SeqCst)
     }
 
+    /// Submit frames that waited parked on their connection, as
+    /// `[fenced, sealed, full]` (`gridsec_submits_parked_total` on the
+    /// exposition page, but readable while a shard is busy).
+    pub fn submits_parked(&self) -> [usize; 3] {
+        std::array::from_fn(|i| self.shared.parked[i].load(Ordering::SeqCst))
+    }
+
     /// Blocks until a client sends `shutdown` and the daemon winds down:
     /// the router joins the shard threads, then the I/O threads, the
     /// autoscaler ticker and the scrape listener are reaped.
@@ -497,7 +502,7 @@ fn scrape_one(mut stream: TcpStream, ingest: &Sender<IngestEvent>) {
     let _ = stream.write_all(text.as_bytes());
 }
 
-/// Builds the direct-path endpoints for a routing-table snapshot.
+/// Builds the submit endpoints for an open routing-table snapshot.
 fn direct_shards(
     txs: &[Sender<ShardMsg>],
     queues: &[Arc<ArrayQueue<DirectSubmit>>],
@@ -512,10 +517,9 @@ fn direct_shards(
 }
 
 /// Spawns one scheduling thread per shard spec; shard `k` serves
-/// `plan.sites_of(k)`. Each shard also gets a lock-free bounded queue
-/// for direct (router-bypassing) submits, drained by the shard thread
-/// ahead of every control message. Shared by daemon startup and the
-/// reshard swap.
+/// `plan.sites_of(k)`. Each shard also gets the lock-free bounded queue
+/// its submits arrive on, drained by the shard thread ahead of every
+/// control message. Shared by daemon startup and the reshard swap.
 #[allow(clippy::type_complexity)]
 fn spawn_shard_threads(
     plan: &ShardPlan,
@@ -580,7 +584,7 @@ struct Router {
     grid: Arc<Grid>,
     plan: ShardPlan,
     shard_txs: Vec<Sender<ShardMsg>>,
-    /// Per-shard direct-submit queues (paired with `shard_txs`; replaced
+    /// Per-shard submit queues (paired with `shard_txs`; replaced
     /// together on a reshard).
     direct_queues: Vec<Arc<ArrayQueue<DirectSubmit>>>,
     shard_handles: Vec<JoinHandle<()>>,
@@ -611,11 +615,9 @@ struct Router {
 }
 
 impl Router {
-    /// Publishes a fresh routing-table snapshot to the I/O threads.
-    /// `sealed` removes the direct path (reshard/shutdown barrier);
-    /// unsealed snapshots carry the current shard queues + channels.
-    fn publish_table(&self, sealed: bool) {
-        let direct = (!sealed).then(|| direct_shards(&self.shard_txs, &self.direct_queues));
+    /// Publishes a fresh routing-table snapshot and wakes every I/O
+    /// thread, so connections parked on the previous one retry.
+    fn publish_table(&self, direct: DirectPath) {
         let table = Arc::new(RoutingTable {
             grid: Arc::clone(&self.grid),
             plan: Arc::new(self.plan.clone()),
@@ -623,36 +625,22 @@ impl Router {
             direct,
         });
         *self.io.table.write().expect("table lock") = table;
+        self.io.wake_all();
     }
 
-    /// Seals the direct path and waits until every I/O thread has
-    /// observed the sealed table. After this returns, any direct submit
-    /// is already in a shard queue (drained at the coming barrier) and
-    /// every later submit takes the router path — nothing can race into
-    /// a retiring shard.
-    fn seal_direct(&self) {
-        self.publish_table(true);
-        let acks: Vec<Receiver<()>> = self
-            .io
-            .loops
-            .iter()
-            .map(|l| {
-                let (tx, rx) = channel();
-                l.inbox.lock().expect("inbox lock").push(IoCtl::Sync(tx));
-                l.waker.wake();
-                rx
-            })
-            .collect();
-        for rx in acks {
-            // An I/O thread that died takes its connections with it; a
-            // bounded wait keeps the barrier from hanging on it.
-            let _ = rx.recv_timeout(Duration::from_secs(5));
-        }
+    /// Publishes the current plan, offline set and shard queues.
+    fn publish_open(&self) {
+        self.publish_table(DirectPath::Open(direct_shards(
+            &self.shard_txs,
+            &self.direct_queues,
+        )));
     }
+
     /// The router loop: drains the ingest queue in order, forwards each
-    /// frame to the shard that owns it, and scatter-gathers the
-    /// cross-shard operations. Exits after a `shutdown` frame (stopping
-    /// every shard) or when the listener goes away.
+    /// shard-scoped control frame to the shard that owns it, and
+    /// scatter-gathers the cross-shard operations. Exits after a
+    /// `shutdown` frame (stopping every shard) or when the listener goes
+    /// away.
     fn run(mut self, ingest: Receiver<IngestEvent>) {
         // The routing-level view of site churn. The router is the single
         // gatekeeper: double-fails and spurious rejoins are rejected
@@ -660,7 +648,7 @@ impl Router {
         // applied the injection — so routing and shard state can never
         // disagree.
         self.offline = vec![false; self.grid.len()];
-        self.publish_table(false);
+        self.publish_open();
         loop {
             let event = match ingest.recv() {
                 Ok(ev) => ev,
@@ -688,40 +676,8 @@ impl Router {
             };
             let n_shards = self.plan.n_shards();
             match req {
-                Request::Submit {
-                    jobs,
-                    shard,
-                    tenant,
-                } => {
-                    let target = match shard {
-                        Some(k) if k >= n_shards => {
-                            reply.send(Reply::frame(
-                                seq,
-                                &Response::UnknownShard { shard: k, n_shards },
-                            ));
-                            continue;
-                        }
-                        Some(k) => k,
-                        None => match derive_route(&self.grid, &self.plan, &self.offline, &jobs) {
-                            Ok(k) => k,
-                            Err(response) => {
-                                reply.send(Reply::frame(seq, &response));
-                                continue;
-                            }
-                        },
-                    };
-                    gridsec_obs::event!("dispatch", shard = target, jobs = jobs.len());
-                    forward(
-                        &self.shard_txs[target],
-                        ShardMsg::Submit {
-                            jobs,
-                            tenant,
-                            reply: reply.clone(),
-                            seq,
-                        },
-                        &reply,
-                        seq,
-                    );
+                Request::Submit { .. } => {
+                    unreachable!("the I/O threads dispatch submits; the router never sees one")
                 }
                 Request::Query {
                     what,
@@ -792,7 +748,7 @@ impl Router {
                         fail_site(&self.plan, &self.shard_txs, &mut self.offline, site, at);
                     if matches!(response, Response::SiteFailed { .. }) {
                         // Derived routing must stop targeting the site.
-                        self.publish_table(false);
+                        self.publish_open();
                     }
                     reply.send(Reply::frame(seq, &response));
                 }
@@ -800,7 +756,7 @@ impl Router {
                     let response =
                         rejoin_site(&self.plan, &self.shard_txs, &mut self.offline, site, at);
                     if matches!(response, Response::SiteRejoined { .. }) {
-                        self.publish_table(false);
+                        self.publish_open();
                     }
                     reply.send(Reply::frame(seq, &response));
                 }
@@ -832,10 +788,9 @@ impl Router {
                     ));
                 }
                 Request::Shutdown => {
-                    // Seal the direct path: in-flight direct submits are
-                    // consumed by the drain barrier below, later submits
-                    // hit the router and get the post-`bye` rejection.
-                    self.seal_direct();
+                    // Seal the submit path: queued submits are consumed by
+                    // the drain barrier below, later ones park.
+                    self.publish_table(DirectPath::Sealed);
                     let drained = self.drain();
                     let response = match drained {
                         Response::Drained { .. } => Response::Bye,
@@ -852,6 +807,10 @@ impl Router {
                     for h in self.shard_handles.drain(..) {
                         let _ = h.join();
                     }
+                    // Closed before `bye` goes out: a submit fenced behind
+                    // this frame is refused in the pass that releases
+                    // `bye`; ones parked on other connections, now.
+                    self.publish_table(DirectPath::Closed);
                     // The daemon exits right after this; wait (bounded)
                     // for the writer to flush the final frame so the
                     // client is guaranteed its `bye`.
@@ -883,20 +842,19 @@ impl Router {
     fn reshard(&mut self, shards: Vec<Vec<SiteId>>) -> Result<usize, String> {
         let from = self.plan.n_shards();
         let to = shards.len();
-        // Seal the direct path before the barrier: submits pushed before
-        // the seal are drained by the old shards (each shard empties its
-        // direct queue ahead of every control message, and the I/O sync
-        // ack below guarantees no push straddles the swap); submits
-        // arriving after take the router path and queue behind this
-        // reshard. The table is republished (resealed or fresh) on both
-        // exits below.
+        // Seal the submit path before the barrier. The I/O threads push
+        // under the table's read lock, so once the sealed table is
+        // written every dispatched submit is in a shard queue (each shard
+        // empties it ahead of every control message) and every later one
+        // parks on its connection until the table is republished on both
+        // exits below — nothing can race into a retiring shard.
         let barrier = gridsec_obs::span!("reshard_barrier", from = from, to = to);
-        self.seal_direct();
+        self.publish_table(DirectPath::Sealed);
         let t0 = Instant::now();
         let result = self.reshard_inner(shards);
         // Success republishes with the new shards' queues; failure
         // re-opens the old ones (the topology did not change).
-        self.publish_table(false);
+        self.publish_open();
         drop(barrier);
         match &result {
             Ok(moved) => {
@@ -1254,6 +1212,26 @@ impl Router {
             "Connections reaped by the idle timeout.",
             self.io.idle_reaped.load(Ordering::Relaxed) as u64,
         );
+        out.push_str(
+            "# HELP gridsec_submits_parked_total Submit frames that waited on their connection.\n\
+             # TYPE gridsec_submits_parked_total counter\n",
+        );
+        for (label, n) in PARK_LABELS.iter().zip(&self.io.parked) {
+            let n = n.load(Ordering::Relaxed);
+            out.push_str(&format!(
+                "gridsec_submits_parked_total{{reason=\"{label}\"}} {n}\n"
+            ));
+        }
+        out.push_str(
+            "# HELP gridsec_direct_queue_depth Submit frames queued for a shard.\n\
+             # TYPE gridsec_direct_queue_depth gauge\n",
+        );
+        for (k, q) in self.direct_queues.iter().enumerate() {
+            let n = q.len();
+            out.push_str(&format!(
+                "gridsec_direct_queue_depth{{shard=\"{k}\"}} {n}\n"
+            ));
+        }
         out.push_str("# HELP gridsec_pending Jobs waiting for the next round, per shard.\n");
         out.push_str("# TYPE gridsec_pending gauge\n");
         for (k, s) in per_shard.iter().enumerate() {
@@ -1324,12 +1302,7 @@ impl Router {
                     ));
                 }
                 Ok(IngestEvent::Frame(_, reply, seq)) => {
-                    reply.send(Reply::frame(
-                        seq,
-                        &Response::Error {
-                            message: "daemon is shutting down".into(),
-                        },
-                    ));
+                    reply.send(Reply::frame(seq, &shutting_down()));
                 }
                 Ok(IngestEvent::Autoscale) => {}
                 Ok(IngestEvent::Scrape(reply)) => {
@@ -1600,9 +1573,15 @@ fn drain_all(shard_txs: &[Sender<ShardMsg>]) -> Response {
     }
 }
 
-fn shard_down() -> Response {
+pub(crate) fn shard_down() -> Response {
     Response::Error {
         message: "a shard thread is no longer running".into(),
+    }
+}
+
+pub(crate) fn shutting_down() -> Response {
+    Response::Error {
+        message: "daemon is shutting down".into(),
     }
 }
 
@@ -1620,8 +1599,8 @@ fn forward(shard: &Sender<ShardMsg>, msg: ShardMsg, reply: &ReplyHandle, seq: u6
 /// examples and the wire tests; any `netcat`-style tool works just as
 /// well.
 pub struct Client {
-    reader: BufReader<TcpStream>,
-    writer: TcpStream,
+    stream: TcpStream,
+    decoder: LineDecoder,
 }
 
 impl Client {
@@ -1633,10 +1612,9 @@ impl Client {
     /// Wraps an already-connected stream (tests that drive the socket by
     /// hand before switching to lock-step frames).
     pub fn from_stream(stream: TcpStream) -> io::Result<Client> {
-        let writer = stream.try_clone()?;
         Ok(Client {
-            reader: BufReader::new(stream),
-            writer,
+            stream,
+            decoder: LineDecoder::new(Self::MAX_RESPONSE_BYTES),
         })
     }
 
@@ -1648,11 +1626,11 @@ impl Client {
     /// Sends a raw line (malformed-frame testing) and waits for the
     /// response.
     pub fn send_line(&mut self, line: &str) -> io::Result<Response> {
-        self.writer.write_all(line.as_bytes())?;
+        self.stream.write_all(line.as_bytes())?;
         if !line.ends_with('\n') {
-            self.writer.write_all(b"\n")?;
+            self.stream.write_all(b"\n")?;
         }
-        self.writer.flush()?;
+        self.stream.flush()?;
         self.read_response()
     }
 
@@ -1663,22 +1641,29 @@ impl Client {
 
     /// Reads one response frame.
     pub fn read_response(&mut self) -> io::Result<Response> {
-        match read_line_bounded(&mut self.reader, Self::MAX_RESPONSE_BYTES)? {
-            Line::Frame(line) => {
-                let text = std::str::from_utf8(&line).map_err(|_| {
-                    io::Error::new(io::ErrorKind::InvalidData, "non-UTF-8 response")
-                })?;
-                serde_json::from_str(text)
-                    .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))
+        let invalid = |msg: String| io::Error::new(io::ErrorKind::InvalidData, msg);
+        let mut chunk = [0u8; 8192];
+        loop {
+            match self.decoder.next_line(false) {
+                Some(Line::Frame(line)) => {
+                    return serde_json::from_slice(line).map_err(|e| invalid(e.to_string()))
+                }
+                Some(Line::TooLong(n)) => {
+                    return Err(invalid(format!("oversized response ({n} bytes)")))
+                }
+                None => {}
             }
-            Line::TooLong(n) => Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("oversized response ({n} bytes)"),
-            )),
-            Line::Eof => Err(io::Error::new(
-                io::ErrorKind::UnexpectedEof,
-                "daemon closed the connection",
-            )),
+            // The daemon only ever writes whole lines, so EOF mid-line is
+            // a lost connection, not a frame.
+            match self.stream.read(&mut chunk)? {
+                0 => {
+                    return Err(io::Error::new(
+                        io::ErrorKind::UnexpectedEof,
+                        "daemon closed the connection",
+                    ))
+                }
+                n => self.decoder.push(&chunk[..n]),
+            }
         }
     }
 }

@@ -7,7 +7,7 @@
 //!
 //! * [`protocol`] — the NDJSON wire protocol (line-delimited JSON frames:
 //!   `submit`, `query`, `reconfigure`, `drain`, `shutdown`, all
-//!   shard-aware) with a bounded, partial-read-tolerant line reader.
+//!   shard-aware) and the one bounded, incremental line decoder.
 //! * [`OnlineSession`] — the single-threaded scheduling core: a
 //!   [`RoundDriver`](gridsec_sim::RoundDriver) (shared with the
 //!   discrete-event engine) plus the engine's exact batch-boundary
@@ -24,10 +24,11 @@
 //!   threads multiplexing every client socket (C10k-ready — the thread
 //!   count is fixed, not per-connection). Each I/O thread decodes NDJSON
 //!   frames, routes `submit` frames against a shared routing-table
-//!   snapshot straight onto lock-free per-shard queues, and releases
-//!   responses in request order from a bounded per-connection write
-//!   buffer; a single router thread serialises the cross-shard
-//!   operations (reshard, drain, shutdown, chaos, scrape).
+//!   snapshot straight onto lock-free per-shard queues (the only way a
+//!   job reaches a shard; one that cannot be pushed yet waits parked on
+//!   its connection), and releases responses in request order from a
+//!   bounded per-connection write buffer; a single router thread
+//!   serialises the rest (reshard, drain, shutdown, chaos, scrape).
 //!   [`ClockMode::Virtual`] serves deterministic replays (bit-identical
 //!   to the simulator — see the golden cross-check test);
 //!   [`ClockMode::WallClock`] serves real time.

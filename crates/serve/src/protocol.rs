@@ -50,14 +50,12 @@
 //! pipelined: responses always come back in request order (per-client
 //! sequence numbers reorder replies arriving from different shard
 //! threads), so lock-step clients and pipelining clients both stay in
-//! sync. Responses to different clients are written by per-client writer
-//! threads and never interleave mid-line.
+//! sync.
 
 use gridsec_core::{Job, JobId, SiteId, Time};
 use gridsec_obs::{HistogramSnapshot, RecorderStatus, TraceEvent};
 use gridsec_sim::CommittedAssignment;
 use serde::{Deserialize, Serialize};
-use std::io::{self, BufRead};
 
 /// Default cap on one frame line (bytes, newline included). Oversized
 /// lines are consumed and rejected with an [`Response::Error`] instead of
@@ -503,60 +501,89 @@ pub enum Response {
     },
 }
 
-/// Outcome of reading one frame line.
+/// One decoded line, borrowed from the [`LineDecoder`] that produced it.
 #[derive(Debug, PartialEq, Eq)]
-pub enum Line {
+pub enum Line<'a> {
     /// A complete line (without the trailing newline).
-    Frame(Vec<u8>),
+    Frame(&'a [u8]),
     /// The line exceeded the cap; it was consumed up to its newline so
-    /// the stream stays framed, and its length so far is reported.
+    /// the stream stays framed, and its body length is reported.
     TooLong(usize),
-    /// End of stream (peer closed the connection).
-    Eof,
 }
 
-/// Reads one `\n`-terminated line with a length cap, tolerating partial
-/// reads (TCP segmentation): bytes are consumed from the reader's buffer
-/// as they arrive until a newline shows up, EOF is hit, or the cap is
-/// exceeded. A final unterminated line before EOF is returned as a frame
-/// (mirrors `read_until`).
-pub fn read_line_bounded<R: BufRead + ?Sized>(reader: &mut R, max: usize) -> io::Result<Line> {
-    let mut line: Vec<u8> = Vec::new();
-    let mut overflow = 0usize;
-    loop {
-        let buf = reader.fill_buf()?;
-        if buf.is_empty() {
-            // EOF.
-            return Ok(if overflow > 0 {
-                Line::TooLong(overflow)
-            } else if line.is_empty() {
-                Line::Eof
-            } else {
-                Line::Frame(line)
-            });
+/// The incremental NDJSON line decoder — the one frame decoder, behind
+/// both the daemon's I/O threads and the blocking [`Client`](crate::Client).
+///
+/// [`push`](LineDecoder::push) each read, then pull lines with
+/// [`next_line`](LineDecoder::next_line) until `None`. Any segmentation
+/// of a byte stream yields the same lines. A line over the cap is
+/// *consumed, then rejected*: its bytes are dropped as they arrive
+/// (memory stays bounded by the cap plus what was pushed) and one
+/// [`Line::TooLong`] carrying its full body length comes out where it
+/// ends. Pulling one line at a time lets a caller stop mid-buffer and
+/// resume later (the daemon parks connections this way).
+#[derive(Debug, Default)]
+pub struct LineDecoder {
+    max: usize,
+    /// Pushed bytes; `buf[start..]` is not yet consumed.
+    buf: Vec<u8>,
+    start: usize,
+    /// `buf[start..scan]` is known to hold no newline.
+    scan: usize,
+    /// Body bytes of the current (oversized) line already dropped.
+    dropped: usize,
+}
+
+impl LineDecoder {
+    /// A decoder that rejects lines whose body exceeds `max` bytes.
+    pub fn new(max: usize) -> LineDecoder {
+        LineDecoder {
+            max,
+            ..LineDecoder::default()
         }
-        let newline = buf.iter().position(|&b| b == b'\n');
-        let take = newline.map_or(buf.len(), |p| p + 1);
-        if overflow == 0 {
-            let body_len = newline.map_or(take, |p| p);
-            if line.len() + body_len > max {
-                // Switch to discard mode: remember how much we saw.
-                overflow = line.len() + body_len;
-                line.clear();
-            } else {
-                line.extend_from_slice(&buf[..body_len]);
+    }
+
+    /// Appends freshly read bytes (reclaiming the consumed prefix).
+    pub fn push(&mut self, bytes: &[u8]) {
+        self.buf.drain(..self.start);
+        self.scan -= self.start;
+        self.start = 0;
+        self.buf.extend_from_slice(bytes);
+    }
+
+    /// The next line, or `None` when the buffered input ends mid-line.
+    /// With `eof` (the stream has ended) the end of input also ends the
+    /// last line, if there is one.
+    pub fn next_line(&mut self, eof: bool) -> Option<Line<'_>> {
+        let from = self.start;
+        let to = match self.buf[self.scan..].iter().position(|&b| b == b'\n') {
+            Some(p) => {
+                self.start = self.scan + p + 1;
+                self.start - 1
             }
+            None => {
+                let end = self.buf.len();
+                self.scan = end;
+                let oversized = self.dropped > 0 || end - from > self.max;
+                if !eof || (end == from && !oversized) {
+                    if oversized {
+                        // Discard mode: count the body, keep none of it.
+                        self.dropped += end - from;
+                        self.start = end;
+                    }
+                    return None;
+                }
+                self.start = end;
+                end
+            }
+        };
+        self.scan = self.start;
+        let len = std::mem::take(&mut self.dropped) + (to - from);
+        Some(if len > self.max {
+            Line::TooLong(len)
         } else {
-            overflow += newline.map_or(take, |p| p);
-        }
-        reader.consume(take);
-        if newline.is_some() {
-            return Ok(if overflow > 0 {
-                Line::TooLong(overflow)
-            } else {
-                Line::Frame(line)
-            });
-        }
+            Line::Frame(&self.buf[from..to])
+        })
     }
 }
 
@@ -583,7 +610,6 @@ pub fn encode<T: Serialize>(frame: &T) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::Read;
 
     #[test]
     fn request_frames_round_trip() {
@@ -902,35 +928,37 @@ mod tests {
         assert!(parse_request(&[0xFF, 0xFE]).is_err());
     }
 
-    /// A reader that hands out one byte per `read` call — the harshest
-    /// possible TCP segmentation.
-    struct Trickle<'a>(&'a [u8], usize);
-
-    impl Read for Trickle<'_> {
-        fn read(&mut self, out: &mut [u8]) -> io::Result<usize> {
-            if self.1 >= self.0.len() || out.is_empty() {
-                return Ok(0);
+    /// Pushes `data` in `chunk`-byte pieces (1 = the harshest possible
+    /// TCP segmentation), pulling every line after each push and the
+    /// tail at EOF. Lines come back owned: `Ok(body)` or `Err(length)`.
+    fn decode(data: &[u8], chunk: usize, max: usize) -> Vec<Result<Vec<u8>, usize>> {
+        fn own(line: Line<'_>) -> Result<Vec<u8>, usize> {
+            match line {
+                Line::Frame(body) => Ok(body.to_vec()),
+                Line::TooLong(n) => Err(n),
             }
-            out[0] = self.0[self.1];
-            self.1 += 1;
-            Ok(1)
         }
+        let mut decoder = LineDecoder::new(max);
+        let mut lines = Vec::new();
+        for piece in data.chunks(chunk) {
+            decoder.push(piece);
+            while let Some(line) = decoder.next_line(false) {
+                lines.push(own(line));
+            }
+        }
+        while let Some(line) = decoder.next_line(true) {
+            lines.push(own(line));
+        }
+        lines
     }
 
     #[test]
     fn bounded_reader_handles_partial_reads() {
-        let data = b"{\"type\":\"drain\"}\nrest";
-        let mut r = io::BufReader::with_capacity(1, Trickle(data, 0));
+        // The unterminated tail is still delivered at EOF, then nothing.
         assert_eq!(
-            read_line_bounded(&mut r, 64).unwrap(),
-            Line::Frame(b"{\"type\":\"drain\"}".to_vec())
+            decode(b"{\"type\":\"drain\"}\nrest", 1, 64),
+            vec![Ok(b"{\"type\":\"drain\"}".to_vec()), Ok(b"rest".to_vec())]
         );
-        // The unterminated tail is still delivered at EOF.
-        assert_eq!(
-            read_line_bounded(&mut r, 64).unwrap(),
-            Line::Frame(b"rest".to_vec())
-        );
-        assert_eq!(read_line_bounded(&mut r, 64).unwrap(), Line::Eof);
     }
 
     #[test]
@@ -938,27 +966,36 @@ mod tests {
         let mut data = vec![b'x'; 100];
         data.push(b'\n');
         data.extend_from_slice(b"ok\n");
-        let mut r = io::BufReader::with_capacity(7, &data[..]);
-        match read_line_bounded(&mut r, 10).unwrap() {
-            Line::TooLong(n) => assert_eq!(n, 100),
-            other => panic!("expected TooLong, got {other:?}"),
-        }
         // The next frame parses cleanly: the oversized line was consumed
-        // exactly up to its newline.
+        // exactly up to its newline, whether it arrived in pieces (and
+        // was dropped as it came) or whole.
+        for chunk in [7, 200] {
+            assert_eq!(decode(&data, chunk, 10), vec![Err(100), Ok(b"ok".to_vec())]);
+        }
+        // The cap is on the body: exactly `max` bytes still pass.
+        assert_eq!(decode(b"0123456789\n", 3, 10).len(), 1);
         assert_eq!(
-            read_line_bounded(&mut r, 10).unwrap(),
-            Line::Frame(b"ok".to_vec())
+            decode(b"0123456789\n", 3, 10)[0],
+            Ok(b"0123456789".to_vec())
         );
     }
 
     #[test]
     fn bounded_reader_eof_inside_oversized_line() {
-        let data = [b'y'; 50];
-        let mut r = io::BufReader::with_capacity(8, &data[..]);
-        match read_line_bounded(&mut r, 16).unwrap() {
-            Line::TooLong(n) => assert_eq!(n, 50),
-            other => panic!("expected TooLong, got {other:?}"),
-        }
-        assert_eq!(read_line_bounded(&mut r, 16).unwrap(), Line::Eof);
+        assert_eq!(decode(&[b'y'; 50], 8, 16), vec![Err(50)]);
+    }
+
+    #[test]
+    fn decoder_can_stop_mid_buffer_and_resume() {
+        // What parking a connection relies on: lines left in the buffer
+        // survive until they are pulled, across later pushes.
+        let mut decoder = LineDecoder::new(64);
+        decoder.push(b"a\nb\nc");
+        assert_eq!(decoder.next_line(false), Some(Line::Frame(b"a")));
+        decoder.push(b"d\n");
+        assert_eq!(decoder.next_line(false), Some(Line::Frame(b"b")));
+        assert_eq!(decoder.next_line(false), Some(Line::Frame(b"cd")));
+        assert_eq!(decoder.next_line(false), None);
+        assert_eq!(decoder.next_line(true), None);
     }
 }

@@ -69,20 +69,13 @@ impl ShardSpec {
     }
 }
 
-/// A request from the router to one shard thread.
+/// A control message to one shard thread (jobs never travel here — they
+/// arrive on the shard's [`DirectSubmit`] queue).
 ///
-/// `Submit`/`Query`/`Reconfigure` carry the client's reply channel and
-/// sequence number — the shard answers the client directly. The `Gather*`
+/// `Query`/`Reconfigure` carry the client's reply channel and sequence
+/// number — the shard answers the client directly. The `Gather*`
 /// variants return raw data to the router, which merges across shards.
 pub(crate) enum ShardMsg {
-    /// Enqueue jobs (already routed); replies `accepted`/`busy`/`error`.
-    /// `tenant` labels the whole frame for queue-wait attribution.
-    Submit {
-        jobs: Vec<Job>,
-        tenant: Option<String>,
-        reply: ReplyHandle,
-        seq: u64,
-    },
     /// One shard's view; replies `schedule`/`metrics`/`shards`.
     Query {
         what: QueryWhat,
@@ -98,7 +91,7 @@ pub(crate) enum ShardMsg {
         reply: ReplyHandle,
         seq: u64,
     },
-    /// Wake-up from an I/O thread after a push onto the shard's direct
+    /// Wake-up from an I/O thread after a push onto the shard's submit
     /// queue: the drain that runs ahead of every message (and this one's
     /// no-op handler) consumes it. Sent on the same channel *after* the
     /// push, so the mpsc happens-before edge guarantees the submit is
@@ -170,9 +163,10 @@ pub(crate) struct ShardRuntime {
     pub max_pending: Option<usize>,
     pub persist: Option<ShardPersistence>,
     pub history: Option<Box<dyn Fn() -> String + Send>>,
-    /// Lock-free submit queue fed by the I/O threads (the direct path).
-    /// Drained ahead of every control message so router-serialised
-    /// barriers (drain, reshard, shutdown) observe every accepted submit.
+    /// Lock-free submit queue fed by the I/O threads — the only way jobs
+    /// reach this shard. Drained ahead of every control message so
+    /// router-serialised barriers (drain, reshard, shutdown) observe
+    /// every accepted submit.
     pub direct: Arc<ArrayQueue<DirectSubmit>>,
 }
 
@@ -218,21 +212,11 @@ impl ShardRuntime {
                     }
                 }
             };
-            // Direct submits were pushed (and poked) before this message
-            // was sent, so draining first keeps the per-client order and
-            // lets barriers (drain/reshard/shutdown) see every accepted
-            // submit.
+            // Submits were pushed (and poked) before this message was
+            // sent, so draining first keeps the per-client order and lets
+            // barriers (drain/reshard/shutdown) see every accepted submit.
             self.drain_direct();
             match msg {
-                ShardMsg::Submit {
-                    jobs,
-                    tenant,
-                    reply,
-                    seq,
-                } => {
-                    let response = self.handle_submit(jobs, tenant.as_deref());
-                    reply.send(Reply::frame(seq, &response));
-                }
                 ShardMsg::Query { what, reply, seq } => {
                     let response = self.handle_query(what);
                     reply.send(Reply::frame(seq, &response));
@@ -341,10 +325,8 @@ impl ShardRuntime {
         self.save_state();
     }
 
-    /// Empties the direct submit queue, answering each client straight
-    /// from the shard thread. Uses the same `handle_submit` as the
-    /// router path, so the response (and every schedule it leads to) is
-    /// bit-identical whichever path a frame took.
+    /// Empties the submit queue, answering each client straight from the
+    /// shard thread.
     fn drain_direct(&mut self) {
         while let Some(d) = self.direct.pop() {
             let response = self.handle_submit(d.jobs, d.tenant.as_deref());
@@ -352,14 +334,23 @@ impl ShardRuntime {
         }
     }
 
+    /// The wall-clock stamp for an arrival or injection: the monotonic
+    /// clock, but never behind the session clock — a `drain` (so every
+    /// barrier) fires the armed boundary at its *scheduled* instant, up
+    /// to one interval ahead of real time, and a raw monotonic stamp
+    /// would then be refused as arriving in the past.
+    fn wall_now(&self) -> Time {
+        Time::new(self.start.elapsed().as_secs_f64()).max(self.session.now())
+    }
+
     /// The instant a chaos injection (fail/rejoin/reconfigure) applies
-    /// at: wall-clock daemons stamp the monotonic clock exactly like
-    /// arrivals (the frame's `at` is ignored); virtual-clock daemons
-    /// honour the frame's `at`, defaulting to the session clock.
+    /// at: wall-clock daemons stamp their clock exactly like arrivals
+    /// (the frame's `at` is ignored); virtual-clock daemons honour the
+    /// frame's `at`, defaulting to the session clock.
     fn injection_instant(&self, at: Option<Time>) -> Option<Time> {
         match self.clock {
             ClockMode::Virtual => at,
-            ClockMode::WallClock => Some(Time::new(self.start.elapsed().as_secs_f64())),
+            ClockMode::WallClock => Some(self.wall_now()),
         }
     }
 
@@ -369,7 +360,7 @@ impl ShardRuntime {
         let mut accepted = 0usize;
         for mut job in jobs {
             if self.clock == ClockMode::WallClock {
-                job.arrival = Time::new(self.start.elapsed().as_secs_f64());
+                job.arrival = self.wall_now();
             }
             match self
                 .session

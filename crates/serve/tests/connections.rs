@@ -3,18 +3,25 @@
 //! responses, the bounded write buffer (a pipelining client that never
 //! reads is disconnected, not buffered forever), the idle sweep that
 //! reaps half-open peers, scrape-listener isolation (one stuck scraper
-//! cannot stall another), and prompt autoscaler-ticker exit at
-//! shutdown. Deterministic at every thread count (CI re-runs the serve
-//! suites under `RAYON_NUM_THREADS=1`).
+//! cannot stall another), prompt autoscaler-ticker exit at shutdown,
+//! and the parked-submit path: a submit that cannot reach its shard
+//! queue yet (full queue, sealed table, unanswered control frame) waits
+//! on its connection and nothing is lost, reordered or answered twice.
+//! Deterministic at every thread count (CI re-runs the serve suites
+//! under `RAYON_NUM_THREADS=1` and `4`).
 
-use gridsec_core::{Grid, Job, Site, Time};
+use gridsec_core::{BatchSchedule, Grid, Job, Site, Time};
+use gridsec_serve::protocol::encode;
 use gridsec_serve::{
-    Client, Daemon, DaemonOptions, OnlineSession, Request, Response, SessionFactory, ShardSpec,
+    Client, ClockMode, Daemon, DaemonOptions, OnlineSession, QueryWhat, Request, Response,
+    SessionFactory, ShardSpec,
 };
-use gridsec_sim::scheduler::EarliestCompletion;
+use gridsec_sim::scheduler::{BatchJob, BatchScheduler, EarliestCompletion, GridView};
 use gridsec_sim::{BatchPolicy, ShardPlan, SimConfig};
 use std::io::{BufRead, BufReader, Read, Write};
-use std::net::TcpStream;
+use std::net::{Shutdown, TcpStream};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Barrier, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 fn grid() -> Grid {
@@ -313,4 +320,415 @@ fn autoscaler_ticker_exits_promptly_at_shutdown() {
         "join() waited {:?} on the autoscaler ticker",
         t0.elapsed()
     );
+}
+
+/// Index of the `sealed` / `full` counts in [`Daemon::submits_parked`]
+/// (`[fenced, sealed, full]`).
+const SEALED: usize = 1;
+const FULL: usize = 2;
+
+/// What the probe scheduler shares with its test: a gate that blocks
+/// every round while shut (so the shard thread stops draining its submit
+/// queue — a scheduler that is slow *on demand*, no sleeps), how many
+/// rounds reached the gate, and the security levels each round saw.
+#[derive(Clone)]
+struct Probe {
+    open: Arc<(Mutex<bool>, Condvar)>,
+    rounds_entered: Arc<AtomicUsize>,
+    levels_seen: Arc<Mutex<Vec<Vec<f64>>>>,
+}
+
+impl Probe {
+    fn new(open: bool) -> Probe {
+        Probe {
+            open: Arc::new((Mutex::new(open), Condvar::new())),
+            rounds_entered: Arc::default(),
+            levels_seen: Arc::default(),
+        }
+    }
+
+    fn open_gate(&self) {
+        *self.open.0.lock().unwrap() = true;
+        self.open.1.notify_all();
+    }
+}
+
+/// MCT behind a [`Probe`].
+struct ProbedMct(Probe);
+
+impl BatchScheduler for ProbedMct {
+    fn name(&self) -> String {
+        "probed MCT".into()
+    }
+
+    fn schedule(&mut self, batch: &[BatchJob], view: &GridView<'_>) -> BatchSchedule {
+        self.0.rounds_entered.fetch_add(1, Ordering::SeqCst);
+        let (open, cv) = &*self.0.open;
+        drop(cv.wait_while(open.lock().unwrap(), |open| !*open).unwrap());
+        let levels = view.grid.sites().map(|s| s.security_level).collect();
+        self.0.levels_seen.lock().unwrap().push(levels);
+        EarliestCompletion.schedule(batch, view)
+    }
+}
+
+fn spawn_probed(probe: &Probe, options: DaemonOptions) -> Daemon {
+    let session =
+        OnlineSession::new(grid(), Box::new(ProbedMct(probe.clone())), &config()).unwrap();
+    Daemon::spawn(session, "127.0.0.1:0", options).unwrap()
+}
+
+fn submit_line(id: u64, arrival: f64, shard: Option<usize>) -> String {
+    encode(&Request::Submit {
+        jobs: vec![job(id, arrival, 5.0)],
+        shard,
+        tenant: None,
+    })
+}
+
+/// The `gridsec_submits_parked_total{reason=...}` sample of one scrape.
+fn scraped_parked(daemon: &Daemon, reason: &str) -> usize {
+    let mut text = String::new();
+    TcpStream::connect(daemon.metrics_addr().expect("metrics listener bound"))
+        .unwrap()
+        .read_to_string(&mut text)
+        .unwrap();
+    let name = format!("gridsec_submits_parked_total{{reason=\"{reason}\"}} ");
+    text.lines()
+        .find_map(|l| l.strip_prefix(name.as_str()))
+        .unwrap_or_else(|| panic!("no {name}sample in:\n{text}"))
+        .parse()
+        .unwrap()
+}
+
+/// Writes `lines` from a helper thread — a parked connection stops
+/// reading, so a large pipelined burst may block in `write` until the
+/// daemon resumes it (TCP is the backpressure).
+fn write_in_background(
+    stream: &TcpStream,
+    lines: Vec<String>,
+    then_half_close: bool,
+) -> std::thread::JoinHandle<()> {
+    let mut stream = stream.try_clone().unwrap();
+    std::thread::spawn(move || {
+        for line in lines {
+            stream.write_all(line.as_bytes()).unwrap();
+        }
+        if then_half_close {
+            stream.shutdown(Shutdown::Write).unwrap();
+        }
+    })
+}
+
+/// The burst the full-queue tests pipeline: job 0 arrives at 0, every
+/// later job at 20 — so the second submit fires the boundary at 10 and
+/// its round blocks on the shut gate inside the shard thread, and no
+/// other round is due before the final drain (any interleaving of equal
+/// arrivals is in order for the virtual clock).
+fn burst(n: usize, unknown_shard_every: Option<usize>) -> Vec<String> {
+    (0..n)
+        .map(|i| {
+            let arrival = if i == 0 { 0.0 } else { 20.0 };
+            let shard = unknown_shard_every.and_then(|k| (i % k == k - 1).then_some(7));
+            submit_line(i as u64, arrival, shard)
+        })
+        .collect()
+}
+
+/// One connection pipelines four queue capacities of submits at a shard
+/// that is not draining: the queue fills, the connection parks (full)
+/// instead of overflowing anywhere, a second connection — on the other
+/// I/O thread when there are two, so nothing but the poll timeout wakes
+/// it — parks on the same queue, and once the scheduler resumes every
+/// reply arrives, in request order, exactly once.
+#[test]
+fn full_shard_queue_parks_connections_and_every_reply_arrives_in_order() {
+    const FRAMES: usize = 4096; // 4 x the per-shard queue capacity
+    for io_threads in [1, 2] {
+        let probe = Probe::new(false);
+        let daemon = spawn_probed(
+            &probe,
+            DaemonOptions {
+                io_threads,
+                metrics_addr: Some("127.0.0.1:0".into()),
+                ..DaemonOptions::default()
+            },
+        );
+        let a = TcpStream::connect(daemon.addr()).unwrap();
+        // Every 1000th frame names a shard that does not exist: answered
+        // on the I/O thread, it must still come out at its position.
+        let writer = write_in_background(&a, burst(FRAMES, Some(1000)), false);
+        eventually(Duration::from_secs(20), "connection A parks (full)", || {
+            daemon.submits_parked()[FULL] >= 1
+        });
+        let mut b = TcpStream::connect(daemon.addr()).unwrap();
+        b.write_all(submit_line(1_000_000, 20.0, None).as_bytes())
+            .unwrap();
+        eventually(Duration::from_secs(20), "connection B parks (full)", || {
+            daemon.submits_parked()[FULL] >= 2
+        });
+
+        probe.open_gate();
+        let mut a = Client::from_stream(a).unwrap();
+        let mut last_pending = 0;
+        for i in 0..FRAMES {
+            match a.read_response().unwrap() {
+                Response::UnknownShard { shard: 7, .. } if i % 1000 == 999 => {}
+                Response::Accepted {
+                    jobs: 1, pending, ..
+                } if i % 1000 != 999 => {
+                    // The shard answers in the order it enqueued.
+                    assert!(pending >= last_pending, "reply {i} out of order");
+                    last_pending = pending;
+                }
+                other => panic!("io_threads={io_threads}: reply {i} was {other:?}"),
+            }
+        }
+        writer.join().unwrap();
+        let mut b = Client::from_stream(b).unwrap();
+        assert!(matches!(
+            b.read_response().unwrap(),
+            Response::Accepted { jobs: 1, .. }
+        ));
+
+        assert!(scraped_parked(&daemon, "full") >= 2);
+        assert_eq!(daemon.submits_parked()[SEALED], 0);
+        match b.send(&Request::Drain).unwrap() {
+            Response::Drained { jobs_scheduled, .. } => {
+                assert_eq!(jobs_scheduled, FRAMES - FRAMES / 1000 + 1)
+            }
+            other => panic!("drain failed: {other:?}"),
+        }
+        assert_eq!(b.send(&Request::Shutdown).unwrap(), Response::Bye);
+        daemon.join();
+    }
+}
+
+/// `reconfigure` → `submit` → `query` in one write: the submit waits
+/// (fenced) for the reconfigure's reply instead of overtaking it through
+/// the shard queue, so the round it fires runs under the new trust
+/// levels, and the query behind it sees that round's commit.
+#[test]
+fn submit_pipelined_behind_a_reconfigure_runs_under_the_new_levels() {
+    let probe = Probe::new(true);
+    let daemon = spawn_probed(&probe, DaemonOptions::default());
+    let mut client = Client::connect(daemon.addr()).unwrap();
+    assert!(matches!(
+        client.send_line(&submit_line(0, 0.0, None)).unwrap(),
+        Response::Accepted { jobs: 1, .. }
+    ));
+    // The reconfigure applies at t=5; job 1 arrives at 12 and fires the
+    // boundary at 10 with job 0 in the batch. Had the submit overtaken,
+    // the clock would be past 5 and the reconfigure refused.
+    let frames = [
+        encode(&Request::Reconfigure {
+            security_levels: vec![0.2, 0.95],
+            shard: None,
+            at: Some(Time::new(5.0)),
+        }),
+        submit_line(1, 12.0, None),
+        encode(&Request::Query {
+            what: QueryWhat::Schedule,
+            shard: None,
+        }),
+    ]
+    .concat();
+    let mut raw = TcpStream::connect(daemon.addr()).unwrap();
+    raw.write_all(frames.as_bytes()).unwrap();
+    let mut pipelined = Client::from_stream(raw).unwrap();
+    assert_eq!(
+        pipelined.read_response().unwrap(),
+        Response::Reconfigured { sites: 2 }
+    );
+    assert!(matches!(
+        pipelined.read_response().unwrap(),
+        Response::Accepted { jobs: 1, .. }
+    ));
+    match pipelined.read_response().unwrap() {
+        Response::Schedule { assignments } => assert_eq!(assignments.len(), 1),
+        other => panic!("expected the schedule last, got {other:?}"),
+    }
+    assert_eq!(
+        *probe.levels_seen.lock().unwrap(),
+        vec![vec![0.2, 0.95]],
+        "the round ran under the reconfigured levels"
+    );
+    assert_eq!(client.send(&Request::Shutdown).unwrap(), Response::Bye);
+    daemon.join();
+}
+
+/// N connections pipeline submits, alternating between the two shards
+/// frame by frame, across a live `reshard` whose barrier is held open
+/// (the gated scheduler blocks its drain) until every connection has a
+/// submit waiting on the sealed table. No reply is lost or reordered
+/// (the `shard` of each `accepted` follows the request sequence),
+/// exactly one frame per connection waited out the seal, and nothing
+/// was fenced — the sticky router-fallback cascade of the old design
+/// cannot happen.
+#[test]
+fn connections_pipelining_through_a_live_reshard_lose_and_reorder_nothing() {
+    const N: usize = 8;
+    const FRAMES: usize = 400;
+    let grid = grid();
+    let cfg = config();
+    let probe = Probe::new(false);
+    let build = {
+        let probe = probe.clone();
+        move |sub: Grid, cfg: &SimConfig| {
+            OnlineSession::new(sub, Box::new(ProbedMct(probe.clone())), cfg).unwrap()
+        }
+    };
+    let plan = ShardPlan::contiguous(&grid, 2).unwrap();
+    let shards = (0..2)
+        .map(|k| ShardSpec::new(build(plan.subgrid(&grid, k).unwrap(), &cfg)))
+        .collect();
+    let factory: SessionFactory = Box::new({
+        let (probe, cfg) = (probe.clone(), cfg.clone());
+        move |ctx| {
+            let scheduler = Box::new(ProbedMct(probe.clone()));
+            OnlineSession::restore(ctx.subgrid, scheduler, &cfg, ctx.seed)
+                .map(ShardSpec::new)
+                .map_err(|e| e.to_string())
+        }
+    });
+    let daemon = Daemon::spawn_elastic(
+        grid,
+        plan,
+        shards,
+        factory,
+        None,
+        "127.0.0.1:0",
+        DaemonOptions {
+            // Wall clock: the daemon stamps arrivals, so submits on
+            // either side of the barrier's drain are in order however
+            // they interleave (no timer round is due within the test).
+            clock: ClockMode::WallClock,
+            io_threads: 2,
+            metrics_addr: Some("127.0.0.1:0".into()),
+            ..DaemonOptions::default()
+        },
+    )
+    .unwrap();
+    let addr = daemon.addr();
+
+    // Checkpoint 1: every first half is written. Checkpoint 2: the
+    // reshard is inside its barrier; the second halves may go.
+    let checkpoint = Arc::new(Barrier::new(N + 1));
+    let workers: Vec<_> = (0..N)
+        .map(|c| {
+            let checkpoint = Arc::clone(&checkpoint);
+            std::thread::spawn(move || {
+                let mut stream = TcpStream::connect(addr).unwrap();
+                for i in 0..FRAMES {
+                    if i == FRAMES / 2 {
+                        checkpoint.wait();
+                        checkpoint.wait();
+                    }
+                    let id = (c * FRAMES + i) as u64;
+                    stream
+                        .write_all(submit_line(id, 0.0, Some(i % 2)).as_bytes())
+                        .unwrap();
+                }
+                let mut client = Client::from_stream(stream).unwrap();
+                for i in 0..FRAMES {
+                    match client.read_response().unwrap() {
+                        Response::Accepted { jobs: 1, shard, .. } if shard == i % 2 => {}
+                        other => panic!("connection {c} reply {i} was {other:?}"),
+                    }
+                }
+            })
+        })
+        .collect();
+    checkpoint.wait();
+    let resharder = std::thread::spawn(move || {
+        let mut control = Client::connect(addr).unwrap();
+        // Same two shards, swapped: explicit shard ids stay valid.
+        match control
+            .send(&Request::Reshard {
+                shards: vec![vec![1], vec![0]],
+            })
+            .unwrap()
+        {
+            Response::Resharded { shards: 2, .. } => control,
+            other => panic!("reshard failed: {other:?}"),
+        }
+    });
+    // The barrier's drain (which follows the seal) has reached the
+    // scheduler and is stuck on the gate.
+    eventually(Duration::from_secs(20), "reshard barrier entered", || {
+        probe.rounds_entered.load(Ordering::SeqCst) >= 1
+    });
+    checkpoint.wait();
+    eventually(Duration::from_secs(20), "every connection parks", || {
+        daemon.submits_parked()[SEALED] == N
+    });
+    probe.open_gate();
+    let mut control = resharder.join().unwrap();
+    for w in workers {
+        w.join().unwrap();
+    }
+
+    assert_eq!(scraped_parked(&daemon, "sealed"), N);
+    assert_eq!(scraped_parked(&daemon, "fenced"), 0);
+    assert_eq!(daemon.submits_parked(), [0, N, 0]);
+    match control.send(&Request::Drain).unwrap() {
+        Response::Drained { jobs_scheduled, .. } => assert_eq!(jobs_scheduled, N * FRAMES),
+        other => panic!("drain failed: {other:?}"),
+    }
+    assert_eq!(control.send(&Request::Shutdown).unwrap(), Response::Bye);
+    daemon.join();
+}
+
+/// `shutdown` → `submit` in one write: the submit waits behind the
+/// `bye`, then gets the typed refusal — the shards are gone.
+#[test]
+fn submit_pipelined_behind_shutdown_is_refused_after_bye() {
+    let daemon = spawn_daemon(DaemonOptions::default());
+    let mut raw = TcpStream::connect(daemon.addr()).unwrap();
+    raw.write_all(format!("{{\"type\":\"shutdown\"}}\n{}", submit_line(0, 0.0, None)).as_bytes())
+        .unwrap();
+    let mut client = Client::from_stream(raw).unwrap();
+    assert_eq!(client.read_response().unwrap(), Response::Bye);
+    match client.read_response().unwrap() {
+        Response::Error { message } => assert!(
+            message.contains("shutting down"),
+            "unexpected refusal: {message}"
+        ),
+        other => panic!("expected an error after bye, got {other:?}"),
+    }
+    daemon.join();
+}
+
+/// A client that sends a burst and half-closes while the daemon still
+/// holds a parked frame, undecoded lines and an unterminated tail gets
+/// every reply before the daemon closes the socket.
+#[test]
+fn half_close_with_frames_still_parked_gets_every_reply() {
+    const FRAMES: usize = 2048; // 2 x the per-shard queue capacity
+    let probe = Probe::new(false);
+    let daemon = spawn_probed(&probe, DaemonOptions::default());
+    let stream = TcpStream::connect(daemon.addr()).unwrap();
+    let mut lines = burst(FRAMES, None);
+    let tail = lines.last_mut().unwrap();
+    tail.truncate(tail.len() - 1); // no final newline: EOF ends the frame
+    let writer = write_in_background(&stream, lines, true);
+    eventually(
+        Duration::from_secs(20),
+        "the connection parks (full)",
+        || daemon.submits_parked()[FULL] >= 1,
+    );
+    writer.join().unwrap(); // FIN is queued behind the parked frame
+    probe.open_gate();
+    let mut client = Client::from_stream(stream).unwrap();
+    for i in 0..FRAMES {
+        match client.read_response().unwrap() {
+            Response::Accepted { jobs: 1, .. } => {}
+            other => panic!("reply {i} was {other:?}"),
+        }
+    }
+    let eof = client.read_response().unwrap_err();
+    assert_eq!(eof.kind(), std::io::ErrorKind::UnexpectedEof);
+
+    let mut control = Client::connect(daemon.addr()).unwrap();
+    assert_eq!(control.send(&Request::Shutdown).unwrap(), Response::Bye);
+    daemon.join();
 }

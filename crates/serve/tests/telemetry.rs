@@ -214,6 +214,10 @@ fn metrics_exposition_scrapes_and_parses() {
         "gridsec_round_nanos_sum",
         "gridsec_round_nanos_count",
         "gridsec_batch_size_bucket",
+        "gridsec_submits_parked_total{reason=\"fenced\"}",
+        "gridsec_submits_parked_total{reason=\"sealed\"}",
+        "gridsec_submits_parked_total{reason=\"full\"}",
+        "gridsec_direct_queue_depth{shard=\"0\"}",
     ] {
         assert!(
             text.lines().any(|l| l.starts_with(family)),

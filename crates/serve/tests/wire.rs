@@ -366,12 +366,17 @@ fn wall_clock_mode_fires_timeout_boundaries() {
     shutdown(&mut client, daemon);
 }
 
+/// An elastic virtual-clock daemon with a 10 s interval.
+fn spawn_elastic(n_shards: usize) -> Daemon {
+    spawn_elastic_with(n_shards, 10.0, DaemonOptions::default())
+}
+
 /// An elastic daemon over the two-site grid: `n_shards` MCT shards plus
 /// a session factory, so `reshard` frames are accepted.
-fn spawn_elastic(n_shards: usize) -> Daemon {
+fn spawn_elastic_with(n_shards: usize, interval: f64, options: DaemonOptions) -> Daemon {
     let grid = grid();
     let config = SimConfig::default()
-        .with_interval(Time::new(10.0))
+        .with_interval(Time::new(interval))
         .with_batch_policy(BatchPolicy::Periodic);
     let plan = ShardPlan::contiguous(&grid, n_shards).unwrap();
     let shards = (0..n_shards)
@@ -388,16 +393,70 @@ fn spawn_elastic(n_shards: usize) -> Daemon {
                 .map_err(|e| e.to_string())
         }
     });
-    Daemon::spawn_elastic(
-        grid,
-        plan,
-        shards,
-        factory,
-        None,
-        "127.0.0.1:0",
-        DaemonOptions::default(),
-    )
-    .unwrap()
+    Daemon::spawn_elastic(grid, plan, shards, factory, None, "127.0.0.1:0", options).unwrap()
+}
+
+/// A barrier (`drain`, `reshard`) fires the armed periodic boundary at
+/// its *scheduled* instant, which leaves the session clock up to one
+/// interval ahead of the wall clock. Submits stamped right after it must
+/// still be accepted — with a 1 s interval the old monotonic-only stamp
+/// "arrived" a second in the past and was refused until real time
+/// caught up.
+#[test]
+fn wall_clock_submits_are_accepted_right_after_every_barrier() {
+    let daemon = spawn_elastic_with(
+        2,
+        1.0,
+        DaemonOptions {
+            clock: ClockMode::WallClock,
+            ..DaemonOptions::default()
+        },
+    );
+    let mut client = Client::connect(daemon.addr()).unwrap();
+    let submit = |client: &mut Client, id: u64| {
+        let response = client
+            .send(&Request::Submit {
+                jobs: vec![job(id, 0.0, 1.0)],
+                shard: Some(0),
+                tenant: None,
+            })
+            .unwrap();
+        assert!(
+            matches!(response, Response::Accepted { jobs: 1, .. }),
+            "submit {id} after a barrier: {response:?}"
+        );
+    };
+    submit(&mut client, 0);
+    assert!(matches!(
+        client.send(&Request::Drain).unwrap(),
+        Response::Drained {
+            jobs_scheduled: 1,
+            ..
+        }
+    ));
+    submit(&mut client, 1);
+    assert!(matches!(
+        client
+            .send(&Request::Reshard {
+                shards: vec![vec![0, 1]],
+            })
+            .unwrap(),
+        Response::Resharded { shards: 1, .. }
+    ));
+    submit(&mut client, 2);
+    // The same stamp serves injections: a reconfigure right behind the
+    // barrier applies instead of "running backwards".
+    assert_eq!(
+        client
+            .send(&Request::Reconfigure {
+                security_levels: vec![0.9, 0.9],
+                shard: None,
+                at: None,
+            })
+            .unwrap(),
+        Response::Reconfigured { sites: 2 }
+    );
+    shutdown(&mut client, daemon);
 }
 
 #[test]

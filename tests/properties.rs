@@ -613,3 +613,66 @@ proptest! {
         }
     }
 }
+
+/// Runs `bytes` through the daemon's frame decoder, pushed in pieces of
+/// the given sizes (cycled; one whole push when `cuts` is empty), pulling
+/// every line after each push and the tail at EOF. `Ok(body)` is a
+/// frame, `Err(n)` a too-long rejection reporting `n` body bytes.
+fn decode_lines(bytes: &[u8], cuts: &[usize], max: usize) -> Vec<Result<Vec<u8>, usize>> {
+    use gridsec::serve::protocol::{Line, LineDecoder};
+    fn own(line: Line<'_>) -> Result<Vec<u8>, usize> {
+        match line {
+            Line::Frame(body) => Ok(body.to_vec()),
+            Line::TooLong(n) => Err(n),
+        }
+    }
+    let mut decoder = LineDecoder::new(max);
+    let mut lines = Vec::new();
+    let mut rest = bytes;
+    let mut cuts = cuts.iter().cycle();
+    while !rest.is_empty() {
+        let n = cuts.next().map_or(rest.len(), |&n| n.min(rest.len()));
+        decoder.push(&rest[..n]);
+        rest = &rest[n..];
+        while let Some(line) = decoder.next_line(false) {
+            lines.push(own(line));
+        }
+    }
+    while let Some(line) = decoder.next_line(true) {
+        lines.push(own(line));
+    }
+    lines
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The wire decoder under hostile input: arbitrary bytes (a quarter
+    /// of them newlines, so lines of every length around the cap occur)
+    /// under arbitrary segmentation never panic, decode to the same
+    /// lines as one whole push, and match the byte-level truth — the
+    /// input split at newlines, an unterminated tail delivered only if
+    /// non-empty, each body over the cap rejected with its true length.
+    #[test]
+    fn frame_decoder_is_segmentation_invariant_and_reports_true_lengths(
+        raw in prop::collection::vec((0u8..=255, 0u8..4), 0..300),
+        cuts in prop::collection::vec(1usize..=9, 1..=8),
+        max in 0usize..=12,
+    ) {
+        let bytes: Vec<u8> = raw
+            .into_iter()
+            .map(|(b, newline)| if newline == 0 { b'\n' } else { b })
+            .collect();
+        let mut truth: Vec<&[u8]> = bytes.split(|&b| b == b'\n').collect();
+        if truth.last().is_some_and(|tail| tail.is_empty()) {
+            truth.pop();
+        }
+        let truth: Vec<Result<Vec<u8>, usize>> = truth
+            .into_iter()
+            .map(|body| if body.len() > max { Err(body.len()) } else { Ok(body.to_vec()) })
+            .collect();
+        let whole = decode_lines(&bytes, &[], max);
+        prop_assert_eq!(&whole, &truth);
+        prop_assert_eq!(decode_lines(&bytes, &cuts, max), whole);
+    }
+}
