@@ -21,8 +21,6 @@
 //!   children, vs the old allocate-per-generation loop),
 //! * the compiled fitness kernel (flat SoA replay vs the object-graph
 //!   walk) and its delta (parent-patch) evaluation vs a full replay,
-//! * Min-Min and Sufferage mapping (invalidation caching + deterministic
-//!   parallel argmin vs the textbook O(n²·m) rescan),
 //! * history-table lookup (bucketed by batch-size signature vs the
 //!   linear scan),
 //! * `BatchSchedule::site_of` (indexed vs linear queries).
@@ -39,7 +37,6 @@ use gridsec_core::etc::{EtcMatrix, NodeAvailability};
 use gridsec_core::rng::{stream, Stream};
 use gridsec_core::{BatchSchedule, JobId, RiskMode, SecurityModel, SiteId, Time};
 use gridsec_heuristics::common::MapCtx;
-use gridsec_heuristics::mapping;
 use gridsec_heuristics::MinMin;
 use gridsec_sim::{simulate, BatchJob, BatchScheduler, GridView};
 use gridsec_stga::fitness::{evaluate_with_scratch, FitnessKind, DEFAULT_FLOW_WEIGHT};
@@ -85,9 +82,6 @@ fn count_allocs<R>(work: impl FnOnce() -> R) -> (u64, R) {
     let r = work();
     (ALLOCATIONS.load(Ordering::Relaxed) - start, r)
 }
-
-/// A low-level mapping entry point (Min-Min / Max-Min / Sufferage).
-type MapFn = fn(&MapCtx, &mut [NodeAvailability]) -> Vec<(usize, usize)>;
 
 /// One workload timed at one thread count.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -159,9 +153,6 @@ struct Sizes {
     ga_generations: usize,
     ga_jobs: usize,
     ga_sites: usize,
-    map_jobs: usize,
-    map_sites: usize,
-    map_iters: usize,
     lookup_entries: usize,
     lookup_queries: usize,
     site_assignments: usize,
@@ -185,9 +176,6 @@ impl Sizes {
                 ga_generations: 12,
                 ga_jobs: 16,
                 ga_sites: 6,
-                map_jobs: 40,
-                map_sites: 8,
-                map_iters: 2,
                 lookup_entries: 150,
                 lookup_queries: 40,
                 site_assignments: 400,
@@ -208,9 +196,6 @@ impl Sizes {
                 ga_generations: 60,
                 ga_jobs: 32,
                 ga_sites: 12,
-                map_jobs: 160,
-                map_sites: 16,
-                map_iters: 3,
                 lookup_entries: 150,
                 lookup_queries: 300,
                 site_assignments: 4_000,
@@ -283,20 +268,6 @@ fn main() {
         population_pool_hot_path(&sizes, args.seed),
         fitness_kernel_hot_path(&sizes, args.seed),
         delta_eval_hot_path(&sizes, args.seed),
-        mapping_hot_path(
-            "minmin_mapping",
-            &sizes,
-            args.seed,
-            mapping::map_min_min,
-            mapping::reference::map_min_min,
-        ),
-        mapping_hot_path(
-            "sufferage_mapping",
-            &sizes,
-            args.seed,
-            mapping::map_sufferage,
-            mapping::reference::map_sufferage,
-        ),
         history_lookup_hot_path(&sizes),
         site_of_hot_path(&sizes),
     ];
@@ -556,11 +527,10 @@ fn time_hot_path(
     }
 }
 
-/// A deterministic synthetic mapping instance shared by the GA and
-/// heuristic hot-path rows. Candidate lists are security-style
-/// restricted (roughly half the sites per job, never empty) — the shape
-/// `MapCtx::build` produces under the paper's risk modes, and the regime
-/// where invalidation caching pays off.
+/// A deterministic synthetic mapping instance shared by the GA hot-path
+/// rows. Candidate lists are security-style restricted (roughly half the
+/// sites per job, never empty) — the shape `MapCtx::build` produces under
+/// the paper's risk modes.
 fn hot_path_ctx(n: usize, m: usize) -> (MapCtx, Vec<NodeAvailability>) {
     let etc: Vec<f64> = (0..n * m)
         .map(|i| 5.0 + ((i * 131 + 17) % 251) as f64)
@@ -967,46 +937,7 @@ fn delta_eval_hot_path(sizes: &Sizes, seed: u64) -> HotPathReport {
     )
 }
 
-/// Hot paths 2–3: one heuristic mapping loop, cached/parallel vs the
-/// textbook rescan.
-fn mapping_hot_path(
-    name: &str,
-    sizes: &Sizes,
-    seed: u64,
-    optimized: MapFn,
-    textbook: MapFn,
-) -> HotPathReport {
-    let (ctx, avail) = hot_path_ctx(sizes.map_jobs, sizes.map_sites);
-    let _ = seed;
-    let iters = sizes.map_iters;
-    let run = move |f: MapFn, ctx: &MapCtx, avail: &[NodeAvailability]| {
-        let mut d = 0;
-        for _ in 0..iters {
-            let mut a = avail.to_vec();
-            let mapping = f(ctx, &mut a);
-            for (j, s) in mapping {
-                d = digest_f64(d, (j * 1_000 + s) as f64);
-            }
-            for x in &a {
-                d = digest_f64(d, x.ready_time().seconds());
-            }
-        }
-        d
-    };
-    time_hot_path(
-        name,
-        format!(
-            "jobs={} sites={} iters={}",
-            sizes.map_jobs, sizes.map_sites, iters
-        ),
-        "Invalidation caching (recompute only jobs the committed site could affect) + \
-         deterministic parallel argmin vs the O(n²·m) full rescan per round.",
-        || run(textbook, &ctx, &avail),
-        || run(optimized, &ctx, &avail),
-    )
-}
-
-/// Hot path 4: history-table lookup, bucketed by batch-size signature vs
+/// Hot path 2: history-table lookup, bucketed by batch-size signature vs
 /// linear scan over all entries.
 fn history_lookup_hot_path(sizes: &Sizes) -> HotPathReport {
     let sig = |tag: u64, jobs: usize, sites: usize| -> BatchSignature {
@@ -1072,7 +1003,7 @@ fn history_lookup_hot_path(sizes: &Sizes) -> HotPathReport {
     )
 }
 
-/// Hot path 5: repeated `site_of` queries, indexed vs linear scan.
+/// Hot path 3: repeated `site_of` queries, indexed vs linear scan.
 fn site_of_hot_path(sizes: &Sizes) -> HotPathReport {
     let schedule = BatchSchedule::from_pairs(
         (0..sizes.site_assignments as u64)

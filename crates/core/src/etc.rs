@@ -48,6 +48,17 @@ pub struct EtcMatrix {
 impl EtcMatrix {
     /// Builds the ETC matrix for a batch of jobs over a grid.
     pub fn build(jobs: &[Job], grid: &Grid) -> EtcMatrix {
+        EtcMatrix::from_jobs(jobs, grid)
+    }
+
+    /// [`EtcMatrix::build`] over any exactly-sized sequence of jobs, so a
+    /// caller holding the jobs inside other structs need not copy them out.
+    pub fn from_jobs<'a, I>(jobs: I, grid: &Grid) -> EtcMatrix
+    where
+        I: IntoIterator<Item = &'a Job>,
+        I::IntoIter: ExactSizeIterator,
+    {
+        let jobs = jobs.into_iter();
         let n_jobs = jobs.len();
         let n_sites = grid.len();
         let mut data = Vec::with_capacity(n_jobs * n_sites);
@@ -203,10 +214,13 @@ impl NodeAvailability {
             "commit width {w} out of range for {} nodes",
             self.free.len()
         );
-        for t in &mut self.free[..w] {
-            *t = finish;
-        }
-        self.free.sort_unstable();
+        // The `w` earliest slots all become `finish` and the rest is
+        // already sorted: slide the later slots that free up before
+        // `finish` down over them and fill the gap — the ascending
+        // multiset a full sort would give, without the sort.
+        let earlier = self.free[w..].partition_point(|&t| t < finish);
+        self.free.copy_within(w..w + earlier, 0);
+        self.free[earlier..earlier + w].fill(finish);
     }
 
     /// The earliest free time over all nodes (site "ready time" for

@@ -68,6 +68,26 @@ proptest! {
     }
 
     #[test]
+    fn availability_commit_matches_overwrite_then_sort(
+        // Small integers, so free times and finishes tie and a finish
+        // often lands before nodes that are still busy.
+        times in prop::collection::vec(0u32..12, 1..=16),
+        commits in prop::collection::vec((any::<prop::sample::Index>(), 0u32..12), 1..24),
+    ) {
+        let time = |t: u32| Time::new(f64::from(t));
+        let mut want: Vec<Time> = times.iter().copied().map(time).collect();
+        let mut a = NodeAvailability::from_times(want.clone());
+        want.sort_unstable();
+        for (width, finish) in commits {
+            let w = width.index(want.len()) + 1;
+            a.commit(w as u32, time(finish));
+            want[..w].fill(time(finish));
+            want.sort_unstable();
+            prop_assert_eq!(a.free_times(), &want[..]);
+        }
+    }
+
+    #[test]
     fn earliest_start_monotone_in_width(
         commits in prop::collection::vec((1u32..=8, 0.0f64..1_000.0), 0..20),
         not_before in 0.0f64..500.0,

@@ -106,10 +106,9 @@ impl MapCtx {
         mode: RiskMode,
         fallback: Fallback,
     ) -> MapCtx {
-        let jobs: Vec<Job> = batch.iter().map(|b| b.job.clone()).collect();
-        let etc = EtcMatrix::build(&jobs, view.grid);
-        let widths = jobs.iter().map(|j| j.width).collect();
-        let arrivals = jobs.iter().map(|j| j.arrival).collect();
+        let etc = EtcMatrix::from_jobs(batch.iter().map(|b| &b.job), view.grid);
+        let widths = batch.iter().map(|b| b.job.width).collect();
+        let arrivals = batch.iter().map(|b| b.job.arrival).collect();
         let candidates = batch
             .iter()
             .map(|b| candidate_sites(&b.job, b.secure_only, mode, view, fallback))
@@ -196,11 +195,10 @@ impl MapCtx {
             if let Some(ct) = self.completion(avail, j, s) {
                 match best {
                     None => best = Some((s, ct)),
-                    Some((bs, bt)) => {
+                    Some((_, bt)) => {
                         if ct < bt {
                             second = Some(bt);
                             best = Some((s, ct));
-                            let _ = bs;
                         } else if second.is_none_or(|t| ct < t) {
                             second = Some(ct);
                         }

@@ -9,209 +9,183 @@
 //!
 //! ## Hot-path structure
 //!
-//! The textbook loops are O(n²·m): every round rescans every unassigned
-//! job's candidate sites. The implementations here cut that two ways
-//! while staying **bit-identical** to the textbook versions (kept in
-//! [`reference`]; the property suite asserts equality on random
-//! instances):
+//! The textbook loops (the referee in `tests/textbook/`) are O(n²·m): every
+//! round rescans every unassigned job's candidates. The three mappers here
+//! share one loop, [`map_by_key`], that is **bit-identical** to them (the
+//! property suite asserts it on random and NAS-shaped instances):
 //!
-//! * **Invalidation caching.** Committing a job only delays the committed
-//!   site — [`NodeAvailability`] is monotone — so another job's cached
-//!   best (site, CT) stays exactly what a fresh scan would return unless
-//!   the committed site could have contributed to it. Min-Min/Max-Min
-//!   recompute a job only when its cached best sits on the committed
-//!   site; Sufferage (whose second-best may also move) recomputes when
-//!   the committed site is in the job's candidate list.
-//! * **Deterministic parallel argmin.** The per-round selection over
-//!   cached values runs on `par_iter().indexed_min_by`, whose tree
-//!   reduction breaks ties toward the lowest index — the same winner as
-//!   the sequential first-strictly-better scan, at every thread count.
+//! * **One completion-time plane.** The CT of every (job, candidate) cell,
+//!   computed with the same `Time` operations as [`MapCtx::completion`],
+//!   plus a per-job record of best site, best CT and second-best CT.
+//! * **A commit refreshes one column.** Committing to site `s` changes only
+//!   `avail[s]`: one `free[w-1].at_least(floor) + exec` per remaining job.
+//!   A record is touched only if `s` held its best or second-best — O(1)
+//!   while `s` stays the unique minimum, otherwise re-derived from the
+//!   job's *cached* row (a "rescan").
+//! * **One selection key.** The mappers differ only in the key they
+//!   minimise (`best`, `−best`, `−(second − best)`); the argmin rides along
+//!   with the column refresh and keeps the first job on ties.
+//!
+//! Cells and keys are [`ord_key`]s — `i64`s that order exactly like `Time`
+//! — and a cell the job cannot use (not a candidate, non-finite ETC, width
+//! 0 or wider than the site) is [`ABSENT`], which no `Time` maps to: it is
+//! left out of every scan, unlike a real `+∞` CT, which still counts as a
+//! second-best.
 
 use crate::common::MapCtx;
 use gridsec_core::etc::NodeAvailability;
 use gridsec_core::Time;
-use rayon::prelude::*;
-use std::cmp::Ordering;
 
 /// Min-Min: repeatedly pick the unassigned job whose *best* completion
 /// time is smallest, and assign it there. Ties break on lower job index,
-/// then lower site index (deterministic).
+/// then the earlier site in the job's candidate list (deterministic).
 pub fn map_min_min(ctx: &MapCtx, avail: &mut [NodeAvailability]) -> Vec<(usize, usize)> {
-    map_by_best(ctx, avail, |a, b| a.cmp(b))
+    map_by_key(ctx, avail, |best, _| best)
 }
 
 /// Max-Min: the dual — pick the unassigned job whose best completion time
 /// is *largest* (runs long jobs early).
 pub fn map_max_min(ctx: &MapCtx, avail: &mut [NodeAvailability]) -> Vec<(usize, usize)> {
-    map_by_best(ctx, avail, |a, b| b.cmp(a))
-}
-
-/// Shared Min-Min / Max-Min skeleton: `cmp` orders candidate completion
-/// times so that `Ordering::Less` means "strictly better" (the argmin
-/// keeps the earliest position on ties, matching the sequential scan).
-fn map_by_best(
-    ctx: &MapCtx,
-    avail: &mut [NodeAvailability],
-    cmp: impl Fn(&Time, &Time) -> Ordering + Sync,
-) -> Vec<(usize, usize)> {
-    let n = ctx.n_jobs();
-    let mut unassigned: Vec<usize> = (0..n).collect();
-    // Cached best (site, CT) per unassigned position, parallel initial
-    // fill.
-    let mut best: Vec<(usize, Time)> = {
-        let view: &[NodeAvailability] = avail;
-        unassigned
-            .par_iter()
-            .map(|&j| {
-                ctx.best(view, j)
-                    .expect("every batch job has a feasible candidate")
-            })
-            .collect()
-    };
-    let mut out = Vec::with_capacity(n);
-    while !unassigned.is_empty() {
-        let (pos, _) = best
-            .par_iter()
-            .indexed_min_by(|a, b| cmp(&a.1, &b.1))
-            .expect("non-empty unassigned set");
-        let (site, _) = best[pos];
-        let job = unassigned.remove(pos);
-        best.remove(pos);
-        ctx.commit(avail, job, site);
-        out.push((job, site));
-        // Only jobs whose cached best sat on the committed site can have
-        // changed (availability is monotone; see module docs).
-        for (i, &j) in unassigned.iter().enumerate() {
-            if best[i].0 == site {
-                best[i] = ctx
-                    .best(avail, j)
-                    .expect("every batch job has a feasible candidate");
-            }
-        }
-    }
-    out
+    map_by_key(ctx, avail, |best, _| !best)
 }
 
 /// Sufferage: repeatedly pick the unassigned job with the largest
 /// *sufferage* (second-best CT − best CT) and assign it to its best site.
 /// A job with a single candidate has sufferage 0.
 pub fn map_sufferage(ctx: &MapCtx, avail: &mut [NodeAvailability]) -> Vec<(usize, usize)> {
-    let n = ctx.n_jobs();
-    let m = ctx.etc.n_sites();
-    let mut unassigned: Vec<usize> = (0..n).collect();
-    // Candidate-membership mask: invalidation below must recompute every
-    // job that could see the committed site at all (its second-best may
-    // sit there even when its best does not).
-    let mut is_candidate = vec![false; n * m];
-    for (j, cands) in ctx.candidates.iter().enumerate() {
-        for &s in cands {
-            is_candidate[j * m + s] = true;
-        }
-    }
-    // Cached (best site, best CT, second-best CT) per unassigned
-    // position, parallel initial fill.
-    let mut cached: Vec<(usize, Time, Time)> = {
-        let view: &[NodeAvailability] = avail;
-        unassigned
-            .par_iter()
-            .map(|&j| {
-                ctx.best_two(view, j)
-                    .expect("every batch job has a feasible candidate")
-            })
-            .collect()
-    };
-    let mut out = Vec::with_capacity(n);
-    while !unassigned.is_empty() {
-        // Largest sufferage wins; ties go to the earliest position, as in
-        // the sequential strictly-greater scan.
-        let (pos, _) = cached
-            .par_iter()
-            .indexed_min_by(|a, b| (b.2 - b.1).cmp(&(a.2 - a.1)))
-            .expect("non-empty unassigned set");
-        let (site, _, _) = cached[pos];
-        let job = unassigned.remove(pos);
-        cached.remove(pos);
-        ctx.commit(avail, job, site);
-        out.push((job, site));
-        for (i, &j) in unassigned.iter().enumerate() {
-            if is_candidate[j * m + site] {
-                cached[i] = ctx
-                    .best_two(avail, j)
-                    .expect("every batch job has a feasible candidate");
-            }
-        }
-    }
-    out
+    map_by_key(ctx, avail, |best, second| {
+        !ord_key(key_time(second) - key_time(best))
+    })
 }
 
-/// The textbook O(n²·m) loops, exactly as implemented before the PR 3
-/// hot-path rewrite: full rescan of every unassigned job per round,
-/// sequential first-strictly-better selection. Kept as the behavioural
-/// reference — the property suite asserts the optimized loops above match
-/// these bit for bit on random instances, and `perf_baseline` times both
-/// sides.
-pub mod reference {
-    use super::*;
+/// A plane cell the job cannot use: above every real CT (`+∞` included)
+/// and the `ord_key` of no `Time` — its bit pattern is a NaN.
+const ABSENT: i64 = i64::MAX;
 
-    /// Reference Min-Min (see [`super::map_min_min`]).
-    pub fn map_min_min(ctx: &MapCtx, avail: &mut [NodeAvailability]) -> Vec<(usize, usize)> {
-        map_by_best(ctx, avail, |best, incumbent| best < incumbent)
+/// Maps a `Time` to an `i64` with the same total order (the transform
+/// `f64::total_cmp` applies to both sides); `!key` reverses the order.
+fn ord_key(t: Time) -> i64 {
+    flip(t.seconds().to_bits() as i64)
+}
+
+/// Inverse of [`ord_key`].
+fn key_time(key: i64) -> Time {
+    Time::new(f64::from_bits(flip(key) as u64))
+}
+
+/// Flips the magnitude bits of negative values (an involution).
+fn flip(bits: i64) -> i64 {
+    bits ^ (((bits >> 63) as u64) >> 1) as i64
+}
+
+/// What the loop keeps per job, beside the job's row of the plane.
+struct Record {
+    /// Node width, the start-time floor `now.max(arrival)`, and [`rescan`]'s
+    /// result.
+    width: usize,
+    floor: Time,
+    site: usize,
+    best: i64,
+    second: i64,
+    /// The selection key of (`best`, `second`); the smallest is mapped next.
+    key: i64,
+}
+
+/// What [`MapCtx::best_two`] computes, from the job's cached row: the
+/// first site in candidate-list order holding the smallest CT, that CT, and
+/// the smallest CT over the other entries (the best again if there is none).
+fn rescan(row: &[i64], candidates: &[usize]) -> (usize, i64, i64) {
+    let (mut site, mut best, mut second) = (usize::MAX, ABSENT, ABSENT);
+    for &s in candidates {
+        let ct = row[s];
+        // The larger of the cell and the best so far is a runner-up.
+        second = second.min(ct.max(best));
+        if ct < best {
+            (site, best) = (s, ct);
+        }
+    }
+    assert!(best != ABSENT, "every batch job has a feasible candidate");
+    (site, best, if second == ABSENT { best } else { second })
+}
+
+/// The loop behind all three mappers (see the module docs): map the job with
+/// the smallest `key_of(best, second)` to its best site, refresh that column.
+fn map_by_key(
+    ctx: &MapCtx,
+    avail: &mut [NodeAvailability],
+    key_of: impl Fn(i64, i64) -> i64,
+) -> Vec<(usize, usize)> {
+    let (n, m, etc) = (ctx.n_jobs(), ctx.etc.n_sites(), ctx.etc.raw());
+    let span = gridsec_obs::span!("map", jobs = n);
+    let mut rescans = 0i64;
+
+    // The result outlives the call: allocated first, it sits below the
+    // transient plane and records instead of pinning their freed space.
+    let mut out = Vec::with_capacity(n);
+    let mut plane = vec![ABSENT; n * m];
+    let mut records: Vec<Record> = Vec::with_capacity(n);
+    // (position in `remaining`, key) of the next job to map: the first
+    // strictly smaller key wins, so ties stay with the lowest job index.
+    let mut pick = (0, i64::MAX);
+    for j in 0..n {
+        let row = &mut plane[j * m..(j + 1) * m];
+        for &s in &ctx.candidates[j] {
+            if let Some(ct) = ctx.completion(avail, j, s) {
+                row[s] = ord_key(ct);
+            }
+        }
+        let (site, best, second) = rescan(row, &ctx.candidates[j]);
+        let key = key_of(best, second);
+        if key < pick.1 {
+            pick = (j, key);
+        }
+        records.push(Record {
+            width: ctx.widths[j] as usize,
+            floor: ctx.now.max(ctx.arrivals[j]),
+            site,
+            best,
+            second,
+            key,
+        });
     }
 
-    /// Reference Max-Min (see [`super::map_max_min`]).
-    pub fn map_max_min(ctx: &MapCtx, avail: &mut [NodeAvailability]) -> Vec<(usize, usize)> {
-        map_by_best(ctx, avail, |best, incumbent| best > incumbent)
-    }
+    let mut remaining: Vec<usize> = (0..n).collect();
+    while !remaining.is_empty() {
+        let job = remaining.remove(pick.0);
+        let site = records[job].site;
+        ctx.commit(avail, job, site);
+        out.push((job, site));
+        pick = (0, i64::MAX);
 
-    fn map_by_best(
-        ctx: &MapCtx,
-        avail: &mut [NodeAvailability],
-        prefer: impl Fn(Time, Time) -> bool,
-    ) -> Vec<(usize, usize)> {
-        let n = ctx.n_jobs();
-        let mut unassigned: Vec<usize> = (0..n).collect();
-        let mut out = Vec::with_capacity(n);
-        while !unassigned.is_empty() {
-            let mut pick: Option<(usize, usize, Time)> = None; // (pos, site, ct)
-            for (pos, &j) in unassigned.iter().enumerate() {
-                let (s, ct) = ctx
-                    .best(avail, j)
-                    .expect("every batch job has a feasible candidate");
-                if pick.is_none_or(|(_, _, t)| prefer(ct, t)) {
-                    pick = Some((pos, s, ct));
+        // Only `avail[site]` moved, so only column `site` can.
+        let free = avail[site].free_times();
+        for (pos, &j) in remaining.iter().enumerate() {
+            let r = &mut records[j];
+            let row = &mut plane[j * m..(j + 1) * m];
+            let old = row[site];
+            if old != ABSENT {
+                let ct = free[r.width - 1].at_least(r.floor) + Time::new(etc[j * m + site]);
+                let new = ord_key(ct);
+                row[site] = new;
+                // Only a cell that held the best or second-best matters (or
+                // one that moved earlier: a negative execution time).
+                if new != old && (old <= r.second || new < old) {
+                    if site == r.site && old < new && new < r.second {
+                        r.best = new;
+                    } else {
+                        (r.site, r.best, r.second) = rescan(row, &ctx.candidates[j]);
+                        rescans += 1;
+                    }
+                    r.key = key_of(r.best, r.second);
                 }
             }
-            let (pos, site, _) = pick.expect("non-empty unassigned set");
-            let job = unassigned.remove(pos);
-            ctx.commit(avail, job, site);
-            out.push((job, site));
-        }
-        out
-    }
-
-    /// Reference Sufferage (see [`super::map_sufferage`]).
-    pub fn map_sufferage(ctx: &MapCtx, avail: &mut [NodeAvailability]) -> Vec<(usize, usize)> {
-        let n = ctx.n_jobs();
-        let mut unassigned: Vec<usize> = (0..n).collect();
-        let mut out = Vec::with_capacity(n);
-        while !unassigned.is_empty() {
-            let mut pick: Option<(usize, usize, Time)> = None; // (pos, site, sufferage)
-            for (pos, &j) in unassigned.iter().enumerate() {
-                let (s, best, second) = ctx
-                    .best_two(avail, j)
-                    .expect("every batch job has a feasible candidate");
-                let sufferage = second - best;
-                if pick.is_none_or(|(_, _, v)| sufferage > v) {
-                    pick = Some((pos, s, sufferage));
-                }
+            if r.key < pick.1 {
+                pick = (pos, r.key);
             }
-            let (pos, site, _) = pick.expect("non-empty unassigned set");
-            let job = unassigned.remove(pos);
-            ctx.commit(avail, job, site);
-            out.push((job, site));
         }
-        out
     }
+    span.end_with("rescans", rescans);
+    out
 }
 
 /// Makespan implied by a mapping: latest committed completion time. Takes
@@ -338,6 +312,32 @@ mod tests {
         let site_of = |j: u64| index.site_of(gridsec_core::JobId(j)).unwrap().0;
         assert_eq!(site_of(0), 1);
         assert_eq!(site_of(1), 0);
+    }
+
+    #[test]
+    fn ord_key_orders_like_time_and_round_trips() {
+        let tiny = f64::MIN_POSITIVE;
+        let times = [
+            f64::NEG_INFINITY,
+            -7.5,
+            -tiny,
+            -0.0,
+            0.0,
+            tiny,
+            7.5,
+            f64::INFINITY,
+        ];
+        for a in times.map(Time::new) {
+            assert_eq!(
+                key_time(ord_key(a)).seconds().to_bits(),
+                a.seconds().to_bits()
+            );
+            assert!(ord_key(a) < ABSENT);
+            for b in times.map(Time::new) {
+                assert_eq!(ord_key(a).cmp(&ord_key(b)), a.cmp(&b), "{a} vs {b}");
+                assert_eq!((!ord_key(a)).cmp(&!ord_key(b)), b.cmp(&a), "{a} vs {b}");
+            }
+        }
     }
 
     #[test]

@@ -168,8 +168,8 @@ pub fn instant(
 }
 
 /// An active span: records a `begin` event on creation and an `end`
-/// event (same name and fields) when dropped. Prefer the [`span!`]
-/// macro.
+/// event (same name and fields, unless [`Span::end_with`] adds one) when
+/// dropped. Prefer the [`span!`] macro.
 #[must_use = "a span records its end when dropped"]
 pub struct Span {
     name: &'static str,
@@ -185,6 +185,14 @@ pub fn span(
 ) -> Span {
     record(Kind::Begin, name, f1, f2);
     Span { name, f1, f2 }
+}
+
+impl Span {
+    /// Ends the span with `key = value` as the second field of its `end`
+    /// event — for a count only known once the work is done.
+    pub fn end_with(mut self, key: &'static str, value: i64) {
+        self.f2 = Some((key, value));
+    }
 }
 
 impl Drop for Span {
@@ -359,8 +367,16 @@ mod tests {
             crate::event!("dispatch", shard = 1);
             let _inner = crate::span!("round", batch = 17);
         }
+        crate::span!("map", jobs = 9).end_with("rescans", 3);
         let events = snapshot();
-        assert!(events.len() >= 5, "begin/end pairs plus the event");
+        assert!(events.len() >= 7, "begin/end pairs plus the event");
+        let map: Vec<&TraceEvent> = events.iter().filter(|e| e.name == "map").collect();
+        assert_eq!((map[0].kind.as_str(), map[0].fields.len()), ("begin", 1));
+        assert_eq!((map[1].kind.as_str(), map[1].fields.len()), ("end", 2));
+        assert_eq!(
+            (map[1].fields[1].key.as_str(), map[1].fields[1].value),
+            ("rescans", 3)
+        );
         assert!(events.windows(2).all(|w| w[0].t_nanos <= w[1].t_nanos));
         let barrier: Vec<&TraceEvent> = events
             .iter()
