@@ -32,8 +32,8 @@
 use gridsec_core::{BatchSchedule, Grid, Job, RiskMode, Site, Time};
 use gridsec_heuristics::{MinMin, Sufferage};
 use gridsec_serve::{
-    Client, ClockMode, Daemon, DaemonOptions, OnlineSession, Placed, QueryWhat, Request, Response,
-    ServeMetrics, SessionFactory, ShardSpec,
+    stateless_factory, Client, ClockMode, Daemon, DaemonOptions, Placed, QueryWhat, Request,
+    Response, ServeMetrics, SessionFactory,
 };
 use gridsec_sim::scheduler::EarliestCompletion;
 use gridsec_sim::{
@@ -321,6 +321,22 @@ fn build_scheduler(
     }
 }
 
+/// The in-process daemon's description of a shard: the named scheduler,
+/// seeded `seed + k` on shard `k` so GA streams are decorrelated across
+/// shards without breaking determinism.
+fn shard_factory(
+    config: SimConfig,
+    name: &str,
+    seed: u64,
+    quick: bool,
+    threads: Option<usize>,
+) -> SessionFactory {
+    let name = name.to_string();
+    stateless_factory(config, move |ctx| {
+        build_scheduler(&name, seed + ctx.shard as u64, quick, threads)
+    })
+}
+
 /// Runs the wrapped scheduler inside a dedicated thread pool, pinning the
 /// parallelism of its rayon sections regardless of the global pool.
 struct Pooled {
@@ -478,30 +494,9 @@ fn replay(
     let (daemon, addr) = match cfg.host {
         Some(h) => (None, h.parse().map_err(|_| format!("bad --host `{h}`"))?),
         None => {
-            let shard_specs: Result<Vec<ShardSpec>, String> = (0..cfg.shards)
-                .map(|k| {
-                    let sub = plan.subgrid(grid, k).map_err(|e| e.to_string())?;
-                    // Per-shard seeds decorrelate the GA streams without
-                    // breaking determinism.
-                    let scheduler = build_scheduler(
-                        cfg.scheduler,
-                        cfg.seed + k as u64,
-                        cfg.quick,
-                        cfg.threads,
-                    )?;
-                    let session =
-                        OnlineSession::new(sub, scheduler, &config).map_err(|e| e.to_string())?;
-                    Ok(ShardSpec::new(session))
-                })
-                .collect();
-            let d = Daemon::spawn_sharded(
-                grid.clone(),
-                plan.clone(),
-                shard_specs?,
-                "127.0.0.1:0",
-                options,
-            )
-            .map_err(|e| e.to_string())?;
+            let factory = shard_factory(config, cfg.scheduler, cfg.seed, cfg.quick, cfg.threads);
+            let d = Daemon::spawn(grid.clone(), plan.clone(), factory, "127.0.0.1:0", options)
+                .map_err(|e| e.to_string())?;
             let addr = d.addr();
             (Some(d), addr)
         }
@@ -860,22 +855,15 @@ fn replay_scenario(
         metrics_addr: opts.scrape_metrics.then(|| "127.0.0.1:0".to_string()),
         ..DaemonOptions::default()
     };
-    let shard_specs: Result<Vec<ShardSpec>, String> = (0..n_shards)
-        .map(|k| {
-            let sub = plan.subgrid(grid, k).map_err(|e| e.to_string())?;
-            let sched = build_scheduler(scheduler, opts.seed + k as u64, opts.quick, opts.threads)?;
-            let session = OnlineSession::new(sub, sched, config).map_err(|e| e.to_string())?;
-            Ok(ShardSpec::new(session))
-        })
-        .collect();
-    let daemon = Daemon::spawn_sharded(
-        grid.clone(),
-        plan.clone(),
-        shard_specs?,
-        "127.0.0.1:0",
-        options,
-    )
-    .map_err(|e| e.to_string())?;
+    let factory = shard_factory(
+        config.clone(),
+        scheduler,
+        opts.seed,
+        opts.quick,
+        opts.threads,
+    );
+    let daemon = Daemon::spawn(grid.clone(), plan.clone(), factory, "127.0.0.1:0", options)
+        .map_err(|e| e.to_string())?;
     let mut client = Client::connect(daemon.addr()).map_err(|e| e.to_string())?;
 
     // Wall-clock frames carry no instants (the daemon stamps its own
@@ -1465,32 +1453,21 @@ fn replay_resharded(
         .with_seed(seed);
     let plan1 = ShardPlan::contiguous(grid, from).map_err(|e| e.to_string())?;
     let plan2 = ShardPlan::contiguous(grid, to).map_err(|e| e.to_string())?;
-    let shard_specs: Result<Vec<ShardSpec>, String> = (0..from)
-        .map(|k| {
-            let sub = plan1.subgrid(grid, k).map_err(|e| e.to_string())?;
-            let sched = build_scheduler(scheduler, seed + k as u64, quick, None)?;
-            let session = OnlineSession::new(sub, sched, &config).map_err(|e| e.to_string())?;
-            Ok(ShardSpec::new(session))
-        })
-        .collect();
-    let factory: SessionFactory = {
+    // Every scheduler the factory builds — the `from` boot shards first,
+    // then the `to` respawned ones — gets the next seed, so GA streams
+    // stay decorrelated across the swap while remaining deterministic.
+    let factory = {
         let scheduler = scheduler.to_string();
-        let config = config.clone();
-        Box::new(move |ctx| {
-            // Offset the seed so respawned GA streams stay decorrelated
-            // from the originals while remaining deterministic.
-            let sched = build_scheduler(&scheduler, seed + 7_000 + ctx.shard as u64, quick, None)?;
-            OnlineSession::restore(ctx.subgrid, sched, &config, ctx.seed)
-                .map(ShardSpec::new)
-                .map_err(|e| e.to_string())
+        let mut built = 0u64;
+        stateless_factory(config, move |_| {
+            built += 1;
+            build_scheduler(&scheduler, seed + built - 1, quick, None)
         })
     };
-    let daemon = Daemon::spawn_elastic(
+    let daemon = Daemon::spawn(
         grid.clone(),
         plan1.clone(),
-        shard_specs?,
         factory,
-        None,
         "127.0.0.1:0",
         DaemonOptions::default(),
     )
@@ -1924,19 +1901,10 @@ fn run_connections_daemon() -> i32 {
         .with_interval(Time::new(1_000.0))
         .with_batch_policy(BatchPolicy::Periodic);
     let plan = ShardPlan::contiguous(&grid, CONNECTIONS_SHARDS).expect("plan fits grid");
-    let shards: Vec<ShardSpec> = (0..CONNECTIONS_SHARDS)
-        .map(|k| {
-            let sub = plan.subgrid(&grid, k).expect("plan fits grid");
-            ShardSpec::new(
-                OnlineSession::new(sub, Box::new(EarliestCompletion), &config)
-                    .expect("session builds"),
-            )
-        })
-        .collect();
-    let daemon = match Daemon::spawn_sharded(
+    let daemon = match Daemon::spawn(
         grid,
         plan,
-        shards,
+        stateless_factory(config, |_| Ok(Box::new(EarliestCompletion))),
         "127.0.0.1:0",
         DaemonOptions {
             metrics_addr: Some("127.0.0.1:0".into()),

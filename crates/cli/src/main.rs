@@ -13,13 +13,14 @@
 mod spec;
 
 use gridsec_serve::{
-    AutoscaleConfig, ClockMode, Daemon, DaemonOptions, OnlineSession, SessionFactory,
-    ShardPersistence, ShardSpec,
+    AutoscaleConfig, ClockMode, Daemon, DaemonOptions, OnlineSession, SessionFactory, ShardSpec,
 };
 use gridsec_sim::{simulate, ScenarioRunner, ShardPlan};
 use gridsec_stga::SharedHistory;
 use gridsec_workloads::{swf, NasConfig, PsaConfig};
 use spec::{ExperimentSpec, ScenarioSpec};
+use std::sync::{Arc, OnceLock};
+use std::time::Duration;
 
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
@@ -96,333 +97,138 @@ fn print_usage() {
     );
 }
 
+/// `gridsec serve`: exit code 2 for a usage error, 1 for anything that
+/// goes wrong from reading the spec to starting the daemon.
 fn cmd_serve(args: &[String]) -> i32 {
+    match serve(args) {
+        Ok(()) => 0,
+        Err((code, message)) => {
+            eprintln!("error: {message}");
+            code
+        }
+    }
+}
+
+fn failed(e: impl std::fmt::Display) -> (i32, String) {
+    (1, e.to_string())
+}
+
+fn serve(args: &[String]) -> Result<(), (i32, String)> {
     let Some(path) = args.first().filter(|a| !a.starts_with("--")) else {
-        eprintln!("error: `serve` needs a spec path");
-        return 2;
+        return Err((2, "`serve` needs a spec path".into()));
     };
     let mut bind = "127.0.0.1:0".to_string();
-    let mut clock = ClockMode::WallClock;
     let mut n_shards = 1usize;
-    let mut state: Option<String> = None;
-    let mut max_pending: Option<usize> = None;
-    let mut metrics_addr: Option<String> = None;
-    let mut flight_dump: Option<String> = None;
-    let mut io_threads: Option<usize> = None;
-    let mut idle_timeout: Option<std::time::Duration> = None;
+    let mut options = DaemonOptions {
+        clock: ClockMode::WallClock,
+        ..DaemonOptions::default() // io_threads 0 = auto-size the pool
+    };
     let mut autoscale = false;
     let mut autoscale_cfg = AutoscaleConfig::default();
     let mut i = 1;
     while i < args.len() {
-        let value = |name: &str| -> Result<String, String> {
-            args.get(i + 1)
-                .cloned()
-                .ok_or_else(|| format!("{name} needs a value"))
+        let flag = args[i].as_str();
+        let value = args.get(i + 1);
+        let text = || value.cloned().ok_or((2, format!("{flag} needs a value")));
+        let number = |least: u64, what: &str| {
+            let n = value.and_then(|v| v.parse::<u64>().ok());
+            n.filter(|&n| n >= least)
+                .ok_or((2, format!("{flag} needs a {what} integer")))
         };
-        // `--autoscale-<knob> <n>`: tune one autoscaler threshold (and
-        // turn the autoscaler on, like bare `--autoscale`).
-        if let Some(knob) = args[i].strip_prefix("--autoscale-") {
-            let parsed = value(&args[i]).ok().and_then(|v| v.parse::<u64>().ok());
-            let Some(n) = parsed else {
-                eprintln!("error: {} needs a non-negative integer", args[i]);
-                return 2;
-            };
-            match knob {
-                "min" => autoscale_cfg.min_shards = n as usize,
-                "max" => autoscale_cfg.max_shards = n as usize,
-                "split-pending" => autoscale_cfg.split_pending = n as usize,
-                "split-round-micros" => autoscale_cfg.split_round_micros = n,
-                "merge-pending" => autoscale_cfg.merge_pending = n as usize,
-                "patience" => autoscale_cfg.patience = n as usize,
-                "interval-ms" => autoscale_cfg.interval = std::time::Duration::from_millis(n),
-                other => {
-                    eprintln!("error: unknown autoscale knob `--autoscale-{other}`");
-                    return 2;
-                }
+        let mut step = 2; // the flag and its value
+        match flag {
+            "--autoscale" => (autoscale, step) = (true, 1),
+            "--virtual-clock" => (options.clock, step) = (ClockMode::Virtual, 1),
+            "--bind" => bind = text()?,
+            "--state" => options.state_prefix = Some(text()?.into()),
+            "--metrics-addr" => options.metrics_addr = Some(text()?),
+            "--flight-dump" => options.flight_dump = Some(text()?.into()),
+            "--shards" => n_shards = number(1, "positive")? as usize,
+            "--max-pending" => options.max_pending = Some(number(1, "positive")? as usize),
+            "--io-threads" => options.io_threads = number(1, "positive")? as usize,
+            "--idle-timeout-ms" => {
+                options.idle_timeout = Some(Duration::from_millis(number(1, "positive")?))
             }
-            autoscale = true;
-            i += 2;
-            continue;
+            // `--autoscale-<knob> <n>`: tune one autoscaler threshold (and
+            // turn the autoscaler on, like bare `--autoscale`).
+            _ => match flag.strip_prefix("--autoscale-") {
+                Some(knob) => {
+                    let n = number(0, "non-negative")?;
+                    match knob {
+                        "min" => autoscale_cfg.min_shards = n as usize,
+                        "max" => autoscale_cfg.max_shards = n as usize,
+                        "split-pending" => autoscale_cfg.split_pending = n as usize,
+                        "split-round-micros" => autoscale_cfg.split_round_micros = n,
+                        "merge-pending" => autoscale_cfg.merge_pending = n as usize,
+                        "patience" => autoscale_cfg.patience = n as usize,
+                        "interval-ms" => autoscale_cfg.interval = Duration::from_millis(n),
+                        _ => return Err((2, format!("unknown autoscale knob `{flag}`"))),
+                    }
+                    autoscale = true;
+                }
+                None => return Err((2, format!("unknown serve option `{flag}`"))),
+            },
         }
-        match args[i].as_str() {
-            "--autoscale" => {
-                autoscale = true;
-                i += 1;
-            }
-            "--bind" => match value("--bind") {
-                Ok(b) => {
-                    bind = b;
-                    i += 2;
-                }
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    return 2;
-                }
-            },
-            "--virtual-clock" => {
-                clock = ClockMode::Virtual;
-                i += 1;
-            }
-            "--shards" => match value("--shards").map(|v| v.parse::<usize>()) {
-                Ok(Ok(n)) if n >= 1 => {
-                    n_shards = n;
-                    i += 2;
-                }
-                _ => {
-                    eprintln!("error: --shards needs a positive integer");
-                    return 2;
-                }
-            },
-            "--state" => match value("--state") {
-                Ok(p) => {
-                    state = Some(p);
-                    i += 2;
-                }
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    return 2;
-                }
-            },
-            "--metrics-addr" => match value("--metrics-addr") {
-                Ok(a) => {
-                    metrics_addr = Some(a);
-                    i += 2;
-                }
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    return 2;
-                }
-            },
-            "--flight-dump" => match value("--flight-dump") {
-                Ok(p) => {
-                    flight_dump = Some(p);
-                    i += 2;
-                }
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    return 2;
-                }
-            },
-            "--max-pending" => match value("--max-pending").map(|v| v.parse::<usize>()) {
-                Ok(Ok(n)) if n >= 1 => {
-                    max_pending = Some(n);
-                    i += 2;
-                }
-                _ => {
-                    eprintln!("error: --max-pending needs a positive integer");
-                    return 2;
-                }
-            },
-            "--io-threads" => match value("--io-threads").map(|v| v.parse::<usize>()) {
-                Ok(Ok(n)) if n >= 1 => {
-                    io_threads = Some(n);
-                    i += 2;
-                }
-                _ => {
-                    eprintln!("error: --io-threads needs a positive integer");
-                    return 2;
-                }
-            },
-            "--idle-timeout-ms" => match value("--idle-timeout-ms").map(|v| v.parse::<u64>()) {
-                Ok(Ok(n)) if n >= 1 => {
-                    idle_timeout = Some(std::time::Duration::from_millis(n));
-                    i += 2;
-                }
-                _ => {
-                    eprintln!("error: --idle-timeout-ms needs a positive integer");
-                    return 2;
-                }
-            },
-            other => {
-                eprintln!("error: unknown serve option `{other}`");
-                return 2;
-            }
-        }
+        i += step;
     }
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("error: cannot read {path}: {e}");
-            return 1;
-        }
-    };
-    let spec = match ExperimentSpec::from_json(&text) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return 1;
-        }
-    };
-    let (jobs, grid) = match spec.workload.build() {
-        Ok(x) => x,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return 1;
-        }
-    };
+    options.autoscale = autoscale.then_some(autoscale_cfg);
+    let text =
+        std::fs::read_to_string(path).map_err(|e| (1, format!("cannot read {path}: {e}")))?;
+    let spec = ExperimentSpec::from_json(&text).map_err(failed)?;
+    let (jobs, grid) = spec.workload.build().map_err(failed)?;
     let Some(sspec) = spec.schedulers.first() else {
-        eprintln!("error: the spec lists no schedulers");
-        return 1;
+        return Err((1, "the spec lists no schedulers".into()));
     };
-    if state.is_some() && !sspec.is_stga() {
+    if options.state_prefix.is_some() && !sspec.is_stga() {
         eprintln!("note: --state only persists STGA history tables; ignored for this scheduler");
     }
-    let plan = match ShardPlan::contiguous(&grid, n_shards) {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return 1;
-        }
-    };
-    // One scheduler per shard, each over its subgrid. The spec's workload
-    // seeds STGA training (restricted to jobs that fit the shard);
-    // serving traffic comes in over the wire.
-    let mut shards = Vec::with_capacity(n_shards);
-    let mut name = String::new();
-    for k in 0..n_shards {
-        let sub = match plan.subgrid(&grid, k) {
-            Ok(g) => g,
-            Err(e) => {
-                eprintln!("error: {e}");
-                return 1;
-            }
-        };
-        let shard_jobs: Vec<gridsec_core::Job> = jobs
-            .iter()
-            .filter(|j| sub.sites().any(|s| s.fits_width(j.width)))
-            .cloned()
-            .collect();
-        // Restore the shard's history table when a state file exists.
-        let state_path = state
-            .as_ref()
-            .map(|p| gridsec_serve::shard_state_path(std::path::Path::new(p), k));
-        let history = if sspec.is_stga() {
-            match &state_path {
-                Some(p) if p.exists() => match std::fs::read_to_string(p)
-                    .map_err(|e| e.to_string())
-                    .and_then(|t| SharedHistory::from_json(&t).map_err(|e| e.to_string()))
-                {
-                    Ok(h) => {
-                        println!(
-                            "gridsec-serve: shard {k}: restored {} history entries from {}",
-                            h.len(),
-                            p.display()
-                        );
-                        Some(h)
-                    }
-                    Err(e) => {
-                        eprintln!("error: cannot restore state from {}: {e}", p.display());
-                        return 1;
-                    }
-                },
-                Some(_) => Some(SharedHistory::new(stga_capacity(sspec))),
-                None => None,
-            }
-        } else {
-            None
-        };
-        let scheduler = match sspec.build_send_with_history(&shard_jobs, &sub, history.clone()) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("error: shard {k}: {e}");
-                return 1;
-            }
-        };
-        name = scheduler.name();
-        let session = match OnlineSession::new(sub, scheduler, &spec.sim) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("error: shard {k}: {e}");
-                return 1;
-            }
-        };
-        let snapshot = history
-            .clone()
-            .map(|h| Box::new(move || h.to_json()) as Box<dyn Fn() -> String + Send>);
-        let persist = match (state_path, history) {
-            (Some(path), Some(history)) => Some(ShardPersistence {
-                path,
-                snapshot: Box::new(move || history.to_json()),
-            }),
-            _ => None,
-        };
-        shards.push(ShardSpec {
-            session,
-            persist,
-            history: snapshot,
-        });
-    }
-    // The session factory rebuilds shards after a `reshard` frame (or an
-    // autoscaler action): same scheduler spec over the new subgrid, STGA
-    // history tables merged from the contributing old shards, per-shard
-    // persistence re-pointed at `<prefix>.shard<k>.json`.
+    let plan = ShardPlan::contiguous(&grid, n_shards).map_err(failed)?;
+    // The one description of a shard, called for every shard at start-up
+    // and again after each `reshard` frame or autoscaler action: the
+    // spec's scheduler over the shard's subgrid. The spec's workload seeds
+    // STGA training (restricted to jobs that fit the shard); serving
+    // traffic comes in over the wire. An STGA history table is restored
+    // from the sources the daemon hands over — the shard's
+    // `<prefix>.shard<k>.json` at start-up, the contributing old shards'
+    // snapshots at a reshard — and its snapshot is what the daemon writes
+    // back to that file when the shard stops.
+    let name = Arc::new(OnceLock::new()); // the scheduler's display name, for the banner
     let factory: SessionFactory = {
         let sspec = sspec.clone();
         let sim = spec.sim.clone();
-        let jobs = jobs.clone();
-        let state = state.clone();
+        let name = Arc::clone(&name);
         Box::new(move |ctx| {
-            let shard = ctx.shard;
             let shard_jobs: Vec<gridsec_core::Job> = jobs
                 .iter()
                 .filter(|j| ctx.subgrid.sites().any(|s| s.fits_width(j.width)))
                 .cloned()
                 .collect();
-            let history = if sspec.is_stga() {
-                Some(if ctx.history_sources.is_empty() {
-                    SharedHistory::new(stga_capacity(&sspec))
-                } else {
-                    SharedHistory::merge_json(&ctx.history_sources).map_err(|e| e.to_string())?
-                })
-            } else {
-                None
+            let history = match &sspec {
+                spec::SchedulerSpec::Stga { params, .. } => {
+                    params.validate().map_err(|e| e.to_string())?;
+                    let cap = params.table_capacity;
+                    let table = SharedHistory::from_snapshots(&ctx.history_sources, cap);
+                    Some(table.map_err(|e| e.to_string())?)
+                }
+                _ => None,
             };
             let scheduler = sspec
                 .build_send_with_history(&shard_jobs, &ctx.subgrid, history.clone())
                 .map_err(|e| e.to_string())?;
+            name.get_or_init(|| scheduler.name());
             let session = OnlineSession::restore(ctx.subgrid, scheduler, &sim, ctx.seed)
                 .map_err(|e| e.to_string())?;
-            let snapshot = history
-                .clone()
-                .map(|h| Box::new(move || h.to_json()) as Box<dyn Fn() -> String + Send>);
-            let persist = match (&state, history) {
-                (Some(prefix), Some(h)) => Some(ShardPersistence {
-                    path: gridsec_serve::shard_state_path(std::path::Path::new(prefix), shard),
-                    snapshot: Box::new(move || h.to_json()),
-                }),
-                _ => None,
-            };
             Ok(ShardSpec {
                 session,
-                persist,
-                history: snapshot,
+                history: history
+                    .map(|h| Box::new(move || h.to_json()) as Box<dyn Fn() -> String + Send>),
             })
         })
     };
-    let daemon = match Daemon::spawn_elastic(
-        grid,
-        plan,
-        shards,
-        factory,
-        autoscale.then_some(autoscale_cfg),
-        &bind,
-        DaemonOptions {
-            clock,
-            max_pending,
-            metrics_addr: metrics_addr.clone(),
-            state_prefix: state.as_ref().map(std::path::PathBuf::from),
-            flight_dump: flight_dump.as_ref().map(std::path::PathBuf::from),
-            io_threads: io_threads.unwrap_or(0), // 0 = auto-size the pool
-            idle_timeout,
-            ..DaemonOptions::default()
-        },
-    ) {
-        Ok(d) => d,
-        Err(e) => {
-            eprintln!("error: cannot bind {bind}: {e}");
-            return 1;
-        }
-    };
+    let clock = options.clock;
+    let daemon = Daemon::spawn(grid, plan, factory, &bind, options)
+        .map_err(|e| (1, format!("cannot start daemon on {bind}: {e}")))?;
+    let name = name.get().expect("a plan has at least one shard");
     let elastic = if autoscale {
         format!(
             ", autoscaling {}–{} shards",
@@ -442,7 +248,7 @@ fn cmd_serve(args: &[String]) -> i32 {
         println!("gridsec-serve: metrics exposition on {m} (plaintext, scrape with curl/nc)");
     }
     daemon.join();
-    0
+    Ok(())
 }
 
 /// `gridsec trace-dump <addr>`: pull the daemon's flight-recorder ring
@@ -488,15 +294,6 @@ fn cmd_trace_dump(args: &[String]) -> i32 {
             eprintln!("error: trace-dump failed: {e}");
             1
         }
-    }
-}
-
-/// The history-table capacity an STGA spec would open, for pre-sizing a
-/// fresh shard table that the daemon then persists.
-fn stga_capacity(sspec: &spec::SchedulerSpec) -> usize {
-    match sspec {
-        spec::SchedulerSpec::Stga { params, .. } => params.table_capacity,
-        _ => unreachable!("only called for STGA specs"),
     }
 }
 

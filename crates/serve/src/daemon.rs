@@ -13,30 +13,33 @@
 //!                                                   scrape ▪ autoscale ▪ chaos)
 //! ```
 //!
-//! Connections are **event-driven** ([`crate::conn`]): a small pool of
+//! Connections are **event-driven** (the private `conn` module): a small pool of
 //! I/O threads owns every client socket through a vendored epoll wrapper,
 //! decodes NDJSON frames, and releases responses **in request order**
 //! from a bounded per-connection buffer (replies may arrive from
 //! different shard threads). There is one way for a job to reach a shard:
 //! the I/O thread routes a `submit` against the shared
-//! [`RoutingTable`](crate::conn::RoutingTable) snapshot and pushes it
+//! routing-table snapshot and pushes it
 //! onto the owning shard's lock-free bounded queue; a submit that cannot
 //! be pushed yet waits *parked on its connection*. Everything serialised
 //! — aggregated queries, global reconfigures, `reshard`, `drain`,
 //! `shutdown`, site churn — flows through the single *router* thread,
 //! which scatters to every shard and gathers the results (a barrier
 //! across shards); it never sees a submit. Each shard thread owns an
-//! [`OnlineSession`] over its subgrid — the GA population pool, the STGA
+//! [`OnlineSession`](crate::OnlineSession) over its subgrid — the GA population pool, the STGA
 //! history table and the availability model live there untouched across
 //! rounds. A client disconnecting mid-round just drops its connection;
 //! scheduling continues.
 //!
-//! **Elastic topology.** A daemon started through
-//! [`Daemon::spawn_elastic`] can change its shard plan while serving: a
-//! `reshard` frame (or the autoscaler) drains every shard to a barrier,
-//! exports their state, redistributes it with
-//! [`transfer`](crate::reshard::transfer), rebuilds the shard sessions
-//! through the session factory and atomically swaps the router's plan.
+//! **One way to build a shard.** [`Daemon::spawn`] takes the grid, a
+//! [`ShardPlan`] and a [`SessionFactory`], and that factory is the only
+//! description of a shard the daemon ever uses: boot is a reshard from
+//! nothing. At start-up a shard's seed is [`SessionState::fresh`] plus its
+//! state file, if [`DaemonOptions::state_prefix`] names one; at a
+//! `reshard` frame (or an autoscaler decision) the router drains every
+//! shard to a barrier, exports their state and redistributes it with
+//! [`transfer`]. Either way the seeds go through the same `build_shards`
+//! step — factory call, subgrid check — and the same thread spawn.
 //! Submits that arrive during the barrier wait parked on their
 //! connections and are routed under the new plan, so clients pipelined
 //! across the swap observe nothing but in-order responses; counters and
@@ -45,22 +48,23 @@
 
 use crate::conn::{
     build_io, DirectPath, DirectShard, DirectSubmit, IoLoop, IoShared, ReplyHandle, RoutingTable,
-    DIRECT_QUEUE_CAP, PARK_LABELS,
+    DIRECT_QUEUE_CAP,
 };
+use crate::exposition;
 use crate::protocol::{
-    encode, Line, LineDecoder, Placed, QueryWhat, Request, Response, ServeMetrics, TelemetryReport,
-    MAX_LINE_BYTES,
+    encode, Placed, QueryWhat, Request, Response, ServeMetrics, TelemetryReport, MAX_LINE_BYTES,
 };
 use crate::reshard::{
-    transfer, AutoscaleConfig, AutoscalePolicy, SessionFactory, ShardBuildContext, ShardObservation,
+    build_shards, transfer, AutoscaleConfig, AutoscalePolicy, SessionFactory, ShardObservation,
+    ShardSeed,
 };
-use crate::session::OnlineSession;
+use crate::session::SessionState;
 use crate::shard::{ShardMsg, ShardRuntime, ShardSpec};
 use crossbeam_queue::ArrayQueue;
 use gridsec_core::{Grid, JobId, SiteId, Time};
 use gridsec_obs::{Histogram, HistogramSnapshot};
 use gridsec_sim::ShardPlan;
-use std::io::{self, Read, Write};
+use std::io::{self, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::Ordering;
@@ -104,11 +108,13 @@ pub struct DaemonOptions {
     /// is closed — `nc host port` or any Prometheus scraper works.
     /// Use port 0 for an ephemeral port ([`Daemon::metrics_addr`]).
     pub metrics_addr: Option<String>,
-    /// Path prefix of the per-shard state files
-    /// (`<prefix>.shard<k>.json`, see [`shard_state_path`]). When set,
-    /// a reshard that shrinks the shard count garbage-collects the
-    /// retired shards' files after the swap — their state lives on in
-    /// the surviving shards, so a later restart must not resurrect it.
+    /// Path prefix of the per-shard state files ([`shard_state_path`]).
+    /// When set, shard `k`'s file is read at boot and handed to the
+    /// factory as its one `history_sources` entry; a shard built with a
+    /// [`ShardSpec::history`] snapshot writes it back when it stops; and
+    /// a reshard that shrinks the shard count removes the retired shards'
+    /// files after the swap — their state lives on in the surviving
+    /// shards, so a later restart must not resurrect it.
     pub state_prefix: Option<PathBuf>,
     /// Where to dump the flight recorder (NDJSON, one event per line)
     /// when a reshard is rejected (default `None` = no dump).
@@ -129,6 +135,9 @@ pub struct DaemonOptions {
     /// that vanishes without FIN/RST never produces a readiness event,
     /// so only a timeout can reclaim its connection state.
     pub idle_timeout: Option<Duration>,
+    /// When set, a sampling thread splits hot shards and merges cold
+    /// ones on its own (default `None`: only `reshard` frames do).
+    pub autoscale: Option<AutoscaleConfig>,
 }
 
 /// Default [`DaemonOptions::max_write_buffer`]: 8 MiB, far above any
@@ -148,6 +157,7 @@ impl Default for DaemonOptions {
             io_threads: 0,
             max_write_buffer: MAX_WRITE_BUFFER,
             idle_timeout: None,
+            autoscale: None,
         }
     }
 }
@@ -164,9 +174,9 @@ fn resolve_io_threads(requested: usize) -> usize {
 }
 
 /// The state file for shard `k` under `prefix`:
-/// `<prefix>.shard<k>.json`. Shared by the CLI (which writes the files
-/// through [`crate::ShardPersistence`]) and the reshard
-/// garbage-collector (which removes retired shards' files).
+/// `<prefix>.shard<k>.json` (appended, so a dot in the prefix's file name
+/// survives). The boot-time read, the write when a shard stops and the
+/// reshard garbage-collector all come here, so they cannot disagree.
 pub fn shard_state_path(prefix: &Path, shard: usize) -> PathBuf {
     let mut s = prefix.as_os_str().to_os_string();
     s.push(format!(".shard{shard}.json"));
@@ -216,62 +226,24 @@ pub struct Daemon {
 }
 
 impl Daemon {
-    /// Binds `bind` (e.g. `"127.0.0.1:0"` for an ephemeral port) and
-    /// starts serving `session` as a single shard covering the whole
-    /// grid — the PR 4 daemon, unchanged observable behaviour. Returns
-    /// once the listener is live; use [`Daemon::addr`] to learn the
-    /// bound address and [`Daemon::join`] to wait for a `shutdown`
-    /// frame.
-    pub fn spawn(session: OnlineSession, bind: &str, options: DaemonOptions) -> io::Result<Daemon> {
-        let grid = session.grid().clone();
-        let plan = ShardPlan::contiguous(&grid, 1)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e.to_string()))?;
-        Daemon::spawn_sharded(grid, plan, vec![ShardSpec::new(session)], bind, options)
-    }
-
-    /// Binds `bind` and starts serving `grid` split across the plan's
-    /// shards — one scheduling thread per shard, each owning the matching
-    /// [`ShardSpec`]'s session. Shard `k`'s session must run over exactly
-    /// [`ShardPlan::subgrid`]`(grid, k)`; anything else is rejected
-    /// before any thread spawns.
-    pub fn spawn_sharded(
+    /// Builds every shard of `plan` through `factory`, binds `bind` (e.g.
+    /// `"127.0.0.1:0"` for an ephemeral port) and starts serving `grid` —
+    /// one scheduling thread per shard. Returns once the listener is
+    /// live; use [`Daemon::addr`] to learn the bound address and
+    /// [`Daemon::join`] to wait for a `shutdown` frame.
+    ///
+    /// The factory runs here, before any thread is spawned or socket
+    /// bound: a factory that fails or builds a session over anything but
+    /// [`ShardPlan::subgrid`]`(grid, k)`, or an unreadable state file, is
+    /// an `Err` naming the shard with nothing left running. The daemon
+    /// keeps the factory for every plan it is later resharded to.
+    pub fn spawn(
         grid: Grid,
         plan: ShardPlan,
-        shards: Vec<ShardSpec>,
+        mut factory: SessionFactory,
         bind: &str,
         options: DaemonOptions,
     ) -> io::Result<Daemon> {
-        Daemon::spawn_inner(grid, plan, shards, None, None, bind, options)
-    }
-
-    /// Like [`Daemon::spawn_sharded`], but *elastic*: `factory` rebuilds
-    /// the shard sessions whenever a `reshard` frame (or the autoscaler)
-    /// moves the daemon to a new plan, and `autoscale`, when set, starts
-    /// a sampling thread that splits hot shards and merges cold ones
-    /// automatically. Without a factory, `reshard` frames get a typed
-    /// `reshard_rejected`.
-    pub fn spawn_elastic(
-        grid: Grid,
-        plan: ShardPlan,
-        shards: Vec<ShardSpec>,
-        factory: SessionFactory,
-        autoscale: Option<AutoscaleConfig>,
-        bind: &str,
-        options: DaemonOptions,
-    ) -> io::Result<Daemon> {
-        Daemon::spawn_inner(grid, plan, shards, Some(factory), autoscale, bind, options)
-    }
-
-    fn spawn_inner(
-        grid: Grid,
-        plan: ShardPlan,
-        shards: Vec<ShardSpec>,
-        factory: Option<SessionFactory>,
-        autoscale: Option<AutoscaleConfig>,
-        bind: &str,
-        options: DaemonOptions,
-    ) -> io::Result<Daemon> {
-        let invalid = |msg: String| io::Error::new(io::ErrorKind::InvalidInput, msg);
         if plan.n_sites() != grid.len() {
             return Err(invalid(format!(
                 "plan covers {} sites but the grid has {}",
@@ -279,21 +251,18 @@ impl Daemon {
                 grid.len()
             )));
         }
-        if shards.len() != plan.n_shards() {
-            return Err(invalid(format!(
-                "{} shard sessions for a {}-shard plan",
-                shards.len(),
-                plan.n_shards()
-            )));
-        }
-        for (k, spec) in shards.iter().enumerate() {
-            let expect = plan.subgrid(&grid, k).map_err(|e| invalid(e.to_string()))?;
-            if *spec.session.grid() != expect {
-                return Err(invalid(format!(
-                    "shard {k}'s session grid does not match the plan's subgrid"
-                )));
-            }
-        }
+        // Boot is a reshard from nothing.
+        let prefix = options.state_prefix.as_deref();
+        let seeds = boot_seeds(&grid, &plan, prefix)?;
+        let shards = build_shards(&grid, &plan, seeds, &mut factory).map_err(|(k, message)| {
+            // The factory does not know where its history source came
+            // from; a file it choked on is named here.
+            let state_file = prefix.map(|p| shard_state_path(p, k));
+            invalid(match state_file.filter(|path| path.exists()) {
+                Some(path) => format!("{message} (state file {})", path.display()),
+                None => message,
+            })
+        })?;
 
         // The flight recorder is on for every daemon: instrumentation
         // is inert by construction (the equivalence suites run with it
@@ -346,7 +315,7 @@ impl Daemon {
         // Autoscaler ticker: wakes on shutdown (the router drops the
         // stop sender when it exits) instead of sleeping out a final
         // interval past the daemon's death.
-        let (ticker, ticker_stop) = match &autoscale {
+        let (ticker, ticker_stop) = match &options.autoscale {
             Some(cfg) => {
                 let tick = ingest_tx.clone();
                 let interval = cfg.interval;
@@ -393,10 +362,10 @@ impl Daemon {
             direct_queues,
             shard_handles,
             offline: Vec::new(), // sized in run()
-            options,
             start,
             factory,
-            autoscale: autoscale.map(AutoscalePolicy::new),
+            autoscale: options.autoscale.map(AutoscalePolicy::new),
+            options,
             archive_metrics: ServeMetrics::merge(&[]),
             archive_schedule: Vec::new(),
             prev_round_hist: Vec::new(),
@@ -483,6 +452,37 @@ impl Daemon {
     }
 }
 
+fn invalid(message: String) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidInput, message)
+}
+
+/// The seeds a daemon boots from: per shard a session that has never
+/// served, and the shard's state file — when `prefix` is set and the file
+/// exists — as its one history source.
+fn boot_seeds(grid: &Grid, plan: &ShardPlan, prefix: Option<&Path>) -> io::Result<Vec<ShardSeed>> {
+    let mut seeds = Vec::with_capacity(plan.n_shards());
+    for k in 0..plan.n_shards() {
+        let subgrid = plan.subgrid(grid, k).map_err(|e| invalid(e.to_string()))?;
+        let mut history_sources = Vec::new();
+        if let Some(path) = prefix.map(|p| shard_state_path(p, k)) {
+            match std::fs::read_to_string(&path) {
+                Ok(text) => history_sources.push(text),
+                Err(e) if e.kind() == io::ErrorKind::NotFound => {}
+                Err(e) => {
+                    let msg = format!("shard {k}: cannot read state file {}: {e}", path.display());
+                    return Err(io::Error::new(e.kind(), msg));
+                }
+            }
+        }
+        seeds.push(ShardSeed {
+            shard: k,
+            state: SessionState::fresh(&subgrid),
+            history_sources,
+        });
+    }
+    Ok(seeds)
+}
+
 /// Serves one metrics-listener connection on its own thread: deadlines
 /// on both the socket and the router round-trip, so a stuck scraper (or
 /// a router mid-reshard) can neither stall other scrapes nor leak the
@@ -544,8 +544,11 @@ fn spawn_shard_threads(
             clock: options.clock,
             start,
             max_pending: options.max_pending,
-            persist: spec.persist,
             history: spec.history,
+            state_path: options
+                .state_prefix
+                .as_deref()
+                .map(|prefix| shard_state_path(prefix, k)),
             direct: Arc::clone(&direct),
         };
         shard_handles.push(std::thread::spawn(move || runtime.run(rx)));
@@ -591,7 +594,7 @@ struct Router {
     offline: Vec<bool>,
     options: DaemonOptions,
     start: Instant,
-    factory: Option<SessionFactory>,
+    factory: SessionFactory,
     autoscale: Option<AutoscalePolicy>,
     /// Counters of shards retired by reshards, with the gauges
     /// (`jobs_scheduled`, `pending`) zeroed — their live state moved to
@@ -636,17 +639,57 @@ impl Router {
         )));
     }
 
+    /// Takes a site offline (a `fail_site` frame) or brings it back
+    /// (`rejoin_site`). The router is the gatekeeper: it refuses a
+    /// double-fail or a spurious rejoin against its own offline set, has
+    /// the owning shard apply the injection (requeueing stranded jobs),
+    /// and only then flips the set and republishes the routing table — a
+    /// failed injection leaves routing untouched.
+    fn set_site_online(&mut self, site: usize, at: Option<Time>, online: bool) -> Response {
+        let what = if online { "rejoin_site" } else { "fail_site" };
+        let error = |message| Response::Error { message };
+        let Some((k, local)) = self.plan.to_local(SiteId(site)) else {
+            return error(format!("{what}: unknown site {site}"));
+        };
+        if self.offline[site] != online {
+            let state = if online { "not" } else { "already" };
+            return error(format!("{what}: site {site} is {state} offline"));
+        }
+        let (reply, rx) = channel();
+        let msg = ShardMsg::GatherSiteOnline {
+            site: local,
+            online,
+            at,
+            reply,
+        };
+        if self.shard_txs[k].send(msg).is_err() {
+            return shard_down();
+        }
+        match rx.recv() {
+            Ok(Ok(requeued)) => {
+                self.offline[site] = !online;
+                self.publish_open(); // derived routing follows the set
+                match online {
+                    true => Response::SiteRejoined { site, shard: k },
+                    false => Response::SiteFailed {
+                        site,
+                        shard: k,
+                        requeued,
+                    },
+                }
+            }
+            Ok(Err(message)) => error(message),
+            Err(_) => shard_down(),
+        }
+    }
+
     /// The router loop: drains the ingest queue in order, forwards each
     /// shard-scoped control frame to the shard that owns it, and
     /// scatter-gathers the cross-shard operations. Exits after a
     /// `shutdown` frame (stopping every shard) or when the listener goes
     /// away.
     fn run(mut self, ingest: Receiver<IngestEvent>) {
-        // The routing-level view of site churn. The router is the single
-        // gatekeeper: double-fails and spurious rejoins are rejected
-        // here, and the set only changes once the owning shard has
-        // applied the injection — so routing and shard state can never
-        // disagree.
+        // The routing-level view of site churn (`set_site_online`).
         self.offline = vec![false; self.grid.len()];
         self.publish_open();
         loop {
@@ -744,21 +787,10 @@ impl Router {
                     reply.send(Reply::frame(seq, &response));
                 }
                 Request::FailSite { site, at } => {
-                    let response =
-                        fail_site(&self.plan, &self.shard_txs, &mut self.offline, site, at);
-                    if matches!(response, Response::SiteFailed { .. }) {
-                        // Derived routing must stop targeting the site.
-                        self.publish_open();
-                    }
-                    reply.send(Reply::frame(seq, &response));
+                    reply.send(Reply::frame(seq, &self.set_site_online(site, at, false)));
                 }
                 Request::RejoinSite { site, at } => {
-                    let response =
-                        rejoin_site(&self.plan, &self.shard_txs, &mut self.offline, site, at);
-                    if matches!(response, Response::SiteRejoined { .. }) {
-                        self.publish_open();
-                    }
-                    reply.send(Reply::frame(seq, &response));
+                    reply.send(Reply::frame(seq, &self.set_site_online(site, at, true)));
                 }
                 Request::Reshard { shards } => {
                     let shards: Vec<Vec<SiteId>> = shards
@@ -912,13 +944,6 @@ impl Router {
     }
 
     fn reshard_inner(&mut self, shards: Vec<Vec<SiteId>>) -> Result<usize, String> {
-        if self.factory.is_none() {
-            return Err(
-                "daemon started without a session factory; reshard needs Daemon::spawn_elastic \
-                 (or `gridsec serve`)"
-                    .into(),
-            );
-        }
         let new_plan = ShardPlan::from_shards(&self.grid, shards)
             .map_err(|e| format!("invalid reshard plan: {e}"))?;
         // Barrier: run every due round so no armed boundary is lost.
@@ -960,44 +985,17 @@ impl Router {
         };
         // Rebuild every session before touching the old shards, so a
         // factory failure aborts with the daemon fully intact.
-        let respawn_span = gridsec_obs::span!("reshard_respawn");
-        let mut factory = self.factory.take().expect("checked above");
-        let mut specs = Vec::with_capacity(moved.seeds.len());
-        let mut build_err = None;
-        for seed in moved.seeds {
-            let k = seed.shard;
-            let subgrid = match new_plan.subgrid(&self.grid, k) {
-                Ok(g) => g,
-                Err(e) => {
-                    build_err = Some(e.to_string());
-                    break;
-                }
-            };
-            match factory(ShardBuildContext {
-                shard: k,
-                subgrid: subgrid.clone(),
-                seed: seed.state,
-                history_sources: seed.history_sources,
-            }) {
-                Ok(spec) if *spec.session.grid() != subgrid => {
-                    build_err = Some(format!(
-                        "session factory built shard {k} over the wrong subgrid"
-                    ));
-                    break;
-                }
-                Ok(spec) => specs.push(spec),
-                Err(message) => {
-                    build_err = Some(format!("session factory failed for shard {k}: {message}"));
-                    break;
-                }
+        let specs = {
+            let _respawn_span = gridsec_obs::span!("reshard_respawn");
+            build_shards(&self.grid, &new_plan, moved.seeds, &mut self.factory)
+        };
+        let specs = match specs {
+            Ok(specs) => specs,
+            Err((_, message)) => {
+                self.resume_shards();
+                return Err(message);
             }
-        }
-        self.factory = Some(factory);
-        drop(respawn_span);
-        if let Some(message) = build_err {
-            self.resume_shards();
-            return Err(message);
-        }
+        };
         // Point of no return: retire the old shards (they persist their
         // state files on Stop), archive their history, swap in the new.
         let _swap_span = gridsec_obs::span!("reshard_swap");
@@ -1085,22 +1083,10 @@ impl Router {
     /// stays cumulative across topology changes.
     fn aggregate_query(&self, what: QueryWhat) -> Response {
         match what {
-            QueryWhat::Metrics => {
-                let per_shard: Vec<_> =
-                    gather(&self.shard_txs, |tx| ShardMsg::GatherMetrics { reply: tx })
-                        .into_iter()
-                        .flatten()
-                        .collect();
-                if per_shard.len() != self.shard_txs.len() {
-                    return shard_down();
-                }
-                let mut all = Vec::with_capacity(per_shard.len() + 1);
-                all.push(self.archive_metrics.clone());
-                all.extend(per_shard);
-                Response::Metrics {
-                    metrics: ServeMetrics::merge(&all),
-                }
-            }
+            QueryWhat::Metrics => match self.gather_metrics() {
+                Some((metrics, _)) => Response::Metrics { metrics },
+                None => shard_down(),
+            },
             QueryWhat::Schedule => {
                 let per_shard =
                     gather(&self.shard_txs, |tx| ShardMsg::GatherSchedule { reply: tx });
@@ -1148,124 +1134,39 @@ impl Router {
         }
     }
 
-    /// Renders the Prometheus-style plaintext exposition served by the
-    /// metrics listener: counter/gauge families from the merged metrics
-    /// (archives folded in, so reshards never reset a `_total`), plus
-    /// the round-latency, batch-size and reshard-barrier histograms in
-    /// cumulative-`le` form.
-    fn render_exposition(&self) -> String {
-        let per_shard: Vec<_> = gather(&self.shard_txs, |tx| ShardMsg::GatherMetrics { reply: tx })
-            .into_iter()
-            .flatten()
-            .collect();
-        if per_shard.len() != self.shard_txs.len() {
-            return "# gridsec-serve: a shard thread is no longer running\n".into();
-        }
-        let mut all = Vec::with_capacity(per_shard.len() + 1);
-        all.push(self.archive_metrics.clone());
-        all.extend(per_shard.iter().cloned());
-        let m = ServeMetrics::merge(&all);
+    /// The grid-wide metrics — live shards merged with the archive of
+    /// retired ones, so a reshard never resets a total — and each live
+    /// shard's pending count. `None` when a shard thread is gone.
+    fn gather_metrics(&self) -> Option<(ServeMetrics, Vec<usize>)> {
+        let mut all = vec![self.archive_metrics.clone()];
+        all.extend(
+            gather(&self.shard_txs, |tx| ShardMsg::GatherMetrics { reply: tx })
+                .into_iter()
+                .flatten(),
+        );
+        let pending = all[1..].iter().map(|m| m.pending).collect();
+        (all.len() == self.shard_txs.len() + 1).then(|| (ServeMetrics::merge(&all), pending))
+    }
 
-        let mut out = String::with_capacity(2048);
-        let mut counter = |name: &str, help: &str, value: u64| {
-            out.push_str(&format!(
-                "# HELP {name} {help}\n# TYPE {name} counter\n{name} {value}\n"
-            ));
+    /// Gathers one scrape's numbers and renders the page
+    /// ([`exposition::render`]).
+    fn render_exposition(&self) -> String {
+        let Some((metrics, pending)) = self.gather_metrics() else {
+            return "# gridsec-serve: a shard thread is no longer running\n".into();
         };
-        counter(
-            "gridsec_jobs_submitted_total",
-            "Jobs accepted over the daemon's lifetime.",
-            m.jobs_submitted as u64,
-        );
-        counter(
-            "gridsec_rounds_total",
-            "Non-empty scheduling rounds run.",
-            m.rounds as u64,
-        );
-        counter(
-            "gridsec_busy_rejections_total",
-            "Submits rejected by queue backpressure.",
-            m.busy_rejections as u64,
-        );
-        counter(
-            "gridsec_jobs_requeued_total",
-            "Jobs requeued after a site failure.",
-            m.jobs_requeued as u64,
-        );
-        counter(
-            "gridsec_reshards_completed_total",
-            "Completed live reshards.",
-            m.reshards_completed as u64,
-        );
-        counter(
-            "gridsec_jobs_migrated_total",
-            "Jobs that changed shard across reshards.",
-            m.jobs_migrated as u64,
-        );
-        counter(
-            "gridsec_slow_disconnects_total",
-            "Connections dropped for exceeding the write-buffer bound.",
-            self.io.slow_disconnects.load(Ordering::Relaxed) as u64,
-        );
-        counter(
-            "gridsec_idle_reaped_total",
-            "Connections reaped by the idle timeout.",
-            self.io.idle_reaped.load(Ordering::Relaxed) as u64,
-        );
-        out.push_str(
-            "# HELP gridsec_submits_parked_total Submit frames that waited on their connection.\n\
-             # TYPE gridsec_submits_parked_total counter\n",
-        );
-        for (label, n) in PARK_LABELS.iter().zip(&self.io.parked) {
-            let n = n.load(Ordering::Relaxed);
-            out.push_str(&format!(
-                "gridsec_submits_parked_total{{reason=\"{label}\"}} {n}\n"
-            ));
-        }
-        out.push_str(
-            "# HELP gridsec_direct_queue_depth Submit frames queued for a shard.\n\
-             # TYPE gridsec_direct_queue_depth gauge\n",
-        );
-        for (k, q) in self.direct_queues.iter().enumerate() {
-            let n = q.len();
-            out.push_str(&format!(
-                "gridsec_direct_queue_depth{{shard=\"{k}\"}} {n}\n"
-            ));
-        }
-        out.push_str("# HELP gridsec_pending Jobs waiting for the next round, per shard.\n");
-        out.push_str("# TYPE gridsec_pending gauge\n");
-        for (k, s) in per_shard.iter().enumerate() {
-            out.push_str(&format!("gridsec_pending{{shard=\"{k}\"}} {}\n", s.pending));
-        }
-        out.push_str(&format!(
-            "# HELP gridsec_jobs_scheduled Jobs with a standing commitment.\n\
-             # TYPE gridsec_jobs_scheduled gauge\ngridsec_jobs_scheduled {}\n",
-            m.jobs_scheduled
-        ));
-        render_histogram(
-            &mut out,
-            "gridsec_round_nanos",
-            "Scheduler wall-clock nanoseconds per round.",
-            &m.round_nanos_hist,
-        );
-        render_histogram(
-            &mut out,
-            "gridsec_batch_size",
-            "Jobs per non-empty scheduling round.",
-            &m.batch_size_hist,
-        );
-        render_histogram(
-            &mut out,
-            "gridsec_reshard_barrier_nanos",
-            "Wall-clock nanoseconds a reshard barrier held.",
-            &self.reshard_barrier_nanos.snapshot(),
-        );
-        out.push_str(&format!(
-            "# HELP gridsec_connections Client connections currently open.\n\
-             # TYPE gridsec_connections gauge\ngridsec_connections {}\n",
-            self.io.connections.load(Ordering::Relaxed)
-        ));
-        out
+        let queue_depth: Vec<usize> = self.direct_queues.iter().map(|q| q.len()).collect();
+        exposition::render(&exposition::Page {
+            metrics: &metrics,
+            pending: &pending,
+            queue_depth: &queue_depth,
+            reshard_barrier_nanos: &self.reshard_barrier_nanos.snapshot(),
+            reshard_migrated_jobs: &self.reshard_migrated_jobs.snapshot(),
+            connections: self.io.connections.load(Ordering::Relaxed),
+            slow_disconnects: self.io.slow_disconnects.load(Ordering::Relaxed),
+            idle_reaped: self.io.idle_reaped.load(Ordering::Relaxed),
+            parked: std::array::from_fn(|i| self.io.parked[i].load(Ordering::Relaxed)),
+            recorder: gridsec_obs::recorder::status(),
+        })
     }
 
     /// Drains every shard; `rounds` stays cumulative across reshards by
@@ -1399,91 +1300,6 @@ pub(crate) fn derive_route(
     Ok(target.map_or(0, |(k, _)| k))
 }
 
-/// Takes a site offline: the router validates against its offline set,
-/// the owning shard requeues stranded jobs, and only then does the set
-/// flip — a failed injection leaves routing untouched.
-fn fail_site(
-    plan: &ShardPlan,
-    shard_txs: &[Sender<ShardMsg>],
-    offline: &mut [bool],
-    site: usize,
-    at: Option<Time>,
-) -> Response {
-    let Some((k, local)) = plan.to_local(SiteId(site)) else {
-        return Response::Error {
-            message: format!("fail_site: unknown site {site}"),
-        };
-    };
-    if offline[site] {
-        return Response::Error {
-            message: format!("fail_site: site {site} is already offline"),
-        };
-    }
-    let (tx, rx) = channel();
-    if shard_txs[k]
-        .send(ShardMsg::GatherFail {
-            site: local,
-            at,
-            reply: tx,
-        })
-        .is_err()
-    {
-        return shard_down();
-    }
-    match rx.recv() {
-        Ok(Ok(requeued)) => {
-            offline[site] = true;
-            Response::SiteFailed {
-                site,
-                shard: k,
-                requeued,
-            }
-        }
-        Ok(Err(message)) => Response::Error { message },
-        Err(_) => shard_down(),
-    }
-}
-
-/// Brings a failed site back online (the inverse gatekeeping of
-/// [`fail_site`]).
-fn rejoin_site(
-    plan: &ShardPlan,
-    shard_txs: &[Sender<ShardMsg>],
-    offline: &mut [bool],
-    site: usize,
-    at: Option<Time>,
-) -> Response {
-    let Some((k, local)) = plan.to_local(SiteId(site)) else {
-        return Response::Error {
-            message: format!("rejoin_site: unknown site {site}"),
-        };
-    };
-    if !offline[site] {
-        return Response::Error {
-            message: format!("rejoin_site: site {site} is not offline"),
-        };
-    }
-    let (tx, rx) = channel();
-    if shard_txs[k]
-        .send(ShardMsg::GatherRejoin {
-            site: local,
-            at,
-            reply: tx,
-        })
-        .is_err()
-    {
-        return shard_down();
-    }
-    match rx.recv() {
-        Ok(Ok(())) => {
-            offline[site] = false;
-            Response::SiteRejoined { site, shard: k }
-        }
-        Ok(Err(message)) => Response::Error { message },
-        Err(_) => shard_down(),
-    }
-}
-
 /// A global trust update: validate once, split per shard, scatter,
 /// gather the acks.
 fn global_reconfigure(
@@ -1536,22 +1352,6 @@ fn global_reconfigure(
     }
 }
 
-/// One histogram family in Prometheus text form: cumulative `_bucket`
-/// lines with log2 `le` bounds, then `_sum` and `_count`.
-fn render_histogram(out: &mut String, name: &str, help: &str, h: &HistogramSnapshot) {
-    out.push_str(&format!("# HELP {name} {help}\n# TYPE {name} histogram\n"));
-    let mut cum = 0u64;
-    for (upper, c) in h.cumulative_buckets() {
-        cum = c;
-        out.push_str(&format!("{name}_bucket{{le=\"{upper}\"}} {c}\n"));
-    }
-    // The implicit +Inf bucket (equal to the last cumulative count by
-    // construction — the top log2 bucket covers all of u64).
-    let _ = cum;
-    out.push_str(&format!("{name}_bucket{{le=\"+Inf\"}} {}\n", h.count));
-    out.push_str(&format!("{name}_sum {}\n{name}_count {}\n", h.sum, h.count));
-}
-
 /// Drains every shard (a barrier) and merges the counters.
 fn drain_all(shard_txs: &[Sender<ShardMsg>]) -> Response {
     let _drain_span = gridsec_obs::span!("drain_barrier");
@@ -1591,79 +1391,5 @@ pub(crate) fn shutting_down() -> Response {
 fn forward(shard: &Sender<ShardMsg>, msg: ShardMsg, reply: &ReplyHandle, seq: u64) {
     if shard.send(msg).is_err() {
         reply.send(Reply::frame(seq, &shard_down()));
-    }
-}
-
-/// A minimal blocking client for the NDJSON protocol: lock-step
-/// request/response over one TCP connection. Used by `loadgen`, the
-/// examples and the wire tests; any `netcat`-style tool works just as
-/// well.
-pub struct Client {
-    stream: TcpStream,
-    decoder: LineDecoder,
-}
-
-impl Client {
-    /// Connects to a daemon.
-    pub fn connect(addr: SocketAddr) -> io::Result<Client> {
-        Client::from_stream(TcpStream::connect(addr)?)
-    }
-
-    /// Wraps an already-connected stream (tests that drive the socket by
-    /// hand before switching to lock-step frames).
-    pub fn from_stream(stream: TcpStream) -> io::Result<Client> {
-        Ok(Client {
-            stream,
-            decoder: LineDecoder::new(Self::MAX_RESPONSE_BYTES),
-        })
-    }
-
-    /// Sends one request and waits for its response frame.
-    pub fn send(&mut self, req: &Request) -> io::Result<Response> {
-        self.send_line(&encode(req))
-    }
-
-    /// Sends a raw line (malformed-frame testing) and waits for the
-    /// response.
-    pub fn send_line(&mut self, line: &str) -> io::Result<Response> {
-        self.stream.write_all(line.as_bytes())?;
-        if !line.ends_with('\n') {
-            self.stream.write_all(b"\n")?;
-        }
-        self.stream.flush()?;
-        self.read_response()
-    }
-
-    /// Cap on one *response* line. Far above the request cap: a long
-    /// session's `schedule`/`metrics` frames carry the whole committed
-    /// history (~65 bytes per assignment), and the server is trusted.
-    pub const MAX_RESPONSE_BYTES: usize = 1 << 30;
-
-    /// Reads one response frame.
-    pub fn read_response(&mut self) -> io::Result<Response> {
-        let invalid = |msg: String| io::Error::new(io::ErrorKind::InvalidData, msg);
-        let mut chunk = [0u8; 8192];
-        loop {
-            match self.decoder.next_line(false) {
-                Some(Line::Frame(line)) => {
-                    return serde_json::from_slice(line).map_err(|e| invalid(e.to_string()))
-                }
-                Some(Line::TooLong(n)) => {
-                    return Err(invalid(format!("oversized response ({n} bytes)")))
-                }
-                None => {}
-            }
-            // The daemon only ever writes whole lines, so EOF mid-line is
-            // a lost connection, not a frame.
-            match self.stream.read(&mut chunk)? {
-                0 => {
-                    return Err(io::Error::new(
-                        io::ErrorKind::UnexpectedEof,
-                        "daemon closed the connection",
-                    ))
-                }
-                n => self.decoder.push(&chunk[..n]),
-            }
-        }
     }
 }

@@ -1,0 +1,230 @@
+//! The Prometheus-style plaintext page served by the metrics listener
+//! ([`DaemonOptions::metrics_addr`](crate::DaemonOptions::metrics_addr)).
+//!
+//! [`render`] is a pure function of a [`Page`]: the router gathers the
+//! numbers (merged [`ServeMetrics`] with the archives of retired shards
+//! folded in, so a reshard never resets a `_total`; per-shard gauges; the
+//! connection layer's counters) and this module only formats them. The
+//! test below destructures `ServeMetrics` without a rest pattern, so a new
+//! field does not compile until it is rendered or listed as wire-only.
+
+use crate::conn::PARK_LABELS;
+use crate::protocol::ServeMetrics;
+use gridsec_obs::recorder::RecorderStatus;
+use gridsec_obs::HistogramSnapshot;
+use std::fmt::{Display, Write};
+
+/// Everything one scrape shows. `metrics` is grid-wide (live shards merged
+/// with the router's archive); `pending` and `queue_depth` are per live
+/// shard; `parked` is in [`PARK_LABELS`] order.
+pub(crate) struct Page<'a> {
+    pub metrics: &'a ServeMetrics,
+    pub pending: &'a [usize],
+    pub queue_depth: &'a [usize],
+    pub reshard_barrier_nanos: &'a HistogramSnapshot,
+    pub reshard_migrated_jobs: &'a HistogramSnapshot,
+    pub connections: usize,
+    pub slow_disconnects: usize,
+    pub idle_reaped: usize,
+    pub parked: [usize; 3],
+    pub recorder: RecorderStatus,
+}
+
+/// Renders the page: the counter families, the gauges, then the
+/// round-latency, batch-size and reshard histograms in cumulative-`le`
+/// form.
+pub(crate) fn render(page: &Page<'_>) -> String {
+    let m = page.metrics;
+    let overwritten = (page.recorder.recorded).saturating_sub(page.recorder.retained as u64);
+    #[rustfmt::skip]
+    let counters: [(&str, &str, &dyn Display); 12] = [
+        ("gridsec_jobs_submitted_total", "Jobs accepted over the daemon's lifetime.", &m.jobs_submitted),
+        ("gridsec_rounds_total", "Non-empty scheduling rounds run.", &m.rounds),
+        ("gridsec_scheduler_seconds_total", "Wall-clock seconds spent inside the scheduler.", &m.scheduler_seconds),
+        ("gridsec_busy_rejections_total", "Submits rejected by queue backpressure.", &m.busy_rejections),
+        ("gridsec_sites_failed_total", "Site failures applied.", &m.sites_failed),
+        ("gridsec_sites_rejoined_total", "Site rejoins applied.", &m.sites_rejoined),
+        ("gridsec_jobs_requeued_total", "Jobs requeued after a site failure.", &m.jobs_requeued),
+        ("gridsec_reshards_completed_total", "Completed live reshards.", &m.reshards_completed),
+        ("gridsec_jobs_migrated_total", "Jobs that changed shard across reshards.", &m.jobs_migrated),
+        ("gridsec_slow_disconnects_total", "Connections dropped for exceeding the write-buffer bound.", &page.slow_disconnects),
+        ("gridsec_idle_reaped_total", "Connections reaped by the idle timeout.", &page.idle_reaped),
+        ("gridsec_recorder_events_overwritten_total", "Flight-recorder events lost to ring wrap-around (recorded - retained).", &overwritten),
+    ];
+    #[rustfmt::skip]
+    let per_shard = [
+        ("gridsec_direct_queue_depth", "Submit frames queued for a shard.", page.queue_depth),
+        ("gridsec_pending", "Jobs waiting for the next round, per shard.", page.pending),
+    ];
+    #[rustfmt::skip]
+    let gauges = [
+        ("gridsec_jobs_scheduled", "Jobs with a standing commitment.", m.jobs_scheduled),
+        ("gridsec_connections", "Client connections currently open.", page.connections),
+    ];
+    #[rustfmt::skip]
+    let histograms = [
+        ("gridsec_round_nanos", "Scheduler wall-clock nanoseconds per round.", &m.round_nanos_hist),
+        ("gridsec_batch_size", "Jobs per non-empty scheduling round.", &m.batch_size_hist),
+        ("gridsec_reshard_barrier_nanos", "Wall-clock nanoseconds a reshard barrier held.", page.reshard_barrier_nanos),
+        ("gridsec_reshard_migrated_jobs", "Jobs migrated per completed reshard.", page.reshard_migrated_jobs),
+    ];
+
+    let mut out = String::with_capacity(4096);
+    for (name, help, value) in counters {
+        family(&mut out, name, "counter", help);
+        let _ = writeln!(out, "{name} {value}");
+    }
+    let (name, help) = (
+        "gridsec_submits_parked_total",
+        "Submit frames that waited on their connection.",
+    );
+    family(&mut out, name, "counter", help);
+    for (label, n) in PARK_LABELS.iter().zip(page.parked) {
+        let _ = writeln!(out, "{name}{{reason=\"{label}\"}} {n}");
+    }
+    for (name, help, values) in per_shard {
+        family(&mut out, name, "gauge", help);
+        for (k, v) in values.iter().enumerate() {
+            let _ = writeln!(out, "{name}{{shard=\"{k}\"}} {v}");
+        }
+    }
+    for (name, help, value) in gauges {
+        family(&mut out, name, "gauge", help);
+        let _ = writeln!(out, "{name} {value}");
+    }
+    for (name, help, h) in histograms {
+        histogram(&mut out, name, help, h);
+    }
+    out
+}
+
+fn family(out: &mut String, name: &str, kind: &str, help: &str) {
+    let _ = writeln!(out, "# HELP {name} {help}\n# TYPE {name} {kind}");
+}
+
+/// One histogram family: cumulative `_bucket` lines with log2 `le`
+/// bounds, the implicit `+Inf` bucket (the top log2 bucket covers all of
+/// `u64`, so it equals the count), then `_sum` and `_count`.
+fn histogram(out: &mut String, name: &str, help: &str, h: &HistogramSnapshot) {
+    family(out, name, "histogram", help);
+    for (upper, c) in h.cumulative_buckets() {
+        let _ = writeln!(out, "{name}_bucket{{le=\"{upper}\"}} {c}");
+    }
+    let _ = writeln!(out, "{name}_bucket{{le=\"+Inf\"}} {}", h.count);
+    let _ = writeln!(out, "{name}_sum {}\n{name}_count {}", h.sum, h.count);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use gridsec_core::Time;
+    use gridsec_obs::Histogram;
+
+    fn hist(samples: &[u64]) -> HistogramSnapshot {
+        let h = Histogram::new();
+        samples.iter().for_each(|&s| h.record(s));
+        h.snapshot()
+    }
+
+    /// Every `ServeMetrics` field is on the page under its own name with
+    /// its own value, or is named here as wire-only. The destructuring has
+    /// no `..`: a new field breaks this test's build until it is placed.
+    #[test]
+    fn every_serve_metrics_field_is_rendered_or_listed_as_wire_only() {
+        let metrics = ServeMetrics {
+            jobs_submitted: 101,
+            jobs_scheduled: 102,
+            pending: 103,
+            rounds: 104,
+            scheduler_seconds: 105.5,
+            sites_failed: 108,
+            sites_rejoined: 109,
+            jobs_requeued: 110,
+            busy_rejections: 111,
+            reshards_completed: 112,
+            jobs_migrated: 113,
+            round_nanos_hist: hist(&[900, 1_100]),
+            batch_size_hist: hist(&[3, 4, 5]),
+            batch_sizes: vec![3, 4],
+            round_nanos: vec![900, 1_100],
+            virtual_now: Time::new(106.0),
+            max_completion: Time::new(107.0),
+        };
+        let recorder = RecorderStatus {
+            enabled: true,
+            threads: 2,
+            retained: 1_000,
+            recorded: 1_120,
+            capacity: 4_096,
+        };
+        let text = render(&Page {
+            metrics: &metrics,
+            pending: &[100, 3],
+            queue_depth: &[7, 0],
+            reshard_barrier_nanos: &hist(&[1 << 20]),
+            reshard_migrated_jobs: &hist(&[6, 6, 6, 6]),
+            connections: 114,
+            slow_disconnects: 115,
+            idle_reaped: 116,
+            parked: [117, 118, 119],
+            recorder,
+        });
+        let ServeMetrics {
+            jobs_submitted,
+            jobs_scheduled,
+            pending, // shown where it can be acted on: per shard
+            rounds,
+            scheduler_seconds,
+            sites_failed,
+            sites_rejoined,
+            jobs_requeued,
+            busy_rejections,
+            reshards_completed,
+            jobs_migrated,
+            round_nanos_hist,
+            batch_size_hist,
+            // Wire-only: the raw windows behind the two histograms, and
+            // simulated instants (neither a rate nor a level).
+            batch_sizes: _,
+            round_nanos: _,
+            virtual_now: _,
+            max_completion: _,
+        } = metrics;
+        let lines = format!(
+            "gridsec_jobs_submitted_total {jobs_submitted}
+gridsec_jobs_scheduled {jobs_scheduled}
+gridsec_pending{{shard=\"0\"}} {}
+gridsec_pending{{shard=\"1\"}} 3
+gridsec_rounds_total {rounds}
+gridsec_scheduler_seconds_total {scheduler_seconds}
+gridsec_sites_failed_total {sites_failed}
+gridsec_sites_rejoined_total {sites_rejoined}
+gridsec_jobs_requeued_total {jobs_requeued}
+gridsec_busy_rejections_total {busy_rejections}
+gridsec_reshards_completed_total {reshards_completed}
+gridsec_jobs_migrated_total {jobs_migrated}
+gridsec_round_nanos_sum {}
+gridsec_round_nanos_count {}
+gridsec_batch_size_sum {}
+gridsec_batch_size_count {}
+gridsec_direct_queue_depth{{shard=\"0\"}} 7
+gridsec_reshard_barrier_nanos_count 1
+gridsec_reshard_migrated_jobs_sum 24
+gridsec_connections 114
+gridsec_slow_disconnects_total 115
+gridsec_idle_reaped_total 116
+gridsec_submits_parked_total{{reason=\"fenced\"}} 117
+gridsec_submits_parked_total{{reason=\"sealed\"}} 118
+gridsec_submits_parked_total{{reason=\"full\"}} 119
+gridsec_recorder_events_overwritten_total 120",
+            pending - 3,
+            round_nanos_hist.sum,
+            round_nanos_hist.count,
+            batch_size_hist.sum,
+            batch_size_hist.count,
+        );
+        for line in lines.lines() {
+            assert!(text.lines().any(|l| l == line), "no `{line}` in:\n{text}");
+        }
+    }
+}

@@ -15,12 +15,16 @@
 //!   pool, STGA history table, scratch buffers — alive across rounds.
 //! * [`shard`] — multi-tenant sharding: one session + scheduling thread
 //!   per site-disjoint grid shard
-//!   ([`ShardPlan`](gridsec_sim::ShardPlan)), with optional per-shard
-//!   state persistence ([`ShardPersistence`]) and bounded-queue
-//!   backpressure. The `sharding_equivalence` suite proves a 1-shard
-//!   daemon bit-identical to the engine and an N-shard daemon
-//!   bit-identical to N independent single-shard daemons.
-//! * [`Daemon`] — the TCP front end: a small pool of epoll-driven I/O
+//!   ([`ShardPlan`](gridsec_sim::ShardPlan)), with bounded-queue
+//!   backpressure and an optional history snapshot ([`ShardSpec`]) that
+//!   follows the shard across topologies and — under
+//!   [`DaemonOptions::state_prefix`] — restarts. The
+//!   `sharding_equivalence` suite proves a 1-shard daemon bit-identical
+//!   to the engine and an N-shard daemon bit-identical to N independent
+//!   single-shard daemons.
+//! * [`Daemon`] — one constructor, [`Daemon::spawn`], over a grid, a
+//!   plan and a [`SessionFactory`]: the factory builds every shard, at
+//!   boot and at each reshard. The TCP front end is a small pool of epoll-driven I/O
 //!   threads multiplexing every client socket (C10k-ready — the thread
 //!   count is fixed, not per-connection). Each I/O thread decodes NDJSON
 //!   frames, routes `submit` frames against a shared routing-table
@@ -33,30 +37,31 @@
 //!   to the simulator — see the golden cross-check test);
 //!   [`ClockMode::WallClock`] serves real time.
 //! * [`reshard`] — elastic topology: a `reshard` frame (or the
-//!   autoscaler, [`AutoscalePolicy`]) moves a live daemon to a new
-//!   [`ShardPlan`](gridsec_sim::ShardPlan) at a drain barrier. Per-shard
-//!   state — availability, pending queues, in-flight commits,
+//!   autoscaler, [`DaemonOptions::autoscale`]) moves a live daemon to a
+//!   new [`ShardPlan`](gridsec_sim::ShardPlan) at a drain barrier.
+//!   Per-shard state — availability, pending queues, in-flight commits,
 //!   duplicate-id sets, STGA history snapshots — is exported, split or
-//!   merged by the pure [`transfer`](reshard::transfer) function, and
-//!   restored into factory-built sessions; the `reshard_equivalence`
-//!   suite proves the post-barrier schedule bit-identical to a cluster
-//!   booted directly on the new topology from the same state.
+//!   merged by the pure [`transfer`] function, and restored into sessions
+//!   the factory builds exactly as it built the boot shards; the
+//!   `reshard_equivalence` suite proves the post-barrier schedule
+//!   bit-identical to a daemon booted directly on the new topology from
+//!   the same state.
 //! * [`Client`] — a minimal lock-step client for tests, examples and the
 //!   `loadgen` harness.
 //!
 //! ```no_run
-//! use gridsec_core::{Grid, Job, Site, Time};
-//! use gridsec_serve::{Client, Daemon, DaemonOptions, OnlineSession, Request, Response};
+//! use gridsec_core::{Grid, Job, Site};
+//! use gridsec_serve::{stateless_factory, Client, Daemon, DaemonOptions, Request, Response};
 //! use gridsec_sim::scheduler::EarliestCompletion;
-//! use gridsec_sim::SimConfig;
+//! use gridsec_sim::{ShardPlan, SimConfig};
 //!
 //! let grid = Grid::new(vec![Site::builder(0).nodes(4).build().unwrap()]).unwrap();
-//! let session = OnlineSession::new(
-//!     grid,
-//!     Box::new(EarliestCompletion),
-//!     &SimConfig::default(),
-//! ).unwrap();
-//! let daemon = Daemon::spawn(session, "127.0.0.1:0", DaemonOptions::default()).unwrap();
+//! // One shard over the whole grid; the factory is the only description
+//! // of a shard the daemon needs (see `examples/online_service.rs` for
+//! // one that carries an STGA history table).
+//! let plan = ShardPlan::contiguous(&grid, 1).unwrap();
+//! let factory = stateless_factory(SimConfig::default(), |_| Ok(Box::new(EarliestCompletion)));
+//! let daemon = Daemon::spawn(grid, plan, factory, "127.0.0.1:0", DaemonOptions::default()).unwrap();
 //! let mut client = Client::connect(daemon.addr()).unwrap();
 //! let job = Job::builder(0).work(100.0).build().unwrap();
 //! client.send(&Request::Submit { jobs: vec![job], shard: None, tenant: None }).unwrap();
@@ -72,21 +77,24 @@
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
 
+pub mod client;
 mod conn;
 pub mod daemon;
+mod exposition;
 pub mod protocol;
 pub mod reshard;
 pub mod session;
 pub mod shard;
 
-pub use daemon::{shard_state_path, Client, ClockMode, Daemon, DaemonOptions};
+pub use client::Client;
+pub use daemon::{shard_state_path, ClockMode, Daemon, DaemonOptions};
 pub use protocol::{
     Placed, QueryWhat, Request, Response, ServeMetrics, ShardInfo, ShardTelemetry, TelemetryReport,
     TenantWait, MAX_LINE_BYTES, METRICS_WINDOW,
 };
 pub use reshard::{
-    transfer, AutoscaleConfig, AutoscalePolicy, ReshardTransfer, SessionFactory, ShardBuildContext,
-    ShardObservation, ShardSeed, ShardStateExport,
+    stateless_factory, transfer, AutoscaleConfig, AutoscalePolicy, ReshardTransfer, SessionFactory,
+    ShardBuildContext, ShardObservation, ShardSeed, ShardStateExport,
 };
 pub use session::{Admission, OnlineSession, SessionState};
-pub use shard::{ShardPersistence, ShardSpec};
+pub use shard::ShardSpec;

@@ -1,21 +1,24 @@
-//! Live resharding: moving a running daemon from one [`ShardPlan`] to
-//! another without losing a job.
+//! Building a daemon's shards, and rebuilding them live: moving a running
+//! daemon from one [`ShardPlan`] to another without losing a job.
 //!
-//! The mechanism is a drain barrier plus a pure state transfer. At the
-//! barrier every shard is drained (no boundary armed, pending only where
-//! offline sites strand jobs), each shard exports a [`ShardStateExport`]
-//! (availability, pending queue, in-flight commits, duplicate-id set,
-//! scheduler history snapshot), and [`transfer`] redistributes that state
-//! over the new plan deterministically. The router then rebuilds every
-//! shard session through a [`SessionFactory`] and atomically swaps the
-//! plan — clients pipelined across the swap observe responses in
-//! sequence order, nothing else.
+//! A daemon's shards are described once, by its [`SessionFactory`], and
+//! built in one place, `build_shards`: from [`ShardSeed`]s. At boot the
+//! daemon makes the seeds itself — a session that has never served plus
+//! the shard's state file. At a reshard they come out of a drain barrier
+//! and a pure state transfer: every shard is drained (no boundary armed,
+//! pending only where offline sites strand jobs), each exports a
+//! [`ShardStateExport`] (availability, pending queue, in-flight commits,
+//! duplicate-id set, scheduler history snapshot), and [`transfer`]
+//! redistributes that state over the new plan deterministically. The
+//! router then builds the new shards and atomically swaps the plan —
+//! clients pipelined across the swap observe responses in sequence order,
+//! nothing else.
 //!
 //! `transfer` is deliberately a pure function of
 //! `(grid, old plan, exports, new plan)`: the resharding-equivalence
 //! harness replays it outside the daemon and proves that a daemon
 //! resharded mid-stream schedules the post-barrier suffix bit-identically
-//! to a cluster booted directly on the new topology from the same
+//! to a daemon booted directly on the new topology from the same
 //! transferred state.
 //!
 //! [`AutoscalePolicy`] drives the same transfer automatically: it watches
@@ -24,10 +27,10 @@
 //! shards.
 
 use crate::protocol::{Placed, ServeMetrics};
-use crate::session::SessionState;
+use crate::session::{OnlineSession, SessionState};
 use crate::shard::ShardSpec;
 use gridsec_core::{Grid, Job, JobId, SiteId, Time};
-use gridsec_sim::{BatchJob, ShardPlan};
+use gridsec_sim::{BatchJob, BatchScheduler, ShardPlan, SimConfig};
 use std::collections::HashMap;
 use std::time::Duration;
 
@@ -64,18 +67,19 @@ pub struct ShardStateExport {
     pub schedule: Vec<Placed>,
 }
 
-/// The seed for one shard of the new plan: its localized session state
-/// plus the history snapshots of every old shard it inherits sites from.
+/// The seed for one shard of a plan: its localized session state plus the
+/// history snapshots it inherits. [`transfer`] produces one per shard of
+/// the new plan; the daemon makes its own at boot
+/// ([`SessionState::fresh`] plus the shard's state file).
 #[derive(Debug)]
 pub struct ShardSeed {
-    /// The shard's index in the new plan.
+    /// The shard's index in the plan.
     pub shard: usize,
-    /// Session state localized to the new shard's subgrid (site ids are
+    /// Session state localized to the shard's subgrid (site ids are
     /// shard-local).
     pub state: SessionState,
     /// History snapshots of contributing old shards, in ascending old
-    /// shard order. Merge with `SharedHistory::merge_json` (or ignore for
-    /// stateless schedulers).
+    /// shard order (see [`ShardBuildContext::history_sources`]).
     pub history_sources: Vec<String>,
 }
 
@@ -263,25 +267,84 @@ pub fn transfer(
     })
 }
 
-/// Everything a [`SessionFactory`] needs to rebuild one shard of the new
-/// plan.
+/// Everything a [`SessionFactory`] needs to build one shard of a plan.
 pub struct ShardBuildContext {
-    /// The shard's index in the new plan.
+    /// The shard's index in the plan.
     pub shard: usize,
     /// The shard's re-indexed subgrid (dense local site ids).
     pub subgrid: Grid,
-    /// The localized session state to restore from.
+    /// The localized session state to restore from:
+    /// [`SessionState::fresh`] at boot, what [`transfer`] produced at a
+    /// reshard.
     pub seed: SessionState,
-    /// History snapshots inherited from old shards (ascending old-shard
-    /// order); merge before building a history-backed scheduler.
+    /// History snapshots the shard inherits — at boot its state file, if
+    /// there is one; at a reshard those of the old shards it takes sites
+    /// from (ascending old-shard order). A history-backed scheduler
+    /// starts from them; none means a fresh table.
     pub history_sources: Vec<String>,
 }
 
-/// Rebuilds a shard session after a reshard: constructs a fresh scheduler
-/// (merging `history_sources` when applicable) and an
+/// The one description of a daemon's shards: called once per shard when
+/// the daemon boots and again for every shard of every plan it is
+/// resharded to. Constructs the scheduler (from `history_sources` when it
+/// keeps history) and an
 /// [`OnlineSession::restore`](crate::OnlineSession::restore)d session
-/// over the subgrid, returning the full [`ShardSpec`].
+/// over exactly `subgrid`, and returns the [`ShardSpec`].
 pub type SessionFactory = Box<dyn FnMut(ShardBuildContext) -> Result<ShardSpec, String> + Send>;
+
+/// The [`SessionFactory`] of a scheduler that carries nothing from one
+/// topology to the next: `make` builds shard `ctx.shard`'s scheduler, the
+/// session is restored from the seed, `history_sources` is ignored.
+pub fn stateless_factory(
+    config: SimConfig,
+    mut make: impl FnMut(&ShardBuildContext) -> Result<Box<dyn BatchScheduler + Send>, String>
+        + Send
+        + 'static,
+) -> SessionFactory {
+    Box::new(move |ctx| {
+        let scheduler = make(&ctx)?;
+        OnlineSession::restore(ctx.subgrid, scheduler, &config, ctx.seed)
+            .map(ShardSpec::new)
+            .map_err(|e| e.to_string())
+    })
+}
+
+/// Builds the shards of `plan` from their seeds — the one place the
+/// factory is called and its result checked, reached from
+/// [`Daemon::spawn`](crate::Daemon::spawn) (fresh seeds) and from every
+/// reshard (transferred seeds). Fails with `(k, message)` on the first
+/// shard `k` the factory cannot build or builds over anything but
+/// `plan.subgrid(grid, k)`.
+pub(crate) fn build_shards(
+    grid: &Grid,
+    plan: &ShardPlan,
+    seeds: Vec<ShardSeed>,
+    factory: &mut SessionFactory,
+) -> Result<Vec<ShardSpec>, (usize, String)> {
+    let mut specs = Vec::with_capacity(seeds.len());
+    for seed in seeds {
+        let k = seed.shard;
+        let subgrid = plan.subgrid(grid, k).map_err(|e| (k, e.to_string()))?;
+        let spec = factory(ShardBuildContext {
+            shard: k,
+            subgrid: subgrid.clone(),
+            seed: seed.state,
+            history_sources: seed.history_sources,
+        })
+        .map_err(|message| {
+            (
+                k,
+                format!("session factory failed for shard {k}: {message}"),
+            )
+        })?;
+        if *spec.session.grid() != subgrid {
+            let message = format!("session factory built shard {k} over the wrong subgrid");
+            return Err((k, message));
+        }
+        specs.push(spec);
+    }
+    Ok(specs)
+}
 
 /// Thresholds and pacing for the autoscaler.
 #[derive(Debug, Clone, Copy, PartialEq)]

@@ -55,7 +55,7 @@ pub enum Admission {
 /// Cumulative counters and the committed-schedule history are *not* part
 /// of session state — the daemon archives them at the barrier, so
 /// aggregated metrics and schedules stay continuous across topologies.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SessionState {
     /// The virtual clock at export.
     pub clock: Time,
@@ -77,6 +77,27 @@ pub struct SessionState {
     /// histograms must keep attributing correctly after a reshard
     /// moves the job to another shard.
     pub tenants: Vec<(JobId, String)>,
+}
+
+impl SessionState {
+    /// The state of a session that has never served: clock 0, every node
+    /// of every site free at 0, nothing pending, in flight or known.
+    /// [`OnlineSession::restore`] of it is [`OnlineSession::new`] — which
+    /// is how a daemon boots: a reshard from nothing.
+    pub fn fresh(grid: &Grid) -> SessionState {
+        SessionState {
+            clock: Time::ZERO,
+            sites: grid
+                .sites()
+                .map(|s| (vec![Time::ZERO; s.nodes as usize], false))
+                .collect(),
+            pending: Vec::new(),
+            inflight: Vec::new(),
+            live: Vec::new(),
+            known: Vec::new(),
+            tenants: Vec::new(),
+        }
+    }
 }
 
 /// A live scheduling session over one grid and one scheduler.
@@ -935,6 +956,48 @@ mod tests {
         let stranded = c2.fail_site(placed_site, None).unwrap();
         assert_eq!(stranded, vec![JobId(0)]);
         assert_eq!(c2.pending(), 1);
+    }
+
+    /// What `Daemon::spawn` rests on: restoring the state of a session
+    /// that has never served *is* opening one — same exported state
+    /// before any traffic, bit-identical commits and state after the same
+    /// submit/tick/drain script, for a stateless mapper and for the STGA
+    /// (GA stream, history table) on the multi-node grid.
+    #[test]
+    fn restore_of_a_fresh_state_is_new() {
+        use gridsec_stga::{GaParams, Stga, StgaParams};
+        let config = SimConfig::default()
+            .with_interval(Time::new(10.0))
+            .with_batch_policy(BatchPolicy::Hybrid(3));
+        let ga = GaParams::default().with_population(16).with_generations(8);
+        let stga = StgaParams {
+            ga: ga.with_seed(3),
+            ..StgaParams::default()
+        };
+        let makes: [&dyn Fn() -> Box<dyn BatchScheduler + Send>; 2] =
+            [&|| Box::new(EarliestCompletion), &|| {
+                Box::new(Stga::new(stga).unwrap())
+            }];
+        for make in makes {
+            let fresh = SessionState::fresh(&grid());
+            let mut pair = [
+                OnlineSession::new(grid(), make(), &config).unwrap(),
+                OnlineSession::restore(grid(), make(), &config, fresh.clone()).unwrap(),
+            ];
+            for s in &mut pair {
+                assert_eq!(s.export_state(), fresh);
+                for id in 0..5 {
+                    s.submit(job(id, id as f64, 30.0 + id as f64)).unwrap();
+                }
+                s.tick(Time::new(12.0)).unwrap();
+                let late = job(5, 13.0, 9.0);
+                s.submit_bounded_as(late, Some(8), Some("acme")).unwrap();
+                s.drain().unwrap();
+            }
+            assert_eq!(pair[0].assignments().len(), 6);
+            assert_eq!(pair[0].assignments(), pair[1].assignments());
+            assert_eq!(pair[0].export_state(), pair[1].export_state());
+        }
     }
 
     #[test]

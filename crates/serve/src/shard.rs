@@ -7,6 +7,10 @@
 //! daemon serving just that shard's subgrid (pinned by the
 //! `sharding_equivalence` suite).
 //!
+//! What a shard *is* comes from one place, the daemon's
+//! [`SessionFactory`](crate::SessionFactory), which returns a
+//! [`ShardSpec`]; this module is what runs one.
+//!
 //! The shard thread speaks shard-local site ids internally (its session
 //! runs over the re-indexed subgrid) and translates to global site ids on
 //! every outbound schedule, so clients only ever see the real grid.
@@ -24,46 +28,28 @@ use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Where and how a shard persists its scheduler state across restarts.
-///
-/// The daemon calls `snapshot` at every shutdown barrier (after the final
-/// drain) and writes the returned JSON to `path`; loading is the
-/// builder's job (construct the scheduler from the file before spawning).
-pub struct ShardPersistence {
-    /// File the snapshot is written to (one file per shard).
-    pub path: PathBuf,
-    /// Produces the state snapshot (e.g. `SharedHistory::to_json`).
-    pub snapshot: Box<dyn Fn() -> String + Send>,
-}
-
-impl std::fmt::Debug for ShardPersistence {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ShardPersistence")
-            .field("path", &self.path)
-            .finish_non_exhaustive()
-    }
-}
-
-/// One shard of a sharded daemon: the session over the shard's subgrid
-/// plus optional state persistence.
+/// One shard as a [`SessionFactory`](crate::SessionFactory) builds it: the
+/// session over the shard's subgrid plus, for history-backed schedulers,
+/// the snapshot that carries what they learned across topologies and
+/// restarts.
 pub struct ShardSpec {
     /// The shard's scheduling session (grid = the shard's subgrid).
     pub session: OnlineSession,
-    /// Optional scheduler-state persistence.
-    pub persist: Option<ShardPersistence>,
-    /// Optional scheduler-history snapshot (e.g. `SharedHistory::to_json`)
-    /// taken at the reshard barrier so history-backed schedulers carry
-    /// their learned tables onto the new topology. Independent of
-    /// `persist`: a daemon can reshard without any state files.
+    /// Optional scheduler-history snapshot (e.g. `SharedHistory::to_json`).
+    /// Taken at a reshard barrier, where the text travels to the
+    /// successor shards' factories as `history_sources`, and when the
+    /// shard stops, where — under a
+    /// [`DaemonOptions::state_prefix`](crate::DaemonOptions::state_prefix)
+    /// — it is written to the shard's state file, which the next boot
+    /// hands back to the factory the same way.
     pub history: Option<Box<dyn Fn() -> String + Send>>,
 }
 
 impl ShardSpec {
-    /// A shard without persistence or a history snapshot.
+    /// A shard whose scheduler carries nothing between topologies.
     pub fn new(session: OnlineSession) -> ShardSpec {
         ShardSpec {
             session,
-            persist: None,
             history: None,
         }
     }
@@ -97,19 +83,15 @@ pub(crate) enum ShardMsg {
     /// push, so the mpsc happens-before edge guarantees the submit is
     /// visible by the time the poke is received.
     Poke,
-    /// Take a shard-local site offline at `at`; returns how many
-    /// stranded jobs were requeued. The router owns the global offline
-    /// set and only updates it on success, so it blocks on the reply.
-    GatherFail {
+    /// Take a shard-local site offline at `at` (returns how many stranded
+    /// jobs were requeued) or bring it back online (returns 0). The
+    /// router owns the global offline set and only updates it on success,
+    /// so it blocks on the reply.
+    GatherSiteOnline {
         site: SiteId,
+        online: bool,
         at: Option<Time>,
         reply: Sender<Result<usize, String>>,
-    },
-    /// Bring a shard-local site back online at `at`.
-    GatherRejoin {
-        site: SiteId,
-        at: Option<Time>,
-        reply: Sender<Result<(), String>>,
     },
     /// Metrics snapshot for an aggregated view.
     GatherMetrics { reply: Sender<ServeMetrics> },
@@ -161,8 +143,10 @@ pub(crate) struct ShardRuntime {
     pub clock: ClockMode,
     pub start: Instant,
     pub max_pending: Option<usize>,
-    pub persist: Option<ShardPersistence>,
     pub history: Option<Box<dyn Fn() -> String + Send>>,
+    /// Where `history` is written when the shard stops:
+    /// `shard_state_path(state_prefix, shard)`, or `None` without a prefix.
+    pub state_path: Option<PathBuf>,
     /// Lock-free submit queue fed by the I/O threads — the only way jobs
     /// reach this shard. Drained ahead of every control message so
     /// router-serialised barriers (drain, reshard, shutdown) observe
@@ -238,22 +222,18 @@ impl ShardRuntime {
                     };
                     reply.send(Reply::frame(seq, &response));
                 }
-                ShardMsg::GatherFail { site, at, reply } => {
+                ShardMsg::GatherSiteOnline {
+                    site,
+                    online,
+                    at,
+                    reply,
+                } => {
                     let at = self.injection_instant(at);
-                    let result = self
-                        .session
-                        .fail_site(site, at)
-                        .map(|stranded| stranded.len())
-                        .map_err(|e| format!("shard {}: {e}", self.shard));
-                    let _ = reply.send(result);
-                }
-                ShardMsg::GatherRejoin { site, at, reply } => {
-                    let at = self.injection_instant(at);
-                    let result = self
-                        .session
-                        .rejoin_site(site, at)
-                        .map_err(|e| format!("shard {}: {e}", self.shard));
-                    let _ = reply.send(result);
+                    let result = match online {
+                        true => self.session.rejoin_site(site, at).map(|()| 0),
+                        false => self.session.fail_site(site, at).map(|jobs| jobs.len()),
+                    };
+                    let _ = reply.send(result.map_err(|e| format!("shard {}: {e}", self.shard)));
                 }
                 ShardMsg::GatherMetrics { reply } => {
                     let _ = reply.send(self.session.metrics());
@@ -472,17 +452,18 @@ impl ShardRuntime {
         }
     }
 
-    /// Writes the persistence snapshot, if configured. Failures are
-    /// reported on stderr — state files are an operational convenience,
-    /// never worth killing the serving path over.
+    /// Writes the history snapshot to the shard's state file, when there
+    /// are both. Failures are reported on stderr — state files are an
+    /// operational convenience, never worth killing the serving path over.
     fn save_state(&self) {
-        let Some(p) = &self.persist else { return };
-        let json = (p.snapshot)();
-        if let Err(e) = std::fs::write(&p.path, json) {
+        let (Some(path), Some(snapshot)) = (&self.state_path, &self.history) else {
+            return;
+        };
+        if let Err(e) = std::fs::write(path, snapshot()) {
             eprintln!(
                 "gridsec-serve: shard {}: cannot write state file {}: {e}",
                 self.shard,
-                p.path.display()
+                path.display()
             );
         }
     }

@@ -13,10 +13,10 @@
 
 use gridsec_core::{Grid, Job, Site, Time};
 use gridsec_serve::{
-    Client, ClockMode, Daemon, DaemonOptions, OnlineSession, QueryWhat, Request, Response,
+    stateless_factory, Client, ClockMode, Daemon, DaemonOptions, QueryWhat, Request, Response,
 };
 use gridsec_sim::scheduler::EarliestCompletion;
-use gridsec_sim::{BatchPolicy, SimConfig};
+use gridsec_sim::{BatchPolicy, ShardPlan, SimConfig};
 use std::collections::HashSet;
 
 fn grid() -> Grid {
@@ -35,6 +35,14 @@ fn grid() -> Grid {
             .unwrap(),
     ])
     .unwrap()
+}
+
+/// A one-shard MCT daemon over [`grid`].
+fn spawn_daemon(config: SimConfig, options: DaemonOptions) -> Daemon {
+    let grid = grid();
+    let plan = ShardPlan::contiguous(&grid, 1).unwrap();
+    let factory = stateless_factory(config, |_| Ok(Box::new(EarliestCompletion)));
+    Daemon::spawn(grid, plan, factory, "127.0.0.1:0", options).unwrap()
 }
 
 fn job(id: u64, arrival: f64, work: f64) -> Job {
@@ -56,16 +64,13 @@ fn virtual_clock_busy_is_deterministic_and_loses_nothing() {
     let config = SimConfig::default()
         .with_interval(Time::new(10.0))
         .with_batch_policy(BatchPolicy::CountTriggered(2));
-    let session = OnlineSession::new(grid(), Box::new(EarliestCompletion), &config).unwrap();
-    let daemon = Daemon::spawn(
-        session,
-        "127.0.0.1:0",
+    let daemon = spawn_daemon(
+        config,
         DaemonOptions {
             max_pending: Some(2),
             ..DaemonOptions::default()
         },
-    )
-    .unwrap();
+    );
     let mut client = Client::connect(daemon.addr()).unwrap();
 
     // Two same-instant jobs fill the queue (the count boundary at t = 1
@@ -180,17 +185,14 @@ fn rate_paced_submitter_retries_busy_until_everything_lands() {
     let config = SimConfig::default()
         .with_interval(Time::new(0.03))
         .with_batch_policy(BatchPolicy::Periodic);
-    let session = OnlineSession::new(grid(), Box::new(EarliestCompletion), &config).unwrap();
-    let daemon = Daemon::spawn(
-        session,
-        "127.0.0.1:0",
+    let daemon = spawn_daemon(
+        config,
         DaemonOptions {
             clock: ClockMode::WallClock,
             max_pending: Some(4),
             ..DaemonOptions::default()
         },
-    )
-    .unwrap();
+    );
     let mut client = Client::connect(daemon.addr()).unwrap();
 
     let n_jobs = 40u64;

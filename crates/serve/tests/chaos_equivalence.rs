@@ -24,8 +24,8 @@ use gridsec_core::RiskMode;
 use gridsec_core::{Grid, Job, Site, Time};
 use gridsec_heuristics::MinMin;
 use gridsec_serve::{
-    Client, Daemon, DaemonOptions, OnlineSession, Placed, QueryWhat, Request, Response,
-    ServeMetrics, SessionFactory, ShardSpec,
+    stateless_factory, Client, Daemon, DaemonOptions, Placed, QueryWhat, Request, Response,
+    ServeMetrics,
 };
 use gridsec_sim::scheduler::EarliestCompletion;
 use gridsec_sim::{
@@ -143,6 +143,16 @@ fn build_scheduler(name: &str) -> Box<dyn BatchScheduler + Send> {
         ),
         other => panic!("unknown scheduler {other}"),
     }
+}
+
+/// A virtual-clock daemon serving `grid` under `plan`, every shard running
+/// a fresh [`build_scheduler`]`(scheduler)`.
+fn spawn(grid: &Grid, plan: &ShardPlan, scheduler: &str, config: &SimConfig) -> Daemon {
+    let scheduler = scheduler.to_string();
+    let factory = stateless_factory(config.clone(), move |_| Ok(build_scheduler(&scheduler)));
+    let options = DaemonOptions::default();
+    Daemon::spawn(grid.clone(), plan.clone(), factory, "127.0.0.1:0", options)
+        .expect("daemon spawns")
 }
 
 /// Replays the global stream through a daemon frame by frame: arrivals
@@ -267,20 +277,7 @@ fn check_chaos_daemon_equals_engine(scheduler: &str, n_shards: usize) {
     let plan = ShardPlan::contiguous(&grid, n_shards).unwrap();
 
     // The daemon side: one virtual-clock daemon, the global stream.
-    let shards: Vec<ShardSpec> = (0..n_shards)
-        .map(|k| {
-            let sub = plan.subgrid(&grid, k).unwrap();
-            ShardSpec::new(OnlineSession::new(sub, build_scheduler(scheduler), &config).unwrap())
-        })
-        .collect();
-    let daemon = Daemon::spawn_sharded(
-        grid.clone(),
-        plan.clone(),
-        shards,
-        "127.0.0.1:0",
-        DaemonOptions::default(),
-    )
-    .expect("daemon binds");
+    let daemon = spawn(&grid, &plan, scheduler, &config);
     let (per_shard, metrics, submitted) = replay_stream(&daemon, &stream, &plan, &grid, n_shards);
     daemon.join();
 
@@ -396,9 +393,8 @@ fn site_loss_mid_round_over_the_wire() {
     let config = SimConfig::default()
         .with_interval(Time::new(10.0))
         .with_batch_policy(BatchPolicy::Periodic);
-    let session = OnlineSession::new(grid, Box::new(EarliestCompletion), &config).unwrap();
-    let daemon =
-        Daemon::spawn(session, "127.0.0.1:0", DaemonOptions::default()).expect("daemon binds");
+    let plan = ShardPlan::contiguous(&grid, 1).unwrap();
+    let daemon = spawn(&grid, &plan, "mct", &config);
     let mut client = Client::connect(daemon.addr()).expect("client connects");
 
     let job = |id: u64, arrival: f64, width: u32| {
@@ -535,16 +531,6 @@ fn site_loss_mid_round_over_the_wire() {
     daemon.join();
 }
 
-/// A session factory for the elastic tests below: rebuilds an MCT
-/// session over each new subgrid from the transferred seed.
-fn mct_factory(config: SimConfig) -> SessionFactory {
-    Box::new(move |ctx| {
-        OnlineSession::restore(ctx.subgrid, Box::new(EarliestCompletion), &config, ctx.seed)
-            .map(ShardSpec::new)
-            .map_err(|e| e.to_string())
-    })
-}
-
 /// A `site_down` that lands on a reshard barrier: the dead site's shard
 /// is merged away while its stranded job sits pending. The job must
 /// migrate with the shard state, the router-global offline set must
@@ -573,22 +559,7 @@ fn site_down_lands_on_a_reshard_barrier_without_losing_jobs() {
         .with_batch_policy(BatchPolicy::Periodic)
         .with_seed(7);
     let plan = ShardPlan::contiguous(&grid, 2).unwrap();
-    let shards = (0..2)
-        .map(|k| {
-            let sub = plan.subgrid(&grid, k).unwrap();
-            ShardSpec::new(OnlineSession::new(sub, Box::new(EarliestCompletion), &config).unwrap())
-        })
-        .collect();
-    let daemon = Daemon::spawn_elastic(
-        grid.clone(),
-        plan,
-        shards,
-        mct_factory(config),
-        None,
-        "127.0.0.1:0",
-        DaemonOptions::default(),
-    )
-    .expect("daemon spawns");
+    let daemon = spawn(&grid, &plan, "mct", &config);
     let mut client = Client::connect(daemon.addr()).expect("client connects");
 
     let job = |id: u64, arrival: f64, width: u32| {
@@ -758,22 +729,7 @@ fn scenario_replay_spanning_a_reshard_boundary_stays_accounted() {
     let plan1 = ShardPlan::contiguous(&grid, 2).unwrap();
     let plan2 = ShardPlan::contiguous(&grid, 4).unwrap();
 
-    let shards = (0..plan1.n_shards())
-        .map(|k| {
-            let sub = plan1.subgrid(&grid, k).unwrap();
-            ShardSpec::new(OnlineSession::new(sub, Box::new(EarliestCompletion), &config).unwrap())
-        })
-        .collect();
-    let daemon = Daemon::spawn_elastic(
-        grid.clone(),
-        plan1.clone(),
-        shards,
-        mct_factory(config.clone()),
-        None,
-        "127.0.0.1:0",
-        DaemonOptions::default(),
-    )
-    .expect("daemon spawns");
+    let daemon = spawn(&grid, &plan1, "mct", &config);
     let mut client = Client::connect(daemon.addr()).expect("client connects");
 
     // Reshard once half the stream (by time) has been replayed. The

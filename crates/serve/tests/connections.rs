@@ -13,8 +13,7 @@
 use gridsec_core::{BatchSchedule, Grid, Job, Site, Time};
 use gridsec_serve::protocol::encode;
 use gridsec_serve::{
-    Client, ClockMode, Daemon, DaemonOptions, OnlineSession, QueryWhat, Request, Response,
-    SessionFactory, ShardSpec,
+    stateless_factory, Client, ClockMode, Daemon, DaemonOptions, QueryWhat, Request, Response,
 };
 use gridsec_sim::scheduler::{BatchJob, BatchScheduler, EarliestCompletion, GridView};
 use gridsec_sim::{BatchPolicy, ShardPlan, SimConfig};
@@ -57,9 +56,20 @@ fn job(id: u64, arrival: f64, work: f64) -> Job {
         .unwrap()
 }
 
+/// `n_shards` shards over [`grid`], each running what `make` builds.
+fn spawn_with<S: BatchScheduler + Send + 'static>(
+    n_shards: usize,
+    mut make: impl FnMut() -> S + Send + 'static,
+    options: DaemonOptions,
+) -> Daemon {
+    let grid = grid();
+    let plan = ShardPlan::contiguous(&grid, n_shards).unwrap();
+    let factory = stateless_factory(config(), move |_| Ok(Box::new(make())));
+    Daemon::spawn(grid, plan, factory, "127.0.0.1:0", options).unwrap()
+}
+
 fn spawn_daemon(options: DaemonOptions) -> Daemon {
-    let session = OnlineSession::new(grid(), Box::new(EarliestCompletion), &config()).unwrap();
-    Daemon::spawn(session, "127.0.0.1:0", options).unwrap()
+    spawn_with(1, || EarliestCompletion, options)
 }
 
 /// Polls `cond` until it holds or `within` elapses; asserts it held.
@@ -281,36 +291,17 @@ fn stuck_scraper_does_not_stall_the_next_scrape() {
 /// leaked until its post-shutdown sleep expired).
 #[test]
 fn autoscaler_ticker_exits_promptly_at_shutdown() {
-    let grid = grid();
-    let cfg = config();
-    let plan = ShardPlan::contiguous(&grid, 2).unwrap();
-    let shards = (0..2)
-        .map(|k| {
-            let sub = plan.subgrid(&grid, k).unwrap();
-            ShardSpec::new(OnlineSession::new(sub, Box::new(EarliestCompletion), &cfg).unwrap())
-        })
-        .collect();
-    let factory: SessionFactory = Box::new({
-        let cfg = cfg.clone();
-        move |ctx| {
-            OnlineSession::restore(ctx.subgrid, Box::new(EarliestCompletion), &cfg, ctx.seed)
-                .map(ShardSpec::new)
-                .map_err(|e| e.to_string())
-        }
-    });
-    let daemon = Daemon::spawn_elastic(
-        grid,
-        plan,
-        shards,
-        factory,
-        Some(gridsec_serve::AutoscaleConfig {
-            interval: Duration::from_secs(3600),
-            ..gridsec_serve::AutoscaleConfig::default()
-        }),
-        "127.0.0.1:0",
-        DaemonOptions::default(),
-    )
-    .unwrap();
+    let daemon = spawn_with(
+        2,
+        || EarliestCompletion,
+        DaemonOptions {
+            autoscale: Some(gridsec_serve::AutoscaleConfig {
+                interval: Duration::from_secs(3600),
+                ..gridsec_serve::AutoscaleConfig::default()
+            }),
+            ..DaemonOptions::default()
+        },
+    );
     let mut client = Client::connect(daemon.addr()).unwrap();
     assert_eq!(client.send(&Request::Shutdown).unwrap(), Response::Bye);
     let t0 = Instant::now();
@@ -371,10 +362,9 @@ impl BatchScheduler for ProbedMct {
     }
 }
 
-fn spawn_probed(probe: &Probe, options: DaemonOptions) -> Daemon {
-    let session =
-        OnlineSession::new(grid(), Box::new(ProbedMct(probe.clone())), &config()).unwrap();
-    Daemon::spawn(session, "127.0.0.1:0", options).unwrap()
+fn spawn_probed(n_shards: usize, probe: &Probe, options: DaemonOptions) -> Daemon {
+    let probe = probe.clone();
+    spawn_with(n_shards, move || ProbedMct(probe.clone()), options)
 }
 
 fn submit_line(id: u64, arrival: f64, shard: Option<usize>) -> String {
@@ -446,6 +436,7 @@ fn full_shard_queue_parks_connections_and_every_reply_arrives_in_order() {
     for io_threads in [1, 2] {
         let probe = Probe::new(false);
         let daemon = spawn_probed(
+            1,
             &probe,
             DaemonOptions {
                 io_threads,
@@ -510,7 +501,7 @@ fn full_shard_queue_parks_connections_and_every_reply_arrives_in_order() {
 #[test]
 fn submit_pipelined_behind_a_reconfigure_runs_under_the_new_levels() {
     let probe = Probe::new(true);
-    let daemon = spawn_probed(&probe, DaemonOptions::default());
+    let daemon = spawn_probed(1, &probe, DaemonOptions::default());
     let mut client = Client::connect(daemon.addr()).unwrap();
     assert!(matches!(
         client.send_line(&submit_line(0, 0.0, None)).unwrap(),
@@ -568,35 +559,10 @@ fn submit_pipelined_behind_a_reconfigure_runs_under_the_new_levels() {
 fn connections_pipelining_through_a_live_reshard_lose_and_reorder_nothing() {
     const N: usize = 8;
     const FRAMES: usize = 400;
-    let grid = grid();
-    let cfg = config();
     let probe = Probe::new(false);
-    let build = {
-        let probe = probe.clone();
-        move |sub: Grid, cfg: &SimConfig| {
-            OnlineSession::new(sub, Box::new(ProbedMct(probe.clone())), cfg).unwrap()
-        }
-    };
-    let plan = ShardPlan::contiguous(&grid, 2).unwrap();
-    let shards = (0..2)
-        .map(|k| ShardSpec::new(build(plan.subgrid(&grid, k).unwrap(), &cfg)))
-        .collect();
-    let factory: SessionFactory = Box::new({
-        let (probe, cfg) = (probe.clone(), cfg.clone());
-        move |ctx| {
-            let scheduler = Box::new(ProbedMct(probe.clone()));
-            OnlineSession::restore(ctx.subgrid, scheduler, &cfg, ctx.seed)
-                .map(ShardSpec::new)
-                .map_err(|e| e.to_string())
-        }
-    });
-    let daemon = Daemon::spawn_elastic(
-        grid,
-        plan,
-        shards,
-        factory,
-        None,
-        "127.0.0.1:0",
+    let daemon = spawn_probed(
+        2,
+        &probe,
         DaemonOptions {
             // Wall clock: the daemon stamps arrivals, so submits on
             // either side of the barrier's drain are in order however
@@ -606,8 +572,7 @@ fn connections_pipelining_through_a_live_reshard_lose_and_reorder_nothing() {
             metrics_addr: Some("127.0.0.1:0".into()),
             ..DaemonOptions::default()
         },
-    )
-    .unwrap();
+    );
     let addr = daemon.addr();
 
     // Checkpoint 1: every first half is written. Checkpoint 2: the
@@ -705,7 +670,7 @@ fn submit_pipelined_behind_shutdown_is_refused_after_bye() {
 fn half_close_with_frames_still_parked_gets_every_reply() {
     const FRAMES: usize = 2048; // 2 x the per-shard queue capacity
     let probe = Probe::new(false);
-    let daemon = spawn_probed(&probe, DaemonOptions::default());
+    let daemon = spawn_probed(1, &probe, DaemonOptions::default());
     let stream = TcpStream::connect(daemon.addr()).unwrap();
     let mut lines = burst(FRAMES, None);
     let tail = lines.last_mut().unwrap();

@@ -14,9 +14,11 @@
 use gridsec_core::RiskMode;
 use gridsec_core::{Grid, Job, Site, Time};
 use gridsec_heuristics::{MinMin, Sufferage};
-use gridsec_serve::{Client, Daemon, DaemonOptions, OnlineSession, QueryWhat, Request, Response};
+use gridsec_serve::{
+    stateless_factory, Client, Daemon, DaemonOptions, QueryWhat, Request, Response,
+};
 use gridsec_sim::scheduler::EarliestCompletion;
-use gridsec_sim::{simulate, BatchPolicy, BatchScheduler, SimConfig};
+use gridsec_sim::{simulate, BatchPolicy, BatchScheduler, ShardPlan, SimConfig};
 use gridsec_stga::{GaParams, Stga, StgaParams};
 use gridsec_workloads::PsaConfig;
 
@@ -66,9 +68,21 @@ fn cross_check(
         "SL = 1.0 grid must be failure-free"
     );
 
-    let session = OnlineSession::new(grid.clone(), serve_sched, &config).expect("valid session");
-    let daemon =
-        Daemon::spawn(session, "127.0.0.1:0", DaemonOptions::default()).expect("daemon binds");
+    // One shard, never resharded: the factory hands over the one
+    // scheduler it was given.
+    let mut serve_sched = Some(serve_sched);
+    let factory = stateless_factory(config.clone(), move |_| {
+        serve_sched.take().ok_or("one scheduler, one shard".into())
+    });
+    let plan = ShardPlan::contiguous(grid, 1).expect("one shard fits any grid");
+    let daemon = Daemon::spawn(
+        grid.clone(),
+        plan,
+        factory,
+        "127.0.0.1:0",
+        DaemonOptions::default(),
+    )
+    .expect("daemon binds");
     let mut client = Client::connect(daemon.addr()).expect("client connects");
     // Replay in workload order (arrivals are non-decreasing), a few jobs
     // per frame to exercise multi-job submits.

@@ -5,13 +5,15 @@
 //! at 1→2, 2→1 and 2→4 shard transitions (CI re-runs the suite under
 //! `RAYON_NUM_THREADS=1` and `=4`):
 //!
-//! **Run A** starts an elastic daemon on the old plan, submits a prefix
-//! of the stream, sends a `reshard` frame to the new plan mid-stream and
-//! submits the suffix. **Run B** replays the prefix through in-process
-//! sessions on the old plan (engine-exact by the sharding-equivalence
-//! suite), exports their state, pushes it through the same pure
-//! [`transfer`](gridsec_serve::transfer) the daemon used, restores
-//! factory-identical sessions and serves the suffix on the new plan.
+//! **Run A** starts a daemon on the old plan, submits a prefix of the
+//! stream, sends a `reshard` frame to the new plan mid-stream and submits
+//! the suffix. **Run B** replays the prefix through in-process sessions on
+//! the old plan (engine-exact by the sharding-equivalence suite), exports
+//! their state, pushes it through the same pure
+//! [`transfer`](gridsec_serve::transfer) the daemon used, and boots a
+//! daemon directly on the new plan whose factory — the *same* factory,
+//! wrapped — starts each shard from its transferred seed instead of the
+//! fresh one boot hands it, then serves the suffix.
 //! Per new shard, the post-barrier schedules are bit-identical — the
 //! live daemon's barrier, state export and router swap add nothing and
 //! lose nothing (zero jobs lost is asserted against the cumulative
@@ -22,7 +24,8 @@ use gridsec_core::{Grid, Job, JobId, Site, SiteId, Time};
 use gridsec_heuristics::MinMin;
 use gridsec_serve::{
     transfer, Client, Daemon, DaemonOptions, OnlineSession, Placed, QueryWhat, Request, Response,
-    ServeMetrics, SessionFactory, ShardSpec, ShardStateExport,
+    ServeMetrics, SessionFactory, SessionState, ShardBuildContext, ShardSeed, ShardSpec,
+    ShardStateExport,
 };
 use gridsec_sim::scheduler::EarliestCompletion;
 use gridsec_sim::{BatchScheduler, ShardPlan, SimConfig};
@@ -79,23 +82,6 @@ fn build_scheduler(name: &str, history: Option<SharedHistory>) -> Box<dyn BatchS
     }
 }
 
-/// One shard spec plus (for STGA) the live history handle behind it.
-fn build_shard(
-    name: &str,
-    subgrid: Grid,
-    config: &SimConfig,
-) -> (ShardSpec, Option<SharedHistory>) {
-    let history =
-        (name == "stga").then(|| SharedHistory::new(StgaParams::default().table_capacity));
-    let session =
-        OnlineSession::new(subgrid, build_scheduler(name, history.clone()), config).unwrap();
-    let mut spec = ShardSpec::new(session);
-    if let Some(h) = history.clone() {
-        spec.history = Some(Box::new(move || h.to_json()));
-    }
-    (spec, history)
-}
-
 /// The session factory both runs share: merge inherited histories (STGA),
 /// build a fresh scheduler with the same GA seed, restore the seed state.
 /// Identical construction on both sides is what makes the equivalence a
@@ -103,11 +89,9 @@ fn build_shard(
 fn factory(name: &'static str, config: SimConfig) -> SessionFactory {
     Box::new(move |ctx| {
         let history = if name == "stga" {
-            Some(if ctx.history_sources.is_empty() {
-                SharedHistory::new(StgaParams::default().table_capacity)
-            } else {
-                SharedHistory::merge_json(&ctx.history_sources).map_err(|e| e.to_string())?
-            })
+            let capacity = StgaParams::default().table_capacity;
+            let table = SharedHistory::from_snapshots(&ctx.history_sources, capacity);
+            Some(table.map_err(|e| e.to_string())?)
         } else {
             None
         };
@@ -205,7 +189,7 @@ fn query_metrics(client: &mut Client) -> ServeMetrics {
     }
 }
 
-/// Run A: the live elastic daemon, resharded mid-stream over TCP.
+/// Run A: the live daemon, resharded mid-stream over TCP.
 /// Returns the per-new-shard post-barrier schedules (global site ids)
 /// and the final cumulative metrics.
 fn run_live(
@@ -216,20 +200,14 @@ fn run_live(
     prefix: &[(usize, Job)],
     suffix: &[(usize, Job)],
 ) -> (Vec<Vec<Placed>>, ServeMetrics, usize) {
-    let config = sim_config();
-    let shards: Vec<ShardSpec> = (0..plan1.n_shards())
-        .map(|k| build_shard(name, plan1.subgrid(grid, k).unwrap(), &config).0)
-        .collect();
-    let daemon = Daemon::spawn_elastic(
+    let daemon = Daemon::spawn(
         grid.clone(),
         plan1.clone(),
-        shards,
-        factory(name, config),
-        None,
+        factory(name, sim_config()),
         "127.0.0.1:0",
         DaemonOptions::default(),
     )
-    .expect("elastic daemon binds");
+    .expect("daemon binds");
     let mut client = Client::connect(daemon.addr()).expect("client connects");
 
     submit_all(&mut client, prefix);
@@ -269,8 +247,9 @@ fn run_live(
 }
 
 /// Run B: the in-process replica — old-plan solo sessions for the
-/// prefix, the same pure transfer, factory-identical restores, and a
-/// plain (non-elastic) daemon on the new plan for the suffix.
+/// prefix, the same pure transfer, and a daemon booted on the new plan
+/// from the transferred seeds for the suffix. Every session on this side
+/// comes out of the factory run A uses.
 fn run_replica(
     name: &'static str,
     grid: &Grid,
@@ -279,15 +258,22 @@ fn run_replica(
     prefix: &[(usize, Job)],
     suffix: &[(usize, Job)],
 ) -> Vec<Vec<Placed>> {
-    let config = sim_config();
-    // Prefix on the old plan, in-process.
+    let mut fac = factory(name, sim_config());
+    // Prefix on the old plan, in-process: what the live daemon's boot
+    // builds, without the daemon.
     let mut exports: Vec<ShardStateExport> = Vec::new();
     for k in 0..plan1.n_shards() {
         let sub = plan1.subgrid(grid, k).unwrap();
-        let history =
-            (name == "stga").then(|| SharedHistory::new(StgaParams::default().table_capacity));
-        let mut session =
-            OnlineSession::new(sub, build_scheduler(name, history.clone()), &config).unwrap();
+        let ShardSpec {
+            mut session,
+            history,
+        } = fac(ShardBuildContext {
+            shard: k,
+            seed: SessionState::fresh(&sub),
+            subgrid: sub,
+            history_sources: Vec::new(),
+        })
+        .expect("factory builds");
         for (shard, job) in prefix {
             if *shard == k {
                 session.submit(job.clone()).expect("prefix job admissible");
@@ -314,32 +300,28 @@ fn run_replica(
             live: st.live,
             known: st.known,
             tenants: st.tenants,
-            history_json: history.as_ref().map(|h| h.to_json()),
+            history_json: history.map(|snapshot| snapshot()),
             metrics: ServeMetrics::merge(&[]),
             schedule: Vec::new(),
         });
     }
     // The same pure transfer the daemon ran.
     let moved = transfer(grid, plan1, &exports, plan2).expect("transfer");
-    // Factory-identical restores, then a plain daemon on the new plan.
-    let mut fac = factory(name, config);
-    let specs: Vec<ShardSpec> = moved
-        .seeds
-        .into_iter()
-        .map(|seed| {
-            fac(gridsec_serve::ShardBuildContext {
-                shard: seed.shard,
-                subgrid: plan2.subgrid(grid, seed.shard).unwrap(),
-                seed: seed.state,
-                history_sources: seed.history_sources,
-            })
-            .expect("factory builds")
-        })
-        .collect();
-    let daemon = Daemon::spawn_sharded(
+    // Booted directly on the final topology from the transferred state:
+    // boot offers every shard a fresh seed, and the first build of each
+    // shard starts from its transferred one instead.
+    let mut seeds: Vec<Option<ShardSeed>> = moved.seeds.into_iter().map(Some).collect();
+    let seeded: SessionFactory = Box::new(move |mut ctx| {
+        if let Some(seed) = seeds[ctx.shard].take() {
+            ctx.seed = seed.state;
+            ctx.history_sources = seed.history_sources;
+        }
+        fac(ctx)
+    });
+    let daemon = Daemon::spawn(
         grid.clone(),
         plan2.clone(),
-        specs,
+        seeded,
         "127.0.0.1:0",
         DaemonOptions::default(),
     )

@@ -5,7 +5,7 @@
 
 use gridsec_core::{Grid, Job, JobId, Site, SiteId, Time};
 use gridsec_serve::{
-    Client, Daemon, DaemonOptions, OnlineSession, Placed, QueryWhat, Request, Response, ShardSpec,
+    stateless_factory, Client, Daemon, DaemonOptions, Placed, QueryWhat, Request, Response,
 };
 use gridsec_sim::scheduler::EarliestCompletion;
 use gridsec_sim::{BatchPolicy, ShardPlan, SimConfig};
@@ -53,27 +53,20 @@ fn job(id: u64, arrival: f64, work: f64, width: u32) -> Job {
         .unwrap()
 }
 
-fn spawn_two_shards(policy: BatchPolicy) -> (Daemon, ShardPlan) {
-    let grid = grid();
+/// A virtual-clock MCT daemon (10 s interval) serving `grid` under `plan`.
+fn spawn_plan(grid: Grid, plan: &ShardPlan, policy: BatchPolicy) -> Daemon {
     let config = SimConfig::default()
         .with_interval(Time::new(10.0))
         .with_batch_policy(policy);
+    let factory = stateless_factory(config, |_| Ok(Box::new(EarliestCompletion)));
+    let options = DaemonOptions::default();
+    Daemon::spawn(grid, plan.clone(), factory, "127.0.0.1:0", options).unwrap()
+}
+
+fn spawn_two_shards(policy: BatchPolicy) -> (Daemon, ShardPlan) {
+    let grid = grid();
     let plan = ShardPlan::contiguous(&grid, 2).unwrap();
-    let shards: Vec<ShardSpec> = (0..2)
-        .map(|k| {
-            let sub = plan.subgrid(&grid, k).unwrap();
-            ShardSpec::new(OnlineSession::new(sub, Box::new(EarliestCompletion), &config).unwrap())
-        })
-        .collect();
-    let daemon = Daemon::spawn_sharded(
-        grid,
-        plan.clone(),
-        shards,
-        "127.0.0.1:0",
-        DaemonOptions::default(),
-    )
-    .unwrap();
-    (daemon, plan)
+    (spawn_plan(grid, &plan, policy), plan)
 }
 
 fn shutdown(client: &mut Client, daemon: Daemon) {
@@ -362,13 +355,10 @@ fn two_tenants_on_different_shards_interleave_deterministically() {
 
     // Solo replays, one tenant each, on the matching subgrid.
     let grid = grid();
-    let config = SimConfig::default()
-        .with_interval(Time::new(10.0))
-        .with_batch_policy(BatchPolicy::CountTriggered(2));
     for (k, tenant) in [(0usize, &tenant_a), (1usize, &tenant_b)] {
         let sub = plan.subgrid(&grid, k).unwrap();
-        let session = OnlineSession::new(sub, Box::new(EarliestCompletion), &config).unwrap();
-        let solo = Daemon::spawn(session, "127.0.0.1:0", DaemonOptions::default()).unwrap();
+        let solo_plan = ShardPlan::contiguous(&sub, 1).unwrap();
+        let solo = spawn_plan(sub, &solo_plan, BatchPolicy::CountTriggered(2));
         let mut c = Client::connect(solo.addr()).unwrap();
         for j in tenant.iter() {
             match c
@@ -418,22 +408,12 @@ fn two_tenants_on_different_shards_interleave_deterministically() {
 #[test]
 fn non_contiguous_plans_route_and_list_each_shard_once() {
     let grid = grid();
-    let config = SimConfig::default()
-        .with_interval(Time::new(10.0))
-        .with_batch_policy(BatchPolicy::Periodic);
     let plan = ShardPlan::from_shards(
         &grid,
         vec![vec![SiteId(1)], vec![SiteId(0), SiteId(2), SiteId(3)]],
     )
     .unwrap();
-    let shards: Vec<ShardSpec> = (0..2)
-        .map(|k| {
-            let sub = plan.subgrid(&grid, k).unwrap();
-            ShardSpec::new(OnlineSession::new(sub, Box::new(EarliestCompletion), &config).unwrap())
-        })
-        .collect();
-    let daemon =
-        Daemon::spawn_sharded(grid, plan, shards, "127.0.0.1:0", DaemonOptions::default()).unwrap();
+    let daemon = spawn_plan(grid, &plan, BatchPolicy::Periodic);
     let mut client = Client::connect(daemon.addr()).unwrap();
     // Width 5 fits only S2 and S3 — both shard 1 despite the gap in the
     // site list — so derived routing lands there unambiguously.
@@ -496,35 +476,7 @@ fn non_contiguous_plans_route_and_list_each_shard_once() {
 /// the new ids, and `unknown_shard` reports the new shard count.
 #[test]
 fn shards_query_reflects_the_new_topology_after_reshard() {
-    let grid = grid();
-    let config = SimConfig::default()
-        .with_interval(Time::new(10.0))
-        .with_batch_policy(BatchPolicy::Periodic);
-    let plan = ShardPlan::contiguous(&grid, 2).unwrap();
-    let shards = (0..2)
-        .map(|k| {
-            let sub = plan.subgrid(&grid, k).unwrap();
-            ShardSpec::new(OnlineSession::new(sub, Box::new(EarliestCompletion), &config).unwrap())
-        })
-        .collect();
-    let factory: gridsec_serve::SessionFactory = Box::new({
-        let config = config.clone();
-        move |ctx| {
-            OnlineSession::restore(ctx.subgrid, Box::new(EarliestCompletion), &config, ctx.seed)
-                .map(ShardSpec::new)
-                .map_err(|e| e.to_string())
-        }
-    });
-    let daemon = Daemon::spawn_elastic(
-        grid,
-        plan,
-        shards,
-        factory,
-        None,
-        "127.0.0.1:0",
-        DaemonOptions::default(),
-    )
-    .unwrap();
+    let (daemon, _) = spawn_two_shards(BatchPolicy::Periodic);
     let mut client = Client::connect(daemon.addr()).unwrap();
     let topology = |client: &mut Client| -> Vec<(usize, Vec<usize>)> {
         match client

@@ -23,7 +23,7 @@ use gridsec_core::RiskMode;
 use gridsec_core::{Grid, Job, Site, Time};
 use gridsec_heuristics::{MinMin, Sufferage};
 use gridsec_serve::{
-    Client, Daemon, DaemonOptions, OnlineSession, Placed, QueryWhat, Request, Response, ShardSpec,
+    stateless_factory, Client, Daemon, DaemonOptions, Placed, QueryWhat, Request, Response,
 };
 use gridsec_sim::scheduler::EarliestCompletion;
 use gridsec_sim::{simulate, BatchPolicy, BatchScheduler, ShardPlan, SimConfig};
@@ -77,6 +77,16 @@ fn build_scheduler(name: &str, seed: u64) -> Box<dyn BatchScheduler + Send> {
         ),
         other => panic!("unknown scheduler {other}"),
     }
+}
+
+/// A daemon serving `grid` under `plan`, every shard running a fresh
+/// [`build_scheduler`]`(scheduler, 9)`.
+fn spawn(grid: &Grid, plan: &ShardPlan, scheduler: &str, config: &SimConfig) -> Daemon {
+    let scheduler = scheduler.to_string();
+    let factory = stateless_factory(config.clone(), move |_| Ok(build_scheduler(&scheduler, 9)));
+    let options = DaemonOptions::default();
+    Daemon::spawn(grid.clone(), plan.clone(), factory, "127.0.0.1:0", options)
+        .expect("daemon binds")
 }
 
 const POLICIES: [BatchPolicy; 3] = [
@@ -176,26 +186,14 @@ fn check_one_shard_is_the_engine(scheduler: &str) {
         let timeline = engine_out.timeline.as_ref().expect("timeline recorded");
         assert!(timeline.spans().iter().all(|s| !s.failed));
 
-        // Side A: the PR 4 path — one session, no explicit plan.
-        let session =
-            OnlineSession::new(grid.clone(), build_scheduler(scheduler, 9), &config).unwrap();
-        let daemon_a =
-            Daemon::spawn(session, "127.0.0.1:0", DaemonOptions::default()).expect("daemon binds");
+        // Side A: untagged submits — the daemon derives the shard.
+        let plan = ShardPlan::contiguous(&grid, 1).unwrap();
+        let daemon_a = spawn(&grid, &plan, scheduler, &config);
         let untagged: Vec<(Option<usize>, Job)> = jobs.iter().map(|j| (None, j.clone())).collect();
         let (schedule_a, per_shard_a, _, _) = replay(&daemon_a, &untagged, 1);
 
-        // Side B: the sharded path with an explicit 1-shard plan.
-        let plan = ShardPlan::contiguous(&grid, 1).unwrap();
-        let sub = plan.subgrid(&grid, 0).unwrap();
-        let session = OnlineSession::new(sub, build_scheduler(scheduler, 9), &config).unwrap();
-        let daemon_b = Daemon::spawn_sharded(
-            grid.clone(),
-            plan,
-            vec![ShardSpec::new(session)],
-            "127.0.0.1:0",
-            DaemonOptions::default(),
-        )
-        .expect("sharded daemon binds");
+        // Side B: every submit names shard 0 explicitly.
+        let daemon_b = spawn(&grid, &plan, scheduler, &config);
         let tagged: Vec<(Option<usize>, Job)> = jobs.iter().map(|j| (Some(0), j.clone())).collect();
         let (schedule_b, _, _, _) = replay(&daemon_b, &tagged, 1);
 
@@ -279,22 +277,7 @@ fn check_n_shards_equal_n_solo_runs(scheduler: &str, n_shards: usize) {
         let tagged = assign_shards(&jobs, &grid, &plan);
 
         // The N-shard run: one daemon, jobs explicitly routed.
-        let shards: Vec<ShardSpec> = (0..n_shards)
-            .map(|k| {
-                let sub = plan.subgrid(&grid, k).unwrap();
-                ShardSpec::new(
-                    OnlineSession::new(sub, build_scheduler(scheduler, 9), &config).unwrap(),
-                )
-            })
-            .collect();
-        let daemon = Daemon::spawn_sharded(
-            grid.clone(),
-            plan.clone(),
-            shards,
-            "127.0.0.1:0",
-            DaemonOptions::default(),
-        )
-        .expect("sharded daemon binds");
+        let daemon = spawn(&grid, &plan, scheduler, &config);
         let (aggregated, per_shard, shard_metrics, agg_metrics) =
             replay(&daemon, &tagged, n_shards);
         daemon.join();
@@ -308,10 +291,8 @@ fn check_n_shards_equal_n_solo_runs(scheduler: &str, n_shards: usize) {
                 .filter(|(s, _)| *s == Some(k))
                 .map(|(_, j)| (None, j.clone()))
                 .collect();
-            let session =
-                OnlineSession::new(sub.clone(), build_scheduler(scheduler, 9), &config).unwrap();
-            let solo = Daemon::spawn(session, "127.0.0.1:0", DaemonOptions::default())
-                .expect("solo daemon binds");
+            let solo_plan = ShardPlan::contiguous(&sub, 1).unwrap();
+            let solo = spawn(&sub, &solo_plan, scheduler, &config);
             let (solo_schedule, _, _, _) = replay(&solo, &solo_jobs, 1);
             solo.join();
 

@@ -1,17 +1,19 @@
 //! STGA history-table persistence across daemon restarts: a sharded
-//! daemon snapshots each shard's history table to its own state file at
-//! the shutdown barrier; a restarted daemon boots from those files and
-//! resumes with every learned entry intact (the kill–restart–resume
-//! round trip).
+//! daemon with a `state_prefix` writes each shard's history snapshot to
+//! `<prefix>.shard<k>.json` at the shutdown barrier; a daemon restarted
+//! with the same prefix reads those files itself, hands each to the
+//! session factory, and resumes with every learned entry intact (the
+//! kill–restart–resume round trip).
 
 use gridsec_core::{Grid, Job, Site, Time};
 use gridsec_serve::{
-    Client, Daemon, DaemonOptions, OnlineSession, QueryWhat, Request, Response, ShardPersistence,
-    ShardSpec,
+    shard_state_path, Client, Daemon, DaemonOptions, OnlineSession, QueryWhat, Request, Response,
+    SessionFactory, ShardSpec,
 };
 use gridsec_sim::{BatchPolicy, ShardPlan, SimConfig};
 use gridsec_stga::{BatchSignature, GaParams, SharedHistory, Stga, StgaParams};
-use std::path::PathBuf;
+use std::path::Path;
+use std::sync::mpsc::channel;
 
 fn grid() -> Grid {
     Grid::new(
@@ -55,39 +57,36 @@ fn stga_with(history: SharedHistory, seed: u64) -> Stga {
     )
 }
 
-/// Spawns a 2-shard STGA daemon whose shards persist to
-/// `state_prefix.shard{k}.json`, returning the daemon and the live
-/// history handles.
-fn spawn(state_prefix: &std::path::Path, histories: [SharedHistory; 2]) -> Daemon {
+/// Spawns a 2-shard STGA daemon over `state_prefix`: the daemon reads
+/// `<prefix>.shard<k>.json` into the factory's `history_sources` at boot
+/// and writes each shard's snapshot back when the shard stops. Returns
+/// the daemon and the live history handles the factory opened, in shard
+/// order.
+fn spawn(state_prefix: &Path) -> (Daemon, [SharedHistory; 2]) {
     let grid = grid();
     let config = SimConfig::default()
         .with_interval(Time::new(10.0))
         .with_batch_policy(BatchPolicy::CountTriggered(3));
     let plan = ShardPlan::contiguous(&grid, 2).unwrap();
-    let shards: Vec<ShardSpec> = histories
-        .into_iter()
-        .enumerate()
-        .map(|(k, history)| {
-            let sub = plan.subgrid(&grid, k).unwrap();
-            let session =
-                OnlineSession::new(sub, Box::new(stga_with(history.clone(), 5)), &config).unwrap();
-            ShardSpec {
-                session,
-                persist: Some(ShardPersistence {
-                    path: state_path(state_prefix, k),
-                    snapshot: Box::new(move || history.to_json()),
-                }),
-                history: None,
-            }
+    let (opened_tx, opened) = channel();
+    let factory: SessionFactory = Box::new(move |ctx| {
+        let history =
+            SharedHistory::from_snapshots(&ctx.history_sources, 64).map_err(|e| e.to_string())?;
+        opened_tx.send(history.clone()).expect("test is listening");
+        let scheduler = Box::new(stga_with(history.clone(), 5));
+        let session = OnlineSession::restore(ctx.subgrid, scheduler, &config, ctx.seed)
+            .map_err(|e| e.to_string())?;
+        Ok(ShardSpec {
+            session,
+            history: Some(Box::new(move || history.to_json())),
         })
-        .collect();
-    Daemon::spawn_sharded(grid, plan, shards, "127.0.0.1:0", DaemonOptions::default()).unwrap()
-}
-
-fn state_path(prefix: &std::path::Path, shard: usize) -> PathBuf {
-    let mut p = prefix.to_path_buf();
-    p.set_extension(format!("shard{shard}.json"));
-    p
+    });
+    let options = DaemonOptions {
+        state_prefix: Some(state_prefix.to_path_buf()),
+        ..DaemonOptions::default()
+    };
+    let daemon = Daemon::spawn(grid, plan, factory, "127.0.0.1:0", options).unwrap();
+    (daemon, [opened.recv().unwrap(), opened.recv().unwrap()])
 }
 
 fn serve_batch(daemon: &Daemon, batch: &[Job]) {
@@ -124,13 +123,18 @@ fn serve_batch(daemon: &Daemon, batch: &[Job]) {
 
 #[test]
 fn history_tables_survive_a_kill_restart_resume_cycle() {
-    let prefix =
-        std::env::temp_dir().join(format!("gridsec_state_persistence_{}", std::process::id()));
+    // A dot in the prefix's file name: the shard suffix is appended, it
+    // does not replace an "extension".
+    let pid = std::process::id();
+    let prefix = std::env::temp_dir().join(format!("gridsec_state_persistence_{pid}.run.v2"));
+    for k in 0..2 {
+        let _ = std::fs::remove_file(shard_state_path(&prefix, k));
+    }
 
-    // ---- First life: learn, then die (shutdown saves at the barrier).
-    let histories = [SharedHistory::new(64), SharedHistory::new(64)];
-    let handles = histories.clone();
-    let daemon = spawn(&prefix, histories);
+    // ---- First life: nothing to read, learn, then die (shutdown saves
+    // at the barrier).
+    let (daemon, handles) = spawn(&prefix);
+    assert!(handles.iter().all(SharedHistory::is_empty));
     serve_batch(&daemon, &jobs(12, 0));
     daemon.join();
     let first_len = [handles[0].len(), handles[1].len()];
@@ -140,11 +144,13 @@ fn history_tables_survive_a_kill_restart_resume_cycle() {
     );
 
     // ---- The state files exist and are exact snapshots.
-    let mut restored = Vec::new();
     for (k, &expected_len) in first_len.iter().enumerate() {
-        let path = state_path(&prefix, k);
+        let path = shard_state_path(&prefix, k);
+        let name = path.to_string_lossy();
+        assert!(name.ends_with(&format!(".run.v2.shard{k}.json")), "{name}");
         let text = std::fs::read_to_string(&path)
             .unwrap_or_else(|e| panic!("state file {} missing: {e}", path.display()));
+        assert_eq!(text, handles[k].to_json(), "shard {k} snapshot");
         let table = SharedHistory::from_json(&text).expect("state file parses");
         assert_eq!(table.len(), expected_len, "shard {k} snapshot length");
         // Lookups survive: a permissive query returns the learned seeds.
@@ -157,13 +163,15 @@ fn history_tables_survive_a_kill_restart_resume_cycle() {
             !table.lookup(&probe, 0.0, 8).is_empty(),
             "shard {k}: restored table must serve lookups"
         );
-        restored.push(table);
     }
 
-    // ---- Second life: boot from the files, serve more traffic.
-    let histories = [restored[0].clone(), restored[1].clone()];
-    let handles2 = histories.clone();
-    let daemon = spawn(&prefix, histories);
+    // ---- Second life: the daemon boots from the files, serves more
+    // traffic.
+    let (daemon, handles2) = spawn(&prefix);
+    for k in 0..2 {
+        // Booted from the state file, entry for entry.
+        assert_eq!(handles2[k].to_json(), handles[k].to_json(), "shard {k}");
+    }
     serve_batch(&daemon, &jobs(12, 1_000));
     daemon.join();
     for k in 0..2 {
@@ -174,9 +182,9 @@ fn history_tables_survive_a_kill_restart_resume_cycle() {
             handles2[k].len()
         );
         // The re-saved state file reflects the second life.
-        let text = std::fs::read_to_string(state_path(&prefix, k)).unwrap();
+        let text = std::fs::read_to_string(shard_state_path(&prefix, k)).unwrap();
         let table = SharedHistory::from_json(&text).unwrap();
         assert_eq!(table.len(), handles2[k].len());
-        let _ = std::fs::remove_file(state_path(&prefix, k));
+        let _ = std::fs::remove_file(shard_state_path(&prefix, k));
     }
 }

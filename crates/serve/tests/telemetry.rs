@@ -6,8 +6,8 @@
 
 use gridsec_core::{Grid, Job, Site, Time};
 use gridsec_serve::{
-    shard_state_path, Client, Daemon, DaemonOptions, OnlineSession, QueryWhat, Request, Response,
-    SessionFactory, ShardPersistence, ShardSpec,
+    shard_state_path, stateless_factory, Client, Daemon, DaemonOptions, QueryWhat, Request,
+    Response, SessionFactory,
 };
 use gridsec_sim::scheduler::EarliestCompletion;
 use gridsec_sim::{BatchPolicy, ShardPlan, SimConfig};
@@ -48,23 +48,21 @@ fn config() -> SimConfig {
         .with_batch_policy(BatchPolicy::CountTriggered(3))
 }
 
-fn mct_shards(grid: &Grid, plan: &ShardPlan, config: &SimConfig) -> Vec<ShardSpec> {
-    (0..plan.n_shards())
-        .map(|k| {
-            let sub = plan.subgrid(grid, k).unwrap();
-            let session = OnlineSession::new(sub, Box::new(EarliestCompletion), config).unwrap();
-            ShardSpec::new(session)
-        })
-        .collect()
+fn mct_factory() -> SessionFactory {
+    stateless_factory(config(), |_| Ok(Box::new(EarliestCompletion)))
 }
 
-fn mct_factory(config: SimConfig) -> SessionFactory {
-    Box::new(move |ctx| {
-        let session =
-            OnlineSession::restore(ctx.subgrid, Box::new(EarliestCompletion), &config, ctx.seed)
-                .map_err(|e| e.to_string())?;
-        Ok(ShardSpec::new(session))
-    })
+/// A virtual-clock daemon over `n_sites` sites in `n_shards` contiguous
+/// shards, built by `factory`.
+fn spawn(
+    n_sites: usize,
+    n_shards: usize,
+    factory: SessionFactory,
+    options: DaemonOptions,
+) -> Daemon {
+    let grid = grid(n_sites);
+    let plan = ShardPlan::contiguous(&grid, n_shards).unwrap();
+    Daemon::spawn(grid, plan, factory, "127.0.0.1:0", options).expect("daemon binds")
 }
 
 fn submit(client: &mut Client, job: Job, shard: Option<usize>, tenant: Option<&str>) {
@@ -81,6 +79,11 @@ fn submit(client: &mut Client, job: Job, shard: Option<usize>, tenant: Option<&s
     }
 }
 
+fn shutdown(client: &mut Client, daemon: Daemon) {
+    assert_eq!(client.send(&Request::Shutdown).unwrap(), Response::Bye);
+    daemon.join();
+}
+
 fn tmp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("gridsec_telemetry_{tag}_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
@@ -93,17 +96,7 @@ fn tmp_dir(tag: &str) -> PathBuf {
 /// tenant, and the recorder reports itself enabled with retained events.
 #[test]
 fn telemetry_query_reports_histograms_and_tenant_waits() {
-    let grid = grid(4);
-    let plan = ShardPlan::contiguous(&grid, 2).unwrap();
-    let cfg = config();
-    let daemon = Daemon::spawn_sharded(
-        grid.clone(),
-        plan.clone(),
-        mct_shards(&grid, &plan, &cfg),
-        "127.0.0.1:0",
-        DaemonOptions::default(),
-    )
-    .expect("daemon binds");
+    let daemon = spawn(4, 2, mct_factory(), DaemonOptions::default());
     let mut client = Client::connect(daemon.addr()).expect("client connects");
     for (i, job) in jobs(12).into_iter().enumerate() {
         // Interleave so each shard serves both tenants.
@@ -153,11 +146,7 @@ fn telemetry_query_reports_histograms_and_tenant_waits() {
         other => panic!("scoped telemetry failed: {other:?}"),
     }
 
-    match client.send(&Request::Shutdown).expect("shutdown") {
-        Response::Bye => {}
-        other => panic!("shutdown failed: {other:?}"),
-    }
-    daemon.join();
+    shutdown(&mut client, daemon);
 }
 
 /// `--metrics-addr`: the write-on-connect exposition page parses line by
@@ -165,20 +154,15 @@ fn telemetry_query_reports_histograms_and_tenant_waits() {
 #[test]
 fn metrics_exposition_scrapes_and_parses() {
     use std::io::Read as _;
-    let grid = grid(2);
-    let plan = ShardPlan::contiguous(&grid, 1).unwrap();
-    let cfg = config();
-    let daemon = Daemon::spawn_sharded(
-        grid.clone(),
-        plan.clone(),
-        mct_shards(&grid, &plan, &cfg),
-        "127.0.0.1:0",
+    let daemon = spawn(
+        2,
+        1,
+        mct_factory(),
         DaemonOptions {
             metrics_addr: Some("127.0.0.1:0".into()),
             ..DaemonOptions::default()
         },
-    )
-    .expect("daemon binds");
+    );
     let maddr = daemon.metrics_addr().expect("metrics listener bound");
     let mut client = Client::connect(daemon.addr()).expect("client connects");
     for job in jobs(9) {
@@ -218,6 +202,11 @@ fn metrics_exposition_scrapes_and_parses() {
         "gridsec_submits_parked_total{reason=\"sealed\"}",
         "gridsec_submits_parked_total{reason=\"full\"}",
         "gridsec_direct_queue_depth{shard=\"0\"}",
+        "gridsec_sites_failed_total",
+        "gridsec_sites_rejoined_total",
+        "gridsec_scheduler_seconds_total",
+        "gridsec_reshard_migrated_jobs_bucket",
+        "gridsec_recorder_events_overwritten_total",
     ] {
         assert!(
             text.lines().any(|l| l.starts_with(family)),
@@ -239,11 +228,7 @@ fn metrics_exposition_scrapes_and_parses() {
         .expect("count sample");
     assert_eq!(inf, count);
 
-    match client.send(&Request::Shutdown).expect("shutdown") {
-        Response::Bye => {}
-        other => panic!("shutdown failed: {other:?}"),
-    }
-    daemon.join();
+    shutdown(&mut client, daemon);
 }
 
 /// `trace_dump`: a live daemon returns its flight-recorder ring over the
@@ -251,17 +236,7 @@ fn metrics_exposition_scrapes_and_parses() {
 /// round spans the replay just produced.
 #[test]
 fn trace_dump_returns_router_and_round_events() {
-    let grid = grid(2);
-    let plan = ShardPlan::contiguous(&grid, 1).unwrap();
-    let cfg = config();
-    let daemon = Daemon::spawn_sharded(
-        grid.clone(),
-        plan.clone(),
-        mct_shards(&grid, &plan, &cfg),
-        "127.0.0.1:0",
-        DaemonOptions::default(),
-    )
-    .expect("daemon binds");
+    let daemon = spawn(2, 1, mct_factory(), DaemonOptions::default());
     let mut client = Client::connect(daemon.addr()).expect("client connects");
     for job in jobs(6) {
         submit(&mut client, job, None, None);
@@ -283,11 +258,7 @@ fn trace_dump_returns_router_and_round_events() {
     assert!(events
         .iter()
         .any(|e| e.name == "round" && e.kind == "begin"));
-    match client.send(&Request::Shutdown).expect("shutdown") {
-        Response::Bye => {}
-        other => panic!("shutdown failed: {other:?}"),
-    }
-    daemon.join();
+    shutdown(&mut client, daemon);
 }
 
 /// Persistence compaction: a shrinking 4→2 reshard removes the retired
@@ -296,36 +267,24 @@ fn trace_dump_returns_router_and_round_events() {
 fn shrinking_reshard_gcs_retired_state_files() {
     let dir = tmp_dir("gc");
     let prefix = dir.join("state");
-    let grid = grid(4);
-    let plan = ShardPlan::contiguous(&grid, 4).unwrap();
-    let cfg = config();
-    let shards: Vec<ShardSpec> = (0..4)
-        .map(|k| {
-            let sub = plan.subgrid(&grid, k).unwrap();
-            let session = OnlineSession::new(sub, Box::new(EarliestCompletion), &cfg).unwrap();
-            ShardSpec {
-                session,
-                persist: Some(ShardPersistence {
-                    path: shard_state_path(&prefix, k),
-                    snapshot: Box::new(move || format!("{{\"shard\":{k}}}")),
-                }),
-                history: None,
-            }
-        })
-        .collect();
-    let daemon = Daemon::spawn_elastic(
-        grid.clone(),
-        plan.clone(),
-        shards,
-        mct_factory(cfg),
-        None,
-        "127.0.0.1:0",
+    // MCT shards that nevertheless carry a history snapshot: with a
+    // state prefix, that is what makes a stopping shard write its file.
+    let mut mct = mct_factory();
+    let factory: SessionFactory = Box::new(move |ctx| {
+        let k = ctx.shard;
+        let mut spec = mct(ctx)?;
+        spec.history = Some(Box::new(move || format!("{{\"shard\":{k}}}")));
+        Ok(spec)
+    });
+    let daemon = spawn(
+        4,
+        4,
+        factory,
         DaemonOptions {
             state_prefix: Some(prefix.clone()),
             ..DaemonOptions::default()
         },
-    )
-    .expect("elastic daemon binds");
+    );
     let mut client = Client::connect(daemon.addr()).expect("client connects");
     for (i, job) in jobs(8).into_iter().enumerate() {
         submit(&mut client, job, Some(i % 4), None);
@@ -338,8 +297,8 @@ fn shrinking_reshard_gcs_retired_state_files() {
         Response::Resharded { shards: 2, .. } => {}
         other => panic!("reshard failed: {other:?}"),
     }
-    // The old shards persisted on Stop; the router then GCed the retired
-    // files. Survivor indices keep theirs.
+    // The old shards wrote their files when they stopped; the router then
+    // GCed the retired ones. Survivor indices keep theirs.
     for k in 0..2 {
         assert!(
             shard_state_path(&prefix, k).exists(),
@@ -352,39 +311,37 @@ fn shrinking_reshard_gcs_retired_state_files() {
             "retired shard {k}'s state file is GCed"
         );
     }
-    match client.send(&Request::Shutdown).expect("shutdown") {
-        Response::Bye => {}
-        other => panic!("shutdown failed: {other:?}"),
-    }
-    daemon.join();
+    shutdown(&mut client, daemon);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// A post-barrier reshard rejection (the session factory fails while
-/// rebuilding) automatically dumps the flight recorder: the NDJSON file
+/// A post-barrier reshard rejection (the session factory, which built the
+/// four boot shards, fails on its second round of calls) automatically
+/// dumps the flight recorder: the NDJSON file
 /// is non-empty, parses line by line, and contains the barrier span plus
 /// the phases that ran before the failure.
 #[test]
 fn rejected_reshard_dumps_flight_recorder() {
     let dir = tmp_dir("flight");
     let dump = dir.join("flight.ndjson");
-    let grid = grid(4);
-    let plan = ShardPlan::contiguous(&grid, 4).unwrap();
-    let cfg = config();
-    let failing: SessionFactory = Box::new(|_ctx| Err("injected factory failure".into()));
-    let daemon = Daemon::spawn_elastic(
-        grid.clone(),
-        plan.clone(),
-        mct_shards(&grid, &plan, &cfg),
+    let mut mct = mct_factory();
+    let mut calls = 0;
+    let failing: SessionFactory = Box::new(move |ctx| {
+        calls += 1;
+        if calls > 4 {
+            return Err("injected factory failure".into());
+        }
+        mct(ctx)
+    });
+    let daemon = spawn(
+        4,
+        4,
         failing,
-        None,
-        "127.0.0.1:0",
         DaemonOptions {
             flight_dump: Some(dump.clone()),
             ..DaemonOptions::default()
         },
-    )
-    .expect("elastic daemon binds");
+    );
     let mut client = Client::connect(daemon.addr()).expect("client connects");
     for (i, job) in jobs(8).into_iter().enumerate() {
         submit(&mut client, job, Some(i % 4), None);
@@ -430,10 +387,6 @@ fn rejected_reshard_dumps_flight_recorder() {
         Response::Drained { .. } => {}
         other => panic!("drain failed: {other:?}"),
     }
-    match client.send(&Request::Shutdown).expect("shutdown") {
-        Response::Bye => {}
-        other => panic!("shutdown failed: {other:?}"),
-    }
-    daemon.join();
+    shutdown(&mut client, daemon);
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -6,8 +6,7 @@
 
 use gridsec_core::{Grid, Job, JobId, Site, Time};
 use gridsec_serve::{
-    Client, ClockMode, Daemon, DaemonOptions, OnlineSession, QueryWhat, Request, Response,
-    SessionFactory, ShardSpec,
+    stateless_factory, Client, ClockMode, Daemon, DaemonOptions, QueryWhat, Request, Response,
 };
 use gridsec_sim::scheduler::EarliestCompletion;
 use gridsec_sim::{BatchPolicy, ShardPlan, SimConfig};
@@ -41,12 +40,25 @@ fn job(id: u64, arrival: f64, work: f64) -> Job {
         .unwrap()
 }
 
+/// A one-shard virtual-clock MCT daemon with a 10 s interval.
 fn spawn_daemon(policy: BatchPolicy, options: DaemonOptions) -> Daemon {
+    spawn_shards(1, policy, 10.0, options)
+}
+
+/// `n_shards` MCT shards over the two-site grid.
+fn spawn_shards(
+    n_shards: usize,
+    policy: BatchPolicy,
+    interval: f64,
+    options: DaemonOptions,
+) -> Daemon {
+    let grid = grid();
     let config = SimConfig::default()
-        .with_interval(Time::new(10.0))
+        .with_interval(Time::new(interval))
         .with_batch_policy(policy);
-    let session = OnlineSession::new(grid(), Box::new(EarliestCompletion), &config).unwrap();
-    Daemon::spawn(session, "127.0.0.1:0", options).unwrap()
+    let plan = ShardPlan::contiguous(&grid, n_shards).unwrap();
+    let factory = stateless_factory(config, |_| Ok(Box::new(EarliestCompletion)));
+    Daemon::spawn(grid, plan, factory, "127.0.0.1:0", options).unwrap()
 }
 
 fn shutdown(client: &mut Client, daemon: Daemon) {
@@ -325,19 +337,15 @@ fn two_clients_interleave_deterministically() {
 fn wall_clock_mode_fires_timeout_boundaries() {
     // A 50 ms interval: the daemon must schedule the job on its own
     // timer without any further client traffic.
-    let config = SimConfig::default()
-        .with_interval(Time::new(0.05))
-        .with_batch_policy(BatchPolicy::Periodic);
-    let session = OnlineSession::new(grid(), Box::new(EarliestCompletion), &config).unwrap();
-    let daemon = Daemon::spawn(
-        session,
-        "127.0.0.1:0",
+    let daemon = spawn_shards(
+        1,
+        BatchPolicy::Periodic,
+        0.05,
         DaemonOptions {
             clock: ClockMode::WallClock,
             ..DaemonOptions::default()
         },
-    )
-    .unwrap();
+    );
     let mut client = Client::connect(daemon.addr()).unwrap();
     client
         .send(&Request::Submit {
@@ -366,36 +374,6 @@ fn wall_clock_mode_fires_timeout_boundaries() {
     shutdown(&mut client, daemon);
 }
 
-/// An elastic virtual-clock daemon with a 10 s interval.
-fn spawn_elastic(n_shards: usize) -> Daemon {
-    spawn_elastic_with(n_shards, 10.0, DaemonOptions::default())
-}
-
-/// An elastic daemon over the two-site grid: `n_shards` MCT shards plus
-/// a session factory, so `reshard` frames are accepted.
-fn spawn_elastic_with(n_shards: usize, interval: f64, options: DaemonOptions) -> Daemon {
-    let grid = grid();
-    let config = SimConfig::default()
-        .with_interval(Time::new(interval))
-        .with_batch_policy(BatchPolicy::Periodic);
-    let plan = ShardPlan::contiguous(&grid, n_shards).unwrap();
-    let shards = (0..n_shards)
-        .map(|k| {
-            let sub = plan.subgrid(&grid, k).unwrap();
-            ShardSpec::new(OnlineSession::new(sub, Box::new(EarliestCompletion), &config).unwrap())
-        })
-        .collect();
-    let factory: SessionFactory = Box::new({
-        let config = config.clone();
-        move |ctx| {
-            OnlineSession::restore(ctx.subgrid, Box::new(EarliestCompletion), &config, ctx.seed)
-                .map(ShardSpec::new)
-                .map_err(|e| e.to_string())
-        }
-    });
-    Daemon::spawn_elastic(grid, plan, shards, factory, None, "127.0.0.1:0", options).unwrap()
-}
-
 /// A barrier (`drain`, `reshard`) fires the armed periodic boundary at
 /// its *scheduled* instant, which leaves the session clock up to one
 /// interval ahead of the wall clock. Submits stamped right after it must
@@ -404,8 +382,9 @@ fn spawn_elastic_with(n_shards: usize, interval: f64, options: DaemonOptions) ->
 /// caught up.
 #[test]
 fn wall_clock_submits_are_accepted_right_after_every_barrier() {
-    let daemon = spawn_elastic_with(
+    let daemon = spawn_shards(
         2,
+        BatchPolicy::Periodic,
         1.0,
         DaemonOptions {
             clock: ClockMode::WallClock,
@@ -460,37 +439,8 @@ fn wall_clock_submits_are_accepted_right_after_every_barrier() {
 }
 
 #[test]
-fn reshard_on_a_static_daemon_is_refused_cleanly() {
-    let daemon = spawn_daemon(BatchPolicy::Periodic, DaemonOptions::default());
-    let mut client = Client::connect(daemon.addr()).unwrap();
-    match client
-        .send(&Request::Reshard {
-            shards: vec![vec![0], vec![1]],
-        })
-        .unwrap()
-    {
-        Response::ReshardRejected { message } => assert!(
-            message.contains("session factory"),
-            "unexpected rejection: {message}"
-        ),
-        other => panic!("expected reshard_rejected, got {other:?}"),
-    }
-    // The refusal is clean: the connection and the topology still serve.
-    assert!(matches!(
-        client
-            .send(&Request::Query {
-                what: QueryWhat::Metrics,
-                shard: None,
-            })
-            .unwrap(),
-        Response::Metrics { .. }
-    ));
-    shutdown(&mut client, daemon);
-}
-
-#[test]
 fn malformed_reshard_specs_get_typed_rejections() {
-    let daemon = spawn_elastic(1);
+    let daemon = spawn_daemon(BatchPolicy::Periodic, DaemonOptions::default());
     let mut client = Client::connect(daemon.addr()).unwrap();
     // Empty partition, duplicated site, out-of-range site, missing site:
     // each is a typed rejection that leaves the old topology serving.
@@ -505,7 +455,17 @@ fn malformed_reshard_specs_get_typed_rejections() {
             other => panic!("expected reshard_rejected for {spec:?}, got {other:?}"),
         }
     }
-    // A well-formed partition still goes through afterwards.
+    // The refusals are clean: the connection and the topology still
+    // serve, and a well-formed partition goes through afterwards.
+    assert!(matches!(
+        client
+            .send(&Request::Query {
+                what: QueryWhat::Metrics,
+                shard: None,
+            })
+            .unwrap(),
+        Response::Metrics { .. }
+    ));
     match client
         .send(&Request::Reshard {
             shards: vec![vec![0], vec![1]],
@@ -545,7 +505,7 @@ fn shutdown_then_reshard_pipelined_replies_in_order() {
 
 #[test]
 fn pipelined_submits_across_a_plan_swap_answer_in_order() {
-    let daemon = spawn_elastic(2);
+    let daemon = spawn_shards(2, BatchPolicy::Periodic, 10.0, DaemonOptions::default());
     // One write carries a submit, the plan swap, a second submit and a
     // query; the four responses must come back in frame order.
     let frames = "{\"type\":\"submit\",\"jobs\":[{\"id\":10,\"arrival\":1.0,\"width\":1,\

@@ -613,6 +613,28 @@ impl SharedHistory {
         self.0.lock().best_similarity(query)
     }
 
+    /// Opens the table a serving shard starts from, given the snapshots it
+    /// inherits: none — a fresh table of `capacity`; one — that table
+    /// exactly as saved ([`SharedHistory::from_json`]: a restart or a
+    /// shard split resumes entry for entry); several — their
+    /// [`SharedHistory::merge_json`]. One snapshot is not merged with
+    /// nothing: a merge re-orders entries by recency (entry order breaks
+    /// lookup ties) and collapses exact duplicates.
+    pub fn from_snapshots(
+        sources: &[String],
+        capacity: usize,
+    ) -> gridsec_core::Result<SharedHistory> {
+        match sources {
+            [] if capacity == 0 => Err(gridsec_core::Error::invalid(
+                "history",
+                "history table capacity must be ≥ 1",
+            )),
+            [] => Ok(SharedHistory::new(capacity)),
+            [one] => SharedHistory::from_json(one),
+            many => SharedHistory::merge_json(many),
+        }
+    }
+
     /// Merges several [`HistoryTable::to_json`] snapshots into one shared
     /// table (see [`HistoryTable::merge`]). The merged capacity is the
     /// largest source capacity, so a table split into full copies and
@@ -862,6 +884,43 @@ mod tests {
         assert_eq!(merged.lookup(&s1, 0.99, 1).len(), 1);
         assert!(SharedHistory::merge_json(&[]).is_err());
         assert!(SharedHistory::merge_json(&["{".to_string()]).is_err());
+    }
+
+    /// Why [`SharedHistory::from_snapshots`] restores one snapshot with
+    /// `from_json`: merging a table with nothing re-orders its entries by
+    /// recency (entry order breaks lookup ties) and collapses exact
+    /// duplicates.
+    #[test]
+    fn merge_json_of_one_snapshot_is_not_the_identity() {
+        let s = sig(&[1.0, 2.0], &[3.0, 4.0], &[0.5]);
+        let (a, b) = (
+            Chromosome::from_genes(vec![0]),
+            Chromosome::from_genes(vec![1]),
+        );
+        let live = SharedHistory::new(8);
+        live.insert(s.clone(), a.clone());
+        live.insert(s.clone(), b.clone());
+        // Both entries tie on every query; entry order puts `a` first,
+        // and serving it makes it the more recently used of the two.
+        assert_eq!(live.lookup(&s, 0.5, 1), vec![a.clone()]);
+        let saved = [live.to_json()];
+
+        let restored = SharedHistory::from_snapshots(&saved, 8).unwrap();
+        assert_eq!(restored.to_json(), saved[0]);
+        assert_eq!(restored.lookup(&s, 0.5, 1), vec![a.clone()]);
+        let merged = SharedHistory::merge_json(&saved).unwrap();
+        assert_ne!(merged.to_json(), saved[0]);
+        assert_eq!(merged.lookup(&s, 0.5, 1), vec![b], "recency order");
+
+        // An exact duplicate survives a restore and not a merge.
+        live.insert(s.clone(), a);
+        let saved = live.to_json();
+        assert_eq!(SharedHistory::from_json(&saved).unwrap().len(), 3);
+        assert_eq!(SharedHistory::merge_json(&[saved]).unwrap().len(), 2);
+
+        // No snapshot: a fresh table of the asked-for capacity.
+        assert!(SharedHistory::from_snapshots(&[], 8).unwrap().is_empty());
+        assert!(SharedHistory::from_snapshots(&[], 0).is_err());
     }
 
     #[test]

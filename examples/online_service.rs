@@ -6,11 +6,19 @@
 //! Run with: `cargo run --release --example online_service`
 
 use gridsec::prelude::*;
-use gridsec::serve::{Client, Daemon, DaemonOptions, OnlineSession, QueryWhat, Request, Response};
+use gridsec::serve::{
+    Client, Daemon, DaemonOptions, OnlineSession, QueryWhat, Request, Response, SessionFactory,
+    ShardSpec,
+};
+use gridsec::sim::ShardPlan;
+use gridsec::stga::SharedHistory;
 
 fn main() {
-    // 1. A grid and a long-lived STGA scheduler: the daemon keeps its
-    //    history table and GA population pool alive across rounds.
+    // 1. A grid, and the batching rules: under Hybrid(8) a round fires as
+    //    soon as 8 jobs are pending, or at the periodic boundary,
+    //    whichever is first. The default Virtual clock batches by
+    //    submitted arrival times (deterministic); ClockMode::WallClock
+    //    would serve real time instead.
     let grid = Grid::new(vec![
         Site::builder(0)
             .nodes(4)
@@ -32,28 +40,43 @@ fn main() {
             .unwrap(),
     ])
     .unwrap();
-    let stga = Stga::new(StgaParams {
+    let config = SimConfig::default()
+        .with_interval(Time::new(1_000.0))
+        .with_batch_policy(BatchPolicy::Hybrid(8));
+
+    // 2. The session factory is the one description of a shard; the
+    //    daemon calls it for every shard of the plan it boots on and of
+    //    every plan a `reshard` frame moves it to. Here: a long-lived STGA
+    //    whose history table and GA pool stay alive across rounds. What it
+    //    learned follows the shard — `history_sources` are the snapshots
+    //    it inherits (a state file at boot, the old shards' tables at a
+    //    reshard), `history` is how the daemon takes the next one.
+    let params = StgaParams {
         ga: GaParams::default()
             .with_population(40)
             .with_generations(25)
             .with_seed(7),
         ..StgaParams::default()
-    })
-    .unwrap();
+    };
+    let factory: SessionFactory = Box::new(move |ctx| {
+        let history = SharedHistory::from_snapshots(&ctx.history_sources, params.table_capacity)
+            .map_err(|e| e.to_string())?;
+        let stga = Stga::with_history(params, history.clone());
+        let session = OnlineSession::restore(ctx.subgrid, Box::new(stga), &config, ctx.seed)
+            .map_err(|e| e.to_string())?;
+        Ok(ShardSpec {
+            session,
+            history: Some(Box::new(move || history.to_json())),
+        })
+    });
 
-    // 2. The session batches under Hybrid(8): a round fires as soon as 8
-    //    jobs are pending, or at the periodic boundary, whichever is
-    //    first. The default Virtual clock batches by submitted arrival
-    //    times (deterministic); ClockMode::WallClock would serve real
-    //    time instead.
-    let config = SimConfig::default()
-        .with_interval(Time::new(1_000.0))
-        .with_batch_policy(BatchPolicy::Hybrid(8));
-    let session = OnlineSession::new(grid, Box::new(stga), &config).unwrap();
-    let daemon = Daemon::spawn(session, "127.0.0.1:0", DaemonOptions::default()).unwrap();
+    // 3. One shard covering the whole grid, on an ephemeral port.
+    let plan = ShardPlan::contiguous(&grid, 1).unwrap();
+    let daemon =
+        Daemon::spawn(grid, plan, factory, "127.0.0.1:0", DaemonOptions::default()).unwrap();
     println!("daemon listening on {}", daemon.addr());
 
-    // 3. A client submits a burst of jobs, NDJSON frame by frame.
+    // 4. A client submits a burst of jobs, NDJSON frame by frame.
     let mut client = Client::connect(daemon.addr()).unwrap();
     let jobs: Vec<Job> = (0..12)
         .map(|i| {
@@ -84,7 +107,7 @@ fn main() {
         }
     }
 
-    // 4. An IDS re-rates site 1 downward mid-session.
+    // 5. An IDS re-rates site 1 downward mid-session.
     match client
         .send(&Request::Reconfigure {
             security_levels: vec![0.9, 0.3, 0.95],
@@ -97,7 +120,7 @@ fn main() {
         other => panic!("reconfigure failed: {other:?}"),
     }
 
-    // 5. Flush the queue and read the served schedule + metrics back.
+    // 6. Flush the queue and read the served schedule + metrics back.
     match client.send(&Request::Drain).unwrap() {
         Response::Drained {
             rounds,
@@ -142,7 +165,7 @@ fn main() {
         other => panic!("metrics failed: {other:?}"),
     }
 
-    // 6. Shut the daemon down cleanly.
+    // 7. Shut the daemon down cleanly.
     assert!(matches!(
         client.send(&Request::Shutdown).unwrap(),
         Response::Bye
