@@ -13,8 +13,7 @@
 //! | `fig10`     | Fig. 10   | PSA scaling, N ∈ {1000, 2000, 5000, 10000}            |
 //! | `fig5`      | Fig. 5    | GA-vs-STGA convergence trajectories                   |
 //! | `ablations` | DESIGN §6 | λ sweep, failure-timing, history knobs                |
-//! | `perf_baseline` | BENCH_PR3.json | hot-path wall-clock + allocation baseline    |
-//! | `loadgen`   | BENCH_PR4.json | load generator for the `gridsec-serve` daemon    |
+//! | `loadgen`   | —         | end-to-end behaviour checks of the `gridsec-serve` daemon |
 //!
 //! Every figure binary accepts `--quick` (scaled-down workloads for smoke
 //! runs), `--seed <u64>`, `--json <path>` (machine-readable dump used to
@@ -22,9 +21,9 @@
 //! parallel sections); `fig8` and `fig10` additionally honour `--reps <n>`
 //! (independent replications fanned out over the thread pool — see
 //! [`replicate`]; the other binaries warn and ignore it). `loadgen` has
-//! its own flags (`--help`): workload/rate/policy/scheduler selection
-//! and the CI `--smoke` modes. Criterion
-//! micro-benches live under `benches/`.
+//! its own flags (`--help`): the CI `--smoke` check and `--scenario`
+//! replays. Nothing here times the serving path — that is `gridbench/`,
+//! the repository's one benchmark.
 
 #![warn(missing_docs)]
 #![deny(unsafe_code)]

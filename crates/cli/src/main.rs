@@ -319,20 +319,38 @@ fn apply_threads_flag(args: &mut Vec<String>) -> Result<(), String> {
         .map_err(|e| e.to_string())
 }
 
+/// The spec path and `--json <out>` of `run` / `chaos`. The path is the
+/// first argument that is neither a flag nor a flag's value, so it may
+/// come before or after `--json <out>`.
+fn spec_path_and_json<'a>(
+    cmd: &str,
+    args: &'a [String],
+) -> Result<(&'a String, Option<String>), String> {
+    let mut path = None;
+    let mut json_out = None;
+    let mut it = args.iter();
+    while let Some(a) = it.next() {
+        if a == "--json" {
+            json_out = Some(it.next().ok_or("--json needs a path")?.clone());
+        } else if a.starts_with("--") {
+            return Err(format!("`{cmd}` does not take `{a}`"));
+        } else if path.is_none() {
+            path = Some(a);
+        } else {
+            return Err(format!("`{cmd}` takes one spec path, got a second: `{a}`"));
+        }
+    }
+    let path = path.ok_or_else(|| format!("`{cmd}` needs a spec path"))?;
+    Ok((path, json_out))
+}
+
 fn cmd_run(args: &[String]) -> i32 {
-    let Some(path) = args.first() else {
-        eprintln!("error: `run` needs a spec path");
-        return 2;
-    };
-    let json_out = match args.iter().position(|a| a == "--json") {
-        Some(i) => match args.get(i + 1) {
-            Some(p) => Some(p.clone()),
-            None => {
-                eprintln!("error: --json needs a path");
-                return 2;
-            }
-        },
-        None => None,
+    let (path, json_out) = match spec_path_and_json("run", args) {
+        Ok(x) => x,
+        Err(msg) => {
+            eprintln!("error: {msg}");
+            return 2;
+        }
     };
     let text = match std::fs::read_to_string(path) {
         Ok(t) => t,
@@ -400,19 +418,12 @@ fn cmd_run(args: &[String]) -> i32 {
 }
 
 fn cmd_chaos(args: &[String]) -> i32 {
-    let Some(path) = args.first() else {
-        eprintln!("error: `chaos` needs a scenario spec path");
-        return 2;
-    };
-    let json_out = match args.iter().position(|a| a == "--json") {
-        Some(i) => match args.get(i + 1) {
-            Some(p) => Some(p.clone()),
-            None => {
-                eprintln!("error: --json needs a path");
-                return 2;
-            }
-        },
-        None => None,
+    let (path, json_out) = match spec_path_and_json("chaos", args) {
+        Ok(x) => x,
+        Err(msg) => {
+            eprintln!("error: {msg}");
+            return 2;
+        }
     };
     let text = match std::fs::read_to_string(path) {
         Ok(t) => t,

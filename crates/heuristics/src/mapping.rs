@@ -11,7 +11,7 @@
 //!
 //! The textbook loops (the referee in `tests/textbook/`) are O(n²·m): every
 //! round rescans every unassigned job's candidates. The three mappers here
-//! share one loop, [`map_by_key`], that is **bit-identical** to them (the
+//! share one loop, `map_by_key`, that is **bit-identical** to them (the
 //! property suite asserts it on random and NAS-shaped instances):
 //!
 //! * **One completion-time plane.** The CT of every (job, candidate) cell,
@@ -26,9 +26,9 @@
 //!   minimise (`best`, `−best`, `−(second − best)`); the argmin rides along
 //!   with the column refresh and keeps the first job on ties.
 //!
-//! Cells and keys are [`ord_key`]s — `i64`s that order exactly like `Time`
+//! Cells and keys are `ord_key`s — `i64`s that order exactly like `Time`
 //! — and a cell the job cannot use (not a candidate, non-finite ETC, width
-//! 0 or wider than the site) is [`ABSENT`], which no `Time` maps to: it is
+//! 0 or wider than the site) is `ABSENT`, which no `Time` maps to: it is
 //! left out of every scan, unlike a real `+∞` CT, which still counts as a
 //! second-best.
 

@@ -11,7 +11,7 @@
 //! * **Monotonic timestamps.** All events are stamped from one
 //!   process-wide monotonic epoch, so a merged dump is totally ordered
 //!   across threads.
-//! * **Inert.** When disabled (the default), [`span!`]/[`event!`] cost
+//! * **Inert.** When disabled (the default), [`span!`](macro@crate::span)/[`event!`](macro@crate::event) cost
 //!   one relaxed atomic load and record nothing. Enabled or not,
 //!   nothing here influences scheduling — the root determinism test
 //!   pins bit-identical schedules with the recorder on vs. off.
@@ -157,7 +157,7 @@ fn record(
     });
 }
 
-/// Records a point event. Prefer the [`event!`] macro, which names the
+/// Records a point event. Prefer the [`event!`](macro@crate::event) macro, which names the
 /// fields.
 pub fn instant(
     name: &'static str,
@@ -169,7 +169,7 @@ pub fn instant(
 
 /// An active span: records a `begin` event on creation and an `end`
 /// event (same name and fields, unless [`Span::end_with`] adds one) when
-/// dropped. Prefer the [`span!`] macro.
+/// dropped. Prefer the [`span!`](macro@crate::span) macro.
 #[must_use = "a span records its end when dropped"]
 pub struct Span {
     name: &'static str,
@@ -177,7 +177,7 @@ pub struct Span {
     f2: Option<(&'static str, i64)>,
 }
 
-/// Opens a span. Prefer the [`span!`] macro, which names the fields.
+/// Opens a span. Prefer the [`span!`](macro@crate::span) macro, which names the fields.
 pub fn span(
     name: &'static str,
     f1: Option<(&'static str, i64)>,

@@ -85,13 +85,18 @@ fn eventually(within: Duration, what: &str, mut cond: impl FnMut() -> bool) {
 }
 
 /// A thousand concurrent clients on one daemon: every connection gets
-/// its responses in request order, the connection gauge tracks the
-/// population, and the daemon's thread count stays a small constant —
-/// the C10k property the old thread-per-connection front end lacked.
+/// its responses in request order, the connection gauge — read in
+/// process and scraped off the exposition page, as an operator would —
+/// tracks the population, and the daemon's thread count stays a small
+/// constant — the C10k property the old thread-per-connection front end
+/// lacked.
 #[test]
 fn a_thousand_concurrent_clients_get_in_order_responses() {
     const N: usize = 1000;
-    let daemon = spawn_daemon(DaemonOptions::default());
+    let daemon = spawn_daemon(DaemonOptions {
+        metrics_addr: Some("127.0.0.1:0".into()),
+        ..DaemonOptions::default()
+    });
     let addr = daemon.addr();
     let mut clients = Vec::with_capacity(N);
     for i in 0..N {
@@ -111,6 +116,17 @@ fn a_thousand_concurrent_clients_get_in_order_responses() {
     eventually(Duration::from_secs(20), "all clients connected", || {
         daemon.connections() == N
     });
+    // The scrape rides its own listener, so it does not perturb the count.
+    let mut page = String::new();
+    TcpStream::connect(daemon.metrics_addr().expect("metrics listener bound"))
+        .unwrap()
+        .read_to_string(&mut page)
+        .unwrap();
+    let scraped = page
+        .lines()
+        .find_map(|l| l.strip_prefix("gridsec_connections "))
+        .expect("exposition page carries gridsec_connections");
+    assert_eq!(scraped.trim().parse::<f64>().unwrap(), N as f64);
 
     // Pipeline three queries per client *before* reading anything, then
     // check each connection's replies arrive and parse in order.

@@ -317,7 +317,7 @@ impl RoundDriver {
     ///
     /// The driver does not own the scheduler (rounds borrow one per
     /// call), so callers that *do* own one must follow this with
-    /// [`BatchScheduler::on_reconfigure`](crate::BatchScheduler::on_reconfigure)
+    /// [`BatchScheduler::on_reconfigure`]
     /// to invalidate snapshot-compiled scheduler state; the next
     /// [`RoundDriver::run_round`] then hands the scheduler a `GridView`
     /// of the new snapshot, from which kernel-based schedulers re-lower
@@ -372,7 +372,7 @@ impl RoundDriver {
     /// (non-`secure_only`) batch jobs; the commit-tracking front ends
     /// (daemon, scenario runner) only submit such jobs. Callers that own
     /// a scheduler should follow with
-    /// [`BatchScheduler::on_reconfigure`](crate::BatchScheduler::on_reconfigure)
+    /// [`BatchScheduler::on_reconfigure`]
     /// — the usable-site set changed under any compiled snapshot.
     pub fn fail_site(&mut self, site: SiteId, at: Time) -> Result<Vec<JobId>> {
         if site.0 >= self.grid.len() {

@@ -229,7 +229,8 @@ impl InjectionKind {
 }
 
 /// A compiled scenario: injections in replay order (non-decreasing time;
-/// ties broken by [`InjectionKind::rank`] then compile order).
+/// ties broken by kind — trust before rejoin before fail before arrival —
+/// then compile order).
 #[derive(Debug, Clone, PartialEq)]
 pub struct InjectionStream {
     /// The ordered injections.

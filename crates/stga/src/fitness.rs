@@ -11,11 +11,12 @@
 //! pure tie-breaker; larger weights trade batch makespan for throughput,
 //! which matters in the on-line setting (ablation `flow_weight` in
 //! `gridsec-bench`).
+//!
+//! This module holds the fitness *definition's* parameters; the one
+//! evaluator is the compiled [`FitnessKernel`](crate::FitnessKernel). The
+//! object-graph walk it was lowered from is the referee in
+//! `crates/stga/tests/referee/`.
 
-use crate::chromosome::Chromosome;
-use gridsec_core::etc::NodeAvailability;
-use gridsec_core::Time;
-use gridsec_heuristics::common::MapCtx;
 use serde::{Deserialize, Serialize};
 
 /// Default weight of the mean-completion (flow) term relative to the
@@ -126,102 +127,14 @@ impl RiskCache {
     }
 }
 
-/// Above this ratio of retained capacity to live size, `reset_scratch`
-/// releases the tail — hysteresis so ordinary batch-size jitter never
-/// triggers a shrink, while a reconfiguration to a much smaller grid
-/// stops pinning the old grid's buffers forever.
-const SCRATCH_SHRINK_FACTOR: usize = 4;
-/// Scratch capacity worth keeping regardless of ratio (tiny buffers are
-/// not worth churning).
-const SCRATCH_SHRINK_FLOOR: usize = 16;
-
-/// Resets `scratch` to mirror `base` without reallocating inner buffers.
-///
-/// When a previous round left far more capacity than `base` now needs
-/// (e.g. the grid was reconfigured down), the excess is released — see
-/// [`SCRATCH_SHRINK_FACTOR`]; steady-state rounds never shrink, keeping
-/// the hot path allocation-free.
-pub fn reset_scratch(scratch: &mut Vec<NodeAvailability>, base: &[NodeAvailability]) {
-    scratch.truncate(base.len());
-    if scratch.capacity() > SCRATCH_SHRINK_FLOOR
-        && scratch.capacity() / SCRATCH_SHRINK_FACTOR >= base.len()
-    {
-        scratch.shrink_to(base.len().max(SCRATCH_SHRINK_FLOOR));
-    }
-    for (i, b) in base.iter().enumerate() {
-        if i < scratch.len() {
-            scratch[i].clone_from(b);
-        } else {
-            scratch.push(b.clone());
-        }
-    }
-}
-
-/// Evaluates a chromosome against a caller-provided scratch availability
-/// buffer (reused across calls — the hot path of the GA).
-pub fn evaluate_with_scratch(
-    ctx: &MapCtx,
-    base_avail: &[NodeAvailability],
-    scratch: &mut Vec<NodeAvailability>,
-    chromosome: &Chromosome,
-    kind: FitnessKind,
-    risk: Option<&RiskWeights>,
-    flow_weight: f64,
-) -> f64 {
-    debug_assert_eq!(chromosome.len(), ctx.n_jobs());
-    reset_scratch(scratch, base_avail);
-    let mut makespan = Time::ZERO;
-    let mut sum_ct = 0.0;
-    for j in ctx.order_iter() {
-        let s = chromosome.site_of(j);
-        let exec = ctx.etc.get(j, s);
-        if !exec.is_finite() {
-            return f64::INFINITY;
-        }
-        let exec = match kind {
-            FitnessKind::Makespan => exec,
-            FitnessKind::ExpectedMakespan => exec * risk.map_or(1.0, |r| r.get(j, s)),
-        };
-        let start = match scratch[s].earliest_start(ctx.widths[j], ctx.now.max(ctx.arrivals[j])) {
-            Some(t) => t,
-            None => return f64::INFINITY,
-        };
-        let ct = start + Time::new(exec);
-        scratch[s].commit(ctx.widths[j], ct);
-        makespan = makespan.max(ct);
-        sum_ct += ct.seconds();
-    }
-    makespan.seconds() + flow_weight * (sum_ct / ctx.n_jobs() as f64)
-}
-
-/// Convenience wrapper allocating its own scratch buffer: replays the
-/// chromosome's assignments (in batch order) and returns the fitness.
-/// Infeasible genes (non-fitting sites) yield `f64::INFINITY`, so they can
-/// never win selection.
-pub fn evaluate(
-    ctx: &MapCtx,
-    base_avail: &[NodeAvailability],
-    chromosome: &Chromosome,
-    kind: FitnessKind,
-    risk: Option<&RiskWeights>,
-) -> f64 {
-    let mut scratch = Vec::with_capacity(base_avail.len());
-    evaluate_with_scratch(
-        ctx,
-        base_avail,
-        &mut scratch,
-        chromosome,
-        kind,
-        risk,
-        DEFAULT_FLOW_WEIGHT,
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gridsec_core::etc::EtcMatrix;
-    use gridsec_core::SecurityModel;
+    use crate::chromosome::Chromosome;
+    use crate::kernel::{fitness_once as evaluate, FitnessKernel, KernelScratch};
+    use gridsec_core::etc::{EtcMatrix, NodeAvailability};
+    use gridsec_core::{SecurityModel, Time};
+    use gridsec_heuristics::common::MapCtx;
 
     fn ctx2() -> (MapCtx, Vec<NodeAvailability>) {
         // 2 jobs × 2 single-node sites.
@@ -323,35 +236,26 @@ mod tests {
 
     #[test]
     fn scratch_reuse_matches_fresh_allocation() {
+        // Whatever an earlier evaluation left in the scratch — here a
+        // different chromosome's free-time plane — never reaches a result.
         let (ctx, avail) = ctx2();
+        let kernel = FitnessKernel::compile(
+            &ctx,
+            &avail,
+            FitnessKind::Makespan,
+            None,
+            DEFAULT_FLOW_WEIGHT,
+        );
         let c = Chromosome::from_genes(vec![0, 1]);
+        let other = Chromosome::from_genes(vec![1, 1]);
         let fresh = evaluate(&ctx, &avail, &c, FitnessKind::Makespan, None);
-        let mut scratch = Vec::new();
+        let mut scratch = KernelScratch::default();
+        let mut cts = Vec::new();
         for _ in 0..3 {
-            let reused = evaluate_with_scratch(
-                &ctx,
-                &avail,
-                &mut scratch,
-                &c,
-                FitnessKind::Makespan,
-                None,
-                DEFAULT_FLOW_WEIGHT,
-            );
+            kernel.evaluate_full(other.genes(), &mut cts, &mut scratch);
+            let reused = kernel.evaluate_full(c.genes(), &mut cts, &mut scratch);
             assert_eq!(fresh, reused);
         }
-    }
-
-    #[test]
-    fn reset_scratch_handles_size_changes() {
-        let base3 = vec![NodeAvailability::new(2, Time::ZERO); 3];
-        let base1 = vec![NodeAvailability::new(4, Time::new(5.0))];
-        let mut scratch = Vec::new();
-        reset_scratch(&mut scratch, &base3);
-        assert_eq!(scratch, base3);
-        reset_scratch(&mut scratch, &base1);
-        assert_eq!(scratch, base1);
-        reset_scratch(&mut scratch, &base3);
-        assert_eq!(scratch, base3);
     }
 
     #[test]
@@ -364,31 +268,6 @@ mod tests {
         // SD 0.5 > SL 0.4: risky, multiplier above 1 (but small gap).
         assert!(risk.get(1, 0) > 1.0 && risk.get(1, 0) < risk.get(0, 0));
         assert_eq!(risk.get(1, 1), 1.0);
-    }
-
-    #[test]
-    fn reset_scratch_reclaims_capacity_after_reconfigure() {
-        // A big grid warms the scratch; reconfiguring to a small one must
-        // eventually release the retained capacity (hysteresis shrink)…
-        let big = vec![NodeAvailability::new(1, Time::ZERO); 256];
-        let small = vec![NodeAvailability::new(1, Time::ZERO); 4];
-        let mut scratch = Vec::new();
-        reset_scratch(&mut scratch, &big);
-        assert!(scratch.capacity() >= 256);
-        reset_scratch(&mut scratch, &small);
-        assert!(
-            scratch.capacity() <= 64,
-            "stale capacity kept: {}",
-            scratch.capacity()
-        );
-        assert_eq!(scratch, small);
-        // …while modest jitter around the working size never shrinks.
-        let mid = vec![NodeAvailability::new(1, Time::ZERO); 100];
-        reset_scratch(&mut scratch, &mid);
-        let cap = scratch.capacity();
-        let jitter = vec![NodeAvailability::new(1, Time::ZERO); 80];
-        reset_scratch(&mut scratch, &jitter);
-        assert_eq!(scratch.capacity(), cap, "hysteresis must tolerate jitter");
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! with rayon-parallel, allocation-free fitness evaluation.
 
 use crate::chromosome::Chromosome;
-use crate::fitness::{evaluate_with_scratch, FitnessKind, RiskWeights};
+use crate::fitness::{FitnessKind, RiskWeights};
 use crate::kernel::{FitnessKernel, KernelScratch};
 use crate::ops::{crossover_in_place_tracked, mutate_tracked};
 use crate::params::GaParams;
@@ -35,7 +35,8 @@ pub struct GaResult {
 /// (the STGA rescheduling every batch inside the serving daemon) owns one
 /// across rounds, which amortises even the *initial* random population
 /// and first-generation buffer warm-up — the remaining ~1.4k allocations
-/// per GA run — to (near) zero; `perf_baseline` asserts that bound.
+/// per GA run — to (near) zero; `tests/pool_allocations.rs` asserts that
+/// bound under a counting allocator.
 #[derive(Debug)]
 pub struct GaPool {
     population: Vec<Chromosome>,
@@ -249,7 +250,7 @@ pub fn evolve_population<R: Rng + ?Sized>(
     let mut pool = GaPool::new();
     let r = evolve_with_pool(ctx, base_avail, initial, params, kind, risk, rng, &mut pool);
     if ctx.n_jobs() == 1 {
-        // The exact single-job path never touches the pool.
+        // The exact single-job path never touches the population buffers.
         let population = vec![r.best.clone()];
         let fitness = vec![r.best_fitness];
         return (r, population, fitness);
@@ -277,7 +278,9 @@ pub fn evolve_with_pool<R: Rng + ?Sized>(
     assert!(n > 0, "cannot evolve an empty batch");
 
     if n == 1 {
-        return solve_single_job(ctx, base_avail, params, kind, risk);
+        pool.kernel
+            .recompile(ctx, base_avail, kind, risk, params.flow_weight);
+        return solve_single_job(ctx, &pool.kernel, &pool.scratch, params);
     }
 
     let GaPool {
@@ -454,34 +457,27 @@ pub fn evolve_with_pool<R: Rng + ?Sized>(
     }
 }
 
-/// Exact solution for a single-job batch: try every candidate site.
+/// Exact solution for a single-job batch: try every candidate site
+/// against the round's compiled kernel.
 fn solve_single_job(
     ctx: &MapCtx,
-    base_avail: &[NodeAvailability],
+    kernel: &FitnessKernel,
+    scratch: &ScratchPool,
     params: &GaParams,
-    kind: FitnessKind,
-    risk: Option<&RiskWeights>,
 ) -> GaResult {
-    let mut scratch = Vec::with_capacity(base_avail.len());
-    let mut best: Option<(Chromosome, f64)> = None;
+    let mut guard = scratch.acquire();
+    let mut cts = Vec::with_capacity(1);
+    let mut best: Option<(u16, f64)> = None;
     for &s in &ctx.candidates[0] {
-        let c = Chromosome::from_genes(vec![s as u16]);
-        let f = evaluate_with_scratch(
-            ctx,
-            base_avail,
-            &mut scratch,
-            &c,
-            kind,
-            risk,
-            params.flow_weight,
-        );
-        if best.as_ref().is_none_or(|(_, bf)| f < *bf) {
-            best = Some((c, f));
+        let gene = s as u16;
+        let f = kernel.evaluate_full(&[gene], &mut cts, &mut guard.buf);
+        if best.is_none_or(|(_, bf)| f < bf) {
+            best = Some((gene, f));
         }
     }
-    let (best, best_fitness) = best.expect("single job has at least one candidate");
+    let (gene, best_fitness) = best.expect("single job has at least one candidate");
     GaResult {
-        best,
+        best: Chromosome::from_genes(vec![gene]),
         best_fitness,
         trajectory: vec![best_fitness; params.generations + 1],
     }
@@ -584,7 +580,7 @@ mod tests {
         // A deliberately good seed: round-robin.
         let seed_chrom = Chromosome::from_genes(vec![0, 1, 2, 0, 1, 2]);
         let seed_fit =
-            crate::fitness::evaluate(&ctx, &avail, &seed_chrom, FitnessKind::Makespan, None);
+            crate::kernel::fitness_once(&ctx, &avail, &seed_chrom, FitnessKind::Makespan, None);
         let mut rng = stream(13, Stream::Genetic);
         let r = evolve(
             &ctx,

@@ -130,7 +130,8 @@ const BOUND_MARGIN: f64 = 1e-9;
 
 /// One history entry: a past round's signature and its best schedule.
 /// This is the *wire* representation (used by [`HistoryTable::to_json`]);
-/// in memory the ETC block is interned (see [`StoredEntry`]).
+/// in memory the ETC block is interned (one shared block per distinct
+/// matrix).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Entry {
     /// The round's input signature.
@@ -204,9 +205,9 @@ impl StoredEntry {
 /// similarity between signatures of mismatched dimensions is capped at
 /// the length ratio, so buckets whose bound falls below the query
 /// threshold are skipped wholesale and only plausibly-similar entries are
-/// scored. The pruning is exact — results are identical to the linear
-/// scan ([`HistoryTable::lookup_linear`], kept as the test/bench
-/// reference) for every query.
+/// scored. The pruning is exact — results are identical to a linear scan
+/// of every entry (`lookup_linear`, the referee in
+/// `crates/stga/tests/referee/`) for every query.
 #[derive(Debug, Clone)]
 pub struct HistoryTable {
     capacity: usize,
@@ -362,8 +363,8 @@ impl HistoryTable {
     /// LRU stamps.
     ///
     /// Only buckets whose dimension-derived similarity bound reaches
-    /// `threshold` are scored; results are identical to
-    /// [`HistoryTable::lookup_linear`].
+    /// `threshold` are scored; results are identical to scoring every
+    /// entry (the referee's `lookup_linear`, `crates/stga/tests/referee/`).
     pub fn lookup(
         &mut self,
         query: &BatchSignature,
@@ -385,35 +386,6 @@ impl HistoryTable {
         let mut scored: Vec<(usize, f64)> = candidates
             .into_iter()
             .map(|i| (i, self.entries[i].similarity(query)))
-            .filter(|&(_, s)| s >= threshold)
-            .collect();
-        scored.sort_by(|a, b| b.1.total_cmp(&a.1));
-        scored.truncate(limit);
-        let mut out = Vec::with_capacity(scored.len());
-        for (i, _) in scored {
-            self.entries[i].last_used = clock;
-            out.push(self.entries[i].chromosome.clone());
-        }
-        out
-    }
-
-    /// The pre-bucketing lookup: scores every entry. Kept as the
-    /// reference implementation — the property suite asserts
-    /// `lookup == lookup_linear` on random tables, and the perf baseline
-    /// times both.
-    pub fn lookup_linear(
-        &mut self,
-        query: &BatchSignature,
-        threshold: f64,
-        limit: usize,
-    ) -> Vec<Chromosome> {
-        self.clock += 1;
-        let clock = self.clock;
-        let mut scored: Vec<(usize, f64)> = self
-            .entries
-            .iter()
-            .enumerate()
-            .map(|(i, e)| (i, e.similarity(query)))
             .filter(|&(_, s)| s >= threshold)
             .collect();
         scored.sort_by(|a, b| b.1.total_cmp(&a.1));
@@ -924,39 +896,6 @@ mod tests {
     }
 
     #[test]
-    fn bucketed_lookup_matches_linear_scan() {
-        // Mixed dimensions, several thresholds, eviction churn along the
-        // way: the bucketed lookup must reproduce the linear scan exactly.
-        let mut bucketed = HistoryTable::new(12);
-        let mut linear = HistoryTable::new(12);
-        let make = |t: u64, d: usize| {
-            let v: Vec<f64> = (0..d)
-                .map(|i| ((t as usize * 13 + i * 5) % 40) as f64)
-                .collect();
-            (
-                sig(&v, &v, &v[..d.min(3)]),
-                Chromosome::from_genes(vec![t as u16; d]),
-            )
-        };
-        for t in 0..30u64 {
-            let (s, c) = make(t, 2 + (t % 4) as usize);
-            bucketed.insert(s.clone(), c.clone());
-            linear.insert(s, c);
-        }
-        for t in 0..30u64 {
-            for threshold in [0.0, 0.4, 0.8, 0.95] {
-                let (q, _) = make(t, 2 + ((t + 1) % 4) as usize);
-                assert_eq!(
-                    bucketed.lookup(&q, threshold, 5),
-                    linear.lookup_linear(&q, threshold, 5),
-                    "query {t} threshold {threshold}"
-                );
-            }
-        }
-        assert_eq!(bucketed.len(), linear.len());
-    }
-
-    #[test]
     fn dims_bound_never_undercuts_true_similarity() {
         let cases = [
             (
@@ -988,40 +927,15 @@ mod tests {
         // mismatched component scores 1 − 2/3 = 0.33333333333333337 —
         // a few ulps ABOVE the raw k/maxlen bound of 0.3333333333333333.
         // With a threshold right at the true similarity, a margin-less
-        // filter would skip the bucket that the linear scan returns.
+        // filter would skip the bucket holding the one entry that passes.
         let entry = sig(&[1.0, 1.0, 1.0], &[2.0, 2.0], &[1.0, 1.0, 1.0]);
         let query = sig(&[1.0], &[2.0, 2.0], &[1.0]);
         let mut bucketed = HistoryTable::new(4);
-        let mut linear = HistoryTable::new(4);
         bucketed.insert(entry.clone(), Chromosome::from_genes(vec![7]));
-        linear.insert(entry.clone(), Chromosome::from_genes(vec![7]));
         let threshold = entry.similarity(&query);
         assert!(threshold > dims_similarity_bound(entry.dims(), query.dims()));
         let hits = bucketed.lookup(&query, threshold, 4);
-        assert_eq!(hits, linear.lookup_linear(&query, threshold, 4));
-        assert_eq!(hits.len(), 1);
-    }
-
-    #[test]
-    fn eviction_keeps_bucket_index_consistent() {
-        // Capacity 3 with constant churn across two dimension classes;
-        // after every insert the bucketed and linear lookups must agree.
-        let mut t = HistoryTable::new(3);
-        let mut reference = HistoryTable::new(3);
-        for i in 0..20u64 {
-            let d = 1 + (i % 2) as usize;
-            let v = vec![i as f64; d];
-            let s = sig(&v, &v, &v);
-            t.insert(s.clone(), Chromosome::from_genes(vec![i as u16]));
-            reference.insert(s, Chromosome::from_genes(vec![i as u16]));
-            let q = sig(&[i as f64], &[i as f64], &[i as f64]);
-            assert_eq!(
-                t.lookup(&q, 0.5, 3),
-                reference.lookup_linear(&q, 0.5, 3),
-                "after insert {i}"
-            );
-        }
-        assert_eq!(t.len(), 3);
+        assert_eq!(hits, vec![Chromosome::from_genes(vec![7])]);
     }
 
     #[test]

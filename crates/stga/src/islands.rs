@@ -257,7 +257,7 @@ mod tests {
         // A near-optimal seed in island 0 must never be lost.
         let seed_chrom = Chromosome::from_genes(vec![0, 1, 2, 3, 0, 1, 2, 3]);
         let seed_fit =
-            crate::fitness::evaluate(&ctx, &avail, &seed_chrom, FitnessKind::Makespan, None);
+            crate::kernel::fitness_once(&ctx, &avail, &seed_chrom, FitnessKind::Makespan, None);
         let r = evolve_islands(
             &ctx,
             &avail,

@@ -2,11 +2,12 @@
 //! grid + trust + security snapshot that turns chromosome evaluation into
 //! index arithmetic over flat slices.
 //!
-//! [`evaluate_with_scratch`](crate::fitness::evaluate_with_scratch) — the
-//! retained reference implementation — re-walks the ETC matrix, the
-//! per-job candidate metadata and the per-site availability objects for
-//! every chromosome. The GA evaluates tens of thousands of chromosomes
-//! per round against the *same* snapshot, so this module compiles that
+//! The object-graph walk this kernel was lowered from
+//! (`evaluate_with_scratch`, now the referee in
+//! `crates/stga/tests/referee/`) re-walks the ETC matrix, the per-job
+//! candidate metadata and the per-site availability objects for every
+//! chromosome. The GA evaluates tens of thousands of chromosomes per
+//! round against the *same* snapshot, so this module compiles that
 //! snapshot once per round (the shape of `simlin`'s compiler → bytecode →
 //! VM pipeline) into:
 //!
@@ -176,11 +177,11 @@ impl FitnessKernel {
     /// hit and `cts` is only partially written (callers must not use it
     /// as a delta parent — the GA gates on finite parent fitness).
     ///
-    /// Bit-identical to
-    /// [`evaluate_with_scratch`](crate::fitness::evaluate_with_scratch):
-    /// same commit order, same [`Time`] arithmetic (`at_least`, `max`,
-    /// `+`), same aggregation, and a merge-rotate commit that reproduces
-    /// the reference's re-sorted segment bit for bit.
+    /// Bit-identical to the referee's `evaluate_with_scratch`
+    /// (`crates/stga/tests/referee/`): same commit order, same [`Time`]
+    /// arithmetic (`at_least`, `max`, `+`), same aggregation, and a
+    /// merge-rotate commit that reproduces the reference's re-sorted
+    /// segment bit for bit.
     pub fn evaluate_full(
         &self,
         genes: &[u16],
@@ -349,14 +350,37 @@ impl FitnessKernel {
     }
 }
 
+/// One-shot fitness of `chromosome` at the default flow weight — the
+/// oracle of the crate's unit tests.
+#[cfg(test)]
+pub(crate) fn fitness_once(
+    ctx: &MapCtx,
+    base_avail: &[NodeAvailability],
+    chromosome: &crate::chromosome::Chromosome,
+    kind: FitnessKind,
+    risk: Option<&RiskWeights>,
+) -> f64 {
+    FitnessKernel::compile(
+        ctx,
+        base_avail,
+        kind,
+        risk,
+        crate::fitness::DEFAULT_FLOW_WEIGHT,
+    )
+    .evaluate_full(
+        chromosome.genes(),
+        &mut Vec::new(),
+        &mut KernelScratch::default(),
+    )
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::chromosome::Chromosome;
-    use crate::fitness::{evaluate_with_scratch, DEFAULT_FLOW_WEIGHT};
+    use crate::fitness::DEFAULT_FLOW_WEIGHT;
     use gridsec_core::etc::EtcMatrix;
     use gridsec_core::rng::{stream, Stream};
-    use gridsec_core::SecurityModel;
     use rand::Rng;
 
     /// A deliberately lumpy snapshot: multi-node sites, mixed widths, a
@@ -391,40 +415,6 @@ mod tests {
         (ctx, avail)
     }
 
-    fn reference(ctx: &MapCtx, avail: &[NodeAvailability], c: &Chromosome) -> f64 {
-        let mut scratch = Vec::new();
-        evaluate_with_scratch(
-            ctx,
-            avail,
-            &mut scratch,
-            c,
-            FitnessKind::Makespan,
-            None,
-            DEFAULT_FLOW_WEIGHT,
-        )
-    }
-
-    #[test]
-    fn full_replay_matches_reference_bit_for_bit() {
-        let (ctx, avail) = snapshot();
-        let kernel = FitnessKernel::compile(
-            &ctx,
-            &avail,
-            FitnessKind::Makespan,
-            None,
-            DEFAULT_FLOW_WEIGHT,
-        );
-        let mut scratch = KernelScratch::default();
-        let mut cts = Vec::new();
-        let mut rng = stream(42, Stream::Genetic);
-        for _ in 0..200 {
-            let c = Chromosome::random(&ctx.candidates, &mut rng);
-            let want = reference(&ctx, &avail, &c);
-            let got = kernel.evaluate_full(c.genes(), &mut cts, &mut scratch);
-            assert_eq!(want.to_bits(), got.to_bits(), "genes {:?}", c.genes());
-        }
-    }
-
     #[test]
     fn infeasible_genes_are_infinite_in_both_paths() {
         let (ctx, avail) = snapshot();
@@ -436,48 +426,27 @@ mod tests {
             DEFAULT_FLOW_WEIGHT,
         );
         let mut scratch = KernelScratch::default();
+        let mut parent_cts = Vec::new();
         let mut cts = Vec::new();
-        // Job 5 on site 1: non-finite ETC. Job 6 on site 2: width 4 > 2.
-        for genes in [vec![0, 0, 0, 0, 0, 1, 0], vec![0, 0, 0, 0, 0, 0, 2]] {
-            let c = Chromosome::from_genes(genes);
-            assert!(reference(&ctx, &avail, &c).is_infinite());
+        // Job 5 onto site 1: non-finite ETC. Job 6 onto site 2: width
+        // 4 > 2 nodes. Each parent keeps fewer than half the batch on the
+        // two sites the move touches, so the delta call takes its own
+        // patch path (and +∞ exit) rather than falling back to a full
+        // replay.
+        for (parent, j, s) in [
+            (vec![2u16, 2, 2, 1, 2, 0, 0], 5, 1u16),
+            (vec![1, 1, 1, 1, 1, 0, 0], 6, 2),
+        ] {
+            let pf = kernel.evaluate_full(&parent, &mut parent_cts, &mut scratch);
+            assert!(pf.is_finite());
+            let mut genes = parent.clone();
+            genes[j] = s;
             assert!(kernel
-                .evaluate_full(c.genes(), &mut cts, &mut scratch)
+                .evaluate_full(&genes, &mut cts, &mut scratch)
                 .is_infinite());
-        }
-    }
-
-    #[test]
-    fn risk_lowering_matches_reference() {
-        let (ctx, avail) = snapshot();
-        let model = SecurityModel::new(3.0).unwrap();
-        let sds: Vec<f64> = (0..ctx.n_jobs()).map(|j| 0.3 + 0.1 * j as f64).collect();
-        let sls = vec![0.9, 0.4, 0.6];
-        let risk = RiskWeights::build(&model, &sds, &sls);
-        let kernel = FitnessKernel::compile(
-            &ctx,
-            &avail,
-            FitnessKind::ExpectedMakespan,
-            Some(&risk),
-            DEFAULT_FLOW_WEIGHT,
-        );
-        let mut scratch = KernelScratch::default();
-        let mut cts = Vec::new();
-        let mut ref_scratch = Vec::new();
-        let mut rng = stream(7, Stream::Genetic);
-        for _ in 0..100 {
-            let c = Chromosome::random(&ctx.candidates, &mut rng);
-            let want = evaluate_with_scratch(
-                &ctx,
-                &avail,
-                &mut ref_scratch,
-                &c,
-                FitnessKind::ExpectedMakespan,
-                Some(&risk),
-                DEFAULT_FLOW_WEIGHT,
-            );
-            let got = kernel.evaluate_full(c.genes(), &mut cts, &mut scratch);
-            assert_eq!(want.to_bits(), got.to_bits());
+            assert!(kernel
+                .evaluate_delta(&genes, &parent, &parent_cts, j, &mut cts, &mut scratch)
+                .is_infinite());
         }
     }
 
@@ -564,7 +533,8 @@ mod tests {
             DEFAULT_FLOW_WEIGHT,
         );
         // Recompile on a smaller snapshot, then back; results must track
-        // the live snapshot exactly.
+        // the live snapshot exactly — i.e. equal a kernel compiled fresh
+        // from it, with nothing of the previous snapshot left behind.
         let etc = EtcMatrix::from_raw(2, 2, vec![10.0, 20.0, 30.0, 15.0]);
         let small_ctx = MapCtx {
             etc,
@@ -589,10 +559,8 @@ mod tests {
         let mut cts = Vec::new();
         let c = Chromosome::from_genes(vec![0, 1]);
         let got = kernel.evaluate_full(c.genes(), &mut cts, &mut scratch);
-        assert_eq!(
-            got.to_bits(),
-            reference(&small_ctx, &small_avail, &c).to_bits()
-        );
+        let fresh = fitness_once(&small_ctx, &small_avail, &c, FitnessKind::Makespan, None);
+        assert_eq!(got.to_bits(), fresh.to_bits());
         kernel.recompile(
             &ctx,
             &avail,
@@ -603,6 +571,7 @@ mod tests {
         let mut rng = stream(3, Stream::Genetic);
         let c = Chromosome::random(&ctx.candidates, &mut rng);
         let got = kernel.evaluate_full(c.genes(), &mut cts, &mut scratch);
-        assert_eq!(got.to_bits(), reference(&ctx, &avail, &c).to_bits());
+        let fresh = fitness_once(&ctx, &avail, &c, FitnessKind::Makespan, None);
+        assert_eq!(got.to_bits(), fresh.to_bits());
     }
 }

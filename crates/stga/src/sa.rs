@@ -6,10 +6,11 @@
 //! same assignment space as the GA via single-gene moves under a
 //! geometric cooling schedule. With enough iterations it matches or beats
 //! the GA per batch; at equal wall-clock budget it is the slower
-//! converger the paper expects (see the `scheduling_cost` bench).
+//! converger the paper expects (see `examples/metaheuristics.rs`).
 
 use crate::chromosome::Chromosome;
-use crate::fitness::{evaluate_with_scratch, FitnessKind};
+use crate::fitness::{FitnessKind, DEFAULT_FLOW_WEIGHT};
+use crate::kernel::{FitnessKernel, KernelScratch};
 use gridsec_core::rng::{stream, Stream};
 use gridsec_core::{BatchSchedule, Error, Result, RiskMode, SiteId};
 use gridsec_heuristics::common::{Fallback, MapCtx};
@@ -84,20 +85,18 @@ impl SimulatedAnnealing {
         ctx: &MapCtx,
         base_avail: &[gridsec_core::etc::NodeAvailability],
     ) -> (Chromosome, f64) {
-        let mut scratch = Vec::with_capacity(base_avail.len());
+        let kernel = FitnessKernel::compile(
+            ctx,
+            base_avail,
+            FitnessKind::Makespan,
+            None,
+            DEFAULT_FLOW_WEIGHT,
+        );
+        let mut scratch = KernelScratch::default();
+        let mut cts = Vec::new();
         let mut current = Chromosome::random(&ctx.candidates, &mut self.rng);
-        let eval = |c: &Chromosome, scratch: &mut Vec<_>| {
-            evaluate_with_scratch(
-                ctx,
-                base_avail,
-                scratch,
-                c,
-                FitnessKind::Makespan,
-                None,
-                crate::fitness::DEFAULT_FLOW_WEIGHT,
-            )
-        };
-        let mut current_fit = eval(&current, &mut scratch);
+        let mut eval = |c: &Chromosome| kernel.evaluate_full(c.genes(), &mut cts, &mut scratch);
+        let mut current_fit = eval(&current);
         let mut best = current.clone();
         let mut best_fit = current_fit;
         let mut temperature = (current_fit * self.params.t0_fraction).max(f64::MIN_POSITIVE);
@@ -113,7 +112,7 @@ impl SimulatedAnnealing {
                 }
                 let mut neighbour = current.clone();
                 neighbour.genes_mut()[j] = pick;
-                let neighbour_fit = eval(&neighbour, &mut scratch);
+                let neighbour_fit = eval(&neighbour);
                 let delta = neighbour_fit - current_fit;
                 let accept =
                     delta <= 0.0 || self.rng.gen::<f64>() < (-delta / temperature.max(1e-12)).exp();

@@ -466,7 +466,7 @@ mod tests {
         let ctx = MapCtx::build(&b, &view, RiskMode::Risky, Fallback::default());
         let mut a1 = avail.clone();
         let mm = mapping_to_chromosome(&map_min_min(&ctx, &mut a1), ctx.n_jobs());
-        let mm_fit = crate::fitness::evaluate(&ctx, &avail, &mm, FitnessKind::Makespan, None);
+        let mm_fit = crate::kernel::fitness_once(&ctx, &avail, &mm, FitnessKind::Makespan, None);
         let mut stga = Stga::new(params_small()).unwrap();
         let _ = stga.schedule(&b, &view);
         let best = stga.last_result.as_ref().unwrap().best_fitness;

@@ -7,7 +7,8 @@
 //! moves that improve on the global best.
 
 use crate::chromosome::Chromosome;
-use crate::fitness::{evaluate_with_scratch, FitnessKind};
+use crate::fitness::{FitnessKind, DEFAULT_FLOW_WEIGHT};
+use crate::kernel::{FitnessKernel, KernelScratch};
 use gridsec_core::rng::{stream, Stream};
 use gridsec_core::{BatchSchedule, Error, Result, RiskMode, SiteId};
 use gridsec_heuristics::common::{Fallback, MapCtx};
@@ -75,20 +76,18 @@ impl TabuSearch {
         ctx: &MapCtx,
         base_avail: &[gridsec_core::etc::NodeAvailability],
     ) -> (Chromosome, f64) {
-        let mut scratch = Vec::with_capacity(base_avail.len());
-        let eval = |c: &Chromosome, scratch: &mut Vec<_>| {
-            evaluate_with_scratch(
-                ctx,
-                base_avail,
-                scratch,
-                c,
-                FitnessKind::Makespan,
-                None,
-                crate::fitness::DEFAULT_FLOW_WEIGHT,
-            )
-        };
+        let kernel = FitnessKernel::compile(
+            ctx,
+            base_avail,
+            FitnessKind::Makespan,
+            None,
+            DEFAULT_FLOW_WEIGHT,
+        );
+        let mut scratch = KernelScratch::default();
+        let mut cts = Vec::new();
+        let mut eval = |c: &Chromosome| kernel.evaluate_full(c.genes(), &mut cts, &mut scratch);
         let mut current = Chromosome::random(&ctx.candidates, &mut self.rng);
-        let mut current_fit = eval(&current, &mut scratch);
+        let mut current_fit = eval(&current);
         let mut best = current.clone();
         let mut best_fit = current_fit;
         let mut tabu: VecDeque<(usize, u16)> = VecDeque::with_capacity(self.params.tenure);
@@ -105,7 +104,7 @@ impl TabuSearch {
                     }
                     let mut neighbour = current.clone();
                     neighbour.genes_mut()[j] = s;
-                    let f = eval(&neighbour, &mut scratch);
+                    let f = eval(&neighbour);
                     let is_tabu = tabu.contains(&(j, s));
                     // Aspiration: tabu moves allowed if globally improving.
                     if is_tabu && f >= best_fit {

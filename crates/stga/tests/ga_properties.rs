@@ -7,12 +7,15 @@ use gridsec_core::rng::{stream, Stream};
 use gridsec_core::Time;
 use gridsec_heuristics::common::MapCtx;
 use gridsec_stga::chromosome::Chromosome;
-use gridsec_stga::fitness::{evaluate, FitnessKind};
+use gridsec_stga::fitness::FitnessKind;
 use gridsec_stga::ga::evolve;
 use gridsec_stga::history::{similarity, BatchSignature, HistoryTable};
 use gridsec_stga::ops::{crossover, mutate};
 use gridsec_stga::GaParams;
 use proptest::prelude::*;
+use referee::evaluate;
+
+mod referee;
 
 fn arb_candidates() -> impl Strategy<Value = Vec<Vec<usize>>> {
     (1usize..10, 2usize..6).prop_flat_map(|(n, m)| {

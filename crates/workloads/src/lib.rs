@@ -19,18 +19,21 @@
 //! * [`security`] — SD/SL assignment from the paper's uniform distributions.
 //! * [`analysis`] — workload characterisation (width histograms, diurnal
 //!   profile, offered load) for validating synthetic traces.
+//! * [`GridSpec`] — the grid grammar of scenario spec files.
 
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
 
 pub mod analysis;
 pub mod arrival;
+mod grid_spec;
 pub mod nas;
 pub mod psa;
 pub mod security;
 pub mod swf;
 
 pub use analysis::WorkloadProfile;
+pub use grid_spec::GridSpec;
 pub use nas::{NasConfig, NasWorkload};
 pub use psa::{PsaConfig, PsaWorkload};
 pub use security::SecurityParams;

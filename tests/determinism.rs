@@ -188,29 +188,20 @@ fn workload_generators_are_seed_stable() {
 
 // --- Chaos scenarios -------------------------------------------------------
 
-/// The subset of the checked-in scenario spec these tests need, parsed
-/// with the same grammar the CLI and loadgen use. `scenarios/churn.json`
-/// pins an explicit site list, so only that grid kind is supported here.
+/// The subset of the checked-in scenario spec these tests need.
 #[derive(serde::Deserialize)]
 struct ChurnSpec {
-    grid: ChurnGrid,
+    grid: gridsec::workloads::GridSpec,
     #[serde(default)]
     sim: SimConfig,
     scenario: gridsec::sim::Scenario,
-}
-
-#[derive(serde::Deserialize)]
-#[serde(tag = "kind", rename_all = "snake_case")]
-enum ChurnGrid {
-    Sites { sites: Vec<Site> },
 }
 
 fn churn_spec() -> (Grid, SimConfig, gridsec::sim::Scenario) {
     let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("scenarios/churn.json");
     let text = std::fs::read_to_string(&path).expect("scenarios/churn.json is checked in");
     let spec: ChurnSpec = serde_json::from_str(&text).expect("churn spec parses");
-    let ChurnGrid::Sites { sites } = spec.grid;
-    (Grid::new(sites).unwrap(), spec.sim, spec.scenario)
+    (spec.grid.build().unwrap(), spec.sim, spec.scenario)
 }
 
 #[test]

@@ -1,7 +1,9 @@
-//! Property tests pinning the compiled fitness kernel to the retained
-//! object-graph evaluator, bit for bit.
+//! Property tests pinning the compiled fitness kernel to the object-graph
+//! evaluator it was lowered from (the referee in
+//! `crates/stga/tests/referee/`), bit for bit.
 //!
-//! Two equivalences (run in CI under `RAYON_NUM_THREADS=1` and `=4`):
+//! Two equivalences (run in CI under `RAYON_NUM_THREADS=1` and `=4`, and
+//! once in `--release`):
 //!
 //! 1. **kernel ≡ object graph**: for random grids, batches and trust
 //!    vectors (both fitness kinds, including infeasible genes, zero and
@@ -20,9 +22,13 @@ use gridsec::core::etc::{EtcMatrix, NodeAvailability};
 use gridsec::core::rng::{stream, Stream};
 use gridsec::core::{SecurityModel, Time};
 use gridsec::heuristics::common::MapCtx;
-use gridsec::stga::fitness::{evaluate_with_scratch, FitnessKind, RiskWeights};
+use gridsec::stga::fitness::{FitnessKind, RiskWeights};
 use gridsec::stga::{evolve_with_pool, Chromosome, FitnessKernel, GaParams, GaPool, KernelScratch};
 use proptest::prelude::*;
+use referee::evaluate_with_scratch;
+
+#[path = "../crates/stga/tests/referee/mod.rs"]
+mod referee;
 
 /// A random scheduling snapshot: ETC plane (with infeasible holes),
 /// widths (including 0 and oversized), arrivals, per-site node counts

@@ -4,6 +4,9 @@
 use gridsec::prelude::*;
 use proptest::prelude::*;
 
+#[path = "../crates/stga/tests/referee/mod.rs"]
+mod referee;
+
 /// Random but valid grids: 1–6 sites, 1–8 nodes, speeds 0.5–4, SL 0–1.
 fn arb_grid() -> impl Strategy<Value = Grid> {
     prop::collection::vec((1u32..=8, 0.5f64..4.0, 0.0f64..=1.0), 1..=6).prop_map(|specs| {
@@ -170,24 +173,17 @@ proptest! {
             etc: (0..jobs * sites).map(|i| x * 0.5 + i as f64).collect(),
             demands: (0..jobs).map(|i| (x * 0.01 + i as f64 * 0.07) % 1.0).collect(),
         };
-        let mut bucketed = HistoryTable::new(24);
-        let mut linear = HistoryTable::new(24);
+        let mut table = HistoryTable::new(24);
         for (jobs, sites, x, gene) in entries {
-            let s = make_sig(jobs, sites, x);
-            bucketed.insert(s.clone(), Chromosome::from_genes(vec![gene; jobs]));
-            linear.insert(s, Chromosome::from_genes(vec![gene; jobs]));
+            table.insert(make_sig(jobs, sites, x), Chromosome::from_genes(vec![gene; jobs]));
         }
         let q = make_sig(query.0, query.1, query.2);
-        prop_assert_eq!(
-            bucketed.lookup(&q, threshold, limit),
-            linear.lookup_linear(&q, threshold, limit)
-        );
-        // And the tables stay equivalent for a follow-up query (the LRU
-        // stamps written by both paths must match too).
-        prop_assert_eq!(
-            bucketed.lookup(&q, threshold / 2.0, limit),
-            linear.lookup_linear(&q, threshold / 2.0, limit)
-        );
+        let want = referee::lookup_linear(&table, &q, threshold, limit);
+        prop_assert_eq!(table.lookup(&q, threshold, limit), want);
+        // And a follow-up query on the table the first lookup has
+        // re-stamped still agrees.
+        let want = referee::lookup_linear(&table, &q, threshold / 2.0, limit);
+        prop_assert_eq!(table.lookup(&q, threshold / 2.0, limit), want);
     }
 
     #[test]
