@@ -1,5 +1,14 @@
-//! The generic GA engine: selection → crossover → mutation → elitism,
-//! with rayon-parallel, allocation-free fitness evaluation.
+//! The generic GA engine: selection → crossover → mutation → elitism.
+//!
+//! Each generation is bred serially from one RNG stream, then evaluated
+//! in one rayon sweep against the round's compiled [`FitnessKernel`];
+//! every buffer lives in a [`GaPool`], so a warm round allocates nothing.
+//! How a child gets its fitness follows the kernel's compiled shape
+//! ([`FitnessKernel::patches`]): where it patches, children that differ
+//! from a parent in a gene suffix are delta-evaluated against that
+//! parent's retained completion times; where it does not (every site one
+//! node — the paper's PSA grid), children are replayed in full or inherit
+//! a fitness, and no completion times are retained at all.
 
 use crate::chromosome::Chromosome;
 use crate::fitness::{FitnessKind, RiskWeights};
@@ -42,10 +51,10 @@ pub struct GaPool {
     population: Vec<Chromosome>,
     next: Vec<Chromosome>,
     fitness: Vec<f64>,
-    /// Per-individual evaluation state for `population` (fitness +
-    /// completion times), double-buffered with `next_evals` in lockstep
-    /// with the population buffers so children can be delta-evaluated
-    /// against their parents' retained completion times.
+    /// Per-individual evaluation state for `population` (fitness, and
+    /// completion times while the kernel patches), double-buffered with
+    /// `next_evals` in lockstep with the population buffers so children
+    /// can inherit from, or be delta-evaluated against, their parents.
     evals: Vec<EvalSlot>,
     next_evals: Vec<EvalSlot>,
     /// The compiled fitness program, re-lowered from the live snapshot at
@@ -80,27 +89,45 @@ enum Plan {
     /// Replay the whole chromosome from the base availability plane.
     Full,
     /// Byte-identical copy of `population[parent]` (elites, and children
-    /// that drew neither crossover nor mutation): inherit its fitness and
-    /// completion times outright.
+    /// that drew neither crossover nor mutation): inherit its fitness —
+    /// a pure function of the genes — and, on a patching kernel, its
+    /// completion times.
     Inherit { parent: usize },
     /// Differs from `population[parent]` only at genes `from..n` (the
     /// crossover cut / mutation index tracked by the operators): patch
-    /// the parent's evaluation instead of replaying from scratch.
+    /// the parent's evaluation instead of replaying from scratch. Only
+    /// planned while the kernel patches.
     Delta { parent: usize, from: usize },
 }
 
-/// Evaluation state of one individual: its fitness, the per-job
-/// completion times backing delta evaluation of its children, and the
-/// plan/index wiring for the next parallel evaluation sweep.
+/// The path a child's evaluation actually took — one per slot per sweep,
+/// counted into a [`PathCounts`] after the sweep.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Outcome {
+    Inherited,
+    Full,
+    Patched,
+    /// Sent to `evaluate_delta`, replayed in full anyway.
+    DeltaFellBack,
+}
+
+/// Children per [`Outcome`] (indexed by discriminant) over one round.
+type PathCounts = [u64; 4];
+
+/// Evaluation state of one individual: its fitness, the plan/index
+/// wiring for the next parallel evaluation sweep, and — only while the
+/// kernel patches — the per-job completion times its children patch from.
 #[derive(Debug)]
 struct EvalSlot {
     /// Position of this slot's genome in its population buffer (slots are
     /// evaluated out of order across worker chunks).
     idx: usize,
     plan: Plan,
+    outcome: Outcome,
     fitness: f64,
     /// Completion time of every job (batch-position indexed); only valid
-    /// when `fitness` is finite.
+    /// when `fitness` is finite and the round's kernel patches. On a
+    /// non-patching kernel nothing reads or writes it.
     cts: Vec<Time>,
 }
 
@@ -109,6 +136,7 @@ impl Default for EvalSlot {
         EvalSlot {
             idx: 0,
             plan: Plan::Full,
+            outcome: Outcome::Full,
             fitness: f64::INFINITY,
             cts: Vec::new(),
         }
@@ -123,21 +151,28 @@ fn resize_slots(slots: &mut Vec<EvalSlot>, len: usize) {
     }
 }
 
-/// Mirrors the slots' fitness values into the flat vector consumed by
-/// the roulette wheel, elitism and the best-index reduction (and returned
-/// by [`evolve_population`]).
-fn sync_fitness(fitness: &mut Vec<f64>, slots: &[EvalSlot]) {
+/// Harvests one evaluation sweep: mirrors the slots' fitness values into
+/// the flat vector consumed by the roulette wheel, elitism and the
+/// best-index reduction (and returned by [`evolve_population`]), and
+/// counts the path each child took — plain integers read after the sweep,
+/// so the evaluation path itself carries no atomics.
+fn sync_fitness(fitness: &mut Vec<f64>, paths: &mut PathCounts, slots: &[EvalSlot]) {
     fitness.clear();
-    fitness.extend(slots.iter().map(|s| s.fitness));
+    for slot in slots {
+        fitness.push(slot.fitness);
+        paths[slot.outcome as usize] += 1;
+    }
 }
 
 /// Runs one parallel evaluation sweep: every slot's genome (found via
 /// `slot.idx` in `genomes`) is evaluated per its plan against the
 /// compiled kernel. `parents` carries the previous generation's genomes
-/// and slots for the inherit/delta paths; plans referencing a
-/// non-finite parent (whose completion times are invalid) fall back to a
-/// full replay. Results are thread-count-invariant: each slot is written
-/// by exactly one worker and the pooled scratch never influences values.
+/// and slots for the inherit/delta paths; a delta plan referencing a
+/// non-finite parent (whose completion times are invalid) falls back to
+/// a full replay. Completion times land in the slot while the kernel
+/// patches and in the worker's scratch otherwise. Results are
+/// thread-count-invariant: each slot is written by exactly one worker
+/// and the pooled scratch never influences values.
 fn eval_generation(
     kernel: &FitnessKernel,
     genomes: &[Chromosome],
@@ -145,32 +180,49 @@ fn eval_generation(
     parents: Option<(&[Chromosome], &[EvalSlot])>,
     scratch: &ScratchPool,
 ) {
+    let retain = kernel.patches();
     slots.par_iter_mut().for_each_init(
         || scratch.acquire(),
         |guard, slot| {
             let genes = genomes[slot.idx].genes();
-            slot.fitness = match (slot.plan, parents) {
-                (Plan::Inherit { parent }, Some((_, pe))) if pe[parent].fitness.is_finite() => {
-                    slot.cts.clear();
-                    slot.cts.extend_from_slice(&pe[parent].cts);
-                    pe[parent].fitness
+            let EvalScratch { kernel: buf, cts } = &mut guard.buf;
+            let cts = if retain { &mut slot.cts } else { cts };
+            (slot.fitness, slot.outcome) = match (slot.plan, parents) {
+                (Plan::Inherit { parent }, Some((_, pe))) => {
+                    if retain {
+                        cts.clone_from(&pe[parent].cts);
+                    }
+                    (pe[parent].fitness, Outcome::Inherited)
                 }
                 (Plan::Delta { parent, from }, Some((pg, pe)))
                     if pe[parent].fitness.is_finite() =>
                 {
-                    kernel.evaluate_delta(
+                    let f = kernel.evaluate_delta(
                         genes,
                         pg[parent].genes(),
                         &pe[parent].cts,
                         from,
-                        &mut slot.cts,
-                        &mut guard.buf,
-                    )
+                        cts,
+                        buf,
+                    );
+                    if buf.delta_fell_back() {
+                        (f, Outcome::DeltaFellBack)
+                    } else {
+                        (f, Outcome::Patched)
+                    }
                 }
-                _ => kernel.evaluate_full(genes, &mut slot.cts, &mut guard.buf),
+                _ => (kernel.evaluate_full(genes, cts, buf), Outcome::Full),
             };
         },
     );
+}
+
+/// One worker's evaluation scratch: the kernel's free-time plane, and the
+/// completion-time vector `evaluate_full` fills when no slot retains one.
+#[derive(Debug, Default)]
+struct EvalScratch {
+    kernel: KernelScratch,
+    cts: Vec<Time>,
 }
 
 /// Recycled per-chunk kernel scratch (the flat free-time planes the
@@ -181,7 +233,7 @@ fn eval_generation(
 /// evaluation fully initialises the slices it reads — so recycling is
 /// invisible to the digest.
 #[derive(Debug, Default)]
-struct ScratchPool(Mutex<Vec<KernelScratch>>);
+struct ScratchPool(Mutex<Vec<EvalScratch>>);
 
 impl ScratchPool {
     fn acquire(&self) -> ScratchGuard<'_> {
@@ -195,7 +247,7 @@ impl ScratchPool {
 /// A checked-out scratch buffer; returns itself to the pool on drop.
 struct ScratchGuard<'p> {
     pool: &'p ScratchPool,
-    buf: KernelScratch,
+    buf: EvalScratch,
 }
 
 impl Drop for ScratchGuard<'_> {
@@ -329,6 +381,7 @@ pub fn evolve_with_pool<R: Rng + ?Sized>(
     // across rounds; any grid/trust/availability change since the last
     // round is picked up here).
     kernel.recompile(ctx, base_avail, kind, risk, params.flow_weight);
+    let patches = kernel.patches();
     resize_slots(evals, params.population);
     resize_slots(next_evals, params.population);
 
@@ -339,7 +392,8 @@ pub fn evolve_with_pool<R: Rng + ?Sized>(
         slot.plan = Plan::Full;
     }
     eval_generation(kernel, population, evals, None, scratch);
-    sync_fitness(fitness, evals);
+    let mut paths = PathCounts::default();
+    sync_fitness(fitness, &mut paths, evals);
     let (mut best, mut best_fitness) = current_best(population, fitness);
     let mut trajectory = Vec::with_capacity(params.generations + 1);
     trajectory.push(best_fitness);
@@ -409,10 +463,12 @@ pub fn evolve_with_pool<R: Rng + ?Sized>(
                 }
             }
             let plan_for = |parent: usize, from: usize| {
-                if from < n {
+                if from == n {
+                    Plan::Inherit { parent }
+                } else if patches {
                     Plan::Delta { parent, from }
                 } else {
-                    Plan::Inherit { parent }
+                    Plan::Full
                 }
             };
             let slot = &mut next_evals[filled];
@@ -431,7 +487,7 @@ pub fn evolve_with_pool<R: Rng + ?Sized>(
         eval_generation(kernel, next, next_evals, Some((population, evals)), scratch);
         std::mem::swap(population, next);
         std::mem::swap(evals, next_evals);
-        sync_fitness(fitness, evals);
+        sync_fitness(fitness, &mut paths, evals);
         let (gen_bi, gen_fit) = best_index(fitness);
         if gen_fit < best_fitness {
             // clone_from reuses `best`'s gene allocation — improvements
@@ -450,6 +506,18 @@ pub fn evolve_with_pool<R: Rng + ?Sized>(
         }
     }
 
+    // One count per path a child can take, once per round, inside the
+    // caller's `stga_eval` span (two events: an event carries two fields).
+    gridsec_obs::event!(
+        "stga_children",
+        inherited = paths[Outcome::Inherited as usize],
+        full = paths[Outcome::Full as usize]
+    );
+    gridsec_obs::event!(
+        "stga_delta_children",
+        patched = paths[Outcome::Patched as usize],
+        fell_back = paths[Outcome::DeltaFellBack as usize]
+    );
     GaResult {
         best,
         best_fitness,
@@ -466,11 +534,11 @@ fn solve_single_job(
     params: &GaParams,
 ) -> GaResult {
     let mut guard = scratch.acquire();
-    let mut cts = Vec::with_capacity(1);
+    let EvalScratch { kernel: buf, cts } = &mut guard.buf;
     let mut best: Option<(u16, f64)> = None;
     for &s in &ctx.candidates[0] {
         let gene = s as u16;
-        let f = kernel.evaluate_full(&[gene], &mut cts, &mut guard.buf);
+        let f = kernel.evaluate_full(&[gene], cts, buf);
         if best.is_none_or(|(_, bf)| f < bf) {
             best = Some((gene, f));
         }

@@ -33,9 +33,16 @@
 //! The delta path resets just the affected sites' free-time segments,
 //! recomputes completion times for jobs landing on them, copies every
 //! other job's completion time from the parent, and re-aggregates — and
-//! falls back to a full replay when the touched set is wide. Both paths
-//! produce bit-identical fitness (the golden-equivalence digests and the
-//! proptests in `tests/kernel_equivalence.rs` pin this).
+//! replays in full when at least half the batch sits on touched sites.
+//! Both paths produce bit-identical fitness (the golden-equivalence
+//! digests and the proptests in `tests/kernel_equivalence.rs` pin this).
+//!
+//! Whether patching is offered at all is decided once per round, in
+//! [`FitnessKernel::recompile`], from the compiled shape
+//! ([`FitnessKernel::patches`]): only on a grid with at least one
+//! multi-node site. Where every site is one node, replaying a job is one
+//! `max` and one `+`, a patch cannot undercut that, and `evaluate_delta`
+//! *is* the full replay — so callers need not retain completion times.
 
 use crate::fitness::{FitnessKind, RiskWeights};
 use gridsec_core::etc::NodeAvailability;
@@ -64,6 +71,8 @@ pub struct FitnessKernel {
     base_free: Vec<Time>,
     /// Prefix offsets into `base_free`; site `s` owns `site_off[s]..site_off[s+1]`.
     site_off: Vec<u32>,
+    /// Whether [`FitnessKernel::evaluate_delta`] patches on this shape.
+    patches: bool,
 }
 
 /// Reusable per-evaluation working memory for a [`FitnessKernel`].
@@ -78,6 +87,18 @@ pub struct KernelScratch {
     free: Vec<Time>,
     /// Per-site "ready chain affected" marker for delta evaluation.
     site_mask: Vec<bool>,
+    /// What the last [`FitnessKernel::evaluate_delta`] call did.
+    fell_back: bool,
+}
+
+impl KernelScratch {
+    /// Whether the last [`FitnessKernel::evaluate_delta`] through this
+    /// scratch replayed the whole chromosome instead of patching the
+    /// parent's evaluation — the GA's per-round slow-path count reads it.
+    #[inline]
+    pub fn delta_fell_back(&self) -> bool {
+        self.fell_back
+    }
 }
 
 impl FitnessKernel {
@@ -157,6 +178,24 @@ impl FitnessKernel {
             self.base_free.extend_from_slice(a.free_times());
             self.site_off.push(self.base_free.len() as u32);
         }
+        // A patch pays by skipping merge-rotate splices on untouched
+        // multi-node sites. A one-node site has no splice to skip: its
+        // replay is one max and one add per job, cheaper than marking
+        // sites, diffing the suffix, counting moved jobs and copying the
+        // parent's completion times — and each retained vector is 8n
+        // bytes per individual kept hot only so children may patch from
+        // it. Measured at Table-1 GA parameters (PR 18, CHANGES.md), with
+        // this rule forced either way: on 20 × 1-node sites with 16 jobs
+        // 20–31 % of delta calls did the bookkeeping and then replayed in
+        // full anyway (roulette on `worst − f` never converges the
+        // population far enough for every crossover child to resemble
+        // its parent), `evolve` ran 3.5 ms with patching against 3.0
+        // without, and the served `round-stga-c2` daemon 266 against
+        // 237 µs CPU per job; on the NAS grid (12 sites × 8/16 nodes,
+        // widths 1–8) dropping the patch read neutral at 16 and 256 jobs
+        // and 5–10 % slower at 64. So the rule reads the node counts and
+        // nothing else.
+        self.patches = base_avail.iter().any(|a| a.nodes() > 1);
     }
 
     /// Number of jobs the kernel was compiled for.
@@ -169,6 +208,16 @@ impl FitnessKernel {
     #[inline]
     pub fn n_sites(&self) -> usize {
         self.n_sites
+    }
+
+    /// Whether [`FitnessKernel::evaluate_delta`] patches parent
+    /// evaluations on this round's shape — true iff some site has more
+    /// than one node. When false, `evaluate_delta` is
+    /// [`FitnessKernel::evaluate_full`] and never reads its parent
+    /// arguments, so a caller need not keep completion times around.
+    #[inline]
+    pub fn patches(&self) -> bool {
+        self.patches
     }
 
     /// Full replay: evaluates `genes` from the base availability plane,
@@ -204,7 +253,7 @@ impl FitnessKernel {
             }
             let ct = self.replay_one(j, s, exec, &mut scratch.free);
             cts[j] = ct;
-            makespan = makespan.max(ct);
+            makespan = later(makespan, ct);
             sum_ct += ct.seconds();
         }
         makespan.seconds() + self.flow_weight * (sum_ct / self.n_jobs as f64)
@@ -221,7 +270,10 @@ impl FitnessKernel {
     /// verbatim, and the aggregate is recomputed over all completion
     /// times in commit order — making the result bit-identical to
     /// [`FitnessKernel::evaluate_full`] on the child. Falls back to a
-    /// full replay when at least half the batch needs recomputation.
+    /// full replay when at least half the batch needs recomputation, and
+    /// is the full replay outright on a kernel that does not patch
+    /// ([`FitnessKernel::patches`]); [`KernelScratch::delta_fell_back`]
+    /// tells which happened.
     ///
     /// `parent_cts` must be the complete completion-time vector of a
     /// *finite-fitness* parent evaluation.
@@ -239,6 +291,10 @@ impl FitnessKernel {
         debug_assert_eq!(genes.len(), n);
         debug_assert_eq!(parent_genes.len(), n);
         debug_assert_eq!(parent_cts.len(), n);
+        scratch.fell_back = true;
+        if !self.patches {
+            return self.evaluate_full(genes, cts, scratch);
+        }
 
         // Mark every site whose ready chain the gene diff can perturb.
         scratch.site_mask.clear();
@@ -256,6 +312,7 @@ impl FitnessKernel {
             // aggregation of a finite evaluation is a pure function of
             // its completion times, so this reproduces the parent
             // fitness bit for bit).
+            scratch.fell_back = false;
             cts.clear();
             cts.extend_from_slice(parent_cts);
             return self.aggregate(cts);
@@ -271,6 +328,7 @@ impl FitnessKernel {
         if moved * 2 >= n {
             return self.evaluate_full(genes, cts, scratch);
         }
+        scratch.fell_back = false;
 
         // Reset only the affected sites' segments from the base plane;
         // unaffected segments are never read on this path, so whatever a
@@ -317,13 +375,20 @@ impl FitnessKernel {
     /// moves instead of a sort. Bit-identical: `Time`'s order is
     /// `total_cmp`, under which equal keys have equal bits, so a sorted
     /// segment is a unique byte sequence however it was produced.
-    #[inline]
+    ///
+    /// A one-node segment needs none of that: a feasible job there has
+    /// width 1, so the splice degenerates to overwriting the one entry.
+    #[inline(always)]
     fn replay_one(&self, j: usize, s: usize, exec: f64, free: &mut [Time]) -> Time {
         let (lo, hi) = self.site_span(s);
+        if hi - lo == 1 {
+            let ct = later(free[lo], self.floors[j]) + Time::new(exec);
+            free[lo] = ct;
+            return ct;
+        }
         let seg = &mut free[lo..hi];
         let w = self.widths[j] as usize;
-        let start = seg[w - 1].at_least(self.floors[j]);
-        let ct = start + Time::new(exec);
+        let ct = later(seg[w - 1], self.floors[j]) + Time::new(exec);
         let p = seg[w..].partition_point(|t| *t < ct);
         seg.copy_within(w..w + p, 0);
         seg[p..p + w].fill(ct);
@@ -343,11 +408,31 @@ impl FitnessKernel {
         let mut sum_ct = 0.0;
         for &j in &self.order {
             let ct = cts[j as usize];
-            makespan = makespan.max(ct);
+            makespan = later(makespan, ct);
             sum_ct += ct.seconds();
         }
         makespan.seconds() + self.flow_weight * (sum_ct / self.n_jobs as f64)
     }
+}
+
+/// [`Time::max`] without the branch: the replay loop takes two maxima per
+/// job on values no predictor can guess — every generation's chromosomes
+/// are new (`evolve` on 20 one-node sites: 3.4 ms with `Time::max`, 2.95
+/// with this; a micro-benchmark replaying one fixed population reads the
+/// other way round, because there the predictor learns).
+///
+/// Maps both operands to the integer `f64::total_cmp` orders by, takes
+/// the integer maximum and maps it back (the map is its own inverse), so
+/// it returns the bits `Time::max` (and `at_least`) would — under a total
+/// order, equal keys are equal bits, so the maximum is unique.
+#[inline(always)]
+fn later(a: Time, b: Time) -> Time {
+    let key = |bits: u64| {
+        let bits = bits as i64;
+        bits ^ (((bits >> 63) as u64) >> 1) as i64
+    };
+    let max = key(a.seconds().to_bits()).max(key(b.seconds().to_bits()));
+    Time::new(f64::from_bits(key(max as u64) as u64))
 }
 
 /// One-shot fitness of `chromosome` at the default flow weight — the
@@ -520,6 +605,42 @@ mod tests {
             kernel.evaluate_delta(c.genes(), c.genes(), &parent_cts, 0, &mut cts, &mut scratch);
         assert_eq!(pf.to_bits(), df.to_bits());
         assert_eq!(parent_cts, cts);
+    }
+
+    /// The decision on the two shapes it was measured on. Left of the
+    /// rule: the paper's PSA grid, which is also everything `gridbench`'s
+    /// `round-stga-c2` serves — full replays only. Right of it: the NAS
+    /// grid, which no benchmark workload runs the STGA on — patching,
+    /// covered by `tests/kernel_equivalence.rs` and in-process timing.
+    #[test]
+    fn patching_is_decided_by_the_compiled_node_counts() {
+        let mut kernel = FitnessKernel::default();
+        let mut patches_on = |nodes: &[u32]| {
+            let (n, m) = (16, nodes.len());
+            let ctx = MapCtx {
+                etc: EtcMatrix::from_raw(n, m, vec![10.0; n * m]),
+                widths: vec![1; n],
+                arrivals: vec![Time::ZERO; n],
+                candidates: vec![(0..m).collect(); n],
+                now: Time::ZERO,
+                commit_order: vec![],
+            };
+            let avail: Vec<NodeAvailability> = nodes
+                .iter()
+                .map(|&k| NodeAvailability::new(k, Time::ZERO))
+                .collect();
+            // One kernel recompiled across shapes: the answer follows the
+            // live snapshot, never the previous round's.
+            kernel.recompile(&ctx, &avail, FitnessKind::Makespan, None, 0.0);
+            kernel.patches()
+        };
+        // Table-1 PSA grid: 20 sites × 1 node.
+        assert!(!patches_on(&[1; 20]));
+        // NAS grid: 4 sites × 16 nodes + 8 sites × 8 nodes.
+        assert!(patches_on(&[16, 16, 16, 16, 8, 8, 8, 8, 8, 8, 8, 8]));
+        assert!(!patches_on(&[1; 20]));
+        // One multi-node site among one-node sites is enough.
+        assert!(patches_on(&[1, 1, 4, 1]));
     }
 
     #[test]

@@ -46,9 +46,7 @@ pub fn crossover_in_place_tracked<R: Rng + ?Sized>(
         return None;
     }
     let cut = rng.gen_range(1..n);
-    for i in cut..n {
-        std::mem::swap(&mut a.genes_mut()[i], &mut b.genes_mut()[i]);
-    }
+    a.genes_mut()[cut..].swap_with_slice(&mut b.genes_mut()[cut..]);
     Some(cut)
 }
 

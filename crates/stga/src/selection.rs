@@ -17,13 +17,27 @@ pub fn elite_indices(fitness: &[f64], k: usize) -> Vec<usize> {
 /// [`elite_indices`] into a caller-owned scratch buffer — the evolve loop
 /// calls this once per generation without re-allocating. `out` is
 /// cleared first; after the call it holds the `k` best indices in order.
+///
+/// One pass keeping the `k` best seen so far in order — the evolve loop
+/// keeps 2 of 200 every generation, which a full sort overpays for. An
+/// individual enters only if strictly better than the current `k`-th and
+/// lands behind its equals, so ties go to the lowest index: exactly the
+/// prefix a stable sort of all indices would leave.
 pub fn elite_indices_into(fitness: &[f64], k: usize, out: &mut Vec<usize>) {
     out.clear();
-    out.extend(0..fitness.len());
-    // Stable sort: equal-fitness individuals keep index order, so elite
-    // selection is deterministic and ties go to the lowest index.
-    out.sort_by(|&a, &b| fitness[a].total_cmp(&fitness[b]));
-    out.truncate(k);
+    if k == 0 {
+        return;
+    }
+    for (i, f) in fitness.iter().enumerate() {
+        if out.len() == k {
+            if f.total_cmp(&fitness[out[k - 1]]).is_ge() {
+                continue;
+            }
+            out.pop();
+        }
+        let at = out.partition_point(|&e| fitness[e].total_cmp(f).is_le());
+        out.insert(at, i);
+    }
 }
 
 /// A pre-built roulette wheel over minimisation fitness values.
@@ -108,16 +122,19 @@ impl RouletteWheel {
         }
     }
 
-    /// Spins the wheel, returning an individual index.
+    /// Spins the wheel, returning an individual index: the first slot
+    /// whose cumulative weight exceeds the draw.
     pub fn spin<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
         let x = rng.gen_range(0.0..self.total.max(f64::MIN_POSITIVE));
-        match self
-            .cumulative
-            .binary_search_by(|c| c.partial_cmp(&x).expect("no NaN in wheel"))
-        {
-            Ok(i) => (i + 1).min(self.cumulative.len() - 1),
-            Err(i) => i.min(self.cumulative.len() - 1),
-        }
+        self.cumulative
+            .partition_point(|c| *c <= x)
+            .min(self.cumulative.len() - 1)
+    }
+
+    /// The cumulative weight table the wheel spins over (its last entry
+    /// is the total) — read by the spin referee in `tests/referee/`.
+    pub fn cumulative(&self) -> &[f64] {
+        &self.cumulative
     }
 }
 

@@ -12,7 +12,9 @@
 //!   (`tests/properties.rs`, `referee_checks.rs`).
 //!
 //! Pulled into each suite with `#[path]`/`mod`; no shipped crate calls
-//! anything here.
+//! anything here. The selection referees sit beside this file in
+//! `selection.rs` (they need `rand`, which the workspace-root suites that
+//! pull this module in do not depend on).
 
 #![allow(dead_code)] // every suite uses its own subset
 
