@@ -11,7 +11,8 @@
 //!   and batch policy; then the same slice on two shards.
 //! * **`--scenario <spec.json>`**: replay a chaos scenario *file*
 //!   (`gridsec example-scenario`) through the daemon — the virtual clock
-//!   cross-checks the committed timeline against the engine bit for bit,
+//!   cross-checks the committed timeline, shard by shard, against an
+//!   in-process `ScenarioRunner` fed that shard's slice, bit for bit;
 //!   `--wall-clock` is the bounded soak asserting the zero-lost-jobs
 //!   ledger.
 //!
@@ -28,12 +29,12 @@ use gridsec_core::{BatchSchedule, Grid, Job, RiskMode, Site, Time};
 use gridsec_heuristics::{MinMin, Sufferage};
 use gridsec_serve::{
     stateless_factory, Client, ClockMode, Daemon, DaemonOptions, Placed, QueryWhat, Request,
-    Response, ServeMetrics, SessionFactory,
+    Response, ScenarioRunner, ServeMetrics, SessionFactory,
 };
 use gridsec_sim::scheduler::EarliestCompletion;
 use gridsec_sim::{
     simulate, BatchJob, BatchPolicy, BatchScheduler, GridView, InjectionKind, InjectionStream,
-    Scenario, ScenarioRunner, ShardPlan, SimConfig,
+    Scenario, ShardPlan, SimConfig,
 };
 use gridsec_stga::{GaParams, Stga, StgaParams};
 use gridsec_workloads::{swf, GridSpec, PsaConfig};
@@ -77,7 +78,7 @@ fn usage() {
          against the in-process engine.\n\
          --scenario replays a chaos scenario spec (`gridsec example-scenario`)\n\
          through the daemon: virtual clock cross-checks the committed timeline\n\
-         bit for bit against the in-process engine; --wall-clock is the soak\n\
+         bit for bit against an in-process replay; --wall-clock is the soak\n\
          mode, asserting the zero-lost-jobs ledger under real-time churn.\n\
          --policy overrides the spec's batching (a fast trigger keeps a soak\n\
          bounded); --quick shrinks the STGA's population and generations.\n\
@@ -445,8 +446,8 @@ fn feed_scenario(
     for inj in &stream.events {
         let (request, frame) = match &inj.kind {
             InjectionKind::Arrive(job) => {
-                // A job that fits nowhere is typed-rejected by the engine
-                // as well.
+                // A job that fits nowhere is typed-rejected by the
+                // in-process replay as well.
                 if let Some(shard) = assign_shard(plan, grid, job) {
                     busy_retries += submit(client, vec![job.clone()], Some(shard))?;
                     sent += 1;
@@ -562,8 +563,8 @@ fn assert_scenario_ledger(
 }
 
 /// `--scenario`: replay a chaos spec through the daemon. Virtual clock
-/// additionally proves the committed timeline bit-identical to the
-/// in-process engine, shard by shard; wall clock is the soak mode and
+/// additionally proves the committed timeline bit-identical to an
+/// in-process replay, shard by shard; wall clock is the soak mode and
 /// asserts the accounting only (real-time churn is timing-dependent).
 fn run_scenario(path: &str, opts: &Options) -> Result<(), String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
@@ -635,7 +636,7 @@ fn run_scenario(path: &str, opts: &Options) -> Result<(), String> {
         println!("soak OK: no lost jobs under wall-clock churn");
         return Ok(());
     }
-    // Engine cross-check: each shard's committed timeline must be
+    // In-process cross-check: each shard's committed timeline must be
     // bit-identical to a scenario runner replaying that shard's slice on
     // the shard's subgrid. (Coverage is the ledger's and this check's
     // job: under churn a requeued job legitimately commits twice, so the
@@ -646,29 +647,29 @@ fn run_scenario(path: &str, opts: &Options) -> Result<(), String> {
         let scheduler = build_scheduler(&opts.scheduler, opts.seed + k as u64, opts.quick, None)?;
         let outcome = ScenarioRunner::new(sub, scheduler, &config)
             .and_then(|r| r.run(&slice))
-            .map_err(|e| format!("engine replay of shard {k}: {e}"))?;
+            .map_err(|e| format!("in-process replay of shard {k}: {e}"))?;
         if !outcome.fully_accounted() {
-            return Err(format!("engine ledger for shard {k} does not balance"));
+            return Err(format!("in-process ledger for shard {k} does not balance"));
         }
         let translated: Vec<Placed> = outcome
             .timeline
             .iter()
             .map(|&c| {
-                let mut p = Placed::from(c);
+                let mut p = c;
                 p.site = plan.to_global(k, p.site);
                 p
             })
             .collect();
         if *daemon_schedule != translated {
             return Err(format!(
-                "shard {k} daemon timeline diverged from the engine ({} vs {} commits)",
+                "shard {k} daemon timeline diverged from the in-process replay ({} vs {} commits)",
                 daemon_schedule.len(),
                 translated.len()
             ));
         }
     }
     println!(
-        "equivalence OK: daemon timeline bit-identical to the engine on all {} shard(s)",
+        "equivalence OK: daemon timeline bit-identical to the in-process replay on all {} shard(s)",
         served.shard_schedules.len()
     );
     Ok(())

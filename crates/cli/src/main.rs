@@ -13,9 +13,10 @@
 mod spec;
 
 use gridsec_serve::{
-    AutoscaleConfig, ClockMode, Daemon, DaemonOptions, OnlineSession, SessionFactory, ShardSpec,
+    AutoscaleConfig, ClockMode, Daemon, DaemonOptions, OnlineSession, ScenarioRunner,
+    SessionFactory, ShardSpec,
 };
-use gridsec_sim::{simulate, ScenarioRunner, ShardPlan};
+use gridsec_sim::{simulate, ShardPlan};
 use gridsec_stga::SharedHistory;
 use gridsec_workloads::{swf, NasConfig, PsaConfig};
 use spec::{ExperimentSpec, ScenarioSpec};
@@ -468,15 +469,14 @@ fn cmd_chaos(args: &[String]) -> i32 {
         grid.len(),
         spec.scenario.seed,
     );
-    let runner = match ScenarioRunner::new(grid, scheduler, &spec.sim) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return 1;
+    let replay = ScenarioRunner::new(grid, scheduler, &spec.sim).and_then(|mut runner| {
+        for inj in &stream.events {
+            runner.apply(inj)?;
         }
-    };
-    let outcome = match runner.run(&stream) {
-        Ok(o) => o,
+        runner.finish_with_metrics()
+    });
+    let (outcome, metrics) = match replay {
+        Ok(r) => r,
         Err(e) => {
             eprintln!("error: replay failed: {e}");
             return 1;
@@ -495,46 +495,17 @@ fn cmd_chaos(args: &[String]) -> i32 {
         "  churn: {} site failures, {} rejoins; {} rounds, makespan {}",
         outcome.sites_failed, outcome.sites_rejoined, outcome.rounds, outcome.max_completion,
     );
+    let balanced = outcome.fully_accounted();
     if let Some(p) = json_out {
-        // Alongside the raw outcome, emit a `metrics` block in the same
-        // schema the daemon's `query metrics` frame uses — including the
-        // reshard counters (always zero for an offline engine replay) —
-        // so one consumer parses both.
-        let round_nanos_hist = {
-            let h = gridsec_obs::Histogram::new();
-            for &n in &outcome.round_nanos {
-                h.record(n);
-            }
-            h.snapshot()
-        };
-        let metrics = gridsec_serve::ServeMetrics {
-            jobs_submitted: outcome.jobs_submitted,
-            jobs_scheduled: outcome.jobs_scheduled,
-            pending: outcome.pending,
-            rounds: outcome.rounds,
-            batch_sizes: Vec::new(),
-            round_nanos: outcome.round_nanos.clone(),
-            round_nanos_hist,
-            batch_size_hist: gridsec_obs::HistogramSnapshot::default(),
-            scheduler_seconds: outcome.round_nanos.iter().sum::<u64>() as f64 / 1e9,
-            virtual_now: outcome.max_completion,
-            max_completion: outcome.max_completion,
-            sites_failed: outcome.sites_failed,
-            sites_rejoined: outcome.sites_rejoined,
-            jobs_requeued: outcome.jobs_requeued,
-            busy_rejections: 0,
-            reshards_completed: 0,
-            jobs_migrated: 0,
-        };
+        // `metrics` is the replaying session's own snapshot — the frame a
+        // daemon fed the same stream answers `query metrics` with — so one
+        // consumer parses both.
         #[derive(serde::Serialize)]
         struct ChaosReport {
-            outcome: gridsec_sim::ScenarioOutcome,
+            outcome: gridsec_serve::ScenarioOutcome,
             metrics: gridsec_serve::ServeMetrics,
         }
-        let doc = ChaosReport {
-            outcome: outcome.clone(),
-            metrics,
-        };
+        let doc = ChaosReport { outcome, metrics };
         match serde_json::to_string_pretty(&doc) {
             Ok(s) => {
                 if let Err(e) = std::fs::write(&p, s) {
@@ -549,7 +520,7 @@ fn cmd_chaos(args: &[String]) -> i32 {
             }
         }
     }
-    if outcome.fully_accounted() {
+    if balanced {
         println!("  ledger: balanced (every job scheduled, pending, or typed-rejected)");
         0
     } else {

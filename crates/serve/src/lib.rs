@@ -13,6 +13,12 @@
 //!   discrete-event engine) plus the engine's exact batch-boundary
 //!   semantics on a virtual clock, keeping the scheduler — GA population
 //!   pool, STGA history table, scratch buffers — alive across rounds.
+//! * [`replay`] — [`ScenarioRunner`]: a compiled chaos
+//!   [`InjectionStream`](gridsec_sim::InjectionStream) fed to one
+//!   session, injection by injection (`gridsec chaos`, `loadgen
+//!   --scenario`'s in-process side). The `replay_referee` suite holds it
+//!   to the stand-alone runner it replaced (`tests/referee/`), the
+//!   `chaos_equivalence` suite holds the daemon to the same referee.
 //! * [`shard`] — multi-tenant sharding: one session + scheduling thread
 //!   per site-disjoint grid shard
 //!   ([`ShardPlan`](gridsec_sim::ShardPlan)), with bounded-queue
@@ -82,6 +88,7 @@ mod conn;
 pub mod daemon;
 mod exposition;
 pub mod protocol;
+pub mod replay;
 pub mod reshard;
 pub mod session;
 pub mod shard;
@@ -92,6 +99,7 @@ pub use protocol::{
     Placed, QueryWhat, Request, Response, ServeMetrics, ShardInfo, ShardTelemetry, TelemetryReport,
     TenantWait, MAX_LINE_BYTES, METRICS_WINDOW,
 };
+pub use replay::{ScenarioOutcome, ScenarioRunner};
 pub use reshard::{
     stateless_factory, transfer, AutoscaleConfig, AutoscalePolicy, ReshardTransfer, SessionFactory,
     ShardBuildContext, ShardObservation, ShardSeed, ShardStateExport,

@@ -54,7 +54,6 @@
 
 use gridsec_core::{Job, JobId, SiteId, Time};
 use gridsec_obs::{HistogramSnapshot, RecorderStatus, TraceEvent};
-use gridsec_sim::CommittedAssignment;
 use serde::{Deserialize, Serialize};
 
 /// Default cap on one frame line (bytes, newline included). Oversized
@@ -157,32 +156,9 @@ pub enum QueryWhat {
     Telemetry,
 }
 
-/// One committed assignment on the wire.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct Placed {
-    /// The job placed.
-    pub job: JobId,
-    /// The site it runs on.
-    pub site: SiteId,
-    /// Nodes occupied.
-    pub width: u32,
-    /// Execution start (virtual seconds).
-    pub start: Time,
-    /// Execution end.
-    pub end: Time,
-}
-
-impl From<CommittedAssignment> for Placed {
-    fn from(c: CommittedAssignment) -> Placed {
-        Placed {
-            job: c.job,
-            site: c.site,
-            width: c.width,
-            start: c.start,
-            end: c.end,
-        }
-    }
-}
+/// One committed assignment on the wire: the engine's own commit record
+/// (`job`, `site`, `width`, `start`, `end`), serialised as it stands.
+pub use gridsec_sim::CommittedAssignment as Placed;
 
 /// Aggregate serving metrics (cheap to compute, safe to poll).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]

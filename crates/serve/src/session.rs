@@ -23,6 +23,11 @@
 //! Wall-clock serving (the daemon's real-time mode) reuses the same
 //! machinery: the daemon stamps arrivals from its monotonic clock and
 //! calls [`OnlineSession::tick`] when boundary deadlines pass.
+//!
+//! This is the only batch-boundary state machine in the shipped crates:
+//! a daemon shard is a session behind a queue, and a scenario replay
+//! ([`ScenarioRunner`](crate::ScenarioRunner)) is a session fed from a
+//! compiled stream.
 
 use crate::protocol::{Placed, ServeMetrics, ShardTelemetry, TenantWait, METRICS_WINDOW};
 use gridsec_core::{Error, Grid, Job, JobId, Result, Site, SiteId, Time};
@@ -104,14 +109,13 @@ impl SessionState {
 pub struct OnlineSession {
     rounds: RoundDriver,
     scheduler: Box<dyn BatchScheduler + Send>,
-    /// The batch-boundary state machine, shared verbatim with the chaos
-    /// scenario engine (`gridsec_sim::ScenarioRunner`) so both replay
-    /// identical semantics.
+    /// The virtual `now`, the queued boundaries and the one armed
+    /// periodic boundary.
     clock: BoundaryClock,
     committed: Vec<Placed>,
     /// Commits currently standing per job: a job counts as scheduled
     /// while it has at least one commit that was not voided by a site
-    /// failure (mirrors the scenario runner's live map).
+    /// failure.
     live: HashMap<JobId, u32>,
     known_jobs: HashSet<JobId>,
     jobs_submitted: usize,
@@ -264,6 +268,12 @@ impl OnlineSession {
         max_pending: Option<usize>,
         tenant: Option<&str>,
     ) -> Result<Admission> {
+        if !job.arrival.is_finite() {
+            return Err(Error::invalid(
+                "submit",
+                format!("job {} has a non-finite arrival time", job.id),
+            ));
+        }
         if job.arrival < self.clock.now() {
             return Err(Error::invalid(
                 "submit",
@@ -361,9 +371,7 @@ impl OnlineSession {
 
     /// Like [`OnlineSession::set_security_levels`], but applied at a
     /// virtual instant: boundaries strictly before `at` fire first, then
-    /// the clock advances — exactly the scenario runner's `SetTrust`
-    /// ordering, so a timestamped reconfigure replays bit-identically
-    /// through daemon and engine.
+    /// the clock advances, then the levels change.
     pub fn set_security_levels_at(&mut self, levels: &[f64], at: Option<Time>) -> Result<()> {
         self.advance_for_injection("reconfigure", at)?;
         if levels.len() != self.rounds.grid().len() {
@@ -577,11 +585,14 @@ impl OnlineSession {
     }
 
     /// Shared prologue of every timestamped chaos injection: validate
-    /// the instant against the (monotone) clock, fire boundaries
-    /// strictly before it, advance — the scenario runner's `apply`
-    /// ordering, verbatim. `None` applies at the current instant.
+    /// the instant (finite, not behind the monotone clock), fire
+    /// boundaries strictly before it, advance. `None` applies at the
+    /// current instant.
     fn advance_for_injection(&mut self, what: &'static str, at: Option<Time>) -> Result<()> {
         let t = at.unwrap_or_else(|| self.clock.now());
+        if !t.is_finite() {
+            return Err(Error::invalid(what, "non-finite injection instant"));
+        }
         if t < self.clock.now() {
             return Err(Error::invalid(
                 what,
@@ -619,7 +630,7 @@ impl OnlineSession {
             let job = *by_id
                 .get(&a.job)
                 .expect("validated schedule covers only batch jobs");
-            let placed: Placed = self.rounds.commit_assignment(job, a.site, b).into();
+            let placed = self.rounds.commit_assignment(job, a.site, b);
             if let Some(t) = self.tenant_of.remove(&placed.job) {
                 // Queue wait = arrival → first placement, in virtual
                 // microseconds. Requeues after a site failure keep the
@@ -647,9 +658,8 @@ impl OnlineSession {
         }
     }
 
-    /// After churn mutated the queue or the usable-site set: mirror the
-    /// enqueue policy so requeued/deferred work is guaranteed a boundary
-    /// (the scenario runner's `after_churn`, verbatim).
+    /// After churn mutated the queue or the usable-site set: apply the
+    /// enqueue policy so requeued/deferred work is guaranteed a boundary.
     fn after_churn(&mut self) {
         if self.rounds.count_trigger_reached() {
             self.clock.note_trigger();
@@ -892,6 +902,34 @@ mod tests {
         assert!(s.fail_site(SiteId(0), Some(Time::new(5.0))).is_err());
         // A failure at the clock's current instant is fine.
         s.fail_site(SiteId(0), Some(Time::new(15.0))).unwrap();
+    }
+
+    #[test]
+    fn non_finite_instants_are_refused_and_the_clock_stays_finite() {
+        let mut s = session(BatchPolicy::Periodic);
+        s.submit(job(0, 5.0, 10.0)).unwrap();
+        let mut never = job(1, 6.0, 10.0);
+        never.arrival = Time::INFINITY;
+        let err = s.submit(never).unwrap_err().to_string();
+        assert!(err.contains("J1") && err.contains("non-finite"), "{err}");
+        assert_eq!(s.now(), Time::new(5.0));
+        assert_eq!(s.pending(), 1);
+        // The refused id was never consumed, and later finite traffic is
+        // admitted as if the frame had not been sent.
+        assert_eq!(
+            s.submit_bounded(job(1, 6.0, 10.0), Some(4)).unwrap(),
+            Admission::Enqueued
+        );
+        for at in [Time::INFINITY, Time::new(f64::NEG_INFINITY)] {
+            assert!(s.fail_site(SiteId(0), Some(at)).is_err());
+            assert!(s.rejoin_site(SiteId(0), Some(at)).is_err());
+            assert!(s.set_security_levels_at(&[0.5, 0.5], Some(at)).is_err());
+        }
+        assert!(s.is_online(SiteId(0)));
+        assert_eq!(s.now(), Time::new(6.0));
+        s.drain().unwrap();
+        assert_eq!(s.pending(), 0);
+        assert!(s.now().is_finite());
     }
 
     #[test]

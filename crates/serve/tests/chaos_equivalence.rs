@@ -1,6 +1,8 @@
 //! The chaos-equivalence suite: a compiled chaos scenario replays
-//! bit-identically through the discrete-event engine
-//! ([`ScenarioRunner`]) and the sharded daemon, over real TCP.
+//! bit-identically through the stand-alone engine runner
+//! ([`RefereeRunner`], `referee/mod.rs` — a `RoundDriver` and a
+//! `BoundaryClock` of its own, no session) and the sharded daemon, over
+//! real TCP.
 //!
 //! Three claims:
 //!
@@ -30,9 +32,12 @@ use gridsec_serve::{
 use gridsec_sim::scheduler::EarliestCompletion;
 use gridsec_sim::{
     ArrivalPhase, ArrivalProcess, BatchPolicy, BatchScheduler, FaultSpec, InjectionKind,
-    InjectionStream, Scenario, ScenarioRunner, ShardPlan, SimConfig, TrustSpec,
+    InjectionStream, Scenario, ShardPlan, SimConfig, TrustSpec,
 };
 use gridsec_stga::{GaParams, Stga, StgaParams};
+
+mod referee;
+use referee::RefereeRunner;
 
 fn grid() -> Grid {
     let nodes = [2u32, 4, 2, 4];
@@ -289,7 +294,7 @@ fn check_chaos_daemon_equals_engine(scheduler: &str, n_shards: usize) {
     for (k, daemon_schedule) in per_shard.iter().enumerate() {
         let slice = stream.slice_for_shard(&plan, &grid, k);
         let sub = plan.subgrid(&grid, k).unwrap();
-        let runner = ScenarioRunner::new(sub, build_scheduler(scheduler), &config).unwrap();
+        let runner = RefereeRunner::new(sub, build_scheduler(scheduler), &config).unwrap();
         let outcome = runner.run(&slice).expect("engine replay");
         assert!(
             outcome.fully_accounted(),
@@ -304,7 +309,7 @@ fn check_chaos_daemon_equals_engine(scheduler: &str, n_shards: usize) {
             .timeline
             .iter()
             .map(|&c| {
-                let mut p = Placed::from(c);
+                let mut p = c;
                 p.site = plan.to_global(k, p.site);
                 p
             })
@@ -338,6 +343,29 @@ fn check_chaos_daemon_equals_engine(scheduler: &str, n_shards: usize) {
         .count();
     assert_eq!(metrics.sites_failed, fails);
     assert_eq!(metrics.sites_rejoined, rejoins);
+}
+
+/// `scenarios/churn.json` is [`churn_scenario`] on [`grid`], spelled as a
+/// spec file — so what `replay_referee.rs` proves about the file holds
+/// for the stream this suite feeds the daemon.
+#[test]
+fn churn_scenario_is_the_checked_in_spec() {
+    #[derive(serde::Deserialize)]
+    struct Spec {
+        grid: gridsec_workloads::GridSpec,
+        scenario: Scenario,
+    }
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../scenarios/churn.json");
+    let spec: Spec = serde_json::from_str(&std::fs::read_to_string(path).unwrap()).unwrap();
+    let file_grid = spec.grid.build().unwrap();
+    assert_eq!(
+        spec.scenario.compile(&file_grid).unwrap(),
+        churn_scenario(grid().len()).compile(&grid()).unwrap()
+    );
+    assert_eq!(
+        file_grid.sites().collect::<Vec<_>>(),
+        grid().sites().collect::<Vec<_>>()
+    );
 }
 
 #[test]

@@ -185,6 +185,67 @@ fn semantic_errors_leave_the_session_usable() {
     shutdown(&mut client, daemon);
 }
 
+/// `Time` reads JSON `null` as +∞ (its "never" sentinel), so this frame
+/// is well typed. At 675e7e9 it was `accepted`, armed a boundary at +∞,
+/// moved the shard's virtual clock there and made every later submit
+/// fail with "clock is already at infs".
+#[test]
+fn a_null_arrival_is_a_typed_error_and_the_virtual_clock_stays_finite() {
+    let daemon = spawn_daemon(BatchPolicy::Periodic, DaemonOptions::default());
+    let mut client = Client::connect(daemon.addr()).unwrap();
+    let frame = |id: u64, arrival: &str| {
+        format!(
+            "{{\"type\":\"submit\",\"jobs\":[{{\"id\":{id},\"arrival\":{arrival},\
+             \"width\":1,\"work\":5.0,\"security_demand\":0.5}}]}}"
+        )
+    };
+    assert!(matches!(
+        client.send_line(&frame(1, "1.0")).unwrap(),
+        Response::Accepted { jobs: 1, .. }
+    ));
+    match client.send_line(&frame(2, "null")).unwrap() {
+        Response::Error { message } => assert!(message.contains("non-finite"), "{message}"),
+        other => panic!("expected error, got {other:?}"),
+    }
+    // An out-of-range literal reads as +∞ as well; a timestamped
+    // injection refuses it the same way and the site stays up.
+    match client
+        .send_line("{\"type\":\"fail_site\",\"site\":0,\"at\":1e999}")
+        .unwrap()
+    {
+        Response::Error { message } => assert!(message.contains("non-finite"), "{message}"),
+        other => panic!("expected error, got {other:?}"),
+    }
+    // The shard still serves, and the refused id was not consumed.
+    assert!(matches!(
+        client.send_line(&frame(2, "2.0")).unwrap(),
+        Response::Accepted {
+            jobs: 1,
+            pending: 2,
+            ..
+        }
+    ));
+    let metrics = |client: &mut Client| match client
+        .send(&Request::Query {
+            what: QueryWhat::Metrics,
+            shard: None,
+        })
+        .unwrap()
+    {
+        Response::Metrics { metrics } => metrics,
+        other => panic!("expected metrics, got {other:?}"),
+    };
+    assert_eq!(metrics(&mut client).virtual_now, Time::new(2.0));
+    match client.send(&Request::Drain).unwrap() {
+        Response::Drained { jobs_scheduled, .. } => assert_eq!(jobs_scheduled, 2),
+        other => panic!("drain failed: {other:?}"),
+    }
+    let m = metrics(&mut client);
+    assert_eq!(m.pending, 0);
+    assert!(m.virtual_now.is_finite());
+    shutdown(&mut client, daemon);
+}
+
 #[test]
 fn oversized_lines_are_rejected_without_desyncing_the_stream() {
     let daemon = spawn_daemon(

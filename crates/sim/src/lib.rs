@@ -48,7 +48,7 @@ pub use report::SimOutput;
 pub use round::{BoundaryClock, CommittedAssignment, RoundDriver, RoundOutcome};
 pub use scenario::{
     ArrivalPhase, ArrivalProcess, FaultSpec, Injection, InjectionKind, InjectionStream, Scenario,
-    ScenarioOutcome, ScenarioRunner, TrustSpec,
+    TrustSpec,
 };
 pub use scheduler::{BatchJob, BatchScheduler, GridView};
 pub use shard::{Routing, ShardPlan};

@@ -7,8 +7,9 @@
 //! * the discrete-event [`Simulator`](crate::Simulator), where rounds fire
 //!   at simulated batch boundaries and dispatch outcomes (including
 //!   failures) feed back into the availability model, and
-//! * the `gridsec-serve` daemon, where rounds fire on submitted traffic
-//!   and committed assignments are the served schedule.
+//! * `gridsec-serve`'s online session — every daemon shard and every
+//!   scenario replay — where rounds fire on submitted traffic and
+//!   committed assignments are the served schedule.
 //!
 //! Keeping the queue, the trigger logic and the validation in one place
 //! guarantees the daemon schedules exactly like the simulator for the same
@@ -22,18 +23,18 @@ use gridsec_core::{BatchSchedule, Error, Grid, Job, JobId, Result, SecurityModel
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 
-/// The batch-boundary clock shared by the serving session and the
-/// scenario runner: a virtual `now`, a queue of pending boundaries (which
-/// may hold stale duplicates, exactly like the engine's event queue), and
-/// the engine's `boundary_scheduled` mirror — at most one *armed*
-/// periodic boundary at a time.
+/// The batch-boundary clock of the serving session: a virtual `now`, a
+/// queue of pending boundaries (which may hold stale duplicates, exactly
+/// like the engine's event queue), and the engine's `boundary_scheduled`
+/// flag — at most one *armed* periodic boundary at a time.
 ///
-/// Both front ends drive the same sequence for every input event:
-/// pop-and-fire every due boundary strictly before the event instant,
-/// advance `now`, apply the event, then re-arm (or count-trigger). Keeping
-/// that state machine in one place is what makes the daemon and the
-/// scenario engine replay a chaos injection stream bit-identically — the
-/// chaos equivalence suite in `crates/serve` pins it.
+/// The clock is the state; the sequence that drives it for every input
+/// event — pop-and-fire every due boundary strictly before the event
+/// instant, advance `now`, apply the event, then re-arm (or
+/// count-trigger) — is `gridsec_serve::OnlineSession`'s, the one place
+/// in the shipped crates that calls the `pop_*` / `note_trigger` /
+/// `ensure_armed` methods. Scenario replays, `gridsec chaos` and the
+/// daemon's shards all go through it.
 #[derive(Debug, Clone)]
 pub struct BoundaryClock {
     interval: Time,
@@ -156,9 +157,9 @@ pub struct RoundOutcome {
     pub scheduler_nanos: u128,
 }
 
-/// One assignment as committed against the availability model — the
-/// daemon's unit of served schedule (mirrors the simulator's dispatch
-/// arithmetic exactly).
+/// One assignment as committed against the availability model, by the
+/// simulator's dispatch arithmetic — the unit of served schedule, and as
+/// `gridsec_serve::Placed` the record that travels on the wire.
 #[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct CommittedAssignment {
     /// The job placed.
@@ -369,8 +370,8 @@ impl RoundDriver {
     /// ids in original commit order.
     ///
     /// Requeued jobs re-enter the pending queue as ordinary
-    /// (non-`secure_only`) batch jobs; the commit-tracking front ends
-    /// (daemon, scenario runner) only submit such jobs. Callers that own
+    /// (non-`secure_only`) batch jobs; the commit-tracking front end
+    /// (the serving session) only submits such jobs. Callers that own
     /// a scheduler should follow with
     /// [`BatchScheduler::on_reconfigure`]
     /// — the usable-site set changed under any compiled snapshot.

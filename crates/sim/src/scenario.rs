@@ -5,35 +5,23 @@
 //! (explicit outages and seeded fault storms), and trust re-ratings
 //! (explicit re-rates and jittered storms). [`Scenario::compile`] samples
 //! it into an [`InjectionStream`]: a deterministic, totally ordered list
-//! of timestamped injections that can be replayed
+//! of timestamped injections. Same spec + same seed ⇒ the same stream,
+//! bit for bit, at every thread count.
 //!
-//! * through the engine, via [`ScenarioRunner`] (a [`RoundDriver`] plus
-//!   the shared [`BoundaryClock`]), and
-//! * through the `gridsec-serve` daemon, where the same injections travel
-//!   as NDJSON frames (`submit`, `fail_site`, `rejoin_site`,
-//!   `reconfigure`).
-//!
-//! Same spec + same seed ⇒ the same stream, bit for bit, at every thread
-//! count — and because both front ends drive the identical round/boundary
-//! state machine, the committed timelines agree bit for bit too (the
-//! chaos equivalence suite in `crates/serve` pins engine ≡ daemon under
-//! churn).
-//!
-//! Graceful degradation is part of the contract: jobs stranded on a site
-//! that fails mid-execution are requeued (never lost), jobs fitting no
-//! online site stay pending until a wide-enough site rejoins, and
-//! [`ScenarioOutcome::fully_accounted`] checks the books — every
-//! generated job is scheduled, still pending, or typed-rejected.
+//! This module ends at the stream. Replaying one is `gridsec-serve`'s
+//! job: its scenario runner feeds the injections to an online session
+//! in process, and its daemon takes the same injections as NDJSON frames
+//! (`submit`, `fail_site`, `rejoin_site`, `reconfigure`), one shard's
+//! share of them being [`InjectionStream::slice_for_shard`]. There, jobs
+//! stranded on a site that fails mid-execution are requeued (never
+//! lost) and jobs fitting no online site stay pending until a
+//! wide-enough site rejoins.
 
-use crate::config::SimConfig;
-use crate::round::{BoundaryClock, CommittedAssignment, RoundDriver};
-use crate::scheduler::{BatchJob, BatchScheduler};
 use crate::shard::ShardPlan;
 use gridsec_core::rng::{stream, Stream};
-use gridsec_core::{Error, Grid, Job, JobId, Result, Site, SiteId, Time};
+use gridsec_core::{Error, Grid, Job, Result, SiteId, Time};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// How one arrival phase spaces its jobs.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -201,7 +189,7 @@ pub struct Injection {
     pub kind: InjectionKind,
 }
 
-/// The injection alphabet shared by the engine and the daemon.
+/// The injection alphabet: what a compiled stream can ask of a session.
 #[derive(Debug, Clone, PartialEq)]
 pub enum InjectionKind {
     /// A job arrives (its `arrival` equals the injection instant).
@@ -216,8 +204,7 @@ pub enum InjectionKind {
 
 impl InjectionKind {
     /// Tie-break rank at equal timestamps: trust before rejoin before
-    /// fail before arrival — a fixed, documented order both replay paths
-    /// share.
+    /// fail before arrival — fixed, so a stream has one replay order.
     fn rank(&self) -> u8 {
         match self {
             InjectionKind::SetTrust(_) => 0,
@@ -702,273 +689,10 @@ impl Scenario {
     }
 }
 
-/// What a scenario replay produced, with the books balanced.
-#[derive(Debug, Clone, PartialEq, Serialize)]
-pub struct ScenarioOutcome {
-    /// Every committed assignment in commit order — the timeline the
-    /// determinism and equivalence suites compare bit for bit. Stranded
-    /// commits stay in the log; their jobs re-appear later with a fresh
-    /// commit.
-    pub timeline: Vec<CommittedAssignment>,
-    /// Arrivals in the stream (accepted + typed-rejected).
-    pub jobs_generated: usize,
-    /// Arrivals accepted into the queue.
-    pub jobs_submitted: usize,
-    /// Jobs with at least one live (non-stranded) commit.
-    pub jobs_scheduled: usize,
-    /// Stranded commits requeued by site failures.
-    pub jobs_requeued: usize,
-    /// Jobs still pending at the end (e.g. their only wide-enough site
-    /// never rejoined).
-    pub pending: usize,
-    /// Non-empty scheduling rounds run.
-    pub rounds: usize,
-    /// Site failures applied.
-    pub sites_failed: usize,
-    /// Site rejoins applied.
-    pub sites_rejoined: usize,
-    /// Jobs rejected with a typed no-feasible-site error.
-    pub rejected: Vec<JobId>,
-    /// Per-round scheduler nanoseconds (latency distribution).
-    pub round_nanos: Vec<u64>,
-    /// Latest committed completion instant.
-    pub max_completion: Time,
-}
-
-impl ScenarioOutcome {
-    /// The zero-lost-jobs ledger: every generated job is scheduled (with
-    /// a live commit), still pending, or typed-rejected.
-    pub fn fully_accounted(&self) -> bool {
-        self.jobs_generated == self.jobs_scheduled + self.pending + self.rejected.len()
-            && self.jobs_submitted == self.jobs_scheduled + self.pending
-    }
-}
-
-/// Replays an [`InjectionStream`] through the engine: a [`RoundDriver`]
-/// driven by the shared [`BoundaryClock`], applying exactly the
-/// daemon-session semantics for every injection (fire due boundaries
-/// strictly before the instant, apply, re-arm or count-trigger).
-pub struct ScenarioRunner {
-    rounds: RoundDriver,
-    scheduler: Box<dyn BatchScheduler + Send>,
-    clock: BoundaryClock,
-    timeline: Vec<CommittedAssignment>,
-    /// Live commit counts per job (decremented when a commit is
-    /// stranded; a job leaves the map at zero).
-    live: HashMap<JobId, u32>,
-    jobs_generated: usize,
-    jobs_submitted: usize,
-    jobs_requeued: usize,
-    sites_failed: usize,
-    sites_rejoined: usize,
-    rejected: Vec<JobId>,
-    round_nanos: Vec<u64>,
-    max_completion: Time,
-}
-
-impl ScenarioRunner {
-    /// A fresh runner. Only the batching/security subset of `config` is
-    /// used, exactly as in the serving session.
-    pub fn new(
-        grid: Grid,
-        scheduler: Box<dyn BatchScheduler + Send>,
-        config: &SimConfig,
-    ) -> Result<ScenarioRunner> {
-        config.validate()?;
-        Ok(ScenarioRunner {
-            rounds: RoundDriver::new(
-                grid,
-                config.batch_policy,
-                config.security,
-                config.max_replicas,
-            ),
-            scheduler,
-            clock: BoundaryClock::new(config.schedule_interval),
-            timeline: Vec::new(),
-            live: HashMap::new(),
-            jobs_generated: 0,
-            jobs_submitted: 0,
-            jobs_requeued: 0,
-            sites_failed: 0,
-            sites_rejoined: 0,
-            rejected: Vec::new(),
-            round_nanos: Vec::new(),
-            max_completion: Time::ZERO,
-        })
-    }
-
-    /// Applies one injection.
-    pub fn apply(&mut self, inj: &Injection) -> Result<()> {
-        if inj.at < self.clock.now() {
-            return Err(Error::invalid(
-                "scenario",
-                format!(
-                    "injection at {} but the clock is already at {}",
-                    inj.at,
-                    self.clock.now()
-                ),
-            ));
-        }
-        match &inj.kind {
-            InjectionKind::Arrive(job) => {
-                self.jobs_generated += 1;
-                if !self.rounds.grid().sites().any(|s| s.fits_width(job.width)) {
-                    self.rejected.push(job.id);
-                    return Ok(());
-                }
-                self.advance_strictly_before(inj.at)?;
-                self.clock.advance_to(inj.at);
-                self.jobs_submitted += 1;
-                self.rounds.enqueue(BatchJob {
-                    job: job.clone(),
-                    secure_only: false,
-                });
-                if self.rounds.count_trigger_reached() {
-                    self.clock.note_trigger();
-                } else {
-                    self.clock.ensure_armed();
-                }
-            }
-            InjectionKind::SiteFail(site) => {
-                self.advance_strictly_before(inj.at)?;
-                self.clock.advance_to(inj.at);
-                let stranded = self.rounds.fail_site(*site, inj.at)?;
-                for id in &stranded {
-                    if let Some(n) = self.live.get_mut(id) {
-                        *n -= 1;
-                        if *n == 0 {
-                            self.live.remove(id);
-                        }
-                    }
-                }
-                self.jobs_requeued += stranded.len();
-                self.sites_failed += 1;
-                self.scheduler.on_reconfigure();
-                self.after_churn();
-            }
-            InjectionKind::SiteRejoin(site) => {
-                self.advance_strictly_before(inj.at)?;
-                self.clock.advance_to(inj.at);
-                self.rounds.rejoin_site(*site, inj.at)?;
-                self.sites_rejoined += 1;
-                self.scheduler.on_reconfigure();
-                self.after_churn();
-            }
-            InjectionKind::SetTrust(levels) => {
-                self.advance_strictly_before(inj.at)?;
-                self.clock.advance_to(inj.at);
-                self.set_trust(levels)?;
-            }
-        }
-        Ok(())
-    }
-
-    /// Replays the whole stream and settles the queue.
-    pub fn run(mut self, stream: &InjectionStream) -> Result<ScenarioOutcome> {
-        for inj in &stream.events {
-            self.apply(inj)?;
-        }
-        self.finish()
-    }
-
-    /// Fires every queued boundary and closes the books. Jobs that fit
-    /// no online site remain pending (accounted, not lost).
-    pub fn finish(mut self) -> Result<ScenarioOutcome> {
-        while let Some(b) = self.clock.pop_any() {
-            self.fire(b)?;
-        }
-        if self.rounds.pending_len() > 0 {
-            let at = self.clock.next_periodic_instant();
-            self.fire(at)?;
-        }
-        Ok(ScenarioOutcome {
-            timeline: self.timeline,
-            jobs_generated: self.jobs_generated,
-            jobs_submitted: self.jobs_submitted,
-            jobs_scheduled: self.live.len(),
-            jobs_requeued: self.jobs_requeued,
-            pending: self.rounds.pending_len(),
-            rounds: self.rounds.n_rounds(),
-            sites_failed: self.sites_failed,
-            sites_rejoined: self.sites_rejoined,
-            rejected: self.rejected,
-            round_nanos: self.round_nanos,
-            max_completion: self.max_completion,
-        })
-    }
-
-    /// The session's trust reconfiguration, verbatim.
-    fn set_trust(&mut self, levels: &[f64]) -> Result<()> {
-        if levels.len() != self.rounds.grid().len() {
-            return Err(Error::invalid(
-                "reconfigure",
-                format!(
-                    "{} security levels for {} sites",
-                    levels.len(),
-                    self.rounds.grid().len()
-                ),
-            ));
-        }
-        let mut sites: Vec<Site> = Vec::with_capacity(levels.len());
-        for (site, &sl) in self.rounds.grid().sites().zip(levels) {
-            if !(0.0..=1.0).contains(&sl) {
-                return Err(Error::invalid(
-                    "reconfigure",
-                    format!("security level {sl} for site {} not in [0, 1]", site.id),
-                ));
-            }
-            let mut s = site.clone();
-            s.security_level = sl;
-            sites.push(s);
-        }
-        self.rounds.set_grid(Grid::new(sites)?)?;
-        self.scheduler.on_reconfigure();
-        Ok(())
-    }
-
-    /// After churn mutated the queue or the usable-site set: mirror the
-    /// enqueue policy so requeued/deferred work is guaranteed a boundary.
-    fn after_churn(&mut self) {
-        if self.rounds.count_trigger_reached() {
-            self.clock.note_trigger();
-        } else if self.rounds.pending_len() > 0 {
-            self.clock.ensure_armed();
-        }
-    }
-
-    fn advance_strictly_before(&mut self, t: Time) -> Result<()> {
-        while let Some(b) = self.clock.pop_strictly_before(t) {
-            self.fire(b)?;
-        }
-        Ok(())
-    }
-
-    fn fire(&mut self, b: Time) -> Result<()> {
-        self.clock.fired(b);
-        let Some(outcome) = self.rounds.run_round(self.scheduler.as_mut(), b)? else {
-            return Ok(());
-        };
-        self.round_nanos.push(outcome.scheduler_nanos as u64);
-        let by_id: HashMap<JobId, &Job> =
-            outcome.batch.iter().map(|x| (x.job.id, &x.job)).collect();
-        for a in &outcome.schedule.assignments {
-            let job = *by_id
-                .get(&a.job)
-                .expect("validated schedule covers only batch jobs");
-            let c = self.rounds.commit_assignment(job, a.site, b);
-            self.max_completion = self.max_completion.max(c.end);
-            *self.live.entry(c.job).or_insert(0) += 1;
-            self.timeline.push(c);
-        }
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::BatchPolicy;
-    use crate::scheduler::EarliestCompletion;
+    use gridsec_core::Site;
 
     fn grid(nodes: &[u32]) -> Grid {
         Grid::new(
@@ -1001,12 +725,6 @@ mod tests {
             sd_min: 0.6,
             sd_max: 0.9,
         }
-    }
-
-    fn config() -> SimConfig {
-        SimConfig::default()
-            .with_interval(Time::new(10.0))
-            .with_batch_policy(BatchPolicy::Periodic)
     }
 
     #[test]
@@ -1121,121 +839,6 @@ mod tests {
             }
         }
         assert!(n > 1);
-    }
-
-    #[test]
-    fn runner_accounts_for_every_job_under_churn() {
-        let g = grid(&[2, 4]);
-        let sc = Scenario {
-            seed: 11,
-            arrivals: vec![poisson_phase(0.5, 0.0, 200.0)],
-            faults: vec![
-                FaultSpec::SiteDown {
-                    site: 1,
-                    at: 30.0,
-                    until: Some(90.0),
-                },
-                FaultSpec::SiteDown {
-                    site: 0,
-                    at: 120.0,
-                    until: Some(150.0),
-                },
-            ],
-            trust: vec![TrustSpec::ReRate {
-                at: 60.0,
-                levels: vec![0.4, 0.8],
-            }],
-            max_jobs: Some(100),
-        };
-        let stream = sc.compile(&g).unwrap();
-        let out = ScenarioRunner::new(g, Box::new(EarliestCompletion), &config())
-            .unwrap()
-            .run(&stream)
-            .unwrap();
-        assert!(out.fully_accounted(), "{out:?}");
-        assert_eq!(out.sites_failed, 2);
-        assert_eq!(out.sites_rejoined, 2);
-        assert_eq!(out.jobs_generated, stream.n_jobs());
-        assert_eq!(out.pending, 0);
-        assert!(out.rounds > 0);
-    }
-
-    #[test]
-    fn stranded_jobs_are_requeued_and_rescheduled() {
-        // One long job lands on the fast site at the first boundary;
-        // that site then dies mid-execution.
-        let g = grid(&[2, 2]);
-        let sc = Scenario {
-            seed: 1,
-            arrivals: vec![ArrivalPhase {
-                tenant: "victim".into(),
-                start: 0.0,
-                end: 4.0,
-                process: ArrivalProcess::Poisson { rate: 0.5 },
-                width_min: 1,
-                width_max: 1,
-                work_min: 500.0,
-                work_max: 500.0,
-                sd_min: 0.6,
-                sd_max: 0.6,
-            }],
-            faults: vec![FaultSpec::SiteDown {
-                site: 1,
-                at: 20.0,
-                until: Some(40.0),
-            }],
-            trust: vec![],
-            max_jobs: Some(4),
-        };
-        let stream = sc.compile(&g).unwrap();
-        let n_jobs = stream.n_jobs();
-        assert!(n_jobs > 0);
-        let out = ScenarioRunner::new(g, Box::new(EarliestCompletion), &config())
-            .unwrap()
-            .run(&stream)
-            .unwrap();
-        assert!(out.jobs_requeued > 0, "{out:?}");
-        assert!(out.fully_accounted(), "{out:?}");
-        assert_eq!(out.jobs_scheduled, out.jobs_submitted);
-        // The timeline holds both the stranded commit and the re-commit.
-        assert!(out.timeline.len() > n_jobs - out.rejected.len());
-    }
-
-    #[test]
-    fn replay_is_bit_identical_for_the_same_seed() {
-        let g = grid(&[2, 4, 2]);
-        let sc = Scenario {
-            seed: 33,
-            arrivals: vec![poisson_phase(0.8, 0.0, 120.0)],
-            faults: vec![FaultSpec::FaultStorm {
-                start: 0.0,
-                end: 120.0,
-                rate: 0.05,
-                mttr: 15.0,
-                sites: None,
-            }],
-            trust: vec![TrustSpec::TrustStorm {
-                start: 0.0,
-                end: 120.0,
-                rate: 0.1,
-                jitter: 0.25,
-            }],
-            max_jobs: Some(150),
-        };
-        let run = || {
-            let stream = sc.compile(&g).unwrap();
-            ScenarioRunner::new(g.clone(), Box::new(EarliestCompletion), &config())
-                .unwrap()
-                .run(&stream)
-                .unwrap()
-        };
-        let a = run();
-        let b = run();
-        assert_eq!(a.timeline, b.timeline);
-        // Everything but the wall-clock latency samples is reproducible.
-        assert_eq!(a.jobs_scheduled, b.jobs_scheduled);
-        assert_eq!(a.rejected, b.rejected);
-        assert_eq!(a.max_completion, b.max_completion);
     }
 
     #[test]

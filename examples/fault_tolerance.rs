@@ -6,7 +6,8 @@
 //! Run with: `cargo run --release --example fault_tolerance`
 
 use gridsec::prelude::*;
-use gridsec::sim::{ArrivalPhase, ArrivalProcess, FaultSpec, Replicated, Scenario, ScenarioRunner};
+use gridsec::serve::ScenarioRunner;
+use gridsec::sim::{ArrivalPhase, ArrivalProcess, FaultSpec, Replicated, Scenario};
 use gridsec::workloads::PsaConfig;
 
 fn main() {

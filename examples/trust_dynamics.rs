@@ -7,7 +7,8 @@
 
 use gridsec::core::trust::{trust_index, ReputationTracker};
 use gridsec::prelude::*;
-use gridsec::sim::{ArrivalPhase, ArrivalProcess, Scenario, ScenarioRunner, TrustSpec};
+use gridsec::serve::ScenarioRunner;
+use gridsec::sim::{ArrivalPhase, ArrivalProcess, Scenario, TrustSpec};
 
 fn main() {
     // 1. Derive each site's SL from operational evidence instead of

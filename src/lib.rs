@@ -12,14 +12,16 @@
 //!
 //! * [`core`] ([`gridsec_core`]) — jobs, sites, grids, security model,
 //!   ETC matrices, schedules, metrics.
-//! * [`sim`] ([`gridsec_sim`]) — the on-line batch-scheduling simulator.
+//! * [`sim`] ([`gridsec_sim`]) — the on-line batch-scheduling simulator,
+//!   the round driver, and the chaos scenario spec and its compiler.
 //! * [`workloads`] ([`gridsec_workloads`]) — NAS/PSA generators, SWF I/O.
 //! * [`heuristics`] ([`gridsec_heuristics`]) — Min-Min, Sufferage and the
 //!   classical baselines, all risk-mode aware.
 //! * [`stga`] ([`gridsec_stga`]) — the GA engine, the history table and
 //!   the STGA scheduler.
 //! * [`serve`] ([`gridsec_serve`]) — the online scheduling daemon (NDJSON
-//!   wire protocol over TCP) and its session core.
+//!   wire protocol over TCP), its session core, and the scenario runner
+//!   that replays a compiled chaos stream through one session.
 //!
 //! ## Quickstart
 //!

@@ -223,7 +223,7 @@ fn churn_spec_compiles_to_the_same_stream_every_time() {
 
 #[test]
 fn churn_replay_is_bit_identical_across_thread_counts() {
-    use gridsec::sim::{ScenarioOutcome, ScenarioRunner};
+    use gridsec::serve::{ScenarioOutcome, ScenarioRunner};
     // The STGA's fitness evaluation is rayon-parallel, so this replays
     // the checked-in churn spec under dedicated 1-, 2- and 4-thread
     // pools. Everything but the wall-clock round latencies must be

@@ -289,7 +289,7 @@ proptest! {
     fn random_scenarios_replay_deterministically_and_lose_nothing(
         scenario in arb_scenario()
     ) {
-        use gridsec::sim::ScenarioRunner;
+        use gridsec::serve::ScenarioRunner;
         let grid = scenario_grid();
         // Compilation is a pure function of (spec, grid).
         let stream = scenario.compile(&grid).unwrap();
