@@ -1,6 +1,8 @@
-//! Minimal command-line handling shared by the figure binaries.
+//! `paper`'s command line: an artefact name, then flags.
 
-/// Options common to every experiment binary.
+use crate::artefacts::{NAMES, REPLICATED};
+
+/// The run configuration every artefact is a function of.
 #[derive(Debug, Clone)]
 pub struct BenchArgs {
     /// Scale workloads down for a fast smoke run.
@@ -30,17 +32,37 @@ impl Default for BenchArgs {
 }
 
 impl BenchArgs {
-    /// Parses `--quick`, `--seed <u64>`, `--json <path>`, `--threads <n>`
-    /// and `--reps <n>` from the process arguments, then applies
-    /// `--threads` to the global thread pool; unknown arguments abort
-    /// with a usage message.
-    pub fn parse() -> BenchArgs {
-        let out = Self::parse_from(std::env::args().skip(1));
-        out.apply_threads();
-        out
+    /// Parses the process arguments — `<artefact|all>` then the flags of
+    /// [`parse_from`](Self::parse_from) — and sizes the global thread pool
+    /// to `--threads`. An unknown artefact or flag, or `--reps` for a
+    /// single artefact that does not replicate, exits 2 with the usage.
+    pub fn parse() -> (String, BenchArgs) {
+        let mut argv = std::env::args().skip(1);
+        let which = match argv.next() {
+            None => usage("missing artefact name"),
+            Some(a) if a == "--help" || a == "-h" => usage(""),
+            Some(a) => a,
+        };
+        if which != "all" && !NAMES.contains(&which.as_str()) {
+            usage(&format!("unknown artefact `{which}`"));
+        }
+        let out = Self::parse_from(argv);
+        if out.reps != 1 && which != "all" && !REPLICATED.contains(&which.as_str()) {
+            usage(&format!(
+                "`{which}` has no replicated mode; --reps does not apply"
+            ));
+        }
+        if let Some(n) = out.threads {
+            rayon::ThreadPoolBuilder::new()
+                .num_threads(n)
+                .build_global()
+                .expect("no parallel work has run yet");
+        }
+        (which, out)
     }
 
-    /// Parses from an explicit argument iterator (testable).
+    /// Parses `--quick`, `--seed <u64>`, `--json <path>`, `--threads <n>`
+    /// and `--reps <n>`; unknown arguments exit 2 with the usage.
     pub fn parse_from<I: IntoIterator<Item = String>>(args: I) -> BenchArgs {
         let mut out = BenchArgs::default();
         let mut it = args.into_iter();
@@ -48,63 +70,30 @@ impl BenchArgs {
             match a.as_str() {
                 "--quick" => out.quick = true,
                 "--seed" => {
-                    let v = it.next().unwrap_or_else(|| usage("--seed needs a value"));
+                    let v = value(&mut it, "--seed");
                     out.seed = v.parse().unwrap_or_else(|_| usage("--seed must be a u64"));
                 }
-                "--json" => {
-                    out.json = Some(it.next().unwrap_or_else(|| usage("--json needs a path")));
-                }
-                "--threads" => {
-                    let v = it
-                        .next()
-                        .unwrap_or_else(|| usage("--threads needs a value"));
-                    let n: usize = v
-                        .parse()
-                        .unwrap_or_else(|_| usage("--threads must be a positive integer"));
-                    if n == 0 {
-                        usage("--threads must be a positive integer");
-                    }
-                    out.threads = Some(n);
-                }
-                "--reps" => {
-                    let v = it.next().unwrap_or_else(|| usage("--reps needs a value"));
-                    let n: usize = v
-                        .parse()
-                        .unwrap_or_else(|_| usage("--reps must be a positive integer"));
-                    if n == 0 {
-                        usage("--reps must be a positive integer");
-                    }
-                    out.reps = n;
-                }
+                "--json" => out.json = Some(value(&mut it, "--json")),
+                "--threads" => out.threads = Some(positive(&mut it, "--threads")),
+                "--reps" => out.reps = positive(&mut it, "--reps"),
                 "--help" | "-h" => usage(""),
                 other => usage(&format!("unknown argument `{other}`")),
             }
         }
         out
     }
+}
 
-    /// For binaries that have no replicated mode: warns loudly when
-    /// `--reps` was passed, so a single-replication table is never
-    /// mistaken for a mean.
-    pub fn warn_unused_reps(&self, bin: &str) {
-        if self.reps > 1 {
-            eprintln!(
-                "warning: `{bin}` has no replicated mode; --reps {} ignored, \
-                 running a single replication",
-                self.reps
-            );
-        }
-    }
+/// The value following `flag`.
+fn value(it: &mut impl Iterator<Item = String>, flag: &str) -> String {
+    it.next()
+        .unwrap_or_else(|| usage(&format!("{flag} needs a value")))
+}
 
-    /// Sizes the global rayon pool to `--threads`, if given. Must run
-    /// before the first parallel section (`parse` calls it for you).
-    pub fn apply_threads(&self) {
-        if let Some(n) = self.threads {
-            rayon::ThreadPoolBuilder::new()
-                .num_threads(n)
-                .build_global()
-                .expect("--threads must be applied before any parallel work");
-        }
+fn positive(it: &mut impl Iterator<Item = String>, flag: &str) -> usize {
+    match value(it, flag).parse() {
+        Ok(n) if n > 0 => n,
+        _ => usage(&format!("{flag} must be a positive integer")),
     }
 }
 
@@ -113,12 +102,17 @@ fn usage(msg: &str) -> ! {
         eprintln!("error: {msg}");
     }
     eprintln!(
-        "usage: <bin> [--quick] [--seed <u64>] [--json <path>] [--threads <n>] [--reps <n>]\n\
+        "usage: paper <all|{}> [--quick] [--seed <u64>] [--json <path>]\n\
+         \x20            [--threads <n>] [--reps <n>]\n\
          \n\
+         --quick        scaled-down workloads (the configuration the claims ledger pins)\n\
+         --json <path>  write every record of the run as JSON\n\
          --threads <n>  worker threads for parallel sections\n\
          \x20              (default: RAYON_NUM_THREADS or all available cores)\n\
-         --reps <n>     independent replications per configuration, run in\n\
-         \x20              parallel and averaged (default: 1)"
+         --reps <n>     independent replications, run in parallel and averaged\n\
+         \x20              (default: 1; {} and all only)",
+        NAMES.join("|"),
+        REPLICATED.join(", ")
     );
     std::process::exit(if msg.is_empty() { 0 } else { 2 });
 }

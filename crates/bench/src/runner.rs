@@ -10,10 +10,11 @@ use gridsec_workloads::{NasConfig, NasWorkload, PsaConfig, PsaWorkload};
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
-/// The PSA batch period (Table 1 gives none; DESIGN.md §3: 1000 s ≈ 8
-/// jobs per batch at the 0.008/s arrival rate).
+/// The PSA batch period (Table 1 gives none: 1000 s ≈ 8 jobs per batch at
+/// the 0.008/s arrival rate; README, "Deviations from the paper").
 pub const PSA_INTERVAL: f64 = 1_000.0;
-/// The NAS batch period (DESIGN.md §3: hourly batches ≈ 15 jobs each).
+/// The NAS batch period (hourly batches ≈ 15 jobs each at paper scale;
+/// README, "Deviations from the paper").
 pub const NAS_INTERVAL: f64 = 3_600.0;
 
 /// Builds the PSA workload of Table 1 at the given size.
@@ -89,42 +90,60 @@ pub fn paper_schedulers(
     v
 }
 
-/// Runs one scheduler over one workload and prints its summary line.
+/// Runs one scheduler over one workload to completion.
 pub fn run_one(
     jobs: &[Job],
     grid: &Grid,
     scheduler: &mut dyn BatchScheduler,
     config: &SimConfig,
 ) -> SimOutput {
-    let out = simulate(jobs, grid, scheduler, config).expect("simulation must drain");
-    println!("{}", out.summary());
-    out
+    simulate(jobs, grid, scheduler, config).expect("simulation must drain")
 }
 
 /// Derives the seed list for `--reps` replications: replication 0 keeps
 /// the base seed (so a single-rep run is bit-identical to the plain run),
 /// later replications use independent subseeds.
 pub fn replication_seeds(base: u64, reps: usize) -> Vec<u64> {
-    (0..reps.max(1))
-        .map(|r| {
-            if r == 0 {
-                base
-            } else {
-                subseed(base, r as u64)
-            }
-        })
-        .collect()
+    let seed = |r| if r == 0 { base } else { subseed(base, r) };
+    (0..reps.max(1) as u64).map(seed).collect()
 }
 
-/// Fans one run per seed out over the thread pool. The output order
-/// matches `seeds` regardless of thread count, so replicated sweeps are as
-/// deterministic as their single-seed counterparts.
-pub fn replicate<T: Send>(seeds: &[u64], run: impl Fn(u64) -> T + Sync) -> Vec<T> {
+/// Fans one run per seed (or per `(size, seed)` pair) out over the thread
+/// pool. The output order matches `seeds` regardless of thread count, so
+/// replicated sweeps are as deterministic as their single-seed
+/// counterparts.
+pub fn replicate<S: Copy + Sync, T: Send>(seeds: &[S], run: impl Fn(S) -> T + Sync) -> Vec<T> {
     seeds.par_iter().map(|&s| run(s)).collect()
 }
 
+/// Table 2's `(α, β, rank)` per output, in input order: makespan and
+/// response-time ratios against the output named "STGA", ranked by α + β
+/// (smaller is better, ties to the earlier entry).
+pub fn table2_ranks(outs: &[&SimOutput]) -> Vec<(f64, f64, usize)> {
+    let stga = outs.iter().find(|o| o.scheduler_name == "STGA");
+    let stga = &stga.expect("roster includes the STGA").metrics;
+    let ratios = outs
+        .iter()
+        .map(|o| (o.metrics.alpha_vs(stga), o.metrics.beta_vs(stga)));
+    let ratios: Vec<(f64, f64)> = ratios.collect();
+    let key = |i: usize| ratios[i].0 + ratios[i].1;
+    let rank = |i: usize| {
+        let ahead = |&j: &usize| key(j) < key(i) || (key(j) == key(i) && j < i);
+        1 + (0..outs.len()).filter(ahead).count()
+    };
+    (0..outs.len())
+        .map(|i| (ratios[i].0, ratios[i].1, rank(i)))
+        .collect()
+}
+
+/// Fig. 9's idle sites: how many ran below 0.5 % utilisation.
+pub fn idle_sites(out: &SimOutput) -> usize {
+    let util = out.metrics.site_utilization.iter();
+    util.filter(|&&u| u < 0.5).count()
+}
+
 /// Mean metrics over a set of replicated runs, for the `--reps` tables.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct MetricMeans {
     /// Number of replications averaged.
     pub reps: usize,
@@ -143,61 +162,59 @@ pub struct MetricMeans {
 impl MetricMeans {
     /// Averages the metrics of `outputs` (which must be non-empty).
     pub fn of<'a>(outputs: impl IntoIterator<Item = &'a SimOutput>) -> MetricMeans {
-        let mut m = MetricMeans {
-            reps: 0,
-            makespan: 0.0,
-            n_fail: 0.0,
-            n_risk: 0.0,
-            slowdown: 0.0,
-            avg_response: 0.0,
+        let outs: Vec<&SimOutput> = outputs.into_iter().collect();
+        assert!(!outs.is_empty(), "cannot average zero replications");
+        let mean = |f: fn(&SimOutput) -> f64| {
+            outs.iter().fold(0.0, |sum, o| sum + f(o)) / outs.len() as f64
         };
-        for o in outputs {
-            m.reps += 1;
-            m.makespan += o.metrics.makespan.seconds();
-            m.n_fail += o.metrics.n_fail as f64;
-            m.n_risk += o.metrics.n_risk as f64;
-            m.slowdown += o.metrics.slowdown_ratio;
-            m.avg_response += o.metrics.avg_response;
+        MetricMeans {
+            reps: outs.len(),
+            makespan: mean(|o| o.metrics.makespan.seconds()),
+            n_fail: mean(|o| o.metrics.n_fail as f64),
+            n_risk: mean(|o| o.metrics.n_risk as f64),
+            slowdown: mean(|o| o.metrics.slowdown_ratio),
+            avg_response: mean(|o| o.metrics.avg_response),
         }
-        assert!(m.reps > 0, "cannot average zero replications");
-        let n = m.reps as f64;
-        m.makespan /= n;
-        m.n_fail /= n;
-        m.n_risk /= n;
-        m.slowdown /= n;
-        m.avg_response /= n;
-        m
     }
 }
 
-/// A named experiment result for the JSON dump.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct ExperimentRecord {
-    /// Experiment identifier ("fig8", "table2", …).
+/// What one run of an artefact produced.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(rename_all = "snake_case")]
+pub enum Outcome {
+    /// A full simulation.
+    Sim(SimOutput),
+    /// Best fitness per GA generation (index 0 = initial population).
+    Trajectory(Vec<f64>),
+}
+
+/// One named result of an artefact — the unit of `--json` dumps, of the
+/// claims ledger's predicates and of the tier-1 digests.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct Record {
+    /// Artefact identifier ("fig8", "table2", …).
     pub experiment: String,
-    /// Free-form parameter description (e.g. "N=1000 f=0.5").
+    /// Free-form parameter description (e.g. "f=0.5 minmin").
     pub params: String,
     /// The run output.
-    pub output: SimOutput,
+    pub output: Outcome,
 }
 
-impl ExperimentRecord {
-    /// Creates a record.
-    pub fn new(experiment: &str, params: impl Into<String>, output: SimOutput) -> Self {
-        ExperimentRecord {
-            experiment: experiment.to_string(),
-            params: params.into(),
-            output,
+impl Record {
+    /// The simulation behind this record, if it is one.
+    pub fn sim(&self) -> Option<&SimOutput> {
+        match &self.output {
+            Outcome::Sim(out) => Some(out),
+            Outcome::Trajectory(_) => None,
         }
     }
-}
 
-/// Writes records as pretty JSON if a path was requested.
-pub fn maybe_dump(path: &Option<String>, records: &[ExperimentRecord]) {
-    if let Some(p) = path {
-        let json = serde_json::to_string_pretty(records).expect("records serialise");
-        std::fs::write(p, json).expect("write JSON dump");
-        println!("[wrote {p}]");
+    /// The fitness trajectory behind this record, if it is one.
+    pub fn trajectory(&self) -> Option<&[f64]> {
+        match &self.output {
+            Outcome::Sim(_) => None,
+            Outcome::Trajectory(t) => Some(t),
+        }
     }
 }
 

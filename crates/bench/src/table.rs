@@ -1,4 +1,4 @@
-//! Plain-text table/row formatting for experiment output.
+//! Plain-text table formatting for experiment output.
 
 /// A simple fixed-width ASCII table builder.
 #[derive(Debug, Clone)]
@@ -59,36 +59,6 @@ impl AsciiTable {
         }
         out
     }
-
-    /// Prints the table to stdout.
-    pub fn print(&self) {
-        print!("{}", self.render());
-    }
-}
-
-/// Formats a number compactly (engineering style for big magnitudes).
-pub fn fmt_num(x: f64) -> String {
-    let a = x.abs();
-    if a >= 1e6 {
-        format!("{:.3}e6", x / 1e6)
-    } else if a >= 1e4 {
-        format!("{:.1}", x)
-    } else if a >= 1.0 {
-        format!("{:.2}", x)
-    } else {
-        format!("{:.4}", x)
-    }
-}
-
-/// Prints a section header.
-pub fn print_header(title: &str) {
-    println!("\n=== {title} ===");
-}
-
-/// One formatted row helper used by figure binaries.
-pub fn format_row(label: &str, values: &[f64]) -> String {
-    let cells: Vec<String> = values.iter().map(|&v| fmt_num(v)).collect();
-    format!("{label:<24} {}", cells.join("  "))
 }
 
 #[cfg(test)]
@@ -115,20 +85,5 @@ mod tests {
     fn arity_checked() {
         let mut t = AsciiTable::new(vec!["a", "b"]);
         t.row(vec!["only-one"]);
-    }
-
-    #[test]
-    fn fmt_num_ranges() {
-        assert_eq!(fmt_num(2_500_000.0), "2.500e6");
-        assert_eq!(fmt_num(12345.0), "12345.0");
-        assert_eq!(fmt_num(3.17159), "3.17");
-        assert_eq!(fmt_num(0.125), "0.1250");
-    }
-
-    #[test]
-    fn format_row_joins() {
-        let r = format_row("x", &[1.0, 2.0]);
-        assert!(r.starts_with('x'));
-        assert!(r.contains("1.00") && r.contains("2.00"));
     }
 }

@@ -27,7 +27,8 @@ pub enum WorkloadSpec {
     },
     /// The synthetic NAS iPSC/860 trace.
     Nas {
-        /// NAS generator configuration (defaults = Table 1 / DESIGN.md).
+        /// NAS generator configuration (defaults = Table 1 and README.md,
+        /// "Deviations from the paper").
         #[serde(default)]
         config: NasConfig,
     },

@@ -5,7 +5,8 @@
 //! * [`RiskMode`] implements the three operational modes of Fig. 3:
 //!   *secure*, *risky*, and *f-risky*.
 //! * [`FailureDetection`] decides **when** in a job's execution a sampled
-//!   failure manifests (the paper leaves this open; see DESIGN.md §3).
+//!   failure manifests (the paper leaves this open; README.md, "Deviations
+//!   from the paper").
 
 use crate::error::{Error, Result};
 use crate::site::Site;
@@ -19,9 +20,9 @@ use serde::{Deserialize, Serialize};
 /// ```
 ///
 /// The paper does not fix λ; the library default is
-/// [`SecurityModel::DEFAULT_LAMBDA`] (see DESIGN.md for the calibration
-/// argument). The model is intentionally pluggable — `SL`/`SD` may come from
-/// IDS output or fuzzy-trust indices; the scheduler only consumes
+/// [`SecurityModel::DEFAULT_LAMBDA`] (calibration: README.md, "Deviations
+/// from the paper"). The model is intentionally pluggable — `SL`/`SD` may
+/// come from IDS output or fuzzy-trust indices; the scheduler only consumes
 /// probabilities.
 ///
 /// ```
@@ -37,7 +38,7 @@ pub struct SecurityModel {
 
 impl SecurityModel {
     /// Default risk coefficient λ = 3.0 (spans P(fail) ∈ [0, 0.78) over the
-    /// paper's SD/SL distributions; see DESIGN.md §3).
+    /// paper's SD/SL distributions; README.md, "Deviations from the paper").
     pub const DEFAULT_LAMBDA: f64 = 3.0;
 
     /// Creates a model with risk coefficient `lambda > 0`.
@@ -168,7 +169,8 @@ impl RiskMode {
     }
 }
 
-/// When during execution a sampled failure manifests (see DESIGN.md §3).
+/// When during execution a sampled failure manifests (README.md,
+/// "Deviations from the paper").
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
 pub enum FailureDetection {
     /// The job consumes its full execution time, then is found corrupted.

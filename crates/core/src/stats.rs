@@ -1,4 +1,4 @@
-//! Small statistics toolkit used by reports, benches and EXPERIMENTS.md.
+//! Small statistics toolkit used by reports and the experiment harness.
 
 use serde::{Deserialize, Serialize};
 

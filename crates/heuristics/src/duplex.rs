@@ -11,22 +11,12 @@ use gridsec_sim::{BatchJob, BatchScheduler, GridView};
 #[derive(Debug, Clone)]
 pub struct Duplex {
     mode: RiskMode,
-    fallback: Fallback,
 }
 
 impl Duplex {
     /// Creates a Duplex scheduler operating under `mode`.
     pub fn new(mode: RiskMode) -> Self {
-        Duplex {
-            mode,
-            fallback: Fallback::default(),
-        }
-    }
-
-    /// Overrides the no-admissible-site fallback policy.
-    pub fn with_fallback(mut self, fallback: Fallback) -> Self {
-        self.fallback = fallback;
-        self
+        Duplex { mode }
     }
 
     /// The risk mode in force.
@@ -41,7 +31,7 @@ impl BatchScheduler for Duplex {
     }
 
     fn schedule(&mut self, batch: &[BatchJob], view: &GridView<'_>) -> BatchSchedule {
-        let ctx = MapCtx::build(batch, view, self.mode, self.fallback);
+        let ctx = MapCtx::build(batch, view, self.mode, Fallback::default());
         let mut a1 = view.avail_clone();
         let mm = map_min_min(&ctx, &mut a1);
         let mut a2 = view.avail_clone();

@@ -26,7 +26,6 @@ enum Rule {
 fn run_immediate(
     rule: Rule,
     mode: RiskMode,
-    fallback: Fallback,
     batch: &[BatchJob],
     view: &GridView<'_>,
 ) -> BatchSchedule {
@@ -34,7 +33,7 @@ fn run_immediate(
     let mut out = BatchSchedule::new();
     for bj in batch {
         let job = &bj.job;
-        let cands = candidate_sites(job, bj.secure_only, mode, view, fallback);
+        let cands = candidate_sites(job, bj.secure_only, mode, view, Fallback::default());
         let mut best: Option<(usize, Time, Time)> = None; // (site, key, ct)
         for &s in &cands {
             let site = view.grid.site(SiteId(s));
@@ -66,22 +65,12 @@ macro_rules! immediate_scheduler {
         #[derive(Debug, Clone)]
         pub struct $name {
             mode: RiskMode,
-            fallback: Fallback,
         }
 
         impl $name {
             /// Creates the scheduler operating under `mode`.
             pub fn new(mode: RiskMode) -> Self {
-                Self {
-                    mode,
-                    fallback: Fallback::default(),
-                }
-            }
-
-            /// Overrides the no-admissible-site fallback policy.
-            pub fn with_fallback(mut self, fallback: Fallback) -> Self {
-                self.fallback = fallback;
-                self
+                Self { mode }
             }
 
             /// The risk mode in force.
@@ -96,7 +85,7 @@ macro_rules! immediate_scheduler {
             }
 
             fn schedule(&mut self, batch: &[BatchJob], view: &GridView<'_>) -> BatchSchedule {
-                run_immediate($rule, self.mode, self.fallback, batch, view)
+                run_immediate($rule, self.mode, batch, view)
             }
         }
     };

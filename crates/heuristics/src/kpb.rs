@@ -15,7 +15,6 @@ use gridsec_sim::{BatchJob, BatchScheduler, GridView};
 #[derive(Debug, Clone)]
 pub struct Kpb {
     mode: RiskMode,
-    fallback: Fallback,
     /// Percentage of best-executing sites to consider, in `(0, 100]`.
     k_percent: f64,
 }
@@ -29,17 +28,7 @@ impl Kpb {
                 format!("must be in (0, 100], got {k_percent}"),
             ));
         }
-        Ok(Kpb {
-            mode,
-            fallback: Fallback::default(),
-            k_percent,
-        })
-    }
-
-    /// Overrides the no-admissible-site fallback policy.
-    pub fn with_fallback(mut self, fallback: Fallback) -> Self {
-        self.fallback = fallback;
-        self
+        Ok(Kpb { mode, k_percent })
     }
 
     /// The `k` parameter.
@@ -58,7 +47,8 @@ impl BatchScheduler for Kpb {
         let mut out = BatchSchedule::new();
         for bj in batch {
             let job = &bj.job;
-            let mut cands = candidate_sites(job, bj.secure_only, self.mode, view, self.fallback);
+            let mut cands =
+                candidate_sites(job, bj.secure_only, self.mode, view, Fallback::default());
             // Keep the ceil(k% × |cands|) sites with the smallest exec time.
             cands.sort_by(|&a, &b| {
                 let ea = job.work / view.grid.site(SiteId(a)).speed;

@@ -12,22 +12,12 @@ use gridsec_sim::{BatchJob, BatchScheduler, GridView};
 #[derive(Debug, Clone)]
 pub struct MaxMin {
     mode: RiskMode,
-    fallback: Fallback,
 }
 
 impl MaxMin {
     /// Creates a Max-Min scheduler operating under `mode`.
     pub fn new(mode: RiskMode) -> Self {
-        MaxMin {
-            mode,
-            fallback: Fallback::default(),
-        }
-    }
-
-    /// Overrides the no-admissible-site fallback policy.
-    pub fn with_fallback(mut self, fallback: Fallback) -> Self {
-        self.fallback = fallback;
-        self
+        MaxMin { mode }
     }
 
     /// The risk mode in force.
@@ -42,7 +32,7 @@ impl BatchScheduler for MaxMin {
     }
 
     fn schedule(&mut self, batch: &[BatchJob], view: &GridView<'_>) -> BatchSchedule {
-        let ctx = MapCtx::build(batch, view, self.mode, self.fallback);
+        let ctx = MapCtx::build(batch, view, self.mode, Fallback::default());
         let mut avail = view.avail_clone();
         let mapping = map_max_min(&ctx, &mut avail);
         BatchSchedule::from_pairs(

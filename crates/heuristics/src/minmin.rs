@@ -19,22 +19,12 @@ use gridsec_sim::{BatchJob, BatchScheduler, GridView};
 #[derive(Debug, Clone)]
 pub struct MinMin {
     mode: RiskMode,
-    fallback: Fallback,
 }
 
 impl MinMin {
     /// Creates a Min-Min scheduler operating under `mode`.
     pub fn new(mode: RiskMode) -> Self {
-        MinMin {
-            mode,
-            fallback: Fallback::default(),
-        }
-    }
-
-    /// Overrides the no-admissible-site fallback policy.
-    pub fn with_fallback(mut self, fallback: Fallback) -> Self {
-        self.fallback = fallback;
-        self
+        MinMin { mode }
     }
 
     /// The risk mode in force.
@@ -49,7 +39,7 @@ impl BatchScheduler for MinMin {
     }
 
     fn schedule(&mut self, batch: &[BatchJob], view: &GridView<'_>) -> BatchSchedule {
-        let ctx = MapCtx::build(batch, view, self.mode, self.fallback);
+        let ctx = MapCtx::build(batch, view, self.mode, Fallback::default());
         let mut avail = view.avail_clone();
         let mapping = map_min_min(&ctx, &mut avail);
         BatchSchedule::from_pairs(

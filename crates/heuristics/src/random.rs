@@ -13,7 +13,6 @@ use rand_chacha::ChaCha8Rng;
 #[derive(Debug, Clone)]
 pub struct RandomScheduler {
     mode: RiskMode,
-    fallback: Fallback,
     rng: ChaCha8Rng,
 }
 
@@ -22,15 +21,8 @@ impl RandomScheduler {
     pub fn new(mode: RiskMode, seed: u64) -> Self {
         RandomScheduler {
             mode,
-            fallback: Fallback::default(),
             rng: stream(seed, Stream::Custom(0x52414E44)),
         }
-    }
-
-    /// Overrides the no-admissible-site fallback policy.
-    pub fn with_fallback(mut self, fallback: Fallback) -> Self {
-        self.fallback = fallback;
-        self
     }
 }
 
@@ -42,7 +34,13 @@ impl BatchScheduler for RandomScheduler {
     fn schedule(&mut self, batch: &[BatchJob], view: &GridView<'_>) -> BatchSchedule {
         let mut out = BatchSchedule::new();
         for bj in batch {
-            let cands = candidate_sites(&bj.job, bj.secure_only, self.mode, view, self.fallback);
+            let cands = candidate_sites(
+                &bj.job,
+                bj.secure_only,
+                self.mode,
+                view,
+                Fallback::default(),
+            );
             let pick = cands[self.rng.gen_range(0..cands.len())];
             out.push(bj.job.id, SiteId(pick));
         }

@@ -11,22 +11,12 @@ use gridsec_sim::{BatchJob, BatchScheduler, GridView};
 #[derive(Debug, Clone)]
 pub struct Sufferage {
     mode: RiskMode,
-    fallback: Fallback,
 }
 
 impl Sufferage {
     /// Creates a Sufferage scheduler operating under `mode`.
     pub fn new(mode: RiskMode) -> Self {
-        Sufferage {
-            mode,
-            fallback: Fallback::default(),
-        }
-    }
-
-    /// Overrides the no-admissible-site fallback policy.
-    pub fn with_fallback(mut self, fallback: Fallback) -> Self {
-        self.fallback = fallback;
-        self
+        Sufferage { mode }
     }
 
     /// The risk mode in force.
@@ -41,7 +31,7 @@ impl BatchScheduler for Sufferage {
     }
 
     fn schedule(&mut self, batch: &[BatchJob], view: &GridView<'_>) -> BatchSchedule {
-        let ctx = MapCtx::build(batch, view, self.mode, self.fallback);
+        let ctx = MapCtx::build(batch, view, self.mode, Fallback::default());
         let mut avail = view.avail_clone();
         let mapping = map_sufferage(&ctx, &mut avail);
         BatchSchedule::from_pairs(

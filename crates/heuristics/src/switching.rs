@@ -18,7 +18,6 @@ use gridsec_sim::{BatchJob, BatchScheduler, GridView};
 #[derive(Debug, Clone)]
 pub struct Switching {
     mode: RiskMode,
-    fallback: Fallback,
     low: f64,
     high: f64,
     use_met: bool,
@@ -36,7 +35,6 @@ impl Switching {
         }
         Ok(Switching {
             mode,
-            fallback: Fallback::default(),
             low,
             high,
             use_met: false, // start balanced-pessimistic: MCT
@@ -79,7 +77,7 @@ impl BatchScheduler for Switching {
             } else if pi < self.low {
                 self.use_met = false;
             }
-            let cands = candidate_sites(job, bj.secure_only, self.mode, view, self.fallback);
+            let cands = candidate_sites(job, bj.secure_only, self.mode, view, Fallback::default());
             let mut best: Option<(usize, Time, Time)> = None; // (site, key, ct)
             for &s in &cands {
                 let site = view.grid.site(SiteId(s));

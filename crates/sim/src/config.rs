@@ -80,7 +80,8 @@ impl SlDynamics {
 /// Configuration of one simulation run.
 ///
 /// Defaults mirror the paper's Table 1 where the paper is explicit, and
-/// DESIGN.md §3 where it is not (λ, failure timing, batch period).
+/// README.md's "Deviations from the paper" where it is not (λ, failure
+/// timing, batch period).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SimConfig {
     /// Period of the batch-scheduling loop (Fig. 1). Jobs that arrived (or

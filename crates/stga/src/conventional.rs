@@ -17,7 +17,6 @@ use rand_chacha::ChaCha8Rng;
 pub struct StandardGa {
     params: GaParams,
     rng: ChaCha8Rng,
-    fallback: Fallback,
     fitness: FitnessKind,
     last_result: Option<GaResult>,
     /// Buffers reused across rounds (see [`GaPool`]).
@@ -36,7 +35,6 @@ impl StandardGa {
         Ok(StandardGa {
             params,
             rng,
-            fallback: Fallback::default(),
             fitness: FitnessKind::Makespan,
             last_result: None,
             pool: GaPool::new(),
@@ -71,7 +69,7 @@ impl BatchScheduler for StandardGa {
     }
 
     fn schedule(&mut self, batch: &[BatchJob], view: &GridView<'_>) -> BatchSchedule {
-        let ctx = MapCtx::build(batch, view, RiskMode::Risky, self.fallback);
+        let ctx = MapCtx::build(batch, view, RiskMode::Risky, Fallback::default());
         let risk_weights = match self.fitness {
             FitnessKind::Makespan => None,
             FitnessKind::ExpectedMakespan => {

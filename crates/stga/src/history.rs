@@ -22,7 +22,7 @@ use std::sync::Arc;
 /// identical; [`similarity`] (the default used by the table) divides the
 /// summed deviation by `k` (the mean absolute deviation), which keeps the
 /// 0.8 threshold meaningful at realistic batch sizes. Both are exposed;
-/// DESIGN.md §6 records the deviation.
+/// README.md, "Deviations from the paper", records the deviation.
 pub fn eq2_similarity(a: &[f64], b: &[f64]) -> f64 {
     pairwise_similarity(a, b, false)
 }

@@ -65,7 +65,6 @@ impl SaParams {
 pub struct SimulatedAnnealing {
     params: SaParams,
     rng: ChaCha8Rng,
-    fallback: Fallback,
 }
 
 impl SimulatedAnnealing {
@@ -75,7 +74,6 @@ impl SimulatedAnnealing {
         Ok(SimulatedAnnealing {
             rng: stream(params.seed, Stream::Custom(0x5A5A)),
             params,
-            fallback: Fallback::default(),
         })
     }
 
@@ -137,7 +135,7 @@ impl BatchScheduler for SimulatedAnnealing {
     }
 
     fn schedule(&mut self, batch: &[BatchJob], view: &GridView<'_>) -> BatchSchedule {
-        let ctx = MapCtx::build(batch, view, RiskMode::Risky, self.fallback);
+        let ctx = MapCtx::build(batch, view, RiskMode::Risky, Fallback::default());
         let (best, _) = self.anneal(&ctx, view.avail);
         BatchSchedule::from_pairs(
             batch

@@ -33,7 +33,6 @@ pub struct Stga {
     params: StgaParams,
     history: SharedHistory,
     rng: ChaCha8Rng,
-    fallback: Fallback,
     fitness: FitnessKind,
     last_result: Option<GaResult>,
     /// Population/fitness buffers reused across scheduling rounds — a
@@ -61,7 +60,6 @@ impl Stga {
             params,
             history,
             rng,
-            fallback: Fallback::default(),
             fitness: FitnessKind::Makespan,
             last_result: None,
             pool: GaPool::new(),
@@ -72,12 +70,6 @@ impl Stga {
     /// Overrides the fitness variant (ablations).
     pub fn with_fitness(mut self, kind: FitnessKind) -> Stga {
         self.fitness = kind;
-        self
-    }
-
-    /// Overrides the no-admissible-site fallback policy.
-    pub fn with_fallback(mut self, fallback: Fallback) -> Stga {
-        self.fallback = fallback;
         self
     }
 
@@ -131,7 +123,7 @@ impl Stga {
                 now: Time::ZERO,
                 model: gridsec_core::SecurityModel::default(),
             };
-            let ctx = MapCtx::build(&batch, &view, RiskMode::Risky, self.fallback);
+            let ctx = MapCtx::build(&batch, &view, RiskMode::Risky, Fallback::default());
             let sig = signature_of(&ctx, &avail, &batch);
             let mut a1 = avail.clone();
             let mm = mapping_to_chromosome(&map_min_min(&ctx, &mut a1), ctx.n_jobs());
@@ -194,7 +186,7 @@ impl BatchScheduler for Stga {
         // the engine's dispatch, which follows the emitted order) packs
         // wide jobs first — strictly better bin-packing on multi-node
         // sites than arrival order.
-        let ctx = MapCtx::build(batch, view, RiskMode::Risky, self.fallback).with_ffd_order();
+        let ctx = MapCtx::build(batch, view, RiskMode::Risky, Fallback::default()).with_ffd_order();
         let sig = signature_of(&ctx, view.avail, batch);
 
         let pop = self.params.ga.population;

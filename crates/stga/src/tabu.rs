@@ -55,7 +55,6 @@ impl TabuParams {
 pub struct TabuSearch {
     params: TabuParams,
     rng: ChaCha8Rng,
-    fallback: Fallback,
 }
 
 impl TabuSearch {
@@ -65,7 +64,6 @@ impl TabuSearch {
         Ok(TabuSearch {
             rng: stream(params.seed, Stream::Custom(0x7AB7)),
             params,
-            fallback: Fallback::default(),
         })
     }
 
@@ -141,7 +139,7 @@ impl BatchScheduler for TabuSearch {
     }
 
     fn schedule(&mut self, batch: &[BatchJob], view: &GridView<'_>) -> BatchSchedule {
-        let ctx = MapCtx::build(batch, view, RiskMode::Risky, self.fallback);
+        let ctx = MapCtx::build(batch, view, RiskMode::Risky, Fallback::default());
         let (best, _) = self.search(&ctx, view.avail);
         BatchSchedule::from_pairs(
             batch

@@ -13,7 +13,8 @@
 //!   weekly modulated arrivals over 92 days, time-squeezed ×2 to 46 days,
 //!   mapped to the paper's 12-site grid (4 × 16-node + 8 × 8-node).
 //!   The real trace is not redistributable here; [`swf`] loads the genuine
-//!   file when available (see DESIGN.md §3 for the substitution argument).
+//!   file when available (the substitution is listed in README.md,
+//!   "Deviations from the paper").
 //! * [`swf`] — Standard Workload Format parser/writer.
 //! * [`arrival`] — homogeneous and modulated Poisson arrival processes.
 //! * [`security`] — SD/SL assignment from the paper's uniform distributions.

@@ -25,7 +25,7 @@
 //! Jobs wider than `fold_width` (default 8, the smallest site size) are
 //! folded: width becomes `fold_width` and work is scaled by
 //! `original_width / fold_width`, preserving node-seconds, so every site
-//! can host every job (documented in DESIGN.md §3).
+//! can host every job (README.md, "Deviations from the paper").
 
 use crate::arrival::{DiurnalProfile, ModulatedPoisson};
 use crate::security::SecurityParams;
@@ -68,7 +68,7 @@ pub struct NasConfig {
     /// Default 8 — the smallest site size — so every site can host every
     /// job and the load spreads across the whole 12-site grid; folding to
     /// 16 instead would pin 75 % of the node-seconds to the four 16-node
-    /// sites (see DESIGN.md §3).
+    /// sites (README.md, "Deviations from the paper").
     pub fold_width: u32,
     /// SD/SL distributions.
     pub security: SecurityParams,
@@ -168,7 +168,7 @@ impl NasConfig {
             t = process.next_after(t, &mut wl_rng);
             let raw_width = sample_width(&mut wl_rng);
             let runtime = self.sample_runtime(raw_width, &mut wl_rng);
-            // Fold wide jobs, preserving node-seconds (DESIGN.md §3).
+            // Fold wide jobs, preserving node-seconds.
             let (width, work) = if raw_width > fold {
                 (fold, runtime * f64::from(raw_width) / f64::from(fold))
             } else {

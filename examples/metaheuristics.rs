@@ -98,7 +98,7 @@ fn main() {
     println!(
         "\nAll searches explore the same space; the paper's STGA makes the GA\n\
          *online-viable* by starting from history instead of from scratch\n\
-         (see `cargo run --release -p gridsec-bench --bin fig5`)."
+         (see `cargo run --release -p gridsec-bench --bin paper -- fig5`)."
     );
 }
 

@@ -23,6 +23,10 @@
 //!   wire protocol over TCP), its session core, and the scenario runner
 //!   that replays a compiled chaos stream through one session.
 //!
+//! Not re-exported: `gridsec-bench` (`crates/bench`), whose `paper` binary
+//! regenerates the paper's figures and tables and prints which of its
+//! claims this tree reproduces, and `gridsec-cli`.
+//!
 //! ## Quickstart
 //!
 //! ```
