@@ -12,9 +12,38 @@
 //!
 //! There is **one submit path**: a `submit` is routed where it is decoded,
 //! against the shared [`RoutingTable`] snapshot, and pushed onto the
-//! owning shard's lock-free bounded queue (with a `Poke` on the shard's
-//! control channel). Everything serialised — cross-shard queries,
-//! reshard, drain, shutdown, chaos injections — goes to the router thread.
+//! owning shard's [`SubmitQueue`]. Everything serialised — cross-shard
+//! queries, reshard, drain, shutdown, chaos injections — goes to the
+//! router thread.
+//!
+//! **A thread is woken once per pass of the thread that wakes it**, in
+//! both directions, and a pass is one trip round [`IoLoop::pass`] or one
+//! shard drain — there is no count, threshold or timer behind it.
+//!
+//! * *I/O → shard.* The queue's wake state is `idle`, `poked` or `dead`
+//!   (who writes which, and why no push can be left behind a sleeping
+//!   shard, is on [`SubmitQueue`]). The push that moves it `idle → poked`
+//!   notes the shard on its [`IoLoop`]; the notes become one
+//!   `ShardMsg::Poke` each at the end of the pass — after every ready
+//!   socket has been read, every parked submit retried and every ready
+//!   sink finished, and before the thread can block in `Poller::wait`. A
+//!   poke sent from inside the pass wakes the shard for the one frame
+//!   read so far (on one processor it preempts this thread to do so), and
+//!   the next frame pokes it again. Deferral costs a frame at most the
+//!   rest of a pass: the one it was read in, or the one — on another I/O
+//!   thread — that owes the poke it rides on.
+//! * *shard → I/O.* [`IoLoopHandle`] carries one `wake_pending` flag. A
+//!   [`ReplyHandle::send`] that lists its sink writes the waker byte only
+//!   if its `swap(true)` found the flag clear; [`IoLoop::process_ready`]
+//!   clears it *before* it takes the ready list. The same shape as the
+//!   queue's argument: every access is an acquire-release
+//!   read-modify-write, so they fall in one order and each synchronises
+//!   with the later ones. A pass whose clear comes after a send's swap
+//!   takes that send's sink — listed before the swap, taken after the
+//!   clear. And such a pass comes: the send either found the flag clear
+//!   and wrote the byte that ends the next `wait`, or found it set by an
+//!   earlier send with no clear between the two, whose byte is answered
+//!   by a clear that follows both.
 //!
 //! A submit that cannot be pushed right now is **parked on its
 //! connection** ([`ParkReason`]): the connection keeps that one frame,
@@ -35,16 +64,16 @@
 
 use crate::daemon::{derive_route, shard_down, shutting_down, DaemonOptions, IngestEvent, Reply};
 use crate::protocol::{parse_request, Line, LineDecoder, Request, Response};
-use crate::shard::ShardMsg;
-use crossbeam_queue::ArrayQueue;
+use crate::shard::{ShardMsg, SubmitQueue, Wake};
 use epoll::{Events, Interest, Poller, WakeReader, Waker};
 use gridsec_core::{Grid, Job};
+use gridsec_obs::{Histogram, HistogramSnapshot};
 use gridsec_sim::ShardPlan;
 use std::collections::{BTreeMap, VecDeque};
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::Sender;
 use std::sync::{Arc, Mutex, RwLock};
 use std::time::{Duration, Instant};
@@ -53,8 +82,9 @@ use std::time::{Duration, Instant};
 const WAKER_KEY: u64 = u64::MAX;
 /// Registration key of the TCP listener (I/O thread 0 only).
 const LISTENER_KEY: u64 = u64::MAX - 1;
-/// Read scratch size; also the per-wake read cap before yielding to
-/// other connections (level-triggered epoll re-arms the rest).
+/// Read scratch size: a read that does not fill it has emptied the
+/// socket (level-triggered epoll re-arms whatever arrives next), and four
+/// that do are the per-wake cap before yielding to other connections.
 const READ_CHUNK: usize = 64 * 1024;
 /// Capacity of each shard's submit queue: the hard bound on frames taken
 /// off the sockets but not yet seen by the shard. Overflow parks on its
@@ -78,9 +108,9 @@ pub(crate) struct DirectSubmit {
 
 /// One shard's submit endpoints.
 pub(crate) struct DirectShard {
-    /// Lock-free bounded submit queue, drained by the shard thread
-    /// before every control message it handles.
-    pub(crate) queue: Arc<ArrayQueue<DirectSubmit>>,
+    /// Bounded submit queue, drained by the shard thread before every
+    /// control message it handles.
+    pub(crate) queue: Arc<SubmitQueue>,
     /// The shard's control channel, used only to `Poke` it awake.
     pub(crate) control: Sender<ShardMsg>,
 }
@@ -118,6 +148,25 @@ pub(crate) enum ParkReason {
 /// Exposition labels of the [`ParkReason`]s, in counter order.
 pub(crate) const PARK_LABELS: [&str; 3] = ["fenced", "sealed", "full"];
 
+/// Exposition labels of [`WakeStats`]' counter pairs, in index order:
+/// a wake that was sent, one that rode on a wake already under way.
+pub(crate) const WAKE_OUTCOMES: [&str; 2] = ["sent", "coalesced"];
+
+/// One I/O thread's wake traffic. Relaxed counters that publish nothing;
+/// each I/O thread has its own (on its [`IoLoopHandle`]), so the threads
+/// do not share a line for them.
+#[derive(Default)]
+pub(crate) struct WakeStats {
+    /// Reply sends that listed a sink on this thread: wrote the waker
+    /// byte / found a wake already pending.
+    pub(crate) io_wakes: [AtomicU64; 2],
+    /// Submit pushes from this thread: owed the shard a `Poke` (sent at
+    /// the end of that pass) / found it poked already.
+    pub(crate) shard_pokes: [AtomicU64; 2],
+    /// Epoll events per [`IoLoop::pass`]; its count is the pass count.
+    pub(crate) events_per_pass: Histogram,
+}
+
 /// The handle other threads use to reach one I/O thread.
 pub(crate) struct IoLoopHandle {
     pub(crate) waker: Waker,
@@ -125,6 +174,10 @@ pub(crate) struct IoLoopHandle {
     pub(crate) inbox: Mutex<Vec<TcpStream>>,
     /// Sinks with newly deliverable replies, drained by the I/O thread.
     ready: Mutex<Vec<Arc<ReplySink>>>,
+    /// Set by the reply send that wrote the waker byte, cleared by the
+    /// pass that answers it (protocol in the module doc).
+    wake_pending: AtomicBool,
+    pub(crate) stats: WakeStats,
 }
 
 /// State shared between the router, the daemon handle and every I/O
@@ -144,6 +197,20 @@ pub(crate) struct IoShared {
 }
 
 impl IoShared {
+    /// The I/O threads' wake traffic summed: `(io_wakes, shard_pokes)` in
+    /// [`WAKE_OUTCOMES`] order, and the events-per-pass histogram.
+    pub(crate) fn wake_stats(&self) -> ([u64; 2], [u64; 2], HistogramSnapshot) {
+        let mut total = ([0; 2], [0; 2], HistogramSnapshot::default());
+        for stats in self.loops.iter().map(|l| &l.stats) {
+            for i in 0..2 {
+                total.0[i] += stats.io_wakes[i].load(Ordering::Relaxed);
+                total.1[i] += stats.shard_pokes[i].load(Ordering::Relaxed);
+            }
+            total.2.merge(&stats.events_per_pass.snapshot());
+        }
+        total
+    }
+
     /// Wakes every I/O thread (after flipping `stop` or publishing a
     /// routing table).
     pub(crate) fn wake_all(&self) {
@@ -193,17 +260,22 @@ impl ReplySink {
 pub(crate) struct ReplyHandle(Arc<ReplySink>);
 
 impl ReplyHandle {
-    /// Queues a reply and wakes the owning I/O thread.
+    /// Queues a reply and makes sure the owning I/O thread will look:
+    /// lists the sink unless it is listed, then wakes the thread unless a
+    /// wake is pending.
     pub(crate) fn send(&self, reply: Reply) {
         self.0.push(reply);
         if !self.0.queued.swap(true, Ordering::AcqRel) {
-            self.0
-                .io
-                .ready
+            let io = &self.0.io;
+            io.ready
                 .lock()
                 .expect("ready lock")
                 .push(Arc::clone(&self.0));
-            self.0.io.waker.wake();
+            let pending = io.wake_pending.swap(true, Ordering::AcqRel);
+            if !pending {
+                io.waker.wake();
+            }
+            io.stats.io_wakes[usize::from(pending)].fetch_add(1, Ordering::Relaxed);
         }
     }
 }
@@ -286,10 +358,9 @@ impl<T> Slab<T> {
     fn get_mut(&mut self, token: usize) -> Option<&mut T> {
         self.slots.get_mut(token)?.as_mut()
     }
-    fn tokens(&self) -> Vec<usize> {
-        (0..self.slots.len())
-            .filter(|&i| self.slots[i].is_some())
-            .collect()
+    /// One past the highest token ever handed out.
+    fn token_bound(&self) -> usize {
+        self.slots.len()
     }
 }
 
@@ -315,6 +386,11 @@ pub(crate) struct IoLoop {
     /// (hints: a stale token is harmless), and how many of them on full.
     waiting: Vec<usize>,
     waiting_full: usize,
+    /// Shards this pass owes a `Poke` (it moved their queue `idle →
+    /// poked`), as clones of their control senders so a table published
+    /// mid-pass cannot redirect them. Emptied by [`IoLoop::flush_pokes`]
+    /// at the end of the same pass.
+    pokes: Vec<Sender<ShardMsg>>,
 }
 
 impl IoLoop {
@@ -350,6 +426,7 @@ impl IoLoop {
             last_sweep: Instant::now(),
             waiting: Vec::new(),
             waiting_full: 0,
+            pokes: Vec::new(),
         })
     }
 
@@ -358,33 +435,56 @@ impl IoLoop {
     pub(crate) fn run(mut self) {
         let mut events = Events::with_capacity(1024);
         let mut scratch = vec![0u8; READ_CHUNK];
-        loop {
-            // Half the idle timeout bounds reap latency at ~1.5x the
-            // configured timeout without a busy sweep.
-            let mut timeout = self.idle_timeout.map(|t| t / 2);
-            if self.waiting_full > 0 {
-                timeout = Some(timeout.map_or(FULL_RETRY, |t| t.min(FULL_RETRY)));
+        // Half the idle timeout bounds reap latency at ~1.5x the
+        // configured timeout without a busy sweep.
+        let sweep = self.idle_timeout.map(|t| t / 2);
+        while self.pass(&mut events, &mut scratch, sweep).is_some() {}
+    }
+
+    /// One pass of the event loop — the unit both wake protocols count
+    /// in: blocks for events (at most `timeout`, less while a connection
+    /// is parked on a full queue), serves every ready socket, then the
+    /// inbox, the ready sinks and the parked submits, and last sends the
+    /// pokes all of that owes. Returns the number of events served, or
+    /// `None` when the loop must exit.
+    fn pass(
+        &mut self,
+        events: &mut Events,
+        scratch: &mut [u8],
+        mut timeout: Option<Duration>,
+    ) -> Option<usize> {
+        if self.waiting_full > 0 {
+            timeout = Some(timeout.map_or(FULL_RETRY, |t| t.min(FULL_RETRY)));
+        }
+        // An unrecoverable poller failure ends the loop.
+        let n = self.poller.wait(events, timeout).ok()?;
+        if self.shared.stop.load(Ordering::SeqCst) {
+            return None; // drops every connection (sockets close)
+        }
+        self.handle.stats.events_per_pass.record(n as u64);
+        for ev in events.iter() {
+            match ev.key {
+                WAKER_KEY => self.wake_rx.drain(),
+                LISTENER_KEY => self.accept_ready(),
+                key => self.conn_ready(key as usize, ev, scratch),
             }
-            if self.poller.wait(&mut events, timeout).is_err() {
-                return; // unrecoverable poller failure
-            }
-            if self.shared.stop.load(Ordering::SeqCst) {
-                return; // drops every connection (sockets close)
-            }
-            for ev in events.iter() {
-                match ev.key {
-                    WAKER_KEY => self.wake_rx.drain(),
-                    LISTENER_KEY => self.accept_ready(),
-                    key => self.conn_ready(key as usize, ev, &mut scratch),
-                }
-            }
-            self.process_inbox();
-            self.process_ready();
-            self.retry_waiting();
-            self.sweep_idle();
-            if self.shared.stop.load(Ordering::SeqCst) {
-                return;
-            }
+        }
+        self.process_inbox();
+        self.process_ready();
+        self.retry_waiting();
+        self.flush_pokes();
+        self.sweep_idle();
+        (!self.shared.stop.load(Ordering::SeqCst)).then_some(n)
+    }
+
+    /// Sends the one `Poke` this pass owes each shard whose queue it
+    /// moved `idle → poked`. The only place a shard is poked from: by
+    /// now the pass has pushed everything it is going to, so the shard
+    /// wakes to all of it. A refused send is a shard retired by a
+    /// reshard since the push; its queue was drained at the barrier.
+    fn flush_pokes(&mut self) {
+        for control in self.pokes.drain(..) {
+            let _ = control.send(ShardMsg::Poke);
         }
     }
 
@@ -500,8 +600,10 @@ impl IoLoop {
         self.finish(token);
     }
 
-    /// Reads until `WouldBlock`, EOF, a parked submit, or the fairness
-    /// cap, decoding and dispatching after every chunk.
+    /// Reads until a short read (the socket is empty — no second `read`
+    /// to be told `WouldBlock`; an EOF behind the data is its own event),
+    /// EOF, a parked submit, or the fairness cap, decoding and
+    /// dispatching after every chunk.
     fn do_read(&mut self, token: usize, scratch: &mut [u8]) {
         let mut total = 0usize;
         loop {
@@ -522,8 +624,8 @@ impl IoLoop {
                     conn.decoder.push(&scratch[..n]);
                     self.pump_input(token);
                     total += n;
-                    if total >= 4 * READ_CHUNK {
-                        return; // fairness: level-triggering re-arms
+                    if n < scratch.len() || total >= 4 * READ_CHUNK {
+                        return; // emptied, or fairness: level-triggering re-arms
                     }
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
@@ -619,7 +721,8 @@ impl IoLoop {
             // The read guard is held across the push: the router's write
             // of a sealed table returns only once every push routed under
             // the old one has landed, so nothing races a retiring shard.
-            push_submit(&self.shared.table.read().expect("table lock"), submit)
+            let table = self.shared.table.read().expect("table lock");
+            push_submit(&table, submit, &mut self.pokes, &self.handle.stats)
         };
         match outcome {
             Ok(None) => true,
@@ -652,10 +755,11 @@ impl IoLoop {
     }
 
     /// Moves in-sequence replies from the reorder buffer into the
-    /// outbound one; returns the bytes still held for reordering.
-    fn release(&mut self, token: usize) -> usize {
+    /// outbound one; returns the bytes still held for reordering and
+    /// whether nothing is.
+    fn release(&mut self, token: usize) -> (usize, bool) {
         let Some(conn) = self.conns.get_mut(token) else {
-            return 0;
+            return (0, true);
         };
         let mut q = conn.sink.q.lock().expect("sink lock");
         while let Some(entry) = q.held.first_entry() {
@@ -674,18 +778,19 @@ impl IoLoop {
             }
             conn.next_release += 1;
         }
-        q.held_bytes
+        (q.held_bytes, q.held.is_empty())
     }
 
     /// Releases in-sequence replies (resuming a connection fenced behind
     /// one of them), writes, enforces the write bound, updates epoll
     /// interest and closes finished connections. Safe to call repeatedly.
     fn finish(&mut self, token: usize) {
-        let mut held_bytes = self.release(token);
+        let (mut held_bytes, mut held_empty) = self.release(token);
         let fenced = |c: &Conn| matches!(c.parked, Some((_, ParkReason::Fenced)));
         if self.conns.get(token).is_some_and(fenced) {
             self.pump_input(token);
-            held_bytes = self.release(token); // what the resumed frames answered locally
+            // What the resumed frames answered locally.
+            (held_bytes, held_empty) = self.release(token);
         }
         let Some(conn) = self.conns.get_mut(token) else {
             return;
@@ -705,9 +810,7 @@ impl IoLoop {
         // Done? (EOF seen, every frame answered, every byte written. A
         // parked frame is an unanswered one, and after EOF lines stay
         // undecoded only behind a parked frame.)
-        let idle_out = conn.unwritten() == 0
-            && conn.next_release == conn.seq
-            && conn.sink.q.lock().expect("sink lock").held.is_empty();
+        let idle_out = conn.unwritten() == 0 && conn.next_release == conn.seq && held_empty;
         if conn.read_closed && idle_out {
             self.kill(token);
             return;
@@ -788,8 +891,14 @@ impl IoLoop {
         }
     }
 
-    /// Processes sinks that received replies since the last pass.
+    /// Processes sinks that received replies since the last pass:
+    /// clears `wake_pending`, *then* takes the list (module doc) — taken
+    /// first, a send between the two would list its sink too late for
+    /// this pass and find the flag still set, so write no byte either.
     fn process_ready(&mut self) {
+        self.handle.wake_pending.swap(false, Ordering::AcqRel);
+        #[cfg(test)]
+        seam::fire(); // a test's send, forced between the two steps
         let ready: Vec<Arc<ReplySink>> =
             std::mem::take(&mut *self.handle.ready.lock().expect("ready lock"));
         for sink in ready {
@@ -820,7 +929,7 @@ impl IoLoop {
             return;
         }
         self.last_sweep = now;
-        for token in self.conns.tokens() {
+        for token in 0..self.conns.token_bound() {
             let idle = self
                 .conns
                 .get(token)
@@ -834,11 +943,14 @@ impl IoLoop {
 }
 
 /// Routes `submit` under `table` and pushes it onto the owning shard's
-/// queue. `Ok(None)`: queued (the shard answers). `Ok(Some(_))`: answer
+/// queue, noting in `pokes` a shard the caller now owes a wake-up.
+/// `Ok(None)`: queued (the shard answers). `Ok(Some(_))`: answer
 /// locally. `Err`: cannot be queued right now — park it.
 fn push_submit(
     table: &RoutingTable,
     submit: DirectSubmit,
+    pokes: &mut Vec<Sender<ShardMsg>>,
+    stats: &WakeStats,
 ) -> Result<Option<Response>, (DirectSubmit, ParkReason)> {
     let direct = match &table.direct {
         DirectPath::Open(direct) => direct,
@@ -856,12 +968,16 @@ fn push_submit(
     };
     let n_jobs = submit.jobs.len();
     let d = &direct[target];
-    let pushed = d.queue.push(submit);
-    // The poke doubles as the liveness probe: a dead shard neither
-    // drains a full queue nor answers a queued submit.
-    if d.control.send(ShardMsg::Poke).is_err() {
-        return Ok(Some(shard_down()));
+    let (pushed, wake) = d.queue.push(submit);
+    match wake {
+        Wake::Owed => pokes.push(d.control.clone()),
+        Wake::Coalesced => {}
+        // A dead shard neither drains a full queue nor answers a queued
+        // submit (one that raced its exit may be answered twice; the
+        // sink keeps one).
+        Wake::Dead => return Ok(Some(shard_down())),
     }
+    stats.shard_pokes[usize::from(wake == Wake::Coalesced)].fetch_add(1, Ordering::Relaxed);
     match pushed {
         Ok(()) => {
             gridsec_obs::event!("dispatch", shard = target, jobs = n_jobs);
@@ -884,6 +1000,8 @@ pub(crate) fn build_io(
             waker,
             inbox: Mutex::new(Vec::new()),
             ready: Mutex::new(Vec::new()),
+            wake_pending: AtomicBool::new(false),
+            stats: WakeStats::default(),
         }));
         readers.push(rx);
     }
@@ -899,4 +1017,299 @@ pub(crate) fn build_io(
         }),
         readers,
     ))
+}
+
+/// Test seam for the two consumer-side protocols (`process_ready` here,
+/// `drain_direct` in `shard.rs`): each is two steps, and a lost wake-up
+/// can only come from what another thread does *between* them. A test
+/// arms a closure on its own thread; the next consumer to reach the
+/// boundary on that thread runs it there, once. Unarmed (every thread of
+/// a real daemon) it does nothing.
+#[cfg(test)]
+pub(crate) mod seam {
+    use std::cell::RefCell;
+
+    thread_local! {
+        static ARMED: RefCell<Option<Box<dyn FnOnce()>>> = const { RefCell::new(None) };
+    }
+
+    pub(crate) fn arm(between: impl FnOnce() + 'static) {
+        ARMED.with(|a| *a.borrow_mut() = Some(Box::new(between)));
+    }
+
+    pub(crate) fn fire() {
+        if let Some(between) = ARMED.with(|a| a.borrow_mut().take()) {
+            between();
+        }
+    }
+}
+
+#[cfg(test)]
+pub(crate) mod tests {
+    use super::*;
+    use crate::daemon::Daemon;
+    use crate::protocol::{encode, Request};
+    use crate::reshard::stateless_factory;
+    use gridsec_core::Site;
+    use gridsec_sim::scheduler::EarliestCompletion;
+    use gridsec_sim::SimConfig;
+    use std::io::{BufRead, BufReader};
+    use std::sync::mpsc::{channel, Receiver};
+
+    /// How long a pass may wait for a wake-up the test knows is owed.
+    /// Nothing else can end the wait (no idle timeout, no parked
+    /// connection), so running it out *is* the lost wake-up.
+    const OWED: Duration = Duration::from_secs(5);
+
+    fn one_site() -> Grid {
+        Grid::new(vec![Site::builder(0).nodes(2).build().unwrap()]).unwrap()
+    }
+
+    /// An I/O loop with `n` connections that the test drives pass by pass
+    /// on its own thread, so it can say exactly where in a pass another
+    /// thread's send falls.
+    pub(crate) struct Rig {
+        io: IoLoop,
+        events: Events,
+        scratch: Vec<u8>,
+        clients: Vec<TcpStream>,
+        _ingest: Receiver<IngestEvent>,
+    }
+
+    impl Rig {
+        pub(crate) fn new(n: usize) -> Rig {
+            let grid = one_site();
+            let table = RoutingTable {
+                plan: Arc::new(ShardPlan::contiguous(&grid, 1).unwrap()),
+                offline: Arc::new(vec![false]),
+                grid: Arc::new(grid),
+                direct: DirectPath::Closed,
+            };
+            let (shared, mut wake_rx) = build_io(1, table).unwrap();
+            let (ingest_tx, ingest_rx) = channel();
+            let handle = Arc::clone(&shared.loops[0]);
+            let options = DaemonOptions::default();
+            let wake_rx = wake_rx.pop().unwrap();
+            let mut io =
+                IoLoop::new(shared, handle, wake_rx, None, ingest_tx, 0, &options).unwrap();
+            let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+            let clients = (0..n)
+                .map(|_| {
+                    let client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+                    io.register(listener.accept().unwrap().0);
+                    client
+                })
+                .collect();
+            Rig {
+                io,
+                events: Events::with_capacity(64),
+                scratch: vec![0; READ_CHUNK],
+                clients,
+                _ingest: ingest_rx,
+            }
+        }
+
+        /// The reply handle of connection `k` (tokens are handed out in
+        /// registration order).
+        pub(crate) fn reply(&self, k: usize) -> ReplyHandle {
+            ReplyHandle(Arc::clone(&self.io.conns.get(k).unwrap().sink))
+        }
+
+        fn pass(&mut self, timeout: Duration) -> usize {
+            self.io
+                .pass(&mut self.events, &mut self.scratch, Some(timeout))
+                .expect("the loop is not stopping")
+        }
+
+        fn released(&self) -> u64 {
+            (0..self.clients.len())
+                .map(|k| self.io.conns.get(k).unwrap().next_release)
+                .sum()
+        }
+
+        /// Passes until `total` replies are released, each pass woken by
+        /// the protocol under test and by nothing else.
+        pub(crate) fn settle(&mut self, total: u64, what: &str) {
+            while self.released() < total {
+                let before = self.released();
+                assert!(
+                    self.pass(OWED) > 0,
+                    "lost wake-up ({what}): {before} of {total} replies released, nothing woke the loop"
+                );
+            }
+        }
+
+        fn stats(&self) -> &WakeStats {
+            &self.io.handle.stats
+        }
+
+        /// The next `n` lines connection `k`'s client receives.
+        pub(crate) fn lines(&mut self, k: usize, n: usize) -> Vec<String> {
+            self.clients[k].set_read_timeout(Some(OWED)).unwrap();
+            let mut reader = BufReader::new(&self.clients[k]);
+            (0..n)
+                .map(|_| {
+                    let mut line = String::new();
+                    reader.read_line(&mut line).unwrap();
+                    line
+                })
+                .collect()
+        }
+    }
+
+    fn reply(seq: u64, text: &str) -> Reply {
+        Reply {
+            seq,
+            line: format!("{text}\n"),
+            flushed: None,
+        }
+    }
+
+    /// Shard → I/O, every place a second send can fall relative to the
+    /// pass that answers the first: before its clear-then-take, between
+    /// the two steps, after both. Each time both replies reach their
+    /// clients, and so does a later one (a flag left set with no byte
+    /// behind it would swallow that).
+    #[test]
+    fn a_reply_sent_before_between_or_after_the_clear_then_take_is_never_lost() {
+        for position in ["before", "between", "after"] {
+            let mut rig = Rig::new(2);
+            let (a, b) = (rig.reply(0), rig.reply(1));
+            a.send(reply(0, "a0")); // sets the flag, writes the byte
+            match position {
+                "before" => {
+                    b.send(reply(0, "b0"));
+                    assert_eq!(rig.pass(OWED), 1, "one byte woke the loop for both sends");
+                }
+                "between" => {
+                    seam::arm(move || b.send(reply(0, "b0")));
+                    rig.pass(OWED);
+                }
+                _ => {
+                    rig.pass(OWED);
+                    b.send(reply(0, "b0"));
+                }
+            }
+            rig.settle(2, position);
+            assert_eq!(rig.lines(0, 1), ["a0\n"], "{position}");
+            assert_eq!(rig.lines(1, 1), ["b0\n"], "{position}");
+            let sent = rig.stats().io_wakes[0].load(Ordering::Relaxed);
+            assert_eq!(sent, if position == "before" { 1 } else { 2 }, "{position}");
+
+            rig.reply(1).send(reply(1, "b1"));
+            rig.settle(3, position);
+            assert_eq!(rig.lines(1, 1), ["b1\n"], "{position}");
+        }
+    }
+
+    /// Four producers each answer every fourth sequence number of all 64
+    /// connections — so replies reach a sink out of order and from
+    /// several threads — against one consumer: 102 400 replies, all
+    /// released in sequence order, and no more wake-ups written than the
+    /// consumer made passes (each byte answers a clear, plus the first).
+    #[test]
+    fn four_producers_on_64_sinks_lose_no_reply_and_wake_at_most_once_per_pass() {
+        const SINKS: usize = 64;
+        const PRODUCERS: u64 = 4;
+        const PER_SINK: u64 = 1600;
+        let mut rig = Rig::new(SINKS);
+        let handles: Vec<ReplyHandle> = (0..SINKS).map(|k| rig.reply(k)).collect();
+        let producers: Vec<_> = (0..PRODUCERS)
+            .map(|p| {
+                let handles = handles.clone();
+                std::thread::spawn(move || {
+                    for seq in (p..PER_SINK).step_by(PRODUCERS as usize) {
+                        for h in &handles {
+                            h.send(reply(seq, &seq.to_string()));
+                        }
+                    }
+                })
+            })
+            .collect();
+        rig.settle(SINKS as u64 * PER_SINK, "stress");
+        for p in producers {
+            p.join().unwrap();
+        }
+        let expected: Vec<String> = (0..PER_SINK).map(|seq| format!("{seq}\n")).collect();
+        for k in 0..SINKS {
+            assert_eq!(rig.lines(k, PER_SINK as usize), expected, "connection {k}");
+        }
+        let stats = rig.stats();
+        let sent = stats.io_wakes[0].load(Ordering::Relaxed);
+        let passes = stats.events_per_pass.count();
+        assert!(
+            sent <= passes + 1,
+            "{sent} wake-ups written for {passes} passes"
+        );
+    }
+
+    /// One sample of the exposition page.
+    fn scraped(page: &str, sample: &str) -> u64 {
+        let value = page.lines().find_map(|l| l.strip_prefix(sample));
+        value
+            .unwrap_or_else(|| panic!("no {sample} in:\n{page}"))
+            .trim()
+            .parse()
+            .unwrap()
+    }
+
+    /// 256 one-job frames in a single `write` to a one-shard daemon: the
+    /// I/O thread reads them in a pass or two (a 38 KiB write is a
+    /// segment or two on loopback) and pokes the shard once for each of
+    /// those passes, not once for each frame. Stated beforehand: pokes
+    /// sent ≤ passes, and ≤ 8 of the 256 pushes — measured, 1 or 2. It
+    /// is the end-of-pass flush that sends them: without it nothing
+    /// wakes the shard and no reply ever comes.
+    #[test]
+    fn a_pipelined_burst_pokes_its_shard_once_a_pass_not_once_a_frame() {
+        const FRAMES: usize = 256;
+        let grid = one_site();
+        let plan = ShardPlan::contiguous(&grid, 1).unwrap();
+        let factory = stateless_factory(SimConfig::default(), |_| Ok(Box::new(EarliestCompletion)));
+        let options = DaemonOptions {
+            io_threads: 1,
+            metrics_addr: Some("127.0.0.1:0".into()),
+            ..DaemonOptions::default()
+        };
+        let daemon = Daemon::spawn(grid, plan, factory, "127.0.0.1:0", options).unwrap();
+        let burst: String = (0..FRAMES as u64)
+            .map(|id| {
+                encode(&Request::Submit {
+                    jobs: vec![Job::builder(id).work(5.0).build().unwrap()],
+                    shard: None,
+                    tenant: None,
+                })
+            })
+            .collect();
+        let mut stream = TcpStream::connect(daemon.addr()).unwrap();
+        stream.set_read_timeout(Some(OWED)).unwrap();
+        stream.write_all(burst.as_bytes()).unwrap();
+        let mut client = crate::Client::from_stream(stream).unwrap();
+        for i in 0..FRAMES {
+            match client.read_response().expect("a reply to every frame") {
+                Response::Accepted { jobs: 1, .. } => {}
+                other => panic!("reply {i} was {other:?}"),
+            }
+        }
+        let mut page = String::new();
+        TcpStream::connect(daemon.metrics_addr().unwrap())
+            .unwrap()
+            .read_to_string(&mut page)
+            .unwrap();
+        let sent = scraped(&page, "gridsec_shard_pokes_total{outcome=\"sent\"} ");
+        let coalesced = scraped(&page, "gridsec_shard_pokes_total{outcome=\"coalesced\"} ");
+        let passes = scraped(&page, "gridsec_io_events_per_pass_count ");
+        assert_eq!(
+            sent + coalesced,
+            FRAMES as u64,
+            "every push is one or the other"
+        );
+        assert!(sent <= passes, "{sent} pokes in {passes} passes");
+        assert!(
+            (1..=8).contains(&sent),
+            "{sent} pokes for {FRAMES} pipelined frames"
+        );
+        assert_eq!(client.send(&Request::Shutdown).unwrap(), Response::Bye);
+        daemon.join();
+    }
 }

@@ -46,10 +46,7 @@
 //! committed schedules of retired shards are archived on the router so
 //! aggregated queries stay cumulative.
 
-use crate::conn::{
-    build_io, DirectPath, DirectShard, DirectSubmit, IoLoop, IoShared, ReplyHandle, RoutingTable,
-    DIRECT_QUEUE_CAP,
-};
+use crate::conn::{build_io, DirectPath, DirectShard, IoLoop, IoShared, ReplyHandle, RoutingTable};
 use crate::exposition;
 use crate::protocol::{
     encode, Placed, QueryWhat, Request, Response, ServeMetrics, TelemetryReport, MAX_LINE_BYTES,
@@ -59,8 +56,7 @@ use crate::reshard::{
     ShardSeed,
 };
 use crate::session::SessionState;
-use crate::shard::{ShardMsg, ShardRuntime, ShardSpec};
-use crossbeam_queue::ArrayQueue;
+use crate::shard::{ShardMsg, ShardRuntime, ShardSpec, SubmitDrain, SubmitQueue};
 use gridsec_core::{Grid, JobId, SiteId, Time};
 use gridsec_obs::{Histogram, HistogramSnapshot};
 use gridsec_sim::ShardPlan;
@@ -503,10 +499,7 @@ fn scrape_one(mut stream: TcpStream, ingest: &Sender<IngestEvent>) {
 }
 
 /// Builds the submit endpoints for an open routing-table snapshot.
-fn direct_shards(
-    txs: &[Sender<ShardMsg>],
-    queues: &[Arc<ArrayQueue<DirectSubmit>>],
-) -> Vec<DirectShard> {
+fn direct_shards(txs: &[Sender<ShardMsg>], queues: &[Arc<SubmitQueue>]) -> Vec<DirectShard> {
     txs.iter()
         .zip(queues)
         .map(|(tx, q)| DirectShard {
@@ -517,9 +510,9 @@ fn direct_shards(
 }
 
 /// Spawns one scheduling thread per shard spec; shard `k` serves
-/// `plan.sites_of(k)`. Each shard also gets the lock-free bounded queue
-/// its submits arrive on, drained by the shard thread ahead of every
-/// control message. Shared by daemon startup and the reshard swap.
+/// `plan.sites_of(k)`. Each shard also gets the bounded queue its
+/// submits arrive on, drained by the shard thread ahead of every control
+/// message. Shared by daemon startup and the reshard swap.
 #[allow(clippy::type_complexity)]
 fn spawn_shard_threads(
     plan: &ShardPlan,
@@ -528,7 +521,7 @@ fn spawn_shard_threads(
     start: Instant,
 ) -> (
     Vec<Sender<ShardMsg>>,
-    Vec<Arc<ArrayQueue<DirectSubmit>>>,
+    Vec<Arc<SubmitQueue>>,
     Vec<JoinHandle<()>>,
 ) {
     let mut shard_txs = Vec::with_capacity(shards.len());
@@ -536,7 +529,7 @@ fn spawn_shard_threads(
     let mut shard_handles = Vec::with_capacity(shards.len());
     for (k, spec) in shards.into_iter().enumerate() {
         let (tx, rx) = channel::<ShardMsg>();
-        let direct = Arc::new(ArrayQueue::new(DIRECT_QUEUE_CAP));
+        let direct = Arc::new(SubmitQueue::new());
         let runtime = ShardRuntime {
             shard: k,
             session: spec.session,
@@ -549,7 +542,7 @@ fn spawn_shard_threads(
                 .state_prefix
                 .as_deref()
                 .map(|prefix| shard_state_path(prefix, k)),
-            direct: Arc::clone(&direct),
+            direct: SubmitDrain::new(Arc::clone(&direct)),
         };
         shard_handles.push(std::thread::spawn(move || runtime.run(rx)));
         shard_txs.push(tx);
@@ -589,7 +582,7 @@ struct Router {
     shard_txs: Vec<Sender<ShardMsg>>,
     /// Per-shard submit queues (paired with `shard_txs`; replaced
     /// together on a reshard).
-    direct_queues: Vec<Arc<ArrayQueue<DirectSubmit>>>,
+    direct_queues: Vec<Arc<SubmitQueue>>,
     shard_handles: Vec<JoinHandle<()>>,
     offline: Vec<bool>,
     options: DaemonOptions,
@@ -1155,6 +1148,7 @@ impl Router {
             return "# gridsec-serve: a shard thread is no longer running\n".into();
         };
         let queue_depth: Vec<usize> = self.direct_queues.iter().map(|q| q.len()).collect();
+        let (io_wakes, shard_pokes, io_events_per_pass) = self.io.wake_stats();
         exposition::render(&exposition::Page {
             metrics: &metrics,
             pending: &pending,
@@ -1165,6 +1159,9 @@ impl Router {
             slow_disconnects: self.io.slow_disconnects.load(Ordering::Relaxed),
             idle_reaped: self.io.idle_reaped.load(Ordering::Relaxed),
             parked: std::array::from_fn(|i| self.io.parked[i].load(Ordering::Relaxed)),
+            io_wakes,
+            shard_pokes,
+            io_events_per_pass: &io_events_per_pass,
             recorder: gridsec_obs::recorder::status(),
         })
     }

@@ -4,11 +4,12 @@
 //! [`render`] is a pure function of a [`Page`]: the router gathers the
 //! numbers (merged [`ServeMetrics`] with the archives of retired shards
 //! folded in, so a reshard never resets a `_total`; per-shard gauges; the
-//! connection layer's counters) and this module only formats them. The
-//! test below destructures `ServeMetrics` without a rest pattern, so a new
-//! field does not compile until it is rendered or listed as wire-only.
+//! connection layer's counters) and this module only formats them.
+//! [`render`] destructures its [`Page`], and the test below
+//! `ServeMetrics`, without a rest pattern, so a new field of either does
+//! not build until it is rendered or listed as wire-only.
 
-use crate::conn::PARK_LABELS;
+use crate::conn::{PARK_LABELS, WAKE_OUTCOMES};
 use crate::protocol::ServeMetrics;
 use gridsec_obs::recorder::RecorderStatus;
 use gridsec_obs::HistogramSnapshot;
@@ -16,7 +17,8 @@ use std::fmt::{Display, Write};
 
 /// Everything one scrape shows. `metrics` is grid-wide (live shards merged
 /// with the router's archive); `pending` and `queue_depth` are per live
-/// shard; `parked` is in [`PARK_LABELS`] order.
+/// shard; `parked` is in [`PARK_LABELS`] order, `io_wakes` and
+/// `shard_pokes` in [`WAKE_OUTCOMES`] order.
 pub(crate) struct Page<'a> {
     pub metrics: &'a ServeMetrics,
     pub pending: &'a [usize],
@@ -27,6 +29,9 @@ pub(crate) struct Page<'a> {
     pub slow_disconnects: usize,
     pub idle_reaped: usize,
     pub parked: [usize; 3],
+    pub io_wakes: [u64; 2],
+    pub shard_pokes: [u64; 2],
+    pub io_events_per_pass: &'a HistogramSnapshot,
     pub recorder: RecorderStatus,
 }
 
@@ -34,8 +39,24 @@ pub(crate) struct Page<'a> {
 /// round-latency, batch-size and reshard histograms in cumulative-`le`
 /// form.
 pub(crate) fn render(page: &Page<'_>) -> String {
-    let m = page.metrics;
-    let overwritten = (page.recorder.recorded).saturating_sub(page.recorder.retained as u64);
+    // No rest pattern: a new `Page` field is an unused binding (a build
+    // error under CI's `-D warnings`) until it is rendered.
+    let Page {
+        metrics: m,
+        pending,
+        queue_depth,
+        reshard_barrier_nanos,
+        reshard_migrated_jobs,
+        connections,
+        slow_disconnects,
+        idle_reaped,
+        parked,
+        io_wakes,
+        shard_pokes,
+        io_events_per_pass,
+        recorder,
+    } = page;
+    let overwritten = (recorder.recorded).saturating_sub(recorder.retained as u64);
     #[rustfmt::skip]
     let counters: [(&str, &str, &dyn Display); 12] = [
         ("gridsec_jobs_submitted_total", "Jobs accepted over the daemon's lifetime.", &m.jobs_submitted),
@@ -47,26 +68,27 @@ pub(crate) fn render(page: &Page<'_>) -> String {
         ("gridsec_jobs_requeued_total", "Jobs requeued after a site failure.", &m.jobs_requeued),
         ("gridsec_reshards_completed_total", "Completed live reshards.", &m.reshards_completed),
         ("gridsec_jobs_migrated_total", "Jobs that changed shard across reshards.", &m.jobs_migrated),
-        ("gridsec_slow_disconnects_total", "Connections dropped for exceeding the write-buffer bound.", &page.slow_disconnects),
-        ("gridsec_idle_reaped_total", "Connections reaped by the idle timeout.", &page.idle_reaped),
+        ("gridsec_slow_disconnects_total", "Connections dropped for exceeding the write-buffer bound.", slow_disconnects),
+        ("gridsec_idle_reaped_total", "Connections reaped by the idle timeout.", idle_reaped),
         ("gridsec_recorder_events_overwritten_total", "Flight-recorder events lost to ring wrap-around (recorded - retained).", &overwritten),
     ];
     #[rustfmt::skip]
     let per_shard = [
-        ("gridsec_direct_queue_depth", "Submit frames queued for a shard.", page.queue_depth),
-        ("gridsec_pending", "Jobs waiting for the next round, per shard.", page.pending),
+        ("gridsec_direct_queue_depth", "Submit frames queued for a shard.", queue_depth),
+        ("gridsec_pending", "Jobs waiting for the next round, per shard.", pending),
     ];
     #[rustfmt::skip]
     let gauges = [
         ("gridsec_jobs_scheduled", "Jobs with a standing commitment.", m.jobs_scheduled),
-        ("gridsec_connections", "Client connections currently open.", page.connections),
+        ("gridsec_connections", "Client connections currently open.", *connections),
     ];
     #[rustfmt::skip]
     let histograms = [
         ("gridsec_round_nanos", "Scheduler wall-clock nanoseconds per round.", &m.round_nanos_hist),
         ("gridsec_batch_size", "Jobs per non-empty scheduling round.", &m.batch_size_hist),
-        ("gridsec_reshard_barrier_nanos", "Wall-clock nanoseconds a reshard barrier held.", page.reshard_barrier_nanos),
-        ("gridsec_reshard_migrated_jobs", "Jobs migrated per completed reshard.", page.reshard_migrated_jobs),
+        ("gridsec_reshard_barrier_nanos", "Wall-clock nanoseconds a reshard barrier held.", reshard_barrier_nanos),
+        ("gridsec_reshard_migrated_jobs", "Jobs migrated per completed reshard.", reshard_migrated_jobs),
+        ("gridsec_io_events_per_pass", "Epoll events served per I/O-loop pass (its count is the pass count).", io_events_per_pass),
     ];
 
     let mut out = String::with_capacity(4096);
@@ -79,8 +101,19 @@ pub(crate) fn render(page: &Page<'_>) -> String {
         "Submit frames that waited on their connection.",
     );
     family(&mut out, name, "counter", help);
-    for (label, n) in PARK_LABELS.iter().zip(page.parked) {
+    for (label, n) in PARK_LABELS.iter().zip(parked) {
         let _ = writeln!(out, "{name}{{reason=\"{label}\"}} {n}");
+    }
+    #[rustfmt::skip]
+    let wakes = [
+        ("gridsec_io_wakes_total", "Reply sends that listed a connection for its I/O thread: wrote the waker byte, or found a wake pending.", io_wakes),
+        ("gridsec_shard_pokes_total", "Submit pushes: owed the shard a poke (sent at the end of the I/O pass), or found it poked.", shard_pokes),
+    ];
+    for (name, help, by_outcome) in wakes {
+        family(&mut out, name, "counter", help);
+        for (label, n) in WAKE_OUTCOMES.iter().zip(by_outcome) {
+            let _ = writeln!(out, "{name}{{outcome=\"{label}\"}} {n}");
+        }
     }
     for (name, help, values) in per_shard {
         family(&mut out, name, "gauge", help);
@@ -167,6 +200,9 @@ mod tests {
             slow_disconnects: 115,
             idle_reaped: 116,
             parked: [117, 118, 119],
+            io_wakes: [121, 122],
+            shard_pokes: [123, 124],
+            io_events_per_pass: &hist(&[1, 2, 256]),
             recorder,
         });
         let ServeMetrics {
@@ -216,7 +252,13 @@ gridsec_idle_reaped_total 116
 gridsec_submits_parked_total{{reason=\"fenced\"}} 117
 gridsec_submits_parked_total{{reason=\"sealed\"}} 118
 gridsec_submits_parked_total{{reason=\"full\"}} 119
-gridsec_recorder_events_overwritten_total 120",
+gridsec_recorder_events_overwritten_total 120
+gridsec_io_wakes_total{{outcome=\"sent\"}} 121
+gridsec_io_wakes_total{{outcome=\"coalesced\"}} 122
+gridsec_shard_pokes_total{{outcome=\"sent\"}} 123
+gridsec_shard_pokes_total{{outcome=\"coalesced\"}} 124
+gridsec_io_events_per_pass_sum 259
+gridsec_io_events_per_pass_count 3",
             pending - 3,
             round_nanos_hist.sum,
             round_nanos_hist.count,

@@ -15,8 +15,8 @@
 //! runs over the re-indexed subgrid) and translates to global site ids on
 //! every outbound schedule, so clients only ever see the real grid.
 
-use crate::conn::{DirectSubmit, ReplyHandle};
-use crate::daemon::{ClockMode, Reply};
+use crate::conn::{DirectSubmit, ReplyHandle, DIRECT_QUEUE_CAP};
+use crate::daemon::{shard_down, ClockMode, Reply};
 use crate::protocol::{
     encode, Placed, QueryWhat, Response, ServeMetrics, ShardInfo, ShardTelemetry, TelemetryReport,
 };
@@ -24,6 +24,7 @@ use crate::session::{Admission, OnlineSession};
 use crossbeam_queue::ArrayQueue;
 use gridsec_core::{Job, SiteId, Time};
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -77,11 +78,16 @@ pub(crate) enum ShardMsg {
         reply: ReplyHandle,
         seq: u64,
     },
-    /// Wake-up from an I/O thread after a push onto the shard's submit
-    /// queue: the drain that runs ahead of every message (and this one's
-    /// no-op handler) consumes it. Sent on the same channel *after* the
-    /// push, so the mpsc happens-before edge guarantees the submit is
-    /// visible by the time the poke is received.
+    /// Wake-up from an I/O thread that moved the shard's [`SubmitQueue`]
+    /// from `idle` to `poked`: sent once, at the end of the I/O pass that
+    /// made the move, however many submits that pass (or any other I/O
+    /// thread, while the state stayed `poked`) pushed. The message
+    /// carries nothing and orders nothing — which pushes the drain ahead
+    /// of it sees is decided by the queue's wake state alone (the
+    /// argument is on [`SubmitQueue`]); all it does is end the `recv`. A
+    /// shard holding after `GatherState` drops it (the seal stopped the
+    /// pushes and the export drained first), a retired shard's channel
+    /// refuses it; both are fine.
     Poke,
     /// Take a shard-local site offline at `at` (returns how many stranded
     /// jobs were requeued) or bring it back online (returns 0). The
@@ -134,6 +140,131 @@ pub(crate) enum ShardMsg {
     Stop { done: Sender<()> },
 }
 
+/// Wake state of a [`SubmitQueue`]; the numeric order is what
+/// [`SubmitQueue::push`]'s `fetch_max` relies on.
+const IDLE: u8 = 0;
+const POKED: u8 = 1;
+const DEAD: u8 = 2;
+
+/// What a [`SubmitQueue::push`] found out about the shard.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Wake {
+    /// This push moved the queue `idle → poked`: the pusher owes the
+    /// shard one [`ShardMsg::Poke`] before it next blocks.
+    Owed,
+    /// The queue was `poked` already: whoever made that move owes the
+    /// poke, and the drain it causes sees this push too.
+    Coalesced,
+    /// The shard thread is gone; nothing drains the queue any more.
+    Dead,
+}
+
+/// One shard's submit queue — the only way jobs reach it: a bounded
+/// lock-free ring the I/O threads push onto, and one atomic wake state
+/// that says whether the shard has already been told to look.
+///
+/// | state | written by | meaning |
+/// |---|---|---|
+/// | `idle` | the shard, at the top of every drain | the next push must poke |
+/// | `poked` | the first push after that | a poke is owed or under way; further pushes ride on it |
+/// | `dead` | the shard thread's exit, unwinding included | pushes are answered `shard_down` where they are made |
+///
+/// **No push is left behind a sleeping shard.** Every access to the state
+/// is an acquire-release read-modify-write — `fetch_max` to push, `swap`
+/// to drain or to die — so the accesses fall in one order and each
+/// synchronises with all the later ones (a read-modify-write continues
+/// the release sequence it reads from). Let *P* be a push's `fetch_max`.
+///
+/// * A drain whose `swap` comes after *P* sees the submit: the ring push
+///   is sequenced before *P*, *P* happens-before that `swap`, and the
+///   `swap` is sequenced before the drain's first `pop`.
+/// * Such a drain comes. If *P* found `idle`, its thread sends a `Poke`
+///   after it (at the end of its pass), and the drain that message — or
+///   any message ahead of it — starts happens after *P*. If *P* found
+///   `poked`, that was written by an earlier `fetch_max` *Q* with no
+///   `swap` between the two; *Q*'s thread owes the `Poke`, and the drain
+///   it starts swaps after *Q*, hence after *P*.
+/// * The `swap` to `dead` is the last write: a push ordered before it is
+///   answered by the dying thread, one ordered after it sees `dead`.
+pub(crate) struct SubmitQueue {
+    ring: ArrayQueue<DirectSubmit>,
+    wake: AtomicU8,
+}
+
+impl SubmitQueue {
+    pub(crate) fn new() -> SubmitQueue {
+        SubmitQueue {
+            ring: ArrayQueue::new(DIRECT_QUEUE_CAP),
+            wake: AtomicU8::new(IDLE),
+        }
+    }
+
+    /// I/O-thread side: pushes `submit` (handing it back when the ring is
+    /// full — a full ring still needs its shard awake) and raises the
+    /// wake state to at least `poked`.
+    pub(crate) fn push(&self, submit: DirectSubmit) -> (Result<(), DirectSubmit>, Wake) {
+        let pushed = self.ring.push(submit);
+        let wake = match self.wake.fetch_max(POKED, Ordering::AcqRel) {
+            IDLE => Wake::Owed,
+            POKED => Wake::Coalesced,
+            _ => Wake::Dead,
+        };
+        (pushed, wake)
+    }
+
+    /// Shard side, first step of a drain: `poked → idle`, *before* the
+    /// first [`pop`](Self::pop) — a push that lands after the last `pop`
+    /// must find `idle` and poke again.
+    fn begin_drain(&self) {
+        self.wake.swap(IDLE, Ordering::AcqRel);
+    }
+
+    fn pop(&self) -> Option<DirectSubmit> {
+        self.ring.pop()
+    }
+
+    /// Submit frames waiting for the shard (`gridsec_direct_queue_depth`).
+    pub(crate) fn len(&self) -> usize {
+        self.ring.len()
+    }
+}
+
+/// The shard thread's end of its [`SubmitQueue`]. Dropping it is the
+/// shard's death notice, and [`ShardRuntime::run`] owns it, so it is
+/// served on every way out of the thread — `Stop`, a vanished router, a
+/// failed timer round, a scheduler panic unwinding through a round: the
+/// queue goes `dead` (from here on the I/O threads answer `shard_down`
+/// themselves), then the submit that was being handled and whatever is
+/// still queued are answered `shard_down`. A submit pushed across the
+/// `swap` may be answered from both sides; the sink keeps one answer per
+/// sequence number.
+pub(crate) struct SubmitDrain {
+    queue: Arc<SubmitQueue>,
+    /// Reply route of the submit being handled, so a panic under it
+    /// still answers its client.
+    in_flight: Option<(ReplyHandle, u64)>,
+}
+
+impl SubmitDrain {
+    pub(crate) fn new(queue: Arc<SubmitQueue>) -> SubmitDrain {
+        SubmitDrain {
+            queue,
+            in_flight: None,
+        }
+    }
+}
+
+impl Drop for SubmitDrain {
+    fn drop(&mut self) {
+        self.queue.wake.swap(DEAD, Ordering::AcqRel);
+        let down = shard_down();
+        let queued = std::iter::from_fn(|| self.queue.pop().map(|d| (d.reply, d.seq)));
+        for (reply, seq) in self.in_flight.take().into_iter().chain(queued) {
+            reply.send(Reply::frame(seq, &down));
+        }
+    }
+}
+
 /// Everything one shard thread owns.
 pub(crate) struct ShardRuntime {
     pub shard: usize,
@@ -147,18 +278,19 @@ pub(crate) struct ShardRuntime {
     /// Where `history` is written when the shard stops:
     /// `shard_state_path(state_prefix, shard)`, or `None` without a prefix.
     pub state_path: Option<PathBuf>,
-    /// Lock-free submit queue fed by the I/O threads — the only way jobs
-    /// reach this shard. Drained ahead of every control message so
+    /// The submit queue fed by the I/O threads — the only way jobs reach
+    /// this shard. Drained ahead of every control message so
     /// router-serialised barriers (drain, reshard, shutdown) observe
     /// every accepted submit.
-    pub direct: Arc<ArrayQueue<DirectSubmit>>,
+    pub direct: SubmitDrain,
 }
 
 impl ShardRuntime {
     /// The shard scheduling loop: drains the shard's queue in order; in
     /// wall-clock mode it also wakes up for due batch boundaries. Exits
     /// on `Stop` or when the router goes away, persisting state either
-    /// way.
+    /// way. Taking `self` by value is what makes [`SubmitDrain`]'s drop
+    /// run on every exit, a panic in a round included.
     pub(crate) fn run(mut self, rx: Receiver<ShardMsg>) {
         loop {
             let msg = match self.clock {
@@ -196,9 +328,10 @@ impl ShardRuntime {
                     }
                 }
             };
-            // Submits were pushed (and poked) before this message was
-            // sent, so draining first keeps the per-client order and lets
-            // barriers (drain/reshard/shutdown) see every accepted submit.
+            // Submits a client (or the seal) put ahead of this message
+            // were pushed before it was sent, so draining first keeps the
+            // per-client order and lets barriers (drain/reshard/shutdown)
+            // see every accepted submit.
             self.drain_direct();
             match msg {
                 ShardMsg::Query { what, reply, seq } => {
@@ -306,11 +439,20 @@ impl ShardRuntime {
     }
 
     /// Empties the submit queue, answering each client straight from the
-    /// shard thread.
+    /// shard thread. The wake state is cleared first and the ring popped
+    /// second ([`SubmitQueue`] has the argument): cleared afterwards, a
+    /// push between the last `pop` and the clear would find `poked`, send
+    /// no poke and wait for a shard that has gone back to sleep.
     fn drain_direct(&mut self) {
-        while let Some(d) = self.direct.pop() {
+        self.direct.queue.begin_drain();
+        #[cfg(test)]
+        crate::conn::seam::fire(); // a test's push, forced between the two steps
+        while let Some(d) = self.direct.queue.pop() {
+            self.direct.in_flight = Some((d.reply, d.seq));
             let response = self.handle_submit(d.jobs, d.tenant.as_deref());
-            d.reply.send(Reply::frame(d.seq, &response));
+            if let Some((reply, seq)) = self.direct.in_flight.take() {
+                reply.send(Reply::frame(seq, &response));
+            }
         }
     }
 
@@ -477,5 +619,116 @@ impl Reply {
             line: encode(response),
             flushed: None,
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::conn::{seam, tests::Rig};
+    use gridsec_core::{Grid, Site};
+    use gridsec_sim::scheduler::EarliestCompletion;
+    use gridsec_sim::SimConfig;
+    use std::cell::Cell;
+    use std::rc::Rc;
+
+    /// A one-site MCT shard the test runs by hand, draining `queue`.
+    fn runtime(queue: &Arc<SubmitQueue>) -> ShardRuntime {
+        let grid = Grid::new(vec![Site::builder(0).nodes(2).build().unwrap()]).unwrap();
+        let config = SimConfig::default();
+        ShardRuntime {
+            shard: 0,
+            session: OnlineSession::new(grid, Box::new(EarliestCompletion), &config).unwrap(),
+            global_sites: vec![SiteId(0)],
+            clock: ClockMode::Virtual,
+            start: Instant::now(),
+            max_pending: None,
+            history: None,
+            state_path: None,
+            direct: SubmitDrain::new(Arc::clone(queue)),
+        }
+    }
+
+    fn submit(seq: u64, reply: &ReplyHandle) -> DirectSubmit {
+        DirectSubmit {
+            jobs: vec![Job::builder(seq).work(1.0).build().unwrap()],
+            shard: None,
+            tenant: None,
+            reply: reply.clone(),
+            seq,
+        }
+    }
+
+    /// I/O → shard, every place a second push can fall relative to the
+    /// drain the first one's poke causes: before its clear-then-pop,
+    /// between the two steps, after both. The test plays the I/O thread —
+    /// it delivers exactly the pokes its pushes were told they owe, as
+    /// drains — and each time the queue ends empty with both clients
+    /// answered.
+    #[test]
+    fn a_submit_pushed_before_between_or_after_the_clear_then_pop_is_never_left_behind() {
+        for (position, second) in [
+            ("before", Wake::Coalesced),
+            ("between", Wake::Owed),
+            ("after", Wake::Owed),
+        ] {
+            let mut rig = Rig::new(1);
+            let queue = Arc::new(SubmitQueue::new());
+            let mut shard = runtime(&queue);
+            let owed = Rc::new(Cell::new(0));
+            let push = {
+                let (queue, owed, reply) = (Arc::clone(&queue), Rc::clone(&owed), rig.reply(0));
+                move |seq, expect| {
+                    let (pushed, wake) = queue.push(submit(seq, &reply));
+                    assert!(pushed.is_ok());
+                    assert_eq!(wake, expect, "{position}: push {seq}");
+                    owed.set(owed.get() + usize::from(wake == Wake::Owed));
+                }
+            };
+            let mut deliver_pokes = || {
+                while owed.get() > 0 {
+                    owed.set(owed.get() - 1);
+                    shard.drain_direct();
+                }
+            };
+            push(0, Wake::Owed);
+            match position {
+                "before" => push(1, second),
+                "between" => seam::arm(move || push(1, second)),
+                _ => {
+                    deliver_pokes();
+                    push(1, second);
+                }
+            }
+            deliver_pokes();
+            assert_eq!(
+                queue.len(),
+                0,
+                "{position}: a submit sits behind a shard nobody will poke"
+            );
+            rig.settle(2, position);
+            for line in rig.lines(0, 2) {
+                assert!(line.contains("\"accepted\""), "{position}: {line}");
+            }
+        }
+    }
+
+    /// The death notice: whatever is queued when the shard thread's state
+    /// is dropped is answered `shard_down`, and later pushes are told the
+    /// shard is dead instead of being queued for nobody.
+    #[test]
+    fn a_dropped_shard_answers_its_queue_and_later_pushes_find_it_dead() {
+        let mut rig = Rig::new(1);
+        let reply = rig.reply(0);
+        let queue = Arc::new(SubmitQueue::new());
+        let shard = runtime(&queue);
+        assert_eq!(queue.push(submit(0, &reply)).1, Wake::Owed);
+        assert_eq!(queue.push(submit(1, &reply)).1, Wake::Coalesced);
+        drop(shard);
+        rig.settle(2, "death notice");
+        for line in rig.lines(0, 2) {
+            assert!(line.contains("no longer running"), "{line}");
+        }
+        assert_eq!(queue.push(submit(2, &reply)).1, Wake::Dead);
     }
 }

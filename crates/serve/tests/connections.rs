@@ -6,7 +6,9 @@
 //! cannot stall another), prompt autoscaler-ticker exit at shutdown,
 //! and the parked-submit path: a submit that cannot reach its shard
 //! queue yet (full queue, sealed table, unanswered control frame) waits
-//! on its connection and nothing is lost, reordered or answered twice.
+//! on its connection and nothing is lost, reordered or answered twice —
+//! and a shard thread that dies answers every frame it held with a typed
+//! error.
 //! Deterministic at every thread count (CI re-runs the serve suites
 //! under `RAYON_NUM_THREADS=1` and `4`).
 
@@ -19,7 +21,7 @@ use gridsec_sim::scheduler::{BatchJob, BatchScheduler, EarliestCompletion, GridV
 use gridsec_sim::{BatchPolicy, ShardPlan, SimConfig};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, TcpStream};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
@@ -337,12 +339,14 @@ const FULL: usize = 2;
 /// What the probe scheduler shares with its test: a gate that blocks
 /// every round while shut (so the shard thread stops draining its submit
 /// queue — a scheduler that is slow *on demand*, no sleeps), how many
-/// rounds reached the gate, and the security levels each round saw.
+/// rounds reached the gate, the security levels each round saw, and
+/// whether a round panics once it is through the gate.
 #[derive(Clone)]
 struct Probe {
     open: Arc<(Mutex<bool>, Condvar)>,
     rounds_entered: Arc<AtomicUsize>,
     levels_seen: Arc<Mutex<Vec<Vec<f64>>>>,
+    panic_behind_gate: Arc<AtomicBool>,
 }
 
 impl Probe {
@@ -351,6 +355,7 @@ impl Probe {
             open: Arc::new((Mutex::new(open), Condvar::new())),
             rounds_entered: Arc::default(),
             levels_seen: Arc::default(),
+            panic_behind_gate: Arc::default(),
         }
     }
 
@@ -372,6 +377,9 @@ impl BatchScheduler for ProbedMct {
         self.0.rounds_entered.fetch_add(1, Ordering::SeqCst);
         let (open, cv) = &*self.0.open;
         drop(cv.wait_while(open.lock().unwrap(), |open| !*open).unwrap());
+        if self.0.panic_behind_gate.load(Ordering::SeqCst) {
+            panic!("probe: the scheduler panics in this round (the test asked it to)");
+        }
         let levels = view.grid.sites().map(|s| s.security_level).collect();
         self.0.levels_seen.lock().unwrap().push(levels);
         EarliestCompletion.schedule(batch, view)
@@ -711,5 +719,60 @@ fn half_close_with_frames_still_parked_gets_every_reply() {
 
     let mut control = Client::connect(daemon.addr()).unwrap();
     assert_eq!(control.send(&Request::Shutdown).unwrap(), Response::Bye);
+    daemon.join();
+}
+
+/// A scheduler panic takes its shard thread down in the middle of a
+/// round, with a full queue behind it. Every frame still gets a typed
+/// reply, in request order, within a bounded wait: the frames the dead
+/// shard had already answered stay `accepted`; the frame whose round
+/// panicked, the 1024 queued behind it, the one parked on the connection,
+/// the ones not yet read and the ones sent afterwards are `error`s saying
+/// the shard is gone. (No idle sweep runs here: a frame left unanswered
+/// would hang its connection for good.)
+#[test]
+fn a_shard_that_dies_mid_round_answers_every_frame_it_held() {
+    const FRAMES: usize = 1200; // the queue's capacity and then some
+    let probe = Probe::new(false);
+    probe.panic_behind_gate.store(true, Ordering::SeqCst);
+    let daemon = spawn_probed(1, &probe, DaemonOptions::default());
+    let stream = TcpStream::connect(daemon.addr()).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    // Frame 1 fires the round that blocks on the gate (see `burst`); the
+    // queue fills behind it until the connection parks.
+    let writer = write_in_background(&stream, burst(FRAMES, None), false);
+    eventually(
+        Duration::from_secs(20),
+        "the connection parks (full)",
+        || daemon.submits_parked()[FULL] >= 1,
+    );
+    probe.open_gate(); // the round panics; the shard thread unwinds
+
+    let shard_down = |what: &str, reply: std::io::Result<Response>| match reply {
+        Ok(Response::Error { message }) if message.contains("no longer running") => {}
+        other => panic!("{what}: expected the shard-down error, got {other:?}"),
+    };
+    let mut client = Client::from_stream(stream).unwrap();
+    match client.read_response() {
+        Ok(Response::Accepted { jobs: 1, .. }) => {}
+        other => panic!("frame 0 was enqueued before the panic, got {other:?}"),
+    }
+    for i in 1..FRAMES {
+        shard_down(&format!("frame {i}"), client.read_response());
+    }
+    writer.join().unwrap();
+    let later = submit_line(FRAMES as u64, 20.0, None);
+    shard_down("a later frame", client.send_line(&later));
+    let mut fresh = Client::connect(daemon.addr()).unwrap();
+    shard_down("a fresh connection", fresh.send_line(&later));
+
+    // The drain barrier cannot reach the dead shard; shutdown says so and
+    // still winds the daemon down.
+    match fresh.send(&Request::Shutdown).unwrap() {
+        Response::Error { message } => assert!(message.contains("no longer running")),
+        other => panic!("expected the failed-drain error, got {other:?}"),
+    }
     daemon.join();
 }
