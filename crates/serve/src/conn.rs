@@ -62,8 +62,9 @@
 //!   loop pass, with a short poll timeout while any such connection
 //!   exists (the shard frees space without waking this thread).
 
-use crate::daemon::{derive_route, shard_down, shutting_down, DaemonOptions, IngestEvent, Reply};
+use crate::daemon::{DaemonOptions, IngestEvent, Reply};
 use crate::protocol::{parse_request, Line, LineDecoder, Request, Response};
+use crate::router::{derive_route, shard_down, shutting_down};
 use crate::shard::{ShardMsg, SubmitQueue, Wake};
 use epoll::{Events, Interest, Poller, WakeReader, Waker};
 use gridsec_core::{Grid, Job};

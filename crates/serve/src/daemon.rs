@@ -1,31 +1,40 @@
-//! The `gridsec-serve` TCP daemon.
+//! The `gridsec-serve` TCP daemon: its options, how it boots, the threads
+//! it spawns and how it is joined. (What the threads do lives beside
+//! them: the I/O loops in the private `conn` module, the control plane
+//! in `router`, a scheduling thread in [`shard`](crate::shard).)
 //!
 //! Thread model (a few I/O threads multiplexing *all* client sockets,
-//! one scheduling thread *per shard*, one router for serialised
-//! cross-shard operations):
+//! one scheduling thread *per shard*, one router for everything that is
+//! not a submit):
 //!
 //! ```text
 //!  10k clients ──► epoll I/O threads ──────submits────────► lock-free ┌─► shard 0 thread
 //!        (accept ▪ nonblocking read  ──────────────────►  per-shard  ├─► shard 1 thread
 //!         frame decode ▪ routing     ┐                    queues     └─► shard 2 thread
-//!         seq-ordered write buffers) └─► ingest ─► router ──control──────► (all shards)
-//!                                         queue    (reshard ▪ drain ▪ shutdown ▪
-//!                                                   scrape ▪ autoscale ▪ chaos)
+//!         seq-ordered write buffers) │                                     ▲  │
+//!                 ▲                  └─► ingest ─► router ── ask(closure) ─┘  │ result
+//!                 └───── one response per frame ── (query ▪ reconfigure ▪ ◄───┘
+//!                                                   fail/rejoin ▪ drain ▪ reshard ▪
+//!                                                   shutdown ▪ scrape ▪ autoscale)
 //! ```
 //!
 //! Connections are **event-driven** (the private `conn` module): a small pool of
 //! I/O threads owns every client socket through a vendored epoll wrapper,
 //! decodes NDJSON frames, and releases responses **in request order**
 //! from a bounded per-connection buffer (replies may arrive from
-//! different shard threads). There is one way for a job to reach a shard:
+//! different threads). There is one way for a job to reach a shard:
 //! the I/O thread routes a `submit` against the shared
 //! routing-table snapshot and pushes it
 //! onto the owning shard's lock-free bounded queue; a submit that cannot
-//! be pushed yet waits *parked on its connection*. Everything serialised
-//! — aggregated queries, global reconfigures, `reshard`, `drain`,
-//! `shutdown`, site churn — flows through the single *router* thread,
-//! which scatters to every shard and gathers the results (a barrier
-//! across shards); it never sees a submit. Each shard thread owns an
+//! be pushed yet waits *parked on its connection*, and the shard thread
+//! answers it. There is one way for anything else to: every control
+//! frame — scoped to a shard or grid-wide — flows through the single
+//! *router* thread, which runs a closure on the shards the frame names,
+//! combines their results and answers the client itself. Control always
+//! goes router → shards → router: a shard never holds a client's reply
+//! handle for a control frame, so a shard thread that dies cannot take a
+//! frame's answer with it (the router reads the dropped closure as
+//! `shard_down`). The router never sees a submit. Each shard thread owns an
 //! [`OnlineSession`](crate::OnlineSession) over its subgrid — the GA population pool, the STGA
 //! history table and the availability model live there untouched across
 //! rounds. A client disconnecting mid-round just drops its connection;
@@ -38,7 +47,7 @@
 //! state file, if [`DaemonOptions::state_prefix`] names one; at a
 //! `reshard` frame (or an autoscaler decision) the router drains every
 //! shard to a barrier, exports their state and redistributes it with
-//! [`transfer`]. Either way the seeds go through the same `build_shards`
+//! [`transfer`](crate::transfer). Either way the seeds go through the same `build_shards`
 //! step — factory call, subgrid check — and the same thread spawn.
 //! Submits that arrive during the barrier wait parked on their
 //! connections and are routed under the new plan, so clients pipelined
@@ -46,25 +55,20 @@
 //! committed schedules of retired shards are archived on the router so
 //! aggregated queries stay cumulative.
 
-use crate::conn::{build_io, DirectPath, DirectShard, IoLoop, IoShared, ReplyHandle, RoutingTable};
-use crate::exposition;
-use crate::protocol::{
-    encode, Placed, QueryWhat, Request, Response, ServeMetrics, TelemetryReport, MAX_LINE_BYTES,
-};
-use crate::reshard::{
-    build_shards, transfer, AutoscaleConfig, AutoscalePolicy, SessionFactory, ShardObservation,
-    ShardSeed,
-};
+use crate::conn::{build_io, DirectPath, IoLoop, IoShared, ReplyHandle, RoutingTable};
+use crate::protocol::{Request, ServeMetrics, MAX_LINE_BYTES};
+use crate::reshard::{build_shards, AutoscaleConfig, AutoscalePolicy, SessionFactory, ShardSeed};
+use crate::router::{direct_shards, Router};
 use crate::session::SessionState;
 use crate::shard::{ShardMsg, ShardRuntime, ShardSpec, SubmitDrain, SubmitQueue};
-use gridsec_core::{Grid, JobId, SiteId, Time};
-use gridsec_obs::{Histogram, HistogramSnapshot};
+use gridsec_core::Grid;
+use gridsec_obs::Histogram;
 use gridsec_sim::ShardPlan;
 use std::io::{self, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::Ordering;
-use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
+use std::sync::mpsc::{channel, RecvTimeoutError, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -280,6 +284,7 @@ impl Daemon {
         let (ingest_tx, ingest_rx) = channel::<IngestEvent>();
         let start = Instant::now();
 
+        let n_sites = grid.len();
         let grid = Arc::new(grid);
         let (shard_txs, direct_queues, shard_handles) =
             spawn_shard_threads(&plan, shards, &options, start);
@@ -289,7 +294,7 @@ impl Daemon {
         let table = RoutingTable {
             grid: Arc::clone(&grid),
             plan: Arc::new(plan.clone()),
-            offline: Arc::new(vec![false; grid.len()]),
+            offline: Arc::new(vec![false; n_sites]),
             direct: DirectPath::Open(direct_shards(&shard_txs, &direct_queues)),
         };
         let (shared, wake_readers) = build_io(n_io, table)?;
@@ -357,7 +362,7 @@ impl Daemon {
             shard_txs,
             direct_queues,
             shard_handles,
-            offline: Vec::new(), // sized in run()
+            offline: vec![false; n_sites],
             start,
             factory,
             autoscale: options.autoscale.map(AutoscalePolicy::new),
@@ -367,6 +372,7 @@ impl Daemon {
             prev_round_hist: Vec::new(),
             reshard_barrier_nanos: Histogram::new(),
             reshard_migrated_jobs: Histogram::new(),
+            frame_nanos: Histogram::new(),
             io: Arc::clone(&shared),
         };
         let router = {
@@ -498,23 +504,12 @@ fn scrape_one(mut stream: TcpStream, ingest: &Sender<IngestEvent>) {
     let _ = stream.write_all(text.as_bytes());
 }
 
-/// Builds the submit endpoints for an open routing-table snapshot.
-fn direct_shards(txs: &[Sender<ShardMsg>], queues: &[Arc<SubmitQueue>]) -> Vec<DirectShard> {
-    txs.iter()
-        .zip(queues)
-        .map(|(tx, q)| DirectShard {
-            queue: Arc::clone(q),
-            control: tx.clone(),
-        })
-        .collect()
-}
-
 /// Spawns one scheduling thread per shard spec; shard `k` serves
 /// `plan.sites_of(k)`. Each shard also gets the bounded queue its
 /// submits arrive on, drained by the shard thread ahead of every control
 /// message. Shared by daemon startup and the reshard swap.
 #[allow(clippy::type_complexity)]
-fn spawn_shard_threads(
+pub(crate) fn spawn_shard_threads(
     plan: &ShardPlan,
     shards: Vec<ShardSpec>,
     options: &DaemonOptions,
@@ -549,844 +544,4 @@ fn spawn_shard_threads(
         direct_queues.push(direct);
     }
     (shard_txs, direct_queues, shard_handles)
-}
-
-/// Sends one message to every shard with a private return channel each,
-/// then collects the answers in shard order. The scatter happens before
-/// any wait, so the total wait is the *slowest* shard, not the sum. A
-/// `None` entry means the shard thread is gone.
-fn gather<T>(
-    shard_txs: &[Sender<ShardMsg>],
-    mut make: impl FnMut(Sender<T>) -> ShardMsg,
-) -> Vec<Option<T>> {
-    let pending: Vec<Option<Receiver<T>>> = shard_txs
-        .iter()
-        .map(|tx| {
-            let (reply_tx, reply_rx) = channel();
-            tx.send(make(reply_tx)).ok().map(|()| reply_rx)
-        })
-        .collect();
-    pending
-        .into_iter()
-        .map(|rx| rx.and_then(|rx| rx.recv().ok()))
-        .collect()
-}
-
-/// The router thread's state: the live plan, the shard channels and
-/// threads (respawned on every reshard), the global offline set (site
-/// churn survives a reshard untouched) and the archives of retired
-/// shards.
-struct Router {
-    grid: Arc<Grid>,
-    plan: ShardPlan,
-    shard_txs: Vec<Sender<ShardMsg>>,
-    /// Per-shard submit queues (paired with `shard_txs`; replaced
-    /// together on a reshard).
-    direct_queues: Vec<Arc<SubmitQueue>>,
-    shard_handles: Vec<JoinHandle<()>>,
-    offline: Vec<bool>,
-    options: DaemonOptions,
-    start: Instant,
-    factory: SessionFactory,
-    autoscale: Option<AutoscalePolicy>,
-    /// Counters of shards retired by reshards, with the gauges
-    /// (`jobs_scheduled`, `pending`) zeroed — their live state moved to
-    /// the new shards and would double-count. The reshard counters
-    /// themselves live here too.
-    archive_metrics: ServeMetrics,
-    /// Committed schedules of retired shards, appended in reshard order.
-    archive_schedule: Vec<Placed>,
-    /// Per-shard round-latency snapshot at the previous autoscaler
-    /// tick: the baseline `delta_since` turns into a trend window.
-    /// Cleared on every reshard (shard indices change meaning).
-    prev_round_hist: Vec<HistogramSnapshot>,
-    /// Wall-clock nanoseconds each completed reshard barrier held
-    /// (drain → swap).
-    reshard_barrier_nanos: Histogram,
-    /// Jobs migrated per completed reshard.
-    reshard_migrated_jobs: Histogram,
-    /// The connection layer: routing-table publication and connection
-    /// counters for the exposition.
-    io: Arc<IoShared>,
-}
-
-impl Router {
-    /// Publishes a fresh routing-table snapshot and wakes every I/O
-    /// thread, so connections parked on the previous one retry.
-    fn publish_table(&self, direct: DirectPath) {
-        let table = Arc::new(RoutingTable {
-            grid: Arc::clone(&self.grid),
-            plan: Arc::new(self.plan.clone()),
-            offline: Arc::new(self.offline.clone()),
-            direct,
-        });
-        *self.io.table.write().expect("table lock") = table;
-        self.io.wake_all();
-    }
-
-    /// Publishes the current plan, offline set and shard queues.
-    fn publish_open(&self) {
-        self.publish_table(DirectPath::Open(direct_shards(
-            &self.shard_txs,
-            &self.direct_queues,
-        )));
-    }
-
-    /// Takes a site offline (a `fail_site` frame) or brings it back
-    /// (`rejoin_site`). The router is the gatekeeper: it refuses a
-    /// double-fail or a spurious rejoin against its own offline set, has
-    /// the owning shard apply the injection (requeueing stranded jobs),
-    /// and only then flips the set and republishes the routing table — a
-    /// failed injection leaves routing untouched.
-    fn set_site_online(&mut self, site: usize, at: Option<Time>, online: bool) -> Response {
-        let what = if online { "rejoin_site" } else { "fail_site" };
-        let error = |message| Response::Error { message };
-        let Some((k, local)) = self.plan.to_local(SiteId(site)) else {
-            return error(format!("{what}: unknown site {site}"));
-        };
-        if self.offline[site] != online {
-            let state = if online { "not" } else { "already" };
-            return error(format!("{what}: site {site} is {state} offline"));
-        }
-        let (reply, rx) = channel();
-        let msg = ShardMsg::GatherSiteOnline {
-            site: local,
-            online,
-            at,
-            reply,
-        };
-        if self.shard_txs[k].send(msg).is_err() {
-            return shard_down();
-        }
-        match rx.recv() {
-            Ok(Ok(requeued)) => {
-                self.offline[site] = !online;
-                self.publish_open(); // derived routing follows the set
-                match online {
-                    true => Response::SiteRejoined { site, shard: k },
-                    false => Response::SiteFailed {
-                        site,
-                        shard: k,
-                        requeued,
-                    },
-                }
-            }
-            Ok(Err(message)) => error(message),
-            Err(_) => shard_down(),
-        }
-    }
-
-    /// The router loop: drains the ingest queue in order, forwards each
-    /// shard-scoped control frame to the shard that owns it, and
-    /// scatter-gathers the cross-shard operations. Exits after a
-    /// `shutdown` frame (stopping every shard) or when the listener goes
-    /// away.
-    fn run(mut self, ingest: Receiver<IngestEvent>) {
-        // The routing-level view of site churn (`set_site_online`).
-        self.offline = vec![false; self.grid.len()];
-        self.publish_open();
-        loop {
-            let event = match ingest.recv() {
-                Ok(ev) => ev,
-                Err(_) => {
-                    // Every ingest sender (I/O threads, ticker, scrape)
-                    // is gone: disconnect the shard channels so the
-                    // shard threads exit, then reap them.
-                    self.shard_txs.clear();
-                    for h in self.shard_handles.drain(..) {
-                        let _ = h.join();
-                    }
-                    return;
-                }
-            };
-            let (req, reply, seq) = match event {
-                IngestEvent::Autoscale => {
-                    self.autoscale_tick();
-                    continue;
-                }
-                IngestEvent::Scrape(reply) => {
-                    let _ = reply.send(self.render_exposition());
-                    continue;
-                }
-                IngestEvent::Frame(req, reply, seq) => (req, reply, seq),
-            };
-            let n_shards = self.plan.n_shards();
-            match req {
-                Request::Submit { .. } => {
-                    unreachable!("the I/O threads dispatch submits; the router never sees one")
-                }
-                Request::Query {
-                    what,
-                    shard: Some(k),
-                } => {
-                    if k >= n_shards {
-                        reply.send(Reply::frame(
-                            seq,
-                            &Response::UnknownShard { shard: k, n_shards },
-                        ));
-                        continue;
-                    }
-                    forward(
-                        &self.shard_txs[k],
-                        ShardMsg::Query {
-                            what,
-                            reply: reply.clone(),
-                            seq,
-                        },
-                        &reply,
-                        seq,
-                    );
-                }
-                Request::Query { what, shard: None } => {
-                    let response = self.aggregate_query(what);
-                    reply.send(Reply::frame(seq, &response));
-                }
-                Request::Reconfigure {
-                    security_levels,
-                    shard: Some(k),
-                    at,
-                } => {
-                    if k >= n_shards {
-                        reply.send(Reply::frame(
-                            seq,
-                            &Response::UnknownShard { shard: k, n_shards },
-                        ));
-                        continue;
-                    }
-                    forward(
-                        &self.shard_txs[k],
-                        ShardMsg::Reconfigure {
-                            levels: security_levels,
-                            at,
-                            reply: reply.clone(),
-                            seq,
-                        },
-                        &reply,
-                        seq,
-                    );
-                }
-                Request::Reconfigure {
-                    security_levels,
-                    shard: None,
-                    at,
-                } => {
-                    let response = global_reconfigure(
-                        &self.grid,
-                        &self.plan,
-                        &self.shard_txs,
-                        &security_levels,
-                        at,
-                    );
-                    reply.send(Reply::frame(seq, &response));
-                }
-                Request::FailSite { site, at } => {
-                    reply.send(Reply::frame(seq, &self.set_site_online(site, at, false)));
-                }
-                Request::RejoinSite { site, at } => {
-                    reply.send(Reply::frame(seq, &self.set_site_online(site, at, true)));
-                }
-                Request::Reshard { shards } => {
-                    let shards: Vec<Vec<SiteId>> = shards
-                        .into_iter()
-                        .map(|ss| ss.into_iter().map(SiteId).collect())
-                        .collect();
-                    let response = match self.reshard(shards) {
-                        Ok(jobs_migrated) => Response::Resharded {
-                            shards: self.plan.n_shards(),
-                            jobs_migrated,
-                            reshards_completed: self.archive_metrics.reshards_completed,
-                        },
-                        Err(message) => Response::ReshardRejected { message },
-                    };
-                    reply.send(Reply::frame(seq, &response));
-                }
-                Request::Drain => {
-                    let response = self.drain();
-                    reply.send(Reply::frame(seq, &response));
-                }
-                Request::TraceDump => {
-                    reply.send(Reply::frame(
-                        seq,
-                        &Response::TraceDump {
-                            events: gridsec_obs::recorder::snapshot(),
-                        },
-                    ));
-                }
-                Request::Shutdown => {
-                    // Seal the submit path: queued submits are consumed by
-                    // the drain barrier below, later ones park.
-                    self.publish_table(DirectPath::Sealed);
-                    let drained = self.drain();
-                    let response = match drained {
-                        Response::Drained { .. } => Response::Bye,
-                        Response::Error { message } => Response::Error {
-                            message: format!("drain before shutdown failed: {message}"),
-                        },
-                        other => other,
-                    };
-                    // Barrier: every shard persists its state and exits
-                    // before the client hears `bye`.
-                    for done in gather(&self.shard_txs, |tx| ShardMsg::Stop { done: tx }) {
-                        let _ = done;
-                    }
-                    for h in self.shard_handles.drain(..) {
-                        let _ = h.join();
-                    }
-                    // Closed before `bye` goes out: a submit fenced behind
-                    // this frame is refused in the pass that releases
-                    // `bye`; ones parked on other connections, now.
-                    self.publish_table(DirectPath::Closed);
-                    // The daemon exits right after this; wait (bounded)
-                    // for the writer to flush the final frame so the
-                    // client is guaranteed its `bye`.
-                    let (flushed_tx, flushed_rx) = channel();
-                    reply.send(Reply {
-                        seq,
-                        line: encode(&response),
-                        flushed: Some(flushed_tx),
-                    });
-                    // A dead connection drops the mark, so this returns
-                    // immediately (disconnected) rather than timing out.
-                    let _ = flushed_rx.recv_timeout(Duration::from_secs(5));
-                    self.reject_late_frames(&ingest);
-                    return;
-                }
-            }
-        }
-    }
-
-    /// Performs one reshard to `shards` at a drain barrier; returns the
-    /// number of jobs that changed shard. On any failure the old shards
-    /// resume untouched (beyond having been drained) and the error
-    /// becomes a `reshard_rejected`.
-    ///
-    /// The whole barrier runs under a `reshard_barrier` flight-recorder
-    /// span; its wall-clock time and the migration count feed the
-    /// router's reshard histograms on success, and a failure dumps the
-    /// flight recorder to [`DaemonOptions::flight_dump`].
-    fn reshard(&mut self, shards: Vec<Vec<SiteId>>) -> Result<usize, String> {
-        let from = self.plan.n_shards();
-        let to = shards.len();
-        // Seal the submit path before the barrier. The I/O threads push
-        // under the table's read lock, so once the sealed table is
-        // written every dispatched submit is in a shard queue (each shard
-        // empties it ahead of every control message) and every later one
-        // parks on its connection until the table is republished on both
-        // exits below — nothing can race into a retiring shard.
-        let barrier = gridsec_obs::span!("reshard_barrier", from = from, to = to);
-        self.publish_table(DirectPath::Sealed);
-        let t0 = Instant::now();
-        let result = self.reshard_inner(shards);
-        // Success republishes with the new shards' queues; failure
-        // re-opens the old ones (the topology did not change).
-        self.publish_open();
-        drop(barrier);
-        match &result {
-            Ok(moved) => {
-                self.reshard_barrier_nanos
-                    .record(t0.elapsed().as_nanos() as u64);
-                self.reshard_migrated_jobs.record(*moved as u64);
-                // Shard indices changed meaning: restart the trend.
-                self.prev_round_hist.clear();
-                self.gc_state_files(from, to);
-            }
-            Err(message) => self.flight_dump("reshard_rejected", message),
-        }
-        result
-    }
-
-    /// Removes the state files of shards retired by a shrinking reshard
-    /// (`new_n <= k < old_n`). The old shards already persisted on
-    /// `Stop`, so without the GC a restart from the prefix would
-    /// resurrect state that migrated into the surviving shards.
-    fn gc_state_files(&self, old_n: usize, new_n: usize) {
-        let Some(prefix) = &self.options.state_prefix else {
-            return;
-        };
-        for k in new_n..old_n {
-            let path = shard_state_path(prefix, k);
-            match std::fs::remove_file(&path) {
-                Ok(()) => {}
-                Err(e) if e.kind() == io::ErrorKind::NotFound => {}
-                Err(e) => eprintln!(
-                    "gridsec-serve: cannot remove retired state file {}: {e}",
-                    path.display()
-                ),
-            }
-        }
-    }
-
-    /// Dumps the flight recorder to [`DaemonOptions::flight_dump`] (a
-    /// no-op without one). Called on `reshard_rejected` so the spans
-    /// leading into the failure are preserved for post-mortems.
-    fn flight_dump(&self, why: &str, detail: &str) {
-        let Some(path) = &self.options.flight_dump else {
-            return;
-        };
-        if let Err(e) = std::fs::write(path, gridsec_obs::recorder::dump_ndjson()) {
-            eprintln!(
-                "gridsec-serve: cannot write flight dump {}: {e}",
-                path.display()
-            );
-        } else {
-            eprintln!(
-                "gridsec-serve: {why} ({detail}): flight recorder dumped to {}",
-                path.display()
-            );
-        }
-    }
-
-    fn reshard_inner(&mut self, shards: Vec<Vec<SiteId>>) -> Result<usize, String> {
-        let new_plan = ShardPlan::from_shards(&self.grid, shards)
-            .map_err(|e| format!("invalid reshard plan: {e}"))?;
-        // Barrier: run every due round so no armed boundary is lost.
-        match drain_all(&self.shard_txs) {
-            Response::Drained { .. } => {}
-            Response::Error { message } => {
-                return Err(format!("drain at the reshard barrier failed: {message}"))
-            }
-            other => {
-                return Err(format!(
-                    "unexpected drain response: {}",
-                    encode(&other).trim()
-                ))
-            }
-        }
-        // Export-and-hold: each shard freezes after answering.
-        let export_span = gridsec_obs::span!("reshard_export");
-        let mut exports = Vec::with_capacity(self.shard_txs.len());
-        for e in gather(&self.shard_txs, |tx| ShardMsg::GatherState { reply: tx }) {
-            match e {
-                Some(e) => exports.push(e),
-                None => {
-                    self.resume_shards();
-                    return Err("a shard thread is no longer running".into());
-                }
-            }
-        }
-        drop(export_span);
-        let transferred = {
-            let _transfer_span = gridsec_obs::span!("reshard_transfer");
-            transfer(&self.grid, &self.plan, &exports, &new_plan)
-        };
-        let moved = match transferred {
-            Ok(t) => t,
-            Err(message) => {
-                self.resume_shards();
-                return Err(message);
-            }
-        };
-        // Rebuild every session before touching the old shards, so a
-        // factory failure aborts with the daemon fully intact.
-        let specs = {
-            let _respawn_span = gridsec_obs::span!("reshard_respawn");
-            build_shards(&self.grid, &new_plan, moved.seeds, &mut self.factory)
-        };
-        let specs = match specs {
-            Ok(specs) => specs,
-            Err((_, message)) => {
-                self.resume_shards();
-                return Err(message);
-            }
-        };
-        // Point of no return: retire the old shards (they persist their
-        // state files on Stop), archive their history, swap in the new.
-        let _swap_span = gridsec_obs::span!("reshard_swap");
-        for done in gather(&self.shard_txs, |tx| ShardMsg::Stop { done: tx }) {
-            let _ = done;
-        }
-        for h in self.shard_handles.drain(..) {
-            let _ = h.join();
-        }
-        for e in &exports {
-            let mut m = e.metrics.clone();
-            m.jobs_scheduled = 0;
-            m.pending = 0;
-            self.archive_metrics = ServeMetrics::merge(&[self.archive_metrics.clone(), m]);
-            self.archive_schedule.extend_from_slice(&e.schedule);
-        }
-        let (txs, queues, handles) =
-            spawn_shard_threads(&new_plan, specs, &self.options, self.start);
-        self.shard_txs = txs;
-        self.direct_queues = queues;
-        self.shard_handles = handles;
-        self.plan = new_plan;
-        self.archive_metrics.reshards_completed += 1;
-        self.archive_metrics.jobs_migrated += moved.jobs_migrated;
-        Ok(moved.jobs_migrated)
-    }
-
-    /// Releases shards parked in the post-`GatherState` hold after an
-    /// aborted reshard.
-    fn resume_shards(&self) {
-        for tx in &self.shard_txs {
-            let _ = tx.send(ShardMsg::Resume);
-        }
-    }
-
-    /// One autoscaler sample: observe every shard's queue depth and
-    /// round-latency *trend* — the p95 of the round-latency histogram
-    /// delta since the previous tick, so one historic slow round can
-    /// neither keep a shard looking hot forever (the old mean did) nor
-    /// can a single fast recent round mask a sustained backlog.
-    fn autoscale_tick(&mut self) {
-        let Some(policy) = self.autoscale.as_mut() else {
-            return;
-        };
-        // One scatter/gather instead of separate GatherInfo +
-        // GatherTelemetry passes: each shard answers queue depth and
-        // round-latency telemetry from the *same* instant, halving the
-        // hold time and closing the window where the two samples could
-        // straddle a round.
-        let samples = gather(&self.shard_txs, |tx| ShardMsg::GatherObservation {
-            reply: tx,
-        });
-        let mut observations = Vec::with_capacity(samples.len());
-        let mut next_prev = Vec::with_capacity(samples.len());
-        for (i, sample) in samples.into_iter().enumerate() {
-            let Some((info, t)) = sample else {
-                return; // a shard is down; routing will surface it
-            };
-            let baseline = self.prev_round_hist.get(i).cloned().unwrap_or_default();
-            let window = t.round_nanos.delta_since(&baseline);
-            // p95 nanos → micros; 0 when no round ran since last tick.
-            let round_micros = window.p95() / 1_000;
-            next_prev.push(t.round_nanos);
-            observations.push(ShardObservation {
-                sites: info.sites,
-                pending: info.pending,
-                round_micros,
-            });
-        }
-        self.prev_round_hist = next_prev;
-        let Some(proposal) = policy.observe(&observations) else {
-            return;
-        };
-        match self.reshard(proposal) {
-            Ok(moved) => eprintln!(
-                "gridsec-serve: autoscaler resharded to {} shards ({moved} jobs migrated)",
-                self.plan.n_shards()
-            ),
-            Err(message) => eprintln!("gridsec-serve: autoscaler reshard failed: {message}"),
-        }
-    }
-
-    /// An aggregated (all-shard) query: scatter, gather, merge — folding
-    /// in the archives of shards retired by reshards so the global view
-    /// stays cumulative across topology changes.
-    fn aggregate_query(&self, what: QueryWhat) -> Response {
-        match what {
-            QueryWhat::Metrics => match self.gather_metrics() {
-                Some((metrics, _)) => Response::Metrics { metrics },
-                None => shard_down(),
-            },
-            QueryWhat::Schedule => {
-                let per_shard =
-                    gather(&self.shard_txs, |tx| ShardMsg::GatherSchedule { reply: tx });
-                if per_shard.iter().any(Option::is_none) {
-                    return shard_down();
-                }
-                // Archived commits first (reshard order), then the live
-                // shards concatenated in shard order (commit order within
-                // each) — deterministic, and the identity for one shard
-                // with no reshard history.
-                let mut assignments = self.archive_schedule.clone();
-                assignments.extend(per_shard.into_iter().flatten().flatten());
-                Response::Schedule { assignments }
-            }
-            QueryWhat::Shards => {
-                let per_shard: Vec<_> =
-                    gather(&self.shard_txs, |tx| ShardMsg::GatherInfo { reply: tx })
-                        .into_iter()
-                        .flatten()
-                        .collect();
-                if per_shard.len() != self.shard_txs.len() {
-                    return shard_down();
-                }
-                Response::Shards { shards: per_shard }
-            }
-            QueryWhat::Telemetry => {
-                let per_shard: Vec<_> = gather(&self.shard_txs, |tx| ShardMsg::GatherTelemetry {
-                    reply: tx,
-                })
-                .into_iter()
-                .flatten()
-                .collect();
-                if per_shard.len() != self.shard_txs.len() {
-                    return shard_down();
-                }
-                Response::Telemetry {
-                    telemetry: TelemetryReport {
-                        shards: per_shard,
-                        reshard_barrier_nanos: self.reshard_barrier_nanos.snapshot(),
-                        reshard_migrated_jobs: self.reshard_migrated_jobs.snapshot(),
-                        recorder: gridsec_obs::recorder::status(),
-                    },
-                }
-            }
-        }
-    }
-
-    /// The grid-wide metrics — live shards merged with the archive of
-    /// retired ones, so a reshard never resets a total — and each live
-    /// shard's pending count. `None` when a shard thread is gone.
-    fn gather_metrics(&self) -> Option<(ServeMetrics, Vec<usize>)> {
-        let mut all = vec![self.archive_metrics.clone()];
-        all.extend(
-            gather(&self.shard_txs, |tx| ShardMsg::GatherMetrics { reply: tx })
-                .into_iter()
-                .flatten(),
-        );
-        let pending = all[1..].iter().map(|m| m.pending).collect();
-        (all.len() == self.shard_txs.len() + 1).then(|| (ServeMetrics::merge(&all), pending))
-    }
-
-    /// Gathers one scrape's numbers and renders the page
-    /// ([`exposition::render`]).
-    fn render_exposition(&self) -> String {
-        let Some((metrics, pending)) = self.gather_metrics() else {
-            return "# gridsec-serve: a shard thread is no longer running\n".into();
-        };
-        let queue_depth: Vec<usize> = self.direct_queues.iter().map(|q| q.len()).collect();
-        let (io_wakes, shard_pokes, io_events_per_pass) = self.io.wake_stats();
-        exposition::render(&exposition::Page {
-            metrics: &metrics,
-            pending: &pending,
-            queue_depth: &queue_depth,
-            reshard_barrier_nanos: &self.reshard_barrier_nanos.snapshot(),
-            reshard_migrated_jobs: &self.reshard_migrated_jobs.snapshot(),
-            connections: self.io.connections.load(Ordering::Relaxed),
-            slow_disconnects: self.io.slow_disconnects.load(Ordering::Relaxed),
-            idle_reaped: self.io.idle_reaped.load(Ordering::Relaxed),
-            parked: std::array::from_fn(|i| self.io.parked[i].load(Ordering::Relaxed)),
-            io_wakes,
-            shard_pokes,
-            io_events_per_pass: &io_events_per_pass,
-            recorder: gridsec_obs::recorder::status(),
-        })
-    }
-
-    /// Drains every shard; `rounds` stays cumulative across reshards by
-    /// folding in the archived count.
-    fn drain(&self) -> Response {
-        match drain_all(&self.shard_txs) {
-            Response::Drained {
-                rounds,
-                jobs_scheduled,
-            } => Response::Drained {
-                rounds: rounds + self.archive_metrics.rounds,
-                jobs_scheduled,
-            },
-            other => other,
-        }
-    }
-
-    /// After `bye` is flushed the daemon is gone, but a pipelined client
-    /// may already have follow-up frames in the ingest queue (or still in
-    /// a reader thread). Answer them with typed rejections — notably
-    /// `reshard` → `reshard_rejected` — for a short grace window, so the
-    /// writers' in-order release never leaves a connection waiting on a
-    /// response that will never come.
-    fn reject_late_frames(&self, ingest: &Receiver<IngestEvent>) {
-        let deadline = Instant::now() + Duration::from_secs(2);
-        while Instant::now() < deadline {
-            match ingest.recv_timeout(Duration::from_millis(50)) {
-                Ok(IngestEvent::Frame(Request::Reshard { .. }, reply, seq)) => {
-                    reply.send(Reply::frame(
-                        seq,
-                        &Response::ReshardRejected {
-                            message: "daemon is draining for shutdown".into(),
-                        },
-                    ));
-                }
-                Ok(IngestEvent::Frame(_, reply, seq)) => {
-                    reply.send(Reply::frame(seq, &shutting_down()));
-                }
-                Ok(IngestEvent::Autoscale) => {}
-                Ok(IngestEvent::Scrape(reply)) => {
-                    let _ = reply.send("# gridsec-serve: daemon is shutting down\n".into());
-                }
-                Err(_) => break, // quiet (or disconnected): done
-            }
-        }
-    }
-}
-
-/// Frame-level derived routing: every job's eligible sites must sit in
-/// one and the same shard. The first job that breaks that yields a typed
-/// rejection for the whole frame (nothing was enqueued).
-///
-/// Offline sites are excluded: a job whose eligible-site set shrinks to
-/// one shard under churn routes there cleanly, and a job whose *every*
-/// eligible site is offline gets a typed `site_offline` rejection instead
-/// of queueing on a dead shard. Explicit-`shard` submits bypass this
-/// (they enqueue and defer until a site rejoins — the scenario engine's
-/// replay path).
-pub(crate) fn derive_route(
-    grid: &Grid,
-    plan: &ShardPlan,
-    offline: &[bool],
-    jobs: &[gridsec_core::Job],
-) -> Result<usize, Box<Response>> {
-    let mut target: Option<(usize, JobId)> = None;
-    for job in jobs {
-        let eligible: Vec<SiteId> = grid
-            .sites()
-            .filter(|s| s.fits_width(job.width))
-            .map(|s| s.id)
-            .collect();
-        if eligible.is_empty() {
-            return Err(Box::new(Response::RouteRejected {
-                job: job.id,
-                shards: Vec::new(),
-                message: format!("job {} fits no site on any shard", job.id),
-            }));
-        }
-        let online: Vec<SiteId> = eligible.iter().copied().filter(|s| !offline[s.0]).collect();
-        if online.is_empty() {
-            return Err(Box::new(Response::SiteOffline {
-                job: job.id,
-                message: format!(
-                    "job {} is eligible only on offline sites {:?}; resubmit after a rejoin \
-                     (or pass an explicit shard to queue it)",
-                    job.id,
-                    eligible.iter().map(|s| s.0).collect::<Vec<_>>()
-                ),
-                sites: eligible,
-            }));
-        }
-        // Reshard plans need not be contiguous, so the mapped shard list
-        // need not ascend — sort before dedup to leave each shard once.
-        let mut shards: Vec<usize> = online.iter().filter_map(|&s| plan.shard_of(s)).collect();
-        shards.sort_unstable();
-        shards.dedup();
-        match shards.as_slice() {
-            [k] => match target {
-                None => target = Some((*k, job.id)),
-                Some((t, first)) if t != *k => {
-                    let mut shards = vec![t, *k];
-                    shards.sort_unstable();
-                    return Err(Box::new(Response::RouteRejected {
-                        job: job.id,
-                        shards,
-                        message: format!(
-                            "jobs in one frame must route to one shard: job {first} routes to \
-                             shard {t}, job {} to shard {k} (split the frame or pass an \
-                             explicit shard)",
-                            job.id
-                        ),
-                    }));
-                }
-                Some(_) => {}
-            },
-            spanning => {
-                return Err(Box::new(Response::RouteRejected {
-                    job: job.id,
-                    message: format!(
-                        "job {} is eligible on sites spanning shards {spanning:?}; pass an \
-                         explicit shard to place it",
-                        job.id
-                    ),
-                    shards: spanning.to_vec(),
-                }));
-            }
-        }
-    }
-    // An empty (or zero-job) frame routes to shard 0: it enqueues
-    // nothing, so any shard gives the same `accepted` answer.
-    Ok(target.map_or(0, |(k, _)| k))
-}
-
-/// A global trust update: validate once, split per shard, scatter,
-/// gather the acks.
-fn global_reconfigure(
-    grid: &Grid,
-    plan: &ShardPlan,
-    shard_txs: &[Sender<ShardMsg>],
-    levels: &[f64],
-    at: Option<Time>,
-) -> Response {
-    if levels.len() != grid.len() {
-        return Response::Error {
-            message: format!(
-                "reconfigure: {} security levels for {} sites",
-                levels.len(),
-                grid.len()
-            ),
-        };
-    }
-    if let Some(bad) = levels.iter().find(|l| !(0.0..=1.0).contains(*l)) {
-        return Response::Error {
-            message: format!("reconfigure: security level {bad} not in [0, 1]"),
-        };
-    }
-    // Scatter by hand (not via `gather`): each shard gets its own slice
-    // of the levels, in shard-local site order.
-    let pending: Vec<Option<Receiver<Result<(), String>>>> = shard_txs
-        .iter()
-        .enumerate()
-        .map(|(k, tx)| {
-            let shard_levels: Vec<f64> = plan.sites_of(k).iter().map(|s| levels[s.0]).collect();
-            let (reply_tx, reply_rx) = channel();
-            tx.send(ShardMsg::GatherReconfigure {
-                levels: shard_levels,
-                at,
-                reply: reply_tx,
-            })
-            .ok()
-            .map(|()| reply_rx)
-        })
-        .collect();
-    for rx in pending {
-        match rx.and_then(|rx| rx.recv().ok()) {
-            Some(Ok(())) => {}
-            Some(Err(message)) => return Response::Error { message },
-            None => return shard_down(),
-        }
-    }
-    Response::Reconfigured {
-        sites: levels.len(),
-    }
-}
-
-/// Drains every shard (a barrier) and merges the counters.
-fn drain_all(shard_txs: &[Sender<ShardMsg>]) -> Response {
-    let _drain_span = gridsec_obs::span!("drain_barrier");
-    let mut rounds = 0usize;
-    let mut jobs_scheduled = 0usize;
-    for result in gather(shard_txs, |tx| ShardMsg::GatherDrain { reply: tx }) {
-        match result {
-            Some(Ok((r, j))) => {
-                rounds += r;
-                jobs_scheduled += j;
-            }
-            Some(Err(message)) => return Response::Error { message },
-            None => return shard_down(),
-        }
-    }
-    Response::Drained {
-        rounds,
-        jobs_scheduled,
-    }
-}
-
-pub(crate) fn shard_down() -> Response {
-    Response::Error {
-        message: "a shard thread is no longer running".into(),
-    }
-}
-
-pub(crate) fn shutting_down() -> Response {
-    Response::Error {
-        message: "daemon is shutting down".into(),
-    }
-}
-
-/// Forwards a message to a shard thread, answering the client with an
-/// error if the shard is gone — every request must produce exactly one
-/// response or the writer's in-order release would stall the connection.
-fn forward(shard: &Sender<ShardMsg>, msg: ShardMsg, reply: &ReplyHandle, seq: u64) {
-    if shard.send(msg).is_err() {
-        reply.send(Reply::frame(seq, &shard_down()));
-    }
 }

@@ -25,6 +25,9 @@ pub(crate) struct Page<'a> {
     pub queue_depth: &'a [usize],
     pub reshard_barrier_nanos: &'a HistogramSnapshot,
     pub reshard_migrated_jobs: &'a HistogramSnapshot,
+    /// Nanoseconds the router spent per event (control frame, scrape,
+    /// autoscaler tick); rendered in seconds.
+    pub router_frame_nanos: &'a HistogramSnapshot,
     pub connections: usize,
     pub slow_disconnects: usize,
     pub idle_reaped: usize,
@@ -36,8 +39,8 @@ pub(crate) struct Page<'a> {
 }
 
 /// Renders the page: the counter families, the gauges, then the
-/// round-latency, batch-size and reshard histograms in cumulative-`le`
-/// form.
+/// round-latency, batch-size, reshard and router-time histograms in
+/// cumulative-`le` form.
 pub(crate) fn render(page: &Page<'_>) -> String {
     // No rest pattern: a new `Page` field is an unused binding (a build
     // error under CI's `-D warnings`) until it is rendered.
@@ -47,6 +50,7 @@ pub(crate) fn render(page: &Page<'_>) -> String {
         queue_depth,
         reshard_barrier_nanos,
         reshard_migrated_jobs,
+        router_frame_nanos,
         connections,
         slow_disconnects,
         idle_reaped,
@@ -82,13 +86,15 @@ pub(crate) fn render(page: &Page<'_>) -> String {
         ("gridsec_jobs_scheduled", "Jobs with a standing commitment.", m.jobs_scheduled),
         ("gridsec_connections", "Client connections currently open.", *connections),
     ];
+    // The last column: recorded in nanoseconds, shown in seconds.
     #[rustfmt::skip]
     let histograms = [
-        ("gridsec_round_nanos", "Scheduler wall-clock nanoseconds per round.", &m.round_nanos_hist),
-        ("gridsec_batch_size", "Jobs per non-empty scheduling round.", &m.batch_size_hist),
-        ("gridsec_reshard_barrier_nanos", "Wall-clock nanoseconds a reshard barrier held.", reshard_barrier_nanos),
-        ("gridsec_reshard_migrated_jobs", "Jobs migrated per completed reshard.", reshard_migrated_jobs),
-        ("gridsec_io_events_per_pass", "Epoll events served per I/O-loop pass (its count is the pass count).", io_events_per_pass),
+        ("gridsec_round_nanos", "Scheduler wall-clock nanoseconds per round.", &m.round_nanos_hist, false),
+        ("gridsec_batch_size", "Jobs per non-empty scheduling round.", &m.batch_size_hist, false),
+        ("gridsec_reshard_barrier_nanos", "Wall-clock nanoseconds a reshard barrier held.", reshard_barrier_nanos, false),
+        ("gridsec_reshard_migrated_jobs", "Jobs migrated per completed reshard.", reshard_migrated_jobs, false),
+        ("gridsec_router_frame_seconds", "Seconds the router spent on one control frame, scrape or autoscaler tick (no other control frame is served meanwhile).", router_frame_nanos, true),
+        ("gridsec_io_events_per_pass", "Epoll events served per I/O-loop pass (its count is the pass count).", io_events_per_pass, false),
     ];
 
     let mut out = String::with_capacity(4096);
@@ -125,8 +131,8 @@ pub(crate) fn render(page: &Page<'_>) -> String {
         family(&mut out, name, "gauge", help);
         let _ = writeln!(out, "{name} {value}");
     }
-    for (name, help, h) in histograms {
-        histogram(&mut out, name, help, h);
+    for (name, help, h, nanos_as_seconds) in histograms {
+        histogram(&mut out, name, help, h, nanos_as_seconds);
     }
     out
 }
@@ -137,14 +143,26 @@ fn family(out: &mut String, name: &str, kind: &str, help: &str) {
 
 /// One histogram family: cumulative `_bucket` lines with log2 `le`
 /// bounds, the implicit `+Inf` bucket (the top log2 bucket covers all of
-/// `u64`, so it equals the count), then `_sum` and `_count`.
-fn histogram(out: &mut String, name: &str, help: &str, h: &HistogramSnapshot) {
+/// `u64`, so it equals the count), then `_sum` and `_count`. With
+/// `nanos_as_seconds` the recorded values are nanoseconds and the bounds
+/// and the sum are shown in seconds.
+fn histogram(
+    out: &mut String,
+    name: &str,
+    help: &str,
+    h: &HistogramSnapshot,
+    nanos_as_seconds: bool,
+) {
+    let show = |v: u64| match nanos_as_seconds {
+        true => (v as f64 / 1e9).to_string(),
+        false => v.to_string(),
+    };
     family(out, name, "histogram", help);
     for (upper, c) in h.cumulative_buckets() {
-        let _ = writeln!(out, "{name}_bucket{{le=\"{upper}\"}} {c}");
+        let _ = writeln!(out, "{name}_bucket{{le=\"{}\"}} {c}", show(upper));
     }
     let _ = writeln!(out, "{name}_bucket{{le=\"+Inf\"}} {}", h.count);
-    let _ = writeln!(out, "{name}_sum {}\n{name}_count {}", h.sum, h.count);
+    let _ = writeln!(out, "{name}_sum {}\n{name}_count {}", show(h.sum), h.count);
 }
 
 #[cfg(test)]
@@ -196,6 +214,7 @@ mod tests {
             queue_depth: &[7, 0],
             reshard_barrier_nanos: &hist(&[1 << 20]),
             reshard_migrated_jobs: &hist(&[6, 6, 6, 6]),
+            router_frame_nanos: &hist(&[1_000, 2_500_000_000]),
             connections: 114,
             slow_disconnects: 115,
             idle_reaped: 116,
@@ -246,6 +265,9 @@ gridsec_batch_size_count {}
 gridsec_direct_queue_depth{{shard=\"0\"}} 7
 gridsec_reshard_barrier_nanos_count 1
 gridsec_reshard_migrated_jobs_sum 24
+gridsec_router_frame_seconds_bucket{{le=\"0.000001023\"}} 1
+gridsec_router_frame_seconds_sum 2.500001
+gridsec_router_frame_seconds_count 2
 gridsec_connections 114
 gridsec_slow_disconnects_total 115
 gridsec_idle_reaped_total 116

@@ -90,6 +90,7 @@ mod exposition;
 pub mod protocol;
 pub mod replay;
 pub mod reshard;
+mod router;
 pub mod session;
 pub mod shard;
 

@@ -16,10 +16,9 @@
 //! every outbound schedule, so clients only ever see the real grid.
 
 use crate::conn::{DirectSubmit, ReplyHandle, DIRECT_QUEUE_CAP};
-use crate::daemon::{shard_down, ClockMode, Reply};
-use crate::protocol::{
-    encode, Placed, QueryWhat, Response, ServeMetrics, ShardInfo, ShardTelemetry, TelemetryReport,
-};
+use crate::daemon::{ClockMode, Reply};
+use crate::protocol::{encode, Placed, Response, ShardInfo};
+use crate::router::shard_down;
 use crate::session::{Admission, OnlineSession};
 use crossbeam_queue::ArrayQueue;
 use gridsec_core::{Job, SiteId, Time};
@@ -57,27 +56,26 @@ impl ShardSpec {
 }
 
 /// A control message to one shard thread (jobs never travel here — they
-/// arrive on the shard's [`DirectSubmit`] queue).
-///
-/// `Query`/`Reconfigure` carry the client's reply channel and sequence
-/// number — the shard answers the client directly. The `Gather*`
-/// variants return raw data to the router, which merges across shards.
+/// arrive on the shard's [`DirectSubmit`] queue). No variant carries a
+/// client's [`ReplyHandle`]: control goes router → shard → router, and the
+/// router answers the client.
 pub(crate) enum ShardMsg {
-    /// One shard's view; replies `schedule`/`metrics`/`shards`.
-    Query {
-        what: QueryWhat,
-        reply: ReplyHandle,
-        seq: u64,
-    },
-    /// Scoped trust update (shard-local site order); replies
-    /// `reconfigured`/`error`. `at` is the virtual apply instant
-    /// (virtual-clock mode only).
-    Reconfigure {
-        levels: Vec<f64>,
-        at: Option<Time>,
-        reply: ReplyHandle,
-        seq: u64,
-    },
+    /// Run this on the shard's thread: every query, trust update, site
+    /// injection and drain is one of these, built by the router's `ask`,
+    /// which hands the closure's result back over a private channel the
+    /// closure owns. A closure may rely on three things:
+    ///
+    /// 1. **The submit queue was drained first** — every submit pushed
+    ///    before the message was sent has been enqueued, so per-client
+    ///    order holds and a barrier sees every accepted job.
+    /// 2. **It never runs inside a round** — it has the session to itself,
+    ///    between two messages of the shard loop.
+    /// 3. **Dropped unrun, it reads as `shard_down`** — a shard thread
+    ///    that unwinds with the message queued, or sits in the
+    ///    post-`GatherState` hold, drops the closure and with it the
+    ///    result channel, so the router's wait ends in an error instead
+    ///    of hanging.
+    Ask(Box<dyn FnOnce(&mut ShardRuntime) + Send>),
     /// Wake-up from an I/O thread that moved the shard's [`SubmitQueue`]
     /// from `idle` to `poked`: sent once, at the end of the I/O pass that
     /// made the move, however many submits that pass (or any other I/O
@@ -89,46 +87,12 @@ pub(crate) enum ShardMsg {
     /// pushes and the export drained first), a retired shard's channel
     /// refuses it; both are fine.
     Poke,
-    /// Take a shard-local site offline at `at` (returns how many stranded
-    /// jobs were requeued) or bring it back online (returns 0). The
-    /// router owns the global offline set and only updates it on success,
-    /// so it blocks on the reply.
-    GatherSiteOnline {
-        site: SiteId,
-        online: bool,
-        at: Option<Time>,
-        reply: Sender<Result<usize, String>>,
-    },
-    /// Metrics snapshot for an aggregated view.
-    GatherMetrics { reply: Sender<ServeMetrics> },
-    /// Telemetry histograms for an aggregated view (and the
-    /// autoscaler's trend window).
-    GatherTelemetry { reply: Sender<ShardTelemetry> },
-    /// Committed schedule (global site ids) for an aggregated view.
-    GatherSchedule { reply: Sender<Vec<Placed>> },
-    /// Topology + cheap counters.
-    GatherInfo { reply: Sender<ShardInfo> },
-    /// One autoscaler sample: topology counters and telemetry taken from
-    /// the same instant, so queue depth and round-latency trend can never
-    /// straddle a round (and the shard is held once per tick, not twice).
-    GatherObservation {
-        reply: Sender<(ShardInfo, ShardTelemetry)>,
-    },
-    /// Trust update as part of a global reconfigure (levels already
-    /// validated by the router).
-    GatherReconfigure {
-        levels: Vec<f64>,
-        at: Option<Time>,
-        reply: Sender<Result<(), String>>,
-    },
-    /// Drain this shard; returns `(rounds, jobs_scheduled)`.
-    GatherDrain {
-        reply: Sender<Result<(usize, usize), String>>,
-    },
     /// Export the shard's full state (global site ids) for a reshard and
     /// **hold**: after replying, the shard accepts only `Stop` or
     /// `Resume`, so nothing (in particular no wall-clock timer round)
-    /// mutates the session between the export and its fate.
+    /// mutates the session between the export and its fate. The hold
+    /// needs the shard's receiver, which is why this is a message of its
+    /// own and not an `Ask`.
     GatherState {
         reply: Sender<crate::reshard::ShardStateExport>,
     },
@@ -334,72 +298,8 @@ impl ShardRuntime {
             // see every accepted submit.
             self.drain_direct();
             match msg {
-                ShardMsg::Query { what, reply, seq } => {
-                    let response = self.handle_query(what);
-                    reply.send(Reply::frame(seq, &response));
-                }
-                ShardMsg::Reconfigure {
-                    levels,
-                    at,
-                    reply,
-                    seq,
-                } => {
-                    let at = self.injection_instant(at);
-                    let response = match self.session.set_security_levels_at(&levels, at) {
-                        Ok(()) => Response::Reconfigured {
-                            sites: levels.len(),
-                        },
-                        Err(e) => Response::Error {
-                            message: format!("shard {}: {e}", self.shard),
-                        },
-                    };
-                    reply.send(Reply::frame(seq, &response));
-                }
-                ShardMsg::GatherSiteOnline {
-                    site,
-                    online,
-                    at,
-                    reply,
-                } => {
-                    let at = self.injection_instant(at);
-                    let result = match online {
-                        true => self.session.rejoin_site(site, at).map(|()| 0),
-                        false => self.session.fail_site(site, at).map(|jobs| jobs.len()),
-                    };
-                    let _ = reply.send(result.map_err(|e| format!("shard {}: {e}", self.shard)));
-                }
-                ShardMsg::GatherMetrics { reply } => {
-                    let _ = reply.send(self.session.metrics());
-                }
-                ShardMsg::GatherTelemetry { reply } => {
-                    let _ = reply.send(self.session.telemetry(self.shard));
-                }
-                ShardMsg::GatherSchedule { reply } => {
-                    let _ = reply.send(self.global_schedule());
-                }
-                ShardMsg::GatherInfo { reply } => {
-                    let _ = reply.send(self.info());
-                }
-                ShardMsg::GatherObservation { reply } => {
-                    let _ = reply.send((self.info(), self.session.telemetry(self.shard)));
-                }
+                ShardMsg::Ask(f) => f(&mut self),
                 ShardMsg::Poke => {} // drained above
-                ShardMsg::GatherReconfigure { levels, at, reply } => {
-                    let at = self.injection_instant(at);
-                    let result = self
-                        .session
-                        .set_security_levels_at(&levels, at)
-                        .map_err(|e| format!("shard {}: {e}", self.shard));
-                    let _ = reply.send(result);
-                }
-                ShardMsg::GatherDrain { reply } => {
-                    let result = self
-                        .session
-                        .drain()
-                        .map(|rounds| (rounds, self.session.jobs_scheduled()))
-                        .map_err(|e| format!("shard {}: {e}", self.shard));
-                    let _ = reply.send(result);
-                }
                 ShardMsg::GatherState { reply } => {
                     let _ = reply.send(self.export());
                     // Hold: the state just exported must stay the truth
@@ -415,9 +315,10 @@ impl ShardRuntime {
                                 let _ = done.send(());
                                 return;
                             }
-                            // Dropping any other message drops its reply
-                            // sender, surfacing as a shard-down error at
-                            // the router rather than a deadlock.
+                            // Dropping any other message drops the sender
+                            // its answer would travel on, surfacing as a
+                            // shard-down error at the router rather than a
+                            // deadlock.
                             Ok(_) => {}
                             Err(_) => {
                                 self.save_state();
@@ -517,29 +418,42 @@ impl ShardRuntime {
         }
     }
 
-    /// One shard's view of a query.
-    fn handle_query(&self, what: QueryWhat) -> Response {
-        match what {
-            QueryWhat::Schedule => Response::Schedule {
-                assignments: self.global_schedule(),
-            },
-            QueryWhat::Metrics => Response::Metrics {
-                metrics: self.session.metrics(),
-            },
-            QueryWhat::Shards => Response::Shards {
-                shards: vec![self.info()],
-            },
-            // A shard-scoped telemetry query reports just this shard;
-            // the reshard histograms are router-level and stay at their
-            // defaults here (the aggregated query carries them).
-            QueryWhat::Telemetry => Response::Telemetry {
-                telemetry: TelemetryReport {
-                    shards: vec![self.session.telemetry(self.shard)],
-                    recorder: gridsec_obs::recorder::status(),
-                    ..TelemetryReport::default()
-                },
-            },
+    /// Applies a trust update the router has validated. `by_site` holds
+    /// one level per site of the whole grid, indexed by global site id;
+    /// the shard picks out its own.
+    pub(crate) fn reconfigure(&mut self, by_site: &[f64], at: Option<Time>) -> Result<(), String> {
+        let levels: Vec<f64> = self.global_sites.iter().map(|s| by_site[s.0]).collect();
+        let at = self.injection_instant(at);
+        self.session
+            .set_security_levels_at(&levels, at)
+            .map_err(|e| self.named(e))
+    }
+
+    /// Takes a shard-local site offline at `at` (returns how many stranded
+    /// jobs were requeued) or brings it back online (returns 0).
+    pub(crate) fn set_site_online(
+        &mut self,
+        site: SiteId,
+        online: bool,
+        at: Option<Time>,
+    ) -> Result<usize, String> {
+        let at = self.injection_instant(at);
+        match online {
+            true => self.session.rejoin_site(site, at).map(|()| 0),
+            false => self.session.fail_site(site, at).map(|jobs| jobs.len()),
         }
+        .map_err(|e| self.named(e))
+    }
+
+    /// Runs every due round; returns `(rounds, jobs_scheduled)`.
+    pub(crate) fn drain(&mut self) -> Result<(usize, usize), String> {
+        let rounds = self.session.drain().map_err(|e| self.named(e))?;
+        Ok((rounds, self.session.jobs_scheduled()))
+    }
+
+    /// A session error as the client reads it: prefixed with the shard.
+    fn named(&self, e: impl std::fmt::Display) -> String {
+        format!("shard {}: {e}", self.shard)
     }
 
     /// The shard's full state for a reshard transfer, translated to
@@ -571,7 +485,7 @@ impl ShardRuntime {
     }
 
     /// The committed schedule with local site ids translated to global.
-    fn global_schedule(&self) -> Vec<Placed> {
+    pub(crate) fn global_schedule(&self) -> Vec<Placed> {
         self.session
             .assignments()
             .iter()
@@ -582,7 +496,8 @@ impl ShardRuntime {
             .collect()
     }
 
-    fn info(&self) -> ShardInfo {
+    /// Topology and the cheap counters (`query what=shards`).
+    pub(crate) fn info(&self) -> ShardInfo {
         ShardInfo {
             shard: self.shard,
             sites: self.global_sites.clone(),

@@ -776,3 +776,68 @@ fn a_shard_that_dies_mid_round_answers_every_frame_it_held() {
     }
     daemon.join();
 }
+
+/// A control frame scoped to a shard, accepted while that shard's round is
+/// stuck behind the gate, then the round panics: the frame is answered
+/// with the shard-down error, within the read timeout. (Before the router
+/// answered every control frame itself the shard held the frame's reply
+/// handle, dropped it as it unwound, and the connection's in-order
+/// release stalled behind that sequence number for good.)
+fn scoped_frame_queued_behind_a_round_that_panics_is_answered(frame: &Request) {
+    const FENCED: usize = 0;
+    let probe = Probe::new(false);
+    probe.panic_behind_gate.store(true, Ordering::SeqCst);
+    let daemon = spawn_probed(1, &probe, DaemonOptions::default());
+    // The second submit fires the round that blocks on the gate (see
+    // `burst`); both frames stay in flight.
+    let submits = TcpStream::connect(daemon.addr()).unwrap();
+    write_in_background(&submits, burst(2, None), false)
+        .join()
+        .unwrap();
+    eventually(
+        Duration::from_secs(20),
+        "the round reaches the gate",
+        || probe.rounds_entered.load(Ordering::SeqCst) >= 1,
+    );
+    // A submit pipelined behind the scoped frame parks (fenced) only
+    // after the frame went to the router, which has nothing else to do:
+    // the frame is waiting on shard 0 when the gate opens.
+    let mut raw = TcpStream::connect(daemon.addr()).unwrap();
+    raw.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    raw.write_all((encode(frame) + &submit_line(2, 20.0, None)).as_bytes())
+        .unwrap();
+    eventually(Duration::from_secs(20), "the submit parks (fenced)", || {
+        daemon.submits_parked()[FENCED] >= 1
+    });
+    probe.open_gate(); // the round panics; the shard thread unwinds
+
+    let mut client = Client::from_stream(raw).unwrap();
+    for what in ["the scoped frame", "the submit fenced behind it"] {
+        match client.read_response() {
+            Ok(Response::Error { message }) if message.contains("no longer running") => {}
+            other => panic!("{what}: expected the shard-down error, got {other:?}"),
+        }
+    }
+    assert!(matches!(
+        client.send(&Request::Shutdown).unwrap(),
+        Response::Error { .. }
+    ));
+    daemon.join();
+}
+
+#[test]
+fn a_scoped_query_queued_behind_a_round_that_panics_is_answered() {
+    scoped_frame_queued_behind_a_round_that_panics_is_answered(&Request::Query {
+        what: QueryWhat::Metrics,
+        shard: Some(0),
+    });
+}
+
+#[test]
+fn a_scoped_reconfigure_queued_behind_a_round_that_panics_is_answered() {
+    scoped_frame_queued_behind_a_round_that_panics_is_answered(&Request::Reconfigure {
+        security_levels: vec![0.5, 0.5],
+        shard: Some(0),
+        at: None,
+    });
+}

@@ -1,11 +1,13 @@
 //! Shard-routing edge cases against a live sharded daemon: spanning jobs
 //! rejected with a typed frame, unknown shard ids, reconfiguring a
-//! drained shard, and two tenants on different shards interleaving
-//! deterministically.
+//! drained shard, two tenants on different shards interleaving
+//! deterministically, and a shard-scoped query being the grid-wide one
+//! over a single shard.
 
 use gridsec_core::{Grid, Job, JobId, Site, SiteId, Time};
 use gridsec_serve::{
     stateless_factory, Client, Daemon, DaemonOptions, Placed, QueryWhat, Request, Response,
+    ServeMetrics, TelemetryReport,
 };
 use gridsec_sim::scheduler::EarliestCompletion;
 use gridsec_sim::{BatchPolicy, ShardPlan, SimConfig};
@@ -533,5 +535,146 @@ fn shards_query_reflects_the_new_topology_after_reshard() {
             n_shards: 4,
         }
     );
+    shutdown(&mut client, daemon);
+}
+
+const EVERY_WHAT: [QueryWhat; 4] = [
+    QueryWhat::Schedule,
+    QueryWhat::Metrics,
+    QueryWhat::Shards,
+    QueryWhat::Telemetry,
+];
+
+/// One `query` round trip. The flight recorder's status is blanked: the
+/// recorder is one per process and the tests of this binary share it.
+fn query(client: &mut Client, what: QueryWhat, shard: Option<usize>) -> Response {
+    match client.send(&Request::Query { what, shard }).unwrap() {
+        Response::Telemetry { mut telemetry } => {
+            telemetry.recorder = Default::default();
+            Response::Telemetry { telemetry }
+        }
+        other => other,
+    }
+}
+
+/// Submits one single-job frame per `(id, arrival)` to `shard`, then drains.
+fn serve(client: &mut Client, jobs: &[(u64, f64)], shard: Option<usize>) {
+    for &(id, arrival) in jobs {
+        match client
+            .send(&Request::Submit {
+                jobs: vec![job(id, arrival, 5.0 + id as f64, 1)],
+                shard,
+                tenant: None,
+            })
+            .unwrap()
+        {
+            Response::Accepted { jobs: 1, .. } => {}
+            other => panic!("submit {id} failed: {other:?}"),
+        }
+    }
+    assert!(matches!(
+        client.send(&Request::Drain).unwrap(),
+        Response::Drained { .. }
+    ));
+}
+
+fn reshard(client: &mut Client, shards: Vec<Vec<usize>>) {
+    let n = shards.len();
+    match client.send(&Request::Reshard { shards }).unwrap() {
+        Response::Resharded { shards, .. } => assert_eq!(shards, n),
+        other => panic!("reshard failed: {other:?}"),
+    }
+}
+
+/// A shard-scoped query is the grid-wide query over the one-shard slice:
+/// on a one-shard daemon that has run rounds and never resharded, the two
+/// frames decode to the same `Response`, for every `what`.
+#[test]
+fn a_scoped_query_is_the_whole_query_over_one_shard() {
+    let grid = grid();
+    let plan = ShardPlan::contiguous(&grid, 1).unwrap();
+    let daemon = spawn_plan(grid, &plan, BatchPolicy::Periodic);
+    let mut client = Client::connect(daemon.addr()).unwrap();
+    serve(&mut client, &[(0, 0.0), (1, 3.0), (2, 12.0)], None);
+    let served = metrics(&mut client, None);
+    assert_eq!((served.rounds, served.pending), (2, 0));
+    for what in EVERY_WHAT {
+        assert_eq!(
+            query(&mut client, what, Some(0)),
+            query(&mut client, what, None),
+            "{what:?}: the scoped and the whole view of one shard differ"
+        );
+    }
+    shutdown(&mut client, daemon);
+}
+
+fn metrics(client: &mut Client, shard: Option<usize>) -> ServeMetrics {
+    match query(client, QueryWhat::Metrics, shard) {
+        Response::Metrics { metrics } => metrics,
+        other => panic!("metrics failed: {other:?}"),
+    }
+}
+
+fn schedule(client: &mut Client, shard: Option<usize>) -> Vec<Placed> {
+    match query(client, QueryWhat::Schedule, shard) {
+        Response::Schedule { assignments } => assignments,
+        other => panic!("schedule failed: {other:?}"),
+    }
+}
+
+fn telemetry(client: &mut Client, shard: Option<usize>) -> TelemetryReport {
+    match query(client, QueryWhat::Telemetry, shard) {
+        Response::Telemetry { telemetry } => telemetry,
+        other => panic!("telemetry failed: {other:?}"),
+    }
+}
+
+/// What `whole` may add, and nothing else: after a 1 → 2 → 1 reshard the
+/// grid-wide counters and schedule exceed shard 0's by exactly what the
+/// retired shards had served (the router's archive), and only the
+/// grid-wide telemetry frame carries the router's reshard histograms.
+#[test]
+fn the_whole_view_is_the_scoped_one_plus_the_archive_and_the_reshard_histograms() {
+    let grid = grid();
+    let plan = ShardPlan::contiguous(&grid, 1).unwrap();
+    let daemon = spawn_plan(grid, &plan, BatchPolicy::Periodic);
+    let mut client = Client::connect(daemon.addr()).unwrap();
+    serve(&mut client, &[(0, 0.0), (1, 3.0), (2, 12.0)], None);
+    reshard(&mut client, vec![vec![0, 1], vec![2, 3]]);
+    serve(&mut client, &[(3, 40.0), (4, 41.0)], Some(0));
+    serve(&mut client, &[(5, 40.0)], Some(1));
+    // Everything served so far is about to be retired with its shards.
+    let archived = metrics(&mut client, None);
+    let archived_schedule = schedule(&mut client, None);
+    assert_eq!((archived.jobs_submitted, archived_schedule.len()), (6, 6));
+    reshard(&mut client, vec![vec![0, 1, 2, 3]]);
+    serve(&mut client, &[(6, 80.0), (7, 95.0)], None);
+
+    let (whole, scoped) = (metrics(&mut client, None), metrics(&mut client, Some(0)));
+    assert_eq!((scoped.jobs_submitted, scoped.rounds), (2, 2));
+    assert_eq!(
+        whole.jobs_submitted,
+        archived.jobs_submitted + scoped.jobs_submitted
+    );
+    assert_eq!(whole.rounds, archived.rounds + scoped.rounds);
+    assert_eq!(whole.jobs_scheduled, scoped.jobs_scheduled);
+
+    let (whole, scoped) = (schedule(&mut client, None), schedule(&mut client, Some(0)));
+    assert_eq!(scoped.len(), 2);
+    assert_eq!(whole, [archived_schedule, scoped].concat());
+
+    assert_eq!(
+        query(&mut client, QueryWhat::Shards, Some(0)),
+        query(&mut client, QueryWhat::Shards, None)
+    );
+    let (whole, scoped) = (
+        telemetry(&mut client, None),
+        telemetry(&mut client, Some(0)),
+    );
+    assert_eq!(whole.shards, scoped.shards);
+    assert_eq!(whole.reshard_barrier_nanos.count, 2);
+    assert_eq!(whole.reshard_migrated_jobs.count, 2);
+    assert_eq!(scoped.reshard_barrier_nanos.count, 0);
+    assert_eq!(scoped.reshard_migrated_jobs.count, 0);
     shutdown(&mut client, daemon);
 }
