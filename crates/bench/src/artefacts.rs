@@ -88,6 +88,26 @@ impl Artefact {
         self.push(params, Outcome::Sim(out));
     }
 
+    /// Appends the table of ablation `k`'s sweep — the simulations kept
+    /// as `<k> key=value …` — one row each: the values under their keys,
+    /// then every column's cell.
+    fn tabulate(&mut self, k: usize, columns: &[Column]) {
+        fn labels(r: &Record) -> impl Iterator<Item = (&str, &str)> {
+            r.params.split(' ').filter_map(|p| p.split_once('='))
+        }
+        let prefix = format!("{k} ");
+        let sweep = self.records.iter();
+        let sweep: Vec<&Record> = sweep.filter(|r| r.params.starts_with(&prefix)).collect();
+        let keys = labels(sweep[0]).map(|(key, _)| key);
+        let mut t = AsciiTable::new(keys.chain(columns.iter().map(|c| c.0)).collect());
+        for r in sweep {
+            let out = r.sim().expect("a sweep keeps simulations");
+            let values = labels(r).map(|(_, value)| value.to_string());
+            t.row(values.chain(columns.iter().map(|c| c.1(out))).collect());
+        }
+        self.table(&t);
+    }
+
     /// Runs one simulation and keeps it.
     fn sim(
         &mut self,
@@ -132,6 +152,21 @@ fn sci(x: f64) -> String {
 fn secs(o: &SimOutput) -> String {
     sci(o.metrics.makespan.seconds())
 }
+
+/// A column of an ablation table: its header and the cell it reads off a
+/// simulation.
+type Column = (&'static str, fn(&SimOutput) -> String);
+const MAKESPAN: Column = ("makespan (s)", secs);
+const N_FAIL: Column = ("Nfail", |o| o.metrics.n_fail.to_string());
+const N_RISK: Column = ("Nrisk", |o| o.metrics.n_risk.to_string());
+const AVG_RESPONSE: Column = ("avg response (s)", |o| sci(o.metrics.avg_response));
+const SCHED_TIME: Column = ("scheduler time (s)", |o| {
+    format!("{:.3}", o.scheduler_seconds)
+});
+const BACKUPS: Column = ("backups", |o| o.replica_dispatches.to_string());
+const UTIL: Column = ("util (%)", |o| {
+    format!("{:.1}", o.metrics.overall_utilization)
+});
 
 /// An idle grid at time zero, for the single-batch GA comparisons.
 fn idle(grid: &Grid) -> Vec<NodeAvailability> {
@@ -235,18 +270,9 @@ pub fn fig7a(args: &BenchArgs) -> Artefact {
     let on = (&w.jobs[..], &w.grid);
     for f in (0..=10).map(|i| i as f64 / 10.0) {
         let mode = RiskMode::FRisky(f);
-        let mm = a.sim(
-            format!("f={f:.1} minmin"),
-            on,
-            &mut MinMin::new(mode),
-            &config,
-        );
-        let sf = a.sim(
-            format!("f={f:.1} sufferage"),
-            on,
-            &mut Sufferage::new(mode),
-            &config,
-        );
+        let (mut minmin, mut sufferage) = (MinMin::new(mode), Sufferage::new(mode));
+        let mm = a.sim(format!("f={f:.1} minmin"), on, &mut minmin, &config);
+        let sf = a.sim(format!("f={f:.1} sufferage"), on, &mut sufferage, &config);
         table.row(vec![
             format!("{f:.1}"),
             format!("{:.0}", mm.metrics.makespan.seconds()),
@@ -265,10 +291,8 @@ pub fn fig7b(args: &BenchArgs) -> Artefact {
     let n = if args.quick { 200 } else { 1000 };
     let w = psa_setup(n, args.seed);
     let config = psa_sim_config(args.seed);
-    let mut a = Artefact::titled(
-        "fig7b",
-        &format!("Fig. 7(b): STGA makespan vs iterations (PSA, N = {n})"),
-    );
+    let title = format!("Fig. 7(b): STGA makespan vs iterations (PSA, N = {n})");
+    let mut a = Artefact::titled("fig7b", &title);
 
     let gens: &[usize] = if args.quick {
         &[0, 10, 25, 50, 100]
@@ -276,14 +300,10 @@ pub fn fig7b(args: &BenchArgs) -> Artefact {
         &[0, 10, 25, 40, 50, 75, 100, 150, 200]
     };
     let mut table = AsciiTable::new(vec!["iterations", "makespan (s)", "scheduler time (s)"]);
+    let on = (&w.jobs[..], &w.grid);
     for &g in gens {
         let mut stga = make_stga(&w.jobs, &w.grid, args.seed, g, 8).expect("valid STGA params");
-        let out = a.sim(
-            format!("generations={g}"),
-            (&w.jobs[..], &w.grid),
-            &mut stga,
-            &config,
-        );
+        let out = a.sim(format!("generations={g}"), on, &mut stga, &config);
         table.row(vec![
             g.to_string(),
             format!("{:.0}", out.metrics.makespan.seconds()),
@@ -448,13 +468,9 @@ pub fn fig10(args: &BenchArgs) -> Artefact {
     } else {
         &[1_000, 2_000, 5_000, 10_000]
     };
-    let mut a = Artefact::titled(
-        "fig10",
-        &format!(
-            "Fig. 10: PSA scaling, N in {sizes:?}, mean of {} replications",
-            args.reps
-        ),
-    );
+    let reps = args.reps;
+    let title = format!("Fig. 10: PSA scaling, N in {sizes:?}, mean of {reps} replications");
+    let mut a = Artefact::titled("fig10", &title);
     // One parallel task per (N, seed) pair: the pool load-balances the
     // mixed run lengths.
     let seeds = replication_seeds(args.seed, args.reps);
@@ -519,133 +535,77 @@ pub fn ablations(args: &BenchArgs) -> Artefact {
         "Ablation 1: failure-law λ sweep (Min-Min Risky, PSA)",
     );
 
-    let mut t = AsciiTable::new(vec!["lambda", "makespan (s)", "Nfail", "Nrisk"]);
     for lambda in [0.5, 1.0, 3.0, 6.0, 12.0] {
         let config = base.clone().with_lambda(lambda).expect("positive λ");
-        let out = a.sim(format!("1 lambda={lambda:.1}"), on, &mut risky(), &config);
-        t.row(vec![
-            format!("{lambda:.1}"),
-            secs(&out),
-            out.metrics.n_fail.to_string(),
-            out.metrics.n_risk.to_string(),
-        ]);
+        a.sim(format!("1 lambda={lambda:.1}"), on, &mut risky(), &config);
     }
-    a.table(&t);
+    a.tabulate(1, &[MAKESPAN, N_FAIL, N_RISK]);
     a.header("Ablation 2: failure-detection timing (Min-Min Risky, PSA)");
 
-    let mut t = AsciiTable::new(vec!["detection", "makespan (s)", "avg response (s)"]);
     for (label, fd) in [
         ("at-end", FailureDetection::AtEnd),
         ("uniform-fraction", FailureDetection::UniformFraction),
     ] {
         let config = base.clone().with_failure_detection(fd);
-        let out = a.sim(format!("2 detection={label}"), on, &mut risky(), &config);
-        t.row(vec![
-            label.to_string(),
-            secs(&out),
-            sci(out.metrics.avg_response),
-        ]);
+        a.sim(format!("2 detection={label}"), on, &mut risky(), &config);
     }
-    a.table(&t);
+    a.tabulate(2, &[MAKESPAN, AVG_RESPONSE]);
     a.header("Ablation 3: STGA history-table capacity");
 
     let ga = GaParams::default()
         .with_generations(if args.quick { 30 } else { 100 })
         .with_seed(subseed(args.seed, 0x57A6));
-    // An STGA on `params`, its history warmed on the workload unless the
-    // history seeds are switched off.
-    let stga_of = |params: StgaParams| {
+    // An STGA on the defaults as `set` changes them, its history warmed on
+    // the workload unless the history seeds are switched off.
+    let stga_of = |set: &dyn Fn(&mut StgaParams)| {
+        let mut params = StgaParams {
+            ga,
+            ..StgaParams::default()
+        };
+        set(&mut params);
         let mut stga = Stga::new(params).expect("valid params");
         if params.history_fraction > 0.0 {
             stga.train(&w.jobs, &w.grid, 8).expect("training");
         }
         stga
     };
-    let defaults = StgaParams {
-        ga,
-        ..StgaParams::default()
-    };
 
-    let mut t = AsciiTable::new(vec!["capacity", "makespan (s)", "scheduler time (s)"]);
-    for table_capacity in [1usize, 25, 150, 600] {
-        let mut stga = stga_of(StgaParams {
-            table_capacity,
-            ..defaults
-        });
-        let out = a.sim(format!("3 capacity={table_capacity}"), on, &mut stga, &base);
-        t.row(vec![
-            table_capacity.to_string(),
-            secs(&out),
-            format!("{:.3}", out.scheduler_seconds),
-        ]);
+    for capacity in [1usize, 25, 150, 600] {
+        let mut stga = stga_of(&|p| p.table_capacity = capacity);
+        a.sim(format!("3 capacity={capacity}"), on, &mut stga, &base);
     }
-    a.table(&t);
+    a.tabulate(3, &[MAKESPAN, SCHED_TIME]);
     a.header("Ablation 4: STGA similarity threshold");
 
-    let mut t = AsciiTable::new(vec!["threshold", "makespan (s)"]);
-    for similarity_threshold in [0.5, 0.8, 0.95, 0.999] {
-        let mut stga = stga_of(StgaParams {
-            similarity_threshold,
-            ..defaults
-        });
-        let out = a.sim(
-            format!("4 threshold={similarity_threshold:.3}"),
-            on,
-            &mut stga,
-            &base,
-        );
-        t.row(vec![format!("{similarity_threshold:.3}"), secs(&out)]);
+    for threshold in [0.5, 0.8, 0.95, 0.999] {
+        let mut stga = stga_of(&|p| p.similarity_threshold = threshold);
+        a.sim(format!("4 threshold={threshold:.3}"), on, &mut stga, &base);
     }
-    a.table(&t);
+    a.tabulate(4, &[MAKESPAN]);
     a.header("Ablation 5: population seeding mix");
 
-    let mut t = AsciiTable::new(vec!["history", "heuristics", "makespan (s)"]);
     let on_off = |b: bool| if b { "on" } else { "off" };
-    for (history_fraction, heuristic_seeds) in
-        [(0.5, true), (0.5, false), (0.0, true), (0.0, false)]
-    {
-        let mut stga = stga_of(StgaParams {
-            history_fraction,
-            heuristic_seeds,
-            ..defaults
-        });
-        let (history, heuristics) = (on_off(history_fraction > 0.0), on_off(heuristic_seeds));
+    for (history, heuristics) in [(0.5, true), (0.5, false), (0.0, true), (0.0, false)] {
+        let mut stga =
+            stga_of(&|p| (p.history_fraction, p.heuristic_seeds) = (history, heuristics));
+        let (history, heuristics) = (on_off(history > 0.0), on_off(heuristics));
         let params = format!("5 history={history} heuristics={heuristics}");
-        let out = a.sim(params, on, &mut stga, &base);
-        t.row(vec![
-            history.to_string(),
-            heuristics.to_string(),
-            secs(&out),
-        ]);
+        a.sim(params, on, &mut stga, &base);
     }
-    a.table(&t);
+    a.tabulate(5, &[MAKESPAN]);
     a.header("Ablation 6: DFTS-style replication of risky placements");
 
-    let mut t = AsciiTable::new(vec![
-        "threshold",
-        "makespan (s)",
-        "Nfail",
-        "backups",
-        "util (%)",
-    ]);
     let config = base.clone().with_lambda(8.0).expect("λ > 0");
     let replicated = config.clone().with_max_replicas(2);
     for threshold in [None, Some(0.8), Some(0.5), Some(0.2)] {
         let label = threshold.map_or("off".to_string(), |th| format!("{th:.1}"));
         let params = format!("6 threshold={label}");
-        let out = match threshold {
+        match threshold {
             None => a.sim(params, on, &mut risky(), &config),
             Some(th) => a.sim(params, on, &mut Replicated::new(risky(), th), &replicated),
         };
-        t.row(vec![
-            label,
-            secs(&out),
-            out.metrics.n_fail.to_string(),
-            out.replica_dispatches.to_string(),
-            format!("{:.1}", out.metrics.overall_utilization),
-        ]);
     }
-    a.table(&t);
+    a.tabulate(6, &[MAKESPAN, N_FAIL, BACKUPS, UTIL]);
     a.header("Ablation 7: execution-time estimate error (paper §5 future work)");
 
     let mut t = AsciiTable::new(vec!["estimates", "Min-Min (s)", "STGA (s)"]);
@@ -656,18 +616,10 @@ pub fn ablations(args: &BenchArgs) -> Artefact {
         ("constant", EstimateModel::Constant { work: 150_000.0 }),
     ] {
         let config = base.clone().with_estimates(model);
-        let mm = a.sim(
-            format!("7 estimates={label} minmin"),
-            on,
-            &mut MinMin::new(RiskMode::FRisky(0.5)),
-            &config,
-        );
-        let st = a.sim(
-            format!("7 estimates={label} stga"),
-            on,
-            &mut stga_of(defaults),
-            &config,
-        );
+        let params = format!("7 estimates={label}");
+        let mut minmin = MinMin::new(RiskMode::FRisky(0.5));
+        let mm = a.sim(format!("{params} minmin"), on, &mut minmin, &config);
+        let st = a.sim(format!("{params} stga"), on, &mut stga_of(&|_| ()), &config);
         t.row(vec![label.to_string(), secs(&mm), secs(&st)]);
     }
     a.table(&t);
@@ -682,36 +634,19 @@ pub fn ablations(args: &BenchArgs) -> Artefact {
         model: SecurityModel::default(),
     };
     let ctx = MapCtx::build(&batch, &view, RiskMode::Risky, Fallback::default());
+    let single = ga.with_population(200);
+    let rng = &mut stream(args.seed, Stream::Genetic);
+    let islands = IslandParams {
+        ga: ga.with_population(50),
+        islands: 4,
+        epochs: 5,
+        migrants: 2,
+    };
+    let kind = FitnessKind::Makespan;
     let mut t = AsciiTable::new(vec!["engine", "batch fitness (s)", "wall time (ms)"]);
-    let single = || {
-        let params = ga.with_population(200);
-        let rng = &mut stream(args.seed, Stream::Genetic);
-        evolve(
-            &ctx,
-            &avail,
-            vec![],
-            &params,
-            FitnessKind::Makespan,
-            None,
-            rng,
-        )
-    };
-    let islands = || {
-        let params = IslandParams {
-            ga: ga.with_population(50),
-            islands: 4,
-            epochs: 5,
-            migrants: 2,
-        };
-        evolve_islands(&ctx, &avail, vec![], &params, FitnessKind::Makespan, None)
-    };
-    let engines: [(&str, &dyn Fn() -> GaResult); 2] = [
-        ("single population (200)", &single),
-        ("4 islands x 50", &islands),
-    ];
-    for (label, engine) in engines {
+    let mut engine = |label: &str, run: &mut dyn FnMut() -> GaResult| {
         let t0 = std::time::Instant::now();
-        let result = engine();
+        let result = run();
         let ms = t0.elapsed().as_millis();
         t.row(vec![
             label.to_string(),
@@ -719,7 +654,13 @@ pub fn ablations(args: &BenchArgs) -> Artefact {
             ms.to_string(),
         ]);
         a.push(format!("8 {label}"), Outcome::Trajectory(result.trajectory));
-    }
+    };
+    engine("single population (200)", &mut || {
+        evolve(&ctx, &avail, vec![], &single, kind, None, rng)
+    });
+    engine("4 islands x 50", &mut || {
+        evolve_islands(&ctx, &avail, vec![], &islands, kind, None)
+    });
     a.table(&t);
 
     // Where batch-global optimisation separates from greedy mapping: the
@@ -737,20 +678,11 @@ pub fn ablations(args: &BenchArgs) -> Artefact {
         let batch = (arrivals_per_second * period).ceil() as usize;
         let mut stga =
             make_stga(&nas.jobs, &nas.grid, args.seed, 100, batch).expect("valid STGA params");
-        a.sim(
-            format!("9 period={period} minmin"),
-            on,
-            &mut risky(),
-            &config,
-        );
         let mut sufferage = Sufferage::new(RiskMode::Risky);
-        a.sim(
-            format!("9 period={period} sufferage"),
-            on,
-            &mut sufferage,
-            &config,
-        );
-        a.sim(format!("9 period={period} stga"), on, &mut stga, &config);
+        let params = format!("9 period={period}");
+        a.sim(format!("{params} minmin"), on, &mut risky(), &config);
+        a.sim(format!("{params} sufferage"), on, &mut sufferage, &config);
+        a.sim(format!("{params} stga"), on, &mut stga, &config);
     }
     a
 }

@@ -25,10 +25,8 @@
 //! differs from the recorded one; `tests/claims.rs` asserts the same in
 //! tier-1, together with a digest of every artefact's records.
 //!
-//! The second binary, `loadgen`, drives the `gridsec-serve` daemon's
-//! behaviour checks (`--smoke`, `--scenario`); it is not an artefact.
-//! Nothing here times the serving path — that is `gridbench/`, the
-//! repository's one benchmark.
+//! The crate is the paper alone: it does not depend on `gridsec-serve`,
+//! and nothing here times anything — that is `gridbench/`.
 
 #![warn(missing_docs)]
 #![deny(unsafe_code)]

@@ -77,17 +77,16 @@ pub fn paper_schedulers(
     seed: u64,
     expected_batch: usize,
 ) -> Vec<Box<dyn BatchScheduler>> {
-    let mut v: Vec<Box<dyn BatchScheduler>> = vec![
+    let stga = make_stga(jobs, grid, seed, 100, expected_batch).expect("valid STGA parameters");
+    vec![
         Box::new(MinMin::new(RiskMode::Secure)),
         Box::new(MinMin::new(RiskMode::FRisky(RiskMode::PAPER_F))),
         Box::new(MinMin::new(RiskMode::Risky)),
         Box::new(Sufferage::new(RiskMode::Secure)),
         Box::new(Sufferage::new(RiskMode::FRisky(RiskMode::PAPER_F))),
         Box::new(Sufferage::new(RiskMode::Risky)),
-    ];
-    let stga = make_stga(jobs, grid, seed, 100, expected_batch).expect("valid STGA parameters");
-    v.push(Box::new(stga));
-    v
+        Box::new(stga),
+    ]
 }
 
 /// Runs one scheduler over one workload to completion.

@@ -64,7 +64,7 @@ fn print_usage() {
          chaos: compiles the scenario's injection program (arrivals, site\n\
          failures/rejoins, trust re-ratings) and replays it through the engine,\n\
          printing the zero-lost-jobs ledger. `example-scenario` writes a starter\n\
-         churn spec; the same file drives `loadgen --scenario` against the daemon.\n\
+         churn spec.\n\
          \n\
          serve: starts the online scheduling daemon (NDJSON frames over TCP) with\n\
          the spec's grid and *first* scheduler; jobs arrive via `submit` frames.\n\

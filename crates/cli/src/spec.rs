@@ -279,8 +279,8 @@ impl ExperimentSpec {
 
 /// A complete chaos-scenario specification: the grid under test, one
 /// scheduler, the batching configuration, and the injection program
-/// itself. Replayable through the engine (`gridsec chaos`) and the
-/// daemon (`loadgen --scenario`).
+/// itself. `gridsec chaos` replays it in process; the serve crate's
+/// `chaos_equivalence` suite feeds the same stream to a daemon.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ScenarioSpec {
     /// The grid the scenario runs on.

@@ -40,7 +40,12 @@ impl fmt::Display for JobId {
 /// assert_eq!(job.width, 4);
 /// assert!((job.security_demand - 0.75).abs() < 1e-12);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+///
+/// A job is valid when it is typed: `Deserialize` reads the fields into a
+/// [`JobBuilder`] and goes through [`JobBuilder::build`], so no JSON — a
+/// daemon's `submit` frame above all — can carry a job the schedulers
+/// were not written for. `Serialize` writes the fields as they are.
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Job {
     /// Unique identifier.
     pub id: JobId,
@@ -73,8 +78,9 @@ impl Job {
     }
 }
 
-/// Builder for [`Job`] with validation at [`JobBuilder::build`].
-#[derive(Debug, Clone)]
+/// Builder for [`Job`] with validation at [`JobBuilder::build`]; also the
+/// form a job is deserialised in (all five fields, `id` a bare number).
+#[derive(Debug, Clone, Deserialize)]
 pub struct JobBuilder {
     id: u64,
     arrival: Time,
@@ -118,7 +124,9 @@ impl JobBuilder {
         self
     }
 
-    /// Validates and constructs the [`Job`].
+    /// Validates and constructs the [`Job`]: `width ≥ 1`, `work` finite
+    /// and positive, `SD ∈ [0, 1]`, `arrival` finite and non-negative. The
+    /// error names the offending field.
     pub fn build(self) -> Result<Job> {
         if self.width == 0 {
             return Err(Error::invalid("width", "job width must be at least 1"));
@@ -135,6 +143,9 @@ impl JobBuilder {
                 format!("SD must be in [0, 1], got {}", self.security_demand),
             ));
         }
+        if !self.arrival.is_finite() {
+            return Err(Error::invalid("arrival", "non-finite arrival time"));
+        }
         if self.arrival < Time::ZERO {
             return Err(Error::invalid("arrival", "arrival must be non-negative"));
         }
@@ -145,6 +156,13 @@ impl JobBuilder {
             work: self.work,
             security_demand: self.security_demand,
         })
+    }
+}
+
+impl<'de> Deserialize<'de> for Job {
+    fn deserialize<D: serde::Deserializer<'de>>(d: D) -> std::result::Result<Self, D::Error> {
+        let fields = JobBuilder::deserialize(d)?;
+        fields.build().map_err(serde::de::Error::custom)
     }
 }
 

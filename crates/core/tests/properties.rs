@@ -165,6 +165,58 @@ proptest! {
         prop_assert!((r.avg_response - (r.avg_wait + r.avg_service)).abs() < 1e-6);
     }
 
+    /// One rule in one place: what `JobBuilder::build` accepts reads back
+    /// equal from its own JSON, and the same text with one field moved
+    /// outside the rule is refused by `Deserialize`, naming that field.
+    #[test]
+    fn a_job_is_valid_when_it_is_typed(
+        id in any::<u64>(),
+        arrival in 0.0f64..1.0e9,
+        width in 1u32..=4096,
+        work in 1.0e-6f64..1.0e9,
+        sd in 0.0f64..=1.0,
+        x in 1.0e-3f64..1.0e6,
+    ) {
+        let job = Job::builder(id)
+            .arrival(Time::new(arrival))
+            .width(width)
+            .work(work)
+            .security_demand(sd)
+            .build()
+            .unwrap();
+        let text = serde_json::to_string(&job).unwrap();
+        prop_assert_eq!(&serde_json::from_str::<Job>(&text).unwrap(), &job);
+
+        // The job's JSON with one field's value replaced by a raw literal.
+        let serde_json::Value::Object(fields) = serde_json::to_value(&job).unwrap() else {
+            panic!("a job serialises as an object");
+        };
+        let with = |name: &str, literal: String| {
+            let field = |(k, v): &(String, serde_json::Value)| {
+                let own = serde_json::to_string(v).unwrap();
+                format!("\"{k}\":{}", if k == name { &literal } else { &own })
+            };
+            format!("{{{}}}", fields.iter().map(field).collect::<Vec<_>>().join(","))
+        };
+        prop_assert_eq!(&with("", String::new()), &text);
+        for (name, value) in [
+            ("width", "0".to_string()),
+            ("work", "0".to_string()),
+            ("work", format!("-{x}")),
+            ("security_demand", format!("{}", 1.0 + x)),
+            ("security_demand", format!("-{x}")),
+            ("arrival", format!("-{x}")),
+            ("arrival", "null".to_string()),
+        ] {
+            let mutated = with(name, value);
+            let err = serde_json::from_str::<Job>(&mutated).unwrap_err().to_string();
+            prop_assert!(err.contains(&format!("`{name}`")), "{}: {}", mutated, err);
+        }
+        // +∞ cannot even be written: the literal is not a number.
+        let err = serde_json::from_str::<Job>(&with("work", "1e999".into())).unwrap_err();
+        prop_assert!(err.to_string().contains("1e999"), "{}", err);
+    }
+
     #[test]
     fn time_ordering_consistent_with_f64(
         a in -1.0e12f64..1.0e12,

@@ -5,9 +5,8 @@ use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 
 /// A minimal blocking client for the NDJSON protocol: lock-step
-/// request/response over one TCP connection. Used by `loadgen`, the
-/// examples and the wire tests; any `netcat`-style tool works just as
-/// well.
+/// request/response over one TCP connection. Used by the examples and
+/// the wire tests; any `netcat`-style tool works just as well.
 pub struct Client {
     stream: TcpStream,
     decoder: LineDecoder,

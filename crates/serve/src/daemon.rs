@@ -79,8 +79,8 @@ pub enum ClockMode {
     /// Arrivals drive the clock: jobs carry their own arrival stamps
     /// (non-decreasing per shard), and timeout boundaries fire when a
     /// later submission or an explicit `drain` moves time past them.
-    /// Fully deterministic — the mode behind the golden cross-check, the
-    /// sharding-equivalence suite and the loadgen throughput benchmark.
+    /// Fully deterministic — the mode behind the golden cross-check and
+    /// the sharding-, chaos- and reshard-equivalence suites.
     #[default]
     Virtual,
     /// The daemon stamps arrivals from its own monotonic clock and fires

@@ -15,10 +15,10 @@
 //!   pool, STGA history table, scratch buffers — alive across rounds.
 //! * [`replay`] — [`ScenarioRunner`]: a compiled chaos
 //!   [`InjectionStream`](gridsec_sim::InjectionStream) fed to one
-//!   session, injection by injection (`gridsec chaos`, `loadgen
-//!   --scenario`'s in-process side). The `replay_referee` suite holds it
-//!   to the stand-alone runner it replaced (`tests/referee/`), the
-//!   `chaos_equivalence` suite holds the daemon to the same referee.
+//!   session, injection by injection (`gridsec chaos`). The
+//!   `replay_referee` suite holds it to the stand-alone runner it
+//!   replaced (`tests/referee/`), the `chaos_equivalence` suite holds the
+//!   daemon to the same referee.
 //! * [`shard`] — multi-tenant sharding: one session + scheduling thread
 //!   per site-disjoint grid shard
 //!   ([`ShardPlan`](gridsec_sim::ShardPlan)), with bounded-queue
@@ -52,8 +52,7 @@
 //!   `reshard_equivalence` suite proves the post-barrier schedule
 //!   bit-identical to a daemon booted directly on the new topology from
 //!   the same state.
-//! * [`Client`] — a minimal lock-step client for tests, examples and the
-//!   `loadgen` harness.
+//! * [`Client`] — a minimal lock-step client for tests and examples.
 //!
 //! ```no_run
 //! use gridsec_core::{Grid, Job, Site};

@@ -791,6 +791,10 @@ mod tests {
         assert_eq!(m.batch_size_hist, hist_of(&[1, 1, 5]));
         // Merging one shard is the identity.
         assert_eq!(ServeMetrics::merge(std::slice::from_ref(&a)), a);
+        // And the merged view crosses the wire losslessly.
+        let frame = Response::Metrics { metrics: m };
+        let back: Response = serde_json::from_str(encode(&frame).trim()).unwrap();
+        assert_eq!(back, frame);
     }
 
     #[test]

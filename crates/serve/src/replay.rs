@@ -6,10 +6,9 @@
 //! the typed no-feasible-site rejection. Every injection is one session
 //! call (`Arrive` → `submit`, `SiteFail` → `fail_site`, `SiteRejoin` →
 //! `rejoin_site`, `SetTrust` → `set_security_levels_at`, each at the
-//! injection's instant), so `gridsec chaos`, `loadgen --scenario` and a
-//! virtual-clock daemon fed the same frames run one batch-boundary state
-//! machine, and [`ScenarioOutcome`] is read from the session's own
-//! counters. The stand-alone runner this replaced referees it from
+//! injection's instant), so `gridsec chaos` and a virtual-clock daemon
+//! fed the same frames run one batch-boundary state machine, and
+//! [`ScenarioOutcome`] is read from the session's own counters. The stand-alone runner this replaced referees it from
 //! `tests/referee/`.
 
 use crate::protocol::{Placed, ServeMetrics};

@@ -241,10 +241,9 @@ impl OnlineSession {
     /// and applies the batch policy. Arrivals must be non-decreasing —
     /// the virtual clock cannot run backwards.
     pub fn submit(&mut self, job: Job) -> Result<()> {
-        match self.submit_bounded(job, None)? {
-            Admission::Enqueued => Ok(()),
-            Admission::Busy { .. } => unreachable!("no bound was given"),
-        }
+        self.arrive(&job)?;
+        self.enqueue(job, None);
+        Ok(())
     }
 
     /// Like [`OnlineSession::submit`], but with an optional bound on the
@@ -268,6 +267,25 @@ impl OnlineSession {
         max_pending: Option<usize>,
         tenant: Option<&str>,
     ) -> Result<Admission> {
+        self.arrive(&job)?;
+        if let Some(limit) = max_pending {
+            let pending = self.rounds.pending_len();
+            if pending >= limit {
+                // The job was never enqueued; the id is reusable so the
+                // client can resubmit the same job later.
+                self.known_jobs.remove(&job.id);
+                self.busy_rejections += 1;
+                return Ok(Admission::Busy { pending });
+            }
+        }
+        self.enqueue(job, tenant);
+        Ok(Admission::Enqueued)
+    }
+
+    /// The first half of a submit: refuses a job the session cannot take
+    /// (non-finite or backwards arrival, duplicate id, too wide for every
+    /// site), then claims its id and advances the clock to its arrival.
+    fn arrive(&mut self, job: &Job) -> Result<()> {
         if !job.arrival.is_finite() {
             return Err(Error::invalid(
                 "submit",
@@ -298,16 +316,12 @@ impl OnlineSession {
         }
         self.advance_strictly_before(job.arrival)?;
         self.clock.advance_to(job.arrival);
-        if let Some(limit) = max_pending {
-            let pending = self.rounds.pending_len();
-            if pending >= limit {
-                // The job was never enqueued; the id is reusable so the
-                // client can resubmit the same job later.
-                self.known_jobs.remove(&job.id);
-                self.busy_rejections += 1;
-                return Ok(Admission::Busy { pending });
-            }
-        }
+        Ok(())
+    }
+
+    /// The second half: the job joins the pending queue and the batch
+    /// policy is applied.
+    fn enqueue(&mut self, job: Job, tenant: Option<&str>) {
         self.jobs_submitted += 1;
         if let Some(name) = tenant {
             let t = self.intern_tenant(name);
@@ -318,7 +332,6 @@ impl OnlineSession {
             secure_only: false,
         });
         self.after_enqueue();
-        Ok(Admission::Enqueued)
     }
 
     /// Index of `name` in the tenant intern table, adding it (with a

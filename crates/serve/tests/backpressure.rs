@@ -6,10 +6,9 @@
 //!
 //! * deterministic (virtual clock): busy fires exactly when the queue is
 //!   full *and* no due boundary can make room;
-//! * paced (wall clock): a rate-driven submitter — the same loop
-//!   `loadgen --rate --max-pending` runs — retries busy frames until the
-//!   shard's timer rounds drain the queue, and every job lands exactly
-//!   once.
+//! * paced (wall clock): a flat-out submitter retries busy frames until
+//!   the shard's timer rounds drain the queue, and every job lands
+//!   exactly once.
 
 use gridsec_core::{Grid, Job, Site, Time};
 use gridsec_serve::{
@@ -180,8 +179,7 @@ fn virtual_clock_busy_is_deterministic_and_loses_nothing() {
 fn rate_paced_submitter_retries_busy_until_everything_lands() {
     // A wall-clock daemon with a 30 ms round interval and a queue bound
     // of 4, driven flat-out: the submitter must observe busy frames and
-    // retry each one until the timer rounds make room. This is the
-    // loadgen `--rate --max-pending` loop in miniature.
+    // retry each one until the timer rounds make room.
     let config = SimConfig::default()
         .with_interval(Time::new(0.03))
         .with_batch_policy(BatchPolicy::Periodic);

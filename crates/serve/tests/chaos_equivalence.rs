@@ -20,14 +20,16 @@
 //!
 //! A plain wire test also pins the mid-round site-loss path frame by
 //! frame: `site_failed` with the requeue count, `site_offline` on
-//! derived routing to a dead site, `site_rejoined` restoring service.
+//! derived routing to a dead site, `site_rejoined` restoring service; and
+//! one wall-clock soak feeds the same stream to a bounded daemon on its
+//! own timer, where only claim 3 can hold.
 
 use gridsec_core::RiskMode;
 use gridsec_core::{Grid, Job, Site, Time};
 use gridsec_heuristics::MinMin;
 use gridsec_serve::{
-    stateless_factory, Client, Daemon, DaemonOptions, Placed, QueryWhat, Request, Response,
-    ServeMetrics,
+    stateless_factory, Client, ClockMode, Daemon, DaemonOptions, Placed, QueryWhat, Request,
+    Response, ServeMetrics,
 };
 use gridsec_sim::scheduler::EarliestCompletion;
 use gridsec_sim::{
@@ -163,16 +165,25 @@ fn spawn(grid: &Grid, plan: &ShardPlan, scheduler: &str, config: &SimConfig) -> 
 /// Replays the global stream through a daemon frame by frame: arrivals
 /// go to the shard `slice_for_shard` assigns them to, site events carry
 /// global site ids, trust vectors go through a global reconfigure.
-/// Returns (per-shard schedules, aggregated metrics, jobs submitted).
+/// A virtual-clock daemon is told every injection's instant; a
+/// `wall_clock` one stamps its own (frames carry no `at`) and may answer
+/// a submit `busy`, which is retried until its timer rounds make room.
+/// `fed` runs once the stream is in and before the drain — the daemon is
+/// still scheduling. Returns (per-shard schedules, aggregated metrics,
+/// jobs submitted).
 fn replay_stream(
     daemon: &Daemon,
     stream: &InjectionStream,
     plan: &ShardPlan,
     grid: &Grid,
     n_shards: usize,
+    wall_clock: bool,
+    fed: impl FnOnce(),
 ) -> (Vec<Vec<Placed>>, ServeMetrics, usize) {
     let mut client = Client::connect(daemon.addr()).expect("client connects");
     let mut submitted = 0usize;
+    let instant = |at: Time| (!wall_clock).then_some(at);
+    let started = std::time::Instant::now();
     for inj in &stream.events {
         match &inj.kind {
             InjectionKind::Arrive(job) => {
@@ -181,23 +192,30 @@ fn replay_stream(
                     continue; // the stream slicer drops these too
                 }
                 let shard = eligible[job.id.0 as usize % eligible.len()];
-                match client
-                    .send(&Request::Submit {
-                        jobs: vec![job.clone()],
-                        shard: Some(shard),
-                        tenant: None,
-                    })
-                    .expect("submit frame")
-                {
-                    Response::Accepted { jobs: 1, .. } => submitted += 1,
-                    other => panic!("submit rejected: {other:?}"),
+                let frame = Request::Submit {
+                    jobs: vec![job.clone()],
+                    shard: Some(shard),
+                    tenant: None,
+                };
+                loop {
+                    match client.send(&frame).expect("submit frame") {
+                        Response::Accepted { jobs: 1, .. } => {
+                            submitted += 1;
+                            break;
+                        }
+                        Response::Busy { jobs: 0, .. } if wall_clock => {
+                            assert!(started.elapsed().as_secs() < 30, "busy for good");
+                            std::thread::sleep(std::time::Duration::from_millis(2));
+                        }
+                        other => panic!("submit rejected: {other:?}"),
+                    }
                 }
             }
             InjectionKind::SiteFail(site) => {
                 match client
                     .send(&Request::FailSite {
                         site: site.0,
-                        at: Some(inj.at),
+                        at: instant(inj.at),
                     })
                     .expect("fail frame")
                 {
@@ -209,7 +227,7 @@ fn replay_stream(
                 match client
                     .send(&Request::RejoinSite {
                         site: site.0,
-                        at: Some(inj.at),
+                        at: instant(inj.at),
                     })
                     .expect("rejoin frame")
                 {
@@ -222,7 +240,7 @@ fn replay_stream(
                     .send(&Request::Reconfigure {
                         security_levels: levels.clone(),
                         shard: None,
-                        at: Some(inj.at),
+                        at: instant(inj.at),
                     })
                     .expect("reconfigure frame")
                 {
@@ -232,6 +250,7 @@ fn replay_stream(
             }
         }
     }
+    fed();
     match client.send(&Request::Drain).expect("drain frame") {
         Response::Drained { .. } => {}
         other => panic!("drain failed: {other:?}"),
@@ -283,7 +302,8 @@ fn check_chaos_daemon_equals_engine(scheduler: &str, n_shards: usize) {
 
     // The daemon side: one virtual-clock daemon, the global stream.
     let daemon = spawn(&grid, &plan, scheduler, &config);
-    let (per_shard, metrics, submitted) = replay_stream(&daemon, &stream, &plan, &grid, n_shards);
+    let (per_shard, metrics, submitted) =
+        replay_stream(&daemon, &stream, &plan, &grid, n_shards, false, || ());
     daemon.join();
 
     // The engine side: one scenario runner per shard, fed that shard's
@@ -343,6 +363,83 @@ fn check_chaos_daemon_equals_engine(scheduler: &str, n_shards: usize) {
         .count();
     assert_eq!(metrics.sites_failed, fails);
     assert_eq!(metrics.sites_rejoined, rejoins);
+}
+
+/// Claim 3 where claims 1 and 2 cannot hold: the same stream fed flat out
+/// to a two-shard *wall-clock* daemon with eight pending slots per shard,
+/// so rounds run on the daemon's own 50 ms timer while submits are pushed
+/// back and retried, a site dies with jobs reserved on it, and jobs wait
+/// behind it until it rejoins. The exposition page is scraped while the
+/// daemon is still scheduling. Timing decides which round takes which job,
+/// so only the books are asserted: nothing lost, every churn event counted.
+#[test]
+fn wall_clock_churn_soak_under_backpressure_loses_nothing() {
+    use std::io::Read as _;
+    let grid = grid();
+    let stream = churn_scenario(grid.len()).compile(&grid).expect("compiles");
+    let plan = ShardPlan::contiguous(&grid, 2).unwrap();
+    let config = sim_config().with_interval(Time::new(0.05));
+    let factory = stateless_factory(config, |_| Ok(build_scheduler("minmin")));
+    let options = DaemonOptions {
+        clock: ClockMode::WallClock,
+        max_pending: Some(8),
+        metrics_addr: Some("127.0.0.1:0".into()),
+        ..DaemonOptions::default()
+    };
+    let daemon = Daemon::spawn(grid.clone(), plan.clone(), factory, "127.0.0.1:0", options)
+        .expect("daemon spawns");
+
+    let scrape = || {
+        let addr = daemon.metrics_addr().expect("metrics listener bound");
+        let mut page = String::new();
+        let mut socket = std::net::TcpStream::connect(addr).expect("scrape connects");
+        socket.read_to_string(&mut page).expect("scrape reads");
+        for line in page
+            .lines()
+            .filter(|l| !l.is_empty() && !l.starts_with('#'))
+        {
+            let value = line.rsplit_once(' ').map(|(_, v)| v.parse::<f64>());
+            assert!(
+                matches!(value, Some(Ok(v)) if v.is_finite()),
+                "sample line {line:?}"
+            );
+        }
+        for family in [
+            "gridsec_jobs_submitted_total",
+            "gridsec_rounds_total",
+            "gridsec_round_nanos_bucket",
+            "gridsec_pending{shard=\"1\"}",
+            "gridsec_busy_rejections_total",
+        ] {
+            assert!(
+                page.lines().any(|l| l.starts_with(family)),
+                "family {family} missing from:\n{page}"
+            );
+        }
+    };
+    let (_, metrics, submitted) = replay_stream(&daemon, &stream, &plan, &grid, 2, true, scrape);
+    daemon.join();
+
+    assert_eq!(submitted, stream.n_jobs(), "every arrival fits a shard");
+    assert_eq!(metrics.jobs_submitted, submitted);
+    assert_eq!(
+        metrics.jobs_submitted,
+        metrics.jobs_scheduled + metrics.pending,
+        "the wall-clock daemon lost jobs"
+    );
+    assert!(
+        metrics.busy_rejections > 0,
+        "eight slots against flat-out submission must push back"
+    );
+    let count =
+        |is: fn(&InjectionKind) -> bool| stream.events.iter().filter(|e| is(&e.kind)).count();
+    let fails = count(|k| matches!(k, InjectionKind::SiteFail(_)));
+    assert!(fails > 0, "the stream must exercise churn");
+    assert_eq!(metrics.sites_failed, fails);
+    assert_eq!(
+        metrics.sites_rejoined,
+        count(|k| matches!(k, InjectionKind::SiteRejoin(_)))
+    );
 }
 
 /// `scenarios/churn.json` is [`churn_scenario`] on [`grid`], spelled as a

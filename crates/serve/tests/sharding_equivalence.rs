@@ -24,6 +24,7 @@ use gridsec_core::{Grid, Job, Site, Time};
 use gridsec_heuristics::{MinMin, Sufferage};
 use gridsec_serve::{
     stateless_factory, Client, Daemon, DaemonOptions, Placed, QueryWhat, Request, Response,
+    ServeMetrics,
 };
 use gridsec_sim::scheduler::EarliestCompletion;
 use gridsec_sim::{simulate, BatchPolicy, BatchScheduler, ShardPlan, SimConfig};
@@ -329,6 +330,9 @@ fn check_n_shards_equal_n_solo_runs(scheduler: &str, n_shards: usize) {
         let Response::Metrics { metrics: agg } = agg_metrics else {
             panic!("aggregated metrics query failed");
         };
+        // Every field, as the wire delivered it: the whole view is the
+        // merge of the scoped ones (no reshard, so no archive to fold in).
+        assert_eq!(agg, ServeMetrics::merge(&per), "{scheduler}/{policy:?}");
         assert_eq!(
             agg.jobs_submitted,
             per.iter().map(|m| m.jobs_submitted).sum::<usize>()

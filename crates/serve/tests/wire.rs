@@ -246,6 +246,66 @@ fn a_null_arrival_is_a_typed_error_and_the_virtual_clock_stays_finite() {
     shutdown(&mut client, daemon);
 }
 
+/// A job is valid when it is typed: a well-formed `submit` whose job breaks
+/// `JobBuilder::build`'s rule is refused at decode, naming what broke, and
+/// never reaches a scheduler. At efb0446 the first two rows were `accepted` and
+/// then panicked the shard thread inside the mapping loop ("every batch
+/// job has a feasible candidate"), so every later frame read `a shard
+/// thread is no longer running`; the other four were accepted and
+/// scheduled.
+#[test]
+fn a_hostile_job_is_a_typed_error_and_the_shard_lives() {
+    // (the job's fields after `id` and `arrival`, what the error names)
+    let hostile = [
+        (
+            "\"width\":1,\"work\":1e999,\"security_demand\":0.5",
+            "1e999",
+        ),
+        ("\"width\":0,\"work\":5.0,\"security_demand\":0.5", "width"),
+        ("\"width\":1,\"work\":-5,\"security_demand\":0.5", "work"),
+        ("\"width\":1,\"work\":0,\"security_demand\":0.5", "work"),
+        (
+            "\"width\":1,\"work\":5.0,\"security_demand\":7",
+            "security_demand",
+        ),
+        (
+            "\"width\":1,\"work\":5.0,\"security_demand\":-1",
+            "security_demand",
+        ),
+    ];
+    for (fields, names) in hostile {
+        let daemon = spawn_daemon(BatchPolicy::Periodic, DaemonOptions::default());
+        let mut client = Client::connect(daemon.addr()).unwrap();
+        let frame =
+            format!("{{\"type\":\"submit\",\"jobs\":[{{\"id\":1,\"arrival\":1.0,{fields}}}]}}");
+        match client.send_line(&frame).unwrap() {
+            Response::Error { message } => assert!(
+                message.contains("invalid frame") && message.contains(names),
+                "{fields}: {message}"
+            ),
+            other => panic!("{fields}: expected error, got {other:?}"),
+        }
+        // The refused id was not consumed and the shard still schedules.
+        let valid = Request::Submit {
+            jobs: vec![job(1, 2.0, 5.0)],
+            shard: None,
+            tenant: None,
+        };
+        assert!(
+            matches!(
+                client.send(&valid).unwrap(),
+                Response::Accepted { jobs: 1, .. }
+            ),
+            "{fields}: a valid submit afterwards"
+        );
+        match client.send(&Request::Drain).unwrap() {
+            Response::Drained { jobs_scheduled, .. } => assert_eq!(jobs_scheduled, 1, "{fields}"),
+            other => panic!("{fields}: drain failed: {other:?}"),
+        }
+        shutdown(&mut client, daemon);
+    }
+}
+
 #[test]
 fn oversized_lines_are_rejected_without_desyncing_the_stream() {
     let daemon = spawn_daemon(

@@ -1,6 +1,6 @@
 //! The `{"kind": "sites" | "psa" | "nas"}` grid grammar of scenario spec
-//! files — one definition for the `gridsec` CLI, `loadgen --scenario` and
-//! the tests that read `scenarios/*.json`.
+//! files — one definition for the `gridsec` CLI and the tests that read
+//! `scenarios/*.json`.
 
 use crate::{NasConfig, PsaConfig};
 use gridsec_core::{Grid, Result, Site};

@@ -109,7 +109,7 @@ fn main() {
     println!(
         "\nThe storm run replays the exact same seeded arrivals — only the \
          trust state\nmoves — so any makespan shift is the price of scheduling \
-         against re-rated\nsites. The same spec drives the serving daemon via \
-         `loadgen --scenario`."
+         against re-rated\nsites. `gridsec chaos <spec.json>` replays such a \
+         spec from a file."
     );
 }
