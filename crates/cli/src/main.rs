@@ -473,40 +473,35 @@ fn cmd_chaos(args: &[String]) -> i32 {
         for inj in &stream.events {
             runner.apply(inj)?;
         }
-        runner.finish_with_metrics()
+        runner.finish()
     });
-    let (outcome, metrics) = match replay {
+    let outcome = match replay {
         Ok(r) => r,
         Err(e) => {
             eprintln!("error: replay failed: {e}");
             return 1;
         }
     };
+    let m = &outcome.metrics;
     println!(
         "  jobs: {} generated, {} submitted, {} scheduled, {} requeued, {} pending, {} rejected",
         outcome.jobs_generated,
-        outcome.jobs_submitted,
-        outcome.jobs_scheduled,
-        outcome.jobs_requeued,
-        outcome.pending,
+        m.jobs_submitted,
+        m.jobs_scheduled,
+        m.jobs_requeued,
+        m.pending,
         outcome.rejected.len(),
     );
     println!(
         "  churn: {} site failures, {} rejoins; {} rounds, makespan {}",
-        outcome.sites_failed, outcome.sites_rejoined, outcome.rounds, outcome.max_completion,
+        m.sites_failed, m.sites_rejoined, m.rounds, m.max_completion,
     );
     let balanced = outcome.fully_accounted();
     if let Some(p) = json_out {
         // `metrics` is the replaying session's own snapshot — the frame a
         // daemon fed the same stream answers `query metrics` with — so one
         // consumer parses both.
-        #[derive(serde::Serialize)]
-        struct ChaosReport {
-            outcome: gridsec_serve::ScenarioOutcome,
-            metrics: gridsec_serve::ServeMetrics,
-        }
-        let doc = ChaosReport { outcome, metrics };
-        match serde_json::to_string_pretty(&doc) {
+        match serde_json::to_string_pretty(&outcome) {
             Ok(s) => {
                 if let Err(e) = std::fs::write(&p, s) {
                     eprintln!("error: cannot write {p}: {e}");

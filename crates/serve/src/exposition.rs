@@ -196,7 +196,6 @@ mod tests {
             jobs_migrated: 113,
             round_nanos_hist: hist(&[900, 1_100]),
             batch_size_hist: hist(&[3, 4, 5]),
-            batch_sizes: vec![3, 4],
             round_nanos: vec![900, 1_100],
             virtual_now: Time::new(106.0),
             max_completion: Time::new(107.0),
@@ -238,9 +237,8 @@ mod tests {
             jobs_migrated,
             round_nanos_hist,
             batch_size_hist,
-            // Wire-only: the raw windows behind the two histograms, and
+            // Wire-only: the raw latency window `gridbench` reads, and
             // simulated instants (neither a rate nor a level).
-            batch_sizes: _,
             round_nanos: _,
             virtual_now: _,
             max_completion: _,

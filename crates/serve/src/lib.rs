@@ -8,10 +8,11 @@
 //! * [`protocol`] — the NDJSON wire protocol (line-delimited JSON frames:
 //!   `submit`, `query`, `reconfigure`, `drain`, `shutdown`, all
 //!   shard-aware) and the one bounded, incremental line decoder.
-//! * [`OnlineSession`] — the single-threaded scheduling core: a
-//!   [`RoundDriver`](gridsec_sim::RoundDriver) (shared with the
-//!   discrete-event engine) plus the engine's exact batch-boundary
-//!   semantics on a virtual clock, keeping the scheduler — GA population
+//! * [`OnlineSession`] — the single-threaded scheduling core: the round
+//!   core the discrete-event engine drives too (a
+//!   [`RoundDriver`](gridsec_sim::RoundDriver) and a
+//!   [`BoundaryClock`](gridsec_sim::BoundaryClock)), fed submitted frames
+//!   instead of simulated events, keeping the scheduler — GA population
 //!   pool, STGA history table, scratch buffers — alive across rounds.
 //! * [`replay`] — [`ScenarioRunner`]: a compiled chaos
 //!   [`InjectionStream`](gridsec_sim::InjectionStream) fed to one

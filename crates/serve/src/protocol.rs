@@ -156,7 +156,7 @@ pub enum QueryWhat {
     Telemetry,
 }
 
-/// One committed assignment on the wire: the engine's own commit record
+/// One committed assignment on the wire: the round core's own commit record
 /// (`job`, `site`, `width`, `start`, `end`), serialised as it stands.
 pub use gridsec_sim::CommittedAssignment as Placed;
 
@@ -171,14 +171,10 @@ pub struct ServeMetrics {
     pub pending: usize,
     /// Non-empty scheduling rounds run.
     pub rounds: usize,
-    /// Batch sizes of the most recent rounds, in round order (bounded
-    /// to [`METRICS_WINDOW`] entries per shard so long soaks cannot
-    /// grow the frame without bound; the full distribution lives in
-    /// [`ServeMetrics::batch_size_hist`]).
-    pub batch_sizes: Vec<usize>,
     /// Scheduler wall-clock nanoseconds of the most recent rounds, in
-    /// round order (bounded like [`ServeMetrics::batch_sizes`]; the
-    /// full distribution lives in [`ServeMetrics::round_nanos_hist`]).
+    /// round order, at most [`METRICS_WINDOW`] per shard. The
+    /// distribution is [`ServeMetrics::round_nanos_hist`]; this raw window
+    /// stays on the wire because `gridbench` reads its percentiles.
     pub round_nanos: Vec<u64>,
     /// Total wall-clock seconds spent inside the scheduler.
     pub scheduler_seconds: f64,
@@ -207,7 +203,7 @@ pub struct ServeMetrics {
     #[serde(default)]
     pub jobs_migrated: usize,
     /// Log2 histogram of scheduler nanoseconds per round, over the whole
-    /// session (unlike the windowed [`ServeMetrics::round_nanos`]).
+    /// session.
     #[serde(default)]
     pub round_nanos_hist: HistogramSnapshot,
     /// Log2 histogram of batch sizes per round, over the whole session.
@@ -215,22 +211,21 @@ pub struct ServeMetrics {
     pub batch_size_hist: HistogramSnapshot,
 }
 
-/// Entries retained in the windowed `batch_sizes` / `round_nanos`
-/// distributions of a [`ServeMetrics`] frame (per shard).
+/// Entries retained in the windowed `round_nanos` of a [`ServeMetrics`]
+/// frame (per shard).
 pub const METRICS_WINDOW: usize = 512;
 
 impl ServeMetrics {
     /// Aggregates per-shard metrics into one grid-wide view: counters and
-    /// scheduler seconds are summed, the per-round distributions are
-    /// concatenated in shard order, and the clock/makespan fields take
-    /// the maximum over shards.
+    /// scheduler seconds are summed, histograms merged, the round-latency
+    /// windows concatenated in shard order, and the clock/makespan fields
+    /// take the maximum over shards.
     pub fn merge(per_shard: &[ServeMetrics]) -> ServeMetrics {
         let mut out = ServeMetrics {
             jobs_submitted: 0,
             jobs_scheduled: 0,
             pending: 0,
             rounds: 0,
-            batch_sizes: Vec::new(),
             round_nanos: Vec::new(),
             scheduler_seconds: 0.0,
             virtual_now: Time::ZERO,
@@ -249,7 +244,6 @@ impl ServeMetrics {
             out.jobs_scheduled += m.jobs_scheduled;
             out.pending += m.pending;
             out.rounds += m.rounds;
-            out.batch_sizes.extend_from_slice(&m.batch_sizes);
             out.round_nanos.extend_from_slice(&m.round_nanos);
             out.scheduler_seconds += m.scheduler_seconds;
             out.virtual_now = out.virtual_now.max(m.virtual_now);
@@ -736,7 +730,6 @@ mod tests {
             jobs_scheduled: 2,
             pending: 1,
             rounds: 2,
-            batch_sizes: vec![1, 1],
             round_nanos: vec![10, 20],
             scheduler_seconds: 0.5,
             virtual_now: Time::new(30.0),
@@ -755,7 +748,6 @@ mod tests {
             jobs_scheduled: 5,
             pending: 0,
             rounds: 1,
-            batch_sizes: vec![5],
             round_nanos: vec![7],
             scheduler_seconds: 0.25,
             virtual_now: Time::new(50.0),
@@ -774,7 +766,6 @@ mod tests {
         assert_eq!(m.jobs_scheduled, 7);
         assert_eq!(m.pending, 1);
         assert_eq!(m.rounds, 3);
-        assert_eq!(m.batch_sizes, vec![1, 1, 5]);
         assert_eq!(m.round_nanos, vec![10, 20, 7]);
         assert_eq!(m.scheduler_seconds, 0.75);
         assert_eq!(m.virtual_now, Time::new(50.0));

@@ -8,13 +8,13 @@
 //! `rejoin_site`, `SetTrust` → `set_security_levels_at`, each at the
 //! injection's instant), so `gridsec chaos` and a virtual-clock daemon
 //! fed the same frames run one batch-boundary state machine, and
-//! [`ScenarioOutcome`] is read from the session's own counters. The stand-alone runner this replaced referees it from
+//! [`ScenarioOutcome`] carries the drained session's own metrics
+//! snapshot. The stand-alone runner this replaced referees it from
 //! `tests/referee/`.
 
 use crate::protocol::{Placed, ServeMetrics};
 use crate::session::OnlineSession;
-use gridsec_core::{Error, Grid, JobId, Result, Time};
-use gridsec_obs::HistogramSnapshot;
+use gridsec_core::{Error, Grid, JobId, Result};
 use gridsec_sim::{BatchScheduler, Injection, InjectionKind, InjectionStream, SimConfig};
 use serde::Serialize;
 
@@ -28,35 +28,21 @@ pub struct ScenarioOutcome {
     pub timeline: Vec<Placed>,
     /// Arrivals in the stream (accepted + typed-rejected).
     pub jobs_generated: usize,
-    /// Arrivals accepted into the queue.
-    pub jobs_submitted: usize,
-    /// Jobs with at least one live (non-stranded) commit.
-    pub jobs_scheduled: usize,
-    /// Stranded commits requeued by site failures.
-    pub jobs_requeued: usize,
-    /// Jobs still pending at the end (e.g. their only wide-enough site
-    /// never rejoined).
-    pub pending: usize,
-    /// Non-empty scheduling rounds run.
-    pub rounds: usize,
-    /// Site failures applied.
-    pub sites_failed: usize,
-    /// Site rejoins applied.
-    pub sites_rejoined: usize,
     /// Jobs rejected with a typed no-feasible-site error.
     pub rejected: Vec<JobId>,
-    /// Scheduler nanoseconds per round, every round of the replay.
-    pub round_nanos: HistogramSnapshot,
-    /// Latest committed completion instant.
-    pub max_completion: Time,
+    /// The drained session's snapshot — what a daemon fed the same stream
+    /// answers to `query metrics`. Jobs still `pending` at the end are
+    /// those whose only wide-enough site never rejoined.
+    pub metrics: ServeMetrics,
 }
 
 impl ScenarioOutcome {
     /// The zero-lost-jobs ledger: every generated job is scheduled (with
     /// a live commit), still pending, or typed-rejected.
     pub fn fully_accounted(&self) -> bool {
-        self.jobs_generated == self.jobs_scheduled + self.pending + self.rejected.len()
-            && self.jobs_submitted == self.jobs_scheduled + self.pending
+        let m = &self.metrics;
+        self.jobs_generated == m.jobs_scheduled + m.pending + self.rejected.len()
+            && m.jobs_submitted == m.jobs_scheduled + m.pending
     }
 }
 
@@ -116,38 +102,21 @@ impl ScenarioRunner {
 
     /// Fires every queued boundary and closes the books. Jobs that fit
     /// no online site remain pending (accounted, not lost).
-    pub fn finish(self) -> Result<ScenarioOutcome> {
-        self.finish_with_metrics().map(|(outcome, _)| outcome)
-    }
-
-    /// [`ScenarioRunner::finish`], together with the drained session's
-    /// metrics snapshot the outcome was read from — what a daemon serving
-    /// the same stream answers to `query metrics`.
-    pub fn finish_with_metrics(mut self) -> Result<(ScenarioOutcome, ServeMetrics)> {
+    pub fn finish(mut self) -> Result<ScenarioOutcome> {
         self.session.drain()?;
-        let metrics = self.session.metrics();
-        let outcome = ScenarioOutcome {
+        Ok(ScenarioOutcome {
             timeline: self.session.assignments().to_vec(),
             jobs_generated: self.jobs_generated,
-            jobs_submitted: metrics.jobs_submitted,
-            jobs_scheduled: metrics.jobs_scheduled,
-            jobs_requeued: metrics.jobs_requeued,
-            pending: metrics.pending,
-            rounds: metrics.rounds,
-            sites_failed: metrics.sites_failed,
-            sites_rejoined: metrics.sites_rejoined,
             rejected: self.rejected,
-            round_nanos: metrics.round_nanos_hist.clone(),
-            max_completion: metrics.max_completion,
-        };
-        Ok((outcome, metrics))
+            metrics: self.session.metrics(),
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gridsec_core::Site;
+    use gridsec_core::{Site, Time};
     use gridsec_sim::scheduler::EarliestCompletion;
     use gridsec_sim::{ArrivalPhase, ArrivalProcess, BatchPolicy, FaultSpec, Scenario, TrustSpec};
 
@@ -220,11 +189,11 @@ mod tests {
             .run(&stream)
             .unwrap();
         assert!(out.fully_accounted(), "{out:?}");
-        assert_eq!(out.sites_failed, 2);
-        assert_eq!(out.sites_rejoined, 2);
+        assert_eq!(out.metrics.sites_failed, 2);
+        assert_eq!(out.metrics.sites_rejoined, 2);
         assert_eq!(out.jobs_generated, stream.n_jobs());
-        assert_eq!(out.pending, 0);
-        assert!(out.rounds > 0);
+        assert_eq!(out.metrics.pending, 0);
+        assert!(out.metrics.rounds > 0);
     }
 
     #[test]
@@ -261,9 +230,9 @@ mod tests {
             .unwrap()
             .run(&stream)
             .unwrap();
-        assert!(out.jobs_requeued > 0, "{out:?}");
+        assert!(out.metrics.jobs_requeued > 0, "{out:?}");
         assert!(out.fully_accounted(), "{out:?}");
-        assert_eq!(out.jobs_scheduled, out.jobs_submitted);
+        assert_eq!(out.metrics.jobs_scheduled, out.metrics.jobs_submitted);
         // The timeline holds both the stranded commit and the re-commit.
         assert!(out.timeline.len() > n_jobs - out.rejected.len());
     }
@@ -300,8 +269,8 @@ mod tests {
         let b = run();
         assert_eq!(a.timeline, b.timeline);
         // Everything but the wall-clock latency samples is reproducible.
-        assert_eq!(a.jobs_scheduled, b.jobs_scheduled);
+        assert_eq!(a.metrics.jobs_scheduled, b.metrics.jobs_scheduled);
         assert_eq!(a.rejected, b.rejected);
-        assert_eq!(a.max_completion, b.max_completion);
+        assert_eq!(a.metrics.max_completion, b.metrics.max_completion);
     }
 }

@@ -1,31 +1,21 @@
 //! The online scheduling session: the daemon's single-threaded core.
 //!
-//! An [`OnlineSession`] owns a long-lived scheduler and a
-//! [`RoundDriver`], and replays the *exact* batch-boundary semantics of
-//! the discrete-event engine on a virtual clock driven by submissions:
-//!
-//! * periodic boundaries arm at the next multiple of the scheduling
-//!   interval after the first sub-threshold enqueue (one armed at a
-//!   time, like the engine's `ensure_boundary`);
-//! * count/hybrid triggers fire a boundary at the enqueue instant — but
-//!   only once the clock moves past it, so same-instant arrivals batch
-//!   together exactly as the engine's event queue orders them
-//!   (arrivals before boundaries at equal timestamps);
-//! * every `on_boundary` clears the armed-boundary flag, even when the
-//!   boundary that fired was count-triggered — stale periodic
-//!   boundaries still fire as no-ops, as in the engine.
-//!
-//! Because the queue/trigger/validation logic *is* the engine's
-//! (`RoundDriver`), a session fed the same jobs under the same policy
+//! An [`OnlineSession`] owns a long-lived scheduler and the round core
+//! the simulator runs on — a [`RoundDriver`] and a [`BoundaryClock`] —
+//! and feeds it submitted frames instead of simulated events: before an
+//! input at instant `t` it fires every boundary strictly before `t`, then
+//! advances the clock, applies the input and arms the clock by the batch
+//! policy ([`BoundaryClock::arm`]). So same-instant arrivals batch
+//! together and a session fed the same jobs under the same policy
 //! commits bit-for-bit the schedule the simulator realises when no
-//! failures occur — the golden cross-check test pins this.
+//! attempt fails — the golden cross-check test pins this. There is no
+//! failure sampling here: every assignment commits as a success.
 //!
 //! Wall-clock serving (the daemon's real-time mode) reuses the same
 //! machinery: the daemon stamps arrivals from its monotonic clock and
 //! calls [`OnlineSession::tick`] when boundary deadlines pass.
 //!
-//! This is the only batch-boundary state machine in the shipped crates:
-//! a daemon shard is a session behind a queue, and a scenario replay
+//! A daemon shard is a session behind a queue, and a scenario replay
 //! ([`ScenarioRunner`](crate::ScenarioRunner)) is a session fed from a
 //! compiled stream.
 
@@ -124,7 +114,8 @@ pub struct OnlineSession {
     sites_rejoined: usize,
     busy_rejections: usize,
     /// Recent scheduler latencies, bounded to [`METRICS_WINDOW`]
-    /// entries — the raw window [`OnlineSession::metrics`] exposes.
+    /// entries — the raw window `gridbench` reads from the `metrics`
+    /// frame.
     round_nanos: VecDeque<u64>,
     /// Full-history scheduler-latency distribution (fixed 65 buckets,
     /// so unbounded sessions stay O(1) memory).
@@ -153,18 +144,13 @@ impl OnlineSession {
         config: &SimConfig,
     ) -> Result<OnlineSession> {
         config.validate()?;
-        let mut rounds = RoundDriver::new(
-            grid,
-            config.batch_policy,
-            config.security,
-            config.max_replicas,
-        );
-        // Serving sessions are long-lived: cap the driver's per-round
-        // stats so week-long soaks cannot grow memory (the engine's
-        // finite replays keep the unbounded default).
-        rounds.set_stats_window(Some(METRICS_WINDOW));
         Ok(OnlineSession {
-            rounds,
+            rounds: RoundDriver::new(
+                grid,
+                config.batch_policy,
+                config.security,
+                config.max_replicas,
+            ),
             scheduler,
             clock: BoundaryClock::new(config.schedule_interval),
             committed: Vec::new(),
@@ -214,7 +200,7 @@ impl OnlineSession {
 
     /// Non-empty scheduling rounds run so far (cheap counter — use
     /// [`OnlineSession::metrics`] only when the full snapshot is needed;
-    /// it clones the per-round distributions).
+    /// it clones the round-latency window).
     pub fn rounds_run(&self) -> usize {
         self.rounds.n_rounds()
     }
@@ -331,7 +317,7 @@ impl OnlineSession {
             job,
             secure_only: false,
         });
-        self.after_enqueue();
+        self.clock.arm(&self.rounds);
     }
 
     /// Index of `name` in the tenant intern table, adding it (with a
@@ -436,7 +422,7 @@ impl OnlineSession {
         self.jobs_requeued += stranded.len();
         self.sites_failed += 1;
         self.scheduler.on_reconfigure();
-        self.after_churn();
+        self.clock.arm(&self.rounds);
         Ok(stranded)
     }
 
@@ -447,7 +433,7 @@ impl OnlineSession {
         self.rounds.rejoin_site(site, self.clock.now())?;
         self.sites_rejoined += 1;
         self.scheduler.on_reconfigure();
-        self.after_churn();
+        self.clock.arm(&self.rounds);
         Ok(())
     }
 
@@ -463,7 +449,6 @@ impl OnlineSession {
             jobs_scheduled: self.live.len(),
             pending: self.rounds.pending_len(),
             rounds: self.rounds.n_rounds(),
-            batch_sizes: self.rounds.batch_sizes().to_vec(),
             round_nanos: self.round_nanos.iter().copied().collect(),
             round_nanos_hist: self.round_hist.snapshot(),
             batch_size_hist: self.batch_hist.snapshot(),
@@ -587,9 +572,8 @@ impl OnlineSession {
         Ok(s)
     }
 
-    /// Fires every queued boundary strictly before `t` — the engine pops
-    /// them before the arrival event at `t` (boundaries *at* `t` sort
-    /// after arrivals at equal timestamps).
+    /// Fires every queued boundary strictly before `t`, the instant of the
+    /// next input (a boundary *at* `t` fires after it).
     fn advance_strictly_before(&mut self, t: Time) -> Result<()> {
         while let Some(b) = self.clock.pop_strictly_before(t) {
             self.fire_boundary(b)?;
@@ -621,7 +605,7 @@ impl OnlineSession {
         Ok(())
     }
 
-    /// The engine's `on_boundary`: clear the armed flag, run a round over
+    /// Fires the boundary at `b`: clear the armed flag, run a round over
     /// whatever is pending, commit the schedule.
     fn fire_boundary(&mut self, b: Time) -> Result<()> {
         self.clock.fired(b);
@@ -657,28 +641,6 @@ impl OnlineSession {
             self.committed.push(placed);
         }
         Ok(())
-    }
-
-    /// The engine's `after_enqueue`: count/hybrid triggers queue a
-    /// boundary *now* (once per enqueue at or above the threshold, like
-    /// the engine's event pushes); otherwise make sure a periodic one is
-    /// armed.
-    fn after_enqueue(&mut self) {
-        if self.rounds.count_trigger_reached() {
-            self.clock.note_trigger();
-        } else {
-            self.clock.ensure_armed();
-        }
-    }
-
-    /// After churn mutated the queue or the usable-site set: apply the
-    /// enqueue policy so requeued/deferred work is guaranteed a boundary.
-    fn after_churn(&mut self) {
-        if self.rounds.count_trigger_reached() {
-            self.clock.note_trigger();
-        } else if self.rounds.pending_len() > 0 {
-            self.clock.ensure_armed();
-        }
     }
 }
 
@@ -733,7 +695,7 @@ mod tests {
         s.submit(job(9, 11.0, 10.0)).unwrap();
         let m = s.metrics();
         assert_eq!(m.rounds, 1);
-        assert_eq!(m.batch_sizes, vec![4]);
+        assert_eq!((m.batch_size_hist.count, m.batch_size_hist.sum), (1, 4));
         assert_eq!(m.pending, 1);
         s.drain().unwrap();
         assert_eq!(s.metrics().jobs_scheduled, 5);
@@ -752,7 +714,17 @@ mod tests {
         s.submit(job(3, 6.0, 10.0)).unwrap();
         let m = s.metrics();
         assert_eq!(m.rounds, 1);
-        assert_eq!(m.batch_sizes, vec![3]);
+        assert_eq!((m.batch_size_hist.count, m.batch_size_hist.sum), (1, 3));
+    }
+
+    /// A `null` batch period reads as +∞: at bfcc786 such a session
+    /// placed its first job at t = ∞ and refused every later submit.
+    #[test]
+    fn an_infinite_batch_period_is_refused() {
+        let config = SimConfig::default().with_interval(Time::INFINITY);
+        let err = OnlineSession::new(grid(), Box::new(EarliestCompletion), &config);
+        let err = err.err().expect("refused").to_string();
+        assert!(err.contains("schedule_interval"), "{err}");
     }
 
     #[test]

@@ -77,16 +77,17 @@ fn assert_replays_agree(
             shipped.timeline, referee.timeline,
             "{label}/{scheduler}: timelines diverged"
         );
+        let m = &shipped.metrics;
         assert_eq!(
             (
                 shipped.jobs_generated,
-                shipped.jobs_submitted,
-                shipped.jobs_scheduled,
-                shipped.jobs_requeued,
-                shipped.pending,
-                shipped.rounds,
-                shipped.sites_failed,
-                shipped.sites_rejoined,
+                m.jobs_submitted,
+                m.jobs_scheduled,
+                m.jobs_requeued,
+                m.pending,
+                m.rounds,
+                m.sites_failed,
+                m.sites_rejoined,
             ),
             (
                 referee.jobs_generated,
@@ -102,12 +103,12 @@ fn assert_replays_agree(
         );
         assert_eq!(shipped.rejected, referee.rejected, "{label}/{scheduler}");
         assert_eq!(
-            shipped.max_completion, referee.max_completion,
+            m.max_completion, referee.max_completion,
             "{label}/{scheduler}"
         );
         // The latencies are wall-clock; how many there are is not.
         assert_eq!(
-            shipped.round_nanos.count as usize,
+            m.round_nanos_hist.count as usize,
             referee.round_nanos.len(),
             "{label}/{scheduler}: one latency sample per round"
         );
@@ -251,9 +252,9 @@ fn random_specs_replay_identically() {
             let out =
                 assert_replays_agree(&format!("seed {seed}/{policy:?}"), &grid, &stream, &config);
             rejected += out.rejected.len();
-            requeued += out.jobs_requeued;
-            failed += out.sites_failed;
-            rejoined += out.sites_rejoined;
+            requeued += out.metrics.jobs_requeued;
+            failed += out.metrics.sites_failed;
+            rejoined += out.metrics.sites_rejoined;
         }
     }
     // The specs must reach what they are there to reach.

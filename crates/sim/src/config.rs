@@ -58,8 +58,11 @@ pub struct SlDynamics {
 impl SlDynamics {
     /// Validates the dynamics.
     pub fn validate(&self) -> Result<()> {
-        if self.period <= Time::ZERO {
-            return Err(Error::invalid("sl_dynamics.period", "must be positive"));
+        if !(self.period.is_finite() && self.period > Time::ZERO) {
+            return Err(Error::invalid(
+                "sl_dynamics.period",
+                "must be finite and positive",
+            ));
         }
         if !(self.step.is_finite() && self.step >= 0.0) {
             return Err(Error::invalid("sl_dynamics.step", "must be ≥ 0"));
@@ -132,10 +135,10 @@ impl Default for SimConfig {
 impl SimConfig {
     /// Validates the configuration.
     pub fn validate(&self) -> Result<()> {
-        if self.schedule_interval <= Time::ZERO {
+        if !(self.schedule_interval.is_finite() && self.schedule_interval > Time::ZERO) {
             return Err(Error::invalid(
                 "schedule_interval",
-                "batch period must be positive",
+                "batch period must be finite and positive",
             ));
         }
         if self.max_horizon <= Time::ZERO {
@@ -233,6 +236,31 @@ mod tests {
     fn zero_interval_rejected() {
         let c = SimConfig::default().with_interval(Time::ZERO);
         assert!(c.validate().is_err());
+    }
+
+    /// JSON `null` reads as +∞ for a `Time`: a batch period and a walk
+    /// period must be finite; `max_horizon` is the one field where ∞ means
+    /// "no limit".
+    #[test]
+    fn null_periods_rejected_null_horizon_allowed() {
+        let json = serde_json::to_string(&SimConfig::default()).unwrap();
+        assert!(json.contains("\"max_horizon\":null"), "{json}");
+        let interval = json.replace("\"schedule_interval\":1000.0", "\"schedule_interval\":null");
+        let c: SimConfig = serde_json::from_str(&interval).unwrap();
+        assert_eq!(c.schedule_interval, Time::INFINITY);
+        let err = c.validate().unwrap_err().to_string();
+        assert!(err.contains("schedule_interval"), "{err}");
+        let walk = SlDynamics {
+            period: Time::INFINITY,
+            step: 0.1,
+            min: 0.0,
+            max: 1.0,
+        };
+        let err = SimConfig::default().with_sl_dynamics(walk).validate();
+        assert!(err.unwrap_err().to_string().contains("sl_dynamics.period"));
+        let horizon: SimConfig = serde_json::from_str(&json).unwrap();
+        assert_eq!(horizon.max_horizon, Time::INFINITY);
+        assert!(horizon.validate().is_ok());
     }
 
     #[test]

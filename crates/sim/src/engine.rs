@@ -1,8 +1,19 @@
 //! The discrete-event simulation engine (the paper's Fig. 1 loop).
 //!
+//! The engine is one caller of the round core in [`crate::round`]: its
+//! event queue holds only what the simulation itself creates — arrivals,
+//! attempt ends and SL-walk steps — and the run loop fires the shared
+//! [`BoundaryClock`]'s next boundary whenever it is strictly earlier than
+//! the next event (or no event is left), so every event at an instant runs
+//! before the boundary at that instant. A round's schedule is dispatched
+//! attempt by attempt: Eq. 1 is sampled against the site's current
+//! security level and the attempt commits through the [`RoundDriver`]
+//! for as long as it occupies its nodes.
+//!
 //! Beyond the paper's base model the engine supports:
 //!
-//! * count-triggered and hybrid batch policies ([`BatchPolicy`]);
+//! * count-triggered and hybrid batch policies
+//!   ([`BatchPolicy`](crate::BatchPolicy));
 //! * noisy execution-time estimates ([`EstimateModel`]) — the scheduler
 //!   sees estimated work, execution consumes the true work (the paper's
 //!   §5 future-work scenario);
@@ -14,10 +25,10 @@
 //!   job, and the job only counts as failed when *every* replica fails
 //!   (the DFTS-style fault-tolerance of Abawajy, the paper's ref. \[1\]).
 
-use crate::config::{BatchPolicy, EstimateModel, SimConfig};
+use crate::config::{EstimateModel, SimConfig};
 use crate::event::{EventKind, EventQueue};
 use crate::report::SimOutput;
-use crate::round::RoundDriver;
+use crate::round::{BoundaryClock, RoundDriver};
 use crate::scheduler::{BatchJob, BatchScheduler};
 use crate::timeline::{AttemptSpan, Timeline};
 use gridsec_core::metrics::{JobOutcome, MetricsCollector};
@@ -49,6 +60,8 @@ pub struct Simulator<'a, S: BatchScheduler + ?Sized> {
     /// The batch/round core (grid, availability, pending queue, batch
     /// accounting) shared with the serving daemon.
     rounds: RoundDriver,
+    /// The simulated `now` and the queued batch boundaries.
+    clock: BoundaryClock,
     scheduler: &'a mut S,
     config: SimConfig,
     events: EventQueue,
@@ -56,8 +69,6 @@ pub struct Simulator<'a, S: BatchScheduler + ?Sized> {
     metrics: MetricsCollector,
     failure_rng: ChaCha8Rng,
     walk_rng: ChaCha8Rng,
-    boundary_scheduled: Option<Time>,
-    now: Time,
     total_jobs: usize,
     replica_dispatches: usize,
     timeline: Option<Timeline>,
@@ -118,6 +129,7 @@ impl<'a, S: BatchScheduler + ?Sized> Simulator<'a, S> {
                 config.security,
                 config.max_replicas,
             ),
+            clock: BoundaryClock::new(config.schedule_interval),
             scheduler,
             config: config.clone(),
             events,
@@ -125,8 +137,6 @@ impl<'a, S: BatchScheduler + ?Sized> Simulator<'a, S> {
             metrics,
             failure_rng: stream(config.seed, Stream::Failure),
             walk_rng: stream(config.seed, Stream::Custom(0x51D9)),
-            boundary_scheduled: None,
-            now: Time::ZERO,
             total_jobs: workload.len(),
             replica_dispatches: 0,
             timeline: if config.record_timeline {
@@ -139,20 +149,26 @@ impl<'a, S: BatchScheduler + ?Sized> Simulator<'a, S> {
 
     /// Runs the simulation to completion and returns the output.
     pub fn run(mut self) -> Result<SimOutput> {
-        while let Some(event) = self.events.pop() {
-            self.now = event.at;
-            if self.now > self.config.max_horizon {
-                return Err(Error::invalid(
-                    "max_horizon",
-                    format!("simulation exceeded horizon at t = {}", self.now),
-                ));
+        loop {
+            let boundary = match self.events.peek_time() {
+                Some(t) => self.clock.pop_strictly_before(t),
+                None => self.clock.pop_any(),
+            };
+            if let Some(b) = boundary {
+                self.check_horizon(b)?;
+                self.on_boundary(b)?;
+                continue;
             }
+            let Some(event) = self.events.pop() else {
+                break;
+            };
+            self.check_horizon(event.at)?;
+            self.clock.advance_to(event.at);
             match event.kind {
                 EventKind::Arrival { job } => self.on_arrival(job),
                 EventKind::AttemptEnd { job, site, failed } => {
                     self.on_attempt_end(job, site, failed)
                 }
-                EventKind::BatchBoundary => self.on_boundary()?,
                 EventKind::SlWalk => self.on_sl_walk(),
             }
         }
@@ -163,22 +179,33 @@ impl<'a, S: BatchScheduler + ?Sized> Simulator<'a, S> {
                 assigned: completed,
             });
         }
-        let batch_sizes = self.rounds.batch_sizes();
+        let n_batches = self.rounds.n_rounds();
         Ok(SimOutput {
             scheduler_name: self.scheduler.name(),
             metrics: self.metrics.report(None),
-            n_batches: self.rounds.n_rounds(),
-            mean_batch_size: if batch_sizes.is_empty() {
+            n_batches,
+            mean_batch_size: if n_batches == 0 {
                 0.0
             } else {
-                batch_sizes.iter().sum::<usize>() as f64 / batch_sizes.len() as f64
+                self.rounds.jobs_batched() as f64 / n_batches as f64
             },
-            max_batch_size: batch_sizes.iter().copied().max().unwrap_or(0),
+            max_batch_size: self.rounds.max_batch_size(),
             scheduler_seconds: self.rounds.scheduler_nanos() as f64 / 1e9,
             replica_dispatches: self.replica_dispatches,
             timeline: self.timeline,
             seed: self.config.seed,
         })
+    }
+
+    /// The safety valve: no event or boundary past `max_horizon`.
+    fn check_horizon(&self, at: Time) -> Result<()> {
+        if at > self.config.max_horizon {
+            return Err(Error::invalid(
+                "max_horizon",
+                format!("simulation exceeded horizon at t = {at}"),
+            ));
+        }
+        Ok(())
     }
 
     /// A job the scheduler should see: true job with estimated work.
@@ -192,7 +219,7 @@ impl<'a, S: BatchScheduler + ?Sized> Simulator<'a, S> {
     fn on_arrival(&mut self, id: JobId) {
         let bj = self.scheduler_view_of(id, false);
         self.rounds.enqueue(bj);
-        self.after_enqueue();
+        self.clock.arm(&self.rounds);
     }
 
     fn on_attempt_end(&mut self, id: JobId, site: SiteId, failed: bool) {
@@ -208,7 +235,7 @@ impl<'a, S: BatchScheduler + ?Sized> Simulator<'a, S> {
                 state.failures += 1;
                 let bj = self.scheduler_view_of(id, true);
                 self.rounds.enqueue(bj);
-                self.after_enqueue();
+                self.clock.arm(&self.rounds);
             }
         } else if !state.done {
             state.done = true;
@@ -217,7 +244,7 @@ impl<'a, S: BatchScheduler + ?Sized> Simulator<'a, S> {
                 id,
                 arrival: state.job.arrival,
                 first_start: state.first_start.expect("started"),
-                completion: self.now,
+                completion: self.clock.now(),
                 final_site: site,
                 risk_taken: state.risk_taken,
                 failures: state.failures,
@@ -226,29 +253,27 @@ impl<'a, S: BatchScheduler + ?Sized> Simulator<'a, S> {
         // Late replicas of an already-done job just release their nodes.
     }
 
-    fn on_boundary(&mut self) -> Result<()> {
-        self.boundary_scheduled = None;
-        let Some(outcome) = self.rounds.run_round(&mut *self.scheduler, self.now)? else {
+    fn on_boundary(&mut self, b: Time) -> Result<()> {
+        self.clock.fired(b);
+        let Some(outcome) = self.rounds.run_round(&mut *self.scheduler, b)? else {
             return Ok(());
         };
         for a in &outcome.schedule.assignments {
-            self.dispatch(a.job, a.site);
+            self.dispatch(a.job, a.site, b);
         }
         Ok(())
     }
 
-    /// Starts one attempt of `job` on `site`, sampling failure per Eq. (1)
-    /// against the site's *current* security level.
-    fn dispatch(&mut self, id: JobId, site_id: SiteId) {
-        let site = self.rounds.grid().site(site_id).clone();
+    /// Starts one attempt of `job` on `site` at the round instant `now`,
+    /// sampling failure per Eq. (1) against the site's *current* security
+    /// level.
+    fn dispatch(&mut self, id: JobId, site_id: SiteId, now: Time) {
+        let site = self.rounds.grid().site(site_id);
         let state = self.states.get_mut(&id).expect("known job");
-        let job = state.job.clone();
         if state.outstanding > 0 {
             self.replica_dispatches += 1;
         }
-        let start = self.rounds.avail()[site_id.0]
-            .earliest_start(job.width, self.now.max(job.arrival))
-            .expect("validated width");
+        let job = &state.job;
         let exec = job.exec_time(site.speed);
         // Always draw both variates so the failure stream stays aligned
         // across configurations (comparability between runs).
@@ -260,34 +285,27 @@ impl<'a, S: BatchScheduler + ?Sized> Simulator<'a, S> {
             .security
             .fail_probability(job.security_demand, site.security_level);
         let failed = risky && u < p;
-        let occupied = if failed {
-            match self.config.failure_detection {
-                FailureDetection::AtEnd => exec,
-                FailureDetection::UniformFraction => exec * frac.max(f64::MIN_POSITIVE),
-            }
-        } else {
-            exec
+        let occupied = match (failed, self.config.failure_detection) {
+            (true, FailureDetection::UniformFraction) => exec * frac.max(f64::MIN_POSITIVE),
+            _ => exec,
         };
-        let end = start + occupied;
-        self.rounds.avail_mut()[site_id.0].commit(job.width, end);
+        let attempt = self.rounds.commit_attempt(job, site_id, now, occupied);
         self.metrics.record_busy(site_id, job.width, occupied);
-        if state.first_start.is_none() {
-            state.first_start = Some(start);
-        }
+        state.first_start.get_or_insert(attempt.start);
         state.risk_taken |= risky;
         state.outstanding += 1;
         if let Some(tl) = &mut self.timeline {
             tl.push(AttemptSpan {
                 job: id,
                 site: site_id,
-                width: job.width,
-                start,
-                end,
+                width: attempt.width,
+                start: attempt.start,
+                end: attempt.end,
                 failed,
             });
         }
         self.events.push(
-            end,
+            attempt.end,
             EventKind::AttemptEnd {
                 job: id,
                 site: site_id,
@@ -321,35 +339,9 @@ impl<'a, S: BatchScheduler + ?Sized> Simulator<'a, S> {
             .expect("walked grid keeps its site count");
         // Keep walking while the run is still active.
         if self.metrics.completed() < self.total_jobs {
-            self.events.push(self.now + d.period, EventKind::SlWalk);
+            self.events
+                .push(self.clock.now() + d.period, EventKind::SlWalk);
         }
-    }
-
-    /// Reacts to a newly pending job according to the batch policy.
-    fn after_enqueue(&mut self) {
-        match self.config.batch_policy {
-            BatchPolicy::Periodic => self.ensure_boundary(),
-            BatchPolicy::CountTriggered(_) | BatchPolicy::Hybrid(_) => {
-                if self.rounds.count_trigger_reached() {
-                    self.events.push(self.now, EventKind::BatchBoundary);
-                } else {
-                    self.ensure_boundary();
-                }
-            }
-        }
-    }
-
-    /// Makes sure a batch boundary is queued at the next multiple of the
-    /// scheduling interval strictly after `now`.
-    fn ensure_boundary(&mut self) {
-        if self.boundary_scheduled.is_some() {
-            return;
-        }
-        let period = self.config.schedule_interval.seconds();
-        let k = (self.now.seconds() / period).floor() + 1.0;
-        let at = Time::new(k * period);
-        self.boundary_scheduled = Some(at);
-        self.events.push(at, EventKind::BatchBoundary);
     }
 }
 
@@ -379,6 +371,7 @@ pub fn simulate<S: BatchScheduler + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::BatchPolicy;
     use crate::scheduler::{EarliestCompletion, GridView};
     use gridsec_core::{BatchSchedule, Site};
 
@@ -610,6 +603,65 @@ mod tests {
         let mut config = cfg();
         config.max_horizon = Time::new(100.0);
         assert!(simulate(&jobs, &grid, &mut EarliestCompletion, &config).is_err());
+    }
+
+    /// Every event at an instant runs before the boundary at that instant:
+    /// an attempt failing exactly on a boundary is rescheduled in it.
+    #[test]
+    fn a_failure_on_a_boundary_instant_joins_that_batch() {
+        // Unsafe site 0 runs J0 in 10 s (MCT's pick at t = 10); the safe
+        // site 1 takes 20 s. J1's arrival at 15 arms the boundary at 20.
+        let grid = Grid::new(vec![
+            Site::builder(0)
+                .speed(1.0)
+                .security_level(0.0)
+                .build()
+                .unwrap(),
+            Site::builder(1)
+                .speed(0.5)
+                .security_level(1.0)
+                .build()
+                .unwrap(),
+        ])
+        .unwrap();
+        let config = cfg()
+            .with_lambda(1e6)
+            .unwrap()
+            .with_failure_detection(FailureDetection::AtEnd);
+        let jobs = vec![
+            Job::builder(0)
+                .work(10.0)
+                .security_demand(0.9)
+                .build()
+                .unwrap(),
+            Job::builder(1)
+                .arrival(Time::new(15.0))
+                .work(1.0)
+                .security_demand(0.0)
+                .build()
+                .unwrap(),
+        ];
+        let out = simulate(&jobs, &grid, &mut EarliestCompletion, &config).unwrap();
+        assert_eq!(out.metrics.n_fail, 1);
+        // J0 fails at 20 and restarts on site 1 at 20, not 30: done at 40.
+        assert_eq!(out.metrics.makespan, Time::new(40.0));
+        assert_eq!(out.n_batches, 2);
+    }
+
+    /// Same-instant arrivals all join the count-triggered batch their
+    /// instant fires.
+    #[test]
+    fn same_instant_arrivals_share_one_count_triggered_batch() {
+        let jobs: Vec<Job> = (0..3)
+            .map(|i| {
+                let job = Job::builder(i).arrival(Time::new(5.0)).work(10.0);
+                job.security_demand(0.5).build().unwrap()
+            })
+            .collect();
+        let config = cfg().with_batch_policy(BatchPolicy::CountTriggered(2));
+        let out = simulate(&jobs, &safe_grid(), &mut EarliestCompletion, &config).unwrap();
+        assert_eq!(out.n_batches, 1);
+        assert_eq!(out.max_batch_size, 3);
     }
 
     #[test]

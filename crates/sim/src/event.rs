@@ -1,10 +1,14 @@
-//! The simulator's event queue.
+//! The simulator's event queue: what the simulation itself creates.
 //!
 //! A binary heap of time-stamped events with deterministic tie-breaking:
 //! events at the same instant are processed in *kind priority* order
-//! (attempt completions first, then arrivals, then batch boundaries — so a
-//! job that fails at a boundary instant can be rescheduled in that very
-//! batch), and FIFO within the same kind (sequence numbers).
+//! (attempt completions, then arrivals, then SL-walk steps), and FIFO
+//! within the same kind (sequence numbers). Batch boundaries are not
+//! events: they live on the round core's
+//! [`BoundaryClock`](crate::BoundaryClock), and the engine fires one only
+//! when it is strictly earlier than the next event here — so every event
+//! at an instant, a job failing on a boundary among them, runs before the
+//! boundary at that instant and joins its batch.
 
 use gridsec_core::{JobId, SiteId, Time};
 use std::cmp::Ordering;
@@ -27,8 +31,6 @@ pub enum EventKind {
         /// The arriving job.
         job: JobId,
     },
-    /// A batch boundary: run the scheduler over the pending queue.
-    BatchBoundary,
     /// A security-level random-walk step (only with
     /// [`SlDynamics`](crate::config::SlDynamics)).
     SlWalk,
@@ -41,7 +43,6 @@ impl EventKind {
             EventKind::AttemptEnd { .. } => 0,
             EventKind::Arrival { .. } => 1,
             EventKind::SlWalk => 2,
-            EventKind::BatchBoundary => 3,
         }
     }
 }
@@ -124,7 +125,7 @@ mod tests {
     #[test]
     fn pops_in_time_order() {
         let mut q = EventQueue::new();
-        q.push(Time::new(5.0), EventKind::BatchBoundary);
+        q.push(Time::new(5.0), EventKind::SlWalk);
         q.push(Time::new(1.0), EventKind::Arrival { job: JobId(0) });
         q.push(
             Time::new(3.0),
@@ -144,7 +145,7 @@ mod tests {
     fn same_instant_kind_priority() {
         let mut q = EventQueue::new();
         let t = Time::new(10.0);
-        q.push(t, EventKind::BatchBoundary);
+        q.push(t, EventKind::SlWalk);
         q.push(t, EventKind::Arrival { job: JobId(7) });
         q.push(
             t,
@@ -159,7 +160,7 @@ mod tests {
             EventKind::AttemptEnd { .. }
         ));
         assert!(matches!(q.pop().unwrap().kind, EventKind::Arrival { .. }));
-        assert!(matches!(q.pop().unwrap().kind, EventKind::BatchBoundary));
+        assert!(matches!(q.pop().unwrap().kind, EventKind::SlWalk));
     }
 
     #[test]
@@ -183,7 +184,7 @@ mod tests {
         let mut q = EventQueue::new();
         assert!(q.is_empty());
         assert_eq!(q.peek_time(), None);
-        q.push(Time::new(2.0), EventKind::BatchBoundary);
+        q.push(Time::new(2.0), EventKind::SlWalk);
         assert_eq!(q.len(), 1);
         assert_eq!(q.peek_time(), Some(Time::new(2.0)));
     }

@@ -8,10 +8,15 @@
 //! the job's demand may **fail** (Eq. 1), in which case they restart from
 //! scratch and are re-scheduled with a *secure-only* constraint.
 //!
-//! The simulator and the scheduling heuristics share the
-//! [`NodeAvailability`](gridsec_core::etc::NodeAvailability) reservation
-//! model, so heuristic completion-time estimates agree exactly with
-//! simulated execution (in the absence of failures).
+//! The loop itself — when a boundary fires ([`BoundaryClock`]), what a
+//! round does with the pending queue, and how an attempt commits
+//! ([`RoundDriver`]) — is the [`round`] core, which the [`Simulator`] and
+//! `gridsec-serve`'s online session both drive: the simulator from its
+//! event queue of arrivals, attempt ends and SL-walk steps, the session
+//! from submitted frames. The simulator and the scheduling heuristics
+//! share the [`NodeAvailability`](gridsec_core::etc::NodeAvailability)
+//! reservation model, so heuristic completion-time estimates agree
+//! exactly with simulated execution (in the absence of failures).
 //!
 //! ```
 //! use gridsec_core::{Grid, Job, Site, Time};

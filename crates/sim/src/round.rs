@@ -1,20 +1,22 @@
-//! The reusable batch/round core: pending-queue accumulation under a
-//! [`BatchPolicy`], scheduler invocation over a [`GridView`], and
-//! replication-aware schedule validation.
+//! The round core of the paper's Fig. 1 loop: the [`BoundaryClock`] that
+//! says when a batch boundary fires, the arming rule that feeds it, and
+//! the [`RoundDriver`] that accumulates the pending queue under a
+//! [`BatchPolicy`], runs the scheduler over a [`GridView`], validates the
+//! schedule (replication-aware) and commits every attempt.
 //!
-//! Both front ends drive the same `RoundDriver`:
+//! Both front ends are callers of this one core:
 //!
-//! * the discrete-event [`Simulator`](crate::Simulator), where rounds fire
-//!   at simulated batch boundaries and dispatch outcomes (including
-//!   failures) feed back into the availability model, and
+//! * the discrete-event [`Simulator`](crate::Simulator) fires the clock's
+//!   boundaries between the events of its own queue and commits each
+//!   attempt with its Eq. 1 occupancy (a failed attempt holds its nodes
+//!   until the failure), and
 //! * `gridsec-serve`'s online session — every daemon shard and every
-//!   scenario replay — where rounds fire on submitted traffic and
-//!   committed assignments are the served schedule.
+//!   scenario replay — fires them between submitted frames and commits
+//!   every assignment as a successful execution: the served schedule.
 //!
-//! Keeping the queue, the trigger logic and the validation in one place
-//! guarantees the daemon schedules exactly like the simulator for the same
-//! job stream and policy — the golden cross-check test in `crates/serve`
-//! pins that equivalence bit for bit.
+//! So the daemon schedules exactly like the simulator for the same job
+//! stream and policy when no attempt fails — the golden cross-check test
+//! in `crates/serve` pins that equivalence bit for bit.
 
 use crate::config::BatchPolicy;
 use crate::scheduler::{BatchJob, BatchScheduler, GridView};
@@ -23,18 +25,18 @@ use gridsec_core::{BatchSchedule, Error, Grid, Job, JobId, Result, SecurityModel
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 
-/// The batch-boundary clock of the serving session: a virtual `now`, a
-/// queue of pending boundaries (which may hold stale duplicates, exactly
-/// like the engine's event queue), and the engine's `boundary_scheduled`
-/// flag — at most one *armed* periodic boundary at a time.
+/// The batch-boundary clock: a virtual `now`, a queue of pending
+/// boundaries (which may hold stale duplicates: a count trigger queues
+/// one per triggering enqueue, and a stale boundary fires as a no-op), and
+/// at most one *armed* periodic boundary at a time.
 ///
-/// The clock is the state; the sequence that drives it for every input
-/// event — pop-and-fire every due boundary strictly before the event
-/// instant, advance `now`, apply the event, then re-arm (or
-/// count-trigger) — is `gridsec_serve::OnlineSession`'s, the one place
-/// in the shipped crates that calls the `pop_*` / `note_trigger` /
-/// `ensure_armed` methods. Scenario replays, `gridsec chaos` and the
-/// daemon's shards all go through it.
+/// Every caller drives it the same way: before an input at instant `t`,
+/// pop and fire every boundary strictly before `t` — every input at an
+/// instant runs before the boundary at that instant, so a job that
+/// arrives or fails on a boundary joins that batch — then advance `now`,
+/// apply the input, and [`arm`](BoundaryClock::arm) by the policy. The
+/// [`Simulator`](crate::Simulator) feeds it from its event queue,
+/// `gridsec_serve::OnlineSession` from submitted frames.
 #[derive(Debug, Clone)]
 pub struct BoundaryClock {
     interval: Time,
@@ -72,10 +74,9 @@ impl BoundaryClock {
         self.boundaries.peek().map(|r| r.0)
     }
 
-    /// Pops the earliest boundary strictly before `t` — the engine fires
-    /// these before the arrival event at `t` (boundaries *at* `t` sort
-    /// after arrivals at equal timestamps). Callers loop until `None`,
-    /// firing each popped boundary.
+    /// Pops the earliest boundary strictly before `t`, the instant of the
+    /// next input (a boundary *at* `t` fires after it). Callers loop until
+    /// `None`, firing each popped boundary.
     pub fn pop_strictly_before(&mut self, t: Time) -> Option<Time> {
         match self.boundaries.peek() {
             Some(&Reverse(b)) if b < t => {
@@ -105,21 +106,31 @@ impl BoundaryClock {
 
     /// Records that the boundary at `b` fired: the clock advances to `b`
     /// and the armed flag clears — even when the boundary that fired was
-    /// count-triggered, so stale periodic boundaries still fire as no-ops,
-    /// as in the engine.
+    /// count-triggered, so stale periodic boundaries still fire as no-ops.
     pub fn fired(&mut self, b: Time) {
         self.advance_to(b);
         self.armed = None;
     }
 
+    /// The arming rule, applied after every change to the pending queue or
+    /// the usable sites: a reached count trigger queues a boundary now;
+    /// otherwise anything pending is covered by an armed periodic one.
+    pub fn arm(&mut self, rounds: &RoundDriver) {
+        if rounds.count_trigger_reached() {
+            self.note_trigger();
+        } else if rounds.pending_len() > 0 {
+            self.ensure_armed();
+        }
+    }
+
     /// Queues a count-triggered boundary at the current instant (once per
-    /// triggering enqueue, like the engine's event pushes).
+    /// triggering enqueue).
     pub fn note_trigger(&mut self) {
         self.boundaries.push(Reverse(self.now));
     }
 
-    /// The engine's `ensure_boundary`: arm a boundary at the next interval
-    /// multiple strictly after `now`, unless one is already armed.
+    /// Arms a boundary at the next interval multiple strictly after `now`,
+    /// unless one is already armed.
     pub fn ensure_armed(&mut self) {
         if self.armed.is_some() {
             return;
@@ -157,8 +168,8 @@ pub struct RoundOutcome {
     pub scheduler_nanos: u128,
 }
 
-/// One assignment as committed against the availability model, by the
-/// simulator's dispatch arithmetic — the unit of served schedule, and as
+/// One attempt as committed against the availability model by the
+/// [`RoundDriver`] — the unit of served schedule, and as
 /// `gridsec_serve::Placed` the record that travels on the wire.
 #[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct CommittedAssignment {
@@ -170,7 +181,7 @@ pub struct CommittedAssignment {
     pub width: u32,
     /// Start of execution (earliest fit at or after the round instant).
     pub start: Time,
-    /// End of execution (`start + work / speed`).
+    /// End of node occupation (`start + work / speed` for a success).
     pub end: Time,
 }
 
@@ -184,20 +195,16 @@ pub struct RoundDriver {
     model: SecurityModel,
     max_replicas: u32,
     n_rounds: usize,
-    batch_sizes: Vec<usize>,
-    /// When set, [`RoundDriver::batch_sizes`] keeps only the most
-    /// recent this-many rounds (long-lived serving sessions cap it;
-    /// the engine's finite replays keep the unbounded default).
-    stats_window: Option<usize>,
+    /// Jobs handed to the scheduler over every non-empty round.
+    jobs_batched: usize,
+    max_batch: usize,
     scheduler_nanos: u128,
     /// Per-site offline mask (site churn). Offline sites are excluded
     /// from the scheduler's view; jobs fitting no online site stay
     /// pending rather than being lost.
     offline: Vec<bool>,
     /// Commits whose execution window may still be open, in commit order
-    /// (pruned lazily). Only front ends that commit through
-    /// [`RoundDriver::commit_assignment`] populate this — the
-    /// discrete-event engine tracks execution in its own event queue.
+    /// (pruned lazily).
     inflight: Vec<Inflight>,
 }
 
@@ -222,8 +229,8 @@ impl RoundDriver {
             model,
             max_replicas,
             n_rounds: 0,
-            batch_sizes: Vec::new(),
-            stats_window: None,
+            jobs_batched: 0,
+            max_batch: 0,
             scheduler_nanos: 0,
             offline: vec![false; n_sites],
             inflight: Vec::new(),
@@ -343,11 +350,6 @@ impl RoundDriver {
         &self.avail
     }
 
-    /// Mutable availability — the engine's dispatch commits attempts here.
-    pub fn avail_mut(&mut self) -> &mut [NodeAvailability] {
-        &mut self.avail
-    }
-
     /// Per-site offline mask (true = failed / out of rotation).
     pub fn offline_mask(&self) -> &[bool] {
         &self.offline
@@ -358,8 +360,8 @@ impl RoundDriver {
         site.0 < self.offline.len() && !self.offline[site.0]
     }
 
-    /// Whether any site is currently offline (the masked scheduling path
-    /// is active).
+    /// Whether any site is currently offline (rounds schedule over the
+    /// online sites only).
     pub fn any_offline(&self) -> bool {
         self.offline.iter().any(|&o| o)
     }
@@ -429,34 +431,15 @@ impl RoundDriver {
         self.n_rounds
     }
 
-    /// Sizes of non-empty batches scheduled so far — every one by
-    /// default, the most recent window when
-    /// [`RoundDriver::set_stats_window`] capped it.
-    pub fn batch_sizes(&self) -> &[usize] {
-        &self.batch_sizes
+    /// Jobs handed to the scheduler over every non-empty round (a job
+    /// rescheduled after a failure counts once per round it joins).
+    pub(crate) fn jobs_batched(&self) -> usize {
+        self.jobs_batched
     }
 
-    /// Caps (or uncaps, with `None`) the retained batch-size history.
-    /// `n_rounds` and cumulative counters are unaffected.
-    pub fn set_stats_window(&mut self, window: Option<usize>) {
-        self.stats_window = window;
-        self.trim_stats();
-    }
-
-    /// Records a round's batch size, enforcing the window.
-    fn note_round(&mut self, batch_len: usize) {
-        self.n_rounds += 1;
-        self.batch_sizes.push(batch_len);
-        self.trim_stats();
-    }
-
-    fn trim_stats(&mut self) {
-        if let Some(w) = self.stats_window {
-            let len = self.batch_sizes.len();
-            if len > w {
-                self.batch_sizes.drain(..len - w);
-            }
-        }
+    /// The largest batch of any round so far (0 before the first).
+    pub(crate) fn max_batch_size(&self) -> usize {
+        self.max_batch
     }
 
     /// Total wall-clock nanoseconds spent inside the scheduler.
@@ -469,10 +452,15 @@ impl RoundDriver {
     /// view, and validates the result (replication-aware). Returns
     /// `Ok(None)` when nothing is pending.
     ///
+    /// While a site is offline the scheduler sees a dense re-indexed view
+    /// of the online sites only — an ordinary smaller grid, from which the
+    /// STGA fitness kernel re-lowers like any other round — and jobs
+    /// fitting no online site are deferred: they stay pending (accounted,
+    /// never lost) until a wide-enough site rejoins.
+    ///
     /// The returned schedule is **not** committed to the availability
-    /// model; the engine commits per dispatch (failures shorten
-    /// occupancy), the daemon commits via
-    /// [`RoundDriver::commit_assignment`].
+    /// model; the caller commits each attempt (a success with
+    /// [`RoundDriver::commit_assignment`]).
     pub fn run_round<S: BatchScheduler + ?Sized>(
         &mut self,
         scheduler: &mut S,
@@ -482,77 +470,32 @@ impl RoundDriver {
             return Ok(None);
         }
         self.inflight.retain(|f| f.end > now);
-        if !self.any_offline() {
-            let batch = std::mem::take(&mut self.pending);
-            self.note_round(batch.len());
-            let view = GridView {
-                grid: &self.grid,
-                avail: &self.avail,
-                now,
-                model: self.model,
+        let mut batch = std::mem::take(&mut self.pending);
+        let online = if self.any_offline() {
+            let fits = |bj: &BatchJob| {
+                let width = bj.job.width;
+                self.grid
+                    .sites()
+                    .any(|s| !self.offline[s.id.0] && s.fits_width(width))
             };
-            let _round = gridsec_obs::span!("round", batch = batch.len());
-            let t0 = std::time::Instant::now();
-            let schedule = scheduler.schedule(&batch, &view);
-            let scheduler_nanos = t0.elapsed().as_nanos();
-            self.scheduler_nanos += scheduler_nanos;
-            self.validate_schedule(&schedule, &batch)?;
-            return Ok(Some(RoundOutcome {
-                batch,
-                schedule,
-                scheduler_nanos,
-            }));
-        }
-        self.run_round_masked(scheduler, now)
-    }
-
-    /// The churn path: schedules over a dense sub-view of the online
-    /// sites only. Jobs fitting no online site are deferred — they stay
-    /// pending (accounted, never lost) until a wide-enough site rejoins.
-    fn run_round_masked<S: BatchScheduler + ?Sized>(
-        &mut self,
-        scheduler: &mut S,
-        now: Time,
-    ) -> Result<Option<RoundOutcome>> {
-        let taken = std::mem::take(&mut self.pending);
-        let mut batch = Vec::with_capacity(taken.len());
-        let mut deferred = Vec::new();
-        for bj in taken {
-            let fits_online = self
-                .grid
-                .sites()
-                .any(|s| !self.offline[s.id.0] && s.fits_width(bj.job.width));
-            if fits_online {
-                batch.push(bj);
-            } else {
-                deferred.push(bj);
+            (batch, self.pending) = batch.into_iter().partition(fits);
+            if batch.is_empty() {
+                return Ok(None);
             }
-        }
-        self.pending = deferred;
-        if batch.is_empty() {
-            return Ok(None);
-        }
-        self.note_round(batch.len());
-        // Dense re-indexed view of the online sites: schedulers (and the
-        // STGA fitness kernel, which re-lowers from the view every round)
-        // see an ordinary smaller grid.
-        let mut to_global = Vec::new();
-        let mut sites = Vec::new();
-        let mut avail = Vec::new();
-        for s in self.grid.sites() {
-            if self.offline[s.id.0] {
-                continue;
-            }
-            let mut local = s.clone();
-            local.id = SiteId(sites.len());
-            to_global.push(s.id);
-            sites.push(local);
-            avail.push(self.avail[s.id.0].clone());
-        }
-        let masked_grid = Grid::new(sites)?;
+            Some(self.online_view()?)
+        } else {
+            None
+        };
+        self.n_rounds += 1;
+        self.jobs_batched += batch.len();
+        self.max_batch = self.max_batch.max(batch.len());
+        let (grid, avail) = match &online {
+            Some((grid, avail, _)) => (grid, &avail[..]),
+            None => (&self.grid, &self.avail[..]),
+        };
         let view = GridView {
-            grid: &masked_grid,
-            avail: &avail,
+            grid,
+            avail,
             now,
             model: self.model,
         };
@@ -561,12 +504,12 @@ impl RoundDriver {
         let mut schedule = scheduler.schedule(&batch, &view);
         let scheduler_nanos = t0.elapsed().as_nanos();
         self.scheduler_nanos += scheduler_nanos;
-        // Translate the masked view's site ids back to grid ids before
-        // validating against the full grid.
-        for a in &mut schedule.assignments {
-            a.site = *to_global
-                .get(a.site.0)
-                .ok_or(Error::UnknownSite(a.site.0))?;
+        if let Some((_, _, to_global)) = &online {
+            for a in &mut schedule.assignments {
+                a.site = *to_global
+                    .get(a.site.0)
+                    .ok_or(Error::UnknownSite(a.site.0))?;
+            }
         }
         self.validate_schedule(&schedule, &batch)?;
         Ok(Some(RoundOutcome {
@@ -574,6 +517,23 @@ impl RoundDriver {
             schedule,
             scheduler_nanos,
         }))
+    }
+
+    /// The online sites as a dense grid with their availability, and the
+    /// grid id of each of its sites.
+    fn online_view(&self) -> Result<(Grid, Vec<NodeAvailability>, Vec<SiteId>)> {
+        let online = self.grid.sites().filter(|s| !self.offline[s.id.0]);
+        let mut sites = Vec::new();
+        let mut avail = Vec::new();
+        let mut to_global = Vec::new();
+        for s in online {
+            let mut local = s.clone();
+            local.id = SiteId(sites.len());
+            sites.push(local);
+            avail.push(self.avail[s.id.0].clone());
+            to_global.push(s.id);
+        }
+        Ok((Grid::new(sites)?, avail, to_global))
     }
 
     /// Replication-aware validation: every batch job covered at least
@@ -626,22 +586,30 @@ impl RoundDriver {
     }
 
     /// Commits one assignment as a *successful* execution: the job
-    /// occupies `width` nodes from its earliest fit (at or after `now`)
-    /// for its full execution time. This is exactly the simulator's
-    /// dispatch arithmetic in the no-failure case, so a daemon committing
-    /// every assignment of every round reproduces the engine's
+    /// occupies its nodes for its full execution time — the simulator's
+    /// commit of an attempt that does not fail, so a daemon committing
+    /// every assignment of every round reproduces the simulator's
     /// availability trajectory bit for bit.
-    pub fn commit_assignment(
+    pub fn commit_assignment(&mut self, job: &Job, site: SiteId, now: Time) -> CommittedAssignment {
+        let exec = job.exec_time(self.grid.site(site).speed);
+        self.commit_attempt(job, site, now, exec)
+    }
+
+    /// Commits one attempt: `job` occupies `width` nodes of `site_id` from
+    /// its earliest fit at or after `now` (and its arrival) for `occupied`
+    /// — its execution time, or for an attempt that fails under Eq. 1 the
+    /// time until the failure shows.
+    pub(crate) fn commit_attempt(
         &mut self,
-        job: &gridsec_core::Job,
+        job: &Job,
         site_id: SiteId,
         now: Time,
+        occupied: Time,
     ) -> CommittedAssignment {
-        let site = self.grid.site(site_id).clone();
         let start = self.avail[site_id.0]
             .earliest_start(job.width, now.max(job.arrival))
             .expect("validated width");
-        let end = start + job.exec_time(site.speed);
+        let end = start + occupied;
         self.avail[site_id.0].commit(job.width, end);
         self.inflight.push(Inflight {
             job: job.clone(),
@@ -714,7 +682,7 @@ mod tests {
         assert_eq!(out.schedule.len(), 2);
         assert_eq!(d.pending_len(), 0);
         assert_eq!(d.n_rounds(), 1);
-        assert_eq!(d.batch_sizes(), &[2]);
+        assert_eq!((d.jobs_batched(), d.max_batch_size()), (2, 2));
     }
 
     #[test]
@@ -825,7 +793,7 @@ mod tests {
             .unwrap();
         // The only assignment lands on the surviving site, in grid ids.
         assert_eq!(out.schedule.assignments[0].site, SiteId(0));
-        assert_eq!(d.batch_sizes(), &[1]);
+        assert_eq!((d.n_rounds(), d.jobs_batched()), (1, 1));
         // With every site down, nothing is schedulable: the round is a
         // no-op and the queue is preserved.
         let mut d2 = RoundDriver::new(grid2(), BatchPolicy::Periodic, Default::default(), 1);
@@ -889,5 +857,20 @@ mod tests {
         // Count triggers queue at `now` even when armed.
         c.note_trigger();
         assert_eq!(c.next_boundary(), Some(Time::new(10.0)));
+    }
+
+    #[test]
+    fn arming_follows_the_pending_queue_and_the_trigger() {
+        let mut d = RoundDriver::new(grid2(), BatchPolicy::Hybrid(2), Default::default(), 1);
+        let mut c = BoundaryClock::new(Time::new(10.0));
+        c.advance_to(Time::new(3.0));
+        c.arm(&d); // nothing pending: nothing to cover
+        assert_eq!(c.next_boundary(), None);
+        d.enqueue(bj(0, 10.0));
+        c.arm(&d); // below the trigger: the periodic boundary
+        assert_eq!(c.pop_any(), Some(Time::new(10.0)));
+        d.enqueue(bj(1, 10.0));
+        c.arm(&d); // trigger reached: a boundary now
+        assert_eq!(c.pop_any(), Some(Time::new(3.0)));
     }
 }

@@ -66,15 +66,16 @@ fn main() {
     )
     .unwrap();
     let outcome = runner.run(&stream).unwrap();
+    let m = &outcome.metrics;
     println!(
         "chaos scenario: {} arrivals, {} site failures, {} rejoins",
-        outcome.jobs_generated, outcome.sites_failed, outcome.sites_rejoined
+        outcome.jobs_generated, m.sites_failed, m.sites_rejoined
     );
     println!(
         "  {} scheduled, {} requeued after mid-run failures, {} pending, {} rejected",
-        outcome.jobs_scheduled,
-        outcome.jobs_requeued,
-        outcome.pending,
+        m.jobs_scheduled,
+        m.jobs_requeued,
+        m.pending,
         outcome.rejected.len()
     );
     assert!(outcome.fully_accounted(), "no job may be silently lost");

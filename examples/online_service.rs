@@ -156,9 +156,9 @@ fn main() {
         .unwrap()
     {
         Response::Metrics { metrics } => println!(
-            "\nmetrics: {} rounds, batch sizes {:?}, makespan {:.1}s, scheduler {:.4}s",
+            "\nmetrics: {} rounds, {} jobs batched, makespan {:.1}s, scheduler {:.4}s",
             metrics.rounds,
-            metrics.batch_sizes,
+            metrics.batch_size_hist.sum,
             metrics.max_completion.seconds(),
             metrics.scheduler_seconds
         ),

@@ -100,10 +100,11 @@ fn main() {
         .unwrap();
         let outcome = runner.run(&stream).unwrap();
         assert!(outcome.fully_accounted());
+        let m = &outcome.metrics;
         println!(
             "\n{label}: {} jobs scheduled, {} waiting for a trusted-enough site; \
              {} rounds, makespan {}",
-            outcome.jobs_scheduled, outcome.pending, outcome.rounds, outcome.max_completion
+            m.jobs_scheduled, m.pending, m.rounds, m.max_completion
         );
     }
     println!(

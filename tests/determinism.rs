@@ -244,25 +244,29 @@ fn churn_replay_is_bit_identical_across_thread_counts() {
             .run(&stream)
             .unwrap()
     };
-    // round_nanos is wall-clock and legitimately differs run to run.
+    // Round latencies are wall-clock and legitimately differ run to run.
     let fingerprint = |o: &ScenarioOutcome| {
+        let m = &o.metrics;
         (
             o.timeline.clone(),
             o.jobs_generated,
-            o.jobs_submitted,
-            o.jobs_scheduled,
-            o.jobs_requeued,
-            o.pending,
-            o.rounds,
-            o.sites_failed,
-            o.sites_rejoined,
+            m.jobs_submitted,
+            m.jobs_scheduled,
+            m.jobs_requeued,
+            m.pending,
+            m.rounds,
+            m.sites_failed,
+            m.sites_rejoined,
             o.rejected.clone(),
-            o.max_completion,
+            m.max_completion,
         )
     };
     let sequential = pool(1).install(run);
     assert!(sequential.fully_accounted(), "{sequential:?}");
-    assert!(sequential.sites_failed > 0, "the spec must inject churn");
+    assert!(
+        sequential.metrics.sites_failed > 0,
+        "the spec must inject churn"
+    );
     for threads in [2, 4] {
         let parallel = pool(threads).install(run);
         assert_eq!(

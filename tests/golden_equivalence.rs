@@ -23,6 +23,7 @@ use gridsec::stga::fitness::FitnessKind;
 use gridsec::stga::history::{BatchSignature, HistoryTable};
 use gridsec::stga::selection::RouletteWheel;
 use gridsec::stga::{evolve, Chromosome, GaParams, StandardGa, Stga, StgaParams};
+use gridsec_bench::runner::{nas_setup, nas_sim_config};
 use gridsec_bench::{psa_setup, psa_sim_config, replicate, replication_seeds};
 
 /// Order-sensitive digest of exact f64 bits.
@@ -282,6 +283,80 @@ fn roulette_digest() -> u64 {
         d = fold_u64(d, wheel.spin(&mut rng) as u64);
     }
     d
+}
+
+/// One engine run folded whole: every attempt span (job, site, start and
+/// end bits, outcome), then the batch statistics and replica count.
+fn engine_digest(out: &SimOutput) -> u64 {
+    let mut d = 0;
+    for s in out.timeline.as_ref().expect("timeline recorded").spans() {
+        d = fold_u64(d, s.job.0);
+        d = fold_u64(d, s.site.0 as u64);
+        d = fold_f64(d, s.start.seconds());
+        d = fold_f64(d, s.end.seconds());
+        d = fold_u64(d, s.failed as u64);
+    }
+    d = fold_u64(d, out.n_batches as u64);
+    d = fold_f64(d, out.mean_batch_size);
+    d = fold_u64(d, out.max_batch_size as u64);
+    fold_u64(d, out.replica_dispatches as u64)
+}
+
+/// The engine paths the periodic digests above never reach: count-
+/// triggered and hybrid boundaries with Eq. 1 failures requeued
+/// secure-only, the SL walk (its steps land on boundary instants), and
+/// replication under a hybrid policy.
+fn engine_path_digests() -> Vec<(&'static str, u64)> {
+    let psa = psa_setup(150, 2005);
+    let nas = nas_setup(150, 2005);
+    let psa_risky = |config: SimConfig| {
+        let mut minmin = MinMin::new(RiskMode::Risky);
+        simulate(&psa.jobs, &psa.grid, &mut minmin, &config.with_timeline()).unwrap()
+    };
+    let count = psa_risky(psa_sim_config(2005).with_batch_policy(BatchPolicy::CountTriggered(4)));
+    assert!(count.metrics.n_fail > 0, "the count row must requeue");
+    let hybrid = psa_risky(psa_sim_config(2005).with_batch_policy(BatchPolicy::Hybrid(4)));
+    assert!(hybrid.metrics.n_fail > 0, "the hybrid row must requeue");
+    let walk = psa_risky(psa_sim_config(2005).with_sl_dynamics(SlDynamics {
+        period: Time::new(500.0),
+        step: 0.1,
+        min: 0.3,
+        max: 1.0,
+    }));
+    let config = nas_sim_config(2005)
+        .with_batch_policy(BatchPolicy::Hybrid(4))
+        .with_max_replicas(2)
+        .with_timeline();
+    let mut replicated = Replicated::new(MinMin::new(RiskMode::Risky), 0.05);
+    let rep = simulate(&nas.jobs, &nas.grid, &mut replicated, &config).unwrap();
+    assert!(rep.replica_dispatches > 0, "the replica row must fan out");
+    vec![
+        ("engine/count4_minmin_risky", engine_digest(&count)),
+        ("engine/hybrid4_minmin_risky", engine_digest(&hybrid)),
+        ("engine/sl_walk_minmin_risky", engine_digest(&walk)),
+        ("engine/hybrid4_replicated", engine_digest(&rep)),
+    ]
+}
+
+/// Captured at bfcc786, before the engine fed `BoundaryClock`. The count
+/// and hybrid rows agree: under both policies a sub-threshold enqueue arms
+/// the periodic boundary.
+const ENGINE_GOLDEN: &[(&str, u64)] = &[
+    ("engine/count4_minmin_risky", 0x8F8A8D79A6E6B824),
+    ("engine/hybrid4_minmin_risky", 0x8F8A8D79A6E6B824),
+    ("engine/sl_walk_minmin_risky", 0x3CA78298E3E6578A),
+    ("engine/hybrid4_replicated", 0x82ED054A012F8051),
+];
+
+#[test]
+fn engine_paths_reproduce_parent_goldens() {
+    let actual = engine_path_digests();
+    let table: Vec<String> = actual
+        .iter()
+        .map(|(n, d)| format!("    (\"{n}\", 0x{d:016X}),"))
+        .collect();
+    let expected: Vec<(&str, u64)> = ENGINE_GOLDEN.to_vec();
+    assert_eq!(actual, expected, "re-capture with:\n{}", table.join("\n"));
 }
 
 /// The golden values. Captured pre-refactor; see module docs.

@@ -308,8 +308,8 @@ proptest! {
         let b = run();
         prop_assert!(a.fully_accounted(), "ledger must balance: {:?}", a);
         prop_assert_eq!(&a.timeline, &b.timeline);
-        prop_assert_eq!(a.jobs_scheduled, b.jobs_scheduled);
-        prop_assert_eq!(a.pending, b.pending);
+        prop_assert_eq!(a.metrics.jobs_scheduled, b.metrics.jobs_scheduled);
+        prop_assert_eq!(a.metrics.pending, b.metrics.pending);
         prop_assert_eq!(&a.rejected, &b.rejected);
     }
 
