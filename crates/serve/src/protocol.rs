@@ -891,6 +891,22 @@ mod tests {
         }
     }
 
+    /// Python's `json.dumps` writes 😀 as a UTF-16 surrogate pair of `\u`
+    /// escapes (`ensure_ascii=True`). At c8a9ccb such a frame failed with
+    /// `invalid codepoint`.
+    #[test]
+    fn an_escaped_emoji_tenant_parses() {
+        let frame = b"{\"type\":\"submit\",\"jobs\":[],\"tenant\":\"\\ud83d\\ude00\"}";
+        assert_eq!(
+            parse_request(frame).unwrap(),
+            Some(Request::Submit {
+                jobs: vec![],
+                shard: None,
+                tenant: Some("\u{1f600}".into()),
+            })
+        );
+    }
+
     #[test]
     fn blank_lines_are_ignored() {
         assert_eq!(parse_request(b"").unwrap(), None);

@@ -306,6 +306,39 @@ fn a_hostile_job_is_a_typed_error_and_the_shard_lives() {
     }
 }
 
+/// A 20 KB line nested 20 000 brackets deep. At c8a9ccb the parser
+/// recursed once per bracket on the I/O thread, overflowed its stack and
+/// aborted the process, taking every connection and every accepted job
+/// with it. The parser now refuses the 129th level, so the frame is one
+/// `error` and the same connection goes on.
+#[test]
+fn a_deeply_nested_frame_is_an_error_and_the_daemon_lives() {
+    let daemon = spawn_daemon(BatchPolicy::Periodic, DaemonOptions::default());
+    let mut client = Client::connect(daemon.addr()).unwrap();
+    let deep = format!("{{\"type\":\"submit\",\"tenant\":{}", "[".repeat(20_000));
+    match client.send_line(&deep).unwrap() {
+        Response::Error { message } => assert!(
+            message.contains("invalid frame") && message.contains("nesting deeper than 128"),
+            "{message}"
+        ),
+        other => panic!("expected error, got {other:?}"),
+    }
+    let valid = Request::Submit {
+        jobs: vec![job(1, 2.0, 5.0)],
+        shard: None,
+        tenant: None,
+    };
+    assert!(matches!(
+        client.send(&valid).unwrap(),
+        Response::Accepted { jobs: 1, .. }
+    ));
+    match client.send(&Request::Drain).unwrap() {
+        Response::Drained { jobs_scheduled, .. } => assert_eq!(jobs_scheduled, 1),
+        other => panic!("drain failed: {other:?}"),
+    }
+    shutdown(&mut client, daemon);
+}
+
 #[test]
 fn oversized_lines_are_rejected_without_desyncing_the_stream() {
     let daemon = spawn_daemon(
