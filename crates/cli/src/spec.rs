@@ -8,10 +8,7 @@ use gridsec_core::{Error, Grid, Job, Result, RiskMode, Site};
 use gridsec_sim::{
     ArrivalPhase, ArrivalProcess, BatchScheduler, FaultSpec, Scenario, SimConfig, TrustSpec,
 };
-use gridsec_stga::{
-    GaParams, SaParams, SharedHistory, SimulatedAnnealing, StandardGa, Stga, StgaParams,
-    TabuParams, TabuSearch,
-};
+use gridsec_stga::{GaParams, SharedHistory, StandardGa, Stga, StgaParams};
 use gridsec_workloads::{swf, GridSpec, NasConfig, PsaConfig};
 use serde::{Deserialize, Serialize};
 
@@ -86,49 +83,10 @@ pub enum SchedulerSpec {
         /// Risk mode.
         mode: RiskMode,
     },
-    /// Duplex: best of Min-Min and Max-Min per batch.
-    Duplex {
-        /// Risk mode.
-        mode: RiskMode,
-    },
-    /// Switching Algorithm (MET/MCT on the load-balance index).
-    Switching {
-        /// Risk mode.
-        mode: RiskMode,
-        /// Lower balance threshold.
-        low: f64,
-        /// Upper balance threshold.
-        high: f64,
-    },
     /// Minimum completion time (immediate mode).
     Mct {
         /// Risk mode.
         mode: RiskMode,
-    },
-    /// Minimum execution time (immediate mode).
-    Met {
-        /// Risk mode.
-        mode: RiskMode,
-    },
-    /// Opportunistic load balancing (immediate mode).
-    Olb {
-        /// Risk mode.
-        mode: RiskMode,
-    },
-    /// k-percent best.
-    Kpb {
-        /// Risk mode.
-        mode: RiskMode,
-        /// The percentage of best-executing sites considered.
-        k_percent: f64,
-    },
-    /// Uniform-random admissible site.
-    Random {
-        /// Risk mode.
-        mode: RiskMode,
-        /// RNG seed.
-        #[serde(default)]
-        seed: u64,
     },
     /// The Space-Time Genetic Algorithm.
     Stga {
@@ -144,18 +102,6 @@ pub enum SchedulerSpec {
         /// GA parameters (defaults = Table 1).
         #[serde(default)]
         params: GaParams,
-    },
-    /// Simulated annealing (offline-style metaheuristic baseline).
-    Sa {
-        /// SA parameters.
-        #[serde(default)]
-        params: SaParams,
-    },
-    /// Tabu search baseline.
-    Tabu {
-        /// Tabu parameters.
-        #[serde(default)]
-        params: TabuParams,
     },
 }
 
@@ -206,15 +152,7 @@ impl SchedulerSpec {
             SchedulerSpec::MinMin { mode } => Box::new(h::MinMin::new(*mode)),
             SchedulerSpec::Sufferage { mode } => Box::new(h::Sufferage::new(*mode)),
             SchedulerSpec::MaxMin { mode } => Box::new(h::MaxMin::new(*mode)),
-            SchedulerSpec::Duplex { mode } => Box::new(h::Duplex::new(*mode)),
-            SchedulerSpec::Switching { mode, low, high } => {
-                Box::new(h::Switching::new(*mode, *low, *high)?)
-            }
             SchedulerSpec::Mct { mode } => Box::new(h::Mct::new(*mode)),
-            SchedulerSpec::Met { mode } => Box::new(h::Met::new(*mode)),
-            SchedulerSpec::Olb { mode } => Box::new(h::Olb::new(*mode)),
-            SchedulerSpec::Kpb { mode, k_percent } => Box::new(h::Kpb::new(*mode, *k_percent)?),
-            SchedulerSpec::Random { mode, seed } => Box::new(h::RandomScheduler::new(*mode, *seed)),
             SchedulerSpec::Stga {
                 params,
                 train_batch,
@@ -226,8 +164,6 @@ impl SchedulerSpec {
                 Box::new(stga)
             }
             SchedulerSpec::Ga { params } => Box::new(StandardGa::new(*params)?),
-            SchedulerSpec::Sa { params } => Box::new(SimulatedAnnealing::new(*params)?),
-            SchedulerSpec::Tabu { params } => Box::new(TabuSearch::new(*params)?),
         })
     }
 }

@@ -37,7 +37,6 @@ pub mod security;
 pub mod site;
 pub mod stats;
 pub mod time;
-pub mod trust;
 
 pub use error::{Error, Result};
 pub use etc::EtcMatrix;

@@ -1,7 +1,7 @@
 //! # gridsec-heuristics
 //!
 //! The security-driven scheduling heuristics of the paper's §2, plus the
-//! classical immediate-mode baselines they are built on.
+//! immediate-mode MCT baseline the daemon serves.
 //!
 //! Batch-mode mapping heuristics (two-phase greedy over the whole batch):
 //!
@@ -10,17 +10,11 @@
 //! * [`Sufferage`] — repeatedly assign the job that would *suffer* most if
 //!   denied its best site (second-best CT − best CT).
 //! * [`MaxMin`] — the Min-Min dual (assign the job whose best CT is
-//!   largest); a classical Braun et al. baseline used in ablations.
-//! * [`Duplex`] — best-of Min-Min/Max-Min per batch (Braun et al.).
+//!   largest); a classical Braun et al. baseline.
 //!
-//! Immediate-mode heuristics (assign jobs one by one in batch order):
+//! Immediate mode (assign jobs one by one in batch order):
 //!
 //! * [`Mct`] — minimum completion time.
-//! * [`Met`] — minimum execution time (ignores queues).
-//! * [`Kpb`] — k-percent-best (interpolates MET ↔ MCT).
-//! * [`Olb`] — opportunistic load balancing (earliest-ready site).
-//! * [`Switching`] — regime-switching MET/MCT on the load-balance index.
-//! * [`RandomScheduler`] — uniform random admissible site.
 //!
 //! Every heuristic takes a [`gridsec_core::RiskMode`] and filters
 //! sites through the security model (§2's *secure*/*risky*/*f-risky*
@@ -36,25 +30,17 @@
 #![deny(unsafe_code)]
 
 pub mod common;
-pub mod duplex;
 pub mod immediate;
-pub mod kpb;
 pub mod mapping;
 pub mod maxmin;
 pub mod minmin;
-pub mod random;
 pub mod sufferage;
-pub mod switching;
 
 pub use common::Fallback;
-pub use duplex::Duplex;
-pub use immediate::{Mct, Met, Olb};
-pub use kpb::Kpb;
+pub use immediate::Mct;
 pub use maxmin::MaxMin;
 pub use minmin::MinMin;
-pub use random::RandomScheduler;
 pub use sufferage::Sufferage;
-pub use switching::Switching;
 
 use gridsec_core::RiskMode;
 use gridsec_sim::BatchScheduler;

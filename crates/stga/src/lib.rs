@@ -27,8 +27,6 @@
 //! * [`StandardGa`] — the conventional GA baseline (random-only initial
 //!   population), used by the Fig. 5/7b comparisons.
 //! * [`islands`] — an island-model parallel GA (extension).
-//! * [`sa`] / [`tabu`] — simulated-annealing and tabu-search baselines
-//!   (the metaheuristics the paper's §2 contrasts against).
 
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
@@ -42,10 +40,8 @@ pub mod islands;
 pub mod kernel;
 pub mod ops;
 pub mod params;
-pub mod sa;
 pub mod selection;
 pub mod stga;
-pub mod tabu;
 
 pub use chromosome::Chromosome;
 pub use conventional::StandardGa;
@@ -54,6 +50,4 @@ pub use history::{BatchSignature, HistoryTable, SharedHistory};
 pub use islands::{evolve_islands, IslandParams};
 pub use kernel::{FitnessKernel, KernelScratch};
 pub use params::{GaParams, StgaParams};
-pub use sa::{SaParams, SimulatedAnnealing};
 pub use stga::Stga;
-pub use tabu::{TabuParams, TabuSearch};

@@ -18,14 +18,11 @@
 //! * [`swf`] — Standard Workload Format parser/writer.
 //! * [`arrival`] — homogeneous and modulated Poisson arrival processes.
 //! * [`security`] — SD/SL assignment from the paper's uniform distributions.
-//! * [`analysis`] — workload characterisation (width histograms, diurnal
-//!   profile, offered load) for validating synthetic traces.
 //! * [`GridSpec`] — the grid grammar of scenario spec files.
 
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
 
-pub mod analysis;
 pub mod arrival;
 mod grid_spec;
 pub mod nas;
@@ -33,7 +30,6 @@ pub mod psa;
 pub mod security;
 pub mod swf;
 
-pub use analysis::WorkloadProfile;
 pub use grid_spec::GridSpec;
 pub use nas::{NasConfig, NasWorkload};
 pub use psa::{PsaConfig, PsaWorkload};

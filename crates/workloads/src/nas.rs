@@ -270,6 +270,23 @@ mod tests {
     }
 
     #[test]
+    fn arrivals_follow_the_diurnal_cycle() {
+        // Unsqueezed: the paper's ×2 time squeeze compresses the day/night
+        // cycle to 12 h, scrambling hour-of-day phases.
+        let mut cfg = NasConfig::default().with_n_jobs(4000);
+        cfg.squeeze = 1.0;
+        let w = cfg.generate().unwrap();
+        let mut per_hour = [0usize; 24];
+        for j in &w.jobs {
+            per_hour[(j.arrival.seconds() % 86_400.0 / 3_600.0) as usize] += 1;
+        }
+        // Prime-time hours (per-hour rate) clearly exceed night hours.
+        let day = per_hour[8..18].iter().sum::<usize>() as f64 / 10.0;
+        let night = per_hour[0..6].iter().sum::<usize>() as f64 / 6.0;
+        assert!(day > night * 2.0, "day {day:.1} night {night:.1} jobs/hour");
+    }
+
+    #[test]
     fn folding_preserves_node_seconds_statistically() {
         // Width-8 jobs include folded 16/32/64/128-node jobs, so their
         // mean work exceeds that of the narrow jobs.

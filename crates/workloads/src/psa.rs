@@ -218,6 +218,19 @@ mod tests {
     }
 
     #[test]
+    fn mean_work_matches_table1() {
+        let w = PsaConfig::default().with_n_jobs(2000).generate().unwrap();
+        // The mean of 20 uniform levels of 300 000 is 157 500.
+        let works: Vec<f64> = w.jobs.iter().map(|j| j.work).collect();
+        let mean = gridsec_core::stats::mean(&works);
+        assert!((mean - 157_500.0).abs() < 12_000.0, "mean work {mean}");
+        // PSA is heavily over-subscribed relative to its arrival span.
+        let span = w.jobs.last().unwrap().arrival - w.jobs[0].arrival;
+        let demand: f64 = works.iter().sum();
+        assert!(demand > w.grid.total_power() * span.seconds());
+    }
+
+    #[test]
     fn arrival_span_matches_rate() {
         let w = PsaConfig::default().generate().unwrap();
         let span = w.jobs.last().unwrap().arrival.seconds();

@@ -3,7 +3,7 @@
 
 use gridsec_core::{Job, Time};
 use gridsec_workloads::swf::{self, ConvertOptions};
-use gridsec_workloads::{NasConfig, PsaConfig, SecurityParams, WorkloadProfile};
+use gridsec_workloads::{NasConfig, PsaConfig, SecurityParams};
 use proptest::prelude::*;
 
 proptest! {
@@ -97,39 +97,5 @@ proptest! {
         a.sort_unstable();
         b.sort_unstable();
         prop_assert_eq!(a, b);
-    }
-
-    #[test]
-    fn profile_is_total_and_consistent(
-        specs in prop::collection::vec(
-            (1.0f64..10_000.0, 0.0f64..500_000.0, 1u32..=8),
-            1..80,
-        ),
-    ) {
-        let jobs: Vec<Job> = specs
-            .iter()
-            .enumerate()
-            .map(|(i, &(work, arrival, width))| {
-                Job::builder(i as u64)
-                    .work(work)
-                    .arrival(Time::new(arrival))
-                    .width(width)
-                    .build()
-                    .unwrap()
-            })
-            .collect();
-        let p = WorkloadProfile::of(&jobs);
-        prop_assert_eq!(p.n_jobs, jobs.len());
-        prop_assert!(p.span >= 0.0);
-        prop_assert!(p.mean_work > 0.0);
-        // Width histogram totals the job count.
-        let total: usize = p.width_histogram.values().sum();
-        prop_assert_eq!(total, jobs.len());
-        // Hourly fractions sum to 1.
-        let sum: f64 = p.hourly_arrival_fraction.iter().sum();
-        prop_assert!((sum - 1.0).abs() < 1e-9);
-        // Node-seconds is Σ width × work.
-        let expect: f64 = jobs.iter().map(|j| f64::from(j.width) * j.work).sum();
-        prop_assert!((p.total_node_seconds - expect).abs() < 1e-6 * expect.max(1.0));
     }
 }

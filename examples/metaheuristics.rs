@@ -1,7 +1,6 @@
-//! Metaheuristic shoot-out: GA, STGA, island GA, simulated annealing and
-//! tabu search on the same scheduling batch — the trade-off the paper's
-//! §2 sketches ("GAs are effective … but too slow"; "we cannot afford …
-//! simulated annealing").
+//! Greedy vs genetic search on one scheduling batch: Min-Min, the
+//! conventional GA and the island GA — the trade-off the paper's §2
+//! sketches ("GAs are effective … but too slow").
 //!
 //! Run with: `cargo run --release --example metaheuristics`
 
@@ -10,7 +9,7 @@ use gridsec::heuristics::common::{Fallback, MapCtx};
 use gridsec::heuristics::mapping::{map_min_min, mapping_makespan};
 use gridsec::prelude::*;
 use gridsec::stga::fitness::FitnessKind;
-use gridsec::stga::{evolve, evolve_islands, SaParams, SimulatedAnnealing, TabuParams, TabuSearch};
+use gridsec::stga::{evolve, evolve_islands};
 use gridsec::workloads::PsaConfig;
 use std::time::Instant;
 
@@ -82,18 +81,6 @@ fn main() {
         None,
     );
     report("island GA (4 x 50)", islands.best_fitness, t0);
-
-    // Simulated annealing.
-    let t0 = Instant::now();
-    let mut sa = SimulatedAnnealing::new(SaParams::default()).unwrap();
-    let (_, sa_fit) = sa.anneal(&ctx, &avail);
-    report("simulated annealing (20k)", sa_fit, t0);
-
-    // Tabu search.
-    let t0 = Instant::now();
-    let mut ts = TabuSearch::new(TabuParams::default()).unwrap();
-    let (_, tabu_fit) = ts.search(&ctx, &avail);
-    report("tabu search (500 moves)", tabu_fit, t0);
 
     println!(
         "\nAll searches explore the same space; the paper's STGA makes the GA\n\

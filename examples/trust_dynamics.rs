@@ -1,37 +1,26 @@
-//! Trust in motion: derive site security levels from the fuzzy trust
-//! index (defense capability × observed reputation), then let an
-//! IDS-style re-rating program — a declarative chaos scenario of trust
-//! storms and an explicit re-rate — move them during the run.
+//! Trust in motion: start four sites at the security levels an operator
+//! rated them, then let an IDS-style re-rating program — a declarative
+//! chaos scenario of trust storms and an explicit re-rate — move them
+//! during the run.
 //!
 //! Run with: `cargo run --release --example trust_dynamics`
 
-use gridsec::core::trust::{trust_index, ReputationTracker};
 use gridsec::prelude::*;
 use gridsec::serve::ScenarioRunner;
 use gridsec::sim::{ArrivalPhase, ArrivalProcess, Scenario, TrustSpec};
 
 fn main() {
-    // 1. Derive each site's SL from operational evidence instead of
-    //    assigning it by hand.
-    let profiles = [
-        ("hardened, clean history   ", 0.95, 60, 0),
-        ("hardened, recent incidents", 0.95, 40, 12),
-        ("average, clean history    ", 0.60, 50, 2),
-        ("weak, troubled history    ", 0.30, 30, 15),
+    // 1. Each site's starting SL, as rated from its defenses and history.
+    let ratings = [
+        ("hardened, clean history   ", 0.86),
+        ("hardened, recent incidents", 0.73),
+        ("average, clean history    ", 0.62),
+        ("weak, troubled history    ", 0.41),
     ];
-    println!("fuzzy trust indices (defense x reputation -> SL):");
+    println!("starting security levels:");
     let mut sites = Vec::new();
-    for (i, (label, defense, ok, bad)) in profiles.iter().enumerate() {
-        let mut rep = ReputationTracker::new(0.95);
-        for k in 0..(ok + bad) {
-            // Interleave failures through the history.
-            rep.observe(bad == &0 || k % ((ok + bad) / bad.max(&1)).max(1) != 0);
-        }
-        let sl = trust_index(*defense, rep.reputation());
-        println!(
-            "  {label} -> reputation {:.2}, SL {sl:.2}",
-            rep.reputation()
-        );
+    for (i, &(label, sl)) in ratings.iter().enumerate() {
+        println!("  {label} -> SL {sl:.2}");
         sites.push(
             Site::builder(i)
                 .nodes(4)

@@ -15,8 +15,8 @@
 //! * [`sim`] ([`gridsec_sim`]) — the on-line batch-scheduling simulator,
 //!   the round driver, and the chaos scenario spec and its compiler.
 //! * [`workloads`] ([`gridsec_workloads`]) — NAS/PSA generators, SWF I/O.
-//! * [`heuristics`] ([`gridsec_heuristics`]) — Min-Min, Sufferage and the
-//!   classical baselines, all risk-mode aware.
+//! * [`heuristics`] ([`gridsec_heuristics`]) — Min-Min, Sufferage, Max-Min
+//!   and MCT, all risk-mode aware.
 //! * [`stga`] ([`gridsec_stga`]) — the GA engine, the history table and
 //!   the STGA scheduler.
 //! * [`serve`] ([`gridsec_serve`]) — the online scheduling daemon (NDJSON
@@ -61,16 +61,11 @@ pub mod prelude {
         BatchSchedule, EtcMatrix, FailureDetection, Grid, Job, JobId, RiskMode, SecurityModel,
         Site, SiteId, Time,
     };
-    pub use gridsec_heuristics::{
-        Duplex, Kpb, MaxMin, Mct, Met, MinMin, Olb, RandomScheduler, Sufferage, Switching,
-    };
+    pub use gridsec_heuristics::{MaxMin, Mct, MinMin, Sufferage};
     pub use gridsec_sim::{
         simulate, BatchJob, BatchPolicy, BatchScheduler, EstimateModel, GridView, Replicated,
         SimConfig, SimOutput, SlDynamics,
     };
-    pub use gridsec_stga::{
-        GaParams, IslandParams, SaParams, SimulatedAnnealing, StandardGa, Stga, StgaParams,
-        TabuParams, TabuSearch,
-    };
+    pub use gridsec_stga::{GaParams, IslandParams, StandardGa, Stga, StgaParams};
     pub use gridsec_workloads::{NasConfig, PsaConfig, SecurityParams};
 }

@@ -1,9 +1,8 @@
 //! Integration coverage for the extension features: batch policies,
-//! estimate error, SL dynamics, replication, and the metaheuristic
-//! baselines (SA, tabu, islands) — all end-to-end through the simulator.
+//! estimate error, SL dynamics, replication and the attempt timeline — all
+//! end-to-end through the simulator.
 
 use gridsec::prelude::*;
-use gridsec::stga::{SaParams, SimulatedAnnealing, TabuParams, TabuSearch};
 use gridsec::workloads::PsaConfig;
 
 fn psa(n: usize) -> (Vec<Job>, Grid) {
@@ -106,29 +105,6 @@ fn replication_end_to_end_with_min_min() {
     // A replicated job that succeeds anywhere is not "failed and
     // rescheduled": failures must be rarer than its replica count.
     assert!(out.metrics.n_fail < out.replica_dispatches);
-}
-
-#[test]
-fn metaheuristic_schedulers_drain_workloads() {
-    let (jobs, grid) = psa(60);
-    let config = SimConfig::default().with_interval(Time::new(1_000.0));
-    let mut sa = SimulatedAnnealing::new(SaParams {
-        iterations: 1_500,
-        ..SaParams::default()
-    })
-    .unwrap();
-    let out = simulate(&jobs, &grid, &mut sa, &config).unwrap();
-    assert_eq!(out.metrics.n_jobs, 60);
-    assert_eq!(out.scheduler_name, "SA");
-
-    let mut tabu = TabuSearch::new(TabuParams {
-        iterations: 60,
-        ..TabuParams::default()
-    })
-    .unwrap();
-    let out = simulate(&jobs, &grid, &mut tabu, &config).unwrap();
-    assert_eq!(out.metrics.n_jobs, 60);
-    assert_eq!(out.scheduler_name, "Tabu");
 }
 
 #[test]

@@ -135,12 +135,14 @@ fn stga_sim_digest() -> u64 {
     fold_u64(digest_report(0, &out.metrics), out.n_batches as u64)
 }
 
-/// All six paper heuristics over one PSA workload.
+/// All six paper heuristics over one PSA workload, then the daemon's MCT.
 fn heuristics_sim_digests() -> Vec<(String, u64)> {
     let w = psa_setup(150, 2005);
     let config = SimConfig::default().with_interval(Time::new(1_000.0));
+    let mct: Box<dyn BatchScheduler> = Box::new(Mct::new(RiskMode::Risky));
     paper_heuristics()
         .into_iter()
+        .chain([mct])
         .map(|mut h| {
             let out = simulate(&w.jobs, &w.grid, &mut *h, &config).unwrap();
             let d = fold_u64(digest_report(0, &out.metrics), out.n_batches as u64);
@@ -359,7 +361,8 @@ fn engine_paths_reproduce_parent_goldens() {
     assert_eq!(actual, expected, "re-capture with:\n{}", table.join("\n"));
 }
 
-/// The golden values. Captured pre-refactor; see module docs.
+/// The golden values. Captured pre-refactor; see module docs. The MCT row
+/// was captured at 66b31c7, before MET and OLB left `immediate.rs`.
 const GOLDEN: &[(&str, u64)] = &[
     ("ga_evolve", 0x8434022376F7E942),
     ("map_min_min", 0xC2880BD92665EB90),
@@ -372,6 +375,7 @@ const GOLDEN: &[(&str, u64)] = &[
     ("heuristic/Sufferage Secure", 0x70DDC364620E3289),
     ("heuristic/Sufferage 0.5-Risky", 0x689EFBEBB5199316),
     ("heuristic/Sufferage Risky", 0x6F10272CA874FD16),
+    ("heuristic/MCT Risky", 0xB42037D21E0C7FA2),
     ("fig5_slice", 0xDED51F53AD327B27),
     ("fig8_slice", 0x7268C1CEFBECEF1E),
     ("history_lookup", 0xB560AB6EE7BF278C),

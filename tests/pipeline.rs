@@ -1,6 +1,7 @@
 //! End-to-end integration: workloads → schedulers → simulator → metrics,
-//! across every algorithm in the paper's roster.
+//! across the paper's six heuristics, Max-Min, MCT, the STGA and the GA.
 
+use gridsec::heuristics::paper_heuristics;
 use gridsec::prelude::*;
 use gridsec::workloads::{NasConfig, PsaConfig};
 
@@ -21,25 +22,14 @@ fn all_schedulers(jobs: &[Job], grid: &Grid) -> Vec<Box<dyn BatchScheduler>> {
     })
     .unwrap();
     stga.train(&jobs[..jobs.len().min(60)], grid, 8).unwrap();
-    vec![
-        Box::new(MinMin::new(RiskMode::Secure)),
-        Box::new(MinMin::new(RiskMode::FRisky(0.5))),
-        Box::new(MinMin::new(RiskMode::Risky)),
-        Box::new(Sufferage::new(RiskMode::Secure)),
-        Box::new(Sufferage::new(RiskMode::FRisky(0.5))),
-        Box::new(Sufferage::new(RiskMode::Risky)),
+    let ga = StandardGa::new(GaParams::default().with_population(30).with_generations(10)).unwrap();
+    let rest: [Box<dyn BatchScheduler>; 4] = [
         Box::new(MaxMin::new(RiskMode::Risky)),
-        Box::new(Duplex::new(RiskMode::FRisky(0.5))),
-        Box::new(Kpb::new(RiskMode::Risky, 40.0).unwrap()),
         Box::new(Mct::new(RiskMode::Risky)),
-        Box::new(Met::new(RiskMode::FRisky(0.5))),
-        Box::new(Olb::new(RiskMode::Secure)),
-        Box::new(RandomScheduler::new(RiskMode::Risky, 5)),
         Box::new(stga),
-        Box::new(
-            StandardGa::new(GaParams::default().with_population(30).with_generations(10)).unwrap(),
-        ),
-    ]
+        Box::new(ga),
+    ];
+    paper_heuristics().into_iter().chain(rest).collect()
 }
 
 #[test]
