@@ -206,7 +206,6 @@ fn serve(args: &[String]) -> Result<(), (i32, String)> {
                 .collect();
             let history = match &sspec {
                 spec::SchedulerSpec::Stga { params, .. } => {
-                    params.validate().map_err(|e| e.to_string())?;
                     let cap = params.table_capacity;
                     let table = SharedHistory::from_snapshots(&ctx.history_sources, cap);
                     Some(table.map_err(|e| e.to_string())?)

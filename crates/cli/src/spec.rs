@@ -135,7 +135,7 @@ impl SchedulerSpec {
             Some(history),
         ) = (self, history)
         {
-            let mut stga = Stga::with_history(*params, history);
+            let mut stga = Stga::with_history(*params, history)?;
             if *train_batch > 0 {
                 stga.train(jobs, grid, *train_batch)?;
             }

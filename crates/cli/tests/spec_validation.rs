@@ -7,6 +7,9 @@
 //! daemon whose clock jumped to ∞ at the first job. Both now refuse the
 //! spec at start-up with exit code 1.
 //!
+//! An STGA's parameters are validated wherever one is built, so `gridsec
+//! serve` refuses a population of one at start-up too.
+//!
 //! A scheduler is one of six tags. A spec naming any other algorithm —
 //! including one the tree used to ship — is refused with exit code 1 and
 //! an error naming the tag.
@@ -69,12 +72,12 @@ fn run_refuses_a_null_batch_period() {
     std::fs::remove_dir_all(spec.parent().unwrap()).ok();
 }
 
-#[test]
-fn serve_refuses_a_null_batch_period() {
-    let spec = write_spec("serve", &null_interval_spec());
+/// Starts `gridsec serve` on `spec` and waits for it to exit; returns its
+/// exit code and stderr. Panics if it is still serving after 30 s.
+fn serve_exit(spec: &std::path::Path, what: &str) -> (Option<i32>, String) {
     let mut serve = Command::new(GRIDSEC)
         .arg("serve")
-        .arg(&spec)
+        .arg(spec)
         .args(["--bind", "127.0.0.1:0", "--virtual-clock"])
         .stdout(Stdio::null())
         .stderr(Stdio::piped())
@@ -88,15 +91,40 @@ fn serve_refuses_a_null_batch_period() {
         if Instant::now() > deadline {
             serve.kill().ok();
             serve.wait().ok();
-            panic!("`gridsec serve` is serving on a null batch period");
+            panic!("`gridsec serve` is serving on {what}");
         }
         std::thread::sleep(Duration::from_millis(20));
     };
     let mut stderr = String::new();
     let pipe = serve.stderr.as_mut().unwrap();
     pipe.read_to_string(&mut stderr).unwrap();
-    assert_eq!(status.code(), Some(1), "{stderr}");
+    (status.code(), stderr)
+}
+
+#[test]
+fn serve_refuses_a_null_batch_period() {
+    let spec = write_spec("serve", &null_interval_spec());
+    let (code, stderr) = serve_exit(&spec, "a null batch period");
+    assert_eq!(code, Some(1), "{stderr}");
     assert!(stderr.contains("schedule_interval"), "{stderr}");
+    std::fs::remove_dir_all(spec.parent().unwrap()).ok();
+}
+
+/// An STGA of one individual cannot breed. The shard factory builds it
+/// through `Stga::with_history`, which refuses it, so the daemon does not
+/// start (rather than a shard panicking at its first round).
+#[test]
+fn serve_refuses_an_stga_population_of_one() {
+    let stga = r#"[{"algorithm": "stga", "params": {"ga": {"population": 1,
+        "generations": 100, "crossover_prob": 0.8, "mutation_prob": 0.01,
+        "elitism": 0, "seed": 1, "stall_limit": null, "flow_weight": 0.0001},
+        "table_capacity": 150, "similarity_threshold": 0.8,
+        "history_fraction": 0.5, "heuristic_seeds": true,
+        "training_jobs": 500}}]"#;
+    let spec = write_spec("population_1", &spec_with_schedulers(stga));
+    let (code, stderr) = serve_exit(&spec, "a population of one");
+    assert_eq!(code, Some(1), "{stderr}");
+    assert!(stderr.contains("population"), "{stderr}");
     std::fs::remove_dir_all(spec.parent().unwrap()).ok();
 }
 

@@ -76,7 +76,7 @@ fn build_scheduler(name: &str, history: Option<SharedHistory>) -> Box<dyn BatchS
         "minmin" => Box::new(MinMin::new(RiskMode::Risky)),
         "stga" => {
             let history = history.unwrap_or_else(|| SharedHistory::new(params.table_capacity));
-            Box::new(Stga::with_history(params, history))
+            Box::new(Stga::with_history(params, history).expect("valid STGA parameters"))
         }
         other => panic!("unknown scheduler {other}"),
     }

@@ -55,6 +55,7 @@ fn stga_with(history: SharedHistory, seed: u64) -> Stga {
         },
         history,
     )
+    .expect("valid STGA parameters")
 }
 
 /// Spawns a 2-shard STGA daemon over `state_prefix`: the daemon reads

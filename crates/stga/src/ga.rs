@@ -3,12 +3,19 @@
 //! Each generation is bred serially from one RNG stream, then evaluated
 //! in one rayon sweep against the round's compiled [`FitnessKernel`];
 //! every buffer lives in a [`GaPool`], so a warm round allocates nothing.
-//! How a child gets its fitness follows the kernel's compiled shape
-//! ([`FitnessKernel::patches`]): where it patches, children that differ
-//! from a parent in a gene suffix are delta-evaluated against that
-//! parent's retained completion times; where it does not (every site one
-//! node — the paper's PSA grid), children are replayed in full or inherit
-//! a fitness, and no completion times are retained at all.
+//!
+//! Each new genome is evaluated once. A child whose genome equals one of
+//! its two parents' — its own parent's, when crossover and mutation left
+//! the touched suffix unchanged, or the other parent's, whole — inherits
+//! that parent's fitness; so do the elites. Once the history-seeded
+//! population converges that is most children: about two thirds on
+//! Table-1 PSA rounds (`tests/replay_counts.rs` counts them).
+//! How any other child is evaluated follows the kernel's compiled shape
+//! ([`FitnessKernel::patches`]): where it patches, it is delta-evaluated
+//! against its parent's retained completion times; where it does not
+//! (every site one node — the paper's PSA grid), it is replayed
+//! fitness-only ([`FitnessKernel::evaluate_fitness`]) and no completion
+//! times are kept at all.
 
 use crate::chromosome::Chromosome;
 use crate::fitness::{FitnessKind, RiskWeights};
@@ -89,9 +96,9 @@ enum Plan {
     /// Replay the whole chromosome from the base availability plane.
     Full,
     /// Byte-identical copy of `population[parent]` (elites, and children
-    /// that drew neither crossover nor mutation): inherit its fitness —
-    /// a pure function of the genes — and, on a patching kernel, its
-    /// completion times.
+    /// whose genome equals one of their parents' — see [`plan_child`]):
+    /// inherit its fitness — a pure function of the genes — and, on a
+    /// patching kernel, its completion times.
     Inherit { parent: usize },
     /// Differs from `population[parent]` only at genes `from..n` (the
     /// crossover cut / mutation index tracked by the operators): patch
@@ -164,13 +171,43 @@ fn sync_fitness(fitness: &mut Vec<f64>, paths: &mut PathCounts, slots: &[EvalSlo
     }
 }
 
+/// How a freshly bred child gets its fitness. The child started as a copy
+/// of its `own` parent and differs from it at most in genes `from..n`
+/// (the crossover cut and mutation index the operators report). It
+/// inherits when its genome equals a parent's: its own parent's (the
+/// touched suffix came out unchanged) or, whole, the `other` parent's
+/// (crossover between near-identical parents hands a child the other's
+/// genome). Otherwise it is patched from its own parent where the kernel
+/// patches, and replayed in full where it does not.
+fn plan_child(
+    child: &[u16],
+    own: (usize, &[u16]),
+    other: (usize, &[u16]),
+    from: usize,
+    patches: bool,
+) -> Plan {
+    if child[from..] == own.1[from..] {
+        Plan::Inherit { parent: own.0 }
+    } else if child == other.1 {
+        Plan::Inherit { parent: other.0 }
+    } else if patches {
+        Plan::Delta {
+            parent: own.0,
+            from,
+        }
+    } else {
+        Plan::Full
+    }
+}
+
 /// Runs one parallel evaluation sweep: every slot's genome (found via
 /// `slot.idx` in `genomes`) is evaluated per its plan against the
 /// compiled kernel. `parents` carries the previous generation's genomes
 /// and slots for the inherit/delta paths; a delta plan referencing a
 /// non-finite parent (whose completion times are invalid) falls back to
 /// a full replay. Completion times land in the slot while the kernel
-/// patches and in the worker's scratch otherwise. Results are
+/// patches; otherwise a full replay computes the fitness alone
+/// ([`FitnessKernel::evaluate_fitness`]). Results are
 /// thread-count-invariant: each slot is written by exactly one worker
 /// and the pooled scratch never influences values.
 fn eval_generation(
@@ -185,12 +222,11 @@ fn eval_generation(
         || scratch.acquire(),
         |guard, slot| {
             let genes = genomes[slot.idx].genes();
-            let EvalScratch { kernel: buf, cts } = &mut guard.buf;
-            let cts = if retain { &mut slot.cts } else { cts };
+            let buf = &mut guard.buf;
             (slot.fitness, slot.outcome) = match (slot.plan, parents) {
                 (Plan::Inherit { parent }, Some((_, pe))) => {
                     if retain {
-                        cts.clone_from(&pe[parent].cts);
+                        slot.cts.clone_from(&pe[parent].cts);
                     }
                     (pe[parent].fitness, Outcome::Inherited)
                 }
@@ -202,7 +238,7 @@ fn eval_generation(
                         pg[parent].genes(),
                         &pe[parent].cts,
                         from,
-                        cts,
+                        &mut slot.cts,
                         buf,
                     );
                     if buf.delta_fell_back() {
@@ -211,18 +247,14 @@ fn eval_generation(
                         (f, Outcome::Patched)
                     }
                 }
-                _ => (kernel.evaluate_full(genes, cts, buf), Outcome::Full),
+                _ if retain => (
+                    kernel.evaluate_full(genes, &mut slot.cts, buf),
+                    Outcome::Full,
+                ),
+                _ => (kernel.evaluate_fitness(genes, buf), Outcome::Full),
             };
         },
     );
-}
-
-/// One worker's evaluation scratch: the kernel's free-time plane, and the
-/// completion-time vector `evaluate_full` fills when no slot retains one.
-#[derive(Debug, Default)]
-struct EvalScratch {
-    kernel: KernelScratch,
-    cts: Vec<Time>,
 }
 
 /// Recycled per-chunk kernel scratch (the flat free-time planes the
@@ -233,7 +265,7 @@ struct EvalScratch {
 /// evaluation fully initialises the slices it reads — so recycling is
 /// invisible to the digest.
 #[derive(Debug, Default)]
-struct ScratchPool(Mutex<Vec<EvalScratch>>);
+struct ScratchPool(Mutex<Vec<KernelScratch>>);
 
 impl ScratchPool {
     fn acquire(&self) -> ScratchGuard<'_> {
@@ -247,7 +279,7 @@ impl ScratchPool {
 /// A checked-out scratch buffer; returns itself to the pool on drop.
 struct ScratchGuard<'p> {
     pool: &'p ScratchPool,
-    buf: EvalScratch,
+    buf: KernelScratch,
 }
 
 impl Drop for ScratchGuard<'_> {
@@ -462,22 +494,14 @@ pub fn evolve_with_pool<R: Rng + ?Sized>(
                     from_b = from_b.min(j);
                 }
             }
-            let plan_for = |parent: usize, from: usize| {
-                if from == n {
-                    Plan::Inherit { parent }
-                } else if patches {
-                    Plan::Delta { parent, from }
-                } else {
-                    Plan::Full
-                }
-            };
+            let (a, b) = ((pa, population[pa].genes()), (pb, population[pb].genes()));
             let slot = &mut next_evals[filled];
             slot.idx = filled;
-            slot.plan = plan_for(pa, from_a);
+            slot.plan = plan_child(ca.genes(), a, b, from_a, patches);
             if has_second {
                 let slot = &mut next_evals[filled + 1];
                 slot.idx = filled + 1;
-                slot.plan = plan_for(pb, from_b);
+                slot.plan = plan_child(cb.genes(), b, a, from_b, patches);
             }
             filled += if has_second { 2 } else { 1 };
         }
@@ -534,11 +558,10 @@ fn solve_single_job(
     params: &GaParams,
 ) -> GaResult {
     let mut guard = scratch.acquire();
-    let EvalScratch { kernel: buf, cts } = &mut guard.buf;
     let mut best: Option<(u16, f64)> = None;
     for &s in &ctx.candidates[0] {
         let gene = s as u16;
-        let f = kernel.evaluate_full(&[gene], cts, buf);
+        let f = kernel.evaluate_fitness(&[gene], &mut guard.buf);
         if best.is_none_or(|(_, bf)| f < bf) {
             best = Some((gene, f));
         }
@@ -572,6 +595,7 @@ fn best_index(fitness: &[f64]) -> (usize, f64) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ops::crossover_in_place_tracked;
     use gridsec_core::etc::EtcMatrix;
     use gridsec_core::rng::{stream, Stream};
     use gridsec_core::Time;
@@ -862,5 +886,69 @@ mod tests {
             "expected early stop, got {} generations",
             r.trajectory.len() - 1
         );
+    }
+
+    #[test]
+    fn a_child_equal_to_its_other_parent_is_inherited() {
+        // Two genomes that differ only in the last gene: any crossover
+        // of one with the other hands each child the other's genome.
+        let a = Chromosome::from_genes(vec![0, 1, 2, 0, 1, 2]);
+        let b = Chromosome::from_genes(vec![0, 1, 2, 0, 1, 0]);
+        let mut child = a.clone();
+        let mut other = b.clone();
+        let mut rng = stream(18, Stream::Genetic);
+        let cut = crossover_in_place_tracked(&mut child, &mut other, &mut rng).unwrap();
+        assert_eq!(child, b);
+        let plan =
+            |patches| plan_child(child.genes(), (7, a.genes()), (9, b.genes()), cut, patches);
+        assert_eq!(plan(false), Plan::Inherit { parent: 9 });
+        assert_eq!(plan(true), Plan::Inherit { parent: 9 });
+        // A population of the two, evolved on a one-node grid (fitness
+        // inherited) and a two-node grid (completion times inherited
+        // too, then patched from by the next generation), returns what
+        // 6dbd77f — which replayed such children — returned.
+        let (ctx, _) = ctx();
+        for (nodes, want) in [
+            (
+                1u32,
+                (
+                    vec![0u16, 1, 0, 0, 1, 2],
+                    0x4054_004c_756b_2dbd_u64,
+                    0x8760_100f_1e82_3398_u64,
+                ),
+            ),
+            (
+                2,
+                (
+                    vec![0, 1, 2, 0, 1, 2],
+                    0x404e_0072_b020_c49c,
+                    0x34c4_9099_75b6_af5b,
+                ),
+            ),
+        ] {
+            let avail = vec![NodeAvailability::new(nodes, Time::ZERO); 3];
+            let seeds: Vec<Chromosome> = (0..40)
+                .map(|i| if i % 2 == 0 { a.clone() } else { b.clone() })
+                .collect();
+            let mut rng = stream(18, Stream::Genetic);
+            let r = evolve(
+                &ctx,
+                &avail,
+                seeds,
+                &small_params().with_generations(30),
+                FitnessKind::Makespan,
+                None,
+                &mut rng,
+            );
+            let trajectory = r.trajectory.iter().fold(0xcbf2_9ce4_8422_2325_u64, |h, f| {
+                (h ^ f.to_bits()).wrapping_mul(0x0100_0000_01b3)
+            });
+            let got = (
+                r.best.genes().to_vec(),
+                r.best_fitness.to_bits(),
+                trajectory,
+            );
+            assert_eq!(got, want, "{nodes}-node sites");
+        }
     }
 }

@@ -21,6 +21,9 @@
 //! - `base_free`: every site's sorted node free-times concatenated into
 //!   one flat plane, indexed by `site_off` prefix offsets.
 //!
+//! The per-job planes (`eff` rows, `floors`, widths) are lowered in
+//! commit order, so a replay walks each of them front to back.
+//!
 //! [`FitnessKernel::evaluate_full`] then replays a chromosome with no
 //! hashing, trust branching or graph chasing, and is bit-identical to the
 //! reference path because it performs the *same* [`Time`] operations in
@@ -42,7 +45,14 @@
 //! ([`FitnessKernel::patches`]): only on a grid with at least one
 //! multi-node site. Where every site is one node, replaying a job is one
 //! `max` and one `+`, a patch cannot undercut that, and `evaluate_delta`
-//! *is* the full replay — so callers need not retain completion times.
+//! *is* the full replay — so callers need not retain completion times,
+//! and evaluate with the **fitness-only replay**
+//! ([`FitnessKernel::evaluate_fitness`]). It writes no completion time,
+//! reads a site's one free time by its index, and — when `recompile`
+//! proved every effective time, floor and free time sign-clear and not
+//! NaN — takes a plain `max` instead of the total-order one. Full,
+//! fitness-only and the shapes in between are one replay body specialised
+//! by const generics.
 
 use crate::fitness::{FitnessKind, RiskWeights};
 use gridsec_core::etc::NodeAvailability;
@@ -59,20 +69,28 @@ pub struct FitnessKernel {
     n_jobs: usize,
     n_sites: usize,
     flow_weight: f64,
-    /// `[job × site]` effective execution times; `+∞` ⇔ infeasible gene.
+    /// `[commit position × site]` effective execution times: row `k` is
+    /// job `order[k]`'s; `+∞` ⇔ infeasible gene.
     eff: Vec<f64>,
-    /// Per-job start floor: `now.max(arrival)`.
-    floors: Vec<Time>,
-    /// Per-job node width.
+    /// Per-commit-position start floor: `now.max(arrival)`, in seconds.
+    floors: Vec<f64>,
+    /// Per-commit-position node width.
     widths: Vec<u32>,
-    /// Resolved commit order (the reference path's `order_iter`).
+    /// Resolved commit order (the reference path's `order_iter`):
+    /// position `k` commits job `order[k]`.
     order: Vec<u32>,
-    /// All sites' sorted free-times, concatenated in site order.
-    base_free: Vec<Time>,
+    /// All sites' sorted free-times in seconds, concatenated in site order.
+    base_free: Vec<f64>,
     /// Prefix offsets into `base_free`; site `s` owns `site_off[s]..site_off[s+1]`.
     site_off: Vec<u32>,
     /// Whether [`FitnessKernel::evaluate_delta`] patches on this shape.
     patches: bool,
+    /// Every site is one node, so site `s`'s free time is `base_free[s]`.
+    one_node: bool,
+    /// Every effective time, floor and free time is sign-clear and not
+    /// NaN — so is every time a replay computes from them, and [`later`]
+    /// may be a plain `max`.
+    non_negative: bool,
 }
 
 /// Reusable per-evaluation working memory for a [`FitnessKernel`].
@@ -84,7 +102,7 @@ pub struct FitnessKernel {
 #[derive(Debug, Default)]
 pub struct KernelScratch {
     /// Working copy of the `base_free` plane.
-    free: Vec<Time>,
+    free: Vec<f64>,
     /// Per-site "ready chain affected" marker for delta evaluation.
     site_mask: Vec<bool>,
     /// What the last [`FitnessKernel::evaluate_delta`] call did.
@@ -141,9 +159,16 @@ impl FitnessKernel {
         self.n_sites = m;
         self.flow_weight = flow_weight;
 
+        self.order.clear();
+        self.order.extend(ctx.order_iter().map(|j| j as u32));
+        // Every per-job plane is lowered in commit order, so a replay
+        // walks each of them front to back.
         self.eff.clear();
         self.eff.reserve(n * m);
-        for j in 0..n {
+        self.floors.clear();
+        self.widths.clear();
+        for &j in &self.order {
+            let j = j as usize;
             let w = ctx.widths[j];
             for (s, site) in base_avail.iter().enumerate() {
                 let exec = ctx.etc.get(j, s);
@@ -160,22 +185,17 @@ impl FitnessKernel {
                 let feasible = exec.is_finite() && w >= 1 && (w as usize) <= site.nodes();
                 self.eff.push(if feasible { exec } else { f64::INFINITY });
             }
+            self.floors.push(ctx.now.max(ctx.arrivals[j]).seconds());
+            self.widths.push(w);
         }
-
-        self.floors.clear();
-        self.floors
-            .extend((0..n).map(|j| ctx.now.max(ctx.arrivals[j])));
-        self.widths.clear();
-        self.widths.extend_from_slice(&ctx.widths);
-        self.order.clear();
-        self.order.extend(ctx.order_iter().map(|j| j as u32));
 
         self.base_free.clear();
         self.site_off.clear();
         self.site_off.reserve(m + 1);
         self.site_off.push(0);
         for a in base_avail {
-            self.base_free.extend_from_slice(a.free_times());
+            self.base_free
+                .extend(a.free_times().iter().map(|t| t.seconds()));
             self.site_off.push(self.base_free.len() as u32);
         }
         // A patch pays by skipping merge-rotate splices on untouched
@@ -196,6 +216,13 @@ impl FitnessKernel {
         // and 5–10 % slower at 64. So the rule reads the node counts and
         // nothing else.
         self.patches = base_avail.iter().any(|a| a.nodes() > 1);
+        self.one_node = base_avail.iter().all(|a| a.nodes() == 1);
+        // Infeasible cells are +∞, which passes: a replay exits on them
+        // before any arithmetic.
+        let plain = |t: &f64| t.is_sign_positive() && !t.is_nan();
+        self.non_negative = self.eff.iter().all(plain)
+            && self.floors.iter().all(plain)
+            && self.base_free.iter().all(plain);
     }
 
     /// Number of jobs the kernel was compiled for.
@@ -214,7 +241,8 @@ impl FitnessKernel {
     /// evaluations on this round's shape — true iff some site has more
     /// than one node. When false, `evaluate_delta` is
     /// [`FitnessKernel::evaluate_full`] and never reads its parent
-    /// arguments, so a caller need not keep completion times around.
+    /// arguments, so a caller need not keep completion times around: it
+    /// evaluates with [`FitnessKernel::evaluate_fitness`].
     #[inline]
     pub fn patches(&self) -> bool {
         self.patches
@@ -238,25 +266,66 @@ impl FitnessKernel {
         scratch: &mut KernelScratch,
     ) -> f64 {
         debug_assert_eq!(genes.len(), self.n_jobs);
-        scratch.free.clear();
-        scratch.free.extend_from_slice(&self.base_free);
         cts.clear();
         cts.resize(self.n_jobs, Time::ZERO);
-        let mut makespan = Time::ZERO;
+        self.replay::<false, false>(genes, scratch, |j, ct| cts[j] = Time::new(ct))
+    }
+
+    /// Fitness-only replay: the bits of [`FitnessKernel::evaluate_full`],
+    /// with no completion time written anywhere — what a caller that
+    /// never patches (a kernel where [`FitnessKernel::patches`] is false)
+    /// evaluates with.
+    ///
+    /// Where every site is one node, the replay reads a site's one free
+    /// time by its index; where [`FitnessKernel::recompile`] proved every
+    /// time non-negative, the maximum is a plain `max` (the total order and
+    /// the IEEE order agree on sign-clear, non-NaN values). Either way it
+    /// is the one replay body, specialised.
+    pub fn evaluate_fitness(&self, genes: &[u16], scratch: &mut KernelScratch) -> f64 {
+        debug_assert_eq!(genes.len(), self.n_jobs);
+        match (self.one_node, self.non_negative) {
+            (true, true) => self.replay::<true, true>(genes, scratch, |_, _| {}),
+            (true, false) => self.replay::<true, false>(genes, scratch, |_, _| {}),
+            (false, _) => self.replay::<false, false>(genes, scratch, |_, _| {}),
+        }
+    }
+
+    /// The one replay body: commits every job in commit order onto the
+    /// scratch copy of the free-time plane, hands each completion time to
+    /// `record`, and aggregates. `ONE_NODE` requires every site to be one
+    /// node; `NON_NEGATIVE` requires the kernel's `non_negative` proof.
+    #[inline(always)]
+    fn replay<const ONE_NODE: bool, const NON_NEGATIVE: bool>(
+        &self,
+        genes: &[u16],
+        scratch: &mut KernelScratch,
+        mut record: impl FnMut(usize, f64),
+    ) -> f64 {
+        let free = &mut scratch.free;
+        free.clear();
+        free.extend_from_slice(&self.base_free);
+        let m = self.n_sites;
+        let mut makespan = 0.0;
         let mut sum_ct = 0.0;
-        for &j in &self.order {
+        for (k, &j) in self.order.iter().enumerate() {
             let j = j as usize;
             let s = genes[j] as usize;
-            let exec = self.eff[j * self.n_sites + s];
+            let exec = self.eff[k * m + s];
             if !exec.is_finite() {
                 return f64::INFINITY;
             }
-            let ct = self.replay_one(j, s, exec, &mut scratch.free);
-            cts[j] = ct;
-            makespan = later(makespan, ct);
-            sum_ct += ct.seconds();
+            let ct = if ONE_NODE {
+                let ct = later::<NON_NEGATIVE>(free[s], self.floors[k]) + exec;
+                free[s] = ct;
+                ct
+            } else {
+                self.replay_one(k, s, exec, free)
+            };
+            record(j, ct);
+            makespan = later::<NON_NEGATIVE>(makespan, ct);
+            sum_ct += ct;
         }
-        makespan.seconds() + self.flow_weight * (sum_ct / self.n_jobs as f64)
+        makespan + self.flow_weight * (sum_ct / self.n_jobs as f64)
     }
 
     /// Delta replay: evaluates a child that differs from an
@@ -347,25 +416,26 @@ impl FitnessKernel {
 
         cts.clear();
         cts.extend_from_slice(parent_cts);
-        for &j in &self.order {
+        for (k, &j) in self.order.iter().enumerate() {
             let j = j as usize;
             let s = genes[j] as usize;
             if !scratch.site_mask[s] {
                 continue;
             }
-            let exec = self.eff[j * self.n_sites + s];
+            let exec = self.eff[k * self.n_sites + s];
             if !exec.is_finite() {
                 return f64::INFINITY;
             }
-            cts[j] = self.replay_one(j, s, exec, &mut scratch.free);
+            cts[j] = Time::new(self.replay_one(k, s, exec, &mut scratch.free));
         }
         self.aggregate(cts)
     }
 
-    /// Commits job `j` (feasible, effective time `exec`) onto site `s`'s
-    /// segment of the free-time plane and returns its completion time —
-    /// the flat-slice form of `NodeAvailability::earliest_start` +
-    /// `commit`, with the re-sort replaced by a merge-rotate.
+    /// Commits the job at commit position `k` (feasible, effective time
+    /// `exec`) onto site `s`'s segment of the free-time plane and returns
+    /// its completion time — the flat-slice form of
+    /// `NodeAvailability::earliest_start` + `commit`, with the re-sort
+    /// replaced by a merge-rotate.
     ///
     /// The reference path overwrites the segment's first `w` entries with
     /// `ct` and re-sorts the whole segment. Here the segment is known
@@ -379,17 +449,17 @@ impl FitnessKernel {
     /// A one-node segment needs none of that: a feasible job there has
     /// width 1, so the splice degenerates to overwriting the one entry.
     #[inline(always)]
-    fn replay_one(&self, j: usize, s: usize, exec: f64, free: &mut [Time]) -> Time {
+    fn replay_one(&self, k: usize, s: usize, exec: f64, free: &mut [f64]) -> f64 {
         let (lo, hi) = self.site_span(s);
         if hi - lo == 1 {
-            let ct = later(free[lo], self.floors[j]) + Time::new(exec);
+            let ct = later::<false>(free[lo], self.floors[k]) + exec;
             free[lo] = ct;
             return ct;
         }
         let seg = &mut free[lo..hi];
-        let w = self.widths[j] as usize;
-        let ct = later(seg[w - 1], self.floors[j]) + Time::new(exec);
-        let p = seg[w..].partition_point(|t| *t < ct);
+        let w = self.widths[k] as usize;
+        let ct = later::<false>(seg[w - 1], self.floors[k]) + exec;
+        let p = seg[w..].partition_point(|t| t.total_cmp(&ct).is_lt());
         seg.copy_within(w..w + p, 0);
         seg[p..p + w].fill(ct);
         ct
@@ -404,35 +474,41 @@ impl FitnessKernel {
     /// Fitness from a complete completion-time vector: the same
     /// commit-order accumulation the full replay performs inline.
     fn aggregate(&self, cts: &[Time]) -> f64 {
-        let mut makespan = Time::ZERO;
+        let mut makespan = 0.0;
         let mut sum_ct = 0.0;
         for &j in &self.order {
-            let ct = cts[j as usize];
-            makespan = later(makespan, ct);
-            sum_ct += ct.seconds();
+            let ct = cts[j as usize].seconds();
+            makespan = later::<false>(makespan, ct);
+            sum_ct += ct;
         }
-        makespan.seconds() + self.flow_weight * (sum_ct / self.n_jobs as f64)
+        makespan + self.flow_weight * (sum_ct / self.n_jobs as f64)
     }
 }
 
-/// [`Time::max`] without the branch: the replay loop takes two maxima per
-/// job on values no predictor can guess — every generation's chromosomes
-/// are new (`evolve` on 20 one-node sites: 3.4 ms with `Time::max`, 2.95
-/// with this; a micro-benchmark replaying one fixed population reads the
-/// other way round, because there the predictor learns).
+/// [`Time::max`] on seconds, without the branch: the replay loop takes
+/// two maxima per job on values no predictor can guess — every
+/// generation's chromosomes are new (`evolve` on 20 one-node sites:
+/// 3.4 ms with `Time::max`, 2.95 with this; a micro-benchmark replaying
+/// one fixed population reads the other way round, because there the
+/// predictor learns).
 ///
 /// Maps both operands to the integer `f64::total_cmp` orders by, takes
 /// the integer maximum and maps it back (the map is its own inverse), so
 /// it returns the bits `Time::max` (and `at_least`) would — under a total
-/// order, equal keys are equal bits, so the maximum is unique.
+/// order, equal keys are equal bits, so the maximum is unique. With
+/// `NON_NEGATIVE` (both operands sign-clear and not NaN) the IEEE order
+/// is that total order, and a plain `max` returns the same bits.
 #[inline(always)]
-fn later(a: Time, b: Time) -> Time {
+fn later<const NON_NEGATIVE: bool>(a: f64, b: f64) -> f64 {
+    if NON_NEGATIVE {
+        return if a > b { a } else { b };
+    }
     let key = |bits: u64| {
         let bits = bits as i64;
         bits ^ (((bits >> 63) as u64) >> 1) as i64
     };
-    let max = key(a.seconds().to_bits()).max(key(b.seconds().to_bits()));
-    Time::new(f64::from_bits(key(max as u64) as u64))
+    let max = key(a.to_bits()).max(key(b.to_bits()));
+    f64::from_bits(key(max as u64) as u64)
 }
 
 /// One-shot fitness of `chromosome` at the default flow weight — the
@@ -641,6 +717,35 @@ mod tests {
         assert!(!patches_on(&[1; 20]));
         // One multi-node site among one-node sites is enough.
         assert!(patches_on(&[1, 1, 4, 1]));
+    }
+
+    /// Where `-0.0` meets `+0.0` the total order and the IEEE order
+    /// disagree, so the fitness-only replay takes the plain `max` only on
+    /// `recompile`'s proof. Here a tie of signed zeros decides the
+    /// makespan's sign and a negative subnormal flow term (which
+    /// underflows to `-0.0`) carries it to the fitness: `+0.0` under the
+    /// total order, `-0.0` under a plain `max`.
+    #[test]
+    fn signed_zero_ties_take_the_total_order() {
+        let tiny = -1e-320;
+        let ctx = MapCtx {
+            etc: EtcMatrix::from_raw(2, 2, vec![-0.0, f64::INFINITY, f64::INFINITY, -0.0]),
+            widths: vec![1, 1],
+            arrivals: vec![Time::new(-0.0), Time::new(tiny)],
+            candidates: vec![vec![0, 1]; 2],
+            now: Time::new(tiny),
+            commit_order: vec![],
+        };
+        let avail = vec![
+            NodeAvailability::new(1, Time::ZERO),
+            NodeAvailability::new(1, Time::new(tiny)),
+        ];
+        let kernel = FitnessKernel::compile(&ctx, &avail, FitnessKind::Makespan, None, 1e-4);
+        let mut scratch = KernelScratch::default();
+        let full = kernel.evaluate_full(&[0, 1], &mut Vec::new(), &mut scratch);
+        let fitness = kernel.evaluate_fitness(&[0, 1], &mut scratch);
+        assert_eq!(full.to_bits(), 0.0f64.to_bits());
+        assert_eq!(fitness.to_bits(), full.to_bits());
     }
 
     #[test]

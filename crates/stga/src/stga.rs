@@ -48,15 +48,19 @@ pub struct Stga {
 impl Stga {
     /// Creates an STGA with a fresh history table.
     pub fn new(params: StgaParams) -> Result<Stga> {
+        // Before the table is sized by it (a zero capacity panics there).
         params.validate()?;
         let history = SharedHistory::new(params.table_capacity);
-        Ok(Self::with_history(params, history))
+        Self::with_history(params, history)
     }
 
     /// Creates an STGA sharing an existing (possibly pre-trained) table.
-    pub fn with_history(params: StgaParams, history: SharedHistory) -> Stga {
+    /// Refuses invalid parameters, as [`Stga::new`] does: a population of
+    /// one would otherwise panic the first round.
+    pub fn with_history(params: StgaParams, history: SharedHistory) -> Result<Stga> {
+        params.validate()?;
         let rng = stream(params.ga.seed, Stream::Genetic);
-        Stga {
+        Ok(Stga {
             params,
             history,
             rng,
@@ -64,7 +68,7 @@ impl Stga {
             last_result: None,
             pool: GaPool::new(),
             risk_cache: RiskCache::new(),
-        }
+        })
     }
 
     /// Overrides the fitness variant (ablations).
@@ -369,6 +373,15 @@ mod tests {
         let mut stga = Stga::new(params_small()).unwrap();
         let s = stga.schedule(&b, &view);
         assert_eq!(s.site_of(gridsec_core::JobId(0)), Some(SiteId(0)));
+    }
+
+    #[test]
+    fn a_shared_history_does_not_bypass_validation() {
+        let mut p = params_small();
+        p.ga.population = 1;
+        let history = SharedHistory::new(p.table_capacity);
+        assert!(Stga::with_history(p, history.clone()).is_err());
+        assert!(Stga::with_history(params_small(), history).is_ok());
     }
 
     #[test]

@@ -61,7 +61,7 @@ fn main() {
     let factory: SessionFactory = Box::new(move |ctx| {
         let history = SharedHistory::from_snapshots(&ctx.history_sources, params.table_capacity)
             .map_err(|e| e.to_string())?;
-        let stga = Stga::with_history(params, history.clone());
+        let stga = Stga::with_history(params, history.clone()).map_err(|e| e.to_string())?;
         let session = OnlineSession::restore(ctx.subgrid, Box::new(stga), &config, ctx.seed)
             .map_err(|e| e.to_string())?;
         Ok(ShardSpec {

@@ -14,7 +14,13 @@
 //!    evaluation returns the same bits (fitness *and* completion times)
 //!    as replaying the child from scratch.
 //!
-//! Both run over three snapshot strategies: small lumpy grids
+//! 3. **fitness-only ≡ full**: `FitnessKernel::evaluate_fitness` (no
+//!    completion times; one-node sites read by index; a plain `max` where
+//!    every time is proved non-negative) returns the same bits as
+//!    `evaluate_full`, at flow weights 0 and 1e-4, on snapshots with and
+//!    without negative and `-0.0` floors, free times and ETC entries.
+//!
+//! The first two run over three snapshot strategies: small lumpy grids
 //! (`arb_snapshot`, 1–4 sites of 1–4 nodes), grids where every site is
 //! one node at the paper's PSA size (`arb_single_node_snapshot` — the
 //! shape on which the kernel's scalar replay runs and it offers no
@@ -252,6 +258,40 @@ fn arb_mixed_snapshot() -> impl Strategy<Value = Snapshot> {
     )
 }
 
+/// A one-node snapshot with, per flag, its floors (`now` and every
+/// arrival), its first site's free time or its first ETC entry moved to
+/// `-x` — `-0.0` when `x` is zero. Any flag set defeats the kernel's
+/// non-negative proof, so its total-order `later` runs; none set leaves a
+/// sign-clear snapshot, where the plain `max` runs.
+fn arb_signed_single_node_snapshot() -> impl Strategy<Value = Snapshot> {
+    // A magnitude, zero a third of the time.
+    let x = || (0.0f64..50.0, 0u32..3);
+    let x_of = |(v, tag): (f64, u32)| if tag == 0 { 0.0 } else { v };
+    (
+        arb_single_node_snapshot(),
+        (any::<bool>(), any::<bool>(), any::<bool>()),
+        (x(), x(), x()),
+    )
+        .prop_map(move |(mut s, (floors, free, etc), (xf, xa, xe))| {
+            if floors {
+                s.ctx.now = Time::new(-x_of(xf));
+                for a in &mut s.ctx.arrivals {
+                    *a = Time::new(-a.seconds());
+                }
+            }
+            if free {
+                s.avail[0] = NodeAvailability::new(1, Time::new(-x_of(xa)));
+            }
+            if etc {
+                let (n, m) = (s.ctx.n_jobs(), s.ctx.etc.n_sites());
+                let mut raw = s.ctx.etc.raw().to_vec();
+                raw[0] = -x_of(xe);
+                s.ctx.etc = EtcMatrix::from_raw(n, m, raw);
+            }
+            s
+        })
+}
+
 /// Random genes nudged, job by job, to the next site the job fits on (if
 /// any), so that most parents of the delta property are finite on grids
 /// with many holes and jobs.
@@ -334,6 +374,23 @@ fn check_delta_matches_full(
     Ok(())
 }
 
+/// Property 3 on one snapshot: fitness-only ≡ full, bit-exact, with and
+/// without the flow term.
+fn check_fitness_only_matches_full(s: &Snapshot, gene_sets: &[Vec<u16>]) -> Result<(), String> {
+    let mut scratch = KernelScratch::default();
+    let mut cts = Vec::new();
+    for flow_weight in [0.0, 1e-4] {
+        let kernel =
+            FitnessKernel::compile(&s.ctx, &s.avail, FitnessKind::Makespan, None, flow_weight);
+        for genes in gene_sets {
+            let want = kernel.evaluate_full(genes, &mut cts, &mut scratch);
+            let got = kernel.evaluate_fitness(genes, &mut scratch);
+            prop_assert_eq!(want.to_bits(), got.to_bits());
+        }
+    }
+    Ok(())
+}
+
 /// A snapshot with 1–4 random gene sets over it.
 fn with_gene_sets(
     snapshots: impl Strategy<Value = Snapshot>,
@@ -386,6 +443,23 @@ proptest! {
         (s, parent_genes, patches) in with_parent_and_patches(arb_single_node_snapshot())
     ) {
         check_delta_matches_full(&s, &parent_genes, &patches, false)?;
+    }
+
+    /// fitness-only ≡ full on one-node grids, with and without negative
+    /// and `-0.0` times, and infeasible genes.
+    #[test]
+    fn fitness_only_matches_full_on_single_node_grids(
+        (s, gene_sets) in with_gene_sets(arb_signed_single_node_snapshot())
+    ) {
+        check_fitness_only_matches_full(&s, &gene_sets)?;
+    }
+
+    /// fitness-only ≡ full where one-node and multi-node sites mix.
+    #[test]
+    fn fitness_only_matches_full_on_mixed_grids(
+        (s, gene_sets) in with_gene_sets(arb_mixed_snapshot())
+    ) {
+        check_fitness_only_matches_full(&s, &gene_sets)?;
     }
 
     /// delta ≡ full where a patch crosses both kinds of site.
