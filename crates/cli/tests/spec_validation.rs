@@ -10,6 +10,11 @@
 //! An STGA's parameters are validated wherever one is built, so `gridsec
 //! serve` refuses a population of one at start-up too.
 //!
+//! Autoscaler thresholds are checked when the daemon is built, so
+//! `--autoscale-min 0` (which panicked the router at the first idle
+//! sample) and `--autoscale-interval-ms 0` (which spun a sampling loop)
+//! are refused at start-up, naming the field.
+//!
 //! A scheduler is one of six tags. A spec naming any other algorithm —
 //! including one the tree used to ship — is refused with exit code 1 and
 //! an error naming the tag.
@@ -72,13 +77,15 @@ fn run_refuses_a_null_batch_period() {
     std::fs::remove_dir_all(spec.parent().unwrap()).ok();
 }
 
-/// Starts `gridsec serve` on `spec` and waits for it to exit; returns its
-/// exit code and stderr. Panics if it is still serving after 30 s.
-fn serve_exit(spec: &std::path::Path, what: &str) -> (Option<i32>, String) {
+/// Starts `gridsec serve` on `spec` with the extra `flags` and waits for
+/// it to exit; returns its exit code and stderr. Panics if it is still
+/// serving after 30 s.
+fn serve_exit(spec: &std::path::Path, flags: &[&str], what: &str) -> (Option<i32>, String) {
     let mut serve = Command::new(GRIDSEC)
         .arg("serve")
         .arg(spec)
         .args(["--bind", "127.0.0.1:0", "--virtual-clock"])
+        .args(flags)
         .stdout(Stdio::null())
         .stderr(Stdio::piped())
         .spawn()
@@ -104,7 +111,7 @@ fn serve_exit(spec: &std::path::Path, what: &str) -> (Option<i32>, String) {
 #[test]
 fn serve_refuses_a_null_batch_period() {
     let spec = write_spec("serve", &null_interval_spec());
-    let (code, stderr) = serve_exit(&spec, "a null batch period");
+    let (code, stderr) = serve_exit(&spec, &[], "a null batch period");
     assert_eq!(code, Some(1), "{stderr}");
     assert!(stderr.contains("schedule_interval"), "{stderr}");
     std::fs::remove_dir_all(spec.parent().unwrap()).ok();
@@ -122,9 +129,23 @@ fn serve_refuses_an_stga_population_of_one() {
         "history_fraction": 0.5, "heuristic_seeds": true,
         "training_jobs": 500}}]"#;
     let spec = write_spec("population_1", &spec_with_schedulers(stga));
-    let (code, stderr) = serve_exit(&spec, "a population of one");
+    let (code, stderr) = serve_exit(&spec, &[], "a population of one");
     assert_eq!(code, Some(1), "{stderr}");
     assert!(stderr.contains("population"), "{stderr}");
+    std::fs::remove_dir_all(spec.parent().unwrap()).ok();
+}
+
+#[test]
+fn serve_refuses_autoscaler_thresholds_it_cannot_run_with() {
+    let spec = write_spec("autoscale", &small_spec());
+    for (flag, field) in [
+        ("--autoscale-min", "`min_shards`"),
+        ("--autoscale-interval-ms", "`interval`"),
+    ] {
+        let (code, stderr) = serve_exit(&spec, &[flag, "0"], &format!("{flag} 0"));
+        assert_eq!(code, Some(1), "{flag}: {stderr}");
+        assert!(stderr.contains(field), "{flag}: {stderr}");
+    }
     std::fs::remove_dir_all(spec.parent().unwrap()).ok();
 }
 

@@ -35,7 +35,6 @@ pub mod rng;
 pub mod schedule;
 pub mod security;
 pub mod site;
-pub mod stats;
 pub mod time;
 
 pub use error::{Error, Result};

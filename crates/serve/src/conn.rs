@@ -13,8 +13,8 @@
 //! There is **one submit path**: a `submit` is routed where it is decoded,
 //! against the shared [`RoutingTable`] snapshot, and pushed onto the
 //! owning shard's [`SubmitQueue`]. Everything serialised — cross-shard
-//! queries, reshard, drain, shutdown, chaos injections — goes to the
-//! router thread.
+//! queries, reshard, drain, shutdown, chaos injections, scrapes — goes to
+//! the router thread.
 //!
 //! **A thread is woken once per pass of the thread that wakes it**, in
 //! both directions, and a pass is one trip round [`IoLoop::pass`] or one
@@ -64,7 +64,7 @@
 
 use crate::daemon::{DaemonOptions, IngestEvent, Reply};
 use crate::protocol::{parse_request, Line, LineDecoder, Request, Response};
-use crate::router::{derive_route, shard_down, shutting_down};
+use crate::router::{derive_route, shard_down, shutting_down, SHUTTING_DOWN_PAGE};
 use crate::shard::{ShardMsg, SubmitQueue, Wake};
 use epoll::{Events, Interest, Poller, WakeReader, Waker};
 use gridsec_core::{Grid, Job};
@@ -83,6 +83,8 @@ use std::time::{Duration, Instant};
 const WAKER_KEY: u64 = u64::MAX;
 /// Registration key of the TCP listener (I/O thread 0 only).
 const LISTENER_KEY: u64 = u64::MAX - 1;
+/// Registration key of the metrics listener (I/O thread 0 only).
+const METRICS_KEY: u64 = u64::MAX - 2;
 /// Read scratch size: a read that does not fill it has emptied the
 /// socket (level-triggered epoll re-arms whatever arrives next), and four
 /// that do are the per-wake cap before yielding to other connections.
@@ -186,6 +188,7 @@ pub(crate) struct IoLoopHandle {
 pub(crate) struct IoShared {
     pub(crate) table: RwLock<Arc<RoutingTable>>,
     pub(crate) stop: AtomicBool,
+    /// Live client connections (scrapes are not counted).
     pub(crate) connections: AtomicUsize,
     /// Connections force-closed for exceeding the write-buffer bound.
     pub(crate) slow_disconnects: AtomicUsize,
@@ -221,6 +224,7 @@ impl IoShared {
     }
 }
 
+#[derive(Default)]
 struct SinkQueue {
     /// Replies not yet released, by sequence number.
     held: BTreeMap<u64, Reply>,
@@ -309,6 +313,8 @@ struct Conn {
     want_read: bool,
     want_write: bool,
     last_activity: Instant,
+    /// A scrape: reads nothing, gets one reply, is not a client.
+    scrape: bool,
 }
 
 impl Conn {
@@ -321,7 +327,6 @@ impl Conn {
 struct Slab<T> {
     slots: Vec<Option<T>>,
     free: Vec<usize>,
-    len: usize,
 }
 
 impl<T> Slab<T> {
@@ -329,26 +334,21 @@ impl<T> Slab<T> {
         Slab {
             slots: Vec::new(),
             free: Vec::new(),
-            len: 0,
         }
     }
-    fn insert(&mut self, value: T) -> usize {
-        self.len += 1;
+    /// The token the next [`Slab::insert`] fills.
+    fn vacant(&self) -> usize {
+        self.free.last().copied().unwrap_or(self.slots.len())
+    }
+    fn insert(&mut self, value: T) {
         match self.free.pop() {
-            Some(i) => {
-                self.slots[i] = Some(value);
-                i
-            }
-            None => {
-                self.slots.push(Some(value));
-                self.slots.len() - 1
-            }
+            Some(i) => self.slots[i] = Some(value),
+            None => self.slots.push(Some(value)),
         }
     }
     fn remove(&mut self, token: usize) -> Option<T> {
         let v = self.slots.get_mut(token)?.take();
         if v.is_some() {
-            self.len -= 1;
             self.free.push(token);
         }
         v
@@ -366,13 +366,15 @@ impl<T> Slab<T> {
 }
 
 /// One I/O thread: the poller, its connections, and (on thread 0) the
-/// TCP listener.
+/// listeners.
 pub(crate) struct IoLoop {
     shared: Arc<IoShared>,
     handle: Arc<IoLoopHandle>,
     poller: Poller,
     wake_rx: WakeReader,
     listener: Option<TcpListener>,
+    /// The [`DaemonOptions::metrics_addr`] listener (thread 0 only).
+    metrics: Option<TcpListener>,
     ingest: Sender<IngestEvent>,
     conns: Slab<Conn>,
     index: usize,
@@ -395,21 +397,24 @@ pub(crate) struct IoLoop {
 }
 
 impl IoLoop {
-    /// Builds one I/O thread's state; `listener` is registered (and must
-    /// already be nonblocking) when present.
+    /// Builds one I/O thread's state; the listeners are registered (and
+    /// must already be nonblocking) when present.
     pub(crate) fn new(
         shared: Arc<IoShared>,
-        handle: Arc<IoLoopHandle>,
         wake_rx: WakeReader,
         listener: Option<TcpListener>,
+        metrics: Option<TcpListener>,
         ingest: Sender<IngestEvent>,
         index: usize,
         options: &DaemonOptions,
     ) -> io::Result<IoLoop> {
+        let handle = Arc::clone(&shared.loops[index]);
         let poller = Poller::new()?;
         poller.add(wake_rx.as_raw_fd(), WAKER_KEY, Interest::READ)?;
-        if let Some(l) = &listener {
-            poller.add(l.as_raw_fd(), LISTENER_KEY, Interest::READ)?;
+        for (l, key) in [(&listener, LISTENER_KEY), (&metrics, METRICS_KEY)] {
+            if let Some(l) = l {
+                poller.add(l.as_raw_fd(), key, Interest::READ)?;
+            }
         }
         Ok(IoLoop {
             shared,
@@ -417,6 +422,7 @@ impl IoLoop {
             poller,
             wake_rx,
             listener,
+            metrics,
             ingest,
             conns: Slab::new(),
             index,
@@ -466,7 +472,8 @@ impl IoLoop {
         for ev in events.iter() {
             match ev.key {
                 WAKER_KEY => self.wake_rx.drain(),
-                LISTENER_KEY => self.accept_ready(),
+                LISTENER_KEY => self.accept_ready(false),
+                METRICS_KEY => self.accept_ready(true),
                 key => self.conn_ready(key as usize, ev, scratch),
             }
         }
@@ -489,57 +496,80 @@ impl IoLoop {
         }
     }
 
-    /// Accepts every pending connection (thread 0), distributing them
-    /// round-robin across the I/O threads.
-    fn accept_ready(&mut self) {
+    /// Accepts every pending connection on one of thread 0's listeners:
+    /// clients round-robin across the I/O threads, scrapes on this one.
+    fn accept_ready(&mut self, scrape: bool) {
         loop {
-            let accepted = match &self.listener {
-                Some(listener) => listener.accept(),
-                None => return,
+            let listener = if scrape {
+                &self.metrics
+            } else {
+                &self.listener
             };
-            match accepted {
+            let Some(listener) = listener else {
+                return;
+            };
+            match listener.accept() {
+                Ok((stream, _)) if scrape => self.scrape(stream),
                 Ok((stream, _)) => {
                     let target = self.next_assign % self.shared.loops.len();
                     self.next_assign = self.next_assign.wrapping_add(1);
                     if target == self.index {
-                        self.register(stream);
+                        self.register(stream, false);
                     } else {
                         let l = &self.shared.loops[target];
                         l.inbox.lock().expect("inbox lock").push(stream);
                         l.waker.wake();
                     }
                 }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                // Transient per-connection accept failures (e.g. the
-                // peer reset before we got to it); the listener lives on.
+                // Drained (`WouldBlock`), or a transient per-connection
+                // failure (e.g. the peer reset before we got to it); the
+                // listener lives on.
                 Err(_) => return,
             }
         }
     }
 
-    /// Adopts a connection onto this thread.
-    fn register(&mut self, stream: TcpStream) {
-        if stream.set_nonblocking(true).is_err() || stream.set_nodelay(true).is_err() {
+    /// Adopts a scrape and asks the router for its page (reply `seq` 0).
+    /// With the router gone, the page is the shutdown line.
+    fn scrape(&mut self, stream: TcpStream) {
+        let Some(token) = self.register(stream, true) else {
             return;
+        };
+        let sink = &self.conns.get(token).expect("just registered").sink;
+        let reply = ReplyHandle(Arc::clone(sink));
+        if self.ingest.send(IngestEvent::Scrape(reply)).is_err() {
+            sink.push(Reply::page(SHUTTING_DOWN_PAGE.into()));
+            self.finish(token);
         }
-        let fd = stream.as_raw_fd();
-        // Two-phase: insert to learn the token, then bind the sink to it
-        // (the placeholder sink is never handed out before that).
-        let placeholder = Arc::new(ReplySink {
+    }
+
+    /// Adopts a connection onto this thread and returns its token: a
+    /// client (read interest, counted in [`IoShared::connections`]) or a
+    /// scrape (read side closed from the start, one reply expected).
+    fn register(&mut self, stream: TcpStream, scrape: bool) -> Option<usize> {
+        if stream.set_nonblocking(true).is_err() || stream.set_nodelay(true).is_err() {
+            return None;
+        }
+        let token = self.conns.vacant();
+        let interest = Interest {
+            readable: !scrape,
+            writable: false,
+        };
+        self.poller
+            .add(stream.as_raw_fd(), token as u64, interest)
+            .ok()?;
+        let sink = Arc::new(ReplySink {
             io: Arc::clone(&self.handle),
-            token: usize::MAX,
+            token,
             closed: AtomicBool::new(false),
             queued: AtomicBool::new(false),
-            q: Mutex::new(SinkQueue {
-                held: BTreeMap::new(),
-                held_bytes: 0,
-            }),
+            q: Mutex::default(),
         });
-        let token = self.conns.insert(Conn {
+        self.conns.insert(Conn {
             stream,
-            sink: placeholder,
-            seq: 0,
+            sink,
+            seq: u64::from(scrape),
             next_release: 0,
             last_control_seq: None,
             decoder: LineDecoder::new(self.max_line),
@@ -548,27 +578,16 @@ impl IoLoop {
             out_pos: 0,
             out_base: 0,
             flush_marks: VecDeque::new(),
-            read_closed: false,
-            want_read: true,
+            read_closed: scrape,
+            want_read: !scrape,
             want_write: false,
             last_activity: Instant::now(),
+            scrape,
         });
-        let conn = self.conns.get_mut(token).expect("just inserted");
-        conn.sink = Arc::new(ReplySink {
-            io: Arc::clone(&self.handle),
-            token,
-            closed: AtomicBool::new(false),
-            queued: AtomicBool::new(false),
-            q: Mutex::new(SinkQueue {
-                held: BTreeMap::new(),
-                held_bytes: 0,
-            }),
-        });
-        if self.poller.add(fd, token as u64, Interest::READ).is_err() {
-            self.conns.remove(token);
-            return;
+        if !scrape {
+            self.shared.connections.fetch_add(1, Ordering::SeqCst);
         }
-        self.shared.connections.fetch_add(1, Ordering::SeqCst);
+        Some(token)
     }
 
     /// Tears a connection down (fd closes on drop; epoll deregisters the
@@ -577,7 +596,9 @@ impl IoLoop {
         if let Some(conn) = self.conns.remove(token) {
             conn.sink.closed.store(true, Ordering::Release);
             let _ = self.poller.delete(conn.stream.as_raw_fd());
-            self.shared.connections.fetch_sub(1, Ordering::SeqCst);
+            if !conn.scrape {
+                self.shared.connections.fetch_sub(1, Ordering::SeqCst);
+            }
         }
     }
 
@@ -796,8 +817,9 @@ impl IoLoop {
         let Some(conn) = self.conns.get_mut(token) else {
             return;
         };
+        // A scrape's backlog is its one page, bounded already.
         let backlog = conn.unwritten() + held_bytes;
-        if backlog > self.max_write_buffer {
+        if !conn.scrape && backlog > self.max_write_buffer {
             // The client is not reading: cut it loose rather than buffer
             // without bound (satellite: unbounded reply memory).
             self.shared.slow_disconnects.fetch_add(1, Ordering::SeqCst);
@@ -888,7 +910,7 @@ impl IoLoop {
     fn process_inbox(&mut self) {
         let streams = std::mem::take(&mut *self.handle.inbox.lock().expect("inbox lock"));
         for stream in streams {
-            self.register(stream);
+            self.register(stream, false);
         }
     }
 
@@ -1088,16 +1110,14 @@ pub(crate) mod tests {
             };
             let (shared, mut wake_rx) = build_io(1, table).unwrap();
             let (ingest_tx, ingest_rx) = channel();
-            let handle = Arc::clone(&shared.loops[0]);
             let options = DaemonOptions::default();
             let wake_rx = wake_rx.pop().unwrap();
-            let mut io =
-                IoLoop::new(shared, handle, wake_rx, None, ingest_tx, 0, &options).unwrap();
+            let mut io = IoLoop::new(shared, wake_rx, None, None, ingest_tx, 0, &options).unwrap();
             let listener = TcpListener::bind("127.0.0.1:0").unwrap();
             let clients = (0..n)
                 .map(|_| {
                     let client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
-                    io.register(listener.accept().unwrap().0);
+                    io.register(listener.accept().unwrap().0, false);
                     client
                 })
                 .collect();

@@ -40,6 +40,10 @@
 //! rounds. A client disconnecting mid-round just drops its connection;
 //! scheduling continues.
 //!
+//! **Three kinds of thread.** A scrape and an autoscaler sample are
+//! router events: the metrics listener is on I/O thread 0's poller, and
+//! the router's wait on its queue times out when a sample is due.
+//!
 //! **One way to build a shard.** [`Daemon::spawn`] takes the grid, a
 //! [`ShardPlan`] and a [`SessionFactory`], and that factory is the only
 //! description of a shard the daemon ever uses: boot is a reshard from
@@ -64,11 +68,11 @@ use crate::shard::{ShardMsg, ShardRuntime, ShardSpec, SubmitDrain, SubmitQueue};
 use gridsec_core::Grid;
 use gridsec_obs::Histogram;
 use gridsec_sim::ShardPlan;
-use std::io::{self, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io;
+use std::net::{SocketAddr, TcpListener};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::Ordering;
-use std::sync::mpsc::{channel, RecvTimeoutError, Sender};
+use std::sync::mpsc::{channel, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -107,6 +111,9 @@ pub struct DaemonOptions {
     /// Prometheus-style text exposition of the aggregated metrics and
     /// is closed — `nc host port` or any Prometheus scraper works.
     /// Use port 0 for an ephemeral port ([`Daemon::metrics_addr`]).
+    /// Served by I/O thread 0: a scraper that never reads holds one
+    /// connection, reaped by [`idle_timeout`](Self::idle_timeout) like
+    /// any client's (a scrape does not count as one).
     pub metrics_addr: Option<String>,
     /// Path prefix of the per-shard state files ([`shard_state_path`]).
     /// When set, shard `k`'s file is read at boot and handed to the
@@ -135,7 +142,8 @@ pub struct DaemonOptions {
     /// that vanishes without FIN/RST never produces a readiness event,
     /// so only a timeout can reclaim its connection state.
     pub idle_timeout: Option<Duration>,
-    /// When set, a sampling thread splits hot shards and merges cold
+    /// When set, the router samples the shards every
+    /// [`AutoscaleConfig::interval`] and splits hot shards and merges cold
     /// ones on its own (default `None`: only `reshard` frames do).
     pub autoscale: Option<AutoscaleConfig>,
 }
@@ -196,19 +204,17 @@ pub(crate) struct Reply {
     pub(crate) flushed: Option<Sender<()>>,
 }
 
-/// One parsed control frame (anything but a `submit`), tagged with its
-/// reply handle and per-client sequence number — or a tick from the
-/// autoscaler thread, which goes through the same queue so topology
-/// decisions are serialised with client frames. (Submits go straight to
-/// the shard queues and malformed frames are answered on the I/O
-/// threads; neither reaches this queue.)
+/// What the I/O threads hand the router: one parsed control frame
+/// (anything but a `submit`), tagged with its reply handle and
+/// per-client sequence number. (Submits go straight to the shard queues
+/// and malformed frames are answered on the I/O threads; neither reaches
+/// this queue.)
 pub(crate) enum IngestEvent {
     Frame(Request, ReplyHandle, u64),
-    Autoscale,
-    /// A metrics-listener connection wants one text exposition. Routed
-    /// through the ingest queue so the scrape sees a consistent
-    /// (router-serialised) view of the plan and archives.
-    Scrape(Sender<String>),
+    /// A metrics-listener connection wants one text exposition, as its
+    /// reply `seq` 0. Routed through the ingest queue so the scrape sees a
+    /// consistent (router-serialised) view of the plan and archives.
+    Scrape(ReplyHandle),
 }
 
 /// A running daemon: the I/O thread pool (which also owns the accept
@@ -219,9 +225,7 @@ pub struct Daemon {
     addr: SocketAddr,
     metrics_addr: Option<SocketAddr>,
     io: Vec<JoinHandle<()>>,
-    router: Option<JoinHandle<()>>,
-    ticker: Option<JoinHandle<()>>,
-    scrape: Option<JoinHandle<()>>,
+    router: JoinHandle<()>,
     shared: Arc<IoShared>,
 }
 
@@ -236,7 +240,9 @@ impl Daemon {
     /// bound: a factory that fails or builds a session over anything but
     /// [`ShardPlan::subgrid`]`(grid, k)`, or an unreadable state file, is
     /// an `Err` naming the shard with nothing left running. The daemon
-    /// keeps the factory for every plan it is later resharded to.
+    /// keeps the factory for every plan it is later resharded to. An
+    /// [`DaemonOptions::autoscale`] that [`AutoscalePolicy::new`] refuses
+    /// is an `InvalidInput` naming the field, before the factory runs.
     pub fn spawn(
         grid: Grid,
         plan: ShardPlan,
@@ -251,6 +257,8 @@ impl Daemon {
                 grid.len()
             )));
         }
+        let autoscale = options.autoscale.map(AutoscalePolicy::new);
+        let autoscale = autoscale.transpose().map_err(invalid)?;
         // Boot is a reshard from nothing.
         let prefix = options.state_prefix.as_deref();
         let seeds = boot_seeds(&grid, &plan, prefix)?;
@@ -270,17 +278,9 @@ impl Daemon {
         // history, not start recording on request.
         gridsec_obs::recorder::enable();
 
-        let listener = TcpListener::bind(bind)?;
-        listener.set_nonblocking(true)?; // owned by I/O thread 0's poller
-        let addr = listener.local_addr()?;
-        let metrics_listener = match &options.metrics_addr {
-            Some(bind) => Some(TcpListener::bind(bind.as_str())?),
-            None => None,
-        };
-        let metrics_addr = match &metrics_listener {
-            Some(l) => Some(l.local_addr()?),
-            None => None,
-        };
+        let (listener, addr) = listen(bind)?;
+        let metrics = options.metrics_addr.as_deref().map(listen).transpose()?;
+        let metrics_addr = metrics.as_ref().map(|(_, addr)| *addr);
         let (ingest_tx, ingest_rx) = channel::<IngestEvent>();
         let start = Instant::now();
 
@@ -299,62 +299,19 @@ impl Daemon {
         };
         let (shared, wake_readers) = build_io(n_io, table)?;
         let mut io = Vec::with_capacity(n_io);
-        let mut listener_slot = Some(listener);
+        let mut listeners = (Some(listener), metrics.map(|(l, _)| l));
         for (i, wake_rx) in wake_readers.into_iter().enumerate() {
             let io_loop = IoLoop::new(
                 Arc::clone(&shared),
-                Arc::clone(&shared.loops[i]),
                 wake_rx,
-                if i == 0 { listener_slot.take() } else { None },
+                listeners.0.take(),
+                listeners.1.take(),
                 ingest_tx.clone(),
                 i,
                 &options,
             )?;
             io.push(std::thread::spawn(move || io_loop.run()));
         }
-
-        // Autoscaler ticker: wakes on shutdown (the router drops the
-        // stop sender when it exits) instead of sleeping out a final
-        // interval past the daemon's death.
-        let (ticker, ticker_stop) = match &options.autoscale {
-            Some(cfg) => {
-                let tick = ingest_tx.clone();
-                let interval = cfg.interval;
-                let (stop_tx, stop_rx) = channel::<()>();
-                let handle = std::thread::spawn(move || loop {
-                    match stop_rx.recv_timeout(interval) {
-                        Err(RecvTimeoutError::Timeout) => {
-                            if tick.send(IngestEvent::Autoscale).is_err() {
-                                return;
-                            }
-                        }
-                        // Explicit stop or the sender dropped: exit now.
-                        _ => return,
-                    }
-                });
-                (Some(handle), Some(stop_tx))
-            }
-            None => (None, None),
-        };
-
-        // Scrape listener: each accepted connection gets its own short-
-        // lived thread with read/write deadlines, so one scraper that
-        // connects and never reads cannot stall any other scrape (nor
-        // can a router busy in a reshard wedge the accept loop).
-        let scrape = metrics_listener.map(|mlistener| {
-            let ingest = ingest_tx.clone();
-            let shared = Arc::clone(&shared);
-            std::thread::spawn(move || {
-                for stream in mlistener.incoming() {
-                    if shared.stop.load(Ordering::SeqCst) {
-                        break;
-                    }
-                    let Ok(stream) = stream else { continue };
-                    let ingest = ingest.clone();
-                    std::thread::spawn(move || scrape_one(stream, &ingest));
-                }
-            })
-        });
 
         let router_state = Router {
             grid,
@@ -365,7 +322,7 @@ impl Daemon {
             offline: vec![false; n_sites],
             start,
             factory,
-            autoscale: options.autoscale.map(AutoscalePolicy::new),
+            autoscale,
             options,
             archive_metrics: ServeMetrics::merge(&[]),
             archive_schedule: Vec::new(),
@@ -381,11 +338,6 @@ impl Daemon {
                 router_state.run(ingest_rx);
                 shared.stop.store(true, Ordering::SeqCst);
                 shared.wake_all(); // I/O threads observe stop and exit
-                drop(ticker_stop); // autoscaler ticker exits promptly
-                                   // Wake the scrape accept loop so it observes stop.
-                if let Some(maddr) = metrics_addr {
-                    let _ = TcpStream::connect(maddr);
-                }
             })
         };
 
@@ -393,9 +345,7 @@ impl Daemon {
             addr,
             metrics_addr,
             io,
-            router: Some(router),
-            ticker,
-            scrape,
+            router,
             shared,
         })
     }
@@ -436,22 +386,23 @@ impl Daemon {
     }
 
     /// Blocks until a client sends `shutdown` and the daemon winds down:
-    /// the router joins the shard threads, then the I/O threads, the
-    /// autoscaler ticker and the scrape listener are reaped.
-    pub fn join(mut self) {
-        if let Some(h) = self.router.take() {
-            let _ = h.join();
-        }
-        for h in self.io.drain(..) {
-            let _ = h.join();
-        }
-        if let Some(h) = self.ticker.take() {
-            let _ = h.join();
-        }
-        if let Some(h) = self.scrape.take() {
+    /// the router joins the shard threads, then the I/O threads are
+    /// reaped.
+    pub fn join(self) {
+        let _ = self.router.join();
+        for h in self.io {
             let _ = h.join();
         }
     }
+}
+
+/// Binds a listener for I/O thread 0's poller: nonblocking, and its
+/// address (to learn an ephemeral port).
+fn listen(bind: &str) -> io::Result<(TcpListener, SocketAddr)> {
+    let listener = TcpListener::bind(bind)?;
+    listener.set_nonblocking(true)?;
+    let addr = listener.local_addr()?;
+    Ok((listener, addr))
 }
 
 fn invalid(message: String) -> io::Error {
@@ -483,25 +434,6 @@ fn boot_seeds(grid: &Grid, plan: &ShardPlan, prefix: Option<&Path>) -> io::Resul
         });
     }
     Ok(seeds)
-}
-
-/// Serves one metrics-listener connection on its own thread: deadlines
-/// on both the socket and the router round-trip, so a stuck scraper (or
-/// a router mid-reshard) can neither stall other scrapes nor leak the
-/// connection.
-fn scrape_one(mut stream: TcpStream, ingest: &Sender<IngestEvent>) {
-    const SCRAPE_DEADLINE: Duration = Duration::from_secs(5);
-    let _ = stream.set_write_timeout(Some(SCRAPE_DEADLINE));
-    let _ = stream.set_read_timeout(Some(SCRAPE_DEADLINE));
-    let (tx, rx) = channel();
-    if ingest.send(IngestEvent::Scrape(tx)).is_err() {
-        return;
-    }
-    let text = match rx.recv_timeout(SCRAPE_DEADLINE) {
-        Ok(text) => text,
-        Err(_) => "# gridsec-serve: scrape timed out (router busy or shutting down)\n".to_string(),
-    };
-    let _ = stream.write_all(text.as_bytes());
 }
 
 /// Spawns one scheduling thread per shard spec; shard `k` serves

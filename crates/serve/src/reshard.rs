@@ -363,7 +363,7 @@ pub struct AutoscaleConfig {
     /// Consecutive hot (cold) observations required before a split
     /// (merge) fires — the hysteresis that stops flapping.
     pub patience: usize,
-    /// How often the autoscaler thread samples the shards.
+    /// Pause between two samples, from the end of the first.
     pub interval: Duration,
 }
 
@@ -404,13 +404,29 @@ pub struct AutoscalePolicy {
 }
 
 impl AutoscalePolicy {
-    /// A fresh policy with empty streaks.
-    pub fn new(config: AutoscaleConfig) -> AutoscalePolicy {
-        AutoscalePolicy {
+    /// A fresh policy with empty streaks, or an error naming the first
+    /// field it cannot run with (`min_shards` 0 leaves a merge no pair;
+    /// an `interval` of 0 samples without pause).
+    pub fn new(config: AutoscaleConfig) -> Result<AutoscalePolicy, String> {
+        let c = config;
+        let rules = [
+            ("min_shards", c.min_shards >= 1, "at least 1"),
+            (
+                "max_shards",
+                c.max_shards >= c.min_shards,
+                "at least `min_shards`",
+            ),
+            ("patience", c.patience >= 1, "at least 1"),
+            ("interval", !c.interval.is_zero(), "longer than 0"),
+        ];
+        if let Some((field, _, rule)) = rules.iter().find(|(_, holds, _)| !holds) {
+            return Err(format!("autoscale `{field}` must be {rule} ({c:?})"));
+        }
+        Ok(AutoscalePolicy {
             config,
             hot_streak: 0,
             cold_streak: 0,
-        }
+        })
     }
 
     /// The thresholds this policy runs with.
@@ -460,7 +476,7 @@ impl AutoscalePolicy {
                 self.cold_streak = 0;
                 let pair = (0..n - 1)
                     .min_by_key(|&k| (shards[k].sites.len() + shards[k + 1].sites.len(), k))
-                    .expect("n > min_shards >= 1 implies at least one pair");
+                    .expect("n > min_shards >= 1 (`new` refuses 0) implies a pair");
                 let mut plan: Vec<Vec<SiteId>> = shards.iter().map(|s| s.sites.clone()).collect();
                 let tail = plan.remove(pair + 1);
                 plan[pair].extend(tail);
@@ -640,7 +656,8 @@ mod tests {
             split_pending: 10,
             patience: 2,
             ..AutoscaleConfig::default()
-        });
+        })
+        .unwrap();
         let load = [obs(&[0, 1], 3), obs(&[2, 3], 50)];
         assert!(p.observe(&load).is_none(), "first breach must not act");
         let plan = p.observe(&load).expect("second breach acts");
@@ -658,7 +675,8 @@ mod tests {
             merge_pending: 0,
             patience: 1,
             ..AutoscaleConfig::default()
-        });
+        })
+        .unwrap();
         let load = [obs(&[0], 0), obs(&[1], 0), obs(&[2, 3], 0)];
         let plan = p.observe(&load).expect("cold with patience 1 acts");
         // Pair (0,1) has 2 combined sites vs (1,2)'s 3.
@@ -675,7 +693,8 @@ mod tests {
             merge_pending: 0,
             patience: 2,
             ..AutoscaleConfig::default()
-        });
+        })
+        .unwrap();
         let hot = [obs(&[0, 1], 99), obs(&[2, 3], 0)];
         let cold = [obs(&[0, 1], 0), obs(&[2, 3], 0)];
         // Alternating hot/cold never sustains a streak → never acts.
@@ -694,7 +713,8 @@ mod tests {
             merge_pending: 100,
             patience: 1,
             ..AutoscaleConfig::default()
-        });
+        })
+        .unwrap();
         // Two shards at max: the hot shard cannot split...
         assert!(p.observe(&[obs(&[0, 1], 50), obs(&[2, 3], 0)]).is_none());
         // ...and a single-site shard never splits even below max.
@@ -702,9 +722,56 @@ mod tests {
             split_pending: 1,
             patience: 1,
             ..AutoscaleConfig::default()
-        });
+        })
+        .unwrap();
         assert!(q
             .observe(&[obs(&[0], 50), obs(&[1], 0), obs(&[2, 3], 0)])
             .is_none());
+    }
+
+    #[test]
+    fn autoscaler_refuses_each_invalid_field_by_name() {
+        let ok = AutoscaleConfig::default();
+        assert!(AutoscalePolicy::new(ok).is_ok());
+        for (field, config) in [
+            (
+                "min_shards",
+                AutoscaleConfig {
+                    min_shards: 0,
+                    ..ok
+                },
+            ),
+            (
+                "max_shards",
+                AutoscaleConfig {
+                    min_shards: 3,
+                    max_shards: 2,
+                    ..ok
+                },
+            ),
+            ("patience", AutoscaleConfig { patience: 0, ..ok }),
+            (
+                "interval",
+                AutoscaleConfig {
+                    interval: Duration::ZERO,
+                    ..ok
+                },
+            ),
+        ] {
+            let err = AutoscalePolicy::new(config).unwrap_err();
+            assert!(err.contains(&format!("`{field}`")), "{field}: {err}");
+        }
+    }
+
+    /// One idle shard left at `min_shards: 1` is not a merge: the case
+    /// that panicked `observe` when `min_shards` could be 0.
+    #[test]
+    fn autoscaler_leaves_one_idle_shard_alone() {
+        let mut p = AutoscalePolicy::new(AutoscaleConfig {
+            patience: 1,
+            ..AutoscaleConfig::default()
+        })
+        .unwrap();
+        assert!(p.observe(&[obs(&[0, 1], 0)]).is_none());
     }
 }

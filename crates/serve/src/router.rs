@@ -1,7 +1,7 @@
 //! The router thread: the daemon's one control plane.
 //!
 //! Every control frame — `query`, `reconfigure`, `fail_site` /
-//! `rejoin_site`, `drain`, `reshard`, `shutdown` — and every scrape and
+//! `rejoin_site`, `drain`, `reshard`, `shutdown` — every scrape and every
 //! autoscaler tick is serialised here, and there is one way for any of
 //! them to reach a shard: [`ask`] sends a closure to each shard the frame
 //! names, the shard threads run it (queue drained first, never inside a
@@ -33,7 +33,7 @@ use gridsec_obs::{Histogram, HistogramSnapshot};
 use gridsec_sim::ShardPlan;
 use std::io;
 use std::sync::atomic::Ordering;
-use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -97,6 +97,9 @@ pub(crate) fn shutting_down() -> Response {
         message: "daemon is shutting down".into(),
     }
 }
+
+/// The page a scrape reads once the router has stopped rendering.
+pub(crate) const SHUTTING_DOWN_PAGE: &str = "# gridsec-serve: daemon is shutting down\n";
 
 /// Drains every shard (a barrier); returns `(rounds, jobs_scheduled)`
 /// summed over them.
@@ -179,17 +182,33 @@ pub(crate) struct Router {
 impl Router {
     /// The router loop: takes the ingest queue in order and answers every
     /// frame with exactly one response — one [`Router::respond`] call,
-    /// one `reply.send`. Exits after a `shutdown` frame (which stopped
-    /// every shard) or when every ingest sender is gone.
+    /// one `reply.send` — and every scrape with its page. An autoscaler
+    /// sample (`None` below) is due one `interval` after the previous one
+    /// ended, queued events or not. Exits after a `shutdown` frame (which
+    /// stopped every shard) or when every ingest sender is gone.
     pub(crate) fn run(mut self, ingest: Receiver<IngestEvent>) {
-        while let Ok(event) = ingest.recv() {
+        let interval = self.autoscale.as_ref().map(|p| p.config().interval);
+        let mut next_tick = interval.map(|i| Instant::now() + i);
+        loop {
+            let event = match next_tick.map(|due| due.saturating_duration_since(Instant::now())) {
+                Some(Duration::ZERO) => None,
+                // `Duration::MAX` never times out: a plain `recv`.
+                wait => match ingest.recv_timeout(wait.unwrap_or(Duration::MAX)) {
+                    Ok(event) => Some(event),
+                    Err(RecvTimeoutError::Timeout) => None,
+                    Err(RecvTimeoutError::Disconnected) => break,
+                },
+            };
             let t0 = Instant::now();
             match event {
-                IngestEvent::Autoscale => self.autoscale_tick(),
-                IngestEvent::Scrape(reply) => {
-                    let _ = reply.send(self.render_exposition());
+                None => {
+                    self.autoscale_tick();
+                    next_tick = interval.map(|i| Instant::now() + i);
                 }
-                IngestEvent::Frame(req, reply, seq) => {
+                Some(IngestEvent::Scrape(reply)) => {
+                    reply.send(Reply::page(self.render_exposition()))
+                }
+                Some(IngestEvent::Frame(req, reply, seq)) => {
                     let last = matches!(req, Request::Shutdown);
                     let line = encode(&self.respond(req));
                     // The daemon exits right after `bye`: have the writer
@@ -207,7 +226,7 @@ impl Router {
             }
             self.frame_nanos.record(t0.elapsed().as_nanos() as u64);
         }
-        // Every ingest sender (I/O threads, ticker, scrape) is gone:
+        // Every ingest sender (the I/O threads) is gone:
         // disconnect the shard channels so the shard threads exit, then
         // reap them.
         self.shard_txs.clear();
@@ -605,9 +624,6 @@ impl Router {
     /// neither keep a shard looking hot forever (the old mean did) nor
     /// can a single fast recent round mask a sustained backlog.
     fn autoscale_tick(&mut self) {
-        let Some(policy) = self.autoscale.as_mut() else {
-            return;
-        };
         // One ask, so each shard answers queue depth and round-latency
         // telemetry from the *same* instant: the two samples can never
         // straddle a round, and the shard is held once per tick.
@@ -616,22 +632,24 @@ impl Router {
         }) else {
             return; // a shard is down; routing will surface it
         };
-        let mut observations = Vec::with_capacity(samples.len());
-        let mut next_prev = Vec::with_capacity(samples.len());
-        for (i, (info, t)) in samples.into_iter().enumerate() {
-            let baseline = self.prev_round_hist.get(i).cloned().unwrap_or_default();
-            let window = t.round_nanos.delta_since(&baseline);
-            // p95 nanos → micros; 0 when no round ran since last tick.
-            let round_micros = window.p95() / 1_000;
-            next_prev.push(t.round_nanos);
-            observations.push(ShardObservation {
-                sites: info.sites,
-                pending: info.pending,
-                round_micros,
-            });
-        }
+        let (observations, next_prev): (Vec<_>, Vec<_>) = samples
+            .into_iter()
+            .enumerate()
+            .map(|(i, (info, t))| {
+                let baseline = self.prev_round_hist.get(i).cloned().unwrap_or_default();
+                // p95 nanos → micros; 0 when no round ran since last tick.
+                let round_micros = t.round_nanos.delta_since(&baseline).p95() / 1_000;
+                let observation = ShardObservation {
+                    sites: info.sites,
+                    pending: info.pending,
+                    round_micros,
+                };
+                (observation, t.round_nanos)
+            })
+            .unzip();
         self.prev_round_hist = next_prev;
-        let Some(proposal) = policy.observe(&observations) else {
+        let policy = self.autoscale.as_mut();
+        let Some(proposal) = policy.and_then(|p| p.observe(&observations)) else {
             return;
         };
         match self.reshard(proposal) {
@@ -690,9 +708,8 @@ impl Router {
                 Ok(IngestEvent::Frame(_, reply, seq)) => {
                     reply.send(Reply::frame(seq, &shutting_down()));
                 }
-                Ok(IngestEvent::Autoscale) => {}
                 Ok(IngestEvent::Scrape(reply)) => {
-                    let _ = reply.send("# gridsec-serve: daemon is shutting down\n".into());
+                    reply.send(Reply::page(SHUTTING_DOWN_PAGE.into()))
                 }
                 Err(_) => break, // quiet (or disconnected): done
             }

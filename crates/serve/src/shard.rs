@@ -535,6 +535,15 @@ impl Reply {
             flushed: None,
         }
     }
+
+    /// A scrape's one reply: a rendered exposition page.
+    pub(crate) fn page(line: String) -> Reply {
+        Reply {
+            seq: 0,
+            line,
+            flushed: None,
+        }
+    }
 }
 
 #[cfg(test)]

@@ -2,18 +2,21 @@
 //! caller's thread before anything is spawned or bound, so the failure is
 //! an `InvalidInput` naming the shard (and the state file, if the factory
 //! choked on one) with the bind address still free and no thread left.
+//! An autoscaler configuration the policy cannot run with fails the same
+//! way, naming the field.
 //!
 //! One `#[test]` on purpose: the process's thread count is asserted, and
 //! a sibling test running beside it would move it.
 
 use gridsec_core::{Grid, Site};
 use gridsec_serve::{
-    shard_state_path, stateless_factory, Client, Daemon, DaemonOptions, Request, Response,
-    SessionFactory, ShardBuildContext,
+    shard_state_path, stateless_factory, AutoscaleConfig, Client, Daemon, DaemonOptions, Request,
+    Response, SessionFactory, ShardBuildContext,
 };
 use gridsec_sim::scheduler::EarliestCompletion;
 use gridsec_sim::{ShardPlan, SimConfig};
 use std::net::TcpListener;
+use std::time::Duration;
 
 fn grid() -> Grid {
     let site = |i| Site::builder(i).nodes(2 + 2 * i as u32).build().unwrap();
@@ -75,6 +78,40 @@ fn a_shard_that_cannot_be_built_fails_the_boot_and_leaves_nothing_running() {
     });
     let needles = ["shard 1", "wrong subgrid"];
     assert_boot_fails(wrong_subgrid, DaemonOptions::default(), &needles);
+
+    // Autoscaler thresholds that would panic the router (`min_shards` 0
+    // with one idle shard left) or spin it (`interval` 0).
+    let ok = AutoscaleConfig::default();
+    for (field, autoscale) in [
+        (
+            "`min_shards`",
+            AutoscaleConfig {
+                min_shards: 0,
+                ..ok
+            },
+        ),
+        (
+            "`max_shards`",
+            AutoscaleConfig {
+                max_shards: 0,
+                ..ok
+            },
+        ),
+        ("`patience`", AutoscaleConfig { patience: 0, ..ok }),
+        (
+            "`interval`",
+            AutoscaleConfig {
+                interval: Duration::ZERO,
+                ..ok
+            },
+        ),
+    ] {
+        let options = DaemonOptions {
+            autoscale: Some(autoscale),
+            ..DaemonOptions::default()
+        };
+        assert_boot_fails(factory(|_| Ok(())), options, &[field]);
+    }
 
     // A state file the factory cannot use: the error names the file.
     let prefix = std::env::temp_dir().join(format!("gridsec_boot_{}.v2", std::process::id()));

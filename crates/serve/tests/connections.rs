@@ -2,8 +2,8 @@
 //! concurrent clients on a fixed thread pool, in-order pipelined
 //! responses, the bounded write buffer (a pipelining client that never
 //! reads is disconnected, not buffered forever), the idle sweep that
-//! reaps half-open peers, scrape-listener isolation (one stuck scraper
-//! cannot stall another), prompt autoscaler-ticker exit at shutdown,
+//! reaps half-open peers, scrape isolation (one stuck scraper cannot
+//! stall another), a prompt shutdown whatever the autoscaler interval,
 //! and the parked-submit path: a submit that cannot reach its shard
 //! queue yet (full queue, sealed table, unanswered control frame) waits
 //! on its connection and nothing is lost, reordered or answered twice —
@@ -118,7 +118,8 @@ fn a_thousand_concurrent_clients_get_in_order_responses() {
     eventually(Duration::from_secs(20), "all clients connected", || {
         daemon.connections() == N
     });
-    // The scrape rides its own listener, so it does not perturb the count.
+    // A scrape is not a client connection, so it does not perturb the
+    // count.
     let mut page = String::new();
     TcpStream::connect(daemon.metrics_addr().expect("metrics listener bound"))
         .unwrap()
@@ -264,8 +265,9 @@ fn idle_sweep_reaps_half_open_connections() {
 }
 
 /// One scraper that connects and never reads must not delay another
-/// scraper: each scrape runs on its own deadline-bounded thread (the
-/// old accept loop wrote inline, so one stuck peer stalled everyone).
+/// scraper: a scrape is a connection on I/O thread 0 whose page is
+/// written without blocking, so the stuck one holds only its own
+/// connection.
 #[test]
 fn stuck_scraper_does_not_stall_the_next_scrape() {
     let daemon = spawn_daemon(DaemonOptions {
@@ -304,9 +306,9 @@ fn stuck_scraper_does_not_stall_the_next_scrape() {
 }
 
 /// Shutdown must not wait out the autoscaler's sampling interval: the
-/// ticker blocks on a stop channel, not a bare `sleep`, so a daemon
-/// with a one-hour interval still joins in milliseconds (the old ticker
-/// leaked until its post-shutdown sleep expired).
+/// router's wait for its next sample is a wait on the ingest queue, so
+/// the `shutdown` frame ends it and a daemon with a one-hour interval
+/// still joins in milliseconds.
 #[test]
 fn autoscaler_ticker_exits_promptly_at_shutdown() {
     let daemon = spawn_with(
@@ -323,7 +325,7 @@ fn autoscaler_ticker_exits_promptly_at_shutdown() {
     let mut client = Client::connect(daemon.addr()).unwrap();
     assert_eq!(client.send(&Request::Shutdown).unwrap(), Response::Bye);
     let t0 = Instant::now();
-    daemon.join(); // joins the ticker too — would hang ~1h if it slept
+    daemon.join(); // would hang ~1h if the router slept out its interval
     assert!(
         t0.elapsed() < Duration::from_secs(5),
         "join() waited {:?} on the autoscaler ticker",

@@ -18,19 +18,25 @@
 //! live daemon's barrier, state export and router swap add nothing and
 //! lose nothing (zero jobs lost is asserted against the cumulative
 //! metrics).
+//!
+//! The autoscaler reaches the same reshard without a frame: a daemon
+//! whose policy may split once splits its one shard while jobs are
+//! pending and merges back once a drain leaves it idle, and still
+//! accounts for every job.
 
 use gridsec_core::RiskMode;
 use gridsec_core::{Grid, Job, JobId, Site, SiteId, Time};
 use gridsec_heuristics::MinMin;
 use gridsec_serve::{
-    transfer, Client, Daemon, DaemonOptions, OnlineSession, Placed, QueryWhat, Request, Response,
-    ServeMetrics, SessionFactory, SessionState, ShardBuildContext, ShardSeed, ShardSpec,
-    ShardStateExport,
+    transfer, AutoscaleConfig, Client, Daemon, DaemonOptions, OnlineSession, Placed, QueryWhat,
+    Request, Response, ServeMetrics, SessionFactory, SessionState, ShardBuildContext, ShardSeed,
+    ShardSpec, ShardStateExport,
 };
 use gridsec_sim::scheduler::EarliestCompletion;
 use gridsec_sim::{BatchScheduler, ShardPlan, SimConfig};
 use gridsec_stga::{GaParams, SharedHistory, Stga, StgaParams};
 use gridsec_workloads::PsaConfig;
+use std::time::{Duration, Instant};
 
 const GA_SEED: u64 = 9;
 const INTERVAL: f64 = 1_000.0;
@@ -436,4 +442,84 @@ fn reshard_stga_2_to_1() {
 #[test]
 fn reshard_stga_2_to_4() {
     check_reshard_equivalence("stga", 2, 4);
+}
+
+/// The live daemon's shard count, asked until it reads `want` (the
+/// autoscaler acts on its own clock) or 20 s pass.
+fn await_shards(client: &mut Client, want: usize, why: &str) {
+    let deadline = Instant::now() + Duration::from_secs(20);
+    loop {
+        let query = Request::Query {
+            what: QueryWhat::Shards,
+            shard: None,
+        };
+        let n = match client.send(&query).expect("shards query") {
+            Response::Shards { shards } => shards.len(),
+            other => panic!("shards query failed: {other:?}"),
+        };
+        if n == want {
+            return;
+        }
+        assert!(Instant::now() < deadline, "{why}: still {n} shards");
+        std::thread::sleep(Duration::from_millis(10));
+    }
+}
+
+/// One shard over four sites, a policy that splits on one pending job at
+/// the first sample and may reach two shards: eight jobs left pending on
+/// the virtual clock split it, and the drain that schedules them leaves
+/// a cold daemon that merges back to one shard. Every job is accounted
+/// for across both reshards.
+#[test]
+fn autoscaler_splits_a_pending_shard_and_merges_it_back_when_drained() {
+    let site = |i| Site::builder(i).nodes(2).build().unwrap();
+    let grid = Grid::new((0..4).map(site).collect()).unwrap();
+    let options = DaemonOptions {
+        autoscale: Some(AutoscaleConfig {
+            max_shards: 2,
+            split_pending: 1,
+            patience: 1,
+            interval: Duration::from_millis(10),
+            ..AutoscaleConfig::default()
+        }),
+        ..DaemonOptions::default()
+    };
+    let plan = ShardPlan::contiguous(&grid, 1).unwrap();
+    let daemon = Daemon::spawn(
+        grid,
+        plan,
+        factory("mct", sim_config()),
+        "127.0.0.1:0",
+        options,
+    )
+    .expect("daemon binds");
+    let mut client = Client::connect(daemon.addr()).expect("client connects");
+
+    // Arrivals far short of the first boundary: all eight stay pending.
+    const JOBS: usize = 8;
+    let jobs: Vec<Job> = (0..JOBS as u64)
+        .map(|id| {
+            let arrival = Time::new(id as f64);
+            Job::builder(id).arrival(arrival).work(5.0).build().unwrap()
+        })
+        .collect();
+    submit_all(
+        &mut client,
+        &jobs.into_iter().map(|j| (0, j)).collect::<Vec<_>>(),
+    );
+    await_shards(&mut client, 2, "pending jobs never split the shard");
+
+    match client.send(&Request::Drain).expect("drain frame") {
+        Response::Drained { .. } => {}
+        other => panic!("drain failed: {other:?}"),
+    }
+    await_shards(&mut client, 1, "the drained daemon never merged");
+
+    let metrics = query_metrics(&mut client);
+    assert_eq!(metrics.jobs_submitted, JOBS);
+    assert_eq!(metrics.jobs_scheduled, JOBS);
+    assert_eq!(metrics.pending, 0);
+    assert_eq!(metrics.reshards_completed, 2);
+    assert_eq!(client.send(&Request::Shutdown).unwrap(), Response::Bye);
+    daemon.join();
 }

@@ -26,9 +26,9 @@ use crate::selection::{elite_indices_into, RouletteWheel};
 use gridsec_core::etc::NodeAvailability;
 use gridsec_core::Time;
 use gridsec_heuristics::common::MapCtx;
-use parking_lot::Mutex;
 use rand::Rng;
 use rayon::prelude::*;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Outcome of one evolution run.
 #[derive(Debug, Clone, PartialEq)]
@@ -268,10 +268,16 @@ fn eval_generation(
 struct ScratchPool(Mutex<Vec<KernelScratch>>);
 
 impl ScratchPool {
+    /// The idle buffers. Buffer contents never matter (above), so a
+    /// poisoned lock is as good as any.
+    fn idle(&self) -> MutexGuard<'_, Vec<KernelScratch>> {
+        self.0.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     fn acquire(&self) -> ScratchGuard<'_> {
         ScratchGuard {
             pool: self,
-            buf: self.0.lock().pop().unwrap_or_default(),
+            buf: self.idle().pop().unwrap_or_default(),
         }
     }
 }
@@ -284,7 +290,7 @@ struct ScratchGuard<'p> {
 
 impl Drop for ScratchGuard<'_> {
     fn drop(&mut self) {
-        self.pool.0.lock().push(std::mem::take(&mut self.buf));
+        self.pool.idle().push(std::mem::take(&mut self.buf));
     }
 }
 

@@ -9,10 +9,9 @@
 //! is bounded (Table 1: 150 entries) with LRU replacement.
 
 use crate::chromosome::Chromosome;
-use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Eq. 2 as printed: `1 − Σ|aᵢ−bᵢ| / max{max aᵢ, max bᵢ}`, clamped to
 /// `[0, 1]`.
@@ -539,6 +538,13 @@ impl HistoryTable {
 pub struct SharedHistory(Arc<Mutex<HistoryTable>>);
 
 impl SharedHistory {
+    /// The table under its lock. The lock is held only inside one table
+    /// method, so poison means such a method hit a bug; it is ignored, as
+    /// the non-poisoning lock this type used before did.
+    fn table(&self) -> MutexGuard<'_, HistoryTable> {
+        self.0.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Wraps a fresh table of the given capacity.
     pub fn new(capacity: usize) -> SharedHistory {
         SharedHistory(Arc::new(Mutex::new(HistoryTable::new(capacity))))
@@ -546,29 +552,29 @@ impl SharedHistory {
 
     /// Inserts an entry.
     pub fn insert(&self, signature: BatchSignature, chromosome: Chromosome) {
-        self.0.lock().insert(signature, chromosome);
+        self.table().insert(signature, chromosome);
     }
 
     /// Looks up seeds (see [`HistoryTable::lookup`]).
     pub fn lookup(&self, query: &BatchSignature, threshold: f64, limit: usize) -> Vec<Chromosome> {
-        self.0.lock().lookup(query, threshold, limit)
+        self.table().lookup(query, threshold, limit)
     }
 
     /// Entry count.
     pub fn len(&self) -> usize {
-        self.0.lock().len()
+        self.table().len()
     }
 
     /// Whether the table is empty.
     pub fn is_empty(&self) -> bool {
-        self.0.lock().is_empty()
+        self.table().is_empty()
     }
 
     /// Serialises the table under the lock (see
     /// [`HistoryTable::to_json`]) — the serving daemon's per-shard state
     /// snapshot, taken at drain/shutdown barriers.
     pub fn to_json(&self) -> String {
-        self.0.lock().to_json()
+        self.table().to_json()
     }
 
     /// Restores a shared table from a [`HistoryTable::to_json`] snapshot
@@ -582,7 +588,7 @@ impl SharedHistory {
     /// Best similarity of any stored entry to `query` (None when empty) —
     /// lets restart tests assert that lookups survive persistence.
     pub fn best_similarity(&self, query: &BatchSignature) -> Option<f64> {
-        self.0.lock().best_similarity(query)
+        self.table().best_similarity(query)
     }
 
     /// Opens the table a serving shard starts from, given the snapshots it

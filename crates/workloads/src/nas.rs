@@ -303,8 +303,8 @@ mod tests {
             .filter(|j| j.width == 1)
             .map(|j| j.work)
             .collect();
-        let mw = gridsec_core::stats::mean(&wide_work);
-        let mn = gridsec_core::stats::mean(&narrow_work);
+        let mw = wide_work.iter().sum::<f64>() / wide_work.len() as f64;
+        let mn = narrow_work.iter().sum::<f64>() / narrow_work.len() as f64;
         assert!(mw > mn, "folded wide jobs should carry more work");
     }
 
