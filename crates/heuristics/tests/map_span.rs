@@ -2,11 +2,33 @@
 //! and on its `end` event how often the slow path (a row rescan) ran.
 //! A test binary of its own, because the recorder is process-global.
 
+mod nas;
+
 use gridsec_core::etc::{EtcMatrix, NodeAvailability};
 use gridsec_core::Time;
 use gridsec_heuristics::common::MapCtx;
-use gridsec_heuristics::mapping::map_sufferage;
+use gridsec_heuristics::mapping::{map_min_min, map_sufferage};
 use gridsec_obs::recorder;
+use nas::{nas_avail, nas_round, Arrivals};
+use rand::SeedableRng;
+use rand_chacha::ChaCha8Rng;
+
+/// The `rescans` field of every `map` span's `end` event recorded while
+/// `f` ran.
+fn rescans_of(f: impl FnOnce()) -> Vec<i64> {
+    recorder::clear();
+    recorder::enable();
+    f();
+    recorder::disable();
+    recorder::snapshot()
+        .iter()
+        .filter(|e| e.name == "map" && e.kind == "end")
+        .map(|e| {
+            assert_eq!(e.fields[1].key, "rescans");
+            e.fields[1].value
+        })
+        .collect()
+}
 
 #[test]
 fn a_mapper_call_records_one_map_span_with_its_rescans() {
@@ -42,4 +64,21 @@ fn a_mapper_call_records_one_map_span_with_its_rescans() {
     );
     assert_eq!(end.fields[1].key, "rescans");
     assert!(end.fields[1].value > 0);
+
+    // The round the daemon runs: 1024 NAS jobs, every floor at `now`,
+    // onto the load of the round before. A commit moves the best or
+    // second-best cell of many remaining jobs, so rows are rescanned
+    // about 10⁵ times a round.
+    let mut rng = ChaCha8Rng::seed_from_u64(2005);
+    let mut avail = nas_avail();
+    let first = nas_round(&mut rng, 0, Arrivals::Daemon);
+    let second = nas_round(&mut rng, 1, Arrivals::Daemon);
+    let rescans = rescans_of(|| {
+        for ctx in [&first, &second] {
+            map_sufferage(ctx, &mut avail.clone());
+            map_min_min(ctx, &mut avail);
+        }
+    });
+    assert_eq!(rescans.len(), 4, "{rescans:?}");
+    assert!(rescans.iter().all(|&r| r > 10_000), "{rescans:?}");
 }

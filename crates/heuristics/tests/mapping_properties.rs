@@ -2,12 +2,14 @@
 //! (including inconsistent) ETC matrices, with the textbook loops of
 //! [`textbook`] as the referee.
 
+mod nas;
 mod textbook;
 
 use gridsec_core::etc::{EtcMatrix, NodeAvailability};
 use gridsec_core::{BatchSchedule, JobId, SiteId, Time};
 use gridsec_heuristics::common::MapCtx;
 use gridsec_heuristics::mapping::{map_max_min, map_min_min, map_sufferage, mapping_makespan};
+use nas::{nas_avail, nas_round, Arrivals};
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -116,64 +118,35 @@ fn arb_instance() -> impl Strategy<Value = (MapCtx, Vec<NodeAvailability>)> {
         })
 }
 
-/// The NAS-shaped grid of the `batch-sufferage-b1024` workload: four
-/// 16-node and eight 8-node sites, idle at time zero.
-fn nas_avail() -> Vec<NodeAvailability> {
-    let nodes = [16, 16, 16, 16, 8, 8, 8, 8, 8, 8, 8, 8];
-    nodes
-        .iter()
-        .map(|&k| NodeAvailability::new(k, Time::ZERO))
-        .collect()
-}
-
-/// Round `round` of 1024 jobs over the 12 NAS sites: power-of-two widths
-/// (the 16-wide ones fit only the first four sites), work ÷ site speed as
-/// ETC, risky mode (every fitting site is a candidate).
-fn nas_round(rng: &mut ChaCha8Rng, round: usize) -> MapCtx {
-    let (n, m) = (1024, 12);
-    let now = Time::new(round as f64 * 600.0);
-    let speeds: Vec<f64> = (0..m).map(|s| 1.0 + (s % 5) as f64 * 0.5).collect();
-    let mut etc = Vec::with_capacity(n * m);
-    let mut widths = Vec::with_capacity(n);
-    for _ in 0..n {
-        let width = 1u32 << rng.gen_range(0..=4);
-        let work = f64::from(rng.gen_range(1u32..=2_000));
-        for (s, speed) in speeds.iter().enumerate() {
-            let fits = width <= 8 || s < 4;
-            etc.push(if fits { work / speed } else { f64::INFINITY });
-        }
-        widths.push(width);
-    }
-    MapCtx {
-        etc: EtcMatrix::from_raw(n, m, etc),
-        arrivals: (0..n)
-            .map(|_| now + Time::new(rng.gen_range(-300.0..300.0)))
-            .collect(),
-        candidates: widths
-            .iter()
-            .map(|&w| (0..m).filter(|&s| w <= 8 || s < 4).collect())
-            .collect(),
-        widths,
-        now,
-        commit_order: vec![],
-    }
-}
-
-#[test]
-fn nas_b1024_four_rounds_match_textbook() {
+/// Four rounds of [`nas::JOBS`] jobs per mapper, availability carried
+/// over so rounds 1..4 map onto a loaded grid: shipped ≡ textbook.
+fn nas_four_rounds_match_textbook(arrivals: Arrivals) {
     for (optimized, referee) in PAIRS {
         let rng = &mut ChaCha8Rng::seed_from_u64(2005);
         let mut a1 = nas_avail();
         let mut a2 = a1.clone();
         for round in 0..4 {
-            // Availability carries over: rounds 1..4 map onto a loaded grid.
-            let ctx = nas_round(rng, round);
+            let ctx = nas_round(rng, round, arrivals);
             let got = optimized(&ctx, &mut a1);
             let want = referee(&ctx, &mut a2);
-            assert_eq!(got, want, "round {round}");
-            assert_eq!(a1, a2, "round {round}");
+            assert_eq!(got, want, "{arrivals:?} round {round}");
+            assert_eq!(a1, a2, "{arrivals:?} round {round}");
         }
     }
+}
+
+#[test]
+fn nas_b1024_four_rounds_match_textbook() {
+    nas_four_rounds_match_textbook(Arrivals::Trace);
+}
+
+/// The rounds the daemon runs: every arrival at or before `now`, so
+/// every job's floor is `now` and the load of the round before delays
+/// them all. The shipped loops take their rescan path 1.3–1.7·10⁵ times
+/// a round here (`map_span.rs` asserts more than 10⁴).
+#[test]
+fn nas_b1024_daemon_rounds_match_textbook() {
+    nas_four_rounds_match_textbook(Arrivals::Daemon);
 }
 
 #[test]

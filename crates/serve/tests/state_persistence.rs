@@ -11,9 +11,9 @@ use gridsec_serve::{
     SessionFactory, ShardSpec,
 };
 use gridsec_sim::{BatchPolicy, ShardPlan, SimConfig};
-use gridsec_stga::{BatchSignature, GaParams, SharedHistory, Stga, StgaParams};
+use gridsec_stga::{BatchSignature, Chromosome, GaParams, SharedHistory, Stga, StgaParams};
 use std::path::Path;
-use std::sync::mpsc::channel;
+use std::sync::mpsc::{channel, Receiver};
 
 fn grid() -> Grid {
     Grid::new(
@@ -64,6 +64,13 @@ fn stga_with(history: SharedHistory, seed: u64) -> Stga {
 /// the daemon and the live history handles the factory opened, in shard
 /// order.
 fn spawn(state_prefix: &Path) -> (Daemon, [SharedHistory; 2]) {
+    let (daemon, opened) = try_spawn(state_prefix).unwrap();
+    (daemon, [opened.recv().unwrap(), opened.recv().unwrap()])
+}
+
+/// [`spawn`]'s boot, returning its error; the receiver yields each
+/// history handle the factory opened.
+fn try_spawn(state_prefix: &Path) -> std::io::Result<(Daemon, Receiver<SharedHistory>)> {
     let grid = grid();
     let config = SimConfig::default()
         .with_interval(Time::new(10.0))
@@ -86,8 +93,8 @@ fn spawn(state_prefix: &Path) -> (Daemon, [SharedHistory; 2]) {
         state_prefix: Some(state_prefix.to_path_buf()),
         ..DaemonOptions::default()
     };
-    let daemon = Daemon::spawn(grid, plan, factory, "127.0.0.1:0", options).unwrap();
-    (daemon, [opened.recv().unwrap(), opened.recv().unwrap()])
+    let daemon = Daemon::spawn(grid, plan, factory, "127.0.0.1:0", options)?;
+    Ok((daemon, opened))
 }
 
 fn serve_batch(daemon: &Daemon, batch: &[Job]) {
@@ -187,5 +194,37 @@ fn history_tables_survive_a_kill_restart_resume_cycle() {
         let table = SharedHistory::from_json(&text).unwrap();
         assert_eq!(table.len(), handles2[k].len());
         let _ = std::fs::remove_file(shard_state_path(&prefix, k));
+    }
+}
+
+#[test]
+fn a_state_file_holding_more_entries_than_its_capacity_fails_the_boot() {
+    // Such a table would never evict: it would grow by one entry a round
+    // for the daemon's life, and every lookup would score all of it.
+    let pid = std::process::id();
+    let prefix = std::env::temp_dir().join(format!("gridsec_state_overfull_{pid}"));
+    let history = SharedHistory::new(3);
+    for i in 0..3 {
+        let signature = BatchSignature {
+            ready_times: vec![f64::from(i)],
+            etc: vec![1.0],
+            demands: vec![0.5],
+        };
+        history.insert(signature, Chromosome::from_genes(vec![0]));
+    }
+    let overfull = history
+        .to_json()
+        .replacen("\"capacity\":3", "\"capacity\":2", 1);
+    let state_file = shard_state_path(&prefix, 0);
+    std::fs::write(&state_file, &overfull).unwrap();
+
+    let err = try_spawn(&prefix).err().expect("the boot is refused");
+    let message = err.to_string();
+    let _ = std::fs::remove_file(&state_file);
+    for needle in [
+        "history snapshot holds 3 entries, more than its capacity 2",
+        &state_file.display().to_string(),
+    ] {
+        assert!(message.contains(needle), "`{message}` lacks `{needle}`");
     }
 }

@@ -90,6 +90,18 @@ impl Chromosome {
         &mut self.genes
     }
 
+    /// Overwrites this chromosome with `head[..cut] ++ tail[cut..]`,
+    /// reusing its gene allocation — a crossover child written straight
+    /// from its parents.
+    ///
+    /// # Panics
+    /// Panics if `cut` exceeds either parent's length.
+    pub(crate) fn splice(&mut self, head: &Chromosome, tail: &Chromosome, cut: usize) {
+        self.genes.clear();
+        self.genes.extend_from_slice(&head.genes[..cut]);
+        self.genes.extend_from_slice(&tail.genes[cut..]);
+    }
+
     /// Adapts this chromosome to a (possibly different-sized) batch:
     /// truncates extra genes, extends missing ones randomly, and replaces
     /// any gene that is not in the job's candidate list with a random

@@ -1,8 +1,10 @@
 //! The generic GA engine: selection → crossover → mutation → elitism.
 //!
 //! Each generation is bred serially from one RNG stream, then evaluated
-//! in one rayon sweep against the round's compiled [`FitnessKernel`];
-//! every buffer lives in a [`GaPool`], so a warm round allocates nothing.
+//! in one rayon sweep against the round's compiled [`FitnessKernel`],
+//! then harvested in one sequential pass ([`Sweep`]: fitness vector, path
+//! counts, best index, elites and the wheel's extremes); every buffer
+//! lives in a [`GaPool`], so a warm round allocates nothing.
 //!
 //! Each new genome is evaluated once. A child whose genome equals one of
 //! its two parents' — its own parent's, when crossover and mutation left
@@ -20,9 +22,9 @@
 use crate::chromosome::Chromosome;
 use crate::fitness::{FitnessKind, RiskWeights};
 use crate::kernel::{FitnessKernel, KernelScratch};
-use crate::ops::{crossover_in_place_tracked, mutate_tracked};
+use crate::ops::{crossover_into, mutate_tracked};
 use crate::params::GaParams;
-use crate::selection::{elite_indices_into, RouletteWheel};
+use crate::selection::{RouletteWheel, Sweep};
 use gridsec_core::etc::NodeAvailability;
 use gridsec_core::Time;
 use gridsec_heuristics::common::MapCtx;
@@ -44,7 +46,7 @@ pub struct GaResult {
 }
 
 /// Cross-round buffer pool for the evolve loop: both population buffers,
-/// the fitness vector, the roulette table, the elite-index scratch and
+/// the fitness vector, the roulette table, the sweep's elite buffer and
 /// the odd-tail spare slot.
 ///
 /// [`evolve`] builds a throwaway pool per call. A long-lived scheduler
@@ -68,7 +70,7 @@ pub struct GaPool {
     /// the start of every round (buffers reused across rounds).
     kernel: FitnessKernel,
     wheel: RouletteWheel,
-    elites: Vec<usize>,
+    sweep: Sweep,
     spare: Chromosome,
     scratch: ScratchPool,
 }
@@ -83,7 +85,7 @@ impl Default for GaPool {
             next_evals: Vec::new(),
             kernel: FitnessKernel::default(),
             wheel: RouletteWheel::new(),
-            elites: Vec::new(),
+            sweep: Sweep::default(),
             spare: Chromosome::from_genes(Vec::new()),
             scratch: ScratchPool::default(),
         }
@@ -158,17 +160,27 @@ fn resize_slots(slots: &mut Vec<EvalSlot>, len: usize) {
     }
 }
 
-/// Harvests one evaluation sweep: mirrors the slots' fitness values into
-/// the flat vector consumed by the roulette wheel, elitism and the
-/// best-index reduction (and returned by [`evolve_population`]), and
-/// counts the path each child took — plain integers read after the sweep,
-/// so the evaluation path itself carries no atomics.
-fn sync_fitness(fitness: &mut Vec<f64>, paths: &mut PathCounts, slots: &[EvalSlot]) {
-    fitness.clear();
-    for slot in slots {
-        fitness.push(slot.fitness);
-        paths[slot.outcome as usize] += 1;
-    }
+/// Harvests one evaluation sweep in one sequential pass: mirrors the
+/// slots' fitness values into the flat vector the roulette wheel spins
+/// over (and [`evolve_population`] returns), hands them to `sweep` (best
+/// index, `elitism` elites, the wheel's finite extremes), and counts the
+/// path each child took — plain integers read after the sweep, so the
+/// evaluation path itself carries no atomics.
+fn harvest(
+    sweep: &mut Sweep,
+    fitness: &mut Vec<f64>,
+    elitism: usize,
+    paths: &mut PathCounts,
+    slots: &[EvalSlot],
+) {
+    sweep.run(
+        fitness,
+        elitism,
+        slots.iter().map(|slot| {
+            paths[slot.outcome as usize] += 1;
+            slot.fitness
+        }),
+    );
 }
 
 /// How a freshly bred child gets its fitness. The child started as a copy
@@ -381,7 +393,7 @@ pub fn evolve_with_pool<R: Rng + ?Sized>(
         next_evals,
         kernel,
         wheel,
-        elites,
+        sweep,
         spare,
         scratch,
     } = pool;
@@ -431,22 +443,22 @@ pub fn evolve_with_pool<R: Rng + ?Sized>(
     }
     eval_generation(kernel, population, evals, None, scratch);
     let mut paths = PathCounts::default();
-    sync_fitness(fitness, &mut paths, evals);
-    let (mut best, mut best_fitness) = current_best(population, fitness);
+    harvest(sweep, fitness, params.elitism, &mut paths, evals);
+    let (best_index, mut best_fitness) = sweep.best();
+    let mut best = population[best_index].clone();
     let mut trajectory = Vec::with_capacity(params.generations + 1);
     trajectory.push(best_fitness);
     let mut stall = 0usize;
 
     // Double-buffered generation state: `next` is the other population
     // buffer (swapped in each generation, so chromosome slots — and their
-    // gene vectors, via `clone_from` — are recycled), `wheel` owns the
-    // cumulative selection table, `elites` the elite-index scratch, and
+    // gene vectors — are recycled), `wheel` owns the cumulative selection
+    // table, `sweep` the last harvest (elites, best, extremes), and
     // `spare` absorbs the unplaced second child when the non-elite count
     // is odd. Once the pool's buffers are warm, a whole run allocates
     // nothing beyond the returned result.
     for _ in 0..params.generations {
-        wheel.rebuild(fitness);
-        elite_indices_into(fitness, params.elitism, elites);
+        wheel.fill(fitness, sweep.extremes());
         // All slots must exist up front so children can be built in
         // place; the placeholders are allocation-free and only ever
         // constructed while the pool warms up.
@@ -457,7 +469,7 @@ pub fn evolve_with_pool<R: Rng + ?Sized>(
         // recycled buffer (clone_from reuses each slot's gene allocation);
         // their evaluations are inherited outright, never recomputed.
         let mut filled = 0;
-        for &e in elites.iter() {
+        for &e in sweep.elites() {
             next[filled].clone_from(&population[e]);
             let slot = &mut next_evals[filled];
             slot.idx = filled;
@@ -467,11 +479,13 @@ pub fn evolve_with_pool<R: Rng + ?Sized>(
         while filled < params.population {
             let pa = wheel.spin(rng);
             let pb = wheel.spin(rng);
-            // Copy both parents into their destination slots (the odd
-            // tail child lands in `spare` — it still consumes its RNG
-            // draws, exactly like the discarded child did before), then
-            // cross and mutate in place, tracking the lowest touched
-            // gene so evaluation can patch instead of replay.
+            // Write both children straight from their parents — crossed
+            // (`a[..cut] ++ b[cut..]`, same draws as crossing copies) or
+            // copied — into their destination slots (the odd tail child
+            // lands in `spare`: it still consumes its RNG draws, exactly
+            // like the discarded child did before), then mutate in place,
+            // tracking the lowest touched gene so evaluation can patch
+            // instead of replay.
             let has_second = filled + 1 < params.population;
             let (head, tail) = next.split_at_mut(filled + 1);
             let ca = &mut head[filled];
@@ -480,15 +494,17 @@ pub fn evolve_with_pool<R: Rng + ?Sized>(
             } else {
                 &mut *spare
             };
-            ca.clone_from(&population[pa]);
-            cb.clone_from(&population[pb]);
+            let (a, b) = (&population[pa], &population[pb]);
             let mut from_a = n;
             let mut from_b = n;
             if rng.gen::<f64>() < params.crossover_prob {
-                if let Some(cut) = crossover_in_place_tracked(ca, cb, rng) {
+                if let Some(cut) = crossover_into(a, b, ca, cb, rng) {
                     from_a = cut;
                     from_b = cut;
                 }
+            } else {
+                ca.clone_from(a);
+                cb.clone_from(b);
             }
             if rng.gen::<f64>() < params.mutation_prob {
                 if let Some(j) = mutate_tracked(ca, &ctx.candidates, rng) {
@@ -500,7 +516,7 @@ pub fn evolve_with_pool<R: Rng + ?Sized>(
                     from_b = from_b.min(j);
                 }
             }
-            let (a, b) = ((pa, population[pa].genes()), (pb, population[pb].genes()));
+            let (a, b) = ((pa, a.genes()), (pb, b.genes()));
             let slot = &mut next_evals[filled];
             slot.idx = filled;
             slot.plan = plan_child(ca.genes(), a, b, from_a, patches);
@@ -517,8 +533,8 @@ pub fn evolve_with_pool<R: Rng + ?Sized>(
         eval_generation(kernel, next, next_evals, Some((population, evals)), scratch);
         std::mem::swap(population, next);
         std::mem::swap(evals, next_evals);
-        sync_fitness(fitness, &mut paths, evals);
-        let (gen_bi, gen_fit) = best_index(fitness);
+        harvest(sweep, fitness, params.elitism, &mut paths, evals);
+        let (gen_bi, gen_fit) = sweep.best();
         if gen_fit < best_fitness {
             // clone_from reuses `best`'s gene allocation — improvements
             // cost no heap traffic once the pool is warm.
@@ -578,24 +594,6 @@ fn solve_single_job(
         best_fitness,
         trajectory: vec![best_fitness; params.generations + 1],
     }
-}
-
-/// The best individual of a population. Tie-breaking is explicit: among
-/// equal-fitness individuals the **lowest index** wins — guaranteed by the
-/// deterministic `indexed_min_by` tree reduction rather than left to scan
-/// order, so the result is bit-identical at every thread count.
-fn current_best(population: &[Chromosome], fitness: &[f64]) -> (Chromosome, f64) {
-    let (bi, bf) = best_index(fitness);
-    (population[bi].clone(), bf)
-}
-
-/// Index and value of the minimal fitness (lowest index wins ties).
-fn best_index(fitness: &[f64]) -> (usize, f64) {
-    fitness
-        .par_iter()
-        .map(|&f| f)
-        .indexed_min_by(|a, b| a.total_cmp(b))
-        .expect("population is non-empty")
 }
 
 #[cfg(test)]
@@ -774,36 +772,38 @@ mod tests {
         assert_eq!(r.trajectory.len(), 61);
     }
 
+    /// The harvest's best index over `fitness`, with every slot's path
+    /// counted.
+    fn harvested_best(fitness: &[f64]) -> (usize, f64) {
+        let slots: Vec<EvalSlot> = fitness
+            .iter()
+            .map(|&fitness| EvalSlot {
+                fitness,
+                ..EvalSlot::default()
+            })
+            .collect();
+        let (mut sweep, mut flat, mut paths) =
+            (Sweep::default(), Vec::new(), PathCounts::default());
+        harvest(&mut sweep, &mut flat, 2, &mut paths, &slots);
+        assert_eq!(flat, fitness);
+        assert_eq!(paths[Outcome::Full as usize], fitness.len() as u64);
+        sweep.best()
+    }
+
     #[test]
     fn current_best_breaks_ties_toward_lowest_index() {
-        // Three distinct chromosomes share the minimal fitness; the lowest
-        // index must win at every thread count (an earlier implementation
-        // relied on scan order).
-        let population: Vec<Chromosome> = (0..120)
-            .map(|i| Chromosome::from_genes(vec![(i % 4) as u16; 3]))
-            .collect();
+        // Three individuals share the minimal fitness; the lowest index
+        // must win (an earlier implementation relied on scan order).
         let mut fitness = vec![50.0; 120];
         fitness[17] = 10.0;
-        fitness[71] = 10.0; // beyond one reduction leaf
+        fitness[71] = 10.0;
         fitness[99] = 10.0;
-        for threads in [1, 2, 4] {
-            let pool = rayon::ThreadPoolBuilder::new()
-                .num_threads(threads)
-                .build()
-                .unwrap();
-            let (best, fit) = pool.install(|| current_best(&population, &fitness));
-            assert_eq!(fit, 10.0);
-            assert_eq!(best, population[17], "thread count {threads}");
-        }
+        assert_eq!(harvested_best(&fitness), (17, 10.0));
     }
 
     #[test]
     fn current_best_handles_all_infinite_fitness() {
-        let population: Vec<Chromosome> = (0..3).map(|_| Chromosome::from_genes(vec![0])).collect();
-        let fitness = vec![f64::INFINITY; 3];
-        let (best, fit) = current_best(&population, &fitness);
-        assert_eq!(fit, f64::INFINITY);
-        assert_eq!(best, population[0]);
+        assert_eq!(harvested_best(&[f64::INFINITY; 3]), (0, f64::INFINITY));
     }
 
     #[test]

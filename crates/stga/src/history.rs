@@ -38,15 +38,39 @@ fn pairwise_similarity(a: &[f64], b: &[f64], normalise: bool) -> f64 {
     if a.is_empty() || b.is_empty() {
         return 0.0;
     }
-    let k = a.len().min(b.len());
     let denom = a
         .iter()
         .chain(b.iter())
         .copied()
         .fold(0.0f64, |acc, x| acc.max(x.abs()));
+    deviation_score(a, b, denom, normalise)
+}
+
+/// `max |x|` over `v` (0 when empty) — the per-vector half of
+/// [`pairwise_similarity`]'s denominator. `max` is exact, so the larger
+/// of two vectors' values is the fold over both, bit for bit.
+fn max_abs(v: &[f64]) -> f64 {
+    v.iter().fold(0.0f64, |acc, x| acc.max(x.abs()))
+}
+
+/// [`similarity`] of `a` and `b` given their [`max_abs`] values: the
+/// deviation pass alone.
+fn similarity_with_max(a: &[f64], a_max: f64, b: &[f64], b_max: f64) -> f64 {
+    if a.is_empty() && b.is_empty() {
+        return 1.0;
+    }
+    if a.is_empty() || b.is_empty() {
+        return 0.0;
+    }
+    deviation_score(a, b, a_max.max(b_max), true)
+}
+
+/// Eq. 2 for two non-empty vectors whose largest `|x|` is `denom`.
+fn deviation_score(a: &[f64], b: &[f64], denom: f64, normalise: bool) -> f64 {
     if denom == 0.0 {
         return 1.0; // both all-zero
     }
+    let k = a.len().min(b.len());
     let mut sum = 0.0;
     for i in 0..k {
         sum += (a[i] - b[i]).abs();
@@ -87,6 +111,15 @@ impl BatchSignature {
     /// the same dimensions share a lookup bucket.
     fn dims(&self) -> SigDims {
         (self.ready_times.len(), self.etc.len(), self.demands.len())
+    }
+
+    /// [`max_abs`] of the three vectors, in signature order.
+    fn maxima(&self) -> [f64; 3] {
+        [
+            max_abs(&self.ready_times),
+            max_abs(&self.etc),
+            max_abs(&self.demands),
+        ]
     }
 }
 
@@ -163,12 +196,15 @@ fn etc_content_hash(etc: &[f64]) -> u64 {
 }
 
 /// One stored round: the signature split into its parts, with the ETC
-/// matrix behind a content-hash-interned shared block.
+/// matrix behind a content-hash-interned shared block, and the
+/// [`BatchSignature::maxima`] of those parts (derived, never
+/// serialised).
 #[derive(Debug, Clone)]
 struct StoredEntry {
     ready_times: Vec<f64>,
     etc: EtcBlock,
     demands: Vec<f64>,
+    maxima: [f64; 3],
     chromosome: Chromosome,
     last_used: u64,
 }
@@ -178,13 +214,15 @@ impl StoredEntry {
         (self.ready_times.len(), self.etc.len(), self.demands.len())
     }
 
-    /// Eq. 2 similarity against a query signature (the average of the
-    /// three per-parameter similarities — identical to
-    /// [`BatchSignature::similarity`]).
-    fn similarity(&self, query: &BatchSignature) -> f64 {
-        let s1 = similarity(&self.ready_times, &query.ready_times);
-        let s2 = similarity(&self.etc, &query.etc);
-        let s3 = similarity(&self.demands, &query.demands);
+    /// Eq. 2 similarity against a query signature whose
+    /// [`BatchSignature::maxima`] are `qmax` — bit for bit
+    /// [`BatchSignature::similarity`], without re-scanning either side
+    /// for its maximum.
+    fn similarity(&self, query: &BatchSignature, qmax: &[f64; 3]) -> f64 {
+        let [r, e, d] = self.maxima;
+        let s1 = similarity_with_max(&self.ready_times, r, &query.ready_times, qmax[0]);
+        let s2 = similarity_with_max(&self.etc, e, &query.etc, qmax[1]);
+        let s3 = similarity_with_max(&self.demands, d, &query.demands, qmax[2]);
         (s1 + s2 + s3) / 3.0
     }
 
@@ -321,7 +359,7 @@ impl HistoryTable {
     /// full.
     pub fn insert(&mut self, signature: BatchSignature, chromosome: Chromosome) {
         self.clock += 1;
-        if self.entries.len() == self.capacity {
+        if self.entries.len() >= self.capacity {
             let lru = self
                 .entries
                 .iter()
@@ -335,6 +373,7 @@ impl HistoryTable {
             .entry(signature.dims())
             .or_default()
             .push(self.entries.len());
+        let maxima = signature.maxima();
         let BatchSignature {
             ready_times,
             etc,
@@ -345,6 +384,7 @@ impl HistoryTable {
             ready_times,
             etc,
             demands,
+            maxima,
             chromosome,
             last_used: self.clock,
         });
@@ -373,6 +413,7 @@ impl HistoryTable {
         self.clock += 1;
         let clock = self.clock;
         let qdims = query.dims();
+        let qmax = query.maxima();
         let mut candidates: Vec<usize> = self
             .buckets
             .iter()
@@ -384,7 +425,7 @@ impl HistoryTable {
         candidates.sort_unstable();
         let mut scored: Vec<(usize, f64)> = candidates
             .into_iter()
-            .map(|i| (i, self.entries[i].similarity(query)))
+            .map(|i| (i, self.entries[i].similarity(query, &qmax)))
             .filter(|&(_, s)| s >= threshold)
             .collect();
         scored.sort_by(|a, b| b.1.total_cmp(&a.1));
@@ -399,9 +440,10 @@ impl HistoryTable {
 
     /// The best similarity of any entry against `query` (diagnostics).
     pub fn best_similarity(&self, query: &BatchSignature) -> Option<f64> {
+        let qmax = query.maxima();
         self.entries
             .iter()
-            .map(|e| e.similarity(query))
+            .map(|e| e.similarity(query, &qmax))
             .max_by(f64::total_cmp)
     }
 
@@ -504,6 +546,18 @@ impl HistoryTable {
                 "history table capacity must be ≥ 1",
             ));
         }
+        // Eviction keeps a table at its capacity; one restored above it
+        // would never evict again.
+        if wire.entries.len() > wire.capacity {
+            return Err(gridsec_core::Error::invalid(
+                "history",
+                format!(
+                    "history snapshot holds {} entries, more than its capacity {}",
+                    wire.entries.len(),
+                    wire.capacity
+                ),
+            ));
+        }
         let mut table = HistoryTable {
             capacity: wire.capacity,
             clock: wire.clock,
@@ -513,6 +567,7 @@ impl HistoryTable {
         };
         for (i, e) in wire.entries.into_iter().enumerate() {
             table.buckets.entry(e.signature.dims()).or_default().push(i);
+            let maxima = e.signature.maxima();
             let BatchSignature {
                 ready_times,
                 etc,
@@ -523,6 +578,7 @@ impl HistoryTable {
                 ready_times,
                 etc,
                 demands,
+                maxima,
                 chromosome: e.chromosome,
                 last_used: e.last_used,
             });
@@ -1019,6 +1075,85 @@ mod tests {
         assert_eq!(back.interned_etc_blocks(), 1);
         // And the restored table serialises to the same wire text.
         assert_eq!(back.to_json(), json);
+    }
+
+    #[test]
+    fn a_snapshot_holding_more_entries_than_its_capacity_is_refused() {
+        let mut t = HistoryTable::new(3);
+        for i in 0..3u16 {
+            t.insert(
+                sig(&[f64::from(i)], &[1.0], &[0.5]),
+                Chromosome::from_genes(vec![i]),
+            );
+        }
+        let full = t.to_json();
+        assert!(HistoryTable::from_json(&full).is_ok());
+        let over = full.replacen("\"capacity\":3", "\"capacity\":2", 1);
+        assert_ne!(over, full);
+        let err = HistoryTable::from_json(&over).unwrap_err().to_string();
+        assert!(
+            err.contains("history snapshot holds 3 entries, more than its capacity 2"),
+            "{err}"
+        );
+        assert!(SharedHistory::from_snapshots(&[over], 2).is_err());
+    }
+
+    /// Vector parts drawn from a small pool: ties, zeros of both signs,
+    /// negative values and `+∞` (the ETC cell of a site a job cannot
+    /// use), at lengths 0..6 so the two sides often differ in length.
+    fn arb_part() -> impl Strategy<Value = Vec<f64>> {
+        const POOL: [f64; 8] = [0.0, -0.0, 1.0, 2.5, -3.0, 7.0, 1e9, f64::INFINITY];
+        prop::collection::vec(0usize..POOL.len(), 0..6)
+            .prop_map(|picks| picks.into_iter().map(|i| POOL[i]).collect())
+    }
+
+    fn arb_sig() -> impl Strategy<Value = BatchSignature> {
+        (arb_part(), arb_part(), arb_part()).prop_map(|(r, e, d)| sig(&r, &e, &d))
+    }
+
+    /// `signature` as the table stores it.
+    fn stored(signature: &BatchSignature) -> StoredEntry {
+        StoredEntry {
+            ready_times: signature.ready_times.clone(),
+            etc: Arc::new(signature.etc.clone()),
+            demands: signature.demands.clone(),
+            maxima: signature.maxima(),
+            chromosome: Chromosome::from_genes(vec![]),
+            last_used: 0,
+        }
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Scoring against cached maxima ≡ `BatchSignature::similarity`
+        /// (the max fold over both vectors, then the deviation pass), bit
+        /// for bit.
+        #[test]
+        fn cached_maxima_scores_equal_similarity(entry in arb_sig(), query in arb_sig()) {
+            let got = stored(&entry).similarity(&query, &query.maxima());
+            prop_assert_eq!(got.to_bits(), entry.similarity(&query).to_bits());
+        }
+    }
+
+    #[test]
+    fn cached_maxima_scores_equal_similarity_on_zero_vectors() {
+        for (a, b) in [
+            (
+                sig(&[0.0, 0.0], &[-0.0], &[]),
+                sig(&[0.0], &[0.0, 0.0], &[]),
+            ),
+            (sig(&[], &[], &[]), sig(&[0.0], &[], &[0.0])),
+            (
+                sig(&[0.0; 3], &[5.0], &[0.0]),
+                sig(&[0.0; 3], &[0.0], &[0.0]),
+            ),
+        ] {
+            let got = stored(&a).similarity(&b, &b.maxima());
+            assert_eq!(got.to_bits(), a.similarity(&b).to_bits(), "{a:?} vs {b:?}");
+        }
     }
 
     #[test]

@@ -15,17 +15,15 @@ pub fn crossover<R: Rng + ?Sized>(
     b: &Chromosome,
     rng: &mut R,
 ) -> (Chromosome, Chromosome) {
-    let mut ca = a.clone();
-    let mut cb = b.clone();
-    crossover_in_place(&mut ca, &mut cb, rng);
+    let mut ca = Chromosome::from_genes(Vec::new());
+    let mut cb = Chromosome::from_genes(Vec::new());
+    crossover_into(a, b, &mut ca, &mut cb, rng);
     (ca, cb)
 }
 
 /// [`crossover`] on two already-materialised children: swaps the tails of
 /// `a` and `b` in place, allocation-free. RNG consumption is identical to
-/// `crossover` (one cut draw when `len ≥ 2`, none otherwise), so the GA
-/// evolve loop can copy parents into recycled population slots and cross
-/// them there without changing any result.
+/// `crossover` (one cut draw when `len ≥ 2`, none otherwise).
 pub fn crossover_in_place<R: Rng + ?Sized>(a: &mut Chromosome, b: &mut Chromosome, rng: &mut R) {
     let _ = crossover_in_place_tracked(a, b, rng);
 }
@@ -48,6 +46,27 @@ pub fn crossover_in_place_tracked<R: Rng + ?Sized>(
     let cut = rng.gen_range(1..n);
     a.genes_mut()[cut..].swap_with_slice(&mut b.genes_mut()[cut..]);
     Some(cut)
+}
+
+/// [`crossover_in_place_tracked`] without the copies: writes the two
+/// children of `a` and `b` into `ca` (`a`'s head, `b`'s tail) and `cb`
+/// (the other way round), reusing their gene allocations, and returns
+/// the cut. With fewer than two genes the children are plain copies and
+/// nothing is drawn. Children, cut and RNG consumption are those of
+/// cloning `a` into `ca` and `b` into `cb` and crossing them in place.
+pub fn crossover_into<R: Rng + ?Sized>(
+    a: &Chromosome,
+    b: &Chromosome,
+    ca: &mut Chromosome,
+    cb: &mut Chromosome,
+    rng: &mut R,
+) -> Option<usize> {
+    assert_eq!(a.len(), b.len(), "crossover needs equal-length parents");
+    let n = a.len();
+    let cut = if n < 2 { n } else { rng.gen_range(1..n) };
+    ca.splice(a, b, cut);
+    cb.splice(b, a, cut);
+    (cut < n).then_some(cut)
 }
 
 /// Point mutation: re-draws the site of one random job from its candidate

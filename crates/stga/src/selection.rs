@@ -14,9 +14,9 @@ pub fn elite_indices(fitness: &[f64], k: usize) -> Vec<usize> {
     idx
 }
 
-/// [`elite_indices`] into a caller-owned scratch buffer — the evolve loop
-/// calls this once per generation without re-allocating. `out` is
-/// cleared first; after the call it holds the `k` best indices in order.
+/// [`elite_indices`] into a caller-owned scratch buffer, reusing its
+/// allocation. `out` is cleared first; after the call it holds the `k`
+/// best indices in order.
 ///
 /// One pass keeping the `k` best seen so far in order — the evolve loop
 /// keeps 2 of 200 every generation, which a full sort overpays for. An
@@ -25,18 +25,104 @@ pub fn elite_indices(fitness: &[f64], k: usize) -> Vec<usize> {
 /// prefix a stable sort of all indices would leave.
 pub fn elite_indices_into(fitness: &[f64], k: usize, out: &mut Vec<usize>) {
     out.clear();
+    for i in 0..fitness.len() {
+        offer_elite(fitness, k, i, out);
+    }
+}
+
+/// One step of [`elite_indices_into`]: offers individual `i` to `out`,
+/// the `k` best of `fitness[..i]` in order.
+#[inline]
+fn offer_elite(fitness: &[f64], k: usize, i: usize, out: &mut Vec<usize>) {
     if k == 0 {
         return;
     }
-    for (i, f) in fitness.iter().enumerate() {
-        if out.len() == k {
-            if f.total_cmp(&fitness[out[k - 1]]).is_ge() {
-                continue;
-            }
-            out.pop();
+    let f = &fitness[i];
+    if out.len() == k {
+        if f.total_cmp(&fitness[out[k - 1]]).is_ge() {
+            return;
         }
-        let at = out.partition_point(|&e| fitness[e].total_cmp(f).is_le());
-        out.insert(at, i);
+        out.pop();
+    }
+    let at = out.partition_point(|&e| fitness[e].total_cmp(f).is_le());
+    out.insert(at, i);
+}
+
+/// The `(lowest, highest)` finite value of nothing yet.
+const NO_EXTREMES: (f64, f64) = (f64::INFINITY, f64::NEG_INFINITY);
+
+/// `extremes` widened to cover `f` when it is finite.
+#[inline]
+fn widen((lo, hi): (f64, f64), f: f64) -> (f64, f64) {
+    if f.is_finite() {
+        (lo.min(f), hi.max(f))
+    } else {
+        (lo, hi)
+    }
+}
+
+/// `extremes`, or `None` when they cover no finite value.
+fn finite(extremes: (f64, f64)) -> Option<(f64, f64)> {
+    extremes.1.is_finite().then_some(extremes)
+}
+
+/// What the next generation's breeding needs from this one's fitness
+/// values, gathered in one sequential pass ([`Sweep::run`]): the best
+/// individual, the `k` elites and the finite extremes that weight the
+/// [`RouletteWheel`].
+#[derive(Debug, Clone, Default)]
+pub struct Sweep {
+    best: Option<(usize, f64)>,
+    elites: Vec<usize>,
+    extremes: Option<(f64, f64)>,
+}
+
+impl Sweep {
+    /// Refills `fitness` from `values` and sweeps it, keeping `k` elites;
+    /// the elite buffer and `fitness` keep their allocations.
+    pub fn run(&mut self, fitness: &mut Vec<f64>, k: usize, values: impl IntoIterator<Item = f64>) {
+        fitness.clear();
+        self.elites.clear();
+        // The best individual is the first elite, so at least one is kept.
+        let keep = k.max(1);
+        // Once `keep` elites are held, only a value below the last one's
+        // can enter — the common case tested against a local.
+        let mut bar = f64::NAN;
+        let mut extremes = NO_EXTREMES;
+        for f in values {
+            let i = fitness.len();
+            fitness.push(f);
+            if self.elites.len() < keep || f.total_cmp(&bar).is_lt() {
+                offer_elite(fitness, keep, i, &mut self.elites);
+                if self.elites.len() == keep {
+                    bar = fitness[self.elites[keep - 1]];
+                }
+            }
+            extremes = widen(extremes, f);
+        }
+        self.best = self.elites.first().map(|&i| (i, fitness[i]));
+        self.elites.truncate(k);
+        self.extremes = finite(extremes);
+    }
+
+    /// Index and value of the minimal fitness under `total_cmp` (the
+    /// lowest index wins ties).
+    ///
+    /// # Panics
+    /// Panics if the last [`Sweep::run`] saw no value.
+    pub fn best(&self) -> (usize, f64) {
+        self.best.expect("population is non-empty")
+    }
+
+    /// The `k` best indices in order — [`elite_indices_into`]'s result.
+    pub fn elites(&self) -> &[usize] {
+        &self.elites
+    }
+
+    /// The lowest and highest finite fitness, or `None` when no value is
+    /// finite.
+    pub fn extremes(&self) -> Option<(f64, f64)> {
+        self.extremes
     }
 }
 
@@ -77,31 +163,28 @@ impl RouletteWheel {
     /// cumulative table's allocation. Semantics are exactly those of
     /// [`RouletteWheel::build`].
     pub fn rebuild(&mut self, fitness: &[f64]) {
+        let extremes = fitness.iter().fold(NO_EXTREMES, |e, &f| widen(e, f));
+        self.fill(fitness, finite(extremes));
+    }
+
+    /// The cumulative pass of [`RouletteWheel::rebuild`], given the
+    /// finite extremes of `fitness` ([`Sweep::extremes`]) — the evolve
+    /// loop has them from its sweep.
+    pub fn fill(&mut self, fitness: &[f64], extremes: Option<(f64, f64)>) {
         assert!(!fitness.is_empty(), "wheel needs at least one individual");
-        let worst = fitness
-            .iter()
-            .copied()
-            .filter(|f| f.is_finite())
-            .fold(f64::NEG_INFINITY, f64::max);
         self.cumulative.clear();
-        self.cumulative.reserve(fitness.len());
         self.total = 0.0;
-        if !worst.is_finite() {
+        let Some((best, worst)) = extremes else {
             // No finite individual: uniform.
             for _ in fitness {
                 self.total += 1.0;
                 self.cumulative.push(self.total);
             }
             return;
-        }
+        };
         // Small floor so the worst finite individual keeps a sliver of
         // probability (pure (worst − f) would zero it out).
-        let span = fitness
-            .iter()
-            .copied()
-            .filter(|f| f.is_finite())
-            .fold(f64::INFINITY, f64::min);
-        let floor = ((worst - span).abs().max(worst.abs()) * 1e-6).max(f64::MIN_POSITIVE);
+        let floor = ((worst - best).abs().max(worst.abs()) * 1e-6).max(f64::MIN_POSITIVE);
         for &f in fitness {
             let w = if f.is_finite() {
                 (worst - f) + floor

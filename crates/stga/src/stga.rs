@@ -195,12 +195,14 @@ impl BatchScheduler for Stga {
 
         let pop = self.params.ga.population;
         let history_limit = ((pop as f64) * self.params.history_fraction).floor() as usize;
+        let history_span = gridsec_obs::span!("stga_history", limit = history_limit);
         let mut seeds: Vec<Chromosome> = self
             .history
             .lookup(&sig, self.params.similarity_threshold, history_limit)
             .into_iter()
             .map(|c| c.repair(&ctx.candidates, &mut self.rng))
             .collect();
+        history_span.end_with("seeds", seeds.len() as i64);
 
         if self.params.heuristic_seeds {
             let mut a1 = view.avail_clone();
@@ -232,6 +234,7 @@ impl BatchScheduler for Stga {
                 ))
             }
         };
+        let evolve_span = gridsec_obs::span!("stga_evolve", seeds = seeds.len());
         let result = evolve_with_pool(
             &ctx,
             view.avail,
@@ -242,6 +245,7 @@ impl BatchScheduler for Stga {
             &mut self.rng,
             &mut self.pool,
         );
+        drop(evolve_span);
         self.history.insert(sig, result.best.clone());
 
         // Emit in the fitness replay's commit order so the engine realises

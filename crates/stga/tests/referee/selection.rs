@@ -1,13 +1,22 @@
-//! The referees of `gridsec_stga::selection`'s fast paths — the slow
+//! The referees of the evolve loop's selection fast paths — the slow
 //! originals, kept word for word (`selection_referees.rs` pins the
 //! shipped code to them):
 //!
 //! * [`elite_indices_into`]: stable-sort every index, keep the first `k`
-//!   — what the shipped one-pass top-k must return;
+//!   — what the shipped one-pass top-k (and `Sweep`'s elites) must
+//!   return;
 //! * [`spin`]: the `binary_search_by` wheel spin that the shipped
-//!   `partition_point` replaced, over a wheel's cumulative table.
+//!   `partition_point` replaced, over a wheel's cumulative table;
+//! * [`rebuild`]: the three-pass wheel build (worst, best, cumulative)
+//!   that `Sweep`'s extremes plus `RouletteWheel::fill` replaced;
+//! * [`sync_fitness`] and [`best_index`]: the per-generation harvest the
+//!   evolve loop ran before `Sweep::run` — copy the fitness values out
+//!   and count paths (over `(fitness, path)` pairs here, the evolve
+//!   loop's slots being private), then a rayon `indexed_min_by` for the
+//!   best.
 
 use rand::Rng;
+use rayon::prelude::*;
 
 /// The pre-top-k elite selection. `out` is cleared first; after the call
 /// it holds the `k` best indices in order.
@@ -35,4 +44,74 @@ pub fn spin<R: Rng + ?Sized>(cumulative: &[f64], rng: &mut R) -> usize {
         Ok(i) => (i + 1).min(cumulative.len() - 1),
         Err(i) => i.min(cumulative.len() - 1),
     }
+}
+
+/// The pre-sweep wheel build over `fitness`: its cumulative table (whose
+/// last entry is the wheel's total). Infinite fitness values get zero
+/// weight; when all finite values are equal (or none are finite) the
+/// wheel is uniform over the finite (or all) individuals.
+pub fn rebuild(fitness: &[f64]) -> Vec<f64> {
+    assert!(!fitness.is_empty(), "wheel needs at least one individual");
+    let worst = fitness
+        .iter()
+        .copied()
+        .filter(|f| f.is_finite())
+        .fold(f64::NEG_INFINITY, f64::max);
+    let mut cumulative = Vec::with_capacity(fitness.len());
+    let mut total = 0.0;
+    if !worst.is_finite() {
+        // No finite individual: uniform.
+        for _ in fitness {
+            total += 1.0;
+            cumulative.push(total);
+        }
+        return cumulative;
+    }
+    // Small floor so the worst finite individual keeps a sliver of
+    // probability (pure (worst − f) would zero it out).
+    let span = fitness
+        .iter()
+        .copied()
+        .filter(|f| f.is_finite())
+        .fold(f64::INFINITY, f64::min);
+    let floor = ((worst - span).abs().max(worst.abs()) * 1e-6).max(f64::MIN_POSITIVE);
+    for &f in fitness {
+        let w = if f.is_finite() {
+            (worst - f) + floor
+        } else {
+            0.0
+        };
+        total += w;
+        cumulative.push(total);
+    }
+    if total <= 0.0 {
+        // All-equal degenerate case: uniform over finite individuals.
+        total = 0.0;
+        cumulative.clear();
+        for &f in fitness {
+            total += if f.is_finite() { 1.0 } else { 0.0 };
+            cumulative.push(total);
+        }
+    }
+    cumulative
+}
+
+/// The pre-sweep harvest of one evaluation sweep, over `(fitness, path)`
+/// pairs: mirrors the fitness values into `fitness` and counts each path.
+pub fn sync_fitness(fitness: &mut Vec<f64>, paths: &mut [u64; 4], slots: &[(f64, usize)]) {
+    fitness.clear();
+    for &(f, path) in slots {
+        fitness.push(f);
+        paths[path] += 1;
+    }
+}
+
+/// Index and value of the minimal fitness (lowest index wins ties), by
+/// the deterministic `indexed_min_by` tree reduction.
+pub fn best_index(fitness: &[f64]) -> (usize, f64) {
+    fitness
+        .par_iter()
+        .map(|&f| f)
+        .indexed_min_by(|a, b| a.total_cmp(b))
+        .expect("population is non-empty")
 }

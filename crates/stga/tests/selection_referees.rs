@@ -1,21 +1,37 @@
-//! The two selection rewrites pinned to the bodies they replaced (kept in
-//! `referee/selection.rs`): the one-pass top-k `elite_indices_into` ≡
-//! stable sort + truncate, and the `partition_point` wheel spin ≡ the
-//! `binary_search_by` spin over the same RNG stream. CI also runs this in
-//! `--release`, where the evolve loop's copy of both actually executes.
+//! The evolve loop's selection and breeding rewrites pinned to the bodies
+//! they replaced (kept in `referee/selection.rs`): the one-pass top-k
+//! `elite_indices_into` ≡ stable sort + truncate; the `partition_point`
+//! wheel spin ≡ the `binary_search_by` spin over the same RNG stream;
+//! the wheel built from one pass's extremes ≡ the three-pass build;
+//! `Sweep::run` ≡ copy-out + rayon best index + elites; and children
+//! written by `crossover_into` ≡ clones crossed in place. CI also runs
+//! this in `--release`, where the evolve loop's copy of all of them
+//! actually executes.
 
 #[path = "referee/selection.rs"]
 mod referee;
 
 use gridsec_core::rng::{stream, Stream};
-use gridsec_stga::selection::{elite_indices_into, RouletteWheel};
+use gridsec_stga::ops::{crossover_in_place_tracked, crossover_into};
+use gridsec_stga::selection::{elite_indices_into, RouletteWheel, Sweep};
+use gridsec_stga::Chromosome;
 use proptest::prelude::*;
 use rand::{Rng, RngCore};
 
 /// Fitness values drawn with replacement from a small pool, so vectors
-/// are full of ties, `+∞` entries and the `-0.0`/`0.0` pair `total_cmp`
+/// are full of ties, `±∞` entries and the `-0.0`/`0.0` pair `total_cmp`
 /// tells apart.
-const POOL: [f64; 8] = [0.0, -0.0, 1.0, 2.5, 2.5, 7.0, 1e9, f64::INFINITY];
+const POOL: [f64; 9] = [
+    0.0,
+    -0.0,
+    1.0,
+    2.5,
+    2.5,
+    7.0,
+    1e9,
+    f64::INFINITY,
+    f64::NEG_INFINITY,
+];
 
 fn arb_tied_fitness() -> impl Strategy<Value = Vec<f64>> {
     prop::collection::vec(0usize..POOL.len(), 0..40)
@@ -38,6 +54,27 @@ fn arb_wheel_fitness() -> impl Strategy<Value = Vec<f64>> {
             2 => vec![draws[0].0; draws.len()],
             _ => vec![f64::INFINITY; draws.len()],
         })
+}
+
+/// Wheel tables as bits, so `-0.0` and `0.0` entries count as different.
+fn bits(table: &[f64]) -> Vec<u64> {
+    table.iter().map(|f| f.to_bits()).collect()
+}
+
+/// The shipped wheel over `fitness` — built directly, and filled from a
+/// sweep's extremes as the evolve loop does — against the three-pass
+/// referee, bit for bit.
+fn assert_wheel_matches(fitness: &[f64]) {
+    let want = bits(&referee::rebuild(fitness));
+    assert_eq!(
+        bits(RouletteWheel::build(fitness).cumulative()),
+        want,
+        "{fitness:?}"
+    );
+    let (mut sweep, mut flat, mut wheel) = (Sweep::default(), Vec::new(), RouletteWheel::new());
+    sweep.run(&mut flat, 2, fitness.iter().copied());
+    wheel.fill(&flat, sweep.extremes());
+    assert_eq!(bits(wheel.cumulative()), want, "{fitness:?}");
 }
 
 fn assert_elites_match(fitness: &[f64], k: usize) {
@@ -73,6 +110,95 @@ proptest! {
             );
         }
         prop_assert_eq!(new_rng.next_u64(), old_rng.next_u64());
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// One pass's extremes + the cumulative pass ≡ the three-pass build,
+    /// over tied, `±∞`-holed and signed-zero vectors.
+    #[test]
+    fn one_pass_wheel_matches_three_pass_rebuild(fitness in arb_tied_fitness()) {
+        prop_assume!(!fitness.is_empty());
+        assert_wheel_matches(&fitness);
+    }
+
+    /// The same over ordinary spreads, all-equal and all-infinite wheels.
+    #[test]
+    fn one_pass_wheel_matches_three_pass_rebuild_on_spreads(fitness in arb_wheel_fitness()) {
+        assert_wheel_matches(&fitness);
+    }
+
+    /// `Sweep::run` ≡ the harvest it replaced: the same fitness vector and
+    /// path counts as `sync_fitness`, the rayon `indexed_min_by` best,
+    /// and the stable-sort elites.
+    #[test]
+    fn sweep_matches_copy_out_rayon_best_and_sorted_elites(
+        (slots, k) in prop::collection::vec((0usize..POOL.len(), 0usize..4), 1..40)
+            .prop_flat_map(|picks| {
+                let k = 0..=picks.len() + 2;
+                (Just(picks), k)
+            })
+    ) {
+        let slots: Vec<(f64, usize)> = slots.into_iter().map(|(f, p)| (POOL[f], p)).collect();
+        let (mut want_fitness, mut want_paths) = (Vec::new(), [0u64; 4]);
+        referee::sync_fitness(&mut want_fitness, &mut want_paths, &slots);
+        let mut want_elites = Vec::new();
+        referee::elite_indices_into(&want_fitness, k, &mut want_elites);
+
+        let (mut sweep, mut fitness, mut paths) = (Sweep::default(), vec![5.0; 3], [0u64; 4]);
+        sweep.run(&mut fitness, k, slots.iter().map(|&(f, p)| {
+            paths[p] += 1;
+            f
+        }));
+        prop_assert_eq!(bits(&fitness), bits(&want_fitness));
+        prop_assert_eq!(paths, want_paths);
+        let (bi, bf) = sweep.best();
+        let (wi, wf) = referee::best_index(&want_fitness);
+        prop_assert_eq!((bi, bf.to_bits()), (wi, wf.to_bits()));
+        prop_assert_eq!(sweep.elites(), &want_elites[..]);
+    }
+
+    /// Children written from their parents ≡ clones crossed in place:
+    /// the same genes, the same cut, the same RNG position afterwards.
+    #[test]
+    fn spliced_children_match_clones_crossed_in_place(
+        (a, b) in (0usize..12).prop_flat_map(|n| (
+            prop::collection::vec(0u16..4, n),
+            prop::collection::vec(0u16..4, n),
+        )),
+        seed in any::<u64>(),
+    ) {
+        let (a, b) = (Chromosome::from_genes(a), Chromosome::from_genes(b));
+        let mut new_rng = stream(seed, Stream::Genetic);
+        let mut old_rng = new_rng.clone();
+        // Recycled slots holding stale genes of another length.
+        let mut ca = Chromosome::from_genes(vec![9; 5]);
+        let mut cb = Chromosome::from_genes(vec![9; 17]);
+        let cut = crossover_into(&a, &b, &mut ca, &mut cb, &mut new_rng);
+        let (mut wa, mut wb) = (a.clone(), b.clone());
+        let want_cut = crossover_in_place_tracked(&mut wa, &mut wb, &mut old_rng);
+        prop_assert_eq!(cut, want_cut);
+        prop_assert_eq!(ca, wa);
+        prop_assert_eq!(cb, wb);
+        prop_assert_eq!(new_rng.next_u64(), old_rng.next_u64());
+    }
+}
+
+#[test]
+fn one_pass_wheel_matches_three_pass_rebuild_on_degenerate_vectors() {
+    for fitness in [
+        vec![3.0],
+        vec![-0.0],
+        vec![0.0, -0.0, 0.0],
+        vec![4.0; 9],
+        vec![f64::INFINITY; 9],
+        vec![f64::NEG_INFINITY, f64::INFINITY],
+        vec![f64::NEG_INFINITY, 2.0, f64::INFINITY, 2.0],
+        (0..9).rev().map(f64::from).collect(),
+    ] {
+        assert_wheel_matches(&fitness);
     }
 }
 
