@@ -12,17 +12,11 @@ use crate::runner::{
 use crate::table::AsciiTable;
 use crate::BenchArgs;
 use gridsec_core::etc::NodeAvailability;
-use gridsec_core::rng::{stream, subseed, Stream};
+use gridsec_core::rng::subseed;
 use gridsec_core::{FailureDetection, Grid, Job, RiskMode, SecurityModel, Time};
-use gridsec_heuristics::common::{Fallback, MapCtx};
 use gridsec_heuristics::{MinMin, Sufferage};
-use gridsec_sim::{
-    BatchJob, BatchScheduler, EstimateModel, GridView, Replicated, SimConfig, SimOutput,
-};
-use gridsec_stga::fitness::FitnessKind;
-use gridsec_stga::{
-    evolve, evolve_islands, GaParams, GaResult, IslandParams, StandardGa, Stga, StgaParams,
-};
+use gridsec_sim::{BatchJob, BatchScheduler, GridView, SimConfig, SimOutput};
+use gridsec_stga::{GaParams, StandardGa, Stga, StgaParams};
 
 /// Every artefact `paper` can print, in the paper's order.
 pub const NAMES: [&str; 8] = [
@@ -149,26 +143,18 @@ fn sci(x: f64) -> String {
     format!("{x:.3e}")
 }
 
-fn secs(o: &SimOutput) -> String {
-    sci(o.metrics.makespan.seconds())
-}
-
 /// A column of an ablation table: its header and the cell it reads off a
 /// simulation.
 type Column = (&'static str, fn(&SimOutput) -> String);
-const MAKESPAN: Column = ("makespan (s)", secs);
+const MAKESPAN: Column = ("makespan (s)", |o| sci(o.metrics.makespan.seconds()));
 const N_FAIL: Column = ("Nfail", |o| o.metrics.n_fail.to_string());
 const N_RISK: Column = ("Nrisk", |o| o.metrics.n_risk.to_string());
 const AVG_RESPONSE: Column = ("avg response (s)", |o| sci(o.metrics.avg_response));
 const SCHED_TIME: Column = ("scheduler time (s)", |o| {
     format!("{:.3}", o.scheduler_seconds)
 });
-const BACKUPS: Column = ("backups", |o| o.replica_dispatches.to_string());
-const UTIL: Column = ("util (%)", |o| {
-    format!("{:.1}", o.metrics.overall_utilization)
-});
 
-/// An idle grid at time zero, for the single-batch GA comparisons.
+/// An idle grid at time zero, for Fig. 5's single-batch GA comparison.
 fn idle(grid: &Grid) -> Vec<NodeAvailability> {
     grid.sites()
         .map(|s| NodeAvailability::new(s.nodes, Time::ZERO))
@@ -520,10 +506,9 @@ pub fn fig10(args: &BenchArgs) -> Artefact {
 }
 
 /// Ablations of the knobs the paper leaves open (README, "Deviations from
-/// the paper") and of the beyond-paper extensions: failure-law λ,
-/// failure-detection timing, the STGA's history capacity, similarity
-/// threshold and seeding mix, replication of risky placements, estimate
-/// error, the island-model GA, and the NAS batch period.
+/// the paper"): failure-law λ, failure-detection timing, the STGA's
+/// history capacity, similarity threshold and seeding mix, and the NAS
+/// batch period.
 pub fn ablations(args: &BenchArgs) -> Artefact {
     let n = if args.quick { 200 } else { 1000 };
     let w = psa_setup(n, args.seed);
@@ -593,75 +578,6 @@ pub fn ablations(args: &BenchArgs) -> Artefact {
         a.sim(params, on, &mut stga, &base);
     }
     a.tabulate(5, &[MAKESPAN]);
-    a.header("Ablation 6: DFTS-style replication of risky placements");
-
-    let config = base.clone().with_lambda(8.0).expect("λ > 0");
-    let replicated = config.clone().with_max_replicas(2);
-    for threshold in [None, Some(0.8), Some(0.5), Some(0.2)] {
-        let label = threshold.map_or("off".to_string(), |th| format!("{th:.1}"));
-        let params = format!("6 threshold={label}");
-        match threshold {
-            None => a.sim(params, on, &mut risky(), &config),
-            Some(th) => a.sim(params, on, &mut Replicated::new(risky(), th), &replicated),
-        };
-    }
-    a.tabulate(6, &[MAKESPAN, N_FAIL, BACKUPS, UTIL]);
-    a.header("Ablation 7: execution-time estimate error (paper §5 future work)");
-
-    let mut t = AsciiTable::new(vec!["estimates", "Min-Min (s)", "STGA (s)"]);
-    for (label, model) in [
-        ("exact", EstimateModel::Exact),
-        ("±25%", EstimateModel::Multiplicative { err: 0.25 }),
-        ("±2x", EstimateModel::Multiplicative { err: 1.0 }),
-        ("constant", EstimateModel::Constant { work: 150_000.0 }),
-    ] {
-        let config = base.clone().with_estimates(model);
-        let params = format!("7 estimates={label}");
-        let mut minmin = MinMin::new(RiskMode::FRisky(0.5));
-        let mm = a.sim(format!("{params} minmin"), on, &mut minmin, &config);
-        let st = a.sim(format!("{params} stga"), on, &mut stga_of(&|_| ()), &config);
-        t.row(vec![label.to_string(), secs(&mm), secs(&st)]);
-    }
-    a.table(&t);
-    a.header("Ablation 8: single-population GA vs island-model GA (one batch)");
-
-    let batch = as_batch(&w.jobs[..if args.quick { 24 } else { 64 }]);
-    let avail = idle(&w.grid);
-    let view = GridView {
-        grid: &w.grid,
-        avail: &avail,
-        now: Time::ZERO,
-        model: SecurityModel::default(),
-    };
-    let ctx = MapCtx::build(&batch, &view, RiskMode::Risky, Fallback::default());
-    let single = ga.with_population(200);
-    let rng = &mut stream(args.seed, Stream::Genetic);
-    let islands = IslandParams {
-        ga: ga.with_population(50),
-        islands: 4,
-        epochs: 5,
-        migrants: 2,
-    };
-    let kind = FitnessKind::Makespan;
-    let mut t = AsciiTable::new(vec!["engine", "batch fitness (s)", "wall time (ms)"]);
-    let mut engine = |label: &str, run: &mut dyn FnMut() -> GaResult| {
-        let t0 = std::time::Instant::now();
-        let result = run();
-        let ms = t0.elapsed().as_millis();
-        t.row(vec![
-            label.to_string(),
-            format!("{:.0}", result.best_fitness),
-            ms.to_string(),
-        ]);
-        a.push(format!("8 {label}"), Outcome::Trajectory(result.trajectory));
-    };
-    engine("single population (200)", &mut || {
-        evolve(&ctx, &avail, vec![], &single, kind, None, rng)
-    });
-    engine("4 islands x 50", &mut || {
-        evolve_islands(&ctx, &avail, vec![], &islands, kind, None)
-    });
-    a.table(&t);
 
     // Where batch-global optimisation separates from greedy mapping: the
     // longer the period, the larger the batch the GA gets to arrange.
@@ -672,14 +588,14 @@ pub fn ablations(args: &BenchArgs) -> Artefact {
         nas_n as f64 / (nas.config.trace_days / nas.config.squeeze * 86_400.0);
     for period in [3_600.0, 14_400.0] {
         a.header(&format!(
-            "Ablation 9: NAS N = {nas_n}, batch period = {period} s"
+            "Ablation 6: NAS N = {nas_n}, batch period = {period} s"
         ));
         let config = nas_sim_config(args.seed).with_interval(Time::new(period));
         let batch = (arrivals_per_second * period).ceil() as usize;
         let mut stga =
             make_stga(&nas.jobs, &nas.grid, args.seed, 100, batch).expect("valid STGA params");
         let mut sufferage = Sufferage::new(RiskMode::Risky);
-        let params = format!("9 period={period}");
+        let params = format!("6 period={period}");
         a.sim(format!("{params} minmin"), on, &mut risky(), &config);
         a.sim(format!("{params} sufferage"), on, &mut sufferage, &config);
         a.sim(format!("{params} stga"), on, &mut stga, &config);

@@ -86,7 +86,8 @@ fn digest(records: &[Record]) -> u64 {
             let d = digest_report(d, &o.metrics);
             let d = fold_u64(d, o.n_batches as u64);
             let d = fold_u64(d, o.max_batch_size as u64);
-            fold_u64(d, o.replica_dispatches as u64)
+            // Was the replica-dispatch count, always 0 here: every pin stays valid.
+            fold_u64(d, 0)
         }
         Outcome::Trajectory(t) => t.iter().fold(d, |d, &x| fold_f64(d, x)),
     })
@@ -128,7 +129,7 @@ fn artefact_digests_match_the_parents_programs() {
         ("fig9", NAS_ROSTER),
         ("table2", NAS_ROSTER),
         ("fig10", 0xF581_6E7F_567A_334E),
-        ("ablations", 0x72B2_E999_A673_E7E0),
+        ("ablations", 0x5B75_985A_51B8_2885),
     ];
     assert_eq!(pinned.map(|(name, _)| name), artefacts::NAMES);
     for (name, want) in pinned {
@@ -171,7 +172,7 @@ fn paper_scale_matches_the_readme() {
         ("fig9", NAS_ROSTER),
         ("table2", NAS_ROSTER),
         ("fig10", 0xC3DB_FB5F_D368_E664),
-        ("ablations", 0xD6D3_3E79_C50A_4E0A),
+        ("ablations", 0x8645_7467_9021_8BCB),
     ];
     let got = all.iter().map(|a| (a.name, digest(&a.records)));
     let got: Vec<(&str, u64)> = got.collect();
@@ -205,8 +206,8 @@ fn quoted_cross_check_values() {
     assert_eq!(at_500, [(99, 294), (115, 301), (139, 301)]);
 }
 
-/// `--json` is honoured by every artefact: each yields records (Fig. 5
-/// and the island ablation as trajectories) and they survive the dump.
+/// `--json` is honoured by every artefact: each yields records (Fig. 5's
+/// as trajectories) and they survive the dump.
 #[test]
 fn every_artefact_dumps_round_tripping_records() {
     for a in all() {
@@ -221,7 +222,7 @@ fn every_artefact_dumps_round_tripping_records() {
         records.iter().filter_map(Record::trajectory).count()
     };
     assert_eq!(trajectories("fig5"), 8);
-    assert_eq!(trajectories("ablations"), 2);
+    assert_eq!(trajectories("ablations"), 0);
 }
 
 /// One run path: Fig. 8 at `--reps 1` is the replicated body with one

@@ -10,6 +10,7 @@ use gridsec_sim::{
 };
 use gridsec_stga::{GaParams, SharedHistory, StandardGa, Stga, StgaParams};
 use gridsec_workloads::{swf, GridSpec, NasConfig, PsaConfig};
+use serde::de::DeserializeOwned;
 use serde::{Deserialize, Serialize};
 
 /// Workload selection.
@@ -168,6 +169,26 @@ impl SchedulerSpec {
     }
 }
 
+/// Parses a spec, refusing a `sim.estimates` key by name. The JSON reader
+/// drops unknown keys, so without this check a spec asking for noisy
+/// execution-time estimates, which the simulator no longer models, would
+/// silently run exact ones.
+fn parse_spec<T: DeserializeOwned>(what: &'static str, text: &str) -> Result<T> {
+    let invalid = |e: serde_json::Error| Error::invalid(what, format!("invalid JSON spec: {e}"));
+    let value: serde_json::Value = serde_json::from_str(text).map_err(invalid)?;
+    if value
+        .get("sim")
+        .and_then(|sim| sim.get("estimates"))
+        .is_some()
+    {
+        return Err(Error::invalid(
+            "sim.estimates",
+            "`estimates` was removed: the scheduler sees exact execution times",
+        ));
+    }
+    serde_json::from_value(value).map_err(invalid)
+}
+
 /// A complete experiment specification.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ExperimentSpec {
@@ -183,8 +204,7 @@ pub struct ExperimentSpec {
 impl ExperimentSpec {
     /// Parses a spec from JSON text.
     pub fn from_json(text: &str) -> Result<ExperimentSpec> {
-        serde_json::from_str(text)
-            .map_err(|e| Error::invalid("spec", format!("invalid JSON spec: {e}")))
+        parse_spec("spec", text)
     }
 
     /// A ready-to-edit example spec.
@@ -233,8 +253,7 @@ pub struct ScenarioSpec {
 impl ScenarioSpec {
     /// Parses a scenario spec from JSON text.
     pub fn from_json(text: &str) -> Result<ScenarioSpec> {
-        serde_json::from_str(text)
-            .map_err(|e| Error::invalid("scenario spec", format!("invalid JSON spec: {e}")))
+        parse_spec("scenario spec", text)
     }
 
     /// A ready-to-edit churn example: two tenants (one heavy-tailed, one

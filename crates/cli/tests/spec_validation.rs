@@ -18,6 +18,15 @@
 //! A scheduler is one of six tags. A spec naming any other algorithm —
 //! including one the tree used to ship — is refused with exit code 1 and
 //! an error naming the tag.
+//!
+//! The simulator no longer models replication or execution-time estimate
+//! error. The JSON reader drops unknown keys, so a spec's `sim.estimates`
+//! is refused by name rather than ignored, and `max_replicas` other than 1
+//! is refused by name.
+//!
+//! Sites listed in a scenario spec get the same checks as built ones: at
+//! e6de4e0 a release `gridsec chaos` ran a site of speed −1 (negative
+//! execution times) and exited 0.
 
 use std::io::Read;
 use std::process::{Command, Stdio};
@@ -171,6 +180,78 @@ fn run_refuses_a_removed_algorithm_by_name() {
         assert_eq!(run.status.code(), Some(1), "{tag}: {stderr}");
         assert!(stderr.contains(&format!("`{tag}`")), "{tag}: {stderr}");
         std::fs::remove_dir_all(spec.parent().unwrap()).ok();
+    }
+}
+
+/// Runs `gridsec <command> <spec>` on `text`; returns its exit code and
+/// stderr.
+fn exit_of(command: &str, test: &str, text: &str) -> (Option<i32>, String) {
+    let spec = write_spec(test, text);
+    let run = Command::new(GRIDSEC)
+        .arg(command)
+        .arg(&spec)
+        .output()
+        .unwrap();
+    std::fs::remove_dir_all(spec.parent().unwrap()).ok();
+    (
+        run.status.code(),
+        String::from_utf8_lossy(&run.stderr).into(),
+    )
+}
+
+/// The starter chaos scenario (`scenarios/churn.json`).
+fn scenario_spec() -> String {
+    let out = Command::new(GRIDSEC)
+        .arg("example-scenario")
+        .output()
+        .unwrap();
+    String::from_utf8(out.stdout).unwrap()
+}
+
+/// `text` with `key` added first to its `sim` object.
+fn with_sim_key(text: &str, key: &str) -> String {
+    assert_eq!(text.matches("\"sim\": {").count(), 1);
+    text.replace("\"sim\": {", &format!("\"sim\": {{\n    {key},"))
+}
+
+#[test]
+fn run_and_chaos_refuse_a_removed_estimates_key_by_name() {
+    let estimates = r#""estimates": {"Multiplicative": {"err": 1.0}}"#;
+    for (command, spec) in [("run", small_spec()), ("chaos", scenario_spec())] {
+        let (code, stderr) = exit_of(command, "estimates", &with_sim_key(&spec, estimates));
+        assert_eq!(code, Some(1), "{command}: {stderr}");
+        assert!(stderr.contains("`estimates`"), "{command}: {stderr}");
+    }
+}
+
+#[test]
+fn run_and_chaos_refuse_replicas_by_name() {
+    for (command, spec) in [("run", small_spec()), ("chaos", scenario_spec())] {
+        let one = "\"max_replicas\": 1";
+        assert!(spec.contains(one), "{command}");
+        let spec = spec.replace(one, "\"max_replicas\": 2");
+        let (code, stderr) = exit_of(command, "replicas", &spec);
+        assert_eq!(code, Some(1), "{command}: {stderr}");
+        assert!(stderr.contains("`max_replicas`"), "{command}: {stderr}");
+    }
+}
+
+#[test]
+fn chaos_refuses_a_site_that_fails_the_site_checks() {
+    let spec = scenario_spec();
+    for (field, valid, bad) in [
+        ("speed", "\"speed\": 2.0", "\"speed\": -1.0"),
+        ("nodes", "\"nodes\": 2,", "\"nodes\": 0,"),
+        (
+            "security_level",
+            "\"security_level\": 0.95",
+            "\"security_level\": 1.5",
+        ),
+    ] {
+        assert!(spec.contains(valid), "{field}");
+        let (code, stderr) = exit_of("chaos", field, &spec.replacen(valid, bad, 1));
+        assert_eq!(code, Some(1), "{field}: {stderr}");
+        assert!(stderr.contains(&format!("`{field}`")), "{field}: {stderr}");
     }
 }
 

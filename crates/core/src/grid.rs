@@ -28,7 +28,7 @@ pub struct Grid {
 
 impl Grid {
     /// Builds a grid, checking that the site list is non-empty and densely
-    /// indexed.
+    /// indexed and that every site passes [`Site::validate`].
     pub fn new(sites: Vec<Site>) -> Result<Grid> {
         if sites.is_empty() {
             return Err(Error::invalid("sites", "a grid needs at least one site"));
@@ -40,6 +40,7 @@ impl Grid {
                     format!("site at position {k} has id {} (ids must be dense)", s.id),
                 ));
             }
+            s.validate()?;
         }
         Ok(Grid { sites })
     }
@@ -185,6 +186,48 @@ mod tests {
         let bad = vec![Site::builder(1).build().unwrap()];
         assert!(Grid::new(bad).is_err());
         assert!(Grid::new(vec![]).is_err());
+    }
+
+    /// Sites that skipped the builder (deserialised from a spec) get the
+    /// builder's checks here.
+    #[test]
+    fn new_checks_every_site() {
+        let valid = Site::builder(0).nodes(2).build().unwrap();
+        for (field, bad) in [
+            (
+                "nodes",
+                Site {
+                    nodes: 0,
+                    ..valid.clone()
+                },
+            ),
+            (
+                "speed",
+                Site {
+                    speed: -1.0,
+                    ..valid.clone()
+                },
+            ),
+            (
+                "speed",
+                Site {
+                    speed: f64::INFINITY,
+                    ..valid.clone()
+                },
+            ),
+            (
+                "security_level",
+                Site {
+                    security_level: 1.5,
+                    ..valid.clone()
+                },
+            ),
+        ] {
+            let err = Grid::new(vec![bad]).unwrap_err().to_string();
+            assert!(err.contains(&format!("`{field}`")), "{field}: {err}");
+            assert!(err.contains("site S0"), "{field}: {err}");
+        }
+        assert!(Grid::new(vec![valid]).is_ok());
     }
 
     #[test]

@@ -63,6 +63,39 @@ impl Site {
     pub fn fits_width(&self, width: u32) -> bool {
         width <= self.nodes
     }
+
+    /// Checks the site's fields: at least one node, a finite positive
+    /// speed, and an SL in `[0, 1]`. Run by [`SiteBuilder::build`] and by
+    /// [`Grid::new`](crate::Grid::new), so sites deserialised from a spec
+    /// are checked too.
+    pub fn validate(&self) -> Result<()> {
+        let id = self.id;
+        if self.nodes == 0 {
+            return Err(Error::invalid(
+                "nodes",
+                format!("site {id} must have at least 1 node"),
+            ));
+        }
+        if !(self.speed.is_finite() && self.speed > 0.0) {
+            return Err(Error::invalid(
+                "speed",
+                format!(
+                    "site {id}: speed must be positive and finite, got {}",
+                    self.speed
+                ),
+            ));
+        }
+        if !(0.0..=1.0).contains(&self.security_level) {
+            return Err(Error::invalid(
+                "security_level",
+                format!(
+                    "site {id}: SL must be in [0, 1], got {}",
+                    self.security_level
+                ),
+            ));
+        }
+        Ok(())
+    }
 }
 
 /// Builder for [`Site`] with validation at [`SiteBuilder::build`].
@@ -104,27 +137,14 @@ impl SiteBuilder {
 
     /// Validates and constructs the [`Site`].
     pub fn build(self) -> Result<Site> {
-        if self.nodes == 0 {
-            return Err(Error::invalid("nodes", "a site must have at least 1 node"));
-        }
-        if !(self.speed.is_finite() && self.speed > 0.0) {
-            return Err(Error::invalid(
-                "speed",
-                format!("speed must be positive and finite, got {}", self.speed),
-            ));
-        }
-        if !(0.0..=1.0).contains(&self.security_level) {
-            return Err(Error::invalid(
-                "security_level",
-                format!("SL must be in [0, 1], got {}", self.security_level),
-            ));
-        }
-        Ok(Site {
+        let site = Site {
             id: SiteId(self.id),
             nodes: self.nodes,
             speed: self.speed,
             security_level: self.security_level,
-        })
+        };
+        site.validate()?;
+        Ok(site)
     }
 }
 

@@ -135,9 +135,9 @@ pub struct OnlineSession {
 
 impl OnlineSession {
     /// Opens a session. Only the batching/security subset of `config` is
-    /// used (`schedule_interval`, `batch_policy`, `security`,
-    /// `max_replicas`) — there is no failure sampling in serving mode, so
-    /// the simulation-only knobs are ignored.
+    /// used (`schedule_interval`, `batch_policy`, `security`) — there is
+    /// no failure sampling in serving mode, so the simulation-only knobs
+    /// are ignored.
     pub fn new(
         grid: Grid,
         scheduler: Box<dyn BatchScheduler + Send>,

@@ -19,28 +19,6 @@ pub enum BatchPolicy {
     Hybrid(usize),
 }
 
-/// How far off the scheduler's execution-time estimates are from reality
-/// (the paper's §5 future-work question: scheduling when durations are
-/// *unknown a priori*). The engine shows the scheduler jobs whose `work`
-/// is the estimate; execution uses the true value.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub enum EstimateModel {
-    /// Estimates are exact (default behaviour when `None`).
-    Exact,
-    /// Estimate = true work × factor, factor log-uniform in
-    /// `[1/(1+err), 1+err]` — symmetric multiplicative noise.
-    Multiplicative {
-        /// Maximum relative error `err > 0` (e.g. 1.0 → up to 2× off).
-        err: f64,
-    },
-    /// The scheduler only knows each job's *class mean* — everything is
-    /// estimated as the given constant (total-ignorance baseline).
-    Constant {
-        /// The constant estimate in reference seconds.
-        work: f64,
-    },
-}
-
 /// Random-walk dynamics of site security levels, emulating an IDS that
 /// re-rates sites as its alert picture evolves.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -96,18 +74,19 @@ pub struct SimConfig {
     pub security: SecurityModel,
     /// When during execution a sampled failure manifests.
     pub failure_detection: FailureDetection,
-    /// Execution-time estimate quality shown to the scheduler.
-    pub estimates: EstimateModel,
     /// Optional random-walk dynamics of site security levels.
     pub sl_dynamics: Option<SlDynamics>,
-    /// Maximum simultaneous replicas the engine accepts per job in one
-    /// batch schedule (1 = replication disabled, the paper's model).
+    /// Assignments per job in one batch schedule. The only legal value
+    /// is 1 (the paper's model: each job runs once per round);
+    /// [`validate`](SimConfig::validate) refuses any other. The field
+    /// survives only because the benchmark harness (`gridbench/`) still
+    /// passes it to [`RoundDriver::new`](crate::RoundDriver::new).
     pub max_replicas: u32,
     /// Record the per-attempt timeline (every dispatch with its site,
     /// start, end and outcome) in the output — Gantt-chart data. Off by
     /// default: a 16 000-job NAS run generates ~25 000 attempt records.
     pub record_timeline: bool,
-    /// Experiment seed; drives failure sampling, estimates and SL walks.
+    /// Experiment seed; drives failure sampling and SL walks.
     pub seed: u64,
     /// Safety valve: abort if the simulated clock passes this horizon
     /// without draining all jobs (guards against schedulers that never
@@ -122,7 +101,6 @@ impl Default for SimConfig {
             batch_policy: BatchPolicy::default(),
             security: SecurityModel::default(),
             failure_detection: FailureDetection::default(),
-            estimates: EstimateModel::Exact,
             sl_dynamics: None,
             max_replicas: 1,
             record_timeline: false,
@@ -150,20 +128,17 @@ impl SimConfig {
             }
             _ => {}
         }
-        match self.estimates {
-            EstimateModel::Multiplicative { err } if !(err.is_finite() && err > 0.0) => {
-                return Err(Error::invalid("estimates.err", "must be positive"));
-            }
-            EstimateModel::Constant { work } if !(work.is_finite() && work > 0.0) => {
-                return Err(Error::invalid("estimates.work", "must be positive"));
-            }
-            _ => {}
-        }
         if let Some(d) = &self.sl_dynamics {
             d.validate()?;
         }
-        if self.max_replicas == 0 {
-            return Err(Error::invalid("max_replicas", "must be ≥ 1"));
+        if self.max_replicas != 1 {
+            return Err(Error::invalid(
+                "max_replicas",
+                format!(
+                    "replication is not supported; must be 1, got {}",
+                    self.max_replicas
+                ),
+            ));
         }
         Ok(())
     }
@@ -198,21 +173,9 @@ impl SimConfig {
         self
     }
 
-    /// Builder-style: sets the estimate model.
-    pub fn with_estimates(mut self, e: EstimateModel) -> Self {
-        self.estimates = e;
-        self
-    }
-
     /// Builder-style: enables SL dynamics.
     pub fn with_sl_dynamics(mut self, d: SlDynamics) -> Self {
         self.sl_dynamics = Some(d);
-        self
-    }
-
-    /// Builder-style: allows up to `k` replicas per job.
-    pub fn with_max_replicas(mut self, k: u32) -> Self {
-        self.max_replicas = k;
         self
     }
 
@@ -271,15 +234,12 @@ mod tests {
             .unwrap()
             .with_seed(99)
             .with_failure_detection(FailureDetection::AtEnd)
-            .with_batch_policy(BatchPolicy::Hybrid(16))
-            .with_estimates(EstimateModel::Multiplicative { err: 0.5 })
-            .with_max_replicas(2);
+            .with_batch_policy(BatchPolicy::Hybrid(16));
         assert_eq!(c.schedule_interval, Time::new(50.0));
         assert_eq!(c.security.lambda(), 1.5);
         assert_eq!(c.seed, 99);
         assert_eq!(c.failure_detection, FailureDetection::AtEnd);
         assert_eq!(c.batch_policy, BatchPolicy::Hybrid(16));
-        assert_eq!(c.max_replicas, 2);
         assert!(c.validate().is_ok());
     }
 
@@ -293,14 +253,6 @@ mod tests {
         let c = SimConfig::default().with_batch_policy(BatchPolicy::CountTriggered(0));
         assert!(c.validate().is_err());
         let c = SimConfig::default().with_batch_policy(BatchPolicy::Hybrid(0));
-        assert!(c.validate().is_err());
-    }
-
-    #[test]
-    fn bad_estimates_rejected() {
-        let c = SimConfig::default().with_estimates(EstimateModel::Multiplicative { err: 0.0 });
-        assert!(c.validate().is_err());
-        let c = SimConfig::default().with_estimates(EstimateModel::Constant { work: -5.0 });
         assert!(c.validate().is_err());
     }
 
@@ -322,9 +274,17 @@ mod tests {
         assert!(c.validate().is_err());
     }
 
+    /// Replication is gone: 1 is the field's only legal value, and any
+    /// other is refused by name.
     #[test]
     fn zero_replicas_rejected() {
-        let c = SimConfig::default().with_max_replicas(0);
-        assert!(c.validate().is_err());
+        for k in [0, 2] {
+            let c = SimConfig {
+                max_replicas: k,
+                ..SimConfig::default()
+            };
+            let err = c.validate().unwrap_err().to_string();
+            assert!(err.contains("max_replicas"), "{err}");
+        }
     }
 }

@@ -14,18 +14,14 @@
 //!
 //! * count-triggered and hybrid batch policies
 //!   ([`BatchPolicy`](crate::BatchPolicy));
-//! * noisy execution-time estimates ([`EstimateModel`]) — the scheduler
-//!   sees estimated work, execution consumes the true work (the paper's
-//!   §5 future-work scenario);
 //! * a random walk on site security levels
 //!   ([`SlDynamics`](crate::config::SlDynamics)), emulating an IDS
-//!   re-rating sites over time;
-//! * **job replication**: a schedule may assign one job to several sites
-//!   (up to `max_replicas`); the first successful replica completes the
-//!   job, and the job only counts as failed when *every* replica fails
-//!   (the DFTS-style fault-tolerance of Abawajy, the paper's ref. \[1\]).
+//!   re-rating sites over time.
+//!
+//! Each job runs one attempt at a time: a round assigns it exactly once,
+//! and a failed attempt sends it back to the queue secure-only.
 
-use crate::config::{EstimateModel, SimConfig};
+use crate::config::SimConfig;
 use crate::event::{EventKind, EventQueue};
 use crate::report::SimOutput;
 use crate::round::{BoundaryClock, RoundDriver};
@@ -38,18 +34,13 @@ use rand::Rng;
 use rand_chacha::ChaCha8Rng;
 use std::collections::HashMap;
 
-/// Per-job bookkeeping across (possibly several) attempts and replicas.
+/// Per-job bookkeeping across (possibly several) attempts.
 #[derive(Debug, Clone)]
 struct JobState {
     job: Job,
-    estimated_work: f64,
     first_start: Option<Time>,
     failures: u32,
     risk_taken: bool,
-    /// Attempts currently in flight.
-    outstanding: u32,
-    /// Whether a successful attempt has already completed the job.
-    done: bool,
 }
 
 /// The simulator: owns all mutable state of one run.
@@ -70,7 +61,6 @@ pub struct Simulator<'a, S: BatchScheduler + ?Sized> {
     failure_rng: ChaCha8Rng,
     walk_rng: ChaCha8Rng,
     total_jobs: usize,
-    replica_dispatches: usize,
     timeline: Option<Timeline>,
 }
 
@@ -91,21 +81,16 @@ impl<'a, S: BatchScheduler + ?Sized> Simulator<'a, S> {
             }
         }
         let mut events = EventQueue::new();
-        let mut estimate_rng = stream(config.seed, Stream::Custom(0xE57));
         let mut states = HashMap::with_capacity(workload.len());
         for job in workload {
             events.push(job.arrival, EventKind::Arrival { job: job.id });
-            let estimated_work = estimate_work(job.work, config.estimates, &mut estimate_rng);
             let prev = states.insert(
                 job.id,
                 JobState {
                     job: job.clone(),
-                    estimated_work,
                     first_start: None,
                     failures: 0,
                     risk_taken: false,
-                    outstanding: 0,
-                    done: false,
                 },
             );
             if prev.is_some() {
@@ -138,7 +123,6 @@ impl<'a, S: BatchScheduler + ?Sized> Simulator<'a, S> {
             failure_rng: stream(config.seed, Stream::Failure),
             walk_rng: stream(config.seed, Stream::Custom(0x51D9)),
             total_jobs: workload.len(),
-            replica_dispatches: 0,
             timeline: if config.record_timeline {
                 Some(Timeline::new())
             } else {
@@ -165,7 +149,7 @@ impl<'a, S: BatchScheduler + ?Sized> Simulator<'a, S> {
             self.check_horizon(event.at)?;
             self.clock.advance_to(event.at);
             match event.kind {
-                EventKind::Arrival { job } => self.on_arrival(job),
+                EventKind::Arrival { job } => self.enqueue(job, false),
                 EventKind::AttemptEnd { job, site, failed } => {
                     self.on_attempt_end(job, site, failed)
                 }
@@ -191,7 +175,6 @@ impl<'a, S: BatchScheduler + ?Sized> Simulator<'a, S> {
             },
             max_batch_size: self.rounds.max_batch_size(),
             scheduler_seconds: self.rounds.scheduler_nanos() as f64 / 1e9,
-            replica_dispatches: self.replica_dispatches,
             timeline: self.timeline,
             seed: self.config.seed,
         })
@@ -208,38 +191,23 @@ impl<'a, S: BatchScheduler + ?Sized> Simulator<'a, S> {
         Ok(())
     }
 
-    /// A job the scheduler should see: true job with estimated work.
-    fn scheduler_view_of(&self, id: JobId, secure_only: bool) -> BatchJob {
-        let state = &self.states[&id];
-        let mut job = state.job.clone();
-        job.work = state.estimated_work;
-        BatchJob { job, secure_only }
-    }
-
-    fn on_arrival(&mut self, id: JobId) {
-        let bj = self.scheduler_view_of(id, false);
-        self.rounds.enqueue(bj);
+    /// Queues `id` for the next round: on arrival, or secure-only after a
+    /// failed attempt.
+    fn enqueue(&mut self, id: JobId, secure_only: bool) {
+        let job = self.states[&id].job.clone();
+        self.rounds.enqueue(BatchJob { job, secure_only });
         self.clock.arm(&self.rounds);
     }
 
     fn on_attempt_end(&mut self, id: JobId, site: SiteId, failed: bool) {
         let state = self.states.get_mut(&id).expect("known job");
-        state.outstanding -= 1;
         if failed {
-            if !state.done && state.outstanding == 0 {
-                // Every replica failed: the job counts as failed (the
-                // paper's N_fail is "failed and rescheduled jobs" — a
-                // failed replica whose sibling succeeds does not count)
-                // and is rescheduled under the secure-only constraint
-                // (fail-stop rule).
-                state.failures += 1;
-                let bj = self.scheduler_view_of(id, true);
-                self.rounds.enqueue(bj);
-                self.clock.arm(&self.rounds);
-            }
-        } else if !state.done {
-            state.done = true;
-            let state = &self.states[&id];
+            // The job counts as failed (the paper's N_fail is "failed and
+            // rescheduled jobs") and is rescheduled under the
+            // secure-only constraint (fail-stop rule).
+            state.failures += 1;
+            self.enqueue(id, true);
+        } else {
             self.metrics.record_outcome(JobOutcome {
                 id,
                 arrival: state.job.arrival,
@@ -250,7 +218,6 @@ impl<'a, S: BatchScheduler + ?Sized> Simulator<'a, S> {
                 failures: state.failures,
             });
         }
-        // Late replicas of an already-done job just release their nodes.
     }
 
     fn on_boundary(&mut self, b: Time) -> Result<()> {
@@ -270,9 +237,6 @@ impl<'a, S: BatchScheduler + ?Sized> Simulator<'a, S> {
     fn dispatch(&mut self, id: JobId, site_id: SiteId, now: Time) {
         let site = self.rounds.grid().site(site_id);
         let state = self.states.get_mut(&id).expect("known job");
-        if state.outstanding > 0 {
-            self.replica_dispatches += 1;
-        }
         let job = &state.job;
         let exec = job.exec_time(site.speed);
         // Always draw both variates so the failure stream stays aligned
@@ -293,7 +257,6 @@ impl<'a, S: BatchScheduler + ?Sized> Simulator<'a, S> {
         self.metrics.record_busy(site_id, job.width, occupied);
         state.first_start.get_or_insert(attempt.start);
         state.risk_taken |= risky;
-        state.outstanding += 1;
         if let Some(tl) = &mut self.timeline {
             tl.push(AttemptSpan {
                 job: id,
@@ -342,19 +305,6 @@ impl<'a, S: BatchScheduler + ?Sized> Simulator<'a, S> {
             self.events
                 .push(self.clock.now() + d.period, EventKind::SlWalk);
         }
-    }
-}
-
-/// Derives the estimated work the scheduler sees for one job.
-fn estimate_work<R: Rng + ?Sized>(true_work: f64, model: EstimateModel, rng: &mut R) -> f64 {
-    match model {
-        EstimateModel::Exact => true_work,
-        EstimateModel::Multiplicative { err } => {
-            let hi = (1.0 + err).ln();
-            let f = rng.gen_range(-hi..=hi).exp();
-            true_work * f
-        }
-        EstimateModel::Constant { work } => work,
     }
 }
 
@@ -697,49 +647,6 @@ mod tests {
     }
 
     #[test]
-    fn estimates_change_scheduler_view_but_not_execution() {
-        let grid = safe_grid();
-        let jobs: Vec<Job> = (0..10)
-            .map(|i| {
-                Job::builder(i)
-                    .arrival(Time::new(i as f64))
-                    .work(40.0)
-                    .security_demand(0.5)
-                    .build()
-                    .unwrap()
-            })
-            .collect();
-        // A constant estimate misleads MCT, but execution still uses the
-        // true 40 s work, so all jobs complete and total busy time is
-        // unchanged.
-        let exact = simulate(&jobs, &grid, &mut EarliestCompletion, &cfg()).unwrap();
-        let config = cfg().with_estimates(EstimateModel::Constant { work: 1.0 });
-        let blind = simulate(&jobs, &grid, &mut EarliestCompletion, &config).unwrap();
-        assert_eq!(blind.metrics.n_jobs, 10);
-        // True work executed in both cases → identical overall busy time
-        // (utilisation × makespan × nodes), though schedules may differ.
-        assert_eq!(exact.metrics.n_jobs, blind.metrics.n_jobs);
-    }
-
-    #[test]
-    fn multiplicative_estimates_complete_everything() {
-        let grid = safe_grid();
-        let jobs: Vec<Job> = (0..25)
-            .map(|i| {
-                Job::builder(i)
-                    .arrival(Time::new(i as f64 * 3.0))
-                    .work(20.0 + i as f64)
-                    .security_demand(0.6)
-                    .build()
-                    .unwrap()
-            })
-            .collect();
-        let config = cfg().with_estimates(EstimateModel::Multiplicative { err: 2.0 });
-        let out = simulate(&jobs, &grid, &mut EarliestCompletion, &config).unwrap();
-        assert_eq!(out.metrics.n_jobs, 25);
-    }
-
-    #[test]
     fn sl_walk_changes_realised_risk() {
         // Start fully safe; the walk drags SL down until failures appear.
         let grid = Grid::new(vec![Site::builder(0)
@@ -774,8 +681,8 @@ mod tests {
         assert!(walked.metrics.n_risk > 0);
     }
 
-    /// A scheduler that replicates every job on both sites (for the
-    /// replication path tests).
+    /// A scheduler that assigns every job to both sites, which the
+    /// round refuses: a job runs once per round.
     struct ReplicateAll;
 
     impl BatchScheduler for ReplicateAll {
@@ -802,60 +709,6 @@ mod tests {
         let jobs = vec![Job::builder(0).work(10.0).build().unwrap()];
         let err = simulate(&jobs, &grid, &mut ReplicateAll, &cfg());
         assert!(err.is_err());
-    }
-
-    #[test]
-    fn replication_first_success_wins() {
-        let grid = safe_grid();
-        let jobs = vec![Job::builder(0)
-            .work(100.0)
-            .security_demand(0.5)
-            .build()
-            .unwrap()];
-        let config = cfg().with_max_replicas(2);
-        let out = simulate(&jobs, &grid, &mut ReplicateAll, &config).unwrap();
-        assert_eq!(out.metrics.n_jobs, 1);
-        // The faster replica (speed 2 → 50 s, started at boundary 10)
-        // completes the job at 60.
-        assert_eq!(out.metrics.makespan, Time::new(60.0));
-        // Both replicas consumed resources.
-        assert!(out.metrics.site_utilization.iter().all(|&u| u > 0.0));
-    }
-
-    #[test]
-    fn replication_survives_unsafe_replica() {
-        // Site 0 always fails (SL 0, huge λ); site 1 always succeeds.
-        let grid = Grid::new(vec![
-            Site::builder(0)
-                .nodes(1)
-                .speed(10.0)
-                .security_level(0.0)
-                .build()
-                .unwrap(),
-            Site::builder(1)
-                .nodes(1)
-                .speed(1.0)
-                .security_level(1.0)
-                .build()
-                .unwrap(),
-        ])
-        .unwrap();
-        let config = SimConfig::default()
-            .with_interval(Time::new(10.0))
-            .with_lambda(1e6)
-            .unwrap()
-            .with_max_replicas(2);
-        let jobs = vec![Job::builder(0)
-            .work(50.0)
-            .security_demand(0.9)
-            .build()
-            .unwrap()];
-        let out = simulate(&jobs, &grid, &mut ReplicateAll, &config).unwrap();
-        assert_eq!(out.metrics.n_jobs, 1);
-        // The job is *not* counted as failed-and-rescheduled: the safe
-        // replica completed it in one round.
-        assert_eq!(out.n_batches, 1);
-        assert_eq!(out.metrics.makespan, Time::new(60.0));
     }
 
     #[test]
@@ -920,7 +773,6 @@ mod tests {
         }
         let grid = safe_grid();
         let jobs = vec![Job::builder(0).work(10.0).build().unwrap()];
-        let config = cfg().with_max_replicas(3);
-        assert!(simulate(&jobs, &grid, &mut DoubleSameSite, &config).is_err());
+        assert!(simulate(&jobs, &grid, &mut DoubleSameSite, &cfg()).is_err());
     }
 }

@@ -38,7 +38,6 @@
 pub mod config;
 pub mod engine;
 pub mod event;
-pub mod replicate;
 pub mod report;
 pub mod round;
 pub mod scenario;
@@ -46,9 +45,8 @@ pub mod scheduler;
 pub mod shard;
 pub mod timeline;
 
-pub use config::{BatchPolicy, EstimateModel, SimConfig, SlDynamics};
+pub use config::{BatchPolicy, SimConfig, SlDynamics};
 pub use engine::{simulate, Simulator};
-pub use replicate::Replicated;
 pub use report::SimOutput;
 pub use round::{BoundaryClock, CommittedAssignment, RoundDriver, RoundOutcome};
 pub use scenario::{

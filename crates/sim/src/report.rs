@@ -20,9 +20,6 @@ pub struct SimOutput {
     /// Wall-clock seconds spent *inside the scheduler* over the whole run —
     /// the paper's "fastness"/online-usability measure for the STGA.
     pub scheduler_seconds: f64,
-    /// Number of extra replica dispatches (0 unless replication is on).
-    #[serde(default)]
-    pub replica_dispatches: usize,
     /// Per-attempt Gantt data (only with
     /// [`SimConfig::with_timeline`](crate::SimConfig)).
     #[serde(default)]
@@ -74,7 +71,6 @@ mod tests {
             mean_batch_size: 5.0,
             max_batch_size: 7,
             scheduler_seconds: 0.001,
-            replica_dispatches: 0,
             timeline: None,
             seed: 42,
         };

@@ -2,7 +2,7 @@
 //! says when a batch boundary fires, the arming rule that feeds it, and
 //! the [`RoundDriver`] that accumulates the pending queue under a
 //! [`BatchPolicy`], runs the scheduler over a [`GridView`], validates the
-//! schedule (replication-aware) and commits every attempt.
+//! schedule (each job exactly once) and commits every attempt.
 //!
 //! Both front ends are callers of this one core:
 //!
@@ -193,7 +193,6 @@ pub struct RoundDriver {
     pending: Vec<BatchJob>,
     policy: BatchPolicy,
     model: SecurityModel,
-    max_replicas: u32,
     n_rounds: usize,
     /// Jobs handed to the scheduler over every non-empty round.
     jobs_batched: usize,
@@ -210,11 +209,17 @@ pub struct RoundDriver {
 
 impl RoundDriver {
     /// A fresh driver over `grid`: empty queue, all nodes free at t = 0.
+    ///
+    /// `_max_replicas` is unused: a round assigns each job exactly once.
+    /// The parameter stays only because the benchmark harness
+    /// (`gridbench/`) still passes
+    /// [`SimConfig::max_replicas`](crate::SimConfig), whose one legal
+    /// value is 1.
     pub fn new(
         grid: Grid,
         policy: BatchPolicy,
         model: SecurityModel,
-        max_replicas: u32,
+        _max_replicas: u32,
     ) -> RoundDriver {
         let avail = grid
             .sites()
@@ -227,7 +232,6 @@ impl RoundDriver {
             pending: Vec::new(),
             policy,
             model,
-            max_replicas,
             n_rounds: 0,
             jobs_batched: 0,
             max_batch: 0,
@@ -449,7 +453,7 @@ impl RoundDriver {
 
     /// Runs one scheduling round at instant `now`: takes the pending
     /// queue as the batch, invokes the scheduler over the current grid
-    /// view, and validates the result (replication-aware). Returns
+    /// view, and validates the result (each job exactly once). Returns
     /// `Ok(None)` when nothing is pending.
     ///
     /// While a site is offline the scheduler sees a dense re-indexed view
@@ -536,15 +540,18 @@ impl RoundDriver {
         Ok((Grid::new(sites)?, avail, to_global))
     }
 
-    /// Replication-aware validation: every batch job covered at least
-    /// once, at most `max_replicas` times, on distinct fitting sites.
+    /// Every batch job assigned exactly once, on a fitting site.
     fn validate_schedule(&self, schedule: &BatchSchedule, batch: &[BatchJob]) -> Result<()> {
-        // One job→sites index instead of per-assignment map churn; the
-        // replica checks below run off the indexed site lists.
-        let index = schedule.index();
-        let in_batch: HashMap<JobId, u32> = batch.iter().map(|b| (b.job.id, b.job.width)).collect();
+        // Each batch job's width, taken by its first assignment.
+        let mut unplaced: HashMap<JobId, Option<u32>> = batch
+            .iter()
+            .map(|b| (b.job.id, Some(b.job.width)))
+            .collect();
         for a in &schedule.assignments {
-            let width = *in_batch.get(&a.job).ok_or(Error::UnknownJob(a.job.0))?;
+            let slot = unplaced.get_mut(&a.job).ok_or(Error::UnknownJob(a.job.0))?;
+            let width = slot.take().ok_or_else(|| {
+                Error::invalid("schedule", format!("job {} assigned twice", a.job))
+            })?;
             let site = self.grid.get(a.site).ok_or(Error::UnknownSite(a.site.0))?;
             if !site.fits_width(width) {
                 return Err(Error::WidthExceedsSite {
@@ -554,32 +561,10 @@ impl RoundDriver {
                 });
             }
         }
-        for b in batch {
-            let sites = index.sites_of(b.job.id);
-            if sites.len() as u32 > self.max_replicas {
-                return Err(Error::invalid(
-                    "schedule",
-                    format!(
-                        "job {} assigned {} times (max_replicas = {})",
-                        b.job.id,
-                        sites.len(),
-                        self.max_replicas
-                    ),
-                ));
-            }
-            for (i, s) in sites.iter().enumerate() {
-                if sites[..i].contains(s) {
-                    return Err(Error::invalid(
-                        "schedule",
-                        format!("job {} replicated twice on site {}", b.job.id, s),
-                    ));
-                }
-            }
-        }
-        if index.n_jobs() != batch.len() {
+        if schedule.assignments.len() != batch.len() {
             return Err(Error::IncompleteSchedule {
                 expected: batch.len(),
-                assigned: index.n_jobs(),
+                assigned: schedule.assignments.len(),
             });
         }
         Ok(())

@@ -8,7 +8,7 @@
 use gridsec_core::{JobId, SiteId, Time};
 use serde::{Deserialize, Serialize};
 
-/// One dispatched attempt: where a job (replica) ran and how it ended.
+/// One dispatched attempt: where a job ran and how it ended.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct AttemptSpan {
     /// The job.
@@ -62,7 +62,7 @@ impl Timeline {
         self.spans.iter().filter(|s| s.site == site).collect()
     }
 
-    /// All attempts of one job (several when it failed or was replicated).
+    /// All attempts of one job (several when it failed).
     pub fn job_history(&self, job: JobId) -> Vec<&AttemptSpan> {
         self.spans.iter().filter(|s| s.job == job).collect()
     }

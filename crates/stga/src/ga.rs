@@ -162,9 +162,8 @@ fn resize_slots(slots: &mut Vec<EvalSlot>, len: usize) {
 
 /// Harvests one evaluation sweep in one sequential pass: mirrors the
 /// slots' fitness values into the flat vector the roulette wheel spins
-/// over (and [`evolve_population`] returns), hands them to `sweep` (best
-/// index, `elitism` elites, the wheel's finite extremes), and counts the
-/// path each child took — plain integers read after the sweep, so the
+/// over, hands them to `sweep` (best index, `elitism` elites, the
+/// wheel's finite extremes), and counts the path each child took — plain integers read after the sweep, so the
 /// evaluation path itself carries no atomics.
 fn harvest(
     sweep: &mut Sweep,
@@ -334,30 +333,6 @@ pub fn evolve<R: Rng + ?Sized>(
 ) -> GaResult {
     let mut pool = GaPool::new();
     evolve_with_pool(ctx, base_avail, initial, params, kind, risk, rng, &mut pool)
-}
-
-/// Like [`evolve`], but also returns the final population and its fitness
-/// values — the building block of the island-model GA
-/// ([`crate::islands`]), which keeps populations alive across migration
-/// epochs.
-pub fn evolve_population<R: Rng + ?Sized>(
-    ctx: &MapCtx,
-    base_avail: &[NodeAvailability],
-    initial: Vec<Chromosome>,
-    params: &GaParams,
-    kind: FitnessKind,
-    risk: Option<&RiskWeights>,
-    rng: &mut R,
-) -> (GaResult, Vec<Chromosome>, Vec<f64>) {
-    let mut pool = GaPool::new();
-    let r = evolve_with_pool(ctx, base_avail, initial, params, kind, risk, rng, &mut pool);
-    if ctx.n_jobs() == 1 {
-        // The exact single-job path never touches the population buffers.
-        let population = vec![r.best.clone()];
-        let fitness = vec![r.best_fitness];
-        return (r, population, fitness);
-    }
-    (r, pool.population, pool.fitness)
 }
 
 /// The pooled core of [`evolve`]: identical behaviour (bit for bit — the

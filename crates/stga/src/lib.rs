@@ -26,7 +26,6 @@
 //!   [`BatchScheduler`](gridsec_sim::BatchScheduler)).
 //! * [`StandardGa`] — the conventional GA baseline (random-only initial
 //!   population), used by the Fig. 5/7b comparisons.
-//! * [`islands`] — an island-model parallel GA (extension).
 
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
@@ -36,7 +35,6 @@ pub mod conventional;
 pub mod fitness;
 pub mod ga;
 pub mod history;
-pub mod islands;
 pub mod kernel;
 pub mod ops;
 pub mod params;
@@ -45,9 +43,8 @@ pub mod stga;
 
 pub use chromosome::Chromosome;
 pub use conventional::StandardGa;
-pub use ga::{evolve, evolve_population, evolve_with_pool, GaPool, GaResult};
+pub use ga::{evolve, evolve_with_pool, GaPool, GaResult};
 pub use history::{BatchSignature, HistoryTable, SharedHistory};
-pub use islands::{evolve_islands, IslandParams};
 pub use kernel::{FitnessKernel, KernelScratch};
 pub use params::{GaParams, StgaParams};
 pub use stga::Stga;

@@ -1,17 +1,15 @@
-//! Fault tolerance, two ways: chaos-scenario churn through the round
-//! engine (sites failing and rejoining mid-run, stranded jobs requeued,
-//! zero lost), then replication racing a safe backup against every risky
-//! primary (the DFTS idea the paper cites as related work).
+//! Fault tolerance under chaos-scenario churn through the round engine:
+//! sites fail and rejoin mid-run, stranded jobs are requeued, and none is
+//! lost.
 //!
 //! Run with: `cargo run --release --example fault_tolerance`
 
 use gridsec::prelude::*;
 use gridsec::serve::ScenarioRunner;
-use gridsec::sim::{ArrivalPhase, ArrivalProcess, FaultSpec, Replicated, Scenario};
-use gridsec::workloads::PsaConfig;
+use gridsec::sim::{ArrivalPhase, ArrivalProcess, FaultSpec, Scenario};
 
 fn main() {
-    // Act 1: a declarative chaos scenario. One tenant submits Poisson
+    // A declarative chaos scenario. One tenant submits Poisson
     // arrivals while site 1 dies mid-run (stranding whatever it was
     // executing) and a seeded fault storm knocks sites out at random;
     // the engine requeues every stranded job and the books must balance.
@@ -79,37 +77,5 @@ fn main() {
         outcome.rejected.len()
     );
     assert!(outcome.fully_accounted(), "no job may be silently lost");
-    println!("  ledger balanced: every job scheduled, pending, or typed-rejected\n");
-
-    // Act 2: replication. A harsher failure law than the default so the
-    // backup replicas have work to do.
-    let w = PsaConfig::default().with_n_jobs(400).generate().unwrap();
-    let config = SimConfig::default()
-        .with_interval(Time::new(1_000.0))
-        .with_lambda(8.0)
-        .unwrap();
-
-    println!("replication study over {} jobs, lambda = 8\n", w.jobs.len());
-
-    let mut plain = MinMin::new(RiskMode::Risky);
-    let base = simulate(&w.jobs, &w.grid, &mut plain, &config).unwrap();
-    println!("{}", base.summary());
-
-    for threshold in [0.8, 0.5, 0.2] {
-        let mut replicated = Replicated::new(MinMin::new(RiskMode::Risky), threshold);
-        let config = config.clone().with_max_replicas(2);
-        let out = simulate(&w.jobs, &w.grid, &mut replicated, &config).unwrap();
-        println!(
-            "{}  (threshold {threshold:.1}, {} backup dispatches)",
-            out.summary(),
-            out.replica_dispatches
-        );
-    }
-
-    println!(
-        "\nLower thresholds replicate more aggressively: failures drop (a \
-         safe replica\nfinishes the job without a reschedule round-trip) \
-         while utilisation rises\n(backups consume nodes even when the \
-         primary would have succeeded)."
-    );
+    println!("  ledger balanced: every job scheduled, pending, or typed-rejected");
 }

@@ -1,6 +1,6 @@
-//! Greedy vs genetic search on one scheduling batch: Min-Min, the
-//! conventional GA and the island GA — the trade-off the paper's §2
-//! sketches ("GAs are effective … but too slow").
+//! Greedy vs genetic search on one scheduling batch: Min-Min and the
+//! conventional GA — the trade-off the paper's §2 sketches ("GAs are
+//! effective … but too slow").
 //!
 //! Run with: `cargo run --release --example metaheuristics`
 
@@ -8,8 +8,8 @@ use gridsec::core::etc::NodeAvailability;
 use gridsec::heuristics::common::{Fallback, MapCtx};
 use gridsec::heuristics::mapping::{map_min_min, mapping_makespan};
 use gridsec::prelude::*;
+use gridsec::stga::evolve;
 use gridsec::stga::fitness::FitnessKind;
-use gridsec::stga::{evolve, evolve_islands};
 use gridsec::workloads::PsaConfig;
 use std::time::Instant;
 
@@ -65,25 +65,8 @@ fn main() {
     );
     report("GA (200 pop x 100 gen)", ga.best_fitness, t0);
 
-    // Island GA.
-    let t0 = Instant::now();
-    let islands = evolve_islands(
-        &ctx,
-        &avail,
-        vec![],
-        &IslandParams {
-            ga: GaParams::default().with_population(50).with_seed(7),
-            islands: 4,
-            epochs: 5,
-            migrants: 2,
-        },
-        FitnessKind::Makespan,
-        None,
-    );
-    report("island GA (4 x 50)", islands.best_fitness, t0);
-
     println!(
-        "\nAll searches explore the same space; the paper's STGA makes the GA\n\
+        "\nBoth searches explore the same space; the paper's STGA makes the GA\n\
          *online-viable* by starting from history instead of from scratch\n\
          (see `cargo run --release -p gridsec-bench --bin paper -- fig5`)."
     );

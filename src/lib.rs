@@ -63,9 +63,8 @@ pub mod prelude {
     };
     pub use gridsec_heuristics::{MaxMin, Mct, MinMin, Sufferage};
     pub use gridsec_sim::{
-        simulate, BatchJob, BatchPolicy, BatchScheduler, EstimateModel, GridView, Replicated,
-        SimConfig, SimOutput, SlDynamics,
+        simulate, BatchJob, BatchPolicy, BatchScheduler, GridView, SimConfig, SimOutput, SlDynamics,
     };
-    pub use gridsec_stga::{GaParams, IslandParams, StandardGa, Stga, StgaParams};
+    pub use gridsec_stga::{GaParams, StandardGa, Stga, StgaParams};
     pub use gridsec_workloads::{NasConfig, PsaConfig, SecurityParams};
 }

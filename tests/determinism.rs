@@ -110,46 +110,6 @@ fn parallel_fitness_evaluation_matches_single_thread() {
 }
 
 #[test]
-fn parallel_islands_match_single_thread() {
-    use gridsec::core::etc::{EtcMatrix, NodeAvailability};
-    use gridsec::heuristics::common::MapCtx;
-    use gridsec::stga::{evolve_islands, fitness::FitnessKind};
-
-    let n = 8;
-    let m = 4;
-    let etc: Vec<f64> = (0..n * m).map(|i| 5.0 + (i % 13) as f64).collect();
-    let ctx = MapCtx {
-        etc: EtcMatrix::from_raw(n, m, etc),
-        widths: vec![1; n],
-        arrivals: vec![Time::ZERO; n],
-        candidates: vec![(0..m).collect(); n],
-        now: Time::ZERO,
-        commit_order: vec![],
-    };
-    let avail = vec![NodeAvailability::new(1, Time::ZERO); m];
-    let params = IslandParams {
-        ga: GaParams::default()
-            .with_population(20)
-            .with_generations(40)
-            .with_seed(7),
-        islands: 3,
-        epochs: 4,
-        migrants: 2,
-    };
-    let run = || evolve_islands(&ctx, &avail, vec![], &params, FitnessKind::Makespan, None);
-    let sequential = pool(1).install(run);
-    for threads in [2, 4] {
-        let parallel = pool(threads).install(run);
-        assert_eq!(
-            sequential.best_fitness, parallel.best_fitness,
-            "{threads}-thread island run diverged"
-        );
-        assert_eq!(sequential.best, parallel.best);
-        assert_eq!(sequential.trajectory, parallel.trajectory);
-    }
-}
-
-#[test]
 fn parallel_replication_sweep_matches_single_thread() {
     use gridsec_bench::{psa_setup, psa_sim_config, replicate, replication_seeds};
 

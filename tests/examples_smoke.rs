@@ -17,16 +17,27 @@ fn cargo() -> Command {
 #[test]
 fn every_example_builds() {
     let examples_dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("examples");
-    let n_examples = std::fs::read_dir(&examples_dir)
+    let mut examples: Vec<String> = std::fs::read_dir(&examples_dir)
         .expect("examples/ directory exists")
-        .filter(|e| {
-            e.as_ref()
-                .is_ok_and(|e| e.path().extension().is_some_and(|x| x == "rs"))
-        })
-        .count();
-    assert!(
-        n_examples >= 10,
-        "expected the 9 seed examples + online_service, found {n_examples}"
+        .map(|e| e.expect("examples/ entry is readable").path())
+        .filter(|p| p.extension().is_some_and(|x| x == "rs"))
+        .map(|p| p.file_stem().unwrap().to_string_lossy().into_owned())
+        .collect();
+    examples.sort();
+    // Adding or removing an example is an edit here.
+    assert_eq!(
+        examples,
+        [
+            "custom_scheduler",
+            "fault_tolerance",
+            "gantt",
+            "metaheuristics",
+            "nas_trace",
+            "online_service",
+            "psa_sweep",
+            "quickstart",
+            "trust_dynamics",
+        ]
     );
 
     let status = cargo()

@@ -1,6 +1,6 @@
 //! Integration coverage for the extension features: batch policies,
-//! estimate error, SL dynamics, replication and the attempt timeline — all
-//! end-to-end through the simulator.
+//! SL dynamics and the attempt timeline — all end-to-end through the
+//! simulator.
 
 use gridsec::prelude::*;
 use gridsec::workloads::PsaConfig;
@@ -47,34 +47,6 @@ fn batch_policies_all_complete_and_differ_in_batching() {
 }
 
 #[test]
-fn estimate_noise_degrades_gracefully() {
-    let (jobs, grid) = psa(200);
-    let base = SimConfig::default().with_interval(Time::new(1_000.0));
-    let exact = simulate(
-        &jobs,
-        &grid,
-        &mut Sufferage::new(RiskMode::FRisky(0.5)),
-        &base.clone().with_estimates(EstimateModel::Exact),
-    )
-    .unwrap();
-    let blind = simulate(
-        &jobs,
-        &grid,
-        &mut Sufferage::new(RiskMode::FRisky(0.5)),
-        &base.with_estimates(EstimateModel::Constant { work: 150_000.0 }),
-    )
-    .unwrap();
-    assert_eq!(exact.metrics.n_jobs, blind.metrics.n_jobs);
-    // Ignorance should not *improve* the schedule (tolerate small noise).
-    assert!(
-        blind.metrics.makespan.seconds() >= exact.metrics.makespan.seconds() * 0.95,
-        "blind {} vs exact {}",
-        blind.metrics.makespan,
-        exact.metrics.makespan
-    );
-}
-
-#[test]
 fn sl_dynamics_keep_all_invariants() {
     let (jobs, grid) = psa(150);
     let config = SimConfig::default()
@@ -88,23 +60,6 @@ fn sl_dynamics_keep_all_invariants() {
     let out = simulate(&jobs, &grid, &mut MinMin::new(RiskMode::Secure), &config).unwrap();
     assert_eq!(out.metrics.n_jobs, 150);
     assert!(out.metrics.n_fail <= out.metrics.n_risk);
-}
-
-#[test]
-fn replication_end_to_end_with_min_min() {
-    let (jobs, grid) = psa(120);
-    let config = SimConfig::default()
-        .with_interval(Time::new(1_000.0))
-        .with_lambda(8.0)
-        .unwrap()
-        .with_max_replicas(2);
-    let mut s = Replicated::new(MinMin::new(RiskMode::Risky), 0.4);
-    let out = simulate(&jobs, &grid, &mut s, &config).unwrap();
-    assert_eq!(out.metrics.n_jobs, 120);
-    assert!(out.replica_dispatches > 0);
-    // A replicated job that succeeds anywhere is not "failed and
-    // rescheduled": failures must be rarer than its replica count.
-    assert!(out.metrics.n_fail < out.replica_dispatches);
 }
 
 #[test]

@@ -288,7 +288,7 @@ fn roulette_digest() -> u64 {
 }
 
 /// One engine run folded whole: every attempt span (job, site, start and
-/// end bits, outcome), then the batch statistics and replica count.
+/// end bits, outcome), then the batch statistics.
 fn engine_digest(out: &SimOutput) -> u64 {
     let mut d = 0;
     for s in out.timeline.as_ref().expect("timeline recorded").spans() {
@@ -301,13 +301,14 @@ fn engine_digest(out: &SimOutput) -> u64 {
     d = fold_u64(d, out.n_batches as u64);
     d = fold_f64(d, out.mean_batch_size);
     d = fold_u64(d, out.max_batch_size as u64);
-    fold_u64(d, out.replica_dispatches as u64)
+    // Was the replica-dispatch count, 0 on every kept row: every pin stays valid.
+    fold_u64(d, 0)
 }
 
 /// The engine paths the periodic digests above never reach: count-
 /// triggered and hybrid boundaries with Eq. 1 failures requeued
 /// secure-only, the SL walk (its steps land on boundary instants), and
-/// replication under a hybrid policy.
+/// multi-node NAS jobs under a hybrid policy.
 fn engine_path_digests() -> Vec<(&'static str, u64)> {
     let psa = psa_setup(150, 2005);
     let nas = nas_setup(150, 2005);
@@ -327,27 +328,38 @@ fn engine_path_digests() -> Vec<(&'static str, u64)> {
     }));
     let config = nas_sim_config(2005)
         .with_batch_policy(BatchPolicy::Hybrid(4))
-        .with_max_replicas(2)
         .with_timeline();
-    let mut replicated = Replicated::new(MinMin::new(RiskMode::Risky), 0.05);
-    let rep = simulate(&nas.jobs, &nas.grid, &mut replicated, &config).unwrap();
-    assert!(rep.replica_dispatches > 0, "the replica row must fan out");
+    let mut minmin = MinMin::new(RiskMode::Risky);
+    let nas_hybrid = simulate(&nas.jobs, &nas.grid, &mut minmin, &config).unwrap();
+    assert!(nas_hybrid.metrics.n_fail > 0, "the NAS row must requeue");
+    let spans = nas_hybrid
+        .timeline
+        .as_ref()
+        .expect("timeline recorded")
+        .spans();
+    assert!(
+        spans.iter().any(|s| s.width > 1),
+        "the NAS row must run multi-node jobs"
+    );
     vec![
         ("engine/count4_minmin_risky", engine_digest(&count)),
         ("engine/hybrid4_minmin_risky", engine_digest(&hybrid)),
         ("engine/sl_walk_minmin_risky", engine_digest(&walk)),
-        ("engine/hybrid4_replicated", engine_digest(&rep)),
+        (
+            "engine/hybrid4_nas_minmin_risky",
+            engine_digest(&nas_hybrid),
+        ),
     ]
 }
 
 /// Captured at bfcc786, before the engine fed `BoundaryClock`. The count
 /// and hybrid rows agree: under both policies a sub-threshold enqueue arms
-/// the periodic boundary.
+/// the periodic boundary. The NAS row was captured at e6de4e0.
 const ENGINE_GOLDEN: &[(&str, u64)] = &[
     ("engine/count4_minmin_risky", 0x8F8A8D79A6E6B824),
     ("engine/hybrid4_minmin_risky", 0x8F8A8D79A6E6B824),
     ("engine/sl_walk_minmin_risky", 0x3CA78298E3E6578A),
-    ("engine/hybrid4_replicated", 0x82ED054A012F8051),
+    ("engine/hybrid4_nas_minmin_risky", 0x26D70C98BDC12373),
 ];
 
 #[test]
