@@ -8,6 +8,7 @@ use gridsec_core::{Error, Grid, Job, Result, RiskMode, Site};
 use gridsec_sim::{
     ArrivalPhase, ArrivalProcess, BatchScheduler, FaultSpec, Scenario, SimConfig, TrustSpec,
 };
+use gridsec_stga::chromosome::MAX_SITES;
 use gridsec_stga::{GaParams, SharedHistory, StandardGa, Stga, StgaParams};
 use gridsec_workloads::{swf, GridSpec, NasConfig, PsaConfig};
 use serde::de::DeserializeOwned;
@@ -136,6 +137,7 @@ impl SchedulerSpec {
             Some(history),
         ) = (self, history)
         {
+            self.check_grid(grid)?;
             let mut stga = Stga::with_history(*params, history)?;
             if *train_batch > 0 {
                 stga.train(jobs, grid, *train_batch)?;
@@ -145,10 +147,31 @@ impl SchedulerSpec {
         self.build_send(jobs, grid)
     }
 
+    /// Refuses a GA (`stga`, `ga`) on a grid with more sites than a
+    /// chromosome's 16-bit genes can name.
+    fn check_grid(&self, grid: &Grid) -> Result<()> {
+        let ga = match self {
+            SchedulerSpec::Stga { .. } => "stga",
+            SchedulerSpec::Ga { .. } => "ga",
+            _ => return Ok(()),
+        };
+        if grid.len() > MAX_SITES {
+            return Err(Error::invalid(
+                "algorithm",
+                format!(
+                    "`{ga}` schedules on at most {MAX_SITES} sites; this grid has {}",
+                    grid.len()
+                ),
+            ));
+        }
+        Ok(())
+    }
+
     /// Like [`SchedulerSpec::build`], but `Send` — movable into the
     /// serving daemon's scheduling thread.
     pub fn build_send(&self, jobs: &[Job], grid: &Grid) -> Result<Box<dyn BatchScheduler + Send>> {
         use gridsec_heuristics as h;
+        self.check_grid(grid)?;
         Ok(match self {
             SchedulerSpec::MinMin { mode } => Box::new(h::MinMin::new(*mode)),
             SchedulerSpec::Sufferage { mode } => Box::new(h::Sufferage::new(*mode)),

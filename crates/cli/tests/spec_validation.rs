@@ -289,3 +289,24 @@ fn run_builds_every_scheduler_tag() {
     }
     std::fs::remove_dir_all(spec.parent().unwrap()).ok();
 }
+
+/// A gene is 16 bits. At d421fe1 a GA on a grid of 65 537 sites wrapped
+/// site 65 536 to site 0, so a secure-only job could land on an insecure
+/// site; `gridsec run` now refuses the spec, naming the limit.
+#[test]
+fn run_refuses_a_ga_on_more_sites_than_a_gene_names() {
+    for tag in ["stga", "ga"] {
+        let roster = format!(r#"[{{"algorithm": "{tag}"}}]"#);
+        let spec = spec_with_schedulers(&roster);
+        let sites = "\"n_sites\": 20";
+        assert!(spec.contains(sites));
+        let spec = spec.replace(sites, "\"n_sites\": 65537");
+        let (code, stderr) = exit_of("run", &format!("sites_{tag}"), &spec);
+        assert_eq!(code, Some(1), "{tag}: {stderr}");
+        assert!(
+            stderr.contains(&format!("`{tag}` schedules on at most 65536 sites")),
+            "{tag}: {stderr}"
+        );
+        assert!(stderr.contains("65537"), "{tag}: {stderr}");
+    }
+}

@@ -9,25 +9,43 @@
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
-/// A job→site assignment vector (gene `i` = site index of batch job `i`).
-#[derive(Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub struct Chromosome {
-    genes: Vec<u16>,
+/// Sites a gene can name: genes are `u16`, so sites `0..MAX_SITES`.
+pub const MAX_SITES: usize = 1 << 16;
+
+/// The gene naming `site`.
+///
+/// # Panics
+/// Panics if `site` is not below [`MAX_SITES`] — a `u16` gene cannot
+/// name it, and a wrapped one would name another site.
+#[inline]
+pub(crate) fn gene(site: usize) -> u16 {
+    u16::try_from(site).unwrap_or_else(|_| {
+        panic!("site {site} has no gene: a chromosome names at most {MAX_SITES} sites")
+    })
 }
 
-// Manual Clone so `clone_from` reuses the destination's gene allocation —
-// the GA's elite splice clones into recycled population slots every
-// generation (derived Clone would always allocate afresh).
-impl Clone for Chromosome {
-    fn clone(&self) -> Self {
-        Chromosome {
-            genes: self.genes.clone(),
-        }
+/// Fills `genes` with a uniformly random feasible assignment: gene `i`
+/// sampled from job `i`'s candidate list, one `gen_range` per gene in
+/// order.
+///
+/// # Panics
+/// Panics if any candidate list is empty (engine-validated batches
+/// always have candidates).
+pub(crate) fn randomize<R: Rng + ?Sized>(
+    genes: &mut [u16],
+    candidates: &[Vec<usize>],
+    rng: &mut R,
+) {
+    for (g, c) in genes.iter_mut().zip(candidates) {
+        assert!(!c.is_empty(), "every job needs at least one candidate");
+        *g = gene(c[rng.gen_range(0..c.len())]);
     }
+}
 
-    fn clone_from(&mut self, source: &Self) {
-        self.genes.clone_from(&source.genes);
-    }
+/// A job→site assignment vector (gene `i` = site index of batch job `i`).
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+pub struct Chromosome {
+    genes: Vec<u16>,
 }
 
 impl Chromosome {
@@ -43,25 +61,9 @@ impl Chromosome {
     /// Panics if any candidate list is empty (engine-validated batches
     /// always have candidates).
     pub fn random<R: Rng + ?Sized>(candidates: &[Vec<usize>], rng: &mut R) -> Self {
-        let mut c = Chromosome { genes: Vec::new() };
-        c.randomize_from(candidates, rng);
-        c
-    }
-
-    /// Re-randomizes this chromosome in place, reusing its gene
-    /// allocation — the population pool's replacement for
-    /// [`Chromosome::random`] when refilling recycled slots. Consumes the
-    /// exact same RNG sequence (one `gen_range` per gene, in order), so a
-    /// pooled evolve run is bit-identical to a cold one.
-    ///
-    /// # Panics
-    /// Panics if any candidate list is empty.
-    pub fn randomize_from<R: Rng + ?Sized>(&mut self, candidates: &[Vec<usize>], rng: &mut R) {
-        self.genes.clear();
-        self.genes.extend(candidates.iter().map(|c| {
-            assert!(!c.is_empty(), "every job needs at least one candidate");
-            c[rng.gen_range(0..c.len())] as u16
-        }));
+        let mut genes = vec![0; candidates.len()];
+        randomize(&mut genes, candidates, rng);
+        Chromosome { genes }
     }
 
     /// Number of genes (batch size).
@@ -90,18 +92,6 @@ impl Chromosome {
         &mut self.genes
     }
 
-    /// Overwrites this chromosome with `head[..cut] ++ tail[cut..]`,
-    /// reusing its gene allocation — a crossover child written straight
-    /// from its parents.
-    ///
-    /// # Panics
-    /// Panics if `cut` exceeds either parent's length.
-    pub(crate) fn splice(&mut self, head: &Chromosome, tail: &Chromosome, cut: usize) {
-        self.genes.clear();
-        self.genes.extend_from_slice(&head.genes[..cut]);
-        self.genes.extend_from_slice(&tail.genes[cut..]);
-    }
-
     /// Adapts this chromosome to a (possibly different-sized) batch:
     /// truncates extra genes, extends missing ones randomly, and replaces
     /// any gene that is not in the job's candidate list with a random
@@ -115,7 +105,7 @@ impl Chromosome {
                 assert!(!c.is_empty(), "every job needs at least one candidate");
                 match self.genes.get(i) {
                     Some(&g) if c.contains(&(g as usize)) => g,
-                    _ => c[rng.gen_range(0..c.len())] as u16,
+                    _ => gene(c[rng.gen_range(0..c.len())]),
                 }
             })
             .collect();

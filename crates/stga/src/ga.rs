@@ -1,10 +1,13 @@
 //! The generic GA engine: selection → crossover → mutation → elitism.
 //!
-//! Each generation is bred serially from one RNG stream, then evaluated
-//! in one rayon sweep against the round's compiled [`FitnessKernel`],
-//! then harvested in one sequential pass ([`Sweep`]: fitness vector, path
-//! counts, best index, elites and the wheel's extremes); every buffer
-//! lives in a [`GaPool`], so a warm round allocates nothing.
+//! Each generation is one sequential pass driven by one RNG stream: every
+//! child is bred into its row of a flat gene arena, evaluated at once
+//! against the round's compiled [`FitnessKernel`] and offered, in index
+//! order, to an incremental [`Sweep`] (best index, elites and the wheel's
+//! extremes for the next generation). Evaluation draws no random number,
+//! so breeding and evaluating child by child draws exactly what breeding
+//! a whole generation first would. Every buffer lives in a [`GaPool`], so
+//! a warm round allocates only its result.
 //!
 //! Each new genome is evaluated once. A child whose genome equals one of
 //! its two parents' — its own parent's, when crossover and mutation left
@@ -19,7 +22,7 @@
 //! fitness-only ([`FitnessKernel::evaluate_fitness`]) and no completion
 //! times are kept at all.
 
-use crate::chromosome::Chromosome;
+use crate::chromosome::{gene, randomize, Chromosome};
 use crate::fitness::{FitnessKind, RiskWeights};
 use crate::kernel::{FitnessKernel, KernelScratch};
 use crate::ops::{crossover_into, mutate_tracked};
@@ -29,8 +32,6 @@ use gridsec_core::etc::NodeAvailability;
 use gridsec_core::Time;
 use gridsec_heuristics::common::MapCtx;
 use rand::Rng;
-use rayon::prelude::*;
-use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Outcome of one evolution run.
 #[derive(Debug, Clone, PartialEq)]
@@ -45,50 +46,63 @@ pub struct GaResult {
     pub trajectory: Vec<f64>,
 }
 
-/// Cross-round buffer pool for the evolve loop: both population buffers,
-/// the fitness vector, the roulette table, the sweep's elite buffer and
-/// the odd-tail spare slot.
+/// Cross-round buffer pool for the evolve loop: both generations (gene
+/// arenas, fitness vectors, completion times, sweeps), the compiled
+/// kernel, the roulette table and the kernel's scratch.
 ///
 /// [`evolve`] builds a throwaway pool per call. A long-lived scheduler
 /// (the STGA rescheduling every batch inside the serving daemon) owns one
-/// across rounds, which amortises even the *initial* random population
-/// and first-generation buffer warm-up — the remaining ~1.4k allocations
-/// per GA run — to (near) zero; `tests/pool_allocations.rs` asserts that
-/// bound under a counting allocator.
-#[derive(Debug)]
+/// across rounds, so a warm round allocates nothing but the [`GaResult`]
+/// it returns; `tests/pool_allocations.rs` counts it under a counting
+/// allocator.
+#[derive(Debug, Default)]
 pub struct GaPool {
-    population: Vec<Chromosome>,
-    next: Vec<Chromosome>,
-    fitness: Vec<f64>,
-    /// Per-individual evaluation state for `population` (fitness, and
-    /// completion times while the kernel patches), double-buffered with
-    /// `next_evals` in lockstep with the population buffers so children
-    /// can inherit from, or be delta-evaluated against, their parents.
-    evals: Vec<EvalSlot>,
-    next_evals: Vec<EvalSlot>,
+    /// The generation selected from, and the one being bred (swapped at
+    /// the end of every generation).
+    current: Generation,
+    next: Generation,
     /// The compiled fitness program, re-lowered from the live snapshot at
     /// the start of every round (buffers reused across rounds).
     kernel: FitnessKernel,
     wheel: RouletteWheel,
-    sweep: Sweep,
-    spare: Chromosome,
-    scratch: ScratchPool,
+    scratch: KernelScratch,
 }
 
-impl Default for GaPool {
-    fn default() -> Self {
-        GaPool {
-            population: Vec::new(),
-            next: Vec::new(),
-            fitness: Vec::new(),
-            evals: Vec::new(),
-            next_evals: Vec::new(),
-            kernel: FitnessKernel::default(),
-            wheel: RouletteWheel::new(),
-            sweep: Sweep::default(),
-            spare: Chromosome::from_genes(Vec::new()),
-            scratch: ScratchPool::default(),
-        }
+impl GaPool {
+    /// An empty pool; buffers warm up over the first run and are reused
+    /// verbatim afterwards.
+    pub fn new() -> GaPool {
+        GaPool::default()
+    }
+}
+
+/// One generation: its genomes, their evaluations and the sweep over them.
+#[derive(Debug, Default)]
+struct Generation {
+    /// `population + 1` rows of `n` genes: row `i` is individual `i`; the
+    /// last row takes the unplaced second child when the non-elite count
+    /// is odd (it still consumes its RNG draws).
+    genes: Vec<u16>,
+    /// Individual `i`'s fitness, appended by `sweep`.
+    fitness: Vec<f64>,
+    /// Individual `i`'s completion time of every job (batch-position
+    /// indexed), written only while the round's kernel patches and valid
+    /// only when its fitness is finite — its children patch from it.
+    cts: Vec<Vec<Time>>,
+    sweep: Sweep,
+}
+
+impl Generation {
+    /// Sizes the buffers for `population` individuals of `n` genes; rows
+    /// keep stale genes until written.
+    fn resize(&mut self, population: usize, n: usize) {
+        self.genes.resize((population + 1) * n, 0);
+        self.cts.resize_with(population, Vec::new);
+    }
+
+    /// Individual `i`'s genome.
+    fn row(&self, i: usize, n: usize) -> &[u16] {
+        &self.genes[i * n..(i + 1) * n]
     }
 }
 
@@ -97,20 +111,20 @@ impl Default for GaPool {
 enum Plan {
     /// Replay the whole chromosome from the base availability plane.
     Full,
-    /// Byte-identical copy of `population[parent]` (elites, and children
-    /// whose genome equals one of their parents' — see [`plan_child`]):
-    /// inherit its fitness — a pure function of the genes — and, on a
-    /// patching kernel, its completion times.
+    /// Byte-identical copy of parent `parent` (elites, and children whose
+    /// genome equals one of their parents' — see [`plan_child`]): inherit
+    /// its fitness — a pure function of the genes — and, on a patching
+    /// kernel, its completion times.
     Inherit { parent: usize },
-    /// Differs from `population[parent]` only at genes `from..n` (the
-    /// crossover cut / mutation index tracked by the operators): patch
-    /// the parent's evaluation instead of replaying from scratch. Only
-    /// planned while the kernel patches.
+    /// Differs from parent `parent` only at genes `from..n` (the crossover
+    /// cut / mutation index tracked by the operators): patch the parent's
+    /// evaluation instead of replaying from scratch. Only planned while
+    /// the kernel patches.
     Delta { parent: usize, from: usize },
 }
 
-/// The path a child's evaluation actually took — one per slot per sweep,
-/// counted into a [`PathCounts`] after the sweep.
+/// The path an individual's evaluation actually took, counted into a
+/// [`PathCounts`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Outcome {
     Inherited,
@@ -120,67 +134,8 @@ enum Outcome {
     DeltaFellBack,
 }
 
-/// Children per [`Outcome`] (indexed by discriminant) over one round.
+/// Individuals per [`Outcome`] (indexed by discriminant) over one round.
 type PathCounts = [u64; 4];
-
-/// Evaluation state of one individual: its fitness, the plan/index
-/// wiring for the next parallel evaluation sweep, and — only while the
-/// kernel patches — the per-job completion times its children patch from.
-#[derive(Debug)]
-struct EvalSlot {
-    /// Position of this slot's genome in its population buffer (slots are
-    /// evaluated out of order across worker chunks).
-    idx: usize,
-    plan: Plan,
-    outcome: Outcome,
-    fitness: f64,
-    /// Completion time of every job (batch-position indexed); only valid
-    /// when `fitness` is finite and the round's kernel patches. On a
-    /// non-patching kernel nothing reads or writes it.
-    cts: Vec<Time>,
-}
-
-impl Default for EvalSlot {
-    fn default() -> Self {
-        EvalSlot {
-            idx: 0,
-            plan: Plan::Full,
-            outcome: Outcome::Full,
-            fitness: f64::INFINITY,
-            cts: Vec::new(),
-        }
-    }
-}
-
-/// Truncates or pads `slots` to exactly `len` recycled entries.
-fn resize_slots(slots: &mut Vec<EvalSlot>, len: usize) {
-    slots.truncate(len);
-    while slots.len() < len {
-        slots.push(EvalSlot::default());
-    }
-}
-
-/// Harvests one evaluation sweep in one sequential pass: mirrors the
-/// slots' fitness values into the flat vector the roulette wheel spins
-/// over, hands them to `sweep` (best index, `elitism` elites, the
-/// wheel's finite extremes), and counts the path each child took — plain integers read after the sweep, so the
-/// evaluation path itself carries no atomics.
-fn harvest(
-    sweep: &mut Sweep,
-    fitness: &mut Vec<f64>,
-    elitism: usize,
-    paths: &mut PathCounts,
-    slots: &[EvalSlot],
-) {
-    sweep.run(
-        fitness,
-        elitism,
-        slots.iter().map(|slot| {
-            paths[slot.outcome as usize] += 1;
-            slot.fitness
-        }),
-    );
-}
 
 /// How a freshly bred child gets its fitness. The child started as a copy
 /// of its `own` parent and differs from it at most in genes `from..n`
@@ -211,105 +166,66 @@ fn plan_child(
     }
 }
 
-/// Runs one parallel evaluation sweep: every slot's genome (found via
-/// `slot.idx` in `genomes`) is evaluated per its plan against the
-/// compiled kernel. `parents` carries the previous generation's genomes
-/// and slots for the inherit/delta paths; a delta plan referencing a
-/// non-finite parent (whose completion times are invalid) falls back to
-/// a full replay. Completion times land in the slot while the kernel
-/// patches; otherwise a full replay computes the fitness alone
-/// ([`FitnessKernel::evaluate_fitness`]). Results are
-/// thread-count-invariant: each slot is written by exactly one worker
-/// and the pooled scratch never influences values.
-fn eval_generation(
-    kernel: &FitnessKernel,
-    genomes: &[Chromosome],
-    slots: &mut [EvalSlot],
-    parents: Option<(&[Chromosome], &[EvalSlot])>,
-    scratch: &ScratchPool,
-) {
-    let retain = kernel.patches();
-    slots.par_iter_mut().for_each_init(
-        || scratch.acquire(),
-        |guard, slot| {
-            let genes = genomes[slot.idx].genes();
-            let buf = &mut guard.buf;
-            (slot.fitness, slot.outcome) = match (slot.plan, parents) {
-                (Plan::Inherit { parent }, Some((_, pe))) => {
-                    if retain {
-                        slot.cts.clone_from(&pe[parent].cts);
-                    }
-                    (pe[parent].fitness, Outcome::Inherited)
-                }
-                (Plan::Delta { parent, from }, Some((pg, pe)))
-                    if pe[parent].fitness.is_finite() =>
-                {
-                    let f = kernel.evaluate_delta(
-                        genes,
-                        pg[parent].genes(),
-                        &pe[parent].cts,
-                        from,
-                        &mut slot.cts,
-                        buf,
-                    );
-                    if buf.delta_fell_back() {
-                        (f, Outcome::DeltaFellBack)
-                    } else {
-                        (f, Outcome::Patched)
-                    }
-                }
-                _ if retain => (
-                    kernel.evaluate_full(genes, &mut slot.cts, buf),
-                    Outcome::Full,
-                ),
-                _ => (kernel.evaluate_fitness(genes, buf), Outcome::Full),
-            };
-        },
-    );
+/// The round's compiled kernel, its scratch, and how many individuals
+/// each evaluation path took.
+struct Evaluator<'a> {
+    kernel: &'a FitnessKernel,
+    scratch: &'a mut KernelScratch,
+    paths: PathCounts,
 }
 
-/// Recycled per-chunk kernel scratch (the flat free-time planes the
-/// compiled kernel replays schedules into). Each parallel chunk checks a
-/// buffer out at `for_each_init` time and its drop guard checks it back
-/// in, so a warm pool serves every generation of every round without
-/// allocating. Scratch contents never influence results — every
-/// evaluation fully initialises the slices it reads — so recycling is
-/// invisible to the digest.
-#[derive(Debug, Default)]
-struct ScratchPool(Mutex<Vec<KernelScratch>>);
-
-impl ScratchPool {
-    /// The idle buffers. Buffer contents never matter (above), so a
-    /// poisoned lock is as good as any.
-    fn idle(&self) -> MutexGuard<'_, Vec<KernelScratch>> {
-        self.0.lock().unwrap_or_else(PoisonError::into_inner)
+impl Evaluator<'_> {
+    /// Evaluates genome `genes` of the incoming generation per its `plan`
+    /// and returns its fitness. `parents` is the generation it was bred
+    /// from; a delta plan referencing a non-finite parent (whose
+    /// completion times are invalid) falls back to a full replay.
+    /// Completion times land in `cts` while the kernel patches.
+    fn evaluate(
+        &mut self,
+        genes: &[u16],
+        plan: Plan,
+        parents: &Generation,
+        cts: &mut Vec<Time>,
+    ) -> f64 {
+        let (fitness, outcome) = match plan {
+            Plan::Inherit { parent } => {
+                if self.kernel.patches() {
+                    cts.clone_from(&parents.cts[parent]);
+                }
+                (parents.fitness[parent], Outcome::Inherited)
+            }
+            Plan::Delta { parent, from } if parents.fitness[parent].is_finite() => {
+                let parent_genes = parents.row(parent, genes.len());
+                let parent_cts = &parents.cts[parent];
+                let f = self.kernel.evaluate_delta(
+                    genes,
+                    parent_genes,
+                    parent_cts,
+                    from,
+                    cts,
+                    self.scratch,
+                );
+                if self.scratch.delta_fell_back() {
+                    (f, Outcome::DeltaFellBack)
+                } else {
+                    (f, Outcome::Patched)
+                }
+            }
+            Plan::Full | Plan::Delta { .. } => return self.replay(genes, cts),
+        };
+        self.paths[outcome as usize] += 1;
+        fitness
     }
 
-    fn acquire(&self) -> ScratchGuard<'_> {
-        ScratchGuard {
-            pool: self,
-            buf: self.idle().pop().unwrap_or_default(),
+    /// Full replay of `genes`: into `cts` while the kernel patches,
+    /// fitness only ([`FitnessKernel::evaluate_fitness`]) otherwise.
+    fn replay(&mut self, genes: &[u16], cts: &mut Vec<Time>) -> f64 {
+        self.paths[Outcome::Full as usize] += 1;
+        if self.kernel.patches() {
+            self.kernel.evaluate_full(genes, cts, self.scratch)
+        } else {
+            self.kernel.evaluate_fitness(genes, self.scratch)
         }
-    }
-}
-
-/// A checked-out scratch buffer; returns itself to the pool on drop.
-struct ScratchGuard<'p> {
-    pool: &'p ScratchPool,
-    buf: KernelScratch,
-}
-
-impl Drop for ScratchGuard<'_> {
-    fn drop(&mut self) {
-        self.pool.idle().push(std::mem::take(&mut self.buf));
-    }
-}
-
-impl GaPool {
-    /// An empty pool; buffers warm up over the first run and are reused
-    /// verbatim afterwards.
-    pub fn new() -> GaPool {
-        GaPool::default()
     }
 }
 
@@ -320,8 +236,13 @@ impl GaPool {
 /// Single-job batches are solved exactly by enumeration — the GA could
 /// only ever rediscover the best site, so the engine skips straight to it.
 ///
-/// Determinism: all stochastic choices flow from `rng`; fitness evaluation
-/// is data-parallel but side-effect-free.
+/// Determinism: all stochastic choices flow from `rng`; evaluation is
+/// sequential and draws nothing, so the installed thread pool is never
+/// consulted.
+///
+/// # Panics
+/// Panics if a candidate site is not below
+/// [`MAX_SITES`](crate::chromosome::MAX_SITES): a gene cannot name it.
 pub fn evolve<R: Rng + ?Sized>(
     ctx: &MapCtx,
     base_avail: &[NodeAvailability],
@@ -353,53 +274,30 @@ pub fn evolve_with_pool<R: Rng + ?Sized>(
     params.validate().expect("GA parameters must be valid");
     let n = ctx.n_jobs();
     assert!(n > 0, "cannot evolve an empty batch");
-
-    if n == 1 {
-        pool.kernel
-            .recompile(ctx, base_avail, kind, risk, params.flow_weight);
-        return solve_single_job(ctx, &pool.kernel, &pool.scratch, params);
-    }
-
     let GaPool {
-        population,
+        current,
         next,
-        fitness,
-        evals,
-        next_evals,
         kernel,
         wheel,
-        sweep,
-        spare,
         scratch,
     } = pool;
-    let scratch = &*scratch;
-    // A population-size change between rounds just resizes the buffers.
-    population.truncate(params.population);
-    next.truncate(params.population);
 
-    // Seed chromosomes overwrite recycled slots (clone_from reuses the
-    // slot's gene allocation); random fill re-randomizes in place. Both
-    // consume exactly the RNG draws the cold path did.
-    let mut seeded = 0;
-    for c in initial {
-        if seeded == params.population {
-            break;
-        }
-        if c.len() != n {
-            continue;
-        }
-        match population.get_mut(seeded) {
-            Some(slot) => slot.clone_from(&c),
-            None => population.push(c),
-        }
-        seeded += 1;
+    if n == 1 {
+        kernel.recompile(ctx, base_avail, kind, risk, params.flow_weight);
+        return solve_single_job(ctx, kernel, scratch, params);
     }
-    while seeded < params.population {
-        match population.get_mut(seeded) {
-            Some(slot) => slot.randomize_from(&ctx.candidates, rng),
-            None => population.push(Chromosome::random(&ctx.candidates, rng)),
-        }
-        seeded += 1;
+
+    // Seed chromosomes fill the first rows, random ones the rest; both
+    // consume exactly the RNG draws of building them one by one.
+    let population = params.population;
+    current.resize(population, n);
+    next.resize(population, n);
+    let mut rows = current.genes.chunks_exact_mut(n).take(population);
+    for (seed, row) in initial.iter().filter(|c| c.len() == n).zip(rows.by_ref()) {
+        row.copy_from_slice(seed.genes());
+    }
+    for row in rows {
+        randomize(row, &ctx.candidates, rng);
     }
 
     // Lower this round's snapshot into the flat kernel (buffers reused
@@ -407,69 +305,63 @@ pub fn evolve_with_pool<R: Rng + ?Sized>(
     // round is picked up here).
     kernel.recompile(ctx, base_avail, kind, risk, params.flow_weight);
     let patches = kernel.patches();
-    resize_slots(evals, params.population);
-    resize_slots(next_evals, params.population);
+    let mut eval = Evaluator {
+        kernel,
+        scratch,
+        paths: PathCounts::default(),
+    };
 
     // Generation 0 (seeded + random individuals) has no parents: full
     // replays only.
-    for (i, slot) in evals.iter_mut().enumerate() {
-        slot.idx = i;
-        slot.plan = Plan::Full;
-    }
-    eval_generation(kernel, population, evals, None, scratch);
-    let mut paths = PathCounts::default();
-    harvest(sweep, fitness, params.elitism, &mut paths, evals);
+    let Generation {
+        genes,
+        fitness,
+        cts,
+        sweep,
+    } = &mut *current;
+    let rows = genes.chunks_exact(n).zip(cts.iter_mut());
+    sweep.run(
+        fitness,
+        params.elitism,
+        rows.map(|(row, cts)| eval.replay(row, cts)),
+    );
     let (best_index, mut best_fitness) = sweep.best();
-    let mut best = population[best_index].clone();
+    let mut best = current.row(best_index, n).to_vec();
     let mut trajectory = Vec::with_capacity(params.generations + 1);
     trajectory.push(best_fitness);
     let mut stall = 0usize;
 
-    // Double-buffered generation state: `next` is the other population
-    // buffer (swapped in each generation, so chromosome slots — and their
-    // gene vectors — are recycled), `wheel` owns the cumulative selection
-    // table, `sweep` the last harvest (elites, best, extremes), and
-    // `spare` absorbs the unplaced second child when the non-elite count
-    // is odd. Once the pool's buffers are warm, a whole run allocates
-    // nothing beyond the returned result.
     for _ in 0..params.generations {
-        wheel.fill(fitness, sweep.extremes());
-        // All slots must exist up front so children can be built in
-        // place; the placeholders are allocation-free and only ever
-        // constructed while the pool warms up.
-        while next.len() < params.population {
-            next.push(Chromosome::from_genes(Vec::new()));
-        }
-        // Elite splice by index: clone the elites into the head of the
-        // recycled buffer (clone_from reuses each slot's gene allocation);
-        // their evaluations are inherited outright, never recomputed.
+        wheel.fill(&current.fitness, current.sweep.extremes());
+        let Generation {
+            genes,
+            fitness,
+            cts,
+            sweep,
+        } = &mut *next;
+        sweep.begin(fitness, params.elitism);
+        // The elites are copied to the head rows and inherit their
+        // evaluations outright.
         let mut filled = 0;
-        for &e in sweep.elites() {
-            next[filled].clone_from(&population[e]);
-            let slot = &mut next_evals[filled];
-            slot.idx = filled;
-            slot.plan = Plan::Inherit { parent: e };
+        for &e in current.sweep.elites() {
+            let child = &mut genes[filled * n..(filled + 1) * n];
+            child.copy_from_slice(current.row(e, n));
+            let plan = Plan::Inherit { parent: e };
+            let f = eval.evaluate(child, plan, current, &mut cts[filled]);
+            sweep.offer(fitness, f);
             filled += 1;
         }
-        while filled < params.population {
+        while filled < population {
             let pa = wheel.spin(rng);
             let pb = wheel.spin(rng);
             // Write both children straight from their parents — crossed
             // (`a[..cut] ++ b[cut..]`, same draws as crossing copies) or
-            // copied — into their destination slots (the odd tail child
-            // lands in `spare`: it still consumes its RNG draws, exactly
-            // like the discarded child did before), then mutate in place,
-            // tracking the lowest touched gene so evaluation can patch
-            // instead of replay.
-            let has_second = filled + 1 < params.population;
-            let (head, tail) = next.split_at_mut(filled + 1);
-            let ca = &mut head[filled];
-            let cb = if has_second {
-                &mut tail[0]
-            } else {
-                &mut *spare
-            };
-            let (a, b) = (&population[pa], &population[pb]);
+            // copied — into rows `filled` and `filled + 1` (the spare row
+            // when `filled` is the last), then mutate in place, tracking
+            // the lowest touched gene so evaluation can patch instead of
+            // replay.
+            let (a, b) = (current.row(pa, n), current.row(pb, n));
+            let (ca, cb) = genes[filled * n..(filled + 2) * n].split_at_mut(n);
             let mut from_a = n;
             let mut from_b = n;
             if rng.gen::<f64>() < params.crossover_prob {
@@ -478,8 +370,8 @@ pub fn evolve_with_pool<R: Rng + ?Sized>(
                     from_b = cut;
                 }
             } else {
-                ca.clone_from(a);
-                cb.clone_from(b);
+                ca.copy_from_slice(a);
+                cb.copy_from_slice(b);
             }
             if rng.gen::<f64>() < params.mutation_prob {
                 if let Some(j) = mutate_tracked(ca, &ctx.candidates, rng) {
@@ -491,29 +383,24 @@ pub fn evolve_with_pool<R: Rng + ?Sized>(
                     from_b = from_b.min(j);
                 }
             }
-            let (a, b) = ((pa, a.genes()), (pb, b.genes()));
-            let slot = &mut next_evals[filled];
-            slot.idx = filled;
-            slot.plan = plan_child(ca.genes(), a, b, from_a, patches);
-            if has_second {
-                let slot = &mut next_evals[filled + 1];
-                slot.idx = filled + 1;
-                slot.plan = plan_child(cb.genes(), b, a, from_b, patches);
+            // Evaluate and sweep each placed child in index order; the
+            // spare row's child is never evaluated.
+            let (a, b) = ((pa, a), (pb, b));
+            for (child, own, other, from) in [(&*ca, a, b, from_a), (&*cb, b, a, from_b)] {
+                if filled == population {
+                    break;
+                }
+                let plan = plan_child(child, own, other, from, patches);
+                let f = eval.evaluate(child, plan, current, &mut cts[filled]);
+                sweep.offer(fitness, f);
+                filled += 1;
             }
-            filled += if has_second { 2 } else { 1 };
         }
-        // Evaluate the incoming generation against the outgoing one
-        // (parents' genomes + completion times back the delta path),
-        // then promote it.
-        eval_generation(kernel, next, next_evals, Some((population, evals)), scratch);
-        std::mem::swap(population, next);
-        std::mem::swap(evals, next_evals);
-        harvest(sweep, fitness, params.elitism, &mut paths, evals);
-        let (gen_bi, gen_fit) = sweep.best();
+        sweep.finish(fitness);
+        std::mem::swap(current, next);
+        let (gen_bi, gen_fit) = current.sweep.best();
         if gen_fit < best_fitness {
-            // clone_from reuses `best`'s gene allocation — improvements
-            // cost no heap traffic once the pool is warm.
-            best.clone_from(&population[gen_bi]);
+            best.copy_from_slice(current.row(gen_bi, n));
             best_fitness = gen_fit;
             stall = 0;
         } else {
@@ -529,6 +416,7 @@ pub fn evolve_with_pool<R: Rng + ?Sized>(
 
     // One count per path a child can take, once per round, inside the
     // caller's `stga_eval` span (two events: an event carries two fields).
+    let paths = eval.paths;
     gridsec_obs::event!(
         "stga_children",
         inherited = paths[Outcome::Inherited as usize],
@@ -540,7 +428,7 @@ pub fn evolve_with_pool<R: Rng + ?Sized>(
         fell_back = paths[Outcome::DeltaFellBack as usize]
     );
     GaResult {
-        best,
+        best: Chromosome::from_genes(best),
         best_fitness,
         trajectory,
     }
@@ -551,14 +439,13 @@ pub fn evolve_with_pool<R: Rng + ?Sized>(
 fn solve_single_job(
     ctx: &MapCtx,
     kernel: &FitnessKernel,
-    scratch: &ScratchPool,
+    scratch: &mut KernelScratch,
     params: &GaParams,
 ) -> GaResult {
-    let mut guard = scratch.acquire();
     let mut best: Option<(u16, f64)> = None;
     for &s in &ctx.candidates[0] {
-        let gene = s as u16;
-        let f = kernel.evaluate_fitness(&[gene], &mut guard.buf);
+        let gene = gene(s);
+        let f = kernel.evaluate_fitness(&[gene], scratch);
         if best.is_none_or(|(_, bf)| f < bf) {
             best = Some((gene, f));
         }
@@ -747,21 +634,16 @@ mod tests {
         assert_eq!(r.trajectory.len(), 61);
     }
 
-    /// The harvest's best index over `fitness`, with every slot's path
-    /// counted.
-    fn harvested_best(fitness: &[f64]) -> (usize, f64) {
-        let slots: Vec<EvalSlot> = fitness
-            .iter()
-            .map(|&fitness| EvalSlot {
-                fitness,
-                ..EvalSlot::default()
-            })
-            .collect();
-        let (mut sweep, mut flat, mut paths) =
-            (Sweep::default(), Vec::new(), PathCounts::default());
-        harvest(&mut sweep, &mut flat, 2, &mut paths, &slots);
+    /// The sweep's best index over `fitness`, offered one by one as the
+    /// evolve loop offers its children.
+    fn swept_best(fitness: &[f64]) -> (usize, f64) {
+        let (mut sweep, mut flat) = (Sweep::default(), Vec::new());
+        sweep.begin(&mut flat, 2);
+        for &f in fitness {
+            sweep.offer(&mut flat, f);
+        }
+        sweep.finish(&flat);
         assert_eq!(flat, fitness);
-        assert_eq!(paths[Outcome::Full as usize], fitness.len() as u64);
         sweep.best()
     }
 
@@ -773,12 +655,12 @@ mod tests {
         fitness[17] = 10.0;
         fitness[71] = 10.0;
         fitness[99] = 10.0;
-        assert_eq!(harvested_best(&fitness), (17, 10.0));
+        assert_eq!(swept_best(&fitness), (17, 10.0));
     }
 
     #[test]
     fn current_best_handles_all_infinite_fitness() {
-        assert_eq!(harvested_best(&[f64::INFINITY; 3]), (0, f64::INFINITY));
+        assert_eq!(swept_best(&[f64::INFINITY; 3]), (0, f64::INFINITY));
     }
 
     #[test]

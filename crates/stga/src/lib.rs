@@ -16,8 +16,8 @@
 //! paper's Fig. 5 — and a handful of generations suffice (Fig. 7b).
 //!
 //! * [`ga`] — the generic engine: value-based roulette-wheel selection
-//!   with elitism, single-point crossover, point mutation, and
-//!   rayon-parallel fitness evaluation.
+//!   with elitism, single-point crossover and point mutation over a flat
+//!   gene arena, each child evaluated as it is bred.
 //! * [`kernel`] — the compiled fitness kernel: the round's grid + trust +
 //!   security snapshot lowered into flat structure-of-arrays planes, with
 //!   parent-patch (delta) evaluation for GA children.

@@ -1,6 +1,6 @@
 //! Genetic operators (§3): single-point crossover and point mutation.
 
-use crate::chromosome::Chromosome;
+use crate::chromosome::{gene, Chromosome};
 use rand::Rng;
 
 /// Single-point crossover: swaps the tails of two chromosomes after a
@@ -15,10 +15,10 @@ pub fn crossover<R: Rng + ?Sized>(
     b: &Chromosome,
     rng: &mut R,
 ) -> (Chromosome, Chromosome) {
-    let mut ca = Chromosome::from_genes(Vec::new());
-    let mut cb = Chromosome::from_genes(Vec::new());
-    crossover_into(a, b, &mut ca, &mut cb, rng);
-    (ca, cb)
+    let mut ca = vec![0; a.len()];
+    let mut cb = vec![0; b.len()];
+    crossover_into(a.genes(), b.genes(), &mut ca, &mut cb, rng);
+    (Chromosome::from_genes(ca), Chromosome::from_genes(cb))
 }
 
 /// [`crossover`] on two already-materialised children: swaps the tails of
@@ -38,35 +38,43 @@ pub fn crossover_in_place_tracked<R: Rng + ?Sized>(
     b: &mut Chromosome,
     rng: &mut R,
 ) -> Option<usize> {
+    cross_tails(a.genes_mut(), b.genes_mut(), rng)
+}
+
+/// [`crossover_in_place_tracked`] into caller-owned rows: writes the two
+/// children of genomes `a` and `b` into `ca` (`a[..cut] ++ b[cut..]`) and
+/// `cb` (the other way round), and returns the cut. With fewer than two
+/// genes the children are plain copies and nothing is drawn. The children
+/// are written as copies of `a` and `b` crossed in place: two whole-row
+/// copies, of one length all round, and one tail swap cost less than four
+/// copies of random lengths.
+///
+/// # Panics
+/// Panics unless all four slices have the same length.
+pub fn crossover_into<R: Rng + ?Sized>(
+    a: &[u16],
+    b: &[u16],
+    ca: &mut [u16],
+    cb: &mut [u16],
+    rng: &mut R,
+) -> Option<usize> {
+    ca.copy_from_slice(a);
+    cb.copy_from_slice(b);
+    cross_tails(ca, cb, rng)
+}
+
+/// Swaps the tails of genomes `a` and `b` after a cut drawn in `1..len`
+/// and returns it; `None`, drawing nothing, when they are too short to
+/// cross.
+fn cross_tails<R: Rng + ?Sized>(a: &mut [u16], b: &mut [u16], rng: &mut R) -> Option<usize> {
     assert_eq!(a.len(), b.len(), "crossover needs equal-length parents");
     let n = a.len();
     if n < 2 {
         return None;
     }
     let cut = rng.gen_range(1..n);
-    a.genes_mut()[cut..].swap_with_slice(&mut b.genes_mut()[cut..]);
+    a[cut..].swap_with_slice(&mut b[cut..]);
     Some(cut)
-}
-
-/// [`crossover_in_place_tracked`] without the copies: writes the two
-/// children of `a` and `b` into `ca` (`a`'s head, `b`'s tail) and `cb`
-/// (the other way round), reusing their gene allocations, and returns
-/// the cut. With fewer than two genes the children are plain copies and
-/// nothing is drawn. Children, cut and RNG consumption are those of
-/// cloning `a` into `ca` and `b` into `cb` and crossing them in place.
-pub fn crossover_into<R: Rng + ?Sized>(
-    a: &Chromosome,
-    b: &Chromosome,
-    ca: &mut Chromosome,
-    cb: &mut Chromosome,
-    rng: &mut R,
-) -> Option<usize> {
-    assert_eq!(a.len(), b.len(), "crossover needs equal-length parents");
-    let n = a.len();
-    let cut = if n < 2 { n } else { rng.gen_range(1..n) };
-    ca.splice(a, b, cut);
-    cb.splice(b, a, cut);
-    (cut < n).then_some(cut)
 }
 
 /// Point mutation: re-draws the site of one random job from its candidate
@@ -76,32 +84,32 @@ pub fn crossover_into<R: Rng + ?Sized>(
 /// When the job has more than one candidate the new gene is guaranteed to
 /// differ from the old one.
 pub fn mutate<R: Rng + ?Sized>(c: &mut Chromosome, candidates: &[Vec<usize>], rng: &mut R) {
-    let _ = mutate_tracked(c, candidates, rng);
+    let _ = mutate_tracked(c.genes_mut(), candidates, rng);
 }
 
-/// [`mutate`] that also reports which gene changed (`None` when the
-/// drawn job had at most one candidate and the chromosome was left
+/// [`mutate`] on a genome, reporting which gene changed (`None` when the
+/// drawn job had at most one candidate and the genome was left
 /// untouched) — the second half of the GA's touched-gene tracking. RNG
 /// consumption is identical to the untracked form (which delegates here).
 pub fn mutate_tracked<R: Rng + ?Sized>(
-    c: &mut Chromosome,
+    genes: &mut [u16],
     candidates: &[Vec<usize>],
     rng: &mut R,
 ) -> Option<usize> {
-    if c.is_empty() {
+    if genes.is_empty() {
         return None;
     }
-    let j = rng.gen_range(0..c.len());
+    let j = rng.gen_range(0..genes.len());
     let cand = &candidates[j];
     if cand.len() <= 1 {
         return None;
     }
-    let old = c.site_of(j);
+    let old = usize::from(genes[j]);
     let mut pick = cand[rng.gen_range(0..cand.len())];
     while pick == old {
         pick = cand[rng.gen_range(0..cand.len())];
     }
-    c.genes_mut()[j] = pick as u16;
+    genes[j] = gene(pick);
     Some(j)
 }
 
@@ -200,7 +208,7 @@ mod tests {
             assert_eq!(b.genes()[..cut], b0.genes()[..cut]);
             let cands = vec![vec![0usize, 1, 2, 3, 4, 5, 6, 7]; 8];
             let before = a.clone();
-            let j = mutate_tracked(&mut a, &cands, &mut rng).unwrap();
+            let j = mutate_tracked(a.genes_mut(), &cands, &mut rng).unwrap();
             for (i, (x, y)) in a.genes().iter().zip(before.genes()).enumerate() {
                 assert_eq!(i == j, x != y, "only the reported gene may change");
             }

@@ -67,49 +67,89 @@ fn finite(extremes: (f64, f64)) -> Option<(f64, f64)> {
 }
 
 /// What the next generation's breeding needs from this one's fitness
-/// values, gathered in one sequential pass ([`Sweep::run`]): the best
-/// individual, the `k` elites and the finite extremes that weight the
-/// [`RouletteWheel`].
-#[derive(Debug, Clone, Default)]
+/// values, gathered in one sequential pass: the best individual, the `k`
+/// elites and the finite extremes that weight the [`RouletteWheel`].
+///
+/// The pass is incremental — [`Sweep::begin`], one [`Sweep::offer`] per
+/// individual in index order, [`Sweep::finish`] — so the evolve loop
+/// offers each child the moment it is evaluated; [`Sweep::run`] is the
+/// same three calls over an iterator.
+#[derive(Debug, Clone)]
 pub struct Sweep {
     best: Option<(usize, f64)>,
     elites: Vec<usize>,
-    extremes: Option<(f64, f64)>,
+    extremes: (f64, f64),
+    /// Elites asked for (`k`) and held while sweeping (`keep`: at least
+    /// one, since the best individual is the first elite).
+    k: usize,
+    keep: usize,
+    /// Once `keep` elites are held, only a value below the last one's can
+    /// enter — the common case tested against this copy of it.
+    bar: f64,
+}
+
+impl Default for Sweep {
+    fn default() -> Self {
+        Sweep {
+            best: None,
+            elites: Vec::new(),
+            extremes: NO_EXTREMES,
+            k: 0,
+            keep: 1,
+            bar: f64::NAN,
+        }
+    }
 }
 
 impl Sweep {
     /// Refills `fitness` from `values` and sweeps it, keeping `k` elites;
     /// the elite buffer and `fitness` keep their allocations.
     pub fn run(&mut self, fitness: &mut Vec<f64>, k: usize, values: impl IntoIterator<Item = f64>) {
+        self.begin(fitness, k);
+        for f in values {
+            self.offer(fitness, f);
+        }
+        self.finish(fitness);
+    }
+
+    /// Starts a pass keeping `k` elites: empties `fitness` and the elite
+    /// buffer, keeping their allocations.
+    pub fn begin(&mut self, fitness: &mut Vec<f64>, k: usize) {
         fitness.clear();
         self.elites.clear();
-        // The best individual is the first elite, so at least one is kept.
-        let keep = k.max(1);
-        // Once `keep` elites are held, only a value below the last one's
-        // can enter — the common case tested against a local.
-        let mut bar = f64::NAN;
-        let mut extremes = NO_EXTREMES;
-        for f in values {
-            let i = fitness.len();
-            fitness.push(f);
-            if self.elites.len() < keep || f.total_cmp(&bar).is_lt() {
-                offer_elite(fitness, keep, i, &mut self.elites);
-                if self.elites.len() == keep {
-                    bar = fitness[self.elites[keep - 1]];
-                }
+        self.k = k;
+        self.keep = k.max(1);
+        self.bar = f64::NAN;
+        self.extremes = NO_EXTREMES;
+    }
+
+    /// Appends the next individual's fitness `f` to `fitness` and sweeps
+    /// it. `fitness` must be the vector handed to [`Sweep::begin`], grown
+    /// only by this call.
+    #[inline]
+    pub fn offer(&mut self, fitness: &mut Vec<f64>, f: f64) {
+        let i = fitness.len();
+        fitness.push(f);
+        if self.elites.len() < self.keep || f.total_cmp(&self.bar).is_lt() {
+            offer_elite(fitness, self.keep, i, &mut self.elites);
+            if self.elites.len() == self.keep {
+                self.bar = fitness[self.elites[self.keep - 1]];
             }
-            extremes = widen(extremes, f);
         }
+        self.extremes = widen(self.extremes, f);
+    }
+
+    /// Ends the pass over `fitness`, the vector [`Sweep::offer`] filled.
+    pub fn finish(&mut self, fitness: &[f64]) {
         self.best = self.elites.first().map(|&i| (i, fitness[i]));
-        self.elites.truncate(k);
-        self.extremes = finite(extremes);
+        self.elites.truncate(self.k);
     }
 
     /// Index and value of the minimal fitness under `total_cmp` (the
     /// lowest index wins ties).
     ///
     /// # Panics
-    /// Panics if the last [`Sweep::run`] saw no value.
+    /// Panics if the last finished pass saw no value.
     pub fn best(&self) -> (usize, f64) {
         self.best.expect("population is non-empty")
     }
@@ -122,7 +162,7 @@ impl Sweep {
     /// The lowest and highest finite fitness, or `None` when no value is
     /// finite.
     pub fn extremes(&self) -> Option<(f64, f64)> {
-        self.extremes
+        finite(self.extremes)
     }
 }
 

@@ -1,6 +1,6 @@
 //! The Space-Time Genetic Algorithm scheduler (§3, Fig. 6).
 
-use crate::chromosome::Chromosome;
+use crate::chromosome::{gene, Chromosome};
 use crate::fitness::{FitnessKind, RiskCache};
 use crate::ga::{evolve_with_pool, GaPool, GaResult};
 use crate::history::{BatchSignature, SharedHistory};
@@ -153,7 +153,7 @@ impl Stga {
 fn mapping_to_chromosome(mapping: &[(usize, usize)], n: usize) -> Chromosome {
     let mut genes = vec![0u16; n];
     for &(j, s) in mapping {
-        genes[j] = s as u16;
+        genes[j] = gene(s);
     }
     Chromosome::from_genes(genes)
 }
@@ -262,6 +262,7 @@ impl BatchScheduler for Stga {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::chromosome::MAX_SITES;
     use crate::params::GaParams;
     use gridsec_core::{SecurityModel, Site};
 
@@ -377,6 +378,63 @@ mod tests {
         let mut stga = Stga::new(params_small()).unwrap();
         let s = stga.schedule(&b, &view);
         assert_eq!(s.site_of(gridsec_core::JobId(0)), Some(SiteId(0)));
+    }
+
+    /// One STGA round of `n` secure-only jobs (SD 0.9) on 65 537 one-node
+    /// sites, all SL 0.1 but the last (SL 1.0): site 65 536 is every
+    /// job's one candidate, and no `u16` gene names it. At d421fe1 the
+    /// gene wrapped to site 0 (SL 0.1) and the round was accepted.
+    fn round_past_the_gene_limit(n: u64) {
+        let sites = (0..=MAX_SITES)
+            .map(|i| {
+                Site::builder(i)
+                    .nodes(1)
+                    .speed(1.0)
+                    .security_level(if i == MAX_SITES { 1.0 } else { 0.1 })
+                    .build()
+                    .unwrap()
+            })
+            .collect();
+        let g = Grid::new(sites).unwrap();
+        let avail = vec![NodeAvailability::new(1, Time::ZERO); MAX_SITES + 1];
+        let view = GridView {
+            grid: &g,
+            avail: &avail,
+            now: Time::ZERO,
+            model: SecurityModel::default(),
+        };
+        let b: Vec<BatchJob> = (0..n)
+            .map(|i| BatchJob {
+                job: Job::builder(i)
+                    .work(10.0)
+                    .security_demand(0.9)
+                    .build()
+                    .unwrap(),
+                secure_only: true,
+            })
+            .collect();
+        let params = StgaParams {
+            ga: GaParams::default()
+                .with_population(4)
+                .with_generations(2)
+                .with_seed(3),
+            heuristic_seeds: false,
+            ..StgaParams::default()
+        };
+        let mut stga = Stga::new(params).unwrap();
+        let _ = stga.schedule(&b, &view);
+    }
+
+    #[test]
+    #[should_panic(expected = "site 65536 has no gene: a chromosome names at most 65536 sites")]
+    fn a_one_job_round_refuses_a_site_no_gene_names() {
+        round_past_the_gene_limit(1);
+    }
+
+    #[test]
+    #[should_panic(expected = "site 65536 has no gene: a chromosome names at most 65536 sites")]
+    fn a_two_job_round_refuses_a_site_no_gene_names() {
+        round_past_the_gene_limit(2);
     }
 
     #[test]

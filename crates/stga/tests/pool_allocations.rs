@@ -1,8 +1,10 @@
-//! A warm [`GaPool`] must make a scheduling round (nearly) allocation-free:
-//! four rounds through one pre-warmed pool allocate at least 4× less than
-//! the same four rounds with a cold pool each — and return the same
-//! results. Counted exactly under a counting global allocator, which is
-//! process-wide: this binary holds exactly one `#[test]`.
+//! A warm [`GaPool`] must make a scheduling round allocation-free but for
+//! its result: four rounds through one pre-warmed pool allocate at least
+//! 4× less than the same four rounds with a cold pool each — and return
+//! the same results — and one warm round allocates exactly the returned
+//! best genome and trajectory. Counted exactly under a counting global
+//! allocator, which is process-wide: this binary holds exactly one
+//! `#[test]`.
 
 use gridsec_core::etc::{EtcMatrix, NodeAvailability};
 use gridsec_core::rng::{stream, Stream};
@@ -117,4 +119,21 @@ fn warm_pool_rounds_allocate_at_least_4x_less_than_cold_rounds() {
         warm_allocs * 4 <= cold_allocs,
         "population pool must cut allocations ≥ 4× (cold {cold_allocs}, warm {warm_allocs})"
     );
+
+    // Counted, not timed: a warm round's two allocations are the
+    // `GaResult`'s best genome and trajectory.
+    let (round_allocs, _) = count_allocs(|| {
+        let mut rng = stream(seed, Stream::Genetic);
+        evolve_with_pool(
+            &ctx,
+            &avail,
+            vec![],
+            &params,
+            kind,
+            None,
+            &mut rng,
+            &mut pool,
+        )
+    });
+    assert_eq!(round_allocs, 2, "a warm round allocates only its result");
 }

@@ -3,8 +3,10 @@
 //! `elite_indices_into` ≡ stable sort + truncate; the `partition_point`
 //! wheel spin ≡ the `binary_search_by` spin over the same RNG stream;
 //! the wheel built from one pass's extremes ≡ the three-pass build;
-//! `Sweep::run` ≡ copy-out + rayon best index + elites; and children
-//! written by `crossover_into` ≡ clones crossed in place. CI also runs
+//! `Sweep::run` ≡ copy-out + rayon best index + elites; the incremental
+//! sweep (`begin` / `offer` / `finish`, as the evolve loop offers each
+//! child) ≡ `Sweep::run` ≡ those referees; and children written by
+//! `crossover_into` ≡ clones crossed in place. CI also runs
 //! this in `--release`, where the evolve loop's copy of all of them
 //! actually executes.
 
@@ -170,19 +172,90 @@ proptest! {
         )),
         seed in any::<u64>(),
     ) {
-        let (a, b) = (Chromosome::from_genes(a), Chromosome::from_genes(b));
         let mut new_rng = stream(seed, Stream::Genetic);
         let mut old_rng = new_rng.clone();
-        // Recycled slots holding stale genes of another length.
-        let mut ca = Chromosome::from_genes(vec![9; 5]);
-        let mut cb = Chromosome::from_genes(vec![9; 17]);
+        // Arena rows holding stale genes.
+        let (mut ca, mut cb) = (vec![9; a.len()], vec![9; a.len()]);
         let cut = crossover_into(&a, &b, &mut ca, &mut cb, &mut new_rng);
-        let (mut wa, mut wb) = (a.clone(), b.clone());
+        let (mut wa, mut wb) = (Chromosome::from_genes(a), Chromosome::from_genes(b));
         let want_cut = crossover_in_place_tracked(&mut wa, &mut wb, &mut old_rng);
         prop_assert_eq!(cut, want_cut);
-        prop_assert_eq!(ca, wa);
-        prop_assert_eq!(cb, wb);
+        prop_assert_eq!(&ca[..], wa.genes());
+        prop_assert_eq!(&cb[..], wb.genes());
         prop_assert_eq!(new_rng.next_u64(), old_rng.next_u64());
+    }
+}
+
+/// [`POOL`] plus both NaNs, which `total_cmp` puts past `±∞`.
+const NAN_POOL: [f64; 11] = [
+    0.0,
+    -0.0,
+    1.0,
+    2.5,
+    2.5,
+    7.0,
+    1e9,
+    f64::INFINITY,
+    f64::NEG_INFINITY,
+    f64::NAN,
+    -f64::NAN,
+];
+
+fn arb_nan_fitness() -> impl Strategy<Value = Vec<f64>> {
+    prop::collection::vec(0usize..NAN_POOL.len(), 1..40)
+        .prop_map(|picks| picks.into_iter().map(|i| NAN_POOL[i]).collect())
+}
+
+/// The finite extremes of `fitness`, folded directly.
+fn finite_extremes(fitness: &[f64]) -> Option<(f64, f64)> {
+    let finite: Vec<f64> = fitness.iter().copied().filter(|f| f.is_finite()).collect();
+    let lo = finite.iter().copied().fold(f64::INFINITY, f64::min);
+    let hi = finite.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+    (!finite.is_empty()).then_some((lo, hi))
+}
+
+/// Extremes as bits, so `-0.0` and `0.0` count as different.
+fn extreme_bits(extremes: Option<(f64, f64)>) -> Option<(u64, u64)> {
+    extremes.map(|(lo, hi)| (lo.to_bits(), hi.to_bits()))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The evolve loop's incremental sweep — one sweep reused pass after
+    /// pass: `begin`, one `offer` per value in index order, `finish` —
+    /// ≡ a fresh `Sweep::run` ≡ the referees: best, elites and extremes
+    /// for k = 0..=3 over ties, `±∞` and both NaNs.
+    #[test]
+    fn incremental_sweep_matches_run_and_referees(
+        passes in prop::collection::vec((arb_nan_fitness(), 0usize..=3), 1..4)
+    ) {
+        let (mut sweep, mut flat) = (Sweep::default(), vec![5.0; 3]);
+        for (values, k) in passes {
+            sweep.begin(&mut flat, k);
+            for &f in &values {
+                sweep.offer(&mut flat, f);
+            }
+            sweep.finish(&flat);
+
+            let (mut run, mut run_flat) = (Sweep::default(), Vec::new());
+            run.run(&mut run_flat, k, values.iter().copied());
+            prop_assert_eq!(bits(&flat), bits(&run_flat));
+            prop_assert_eq!(bits(&flat), bits(&values));
+            let (bi, bf) = sweep.best();
+            let (ri, rf) = run.best();
+            let (wi, wf) = referee::best_index(&values);
+            prop_assert_eq!((bi, bf.to_bits()), (ri, rf.to_bits()));
+            prop_assert_eq!((bi, bf.to_bits()), (wi, wf.to_bits()));
+            let mut want_elites = Vec::new();
+            referee::elite_indices_into(&values, k, &mut want_elites);
+            prop_assert_eq!(sweep.elites(), run.elites());
+            prop_assert_eq!(sweep.elites(), &want_elites[..]);
+            prop_assert_eq!(extreme_bits(sweep.extremes()), extreme_bits(run.extremes()));
+            // Which zero `min`/`max` return from `-0.0` and `0.0` is not
+            // specified, so the direct fold is compared by value.
+            prop_assert_eq!(sweep.extremes(), finite_extremes(&values));
+        }
     }
 }
 

@@ -80,10 +80,12 @@ fn pool(n: usize) -> rayon::ThreadPool {
         .expect("pool builds")
 }
 
+/// The STGA evaluates each child as it breeds it, on the calling thread:
+/// `evolve` never consults the installed pool, so a whole simulated run is
+/// bit-identical under pools of 1, 2 and 4 threads. (The name dates from
+/// when population fitness evaluation was rayon-parallel.)
 #[test]
 fn parallel_fitness_evaluation_matches_single_thread() {
-    // The STGA's population fitness evaluation is rayon-parallel; the
-    // whole simulated run must be bit-identical at any thread count.
     let w = PsaConfig::default().with_n_jobs(100).generate().unwrap();
     let config = SimConfig::default().with_interval(Time::new(1_000.0));
     let run = || {
@@ -184,10 +186,9 @@ fn churn_spec_compiles_to_the_same_stream_every_time() {
 #[test]
 fn churn_replay_is_bit_identical_across_thread_counts() {
     use gridsec::serve::{ScenarioOutcome, ScenarioRunner};
-    // The STGA's fitness evaluation is rayon-parallel, so this replays
-    // the checked-in churn spec under dedicated 1-, 2- and 4-thread
-    // pools. Everything but the wall-clock round latencies must be
-    // bit-identical.
+    // Replays the checked-in churn spec under dedicated 1-, 2- and
+    // 4-thread pools, none of which the STGA may consult. Everything but
+    // the wall-clock round latencies must be bit-identical.
     let (grid, config, scenario) = churn_spec();
     let stream = scenario.compile(&grid).unwrap();
     let run = || {
