@@ -11,11 +11,11 @@ pub struct BenchArgs {
     pub seed: u64,
     /// Optional path for a JSON dump of the results.
     pub json: Option<String>,
-    /// Worker threads for parallel sections (`None` = the rayon default:
-    /// `RAYON_NUM_THREADS` or all available cores).
-    pub threads: Option<usize>,
+    /// Worker threads the replications fan out over (default: the
+    /// available parallelism).
+    pub threads: usize,
     /// Independent replications per configuration (seeds derived from
-    /// `seed`; replications run in parallel on the thread pool).
+    /// `seed`; run in parallel on `threads` workers).
     pub reps: usize,
 }
 
@@ -25,7 +25,7 @@ impl Default for BenchArgs {
             quick: false,
             seed: 2005,
             json: None,
-            threads: None,
+            threads: std::thread::available_parallelism().map_or(1, |n| n.get()),
             reps: 1,
         }
     }
@@ -33,9 +33,9 @@ impl Default for BenchArgs {
 
 impl BenchArgs {
     /// Parses the process arguments — `<artefact|all>` then the flags of
-    /// [`parse_from`](Self::parse_from) — and sizes the global thread pool
-    /// to `--threads`. An unknown artefact or flag, or `--reps` for a
-    /// single artefact that does not replicate, exits 2 with the usage.
+    /// [`parse_from`](Self::parse_from). An unknown artefact or flag, or
+    /// `--reps` for a single artefact that does not replicate, exits 2
+    /// with the usage.
     pub fn parse() -> (String, BenchArgs) {
         let mut argv = std::env::args().skip(1);
         let which = match argv.next() {
@@ -51,12 +51,6 @@ impl BenchArgs {
             usage(&format!(
                 "`{which}` has no replicated mode; --reps does not apply"
             ));
-        }
-        if let Some(n) = out.threads {
-            rayon::ThreadPoolBuilder::new()
-                .num_threads(n)
-                .build_global()
-                .expect("no parallel work has run yet");
         }
         (which, out)
     }
@@ -74,7 +68,7 @@ impl BenchArgs {
                     out.seed = v.parse().unwrap_or_else(|_| usage("--seed must be a u64"));
                 }
                 "--json" => out.json = Some(value(&mut it, "--json")),
-                "--threads" => out.threads = Some(positive(&mut it, "--threads")),
+                "--threads" => out.threads = positive(&mut it, "--threads"),
                 "--reps" => out.reps = positive(&mut it, "--reps"),
                 "--help" | "-h" => usage(""),
                 other => usage(&format!("unknown argument `{other}`")),
@@ -107,8 +101,8 @@ fn usage(msg: &str) -> ! {
          \n\
          --quick        scaled-down workloads (the configuration the claims ledger pins)\n\
          --json <path>  write every record of the run as JSON\n\
-         --threads <n>  worker threads for parallel sections\n\
-         \x20              (default: RAYON_NUM_THREADS or all available cores)\n\
+         --threads <n>  worker threads the replications run on\n\
+         \x20              (default: all available cores)\n\
          --reps <n>     independent replications, run in parallel and averaged\n\
          \x20              (default: 1; {} and all only)",
         NAMES.join("|"),
@@ -131,7 +125,7 @@ mod tests {
         assert!(!a.quick);
         assert_eq!(a.seed, 2005);
         assert!(a.json.is_none());
-        assert!(a.threads.is_none());
+        assert!(a.threads >= 1);
         assert_eq!(a.reps, 1);
     }
 
@@ -151,7 +145,7 @@ mod tests {
         assert!(a.quick);
         assert_eq!(a.seed, 42);
         assert_eq!(a.json.as_deref(), Some("out.json"));
-        assert_eq!(a.threads, Some(3));
+        assert_eq!(a.threads, 3);
         assert_eq!(a.reps, 5);
     }
 }

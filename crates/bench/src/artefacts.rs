@@ -313,11 +313,11 @@ pub struct NasRoster {
 
 impl NasRoster {
     /// Simulates the roster once per replication seed, replications in
-    /// parallel on the thread pool.
+    /// parallel on `args.threads` workers.
     pub fn run(args: &BenchArgs) -> NasRoster {
         let n = if args.quick { 1_000 } else { 16_000 };
         let seeds = replication_seeds(args.seed, args.reps);
-        let runs = replicate(&seeds, |seed| {
+        let runs = replicate(args.threads, &seeds, |seed| {
             let w = nas_setup(n, seed);
             let config = nas_sim_config(seed);
             let outs = paper_schedulers(&w.jobs, &w.grid, seed, 15)
@@ -457,14 +457,14 @@ pub fn fig10(args: &BenchArgs) -> Artefact {
     let reps = args.reps;
     let title = format!("Fig. 10: PSA scaling, N in {sizes:?}, mean of {reps} replications");
     let mut a = Artefact::titled("fig10", &title);
-    // One parallel task per (N, seed) pair: the pool load-balances the
+    // One parallel task per (N, seed) pair: the workers load-balance the
     // mixed run lengths.
     let seeds = replication_seeds(args.seed, args.reps);
     let pairs = sizes
         .iter()
         .flat_map(|&n| seeds.iter().map(move |&s| (n, s)));
     let pairs: Vec<(usize, u64)> = pairs.collect();
-    let runs: Vec<[SimOutput; 3]> = replicate(&pairs, |(n, seed)| {
+    let runs: Vec<[SimOutput; 3]> = replicate(args.threads, &pairs, |(n, seed)| {
         let w = psa_setup(n, seed);
         let config = psa_sim_config(seed);
         let mut stga = make_stga(&w.jobs, &w.grid, seed, 100, 8).expect("valid STGA params");

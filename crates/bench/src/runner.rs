@@ -7,8 +7,8 @@ use gridsec_heuristics::{MinMin, Sufferage};
 use gridsec_sim::{simulate, BatchScheduler, SimConfig, SimOutput};
 use gridsec_stga::{GaParams, Stga, StgaParams};
 use gridsec_workloads::{NasConfig, NasWorkload, PsaConfig, PsaWorkload};
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// The PSA batch period (Table 1 gives none: 1000 s ≈ 8 jobs per batch at
 /// the 0.008/s arrival rate; README, "Deviations from the paper").
@@ -107,12 +107,46 @@ pub fn replication_seeds(base: u64, reps: usize) -> Vec<u64> {
     (0..reps.max(1) as u64).map(seed).collect()
 }
 
-/// Fans one run per seed (or per `(size, seed)` pair) out over the thread
-/// pool. The output order matches `seeds` regardless of thread count, so
-/// replicated sweeps are as deterministic as their single-seed
-/// counterparts.
-pub fn replicate<S: Copy + Sync, T: Send>(seeds: &[S], run: impl Fn(S) -> T + Sync) -> Vec<T> {
-    seeds.par_iter().map(|&s| run(s)).collect()
+/// Fans one run per seed (or per `(size, seed)` pair) out over `workers`
+/// scoped threads, the caller counted as one. Each worker claims the next
+/// unclaimed index, so mixed run lengths balance; the results are merged
+/// by index, so the output order matches `seeds` whatever the worker
+/// count and replicated sweeps are as deterministic as their single-seed
+/// counterparts. A run that panics panics the caller.
+pub fn replicate<S: Copy + Sync, T: Send>(
+    workers: usize,
+    seeds: &[S],
+    run: impl Fn(S) -> T + Sync,
+) -> Vec<T> {
+    let next = AtomicUsize::new(0);
+    let work = || {
+        let mut done = Vec::new();
+        loop {
+            // Relaxed: the counter only hands out indices; a helper's
+            // results reach the caller through its join.
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            let Some(&seed) = seeds.get(i) else {
+                return done;
+            };
+            done.push((i, run(seed)));
+        }
+    };
+    let mut done = std::thread::scope(|scope| {
+        let helpers: Vec<_> = (1..workers.min(seeds.len()))
+            .map(|_| scope.spawn(work))
+            .collect();
+        let mut done = work();
+        for helper in helpers {
+            done.extend(
+                helper
+                    .join()
+                    .unwrap_or_else(|e| std::panic::resume_unwind(e)),
+            );
+        }
+        done
+    });
+    done.sort_unstable_by_key(|&(i, _)| i);
+    done.into_iter().map(|(_, out)| out).collect()
 }
 
 /// Table 2's `(α, β, rank)` per output, in input order: makespan and
@@ -268,7 +302,7 @@ mod tests {
     #[test]
     fn replicate_preserves_seed_order() {
         let seeds = replication_seeds(11, 5);
-        let outs = replicate(&seeds, |s| {
+        let outs = replicate(2, &seeds, |s| {
             let w = psa_setup(20, s);
             let mut sched = MinMin::new(RiskMode::Risky);
             simulate(&w.jobs, &w.grid, &mut sched, &psa_sim_config(s))
@@ -283,9 +317,50 @@ mod tests {
     }
 
     #[test]
+    fn replicate_output_does_not_depend_on_the_worker_count() {
+        for n in [0u64, 1, 5] {
+            let seeds: Vec<u64> = (0..n).map(|i| 10 * i + 3).collect();
+            let want: Vec<(u64, u64)> = seeds.iter().map(|&s| (s, s * s)).collect();
+            for workers in [1, 2, 4, 9] {
+                let got = replicate(workers, &seeds, |s| (s, s * s));
+                assert_eq!(got, want, "{workers} workers, {n} seeds");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "run 3 failed")]
+    fn replicate_propagates_a_panicking_run() {
+        replicate(2, &[1, 2, 3, 4], |s| {
+            assert_ne!(s, 3, "run {s} failed");
+            s
+        });
+    }
+
+    /// Two workers run two seeds at once: each run waits for the other to
+    /// start, so a fan-out that ran them one after the other fails here
+    /// after 10 s rather than hanging.
+    #[test]
+    fn replicate_overlaps_its_runs() {
+        use std::sync::mpsc::channel;
+        use std::sync::Mutex;
+        use std::time::Duration;
+        let (to_0, inbox_0) = channel();
+        let (to_1, inbox_1) = channel();
+        // Run `i` tells the other run it started, then hears from it.
+        let ends = [Mutex::new((to_1, inbox_0)), Mutex::new((to_0, inbox_1))];
+        let met = replicate(2, &[0, 1], |i: usize| {
+            let (tell, inbox) = &*ends[i].lock().unwrap();
+            tell.send(i).unwrap();
+            inbox.recv_timeout(Duration::from_secs(10))
+        });
+        assert_eq!(met, [Ok(1), Ok(0)]);
+    }
+
+    #[test]
     fn metric_means_average() {
         let seeds = replication_seeds(3, 3);
-        let outs = replicate(&seeds, |s| {
+        let outs = replicate(2, &seeds, |s| {
             let w = psa_setup(25, s);
             let mut sched = MinMin::new(RiskMode::Risky);
             simulate(&w.jobs, &w.grid, &mut sched, &psa_sim_config(s)).unwrap()

@@ -11,8 +11,7 @@
 //! * `--reps 1` is the replicated path with one seed, and replication 0
 //!   of `--reps 3` is that run bit for bit.
 //!
-//! Wall-clock `scheduler_seconds` is never folded or compared. CI re-runs
-//! this suite under `RAYON_NUM_THREADS=1` and `=4`.
+//! Wall-clock `scheduler_seconds` is never folded or compared.
 
 use gridsec_bench::{artefacts, claims, Artefact, BenchArgs, NasRoster, Outcome, Record};
 use gridsec_sim::SimOutput;

@@ -4,7 +4,6 @@
 //! gridsec example-spec > exp.json        # write a starter spec
 //! gridsec run exp.json                   # run it, print the comparison
 //! gridsec run exp.json --json out.json   # also dump machine-readable results
-//! gridsec run exp.json --threads 4       # cap the scheduler worker pool
 //! gridsec generate psa 1000 > psa.swf    # emit a workload as SWF
 //! gridsec generate nas 16000 > nas.swf
 //! gridsec serve exp.json --bind 127.0.0.1:7070   # online daemon (NDJSON/TCP)
@@ -24,11 +23,7 @@ use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 fn main() {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    if let Err(msg) = apply_threads_flag(&mut args) {
-        eprintln!("error: {msg}");
-        std::process::exit(2);
-    }
+    let args: Vec<String> = std::env::args().skip(1).collect();
     let code = match args.first().map(String::as_str) {
         Some("run") => cmd_run(&args[1..]),
         Some("example-spec") => cmd_example_spec(),
@@ -91,10 +86,7 @@ fn print_usage() {
          \n\
          trace-dump: pulls a flight-recorder snapshot from a live daemon over the\n\
          wire (a `trace_dump` frame) and prints it as NDJSON, one span/event per\n\
-         line, oldest first.\n\
-         \n\
-         global options:\n  --threads <n>   worker threads for parallel scheduler sections\n  \
-         \x20               (default: RAYON_NUM_THREADS or all available cores)"
+         line, oldest first."
     );
 }
 
@@ -147,6 +139,13 @@ fn serve(args: &[String]) -> Result<(), (i32, String)> {
             "--shards" => n_shards = number(1, "positive")? as usize,
             "--max-pending" => options.max_pending = Some(number(1, "positive")? as usize),
             "--io-threads" => options.io_threads = number(1, "positive")? as usize,
+            // Sizes nothing: the daemon has no worker pool. Still taken
+            // (a positive integer) because the benchmark harness boots
+            // every daemon with `--threads 1`; it goes when that spawn
+            // line does.
+            "--threads" => {
+                number(1, "positive")?;
+            }
             "--idle-timeout-ms" => {
                 options.idle_timeout = Some(Duration::from_millis(number(1, "positive")?))
             }
@@ -254,8 +253,13 @@ fn serve(args: &[String]) -> Result<(), (i32, String)> {
 /// `gridsec trace-dump <addr>`: pull the daemon's flight-recorder ring
 /// over the wire and print it as NDJSON (one span/event per line).
 fn cmd_trace_dump(args: &[String]) -> i32 {
-    let Some(addr) = args.first() else {
-        eprintln!("error: `trace-dump` needs a daemon address (host:port)");
+    let [addr] = args else {
+        match args.get(1) {
+            Some(extra) => {
+                eprintln!("error: `trace-dump` takes one address, got `{extra}` after it")
+            }
+            None => eprintln!("error: `trace-dump` needs a daemon address (host:port)"),
+        }
         return 2;
     };
     let addr: std::net::SocketAddr = match addr.parse() {
@@ -295,28 +299,6 @@ fn cmd_trace_dump(args: &[String]) -> i32 {
             1
         }
     }
-}
-
-/// Extracts a global `--threads <n>` option (any position) and sizes the
-/// rayon pool accordingly before any parallel work starts.
-fn apply_threads_flag(args: &mut Vec<String>) -> Result<(), String> {
-    let Some(i) = args.iter().position(|a| a == "--threads") else {
-        return Ok(());
-    };
-    if i + 1 >= args.len() {
-        return Err("--threads needs a value".into());
-    }
-    let n: usize = args[i + 1]
-        .parse()
-        .map_err(|_| "--threads must be a positive integer".to_string())?;
-    if n == 0 {
-        return Err("--threads must be a positive integer".into());
-    }
-    args.drain(i..=i + 1);
-    rayon::ThreadPoolBuilder::new()
-        .num_threads(n)
-        .build_global()
-        .map_err(|e| e.to_string())
 }
 
 /// The spec path and `--json <out>` of `run` / `chaos`. The path is the
@@ -553,7 +535,18 @@ fn cmd_generate(args: &[String]) -> i32 {
             return 2;
         }
     };
-    let seed: u64 = args.get(2).and_then(|s| s.parse().ok()).unwrap_or(2005);
+    let seed: u64 = match args.get(2).map(|s| s.parse()) {
+        None => 2005,
+        Some(Ok(seed)) => seed,
+        Some(Err(_)) => {
+            eprintln!("error: seed must be a u64, got `{}`", args[2]);
+            return 2;
+        }
+    };
+    if let Some(extra) = args.get(3) {
+        eprintln!("error: `generate` takes at most three arguments, got `{extra}` after the seed");
+        return 2;
+    }
     let jobs = match kind.as_str() {
         "psa" => match PsaConfig::default()
             .with_n_jobs(n)

@@ -1,7 +1,8 @@
 //! `gridsec serve --state <prefix>` through the shipped binary: the daemon
 //! writes `<prefix>.shard<k>.json` at shutdown and boots from it the next
 //! time; a state file it cannot use fails start-up with exit code 1 and a
-//! message that names the file — not the socket.
+//! message that names the file — not the socket. The benchmark harness's
+//! `serve` argv boots too.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -27,11 +28,17 @@ fn stga_spec() -> String {
 /// Runs `gridsec serve` to its exit; when `shutdown` is set, reads the
 /// banner first and stops the daemon over the wire.
 fn serve(spec: &Path, state: &Path, shutdown: bool) -> Output {
+    let state = state.to_str().unwrap();
+    let flags = ["--bind", "127.0.0.1:0", "--virtual-clock", "--state", state];
+    serve_with(spec, &flags, shutdown)
+}
+
+/// Runs `gridsec serve <spec> <flags>` to its exit, as [`serve`].
+fn serve_with(spec: &Path, flags: &[&str], shutdown: bool) -> Output {
     let mut child = Command::new(GRIDSEC)
         .arg("serve")
         .arg(spec)
-        .args(["--bind", "127.0.0.1:0", "--virtual-clock", "--state"])
-        .arg(state)
+        .args(flags)
         .stdout(Stdio::piped())
         .stderr(Stdio::piped())
         .spawn()
@@ -85,5 +92,20 @@ fn state_files_round_trip_and_a_corrupt_one_is_named() {
         assert!(stderr.contains(needle), "`{stderr}` lacks `{needle}`");
     }
     assert!(!stderr.contains("cannot bind"), "{stderr}");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// The benchmark harness boots every daemon with exactly this argv. The
+/// `--threads 1` in it sizes nothing, but the daemon must still boot on
+/// it and stop on `shutdown`.
+#[test]
+fn the_benchmark_harness_argv_boots() {
+    let dir = std::env::temp_dir().join(format!("gridsec_cli_bench_argv_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let spec = dir.join("spec.json");
+    std::fs::write(&spec, stga_spec()).unwrap();
+    let argv = ["--io-threads", "1", "--threads", "1", "--shards", "2"];
+    let out = serve_with(&spec, &argv, true);
+    assert!(out.status.success(), "{out:?}");
     std::fs::remove_dir_all(&dir).unwrap();
 }

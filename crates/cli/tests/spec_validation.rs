@@ -310,3 +310,43 @@ fn run_refuses_a_ga_on_more_sites_than_a_gene_names() {
         assert!(stderr.contains("65537"), "{tag}: {stderr}");
     }
 }
+
+/// Runs `gridsec <args>`; returns its exit code and stderr.
+fn gridsec(args: &[&str]) -> (Option<i32>, String) {
+    let out = Command::new(GRIDSEC).args(args).output().unwrap();
+    (
+        out.status.code(),
+        String::from_utf8_lossy(&out.stderr).into(),
+    )
+}
+
+/// At 8fa869e `generate` read an unparsable seed as 2005 and ignored
+/// anything after the seed, exiting 0 either way. Each is now a usage
+/// error naming the argument.
+#[test]
+fn generate_refuses_a_bad_seed_and_trailing_arguments() {
+    let (code, stderr) = gridsec(&["generate", "psa", "5", "7"]);
+    assert_eq!(code, Some(0), "{stderr}");
+    for (args, named) in [
+        (&["generate", "psa", "5", "notaseed"][..], "`notaseed`"),
+        (&["generate", "psa", "5", "-1"], "`-1`"),
+        (&["generate", "psa", "5", "7", "extra", "junk"], "`extra`"),
+        (&["generate", "psa", "5", "--threads", "4"], "`--threads`"),
+        (&["trace-dump", "127.0.0.1:1", "extra"], "`extra`"),
+    ] {
+        let (code, stderr) = gridsec(args);
+        assert_eq!(code, Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains(named), "{args:?}: {stderr}");
+    }
+}
+
+/// `--threads` sized a worker pool nothing used; `run` now refuses it
+/// like any argument it does not take.
+#[test]
+fn run_refuses_threads() {
+    let spec = write_spec("threads", &small_spec());
+    let (code, stderr) = gridsec(&["run", spec.to_str().unwrap(), "--threads", "4"]);
+    assert_eq!(code, Some(2), "{stderr}");
+    assert!(stderr.contains("`--threads`"), "{stderr}");
+    std::fs::remove_dir_all(spec.parent().unwrap()).ok();
+}

@@ -41,7 +41,7 @@ pub use error::{Error, Result};
 pub use etc::EtcMatrix;
 pub use grid::Grid;
 pub use job::{Job, JobBuilder, JobId};
-pub use schedule::{Assignment, BatchSchedule, ScheduleIndex};
+pub use schedule::{Assignment, BatchSchedule};
 pub use security::{FailureDetection, RiskMode, SecurityModel};
 pub use site::{Site, SiteBuilder, SiteId};
 pub use time::Time;

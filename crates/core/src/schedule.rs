@@ -5,7 +5,8 @@ use crate::grid::Grid;
 use crate::job::{Job, JobId};
 use crate::site::SiteId;
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, HashSet};
+use std::borrow::Borrow;
+use std::collections::HashMap;
 
 /// One job→site decision.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -58,12 +59,8 @@ impl BatchSchedule {
         self.assignments.is_empty()
     }
 
-    /// The site assigned to `job`, if any (the first assignment when the
-    /// job is replicated).
-    ///
-    /// This is a linear scan — right for one-off queries. Callers that
-    /// query many jobs against the same schedule should build a
-    /// [`ScheduleIndex`] once via [`BatchSchedule::index`].
+    /// The site assigned to `job`, if any (the first assignment naming
+    /// it), by a linear scan.
     pub fn site_of(&self, job: JobId) -> Option<SiteId> {
         self.assignments
             .iter()
@@ -71,93 +68,42 @@ impl BatchSchedule {
             .map(|a| a.site)
     }
 
-    /// Builds a job→sites hash index over this schedule for O(1) repeated
-    /// queries (`site_of` is O(assignments) per call).
-    pub fn index(&self) -> ScheduleIndex {
-        ScheduleIndex::build(self)
-    }
-
     /// Validates this schedule against a batch and a grid:
     ///
     /// * every batch job is assigned exactly once, and nothing else is;
     /// * every referenced site exists;
     /// * every job fits (width ≤ site nodes) on its assigned site.
-    pub fn validate(&self, batch: &[Job], grid: &Grid) -> Result<()> {
+    ///
+    /// Assignments are checked in order and the first fault is returned;
+    /// a schedule that names too few jobs fails after them. The batch may
+    /// hold anything that borrows as a [`Job`].
+    pub fn validate<J: Borrow<Job>>(&self, batch: &[J], grid: &Grid) -> Result<()> {
+        // Each batch job's width, taken by its first assignment.
+        let mut unplaced: HashMap<JobId, Option<u32>> = batch
+            .iter()
+            .map(|j| (j.borrow().id, Some(j.borrow().width)))
+            .collect();
+        for a in &self.assignments {
+            let slot = unplaced.get_mut(&a.job).ok_or(Error::UnknownJob(a.job.0))?;
+            let width = slot.take().ok_or_else(|| {
+                Error::invalid("schedule", format!("job {} assigned twice", a.job))
+            })?;
+            let site = grid.get(a.site).ok_or(Error::UnknownSite(a.site.0))?;
+            if !site.fits_width(width) {
+                return Err(Error::WidthExceedsSite {
+                    job: a.job.0,
+                    width,
+                    site_nodes: site.nodes,
+                });
+            }
+        }
         if self.assignments.len() != batch.len() {
             return Err(Error::IncompleteSchedule {
                 expected: batch.len(),
                 assigned: self.assignments.len(),
             });
         }
-        let by_id: HashMap<JobId, &Job> = batch.iter().map(|j| (j.id, j)).collect();
-        let mut seen: HashSet<JobId> = HashSet::with_capacity(batch.len());
-        for a in &self.assignments {
-            let Some(&job) = by_id.get(&a.job) else {
-                return Err(Error::UnknownJob(a.job.0));
-            };
-            if !seen.insert(a.job) {
-                return Err(Error::IncompleteSchedule {
-                    expected: batch.len(),
-                    assigned: seen.len(),
-                });
-            }
-            let site = grid.get(a.site).ok_or(Error::UnknownSite(a.site.0))?;
-            if !site.fits_width(job.width) {
-                return Err(Error::WidthExceedsSite {
-                    job: job.id.0,
-                    width: job.width,
-                    site_nodes: site.nodes,
-                });
-            }
-        }
         Ok(())
-    }
-}
-
-/// A job→sites hash index over one [`BatchSchedule`]: O(1) lookups for
-/// callers that query the same schedule repeatedly (dispatch bookkeeping,
-/// replication-aware validation, property suites). Holds every site a job
-/// was assigned to, in assignment order, so replicated schedules are
-/// fully represented.
-///
-/// The index is a snapshot — it does not track later mutations of the
-/// schedule it was built from.
-#[derive(Debug, Clone, Default)]
-pub struct ScheduleIndex {
-    sites: HashMap<JobId, Vec<SiteId>>,
-}
-
-impl ScheduleIndex {
-    /// Builds the index in one pass over the assignments.
-    pub fn build(schedule: &BatchSchedule) -> ScheduleIndex {
-        let mut sites: HashMap<JobId, Vec<SiteId>> =
-            HashMap::with_capacity(schedule.assignments.len());
-        for a in &schedule.assignments {
-            sites.entry(a.job).or_default().push(a.site);
-        }
-        ScheduleIndex { sites }
-    }
-
-    /// The site assigned to `job` (first assignment when replicated) —
-    /// identical to [`BatchSchedule::site_of`], in O(1).
-    pub fn site_of(&self, job: JobId) -> Option<SiteId> {
-        self.sites.get(&job).map(|s| s[0])
-    }
-
-    /// Every site `job` was assigned to, in assignment order (empty slice
-    /// when the job is not in the schedule).
-    pub fn sites_of(&self, job: JobId) -> &[SiteId] {
-        self.sites.get(&job).map_or(&[], |s| s.as_slice())
-    }
-
-    /// Number of distinct jobs in the schedule.
-    pub fn n_jobs(&self) -> usize {
-        self.sites.len()
-    }
-
-    /// Whether the schedule had no assignments.
-    pub fn is_empty(&self) -> bool {
-        self.sites.is_empty()
     }
 }
 
@@ -243,38 +189,5 @@ mod tests {
         assert!(s.is_empty());
         s.push(JobId(0), SiteId(0));
         assert_eq!(s.len(), 1);
-    }
-
-    #[test]
-    fn index_matches_linear_site_of() {
-        let s = BatchSchedule::from_pairs([
-            (JobId(4), SiteId(1)),
-            (JobId(0), SiteId(0)),
-            (JobId(2), SiteId(1)),
-        ]);
-        let idx = s.index();
-        for j in 0..6 {
-            assert_eq!(idx.site_of(JobId(j)), s.site_of(JobId(j)), "job {j}");
-        }
-        assert_eq!(idx.n_jobs(), 3);
-        assert!(!idx.is_empty());
-        assert!(BatchSchedule::new().index().is_empty());
-    }
-
-    #[test]
-    fn index_keeps_replicas_in_assignment_order() {
-        // Job 1 replicated on sites 2 then 0: site_of must return the
-        // first (matching the linear scan), sites_of both in order.
-        let s = BatchSchedule::from_pairs([
-            (JobId(1), SiteId(2)),
-            (JobId(3), SiteId(1)),
-            (JobId(1), SiteId(0)),
-        ]);
-        let idx = s.index();
-        assert_eq!(idx.site_of(JobId(1)), Some(SiteId(2)));
-        assert_eq!(idx.site_of(JobId(1)), s.site_of(JobId(1)));
-        assert_eq!(idx.sites_of(JobId(1)), &[SiteId(2), SiteId(0)]);
-        assert_eq!(idx.sites_of(JobId(3)), &[SiteId(1)]);
-        assert_eq!(idx.sites_of(JobId(9)), &[] as &[SiteId]);
     }
 }

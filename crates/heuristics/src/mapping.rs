@@ -304,12 +304,11 @@ mod tests {
             NodeAvailability::new(1, Time::ZERO),
         ];
         let m = map_min_min(&ctx, &mut avail);
-        let index = gridsec_core::BatchSchedule::from_pairs(
+        let schedule = gridsec_core::BatchSchedule::from_pairs(
             m.iter()
                 .map(|&(j, s)| (gridsec_core::JobId(j as u64), gridsec_core::SiteId(s))),
-        )
-        .index();
-        let site_of = |j: u64| index.site_of(gridsec_core::JobId(j)).unwrap().0;
+        );
+        let site_of = |j: u64| schedule.site_of(gridsec_core::JobId(j)).unwrap().0;
         assert_eq!(site_of(0), 1);
         assert_eq!(site_of(1), 0);
     }

@@ -267,8 +267,6 @@ proptest! {
     ) {
         // Restrict one job to a single site; every mapping must comply —
         // and every *other* job must stay inside its candidate list.
-        // Queried through a ScheduleIndex built once per mapping instead
-        // of a per-job linear scan.
         let mut ctx = ctx;
         let j = pick.index(ctx.n_jobs());
         let s = pick.index(ctx.etc.n_sites());
@@ -279,10 +277,9 @@ proptest! {
             let schedule = BatchSchedule::from_pairs(
                 mapping.iter().map(|&(jj, ss)| (JobId(jj as u64), SiteId(ss))),
             );
-            let index = schedule.index();
-            prop_assert_eq!(index.site_of(JobId(j as u64)), Some(SiteId(s)));
+            prop_assert_eq!(schedule.site_of(JobId(j as u64)), Some(SiteId(s)));
             for jj in 0..ctx.n_jobs() {
-                let site = index.site_of(JobId(jj as u64)).unwrap();
+                let site = schedule.site_of(JobId(jj as u64)).unwrap();
                 prop_assert!(ctx.candidates[jj].contains(&site.0));
             }
         }

@@ -9,8 +9,6 @@
 //! on its connection and nothing is lost, reordered or answered twice —
 //! and a shard thread that dies answers every frame it held with a typed
 //! error.
-//! Deterministic at every thread count (CI re-runs the serve suites
-//! under `RAYON_NUM_THREADS=1` and `4`).
 
 use gridsec_core::{BatchSchedule, Grid, Job, Site, Time};
 use gridsec_serve::protocol::encode;

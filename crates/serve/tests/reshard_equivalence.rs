@@ -2,8 +2,7 @@
 //! drain barrier plus a pure state transfer — nothing else.
 //!
 //! The claim, pinned bit for bit over real TCP for MCT / Min-Min / STGA
-//! at 1→2, 2→1 and 2→4 shard transitions (CI re-runs the suite under
-//! `RAYON_NUM_THREADS=1` and `=4`):
+//! at 1→2, 2→1 and 2→4 shard transitions:
 //!
 //! **Run A** starts a daemon on the old plan, submits a prefix of the
 //! stream, sends a `reshard` frame to the new plan mid-stream and submits

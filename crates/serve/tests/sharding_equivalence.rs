@@ -2,8 +2,7 @@
 //! independent daemons glued behind one socket.
 //!
 //! Two claims, each pinned bit for bit over real TCP for
-//! MCT / Min-Min / Sufferage / STGA under all three batch policies (CI
-//! re-runs the suite under `RAYON_NUM_THREADS=1` and `=4`):
+//! MCT / Min-Min / Sufferage / STGA under all three batch policies:
 //!
 //! 1. **One shard is the PR 4 daemon.** A `--shards 1` daemon commits
 //!    exactly the schedule of the pre-sharding single-session daemon,

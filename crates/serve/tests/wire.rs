@@ -1,8 +1,7 @@
 //! Wire-protocol robustness tests against a live daemon: malformed
 //! frames, oversized lines, partial (byte-trickled) writes, mid-round
 //! disconnects, and two concurrent clients with a deterministic
-//! interleaving. All deterministic at every thread count (CI re-runs the
-//! suite under `RAYON_NUM_THREADS=1`).
+//! interleaving.
 
 use gridsec_core::{Grid, Job, JobId, Site, Time};
 use gridsec_serve::{

@@ -23,7 +23,7 @@ use crate::scheduler::{BatchJob, BatchScheduler, GridView};
 use gridsec_core::etc::NodeAvailability;
 use gridsec_core::{BatchSchedule, Error, Grid, Job, JobId, Result, SecurityModel, SiteId, Time};
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::BinaryHeap;
 
 /// The batch-boundary clock: a virtual `now`, a queue of pending
 /// boundaries (which may hold stale duplicates: a count trigger queues
@@ -515,7 +515,7 @@ impl RoundDriver {
                     .ok_or(Error::UnknownSite(a.site.0))?;
             }
         }
-        self.validate_schedule(&schedule, &batch)?;
+        schedule.validate(&batch, &self.grid)?;
         Ok(Some(RoundOutcome {
             batch,
             schedule,
@@ -538,36 +538,6 @@ impl RoundDriver {
             to_global.push(s.id);
         }
         Ok((Grid::new(sites)?, avail, to_global))
-    }
-
-    /// Every batch job assigned exactly once, on a fitting site.
-    fn validate_schedule(&self, schedule: &BatchSchedule, batch: &[BatchJob]) -> Result<()> {
-        // Each batch job's width, taken by its first assignment.
-        let mut unplaced: HashMap<JobId, Option<u32>> = batch
-            .iter()
-            .map(|b| (b.job.id, Some(b.job.width)))
-            .collect();
-        for a in &schedule.assignments {
-            let slot = unplaced.get_mut(&a.job).ok_or(Error::UnknownJob(a.job.0))?;
-            let width = slot.take().ok_or_else(|| {
-                Error::invalid("schedule", format!("job {} assigned twice", a.job))
-            })?;
-            let site = self.grid.get(a.site).ok_or(Error::UnknownSite(a.site.0))?;
-            if !site.fits_width(width) {
-                return Err(Error::WidthExceedsSite {
-                    job: a.job.0,
-                    width,
-                    site_nodes: site.nodes,
-                });
-            }
-        }
-        if schedule.assignments.len() != batch.len() {
-            return Err(Error::IncompleteSchedule {
-                expected: batch.len(),
-                assigned: schedule.assignments.len(),
-            });
-        }
-        Ok(())
     }
 
     /// Commits one assignment as a *successful* execution: the job

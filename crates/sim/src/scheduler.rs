@@ -16,6 +16,12 @@ pub struct BatchJob {
     pub secure_only: bool,
 }
 
+impl std::borrow::Borrow<Job> for BatchJob {
+    fn borrow(&self) -> &Job {
+        &self.job
+    }
+}
+
 /// Read-only view of the Grid's state at a batch boundary.
 ///
 /// Exposes the same [`NodeAvailability`] reservation model the engine uses

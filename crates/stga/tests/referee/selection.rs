@@ -12,11 +12,11 @@
 //! * [`sync_fitness`] and [`best_index`]: the per-generation harvest the
 //!   evolve loop ran before `Sweep::run` — copy the fitness values out
 //!   and count paths (over `(fitness, path)` pairs here, the evolve
-//!   loop's slots being private), then a rayon `indexed_min_by` for the
-//!   best.
+//!   loop's slots being private), then the first minimum under
+//!   `total_cmp` for the best (once a parallel tree reduction with the
+//!   same lowest-index tie-break).
 
 use rand::Rng;
-use rayon::prelude::*;
 
 /// The pre-top-k elite selection. `out` is cleared first; after the call
 /// it holds the `k` best indices in order.
@@ -106,12 +106,13 @@ pub fn sync_fitness(fitness: &mut Vec<f64>, paths: &mut [u64; 4], slots: &[(f64,
     }
 }
 
-/// Index and value of the minimal fitness (lowest index wins ties), by
-/// the deterministic `indexed_min_by` tree reduction.
+/// Index and value of the minimal fitness under `total_cmp`; `min_by`
+/// keeps the first of equal minima, so the lowest index wins ties.
 pub fn best_index(fitness: &[f64]) -> (usize, f64) {
     fitness
-        .par_iter()
-        .map(|&f| f)
-        .indexed_min_by(|a, b| a.total_cmp(b))
+        .iter()
+        .copied()
+        .enumerate()
+        .min_by(|a, b| a.1.total_cmp(&b.1))
         .expect("population is non-empty")
 }

@@ -3,10 +3,10 @@
 //! `elite_indices_into` ≡ stable sort + truncate; the `partition_point`
 //! wheel spin ≡ the `binary_search_by` spin over the same RNG stream;
 //! the wheel built from one pass's extremes ≡ the three-pass build;
-//! `Sweep::run` ≡ copy-out + rayon best index + elites; the incremental
-//! sweep (`begin` / `offer` / `finish`, as the evolve loop offers each
-//! child) ≡ `Sweep::run` ≡ those referees; and children written by
-//! `crossover_into` ≡ clones crossed in place. CI also runs
+//! `Sweep::run` ≡ copy-out + first-minimum best index + elites; the
+//! incremental sweep (`begin` / `offer` / `finish`, as the evolve loop
+//! offers each child) ≡ `Sweep::run` ≡ those referees; and children
+//! written by `crossover_into` ≡ clones crossed in place. CI also runs
 //! this in `--release`, where the evolve loop's copy of all of them
 //! actually executes.
 
@@ -133,10 +133,10 @@ proptest! {
     }
 
     /// `Sweep::run` ≡ the harvest it replaced: the same fitness vector and
-    /// path counts as `sync_fitness`, the rayon `indexed_min_by` best,
-    /// and the stable-sort elites.
+    /// path counts as `sync_fitness`, the first-minimum best, and the
+    /// stable-sort elites.
     #[test]
-    fn sweep_matches_copy_out_rayon_best_and_sorted_elites(
+    fn sweep_matches_copy_out_first_best_and_sorted_elites(
         (slots, k) in prop::collection::vec((0usize..POOL.len(), 0usize..4), 1..40)
             .prop_flat_map(|picks| {
                 let k = 0..=picks.len() + 2;

@@ -72,65 +72,28 @@ fn different_failure_seeds_change_outcomes() {
     );
 }
 
-/// Builds a dedicated pool of `n` compute threads for a scoped run.
-fn pool(n: usize) -> rayon::ThreadPool {
-    rayon::ThreadPoolBuilder::new()
-        .num_threads(n)
-        .build()
-        .expect("pool builds")
-}
-
-/// The STGA evaluates each child as it breeds it, on the calling thread:
-/// `evolve` never consults the installed pool, so a whole simulated run is
-/// bit-identical under pools of 1, 2 and 4 threads. (The name dates from
-/// when population fitness evaluation was rayon-parallel.)
-#[test]
-fn parallel_fitness_evaluation_matches_single_thread() {
-    let w = PsaConfig::default().with_n_jobs(100).generate().unwrap();
-    let config = SimConfig::default().with_interval(Time::new(1_000.0));
-    let run = || {
-        let mut stga = Stga::new(StgaParams {
-            ga: GaParams::default()
-                .with_population(40)
-                .with_generations(15)
-                .with_seed(77),
-            ..StgaParams::default()
-        })
-        .unwrap();
-        stga.train(&w.jobs[..50], &w.grid, 8).unwrap();
-        simulate(&w.jobs, &w.grid, &mut stga, &config).unwrap()
-    };
-    let sequential = pool(1).install(run);
-    for threads in [2, 4] {
-        let parallel = pool(threads).install(run);
-        assert_eq!(
-            sequential.metrics, parallel.metrics,
-            "{threads}-thread STGA run diverged from the sequential run"
-        );
-        assert_eq!(sequential.n_batches, parallel.n_batches);
-    }
-}
-
+/// A replicated sweep's output does not depend on how many workers run
+/// it: slot `i` is seed `i`'s run at 1, 2 and 4 workers alike.
 #[test]
 fn parallel_replication_sweep_matches_single_thread() {
     use gridsec_bench::{psa_setup, psa_sim_config, replicate, replication_seeds};
 
     let seeds = replication_seeds(2005, 6);
-    let sweep = || {
-        replicate(&seeds, |s| {
+    let sweep = |workers| {
+        replicate(workers, &seeds, |s| {
             let w = psa_setup(60, s);
             let mut sched = MinMin::new(RiskMode::Risky);
             simulate(&w.jobs, &w.grid, &mut sched, &psa_sim_config(s)).unwrap()
         })
     };
-    let sequential = pool(1).install(sweep);
-    for threads in [2, 4] {
-        let parallel = pool(threads).install(sweep);
+    let sequential = sweep(1);
+    for workers in [2, 4] {
+        let parallel = sweep(workers);
         assert_eq!(sequential.len(), parallel.len());
         for (a, b) in sequential.iter().zip(&parallel) {
             assert_eq!(
                 a.metrics, b.metrics,
-                "{threads}-thread replication sweep diverged"
+                "{workers}-worker replication sweep diverged"
             );
         }
     }
@@ -186,9 +149,9 @@ fn churn_spec_compiles_to_the_same_stream_every_time() {
 #[test]
 fn churn_replay_is_bit_identical_across_thread_counts() {
     use gridsec::serve::{ScenarioOutcome, ScenarioRunner};
-    // Replays the checked-in churn spec under dedicated 1-, 2- and
-    // 4-thread pools, none of which the STGA may consult. Everything but
-    // the wall-clock round latencies must be bit-identical.
+    // Replays the checked-in churn spec alone, then as two replays at
+    // once on two threads. Everything but the wall-clock round latencies
+    // must be bit-identical.
     let (grid, config, scenario) = churn_spec();
     let stream = scenario.compile(&grid).unwrap();
     let run = || {
@@ -222,18 +185,17 @@ fn churn_replay_is_bit_identical_across_thread_counts() {
             m.max_completion,
         )
     };
-    let sequential = pool(1).install(run);
+    let sequential = run();
     assert!(sequential.fully_accounted(), "{sequential:?}");
     assert!(
         sequential.metrics.sites_failed > 0,
         "the spec must inject churn"
     );
-    for threads in [2, 4] {
-        let parallel = pool(threads).install(run);
+    for parallel in gridsec_bench::replicate(2, &[(); 2], |()| run()) {
         assert_eq!(
             fingerprint(&sequential),
             fingerprint(&parallel),
-            "{threads}-thread churn replay diverged from the sequential run"
+            "a churn replay beside another diverged from the sequential run"
         );
     }
 }
@@ -244,7 +206,7 @@ fn churn_replay_is_bit_identical_across_thread_counts() {
 fn recorder_on_vs_off_is_bit_identical() {
     // The flight recorder and latency histograms must be provably inert:
     // the same STGA run with recording enabled vs. disabled is
-    // bit-identical, sequentially and under the rayon pool.
+    // bit-identical.
     let w = PsaConfig::default().with_n_jobs(100).generate().unwrap();
     let config = SimConfig::default().with_interval(Time::new(1_000.0));
     let run = || {
@@ -259,17 +221,15 @@ fn recorder_on_vs_off_is_bit_identical() {
         stga.train(&w.jobs[..50], &w.grid, 8).unwrap();
         simulate(&w.jobs, &w.grid, &mut stga, &config).unwrap()
     };
-    for threads in [1, 4] {
-        gridsec::obs::recorder::disable();
-        let off = pool(threads).install(run);
-        gridsec::obs::recorder::enable();
-        let on = pool(threads).install(run);
-        gridsec::obs::recorder::disable();
-        assert_eq!(
-            off.metrics, on.metrics,
-            "{threads}-thread run diverged with the recorder on"
-        );
-        assert_eq!(off.n_batches, on.n_batches);
-        assert_eq!(off.mean_batch_size, on.mean_batch_size);
-    }
+    gridsec::obs::recorder::disable();
+    let off = run();
+    gridsec::obs::recorder::enable();
+    let on = run();
+    gridsec::obs::recorder::disable();
+    assert_eq!(
+        off.metrics, on.metrics,
+        "the run diverged with the recorder on"
+    );
+    assert_eq!(off.n_batches, on.n_batches);
+    assert_eq!(off.mean_batch_size, on.mean_batch_size);
 }

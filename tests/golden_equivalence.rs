@@ -6,8 +6,7 @@
 //! linear-scan history lookup, sequential heuristic argmin). The PR 3
 //! rewrites — double-buffered populations, bucketed history lookup,
 //! cached/parallel mapping loops, deterministic tree reductions — must
-//! reproduce every digest bit for bit, at every thread count (CI re-runs
-//! this suite under `RAYON_NUM_THREADS=1` and `=4`).
+//! reproduce every digest bit for bit.
 //!
 //! If a digest ever changes, that is a *behaviour* change, not a perf
 //! change — either fix the regression or, if the change is deliberate,
@@ -202,7 +201,7 @@ fn fig5_slice_digest() -> u64 {
 fn fig8_slice_digest() -> u64 {
     let seeds = replication_seeds(2005, 2);
     let mut d = 0;
-    let outs = replicate(&seeds, |s| {
+    let outs = replicate(2, &seeds, |s| {
         let w = psa_setup(60, s);
         let mut sched = MinMin::new(RiskMode::Risky);
         simulate(&w.jobs, &w.grid, &mut sched, &psa_sim_config(s)).unwrap()
@@ -210,7 +209,7 @@ fn fig8_slice_digest() -> u64 {
     for o in &outs {
         d = digest_report(d, &o.metrics);
     }
-    let outs = replicate(&seeds, |s| {
+    let outs = replicate(2, &seeds, |s| {
         let w = psa_setup(60, s);
         let mut sched = Sufferage::new(RiskMode::Secure);
         simulate(&w.jobs, &w.grid, &mut sched, &psa_sim_config(s)).unwrap()

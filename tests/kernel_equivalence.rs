@@ -2,8 +2,7 @@
 //! evaluator it was lowered from (the referee in
 //! `crates/stga/tests/referee/`), bit for bit.
 //!
-//! Two equivalences (run in CI under `RAYON_NUM_THREADS=1` and `=4`, and
-//! once in `--release`):
+//! Three equivalences (CI also runs them in `--release`):
 //!
 //! 1. **kernel ≡ object graph**: for random grids, batches and trust
 //!    vectors (both fitness kinds, including infeasible genes, zero and
@@ -26,17 +25,12 @@
 //! shape on which the kernel's scalar replay runs and it offers no
 //! patching), and mixed grids where one-node and multi-node sites meet in
 //! one chromosome (`arb_mixed_snapshot`).
-//!
-//! A third test drives the whole pooled evolve loop (inherit/delta plans
-//! under parallel evaluation) at 1, 2 and 4 rayon threads and asserts
-//! identical results — the kernel path is thread-count-invariant.
 
 use gridsec::core::etc::{EtcMatrix, NodeAvailability};
-use gridsec::core::rng::{stream, Stream};
 use gridsec::core::{SecurityModel, Time};
 use gridsec::heuristics::common::MapCtx;
 use gridsec::stga::fitness::{FitnessKind, RiskWeights};
-use gridsec::stga::{evolve_with_pool, Chromosome, FitnessKernel, GaParams, GaPool, KernelScratch};
+use gridsec::stga::{Chromosome, FitnessKernel, KernelScratch};
 use proptest::prelude::*;
 use referee::evaluate_with_scratch;
 
@@ -540,65 +534,5 @@ proptest! {
         if want.is_finite() {
             prop_assert_eq!(full_cts, delta_cts);
         }
-    }
-}
-
-/// The pooled evolve loop (inherit/delta plans under parallel slot
-/// evaluation) must be bit-identical at every thread count.
-#[test]
-fn evolve_is_thread_count_invariant() {
-    let n = 14;
-    let m = 4;
-    let etc: Vec<f64> = (0..n * m)
-        .map(|i| 5.0 + ((i * 131 + 17) % 251) as f64)
-        .collect();
-    let candidates: Vec<Vec<usize>> = (0..n)
-        .map(|j| {
-            let c: Vec<usize> = (0..m).filter(|s| (j * 7 + s * 13) % 3 != 0).collect();
-            if c.is_empty() {
-                vec![0]
-            } else {
-                c
-            }
-        })
-        .collect();
-    let ctx = MapCtx {
-        etc: EtcMatrix::from_raw(n, m, etc),
-        widths: vec![1; n],
-        arrivals: vec![Time::ZERO; n],
-        candidates,
-        now: Time::ZERO,
-        commit_order: vec![],
-    };
-    let avail = vec![NodeAvailability::new(2, Time::ZERO); m];
-    let params = GaParams::default()
-        .with_population(40)
-        .with_generations(25)
-        .with_seed(21);
-    let mut results = Vec::new();
-    for threads in [1usize, 2, 4] {
-        let pool = rayon::ThreadPoolBuilder::new()
-            .num_threads(threads)
-            .build()
-            .unwrap();
-        let mut ga_pool = GaPool::new();
-        let mut rng = stream(21, Stream::Genetic);
-        let r = pool.install(|| {
-            evolve_with_pool(
-                &ctx,
-                &avail,
-                vec![],
-                &params,
-                FitnessKind::Makespan,
-                None,
-                &mut rng,
-                &mut ga_pool,
-            )
-        });
-        results.push((threads, r));
-    }
-    let (_, first) = &results[0];
-    for (threads, r) in &results[1..] {
-        assert_eq!(r, first, "thread count {threads} diverged");
     }
 }

@@ -185,33 +185,6 @@ proptest! {
         let want = referee::lookup_linear(&table, &q, threshold / 2.0, limit);
         prop_assert_eq!(table.lookup(&q, threshold / 2.0, limit), want);
     }
-
-    #[test]
-    fn indexed_site_of_equals_linear_site_of(
-        pairs in prop::collection::vec((0u64..30, 0usize..8), 0..60),
-        queries in prop::collection::vec(0u64..40, 1..30),
-    ) {
-        // Random schedules, duplicates (replicas) included: the O(1)
-        // index must agree with the linear scan on hits and misses alike.
-        let mut schedule = BatchSchedule::new();
-        let mut seen: std::collections::HashSet<(u64, usize)> = Default::default();
-        for (job, site) in pairs {
-            if seen.insert((job, site)) {
-                schedule.push(JobId(job), SiteId(site));
-            }
-        }
-        let index = schedule.index();
-        for q in queries {
-            prop_assert_eq!(index.site_of(JobId(q)), schedule.site_of(JobId(q)));
-            let all: Vec<SiteId> = schedule
-                .assignments
-                .iter()
-                .filter(|a| a.job == JobId(q))
-                .map(|a| a.site)
-                .collect();
-            prop_assert_eq!(index.sites_of(JobId(q)), all.as_slice());
-        }
-    }
 }
 
 /// Random chaos-scenario programs on a fixed 4-site grid: an arrival
