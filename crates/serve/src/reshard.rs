@@ -9,10 +9,12 @@
 //! pending only where offline sites strand jobs), each exports a
 //! [`ShardStateExport`] (availability, pending queue, in-flight commits,
 //! duplicate-id set, scheduler history snapshot), and [`transfer`]
-//! redistributes that state over the new plan deterministically. The
-//! router then builds the new shards and atomically swaps the plan —
-//! clients pipelined across the swap observe responses in sequence order,
-//! nothing else.
+//! redistributes that state over the new plan deterministically. The id
+//! tables change hands whole: only the ids of pending and in-flight jobs
+//! move one at a time, so a barrier's cost is bounded by live state, not
+//! by how many jobs the daemon has served. The router then builds the new
+//! shards and atomically swaps the plan — clients pipelined across the
+//! swap observe responses in sequence order, nothing else.
 //!
 //! `transfer` is deliberately a pure function of
 //! `(grid, old plan, exports, new plan)`: the resharding-equivalence
@@ -27,11 +29,11 @@
 //! shards.
 
 use crate::protocol::{Placed, ServeMetrics};
-use crate::session::{OnlineSession, SessionState};
+use crate::session::{IdTable, KnownIds, LiveCommits, OnlineSession, SessionState};
 use crate::shard::ShardSpec;
 use gridsec_core::{Grid, Job, JobId, SiteId, Time};
 use gridsec_sim::{BatchJob, BatchScheduler, ShardPlan, SimConfig};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::time::Duration;
 
 /// Everything one shard hands over at the reshard barrier, in *global*
@@ -49,10 +51,11 @@ pub struct ShardStateExport {
     pub pending: Vec<BatchJob>,
     /// In-flight commits `(job, global site, end)`, in commit order.
     pub inflight: Vec<(Job, SiteId, Time)>,
-    /// Standing commit counts per job, sorted by id.
-    pub live: Vec<(JobId, u32)>,
-    /// Every accepted job id, sorted.
-    pub known: Vec<JobId>,
+    /// Standing commit counts per job: the exporting session's own
+    /// table, owned jointly with it until the session is retired.
+    pub live: LiveCommits,
+    /// Every accepted job id, owned like `live`.
+    pub known: KnownIds,
     /// Tenant attribution for jobs whose queue wait is still
     /// unrecorded, as `(job, tenant)` sorted by id — follows the job so
     /// per-tenant wait histograms stay correct across the transfer.
@@ -91,6 +94,12 @@ pub struct ReshardTransfer {
     pub seeds: Vec<ShardSeed>,
     /// Pending or in-flight jobs whose owning shard changed site set.
     pub jobs_migrated: usize,
+    /// Job ids the barrier handles one at a time: the exports' pending,
+    /// in-flight and tenant entries, the moves and hand-overs here, and
+    /// what each new session's restore and first union of its inherited
+    /// tables will touch. Bounded by live state and the ids accepted
+    /// since the previous reshard, never by every id ever accepted.
+    pub ids: usize,
 }
 
 /// Redistributes drained per-shard state over a new plan.
@@ -109,7 +118,11 @@ pub struct ReshardTransfer {
 ///   for the live count); ids with no surviving commit anchor at the new
 ///   shard of their old shard's first site. Known ids additionally cover
 ///   every shard that received one of the job's pending or in-flight
-///   entries, so duplicate-id protection survives the transfer.
+///   entries, so duplicate-id protection survives the transfer. So the
+///   anchor takes the old shard's tables over whole, and only the ids of
+///   pending and in-flight jobs move one at a time: into the shards
+///   their entries went to, and out of the anchor's copy when none went
+///   there.
 /// - **History**: a new shard inherits the snapshot of every old shard it
 ///   shares a site with, in old-shard order.
 pub fn transfer(
@@ -147,11 +160,12 @@ pub fn transfer(
     let mut clocks = vec![Time::ZERO; n_new];
     let mut pending: Vec<Vec<BatchJob>> = vec![Vec::new(); n_new];
     let mut inflight: Vec<Vec<(Job, SiteId, Time)>> = vec![Vec::new(); n_new];
-    let mut live: Vec<HashMap<JobId, u32>> = vec![HashMap::new(); n_new];
-    let mut known: Vec<Vec<JobId>> = vec![Vec::new(); n_new];
+    let mut live: Vec<LiveCommits> = (0..n_new).map(|_| IdTable::inherit()).collect();
+    let mut known: Vec<KnownIds> = (0..n_new).map(|_| IdTable::inherit()).collect();
     let mut tenants: Vec<Vec<(JobId, String)>> = vec![Vec::new(); n_new];
     let mut histories: Vec<Vec<String>> = vec![Vec::new(); n_new];
     let mut jobs_migrated = 0usize;
+    let mut ids = 0usize;
 
     let dest_of = |site: SiteId| -> usize {
         new_plan
@@ -176,6 +190,8 @@ pub fn transfer(
             }
         }
         let migrates = |k: usize| new_plan.sites_of(k) != old_sites;
+        // Exported one at a time, then placed here one at a time.
+        ids += 2 * (e.pending.len() + e.inflight.len() + e.tenants.len());
 
         // Job id → the new shards that now hold one of its entries.
         let mut placed_in: HashMap<JobId, Vec<usize>> = HashMap::new();
@@ -203,23 +219,32 @@ pub fn transfer(
             placed_in.entry(job.id).or_default().push(k);
             inflight[k].push((job.clone(), *site, *end));
         }
-        for (id, n) in &e.live {
-            let k = *first_commit.get(id).unwrap_or(&anchor);
-            *live[k].entry(*id).or_insert(0) += n;
-        }
-        for id in &e.known {
-            match placed_in.get(id) {
-                Some(ks) => {
-                    let mut ks = ks.clone();
-                    ks.sort_unstable();
-                    ks.dedup();
-                    for k in ks {
-                        known[k].push(*id);
-                    }
-                }
-                None => known[first_commit.get(id).copied().unwrap_or(anchor)].push(*id),
+        // The anchor takes both tables over whole, less the ids that move
+        // elsewhere one at a time.
+        let mut left_live = HashSet::new();
+        for (&id, &k) in first_commit.iter().filter(|(_, &k)| k != anchor) {
+            if let Some(n) = e.live.get(id) {
+                left_live.insert(id);
+                live[k].move_in(id, n);
             }
         }
+        let mut left_known = HashSet::new();
+        for (&id, ks) in placed_in
+            .iter()
+            .filter(|(&id, _)| e.known.get(id).is_some())
+        {
+            let mut ks = ks.clone();
+            ks.sort_unstable();
+            ks.dedup();
+            if !ks.contains(&anchor) {
+                left_known.insert(id);
+            }
+            for k in ks.into_iter().filter(|&k| k != anchor) {
+                known[k].move_in(id, ());
+            }
+        }
+        ids += live[anchor].take_over(&e.live, &left_live);
+        ids += known[anchor].take_over(&e.known, &left_known);
         // Tenant attribution follows the job's first placed entry (its
         // pending slot; unplaced ids anchor like unanchored live ids).
         for (id, name) in &e.tenants {
@@ -237,13 +262,11 @@ pub fn transfer(
             let (_, local) = new_plan.to_local(s).expect("site owned by shard");
             local
         };
-        let mut lv: Vec<(JobId, u32)> = live[k].iter().map(|(id, n)| (*id, *n)).collect();
-        lv.sort_unstable_by_key(|(id, _)| id.0);
-        let mut kn = std::mem::take(&mut known[k]);
-        kn.sort_unstable_by_key(|id| id.0);
-        kn.dedup();
         let mut tn = std::mem::take(&mut tenants[k]);
         tn.sort_unstable_by_key(|(id, _)| id.0);
+        // Restore re-interns the tenants; the first change to each table
+        // unions what it inherited.
+        ids += tn.len() + live[k].settle_cost() + known[k].settle_cost();
         seeds.push(ShardSeed {
             shard: k,
             state: SessionState {
@@ -254,8 +277,8 @@ pub fn transfer(
                     .into_iter()
                     .map(|(job, site, end)| (job, to_local(site), end))
                     .collect(),
-                live: lv,
-                known: kn,
+                live: std::mem::take(&mut live[k]),
+                known: std::mem::take(&mut known[k]),
                 tenants: tn,
             },
             history_sources: std::mem::take(&mut histories[k]),
@@ -264,6 +287,7 @@ pub fn transfer(
     Ok(ReshardTransfer {
         seeds,
         jobs_migrated,
+        ids,
     })
 }
 
@@ -535,8 +559,8 @@ mod tests {
                 .collect(),
             pending: Vec::new(),
             inflight: Vec::new(),
-            live: Vec::new(),
-            known: Vec::new(),
+            live: LiveCommits::default(),
+            known: KnownIds::default(),
             tenants: Vec::new(),
             history_json: None,
             metrics: ServeMetrics::merge(&[]),
@@ -558,11 +582,11 @@ mod tests {
             job: job(7, 1),
             secure_only: false,
         });
-        e0.live.push((JobId(7), 0));
-        e0.known = vec![JobId(7)];
+        e0.live = [(JobId(7), 0)].into_iter().collect();
+        e0.known = [(JobId(7), ())].into_iter().collect();
         e1.inflight.push((job(8, 2), SiteId(3), Time::new(12.0)));
-        e1.live.push((JobId(8), 1));
-        e1.known = vec![JobId(8)];
+        e1.live = [(JobId(8), 1)].into_iter().collect();
+        e1.known = [(JobId(8), ())].into_iter().collect();
 
         let t = transfer(&g, &old, &[e0, e1], &new).unwrap();
         assert_eq!(t.seeds.len(), 1);
@@ -575,8 +599,11 @@ mod tests {
         assert_eq!(s.inflight.len(), 1);
         // Inflight site id localized (identity here: 1 shard over 4 sites).
         assert_eq!(s.inflight[0].1, SiteId(3));
-        assert_eq!(s.live, vec![(JobId(7), 0), (JobId(8), 1)]);
-        assert_eq!(s.known, vec![JobId(7), JobId(8)]);
+        assert_eq!(s.live, [(JobId(7), 0), (JobId(8), 1)].into_iter().collect());
+        assert_eq!(
+            s.known,
+            [(JobId(7), ()), (JobId(8), ())].into_iter().collect()
+        );
         // Both jobs changed shard site set → both migrated.
         assert_eq!(t.jobs_migrated, 2);
         // Merged shard inherits both histories in old-shard order.
@@ -591,11 +618,10 @@ mod tests {
         let mut e = export_for(&old, 0, &g, 4.0);
         e.history_json = Some("h".into());
         e.inflight.push((job(1, 1), SiteId(2), Time::new(6.0)));
-        e.live.push((JobId(1), 1));
         // A live id with no surviving commit anchors at the first site's
         // shard.
-        e.live.push((JobId(2), 0));
-        e.known = vec![JobId(1), JobId(2)];
+        e.live = [(JobId(1), 1), (JobId(2), 0)].into_iter().collect();
+        e.known = [(JobId(1), ()), (JobId(2), ())].into_iter().collect();
 
         let t = transfer(&g, &old, &[e], &new).unwrap();
         let (s0, s1) = (&t.seeds[0].state, &t.seeds[1].state);
@@ -603,10 +629,10 @@ mod tests {
         assert_eq!(s1.inflight.len(), 1);
         // SiteId(2) is local 0 in shard 1.
         assert_eq!(s1.inflight[0].1, SiteId(0));
-        assert_eq!(s1.live, vec![(JobId(1), 1)]);
-        assert_eq!(s0.live, vec![(JobId(2), 0)]);
-        assert_eq!(s0.known, vec![JobId(2)]);
-        assert_eq!(s1.known, vec![JobId(1)]);
+        assert_eq!(s1.live, [(JobId(1), 1)].into_iter().collect());
+        assert_eq!(s0.live, [(JobId(2), 0)].into_iter().collect());
+        assert_eq!(s0.known, [(JobId(2), ())].into_iter().collect());
+        assert_eq!(s1.known, [(JobId(1), ())].into_iter().collect());
         // Split: both new shards inherit the single source history.
         assert_eq!(t.seeds[0].history_sources, vec!["h"]);
         assert_eq!(t.seeds[1].history_sources, vec!["h"]);
@@ -625,7 +651,7 @@ mod tests {
             job: job(3, 1),
             secure_only: false,
         });
-        e0.known = vec![JobId(3)];
+        e0.known = [(JobId(3), ())].into_iter().collect();
         let e1 = export_for(&plan, 1, &g, 2.0);
         let t = transfer(&g, &plan, &[e0, e1], &plan).unwrap();
         assert_eq!(t.jobs_migrated, 0);

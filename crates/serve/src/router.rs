@@ -564,17 +564,18 @@ impl Router {
             return Err(SHARD_DOWN.into());
         };
         drop(export_span);
-        let transferred = {
-            let _transfer_span = gridsec_obs::span!("reshard_transfer");
-            transfer(&self.grid, &self.plan, &exports, &new_plan)
-        };
-        let moved = match transferred {
+        let transfer_span = gridsec_obs::span!("reshard_transfer");
+        let moved = match transfer(&self.grid, &self.plan, &exports, &new_plan) {
             Ok(t) => t,
             Err(message) => {
+                // Gone before the old shards resume, so each owns its id
+                // tables alone again.
+                drop(exports);
                 self.resume_shards();
                 return Err(message);
             }
         };
+        transfer_span.end_with("ids", moved.ids as i64);
         // Rebuild every session before touching the old shards, so a
         // factory failure aborts with the daemon fully intact.
         let specs = {
@@ -584,20 +585,24 @@ impl Router {
         let specs = match specs {
             Ok(specs) => specs,
             Err((_, message)) => {
+                drop(exports);
                 self.resume_shards();
                 return Err(message);
             }
         };
         // Point of no return: retire the old shards (they persist their
         // state files on Stop), archive their history, swap in the new.
+        // The old sessions and the exports are gone before the new shards
+        // start, so each new session owns the id tables it inherited and
+        // settles them without a copy.
         let _swap_span = gridsec_obs::span!("reshard_swap");
         stop_shards(&self.shard_txs, &mut self.shard_handles);
-        for e in &exports {
-            let mut m = e.metrics.clone();
+        for e in exports {
+            let mut m = e.metrics;
             m.jobs_scheduled = 0;
             m.pending = 0;
             self.archive_metrics = ServeMetrics::merge(&[self.archive_metrics.clone(), m]);
-            self.archive_schedule.extend_from_slice(&e.schedule);
+            self.archive_schedule.extend(e.schedule);
         }
         let (txs, queues, handles) =
             spawn_shard_threads(&new_plan, specs, &self.options, self.start);

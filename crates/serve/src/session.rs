@@ -24,6 +24,7 @@ use gridsec_core::{Error, Grid, Job, JobId, Result, Site, SiteId, Time};
 use gridsec_obs::Histogram;
 use gridsec_sim::{BatchJob, BatchScheduler, BoundaryClock, RoundDriver, SimConfig};
 use std::collections::{HashMap, HashSet, VecDeque};
+use std::sync::Arc;
 
 /// Outcome of a bounded submit: either the job joined the pending queue
 /// or the queue was full even after every due round ran.
@@ -61,11 +62,13 @@ pub struct SessionState {
     /// Tracked in-flight commits `(job, local site, end)`, in commit
     /// order — the reservations a later `fail_site` could requeue.
     pub inflight: Vec<(Job, SiteId, Time)>,
-    /// Standing commit counts per job, sorted by job id.
-    pub live: Vec<(JobId, u32)>,
-    /// Every job id the session has accepted, sorted (duplicate-id
-    /// protection must survive the transfer).
-    pub known: Vec<JobId>,
+    /// Standing commit counts per job. Owned jointly with the exporting
+    /// session (an [`IdTable`] is shared, not copied); the session
+    /// restored from this state takes it over.
+    pub live: LiveCommits,
+    /// Every job id the session has accepted (duplicate-id protection
+    /// must survive the transfer). Owned like `live`.
+    pub known: KnownIds,
     /// Tenant attribution for jobs whose queue wait has not been
     /// recorded yet (still pending or awaiting their first commit),
     /// as `(job, tenant)` sorted by job id — per-tenant wait
@@ -88,10 +91,216 @@ impl SessionState {
                 .collect(),
             pending: Vec::new(),
             inflight: Vec::new(),
-            live: Vec::new(),
-            known: Vec::new(),
+            live: IdTable::default(),
+            known: IdTable::default(),
             tenants: Vec::new(),
         }
+    }
+}
+
+/// How two entries for one job id combine when id tables merge: an
+/// accepted-id set keeps one, standing-commit counts add up.
+pub trait Merge: Copy {
+    /// Folds `other` into `self`.
+    fn merge(&mut self, other: Self);
+}
+
+impl Merge for () {
+    fn merge(&mut self, _: ()) {}
+}
+
+impl Merge for u32 {
+    fn merge(&mut self, n: u32) {
+        *self += n;
+    }
+}
+
+/// The ids a session has accepted.
+pub type KnownIds = IdTable<()>;
+
+/// The standing commits per job: a job counts as scheduled while it has
+/// one.
+pub type LiveCommits = IdTable<u32>;
+
+/// One of a session's job-id tables, held by shared ownership so that a
+/// reshard barrier hands it over whole: exporting it is O(1), and
+/// [`transfer`](crate::transfer) moves only the ids of pending and
+/// in-flight jobs one at a time.
+///
+/// The table a session builds is *settled*: one map. A table a reshard
+/// seeds is *inherited*: the whole tables of the old sessions it takes
+/// over, each less the ids that left it for other shards, plus the ids
+/// moved in from them. The session's first change to an inherited table
+/// unions the smaller tables into the largest. By then the old sessions
+/// and their exports are gone, so the largest changes hands without a
+/// copy, and from then on a lookup is one hash probe.
+#[derive(Debug, Clone)]
+pub struct IdTable<V> {
+    /// Whole tables, each with the ids that left it.
+    parts: Vec<Part<V>>,
+    /// Entries moved in one at a time.
+    moved_in: HashMap<JobId, V>,
+}
+
+#[derive(Debug, Clone)]
+struct Part<V> {
+    table: Arc<HashMap<JobId, V>>,
+    left: HashSet<JobId>,
+}
+
+impl<V> Default for IdTable<V> {
+    /// An empty settled table.
+    fn default() -> IdTable<V> {
+        IdTable {
+            parts: vec![Part {
+                table: Arc::default(),
+                left: HashSet::new(),
+            }],
+            moved_in: HashMap::new(),
+        }
+    }
+}
+
+impl<V: Merge> IdTable<V> {
+    /// An inheritance with nothing in it yet, for
+    /// [`transfer`](crate::transfer) to fill.
+    pub(crate) fn inherit() -> IdTable<V> {
+        IdTable {
+            parts: Vec::new(),
+            moved_in: HashMap::new(),
+        }
+    }
+
+    fn is_settled(&self) -> bool {
+        matches!(self.parts.as_slice(), [p] if p.left.is_empty()) && self.moved_in.is_empty()
+    }
+
+    /// The part a settle keeps: the largest table, the first of equals.
+    fn largest(&self) -> Option<usize> {
+        (0..self.parts.len())
+            .rev()
+            .max_by_key(|&i| self.parts[i].table.len())
+    }
+
+    /// Every entry outside part `keep` — each other part less the ids
+    /// that left it, then the moved-in entries: what a settle unions into
+    /// `keep`.
+    fn rest(&self, keep: Option<usize>) -> impl Iterator<Item = (JobId, V)> + '_ {
+        let others = self.parts.iter().enumerate();
+        let others = others.filter(move |&(i, _)| Some(i) != keep);
+        let held = others.flat_map(|(_, p)| {
+            let held = p.table.iter().filter(|(id, _)| !p.left.contains(id));
+            held.map(|(&id, &v)| (id, v))
+        });
+        held.chain(self.moved_in.iter().map(|(&id, &v)| (id, v)))
+    }
+
+    /// The entry for `id`: merged over every table that still holds it.
+    pub(crate) fn get(&self, id: JobId) -> Option<V> {
+        let held = self.parts.iter().filter(|p| !p.left.contains(&id));
+        let mut entries = held
+            .filter_map(|p| p.table.get(&id))
+            .chain(self.moved_in.get(&id))
+            .copied();
+        let first = entries.next()?;
+        Some(entries.fold(first, |mut v, w| {
+            v.merge(w);
+            v
+        }))
+    }
+
+    /// The number of ids, counted once each however many inherited tables
+    /// hold them. O(1) once settled; before that, O(the entries a settle
+    /// would union).
+    pub(crate) fn len(&self) -> usize {
+        let Some(big) = self.largest() else {
+            return self.moved_in.len();
+        };
+        let base = &self.parts[big];
+        if self.is_settled() {
+            return base.table.len();
+        }
+        let in_base = |id: &JobId| base.table.contains_key(id) && !base.left.contains(id);
+        let extra: HashSet<JobId> = self.rest(Some(big)).map(|(id, _)| id).collect();
+        let gone = base.left.iter().filter(|id| base.table.contains_key(id));
+        base.table.len() - gone.count() + extra.iter().filter(|id| !in_base(id)).count()
+    }
+
+    /// The one map, after settling an inheritance. Copies the map only
+    /// if something else (an export, an old session) still holds it.
+    fn settled(&mut self) -> &mut HashMap<JobId, V> {
+        if !self.is_settled() {
+            let mut base = match self.largest() {
+                Some(i) => self.parts.swap_remove(i),
+                None => Part {
+                    table: Arc::default(),
+                    left: HashSet::new(),
+                },
+            };
+            let table = Arc::make_mut(&mut base.table);
+            for id in &base.left {
+                table.remove(id);
+            }
+            for (id, v) in self.rest(None) {
+                table.entry(id).and_modify(|e| e.merge(v)).or_insert(v);
+            }
+            base.left.clear();
+            self.parts = vec![base];
+            self.moved_in.clear();
+        }
+        Arc::make_mut(&mut self.parts[0].table)
+    }
+
+    /// Takes `whole` over as it is, less the ids in `left`; returns the
+    /// entries handled one at a time (its own moved-in entries and the
+    /// ids that left).
+    pub(crate) fn take_over(&mut self, whole: &IdTable<V>, left: &HashSet<JobId>) -> usize {
+        for p in &whole.parts {
+            self.parts.push(Part {
+                table: Arc::clone(&p.table),
+                left: p.left.union(left).copied().collect(),
+            });
+        }
+        for (&id, &v) in &whole.moved_in {
+            if !left.contains(&id) {
+                self.move_in(id, v);
+            }
+        }
+        whole.moved_in.len() + left.len() * whole.parts.len()
+    }
+
+    /// Adds one entry moved in from another shard.
+    pub(crate) fn move_in(&mut self, id: JobId, v: V) {
+        self.moved_in
+            .entry(id)
+            .and_modify(|e| e.merge(v))
+            .or_insert(v);
+    }
+
+    /// The entries the first settle handles one at a time: all but the
+    /// largest table's.
+    pub(crate) fn settle_cost(&self) -> usize {
+        if self.is_settled() {
+            return 0;
+        }
+        let big = self.largest();
+        let parts = self.parts.iter().enumerate().map(|(i, p)| {
+            let whole = if Some(i) == big { 0 } else { p.table.len() };
+            whole + p.left.len()
+        });
+        parts.sum::<usize>() + self.moved_in.len()
+    }
+
+    /// The table as one map, unioned into a copy (test comparisons).
+    fn resolved(&self) -> HashMap<JobId, V> {
+        std::mem::take(self.clone().settled())
+    }
+}
+
+impl<V: Merge + PartialEq> PartialEq for IdTable<V> {
+    /// Equal when they hold the same entries, however they are split.
+    fn eq(&self, other: &IdTable<V>) -> bool {
+        self.resolved() == other.resolved()
     }
 }
 
@@ -106,8 +315,8 @@ pub struct OnlineSession {
     /// Commits currently standing per job: a job counts as scheduled
     /// while it has at least one commit that was not voided by a site
     /// failure.
-    live: HashMap<JobId, u32>,
-    known_jobs: HashSet<JobId>,
+    live: LiveCommits,
+    known: KnownIds,
     jobs_submitted: usize,
     jobs_requeued: usize,
     sites_failed: usize,
@@ -154,8 +363,8 @@ impl OnlineSession {
             scheduler,
             clock: BoundaryClock::new(config.schedule_interval),
             committed: Vec::new(),
-            live: HashMap::new(),
-            known_jobs: HashSet::new(),
+            live: IdTable::default(),
+            known: IdTable::default(),
             jobs_submitted: 0,
             jobs_requeued: 0,
             sites_failed: 0,
@@ -259,7 +468,7 @@ impl OnlineSession {
             if pending >= limit {
                 // The job was never enqueued; the id is reusable so the
                 // client can resubmit the same job later.
-                self.known_jobs.remove(&job.id);
+                self.known.settled().remove(&job.id);
                 self.busy_rejections += 1;
                 return Ok(Admission::Busy { pending });
             }
@@ -290,14 +499,14 @@ impl OnlineSession {
                 ),
             ));
         }
-        if !self.known_jobs.insert(job.id) {
+        if self.known.settled().insert(job.id, ()).is_some() {
             return Err(Error::invalid(
                 "submit",
                 format!("duplicate job id {}", job.id),
             ));
         }
         if !self.rounds.grid().sites().any(|s| s.fits_width(job.width)) {
-            self.known_jobs.remove(&job.id);
+            self.known.settled().remove(&job.id);
             return Err(Error::NoFeasibleSite(job.id.0));
         }
         self.advance_strictly_before(job.arrival)?;
@@ -411,11 +620,12 @@ impl OnlineSession {
     pub fn fail_site(&mut self, site: SiteId, at: Option<Time>) -> Result<Vec<JobId>> {
         self.advance_for_injection("fail_site", at)?;
         let stranded = self.rounds.fail_site(site, self.clock.now())?;
+        let live = self.live.settled();
         for id in &stranded {
-            if let Some(n) = self.live.get_mut(id) {
+            if let Some(n) = live.get_mut(id) {
                 *n -= 1;
                 if *n == 0 {
-                    self.live.remove(id);
+                    live.remove(id);
                 }
             }
         }
@@ -492,12 +702,10 @@ impl OnlineSession {
     /// Snapshots the transferable session state (local site ids). Taken
     /// at a drain barrier: every queued boundary has fired, so the clock
     /// and availability fully describe the session and no armed-boundary
-    /// state needs to travel.
+    /// state needs to travel. The id tables are shared, not copied: the
+    /// cost is the pending, in-flight and tenant entries, however many
+    /// jobs the session has served.
     pub fn export_state(&self) -> SessionState {
-        let mut live: Vec<(JobId, u32)> = self.live.iter().map(|(&id, &n)| (id, n)).collect();
-        live.sort_unstable_by_key(|&(id, _)| id.0);
-        let mut known: Vec<JobId> = self.known_jobs.iter().copied().collect();
-        known.sort_unstable_by_key(|id| id.0);
         let mut tenants: Vec<(JobId, String)> = self
             .tenant_of
             .iter()
@@ -515,8 +723,8 @@ impl OnlineSession {
                 .collect(),
             pending: self.rounds.pending_jobs().to_vec(),
             inflight: self.rounds.inflight_commits(),
-            live,
-            known,
+            live: self.live.clone(),
+            known: self.known.clone(),
             tenants,
         }
     }
@@ -525,9 +733,10 @@ impl OnlineSession {
     /// of a resharded session. The clock resumes at the exported instant,
     /// per-site availability (and offline flags) is restored, pending
     /// jobs re-enter the queue in order, and in-flight commits are
-    /// re-adopted for the zero-lost-jobs guarantee. Counters and the
-    /// committed history start at zero — the daemon archives the
-    /// pre-reshard totals.
+    /// re-adopted for the zero-lost-jobs guarantee, and the id tables are
+    /// taken over as they are (the first change to one settles it; see
+    /// [`IdTable`]). Counters and the committed history start at zero —
+    /// the daemon archives the pre-reshard totals.
     ///
     /// `state.sites` must cover the grid exactly. No boundary is armed:
     /// this mirrors the exporting session's post-drain state, and the
@@ -563,8 +772,8 @@ impl OnlineSession {
             }
             s.rounds.adopt_inflight(job, site, end);
         }
-        s.live = state.live.into_iter().collect();
-        s.known_jobs = state.known.into_iter().collect();
+        s.live = state.live;
+        s.known = state.known;
         for (id, name) in state.tenants {
             let t = s.intern_tenant(&name);
             s.tenant_of.insert(id, t);
@@ -623,6 +832,7 @@ impl OnlineSession {
         // keeps a k-assignment commit O(k), not O(k·batch).
         let by_id: HashMap<JobId, &Job> =
             outcome.batch.iter().map(|x| (x.job.id, &x.job)).collect();
+        let live = self.live.settled();
         for a in &outcome.schedule.assignments {
             let job = *by_id
                 .get(&a.job)
@@ -637,7 +847,7 @@ impl OnlineSession {
                 self.tenant_wait[t].record((wait * 1e6) as u64);
             }
             self.max_completion = self.max_completion.max(placed.end);
-            *self.live.entry(placed.job).or_insert(0) += 1;
+            *live.entry(placed.job).or_insert(0) += 1;
             self.committed.push(placed);
         }
         Ok(())
@@ -649,6 +859,19 @@ mod tests {
     use super::*;
     use gridsec_sim::scheduler::EarliestCompletion;
     use gridsec_sim::BatchPolicy;
+
+    /// A settled table of these entries (repeats merge) — for the tests
+    /// of this crate.
+    impl<V: Merge> FromIterator<(JobId, V)> for IdTable<V> {
+        fn from_iter<I: IntoIterator<Item = (JobId, V)>>(entries: I) -> IdTable<V> {
+            let mut t = IdTable::default();
+            for (id, v) in entries {
+                t.move_in(id, v);
+            }
+            t.settled();
+            t
+        }
+    }
 
     fn grid() -> Grid {
         Grid::new(vec![
@@ -979,6 +1202,57 @@ mod tests {
         let stranded = c2.fail_site(placed_site, None).unwrap();
         assert_eq!(stranded, vec![JobId(0)]);
         assert_eq!(c2.pending(), 1);
+    }
+
+    /// An export shares the id tables, not copies; the session's next
+    /// change copies only because the export still holds them, and leaves
+    /// the export as it was.
+    #[test]
+    fn export_shares_the_id_tables() {
+        let mut s = session(BatchPolicy::Periodic);
+        s.submit(job(0, 1.0, 10.0)).unwrap();
+        s.drain().unwrap();
+        let state = s.export_state();
+        assert!(Arc::ptr_eq(
+            &state.known.parts[0].table,
+            &s.known.parts[0].table
+        ));
+        assert!(Arc::ptr_eq(
+            &state.live.parts[0].table,
+            &s.live.parts[0].table
+        ));
+        s.submit(job(1, 20.0, 10.0)).unwrap();
+        assert_eq!(s.known.get(JobId(1)), Some(()));
+        assert_eq!(state.known, [(JobId(0), ())].into_iter().collect());
+    }
+
+    /// An inherited table reads as the union of its parts — each less
+    /// the ids that left it, counts added — and its first change settles
+    /// it into the largest part in place when nothing else holds that.
+    #[test]
+    fn an_inherited_table_settles_into_its_largest_part_in_place() {
+        let big: LiveCommits = (0..100).map(|i| (JobId(i), 1)).collect();
+        let small: LiveCommits = [(JobId(5), 2), (JobId(200), 1), (JobId(201), 1)]
+            .into_iter()
+            .collect();
+        let big_table = Arc::as_ptr(&big.parts[0].table);
+        let mut t = LiveCommits::inherit();
+        assert_eq!(t.take_over(&small, &HashSet::from([JobId(201)])), 1);
+        assert_eq!(t.take_over(&big, &HashSet::from([JobId(7)])), 1);
+        t.move_in(JobId(7), 3);
+        t.move_in(JobId(300), 1);
+        drop((big, small));
+        // 99 of the big table's ids, plus 200, 7 (moved back in) and 300.
+        assert_eq!(t.len(), 102);
+        assert_eq!(t.get(JobId(5)), Some(3));
+        assert_eq!(t.get(JobId(7)), Some(3));
+        assert_eq!(t.get(JobId(201)), None);
+        // The small table's 3 entries, the 2 ids that left, 2 moved in.
+        assert_eq!(t.settle_cost(), 7);
+        t.settled().insert(JobId(400), 1);
+        assert!(std::ptr::eq(Arc::as_ptr(&t.parts[0].table), big_table));
+        assert_eq!((t.len(), t.settle_cost()), (103, 0));
+        assert_eq!((t.get(JobId(5)), t.get(JobId(201))), (Some(3), None));
     }
 
     /// What `Daemon::spawn` rests on: restoring the state of a session

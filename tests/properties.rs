@@ -419,8 +419,8 @@ proptest! {
                     })
                     .collect(),
                 inflight: Vec::new(),
-                live: Vec::new(),
-                known: Vec::new(),
+                live: Default::default(),
+                known: Default::default(),
                 tenants: Vec::new(),
                 history_json: None,
                 metrics: ServeMetrics::merge(&[]),
