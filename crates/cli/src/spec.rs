@@ -209,7 +209,7 @@ fn parse_spec<T: DeserializeOwned>(what: &'static str, text: &str) -> Result<T> 
             "`estimates` was removed: the scheduler sees exact execution times",
         ));
     }
-    serde_json::from_value(value).map_err(invalid)
+    serde_json::from_str(text).map_err(invalid)
 }
 
 /// A complete experiment specification.

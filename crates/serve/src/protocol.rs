@@ -559,8 +559,8 @@ impl LineDecoder {
 
 /// Parses a frame line into a request (empty/whitespace lines are
 /// `Ok(None)` — keep-alive newlines are tolerated). Parses straight from
-/// the byte line (`serde_json::from_slice`): no whole-frame UTF-8 pass,
-/// string contents are validated where they are decoded.
+/// the byte line (`serde_json::from_slice`) into the typed request, with
+/// no intermediate value.
 pub fn parse_request(line: &[u8]) -> Result<Option<Request>, String> {
     if line.iter().all(u8::is_ascii_whitespace) {
         return Ok(None);

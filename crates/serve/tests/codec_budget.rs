@@ -6,7 +6,8 @@
 //!
 //! At c8a9ccb, when derived `Deserialize` cloned every field and the
 //! writer formatted numbers through temporary `String`s, the counts were
-//! 39, 328 and 17.
+//! 39, 328 and 17; at b40caca, when every frame was still parsed into a
+//! `Value` tree and every reply built one, they were 15, 107 and 8.
 
 use gridsec_core::{Job, Time};
 use gridsec_serve::protocol::{encode, parse_request};
@@ -85,21 +86,21 @@ fn the_codec_stays_within_its_allocation_budget() {
         pending: 211,
         rounds: 4_096,
     };
-    // (what, allocations, budget): the parse tree's keys, strings, arrays
-    // and objects plus the `Vec<Job>`; the field list, its keys and tag,
+    // (what, allocations, budget): only what the value keeps — the
+    // `Vec<Job>` (growing 4 → 8 → 16 for sixteen jobs) and the tenant —
     // and the output line.
     let counts = [
         (
             "decode 1-job submit",
             allocations(|| parse_request(&one)),
-            15,
+            2,
         ),
         (
             "decode 16-job submit",
             allocations(|| parse_request(&sixteen)),
-            107,
+            4,
         ),
-        ("encode accepted", allocations(|| encode(&accepted)), 8),
+        ("encode accepted", allocations(|| encode(&accepted)), 1),
     ];
     let table: String = counts
         .iter()

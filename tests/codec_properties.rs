@@ -1,13 +1,15 @@
 //! The wire codec as properties: every `Request` survives `encode` →
-//! `parse_request` unchanged, and no mutation of a valid frame — cut
-//! short, one byte flipped, or a run of up to 10⁵ `[` or `{` spliced in —
-//! makes `parse_request` panic or overflow the stack of a thread the size
-//! of a daemon I/O thread's.
+//! `parse_request` unchanged, also with its objects' keys reordered,
+//! unknown keys interleaved and every key duplicated; and no mutation of
+//! a valid frame — cut short, one byte flipped, or a run of up to 10⁵ `[`
+//! or `{` spliced in — makes `parse_request` panic or overflow the stack
+//! of a thread the size of a daemon I/O thread's.
 
 use gridsec_core::{Job, Time};
 use gridsec_serve::protocol::{encode, parse_request};
 use gridsec_serve::{QueryWhat, Request};
 use proptest::prelude::*;
+use serde_json::Value;
 
 /// Characters a tenant label is drawn from: everything the writer escapes,
 /// multi-byte UTF-8 of every width, and the edges of the scalar range.
@@ -122,6 +124,128 @@ proptest! {
     fn every_request_round_trips(request in arb_request()) {
         let line = encode(&request);
         prop_assert_eq!(parse_request(line.trim_end().as_bytes()), Ok(Some(request)));
+    }
+}
+
+/// One way to re-encode every object of a frame, the frame's own and each
+/// job's, that must not change what the frame decodes to.
+#[derive(Debug, Clone, Copy)]
+enum Reshape {
+    /// Keys in reverse order: the `type` tag last.
+    Reversed,
+    /// The first key moved to the middle: the tag among the fields.
+    TagInMiddle,
+    /// An unknown key holding nested values before every entry and at the
+    /// end.
+    UnknownInterleaved,
+    /// A conflicting duplicate of every key, after all the originals: the
+    /// first of each must win.
+    DuplicatesAppended,
+}
+
+const RESHAPES: [Reshape; 4] = [
+    Reshape::Reversed,
+    Reshape::TagInMiddle,
+    Reshape::UnknownInterleaved,
+    Reshape::DuplicatesAppended,
+];
+
+fn json(text: &str) -> Value {
+    serde_json::from_str(text).unwrap()
+}
+
+/// Unknown entries: near misses of real keys, holding nested values that
+/// carry keys of their own (a `type` among them, which is not the tag).
+fn unknown_entry(i: usize) -> (String, Value) {
+    let names = ["typ", "Type", "types", "", "jobs_", "shard\u{0}"];
+    let values = [
+        r#"{"type":"shutdown","jobs":[{"id":1}],"x":[[1.5,null,{"":true}]]}"#,
+        r#"[[],{},[{"type":"drain"}],"\"}]"]"#,
+        r#"-0.0"#,
+        r#"{"site":{"site":{"site":[1e300]}}}"#,
+    ];
+    (
+        names[i % names.len()].to_string(),
+        json(values[i % values.len()]),
+    )
+}
+
+/// A value for a duplicated key that differs from the original: another
+/// variant's tag for the tag, else a value of a wrong or other type.
+fn conflicting(key: &str, original: &Value, pick: usize) -> Value {
+    if key == "type" {
+        let other = if original == &Value::Str("drain".into()) {
+            "shutdown"
+        } else {
+            "drain"
+        };
+        return Value::Str(other.into());
+    }
+    let choices = [r#""x""#, "-1", "[[]]", r#"{"type":"drain"}"#, "null", "0.5"];
+    json(choices[pick % choices.len()])
+}
+
+/// `value` with every object in it re-encoded as `how` says.
+fn reshape(value: Value, how: Reshape, pick: usize) -> Value {
+    let mut entries = match value {
+        Value::Array(items) => {
+            return Value::Array(items.into_iter().map(|v| reshape(v, how, pick)).collect())
+        }
+        Value::Object(entries) => entries,
+        scalar => return scalar,
+    };
+    for (_, v) in &mut entries {
+        *v = reshape(std::mem::replace(v, Value::Null), how, pick);
+    }
+    let entries = match how {
+        Reshape::Reversed => entries.into_iter().rev().collect(),
+        Reshape::TagInMiddle => {
+            if !entries.is_empty() {
+                let first = entries.remove(0);
+                entries.insert(entries.len() / 2, first);
+            }
+            entries
+        }
+        Reshape::UnknownInterleaved => {
+            let mut out = Vec::new();
+            for (i, entry) in entries.into_iter().enumerate() {
+                out.push(unknown_entry(pick + i));
+                out.push(entry);
+            }
+            out.push(unknown_entry(pick + out.len()));
+            out
+        }
+        Reshape::DuplicatesAppended => {
+            let duplicates: Vec<(String, Value)> = entries
+                .iter()
+                .enumerate()
+                .map(|(i, (k, v))| (k.clone(), conflicting(k, v, pick + i)))
+                .collect();
+            entries.into_iter().chain(duplicates).collect()
+        }
+    };
+    Value::Object(entries)
+}
+
+proptest! {
+    #[test]
+    fn key_order_unknown_keys_and_duplicates_do_not_change_a_request(
+        request in arb_request(),
+        pick in 0usize..64,
+    ) {
+        let line = encode(&request);
+        let frame: Value = serde_json::from_str(line.trim_end()).unwrap();
+        let mut all = frame.clone();
+        for how in RESHAPES {
+            let text = serde_json::to_string(&reshape(frame.clone(), how, pick)).unwrap();
+            let back = parse_request(text.as_bytes());
+            prop_assert!(back == Ok(Some(request.clone())), "{:?}: {}\n{:?}", how, text, back);
+            all = reshape(all, how, pick);
+        }
+        // All four at once.
+        let text = serde_json::to_string(&all).unwrap();
+        let back = parse_request(text.as_bytes());
+        prop_assert!(back == Ok(Some(request)), "all: {}\n{:?}", text, back);
     }
 }
 
