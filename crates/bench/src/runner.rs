@@ -10,8 +10,9 @@ use gridsec_workloads::{NasConfig, NasWorkload, PsaConfig, PsaWorkload};
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// The PSA batch period (Table 1 gives none: 1000 s ≈ 8 jobs per batch at
-/// the 0.008/s arrival rate; README, "Deviations from the paper").
+/// The PSA batch period (Table 1 gives none: at 1000 s `paper fig10`
+/// records a mean batch of 3.6–4.1 jobs; README, "Deviations from the
+/// paper").
 pub const PSA_INTERVAL: f64 = 1_000.0;
 /// The NAS batch period (hourly batches ≈ 15 jobs each at paper scale;
 /// README, "Deviations from the paper").

@@ -12,7 +12,7 @@
 mod spec;
 
 use gridsec_serve::{
-    AutoscaleConfig, ClockMode, Daemon, DaemonOptions, OnlineSession, ScenarioRunner,
+    AutoscaleConfig, ClockMode, Daemon, DaemonExit, DaemonOptions, OnlineSession, ScenarioRunner,
     SessionFactory, ShardSpec,
 };
 use gridsec_sim::{simulate, ShardPlan};
@@ -246,8 +246,12 @@ fn serve(args: &[String]) -> Result<(), (i32, String)> {
     if let Some(m) = daemon.metrics_addr() {
         println!("gridsec-serve: metrics exposition on {m} (plaintext, scrape with curl/nc)");
     }
-    daemon.join();
-    Ok(())
+    match daemon.join() {
+        DaemonExit::Shutdown => Ok(()),
+        DaemonExit::RouterPanicked(message) => {
+            Err((1, format!("the daemon's router thread panicked: {message}")))
+        }
+    }
 }
 
 /// `gridsec trace-dump <addr>`: pull the daemon's flight-recorder ring

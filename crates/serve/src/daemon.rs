@@ -333,11 +333,10 @@ impl Daemon {
             io: Arc::clone(&shared),
         };
         let router = {
-            let shared = Arc::clone(&shared);
+            let stop = StopIo(Arc::clone(&shared));
             std::thread::spawn(move || {
+                let _stop = stop; // dropped as the thread ends, unwinding or not
                 router_state.run(ingest_rx);
-                shared.stop.store(true, Ordering::SeqCst);
-                shared.wake_all(); // I/O threads observe stop and exit
             })
         };
 
@@ -387,12 +386,44 @@ impl Daemon {
 
     /// Blocks until a client sends `shutdown` and the daemon winds down:
     /// the router joins the shard threads, then the I/O threads are
-    /// reaped.
-    pub fn join(self) {
-        let _ = self.router.join();
+    /// reaped. If the router thread panicked instead (a factory that
+    /// panics while a reshard rebuilds the shards), the I/O threads stop
+    /// all the same, every connection closes, and the panic's message is
+    /// returned.
+    pub fn join(self) -> DaemonExit {
+        let router = self.router.join();
         for h in self.io {
             let _ = h.join();
         }
+        match router {
+            Ok(()) => DaemonExit::Shutdown,
+            Err(payload) => DaemonExit::RouterPanicked(match payload.downcast_ref::<&str>() {
+                Some(s) => s.to_string(),
+                None => (payload.downcast_ref::<String>().cloned())
+                    .unwrap_or_else(|| "no message".into()),
+            }),
+        }
+    }
+}
+
+/// How a daemon ended ([`Daemon::join`]).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum DaemonExit {
+    /// A `shutdown` frame wound it down.
+    Shutdown,
+    /// The router thread panicked, with this message.
+    RouterPanicked(String),
+}
+
+/// Stops and wakes the I/O threads when the router thread ends, whether
+/// it returns or unwinds: a router panic must not leave them serving
+/// connections nothing answers.
+struct StopIo(Arc<IoShared>);
+
+impl Drop for StopIo {
+    fn drop(&mut self) {
+        self.0.stop.store(true, Ordering::SeqCst);
+        self.0.wake_all(); // I/O threads observe stop and exit
     }
 }
 

@@ -87,6 +87,7 @@ pub mod client;
 mod conn;
 pub mod daemon;
 mod exposition;
+mod ids;
 pub mod protocol;
 pub mod replay;
 pub mod reshard;
@@ -95,7 +96,7 @@ pub mod session;
 pub mod shard;
 
 pub use client::Client;
-pub use daemon::{shard_state_path, ClockMode, Daemon, DaemonOptions};
+pub use daemon::{shard_state_path, ClockMode, Daemon, DaemonExit, DaemonOptions};
 pub use protocol::{
     Placed, QueryWhat, Request, Response, ServeMetrics, ShardInfo, ShardTelemetry, TelemetryReport,
     TenantWait, MAX_LINE_BYTES, METRICS_WINDOW,

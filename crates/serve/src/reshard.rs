@@ -52,9 +52,10 @@ pub struct ShardStateExport {
     /// In-flight commits `(job, global site, end)`, in commit order.
     pub inflight: Vec<(Job, SiteId, Time)>,
     /// Standing commit counts per job: the exporting session's own
-    /// table, owned jointly with it until the session is retired.
+    /// compressed id table, owned jointly with it until the session is
+    /// retired.
     pub live: LiveCommits,
-    /// Every accepted job id, owned like `live`.
+    /// Every accepted job id, a compressed id table owned like `live`.
     pub known: KnownIds,
     /// Tenant attribution for jobs whose queue wait is still
     /// unrecorded, as `(job, tenant)` sorted by id — follows the job so
