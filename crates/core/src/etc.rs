@@ -254,26 +254,6 @@ impl NodeAvailability {
     }
 }
 
-/// Estimated completion time of a job on a site: earliest start (given
-/// availability and the job's arrival/now floor) plus ETC entry.
-///
-/// Returns `None` when the job does not fit on the site.
-pub fn completion_time(
-    etc: &EtcMatrix,
-    avail: &NodeAvailability,
-    batch_idx: usize,
-    site_idx: usize,
-    width: u32,
-    not_before: Time,
-) -> Option<Time> {
-    let exec = etc.get(batch_idx, site_idx);
-    if !exec.is_finite() {
-        return None;
-    }
-    let start = avail.earliest_start(width, not_before)?;
-    Some(start + Time::new(exec))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -340,22 +320,6 @@ mod tests {
         assert_eq!(a.drain_time(), Time::new(100.0));
         assert_eq!(a.free_at(Time::new(60.0)), 1);
         assert_eq!(a.free_at(Time::new(100.0)), 2);
-    }
-
-    #[test]
-    fn completion_time_combines_start_and_exec() {
-        let jobs = vec![Job::builder(0).work(100.0).width(2).build().unwrap()];
-        let g = grid();
-        let etc = EtcMatrix::build(&jobs, &g);
-        let mut a = NodeAvailability::new(4, Time::ZERO);
-        a.commit(3, Time::new(20.0));
-        // Width-2 job on site 1 (speed 2): start when 2 nodes free = 20, +50.
-        let ct = completion_time(&etc, &a, 0, 1, 2, Time::ZERO).unwrap();
-        assert_eq!(ct, Time::new(70.0));
-        // Site 0 has 2 nodes but our availability snapshot is for site 1;
-        // a non-fitting entry returns None.
-        let a0 = NodeAvailability::new(2, Time::ZERO);
-        assert!(completion_time(&etc, &a0, 0, 0, 2, Time::ZERO).is_some());
     }
 
     #[test]

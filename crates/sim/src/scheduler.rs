@@ -1,7 +1,7 @@
 //! The scheduler interface: what the engine shows a scheduler and what it
 //! expects back.
 
-use gridsec_core::etc::{completion_time, EtcMatrix, NodeAvailability};
+use gridsec_core::etc::NodeAvailability;
 use gridsec_core::{BatchSchedule, Grid, Job, SecurityModel, SiteId, Time};
 
 /// One job as presented to a scheduler: the job itself plus the
@@ -48,33 +48,6 @@ impl<'a> GridView<'a> {
         }
         let start = self.avail[site.0].earliest_start(job.width, self.now.max(job.arrival))?;
         Some(start + job.exec_time(s.speed))
-    }
-
-    /// Builds the ETC matrix for a batch (row order = batch order).
-    pub fn etc_matrix(&self, batch: &[BatchJob]) -> EtcMatrix {
-        let jobs: Vec<Job> = batch.iter().map(|b| b.job.clone()).collect();
-        EtcMatrix::build(&jobs, self.grid)
-    }
-
-    /// Completion time via a *local* availability copy — used by schedulers
-    /// that tentatively commit assignments while scanning a batch.
-    pub fn completion_with(
-        &self,
-        etc: &EtcMatrix,
-        avail: &[NodeAvailability],
-        batch_idx: usize,
-        site: SiteId,
-        width: u32,
-        arrival: Time,
-    ) -> Option<Time> {
-        completion_time(
-            etc,
-            &avail[site.0],
-            batch_idx,
-            site.0,
-            width,
-            self.now.max(arrival),
-        )
     }
 
     /// A mutable clone of the availability vector for tentative commits.

@@ -14,13 +14,10 @@
 //! the touched suffix unchanged, or the other parent's, whole — inherits
 //! that parent's fitness; so do the elites. Once the history-seeded
 //! population converges that is most children: about two thirds on
-//! Table-1 PSA rounds (`tests/replay_counts.rs` counts them).
-//! How any other child is evaluated follows the kernel's compiled shape
-//! ([`FitnessKernel::patches`]): where it patches, it is delta-evaluated
-//! against its parent's retained completion times; where it does not
-//! (every site one node — the paper's PSA grid), it is replayed
-//! fitness-only ([`FitnessKernel::evaluate_fitness`]) and no completion
-//! times are kept at all.
+//! Table-1 PSA rounds (`tests/replay_counts.rs` counts them). Every
+//! other individual is replayed fitness-only
+//! ([`FitnessKernel::evaluate_fitness`]), on every grid; no completion
+//! time is kept.
 
 use crate::chromosome::{gene, randomize, Chromosome};
 use crate::fitness::{FitnessKind, RiskWeights};
@@ -29,7 +26,6 @@ use crate::ops::{crossover_into, mutate_tracked};
 use crate::params::GaParams;
 use crate::selection::{RouletteWheel, Sweep};
 use gridsec_core::etc::NodeAvailability;
-use gridsec_core::Time;
 use gridsec_heuristics::common::MapCtx;
 use rand::Rng;
 
@@ -47,8 +43,8 @@ pub struct GaResult {
 }
 
 /// Cross-round buffer pool for the evolve loop: both generations (gene
-/// arenas, fitness vectors, completion times, sweeps), the compiled
-/// kernel, the roulette table and the kernel's scratch.
+/// arenas, fitness vectors, sweeps), the compiled kernel, the roulette
+/// table and the kernel's scratch.
 ///
 /// [`evolve`] builds a throwaway pool per call. A long-lived scheduler
 /// (the STGA rescheduling every batch inside the serving daemon) owns one
@@ -76,7 +72,7 @@ impl GaPool {
     }
 }
 
-/// One generation: its genomes, their evaluations and the sweep over them.
+/// One generation: its genomes, their fitness and the sweep over them.
 #[derive(Debug, Default)]
 struct Generation {
     /// `population + 1` rows of `n` genes: row `i` is individual `i`; the
@@ -85,10 +81,6 @@ struct Generation {
     genes: Vec<u16>,
     /// Individual `i`'s fitness, appended by `sweep`.
     fitness: Vec<f64>,
-    /// Individual `i`'s completion time of every job (batch-position
-    /// indexed), written only while the round's kernel patches and valid
-    /// only when its fitness is finite — its children patch from it.
-    cts: Vec<Vec<Time>>,
     sweep: Sweep,
 }
 
@@ -97,7 +89,6 @@ impl Generation {
     /// keep stale genes until written.
     fn resize(&mut self, population: usize, n: usize) {
         self.genes.resize((population + 1) * n, 0);
-        self.cts.resize_with(population, Vec::new);
     }
 
     /// Individual `i`'s genome.
@@ -113,29 +104,9 @@ enum Plan {
     Full,
     /// Byte-identical copy of parent `parent` (elites, and children whose
     /// genome equals one of their parents' — see [`plan_child`]): inherit
-    /// its fitness — a pure function of the genes — and, on a patching
-    /// kernel, its completion times.
+    /// its fitness, a pure function of the genes.
     Inherit { parent: usize },
-    /// Differs from parent `parent` only at genes `from..n` (the crossover
-    /// cut / mutation index tracked by the operators): patch the parent's
-    /// evaluation instead of replaying from scratch. Only planned while
-    /// the kernel patches.
-    Delta { parent: usize, from: usize },
 }
-
-/// The path an individual's evaluation actually took, counted into a
-/// [`PathCounts`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Outcome {
-    Inherited,
-    Full,
-    Patched,
-    /// Sent to `evaluate_delta`, replayed in full anyway.
-    DeltaFellBack,
-}
-
-/// Individuals per [`Outcome`] (indexed by discriminant) over one round.
-type PathCounts = [u64; 4];
 
 /// How a freshly bred child gets its fitness. The child started as a copy
 /// of its `own` parent and differs from it at most in genes `from..n`
@@ -143,89 +114,44 @@ type PathCounts = [u64; 4];
 /// inherits when its genome equals a parent's: its own parent's (the
 /// touched suffix came out unchanged) or, whole, the `other` parent's
 /// (crossover between near-identical parents hands a child the other's
-/// genome). Otherwise it is patched from its own parent where the kernel
-/// patches, and replayed in full where it does not.
-fn plan_child(
-    child: &[u16],
-    own: (usize, &[u16]),
-    other: (usize, &[u16]),
-    from: usize,
-    patches: bool,
-) -> Plan {
+/// genome). Otherwise it is replayed.
+fn plan_child(child: &[u16], own: (usize, &[u16]), other: (usize, &[u16]), from: usize) -> Plan {
     if child[from..] == own.1[from..] {
         Plan::Inherit { parent: own.0 }
     } else if child == other.1 {
         Plan::Inherit { parent: other.0 }
-    } else if patches {
-        Plan::Delta {
-            parent: own.0,
-            from,
-        }
     } else {
         Plan::Full
     }
 }
 
 /// The round's compiled kernel, its scratch, and how many individuals
-/// each evaluation path took.
+/// inherited their fitness and how many were replayed.
 struct Evaluator<'a> {
     kernel: &'a FitnessKernel,
     scratch: &'a mut KernelScratch,
-    paths: PathCounts,
+    inherited: u64,
+    full: u64,
 }
 
 impl Evaluator<'_> {
     /// Evaluates genome `genes` of the incoming generation per its `plan`
-    /// and returns its fitness. `parents` is the generation it was bred
-    /// from; a delta plan referencing a non-finite parent (whose
-    /// completion times are invalid) falls back to a full replay.
-    /// Completion times land in `cts` while the kernel patches.
-    fn evaluate(
-        &mut self,
-        genes: &[u16],
-        plan: Plan,
-        parents: &Generation,
-        cts: &mut Vec<Time>,
-    ) -> f64 {
-        let (fitness, outcome) = match plan {
+    /// and returns its fitness. `parents` is the fitness of the generation
+    /// it was bred from.
+    fn evaluate(&mut self, genes: &[u16], plan: Plan, parents: &[f64]) -> f64 {
+        match plan {
             Plan::Inherit { parent } => {
-                if self.kernel.patches() {
-                    cts.clone_from(&parents.cts[parent]);
-                }
-                (parents.fitness[parent], Outcome::Inherited)
+                self.inherited += 1;
+                parents[parent]
             }
-            Plan::Delta { parent, from } if parents.fitness[parent].is_finite() => {
-                let parent_genes = parents.row(parent, genes.len());
-                let parent_cts = &parents.cts[parent];
-                let f = self.kernel.evaluate_delta(
-                    genes,
-                    parent_genes,
-                    parent_cts,
-                    from,
-                    cts,
-                    self.scratch,
-                );
-                if self.scratch.delta_fell_back() {
-                    (f, Outcome::DeltaFellBack)
-                } else {
-                    (f, Outcome::Patched)
-                }
-            }
-            Plan::Full | Plan::Delta { .. } => return self.replay(genes, cts),
-        };
-        self.paths[outcome as usize] += 1;
-        fitness
+            Plan::Full => self.replay(genes),
+        }
     }
 
-    /// Full replay of `genes`: into `cts` while the kernel patches,
-    /// fitness only ([`FitnessKernel::evaluate_fitness`]) otherwise.
-    fn replay(&mut self, genes: &[u16], cts: &mut Vec<Time>) -> f64 {
-        self.paths[Outcome::Full as usize] += 1;
-        if self.kernel.patches() {
-            self.kernel.evaluate_full(genes, cts, self.scratch)
-        } else {
-            self.kernel.evaluate_fitness(genes, self.scratch)
-        }
+    /// Fitness-only replay of `genes` ([`FitnessKernel::evaluate_fitness`]).
+    fn replay(&mut self, genes: &[u16]) -> f64 {
+        self.full += 1;
+        self.kernel.evaluate_fitness(genes, self.scratch)
     }
 }
 
@@ -304,27 +230,23 @@ pub fn evolve_with_pool<R: Rng + ?Sized>(
     // across rounds; any grid/trust/availability change since the last
     // round is picked up here).
     kernel.recompile(ctx, base_avail, kind, risk, params.flow_weight);
-    let patches = kernel.patches();
     let mut eval = Evaluator {
         kernel,
         scratch,
-        paths: PathCounts::default(),
+        inherited: 0,
+        full: 0,
     };
 
     // Generation 0 (seeded + random individuals) has no parents: full
-    // replays only.
+    // replays only, of the `population` rows (the arena's spare row is
+    // not an individual).
     let Generation {
         genes,
         fitness,
-        cts,
         sweep,
     } = &mut *current;
-    let rows = genes.chunks_exact(n).zip(cts.iter_mut());
-    sweep.run(
-        fitness,
-        params.elitism,
-        rows.map(|(row, cts)| eval.replay(row, cts)),
-    );
+    let rows = genes.chunks_exact(n).take(population);
+    sweep.run(fitness, params.elitism, rows.map(|row| eval.replay(row)));
     let (best_index, mut best_fitness) = sweep.best();
     let mut best = current.row(best_index, n).to_vec();
     let mut trajectory = Vec::with_capacity(params.generations + 1);
@@ -336,18 +258,16 @@ pub fn evolve_with_pool<R: Rng + ?Sized>(
         let Generation {
             genes,
             fitness,
-            cts,
             sweep,
         } = &mut *next;
         sweep.begin(fitness, params.elitism);
         // The elites are copied to the head rows and inherit their
-        // evaluations outright.
+        // fitness outright.
         let mut filled = 0;
         for &e in current.sweep.elites() {
             let child = &mut genes[filled * n..(filled + 1) * n];
             child.copy_from_slice(current.row(e, n));
-            let plan = Plan::Inherit { parent: e };
-            let f = eval.evaluate(child, plan, current, &mut cts[filled]);
+            let f = eval.evaluate(child, Plan::Inherit { parent: e }, &current.fitness);
             sweep.offer(fitness, f);
             filled += 1;
         }
@@ -358,8 +278,8 @@ pub fn evolve_with_pool<R: Rng + ?Sized>(
             // (`a[..cut] ++ b[cut..]`, same draws as crossing copies) or
             // copied — into rows `filled` and `filled + 1` (the spare row
             // when `filled` is the last), then mutate in place, tracking
-            // the lowest touched gene so evaluation can patch instead of
-            // replay.
+            // the lowest touched gene so a child whose touched genes came
+            // out unchanged inherits instead of replaying.
             let (a, b) = (current.row(pa, n), current.row(pb, n));
             let (ca, cb) = genes[filled * n..(filled + 2) * n].split_at_mut(n);
             let mut from_a = n;
@@ -390,8 +310,8 @@ pub fn evolve_with_pool<R: Rng + ?Sized>(
                 if filled == population {
                     break;
                 }
-                let plan = plan_child(child, own, other, from, patches);
-                let f = eval.evaluate(child, plan, current, &mut cts[filled]);
+                let plan = plan_child(child, own, other, from);
+                let f = eval.evaluate(child, plan, &current.fitness);
                 sweep.offer(fitness, f);
                 filled += 1;
             }
@@ -414,18 +334,12 @@ pub fn evolve_with_pool<R: Rng + ?Sized>(
         }
     }
 
-    // One count per path a child can take, once per round, inside the
-    // caller's `stga_eval` span (two events: an event carries two fields).
-    let paths = eval.paths;
+    // One count per path an individual can take, once per round, inside
+    // the caller's `stga_eval` span.
     gridsec_obs::event!(
         "stga_children",
-        inherited = paths[Outcome::Inherited as usize],
-        full = paths[Outcome::Full as usize]
-    );
-    gridsec_obs::event!(
-        "stga_delta_children",
-        patched = paths[Outcome::Patched as usize],
-        fell_back = paths[Outcome::DeltaFellBack as usize]
+        inherited = eval.inherited,
+        full = eval.full
     );
     GaResult {
         best: Chromosome::from_genes(best),
@@ -762,14 +676,13 @@ mod tests {
         let mut rng = stream(18, Stream::Genetic);
         let cut = crossover_in_place_tracked(&mut child, &mut other, &mut rng).unwrap();
         assert_eq!(child, b);
-        let plan =
-            |patches| plan_child(child.genes(), (7, a.genes()), (9, b.genes()), cut, patches);
-        assert_eq!(plan(false), Plan::Inherit { parent: 9 });
-        assert_eq!(plan(true), Plan::Inherit { parent: 9 });
-        // A population of the two, evolved on a one-node grid (fitness
-        // inherited) and a two-node grid (completion times inherited
-        // too, then patched from by the next generation), returns what
-        // 6dbd77f — which replayed such children — returned.
+        assert_eq!(
+            plan_child(child.genes(), (7, a.genes()), (9, b.genes()), cut),
+            Plan::Inherit { parent: 9 }
+        );
+        // A population of the two, evolved on a one-node and on a
+        // two-node grid, returns what 6dbd77f — which replayed such
+        // children — returned.
         let (ctx, _) = ctx();
         for (nodes, want) in [
             (

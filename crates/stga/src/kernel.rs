@@ -29,30 +29,13 @@
 //! reference path because it performs the *same* [`Time`] operations in
 //! the *same* commit order on the *same* values.
 //!
-//! On top of the full replay sits **delta evaluation**
-//! ([`FitnessKernel::evaluate_delta`]): a GA child differs from its
-//! parent only at crossover/mutation-touched genes, so only the sites
-//! those genes moved work onto or off of can change their ready chains.
-//! The delta path resets just the affected sites' free-time segments,
-//! recomputes completion times for jobs landing on them, copies every
-//! other job's completion time from the parent, and re-aggregates — and
-//! replays in full when at least half the batch sits on touched sites.
-//! Both paths produce bit-identical fitness (the golden-equivalence
-//! digests and the proptests in `tests/kernel_equivalence.rs` pin this).
-//!
-//! Whether patching is offered at all is decided once per round, in
-//! [`FitnessKernel::recompile`], from the compiled shape
-//! ([`FitnessKernel::patches`]): only on a grid with at least one
-//! multi-node site. Where every site is one node, replaying a job is one
-//! `max` and one `+`, a patch cannot undercut that, and `evaluate_delta`
-//! *is* the full replay — so callers need not retain completion times,
-//! and evaluate with the **fitness-only replay**
-//! ([`FitnessKernel::evaluate_fitness`]). It writes no completion time,
-//! reads a site's one free time by its index, and — when `recompile`
-//! proved every effective time, floor and free time sign-clear and not
-//! NaN — takes a plain `max` instead of the total-order one. Full,
-//! fitness-only and the shapes in between are one replay body specialised
-//! by const generics.
+//! The GA needs no completion times, so it scores every chromosome with
+//! the **fitness-only replay** ([`FitnessKernel::evaluate_fitness`]): it
+//! writes none, reads a one-node site's free time by its index, and —
+//! when `recompile` proved every effective time, floor and free time
+//! sign-clear and not NaN — takes a plain `max` instead of the
+//! total-order one. Full, fitness-only and the shapes in between are one
+//! replay body specialised by const generics.
 
 use crate::fitness::{FitnessKind, RiskWeights};
 use gridsec_core::etc::NodeAvailability;
@@ -83,8 +66,6 @@ pub struct FitnessKernel {
     base_free: Vec<f64>,
     /// Prefix offsets into `base_free`; site `s` owns `site_off[s]..site_off[s+1]`.
     site_off: Vec<u32>,
-    /// Whether [`FitnessKernel::evaluate_delta`] patches on this shape.
-    patches: bool,
     /// Every site is one node, so site `s`'s free time is `base_free[s]`.
     one_node: bool,
     /// Every effective time, floor and free time is sign-clear and not
@@ -103,20 +84,6 @@ pub struct FitnessKernel {
 pub struct KernelScratch {
     /// Working copy of the `base_free` plane.
     free: Vec<f64>,
-    /// Per-site "ready chain affected" marker for delta evaluation.
-    site_mask: Vec<bool>,
-    /// What the last [`FitnessKernel::evaluate_delta`] call did.
-    fell_back: bool,
-}
-
-impl KernelScratch {
-    /// Whether the last [`FitnessKernel::evaluate_delta`] through this
-    /// scratch replayed the whole chromosome instead of patching the
-    /// parent's evaluation — the GA's per-round slow-path count reads it.
-    #[inline]
-    pub fn delta_fell_back(&self) -> bool {
-        self.fell_back
-    }
 }
 
 impl FitnessKernel {
@@ -198,24 +165,6 @@ impl FitnessKernel {
                 .extend(a.free_times().iter().map(|t| t.seconds()));
             self.site_off.push(self.base_free.len() as u32);
         }
-        // A patch pays by skipping merge-rotate splices on untouched
-        // multi-node sites. A one-node site has no splice to skip: its
-        // replay is one max and one add per job, cheaper than marking
-        // sites, diffing the suffix, counting moved jobs and copying the
-        // parent's completion times — and each retained vector is 8n
-        // bytes per individual kept hot only so children may patch from
-        // it. Measured at Table-1 GA parameters (PR 18, CHANGES.md), with
-        // this rule forced either way: on 20 × 1-node sites with 16 jobs
-        // 20–31 % of delta calls did the bookkeeping and then replayed in
-        // full anyway (roulette on `worst − f` never converges the
-        // population far enough for every crossover child to resemble
-        // its parent), `evolve` ran 3.5 ms with patching against 3.0
-        // without, and the served `round-stga-c2` daemon 266 against
-        // 237 µs CPU per job; on the NAS grid (12 sites × 8/16 nodes,
-        // widths 1–8) dropping the patch read neutral at 16 and 256 jobs
-        // and 5–10 % slower at 64. So the rule reads the node counts and
-        // nothing else.
-        self.patches = base_avail.iter().any(|a| a.nodes() > 1);
         self.one_node = base_avail.iter().all(|a| a.nodes() == 1);
         // Infeasible cells are +∞, which passes: a replay exits on them
         // before any arithmetic.
@@ -237,22 +186,10 @@ impl FitnessKernel {
         self.n_sites
     }
 
-    /// Whether [`FitnessKernel::evaluate_delta`] patches parent
-    /// evaluations on this round's shape — true iff some site has more
-    /// than one node. When false, `evaluate_delta` is
-    /// [`FitnessKernel::evaluate_full`] and never reads its parent
-    /// arguments, so a caller need not keep completion times around: it
-    /// evaluates with [`FitnessKernel::evaluate_fitness`].
-    #[inline]
-    pub fn patches(&self) -> bool {
-        self.patches
-    }
-
     /// Full replay: evaluates `genes` from the base availability plane,
     /// writing each job's completion time into `cts` (indexed by batch
     /// position). Returns the fitness; `+∞` means an infeasible gene was
-    /// hit and `cts` is only partially written (callers must not use it
-    /// as a delta parent — the GA gates on finite parent fitness).
+    /// hit and `cts` is only partially written.
     ///
     /// Bit-identical to the referee's `evaluate_with_scratch`
     /// (`crates/stga/tests/referee/`): same commit order, same [`Time`]
@@ -272,9 +209,8 @@ impl FitnessKernel {
     }
 
     /// Fitness-only replay: the bits of [`FitnessKernel::evaluate_full`],
-    /// with no completion time written anywhere — what a caller that
-    /// never patches (a kernel where [`FitnessKernel::patches`] is false)
-    /// evaluates with.
+    /// with no completion time written anywhere — what the GA evaluates
+    /// every chromosome with.
     ///
     /// Where every site is one node, the replay reads a site's one free
     /// time by its index; where [`FitnessKernel::recompile`] proved every
@@ -328,107 +264,20 @@ impl FitnessKernel {
         makespan + self.flow_weight * (sum_ct / self.n_jobs as f64)
     }
 
-    /// Delta replay: evaluates a child that differs from an
-    /// already-evaluated parent only at genes in `from..n` (the
-    /// crossover-cut / mutation-touched suffix tracked by the GA's
-    /// operators).
-    ///
-    /// Only sites that genes moved onto or off of can see a different
-    /// commit subsequence, so only jobs landing on those sites are
-    /// replayed; everything else inherits the parent's completion time
-    /// verbatim, and the aggregate is recomputed over all completion
-    /// times in commit order — making the result bit-identical to
-    /// [`FitnessKernel::evaluate_full`] on the child. Falls back to a
-    /// full replay when at least half the batch needs recomputation, and
-    /// is the full replay outright on a kernel that does not patch
-    /// ([`FitnessKernel::patches`]); [`KernelScratch::delta_fell_back`]
-    /// tells which happened.
-    ///
-    /// `parent_cts` must be the complete completion-time vector of a
-    /// *finite-fitness* parent evaluation.
-    #[allow(clippy::too_many_arguments)] // flat-slice kernel entry point
+    /// [`FitnessKernel::evaluate_full`] on `genes`; every other argument
+    /// is ignored. Kept, signature unchanged, only for the
+    /// `stga.evaluate_delta_ns` row of `gridbench/src/layers.rs` until
+    /// that row is retired.
     pub fn evaluate_delta(
         &self,
         genes: &[u16],
-        parent_genes: &[u16],
-        parent_cts: &[Time],
-        from: usize,
+        _parent_genes: &[u16],
+        _parent_cts: &[Time],
+        _from: usize,
         cts: &mut Vec<Time>,
         scratch: &mut KernelScratch,
     ) -> f64 {
-        let n = self.n_jobs;
-        debug_assert_eq!(genes.len(), n);
-        debug_assert_eq!(parent_genes.len(), n);
-        debug_assert_eq!(parent_cts.len(), n);
-        scratch.fell_back = true;
-        if !self.patches {
-            return self.evaluate_full(genes, cts, scratch);
-        }
-
-        // Mark every site whose ready chain the gene diff can perturb.
-        scratch.site_mask.clear();
-        scratch.site_mask.resize(self.n_sites, false);
-        let mut any = false;
-        for j in from..n {
-            if genes[j] != parent_genes[j] {
-                scratch.site_mask[genes[j] as usize] = true;
-                scratch.site_mask[parent_genes[j] as usize] = true;
-                any = true;
-            }
-        }
-        if !any {
-            // Identical genome: the parent's outcome, re-aggregated (the
-            // aggregation of a finite evaluation is a pure function of
-            // its completion times, so this reproduces the parent
-            // fitness bit for bit).
-            scratch.fell_back = false;
-            cts.clear();
-            cts.extend_from_slice(parent_cts);
-            return self.aggregate(cts);
-        }
-
-        // Wide diffs replay everything — the crossover of two unrelated
-        // parents routinely touches most sites, and patching then costs
-        // more than the straight-line full pass.
-        let moved = genes
-            .iter()
-            .filter(|&&g| scratch.site_mask[g as usize])
-            .count();
-        if moved * 2 >= n {
-            return self.evaluate_full(genes, cts, scratch);
-        }
-        scratch.fell_back = false;
-
-        // Reset only the affected sites' segments from the base plane;
-        // unaffected segments are never read on this path, so whatever a
-        // previous evaluation left there is harmless.
-        if scratch.free.len() == self.base_free.len() {
-            for s in 0..self.n_sites {
-                if scratch.site_mask[s] {
-                    let (lo, hi) = self.site_span(s);
-                    scratch.free[lo..hi].copy_from_slice(&self.base_free[lo..hi]);
-                }
-            }
-        } else {
-            scratch.free.clear();
-            scratch.free.extend_from_slice(&self.base_free);
-        }
-
-        cts.clear();
-        cts.extend_from_slice(parent_cts);
-        for (k, &j) in self.order.iter().enumerate() {
-            let j = j as usize;
-            let s = genes[j] as usize;
-            if !scratch.site_mask[s] {
-                continue;
-            }
-            let exec = self.eff[k * self.n_sites + s];
-            if !exec.is_finite() {
-                return f64::INFINITY;
-            }
-            cts[j] = Time::new(self.replay_one(k, s, exec, &mut scratch.free));
-        }
-        self.aggregate(cts)
+        self.evaluate_full(genes, cts, scratch)
     }
 
     /// Commits the job at commit position `k` (feasible, effective time
@@ -469,19 +318,6 @@ impl FitnessKernel {
     #[inline]
     fn site_span(&self, s: usize) -> (usize, usize) {
         (self.site_off[s] as usize, self.site_off[s + 1] as usize)
-    }
-
-    /// Fitness from a complete completion-time vector: the same
-    /// commit-order accumulation the full replay performs inline.
-    fn aggregate(&self, cts: &[Time]) -> f64 {
-        let mut makespan = 0.0;
-        let mut sum_ct = 0.0;
-        for &j in &self.order {
-            let ct = cts[j as usize].seconds();
-            makespan = later::<false>(makespan, ct);
-            sum_ct += ct;
-        }
-        makespan + self.flow_weight * (sum_ct / self.n_jobs as f64)
     }
 }
 
@@ -542,7 +378,6 @@ mod tests {
     use crate::fitness::DEFAULT_FLOW_WEIGHT;
     use gridsec_core::etc::EtcMatrix;
     use gridsec_core::rng::{stream, Stream};
-    use rand::Rng;
 
     /// A deliberately lumpy snapshot: multi-node sites, mixed widths, a
     /// preloaded site, non-zero arrivals and an explicit commit order.
@@ -587,136 +422,23 @@ mod tests {
             DEFAULT_FLOW_WEIGHT,
         );
         let mut scratch = KernelScratch::default();
-        let mut parent_cts = Vec::new();
         let mut cts = Vec::new();
         // Job 5 onto site 1: non-finite ETC. Job 6 onto site 2: width
-        // 4 > 2 nodes. Each parent keeps fewer than half the batch on the
-        // two sites the move touches, so the delta call takes its own
-        // patch path (and +∞ exit) rather than falling back to a full
-        // replay.
-        for (parent, j, s) in [
+        // 4 > 2 nodes. Each move turns a feasible genome infeasible.
+        for (feasible, j, s) in [
             (vec![2u16, 2, 2, 1, 2, 0, 0], 5, 1u16),
             (vec![1, 1, 1, 1, 1, 0, 0], 6, 2),
         ] {
-            let pf = kernel.evaluate_full(&parent, &mut parent_cts, &mut scratch);
-            assert!(pf.is_finite());
-            let mut genes = parent.clone();
+            assert!(kernel
+                .evaluate_full(&feasible, &mut cts, &mut scratch)
+                .is_finite());
+            let mut genes = feasible.clone();
             genes[j] = s;
             assert!(kernel
                 .evaluate_full(&genes, &mut cts, &mut scratch)
                 .is_infinite());
-            assert!(kernel
-                .evaluate_delta(&genes, &parent, &parent_cts, j, &mut cts, &mut scratch)
-                .is_infinite());
+            assert!(kernel.evaluate_fitness(&genes, &mut scratch).is_infinite());
         }
-    }
-
-    #[test]
-    fn delta_matches_full_for_random_patches() {
-        let (ctx, avail) = snapshot();
-        let kernel = FitnessKernel::compile(
-            &ctx,
-            &avail,
-            FitnessKind::Makespan,
-            None,
-            DEFAULT_FLOW_WEIGHT,
-        );
-        let n = ctx.n_jobs();
-        let mut scratch = KernelScratch::default();
-        let mut parent_cts = Vec::new();
-        let mut full_cts = Vec::new();
-        let mut delta_cts = Vec::new();
-        let mut rng = stream(99, Stream::Genetic);
-        let mut tried = 0;
-        while tried < 200 {
-            let parent = Chromosome::random(&ctx.candidates, &mut rng);
-            let pf = kernel.evaluate_full(parent.genes(), &mut parent_cts, &mut scratch);
-            if !pf.is_finite() {
-                continue;
-            }
-            // Random patch: between 0 and n random gene rewrites.
-            let mut child = parent.clone();
-            let k = rng.gen_range(0..=n);
-            let mut from = n;
-            for _ in 0..k {
-                let j = rng.gen_range(0..n);
-                let cand = &ctx.candidates[j];
-                child.genes_mut()[j] = cand[rng.gen_range(0..cand.len())] as u16;
-                from = from.min(j);
-            }
-            let want = kernel.evaluate_full(child.genes(), &mut full_cts, &mut scratch);
-            let got = kernel.evaluate_delta(
-                child.genes(),
-                parent.genes(),
-                &parent_cts,
-                from,
-                &mut delta_cts,
-                &mut scratch,
-            );
-            assert_eq!(want.to_bits(), got.to_bits(), "patch width {k}");
-            if want.is_finite() {
-                assert_eq!(full_cts, delta_cts, "completion times must agree");
-            }
-            tried += 1;
-        }
-    }
-
-    #[test]
-    fn delta_with_empty_patch_reproduces_parent_fitness() {
-        let (ctx, avail) = snapshot();
-        let kernel = FitnessKernel::compile(
-            &ctx,
-            &avail,
-            FitnessKind::Makespan,
-            None,
-            DEFAULT_FLOW_WEIGHT,
-        );
-        let mut scratch = KernelScratch::default();
-        let mut parent_cts = Vec::new();
-        let mut cts = Vec::new();
-        let c = Chromosome::from_genes(vec![0, 1, 2, 0, 1, 0, 0]);
-        let pf = kernel.evaluate_full(c.genes(), &mut parent_cts, &mut scratch);
-        assert!(pf.is_finite());
-        let df =
-            kernel.evaluate_delta(c.genes(), c.genes(), &parent_cts, 0, &mut cts, &mut scratch);
-        assert_eq!(pf.to_bits(), df.to_bits());
-        assert_eq!(parent_cts, cts);
-    }
-
-    /// The decision on the two shapes it was measured on. Left of the
-    /// rule: the paper's PSA grid, which is also everything `gridbench`'s
-    /// `round-stga-c2` serves — full replays only. Right of it: the NAS
-    /// grid, which no benchmark workload runs the STGA on — patching,
-    /// covered by `tests/kernel_equivalence.rs` and in-process timing.
-    #[test]
-    fn patching_is_decided_by_the_compiled_node_counts() {
-        let mut kernel = FitnessKernel::default();
-        let mut patches_on = |nodes: &[u32]| {
-            let (n, m) = (16, nodes.len());
-            let ctx = MapCtx {
-                etc: EtcMatrix::from_raw(n, m, vec![10.0; n * m]),
-                widths: vec![1; n],
-                arrivals: vec![Time::ZERO; n],
-                candidates: vec![(0..m).collect(); n],
-                now: Time::ZERO,
-                commit_order: vec![],
-            };
-            let avail: Vec<NodeAvailability> = nodes
-                .iter()
-                .map(|&k| NodeAvailability::new(k, Time::ZERO))
-                .collect();
-            // One kernel recompiled across shapes: the answer follows the
-            // live snapshot, never the previous round's.
-            kernel.recompile(&ctx, &avail, FitnessKind::Makespan, None, 0.0);
-            kernel.patches()
-        };
-        // Table-1 PSA grid: 20 sites × 1 node.
-        assert!(!patches_on(&[1; 20]));
-        // NAS grid: 4 sites × 16 nodes + 8 sites × 8 nodes.
-        assert!(patches_on(&[16, 16, 16, 16, 8, 8, 8, 8, 8, 8, 8, 8]));
-        assert!(!patches_on(&[1; 20]));
-        // One multi-node site among one-node sites is enough.
-        assert!(patches_on(&[1, 1, 4, 1]));
     }
 
     /// Where `-0.0` meets `+0.0` the total order and the IEEE order

@@ -19,8 +19,8 @@
 //!   with elitism, single-point crossover and point mutation over a flat
 //!   gene arena, each child evaluated as it is bred.
 //! * [`kernel`] — the compiled fitness kernel: the round's grid + trust +
-//!   security snapshot lowered into flat structure-of-arrays planes, with
-//!   parent-patch (delta) evaluation for GA children.
+//!   security snapshot lowered into flat structure-of-arrays planes, and
+//!   the replay that scores a chromosome against them.
 //! * [`history`] — the LRU lookup table and Eq. 2 similarity.
 //! * [`Stga`] — the full scheduler (implements
 //!   [`BatchScheduler`](gridsec_sim::BatchScheduler)).

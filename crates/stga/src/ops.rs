@@ -31,7 +31,7 @@ pub fn crossover_in_place<R: Rng + ?Sized>(a: &mut Chromosome, b: &mut Chromosom
 /// [`crossover_in_place`] that also reports the cut point, or `None` when
 /// the chromosomes are too short to cross. Both children differ from
 /// their respective parents only at genes `cut..len` — the touched-gene
-/// bound the GA hands to the kernel's delta evaluation. RNG consumption
+/// bound the GA's inherit rule compares. RNG consumption
 /// is identical to the untracked form (which delegates here).
 pub fn crossover_in_place_tracked<R: Rng + ?Sized>(
     a: &mut Chromosome,

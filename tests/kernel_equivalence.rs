@@ -2,29 +2,25 @@
 //! evaluator it was lowered from (the referee in
 //! `crates/stga/tests/referee/`), bit for bit.
 //!
-//! Three equivalences (CI also runs them in `--release`):
+//! Two equivalences (CI also runs them in `--release`):
 //!
 //! 1. **kernel ≡ object graph**: for random grids, batches and trust
 //!    vectors (both fitness kinds, including infeasible genes, zero and
 //!    oversized widths, preloaded sites, explicit commit orders),
 //!    `FitnessKernel::evaluate_full` returns the same bits as
 //!    `evaluate_with_scratch`.
-//! 2. **delta ≡ full**: for random touched-gene sets, patching a parent
-//!    evaluation returns the same bits (fitness *and* completion times)
-//!    as replaying the child from scratch.
-//!
-//! 3. **fitness-only ≡ full**: `FitnessKernel::evaluate_fitness` (no
+//! 2. **fitness-only ≡ full**: `FitnessKernel::evaluate_fitness` (no
 //!    completion times; one-node sites read by index; a plain `max` where
 //!    every time is proved non-negative) returns the same bits as
 //!    `evaluate_full`, at flow weights 0 and 1e-4, on snapshots with and
 //!    without negative and `-0.0` floors, free times and ETC entries.
 //!
-//! The first two run over three snapshot strategies: small lumpy grids
+//! The first runs over three snapshot strategies: small lumpy grids
 //! (`arb_snapshot`, 1–4 sites of 1–4 nodes), grids where every site is
 //! one node at the paper's PSA size (`arb_single_node_snapshot` — the
-//! shape on which the kernel's scalar replay runs and it offers no
-//! patching), and mixed grids where one-node and multi-node sites meet in
-//! one chromosome (`arb_mixed_snapshot`).
+//! shape on which the kernel's scalar replay runs), and mixed grids where
+//! one-node and multi-node sites meet in one chromosome
+//! (`arb_mixed_snapshot`); the second over the last two.
 
 use gridsec::core::etc::{EtcMatrix, NodeAvailability};
 use gridsec::core::{SecurityModel, Time};
@@ -286,26 +282,6 @@ fn arb_signed_single_node_snapshot() -> impl Strategy<Value = Snapshot> {
         })
 }
 
-/// Random genes nudged, job by job, to the next site the job fits on (if
-/// any), so that most parents of the delta property are finite on grids
-/// with many holes and jobs.
-fn arb_mostly_feasible_genes(s: &Snapshot) -> impl Strategy<Value = Vec<u16>> {
-    let s = s.clone();
-    arb_genes(&s).prop_map(move |mut genes| {
-        let m = s.ctx.etc.n_sites();
-        for (j, g) in genes.iter_mut().enumerate() {
-            let fits = |site: usize| {
-                let w = s.ctx.widths[j] as usize;
-                s.ctx.etc.get(j, site).is_finite() && (1..=s.avail[site].nodes()).contains(&w)
-            };
-            if let Some(site) = (0..m).map(|d| (*g as usize + d) % m).find(|&x| fits(x)) {
-                *g = site as u16;
-            }
-        }
-        genes
-    })
-}
-
 /// Property 1 on one snapshot: kernel ≡ object graph for both fitness
 /// kinds, bit-exact.
 fn check_kernel_matches_object_graph(s: &Snapshot, gene_sets: &[Vec<u16>]) -> Result<(), String> {
@@ -327,48 +303,7 @@ fn check_kernel_matches_object_graph(s: &Snapshot, gene_sets: &[Vec<u16>]) -> Re
     Ok(())
 }
 
-/// Property 2 on one snapshot: delta ≡ full on fitness *and* completion
-/// times, whether the kernel patches on this shape (`expect_patches`) or
-/// hands the call to the full replay.
-fn check_delta_matches_full(
-    s: &Snapshot,
-    parent_genes: &[u16],
-    patches: &[(usize, u16)],
-    expect_patches: bool,
-) -> Result<(), String> {
-    let kernel = FitnessKernel::compile(&s.ctx, &s.avail, FitnessKind::Makespan, None, 1e-4);
-    prop_assert_eq!(kernel.patches(), expect_patches);
-    let mut scratch = KernelScratch::default();
-    let mut parent_cts = Vec::new();
-    let pf = kernel.evaluate_full(parent_genes, &mut parent_cts, &mut scratch);
-    prop_assume!(pf.is_finite());
-    let mut child = parent_genes.to_vec();
-    let mut from = s.ctx.n_jobs();
-    for &(j, g) in patches {
-        child[j] = g;
-        from = from.min(j);
-    }
-    let mut full_cts = Vec::new();
-    let mut delta_cts = Vec::new();
-    let want = kernel.evaluate_full(&child, &mut full_cts, &mut scratch);
-    let got = kernel.evaluate_delta(
-        &child,
-        parent_genes,
-        &parent_cts,
-        from,
-        &mut delta_cts,
-        &mut scratch,
-    );
-    prop_assert_eq!(want.to_bits(), got.to_bits());
-    if want.is_finite() {
-        prop_assert_eq!(full_cts, delta_cts);
-    }
-    // A kernel that does not patch must say so for every call.
-    prop_assert!(expect_patches || scratch.delta_fell_back());
-    Ok(())
-}
-
-/// Property 3 on one snapshot: fitness-only ≡ full, bit-exact, with and
+/// Property 2 on one snapshot: fitness-only ≡ full, bit-exact, with and
 /// without the flow term.
 fn check_fitness_only_matches_full(s: &Snapshot, gene_sets: &[Vec<u16>]) -> Result<(), String> {
     let mut scratch = KernelScratch::default();
@@ -395,23 +330,6 @@ fn with_gene_sets(
     })
 }
 
-/// A snapshot with a mostly-feasible parent and a few random gene
-/// rewrites — few enough that a patching kernel usually patches rather
-/// than falling back at `moved * 2 >= n` (`delta_matches_full` above
-/// draws up to `n` rewrites and mostly exercises the fallback).
-#[allow(clippy::type_complexity)]
-fn with_parent_and_patches(
-    snapshots: impl Strategy<Value = Snapshot>,
-) -> impl Strategy<Value = (Snapshot, Vec<u16>, Vec<(usize, u16)>)> {
-    snapshots.prop_flat_map(|s| {
-        let genes = arb_mostly_feasible_genes(&s);
-        let n = s.ctx.n_jobs();
-        let m = s.ctx.etc.n_sites() as u16;
-        let patches = prop::collection::vec((0..n, 0..m), 0..=1 + n / 6);
-        (Just(s), genes, patches)
-    })
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
@@ -431,14 +349,6 @@ proptest! {
         check_kernel_matches_object_graph(&s, &gene_sets)?;
     }
 
-    /// delta ≡ full on a kernel that offers no patching.
-    #[test]
-    fn delta_matches_full_on_single_node_grids(
-        (s, parent_genes, patches) in with_parent_and_patches(arb_single_node_snapshot())
-    ) {
-        check_delta_matches_full(&s, &parent_genes, &patches, false)?;
-    }
-
     /// fitness-only ≡ full on one-node grids, with and without negative
     /// and `-0.0` times, and infeasible genes.
     #[test]
@@ -454,14 +364,6 @@ proptest! {
         (s, gene_sets) in with_gene_sets(arb_mixed_snapshot())
     ) {
         check_fitness_only_matches_full(&s, &gene_sets)?;
-    }
-
-    /// delta ≡ full where a patch crosses both kinds of site.
-    #[test]
-    fn delta_matches_full_on_mixed_grids(
-        (s, parent_genes, patches) in with_parent_and_patches(arb_mixed_snapshot())
-    ) {
-        check_delta_matches_full(&s, &parent_genes, &patches, true)?;
     }
 }
 
@@ -491,48 +393,6 @@ proptest! {
                 let got = kernel.evaluate_full(genes, &mut cts, &mut scratch);
                 prop_assert_eq!(want.to_bits(), got.to_bits());
             }
-        }
-    }
-
-    /// Tentpole equivalence 2: delta-evaluate ≡ full-evaluate for random
-    /// touched-gene sets (fitness and completion times, bit-exact).
-    #[test]
-    fn delta_matches_full(
-        (s, parent_genes, patches) in arb_snapshot().prop_flat_map(|s| {
-            let genes = arb_genes(&s);
-            let n = s.ctx.n_jobs();
-            let m = s.ctx.etc.n_sites() as u16;
-            let patches = prop::collection::vec((0..n, 0..m), 0..=n);
-            (Just(s), genes, patches)
-        })
-    ) {
-        let kernel = FitnessKernel::compile(&s.ctx, &s.avail, FitnessKind::Makespan, None, 1e-4);
-        let mut scratch = KernelScratch::default();
-        let mut parent_cts = Vec::new();
-        let pf = kernel.evaluate_full(&parent_genes, &mut parent_cts, &mut scratch);
-        // Delta evaluation is only defined against finite parents (the GA
-        // gates on this); skip infeasible parents.
-        prop_assume!(pf.is_finite());
-        let mut child = parent_genes.clone();
-        let mut from = s.ctx.n_jobs();
-        for &(j, g) in &patches {
-            child[j] = g;
-            from = from.min(j);
-        }
-        let mut full_cts = Vec::new();
-        let mut delta_cts = Vec::new();
-        let want = kernel.evaluate_full(&child, &mut full_cts, &mut scratch);
-        let got = kernel.evaluate_delta(
-            &child,
-            &parent_genes,
-            &parent_cts,
-            from,
-            &mut delta_cts,
-            &mut scratch,
-        );
-        prop_assert_eq!(want.to_bits(), got.to_bits());
-        if want.is_finite() {
-            prop_assert_eq!(full_cts, delta_cts);
         }
     }
 }
