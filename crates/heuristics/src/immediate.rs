@@ -4,9 +4,9 @@
 //! batch. MCT is the daemon's cheapest scheduler. It is security-driven
 //! through the same candidate-site filter as Min-Min/Sufferage.
 
-use crate::common::{candidate_sites, Fallback};
+use crate::common::{candidate_sites, effective_mode, Fallback};
 use gridsec_core::etc::NodeAvailability;
-use gridsec_core::{BatchSchedule, RiskMode, SiteId, Time};
+use gridsec_core::{BatchSchedule, Job, RiskMode, SiteId, Time};
 use gridsec_sim::{BatchJob, BatchScheduler, GridView};
 
 /// Minimum-Completion-Time: each job (in batch order) goes to the
@@ -14,12 +14,19 @@ use gridsec_sim::{BatchJob, BatchScheduler, GridView};
 #[derive(Debug, Clone)]
 pub struct Mct {
     mode: RiskMode,
+    /// The round's tentative availability, refreshed from the view each
+    /// round in place (`clone_from`), so a warm round allocates only its
+    /// schedule.
+    avail: Vec<NodeAvailability>,
 }
 
 impl Mct {
     /// Creates the scheduler operating under `mode`.
     pub fn new(mode: RiskMode) -> Self {
-        Self { mode }
+        Self {
+            mode,
+            avail: Vec::new(),
+        }
     }
 
     /// The risk mode in force.
@@ -28,31 +35,68 @@ impl Mct {
     }
 }
 
+/// The site of `sites` that completes `job` first (the earliest on a
+/// tie), with that completion time; `None` if it fits none of them.
+fn earliest(
+    job: &Job,
+    sites: impl Iterator<Item = usize>,
+    avail: &[NodeAvailability],
+    view: &GridView<'_>,
+) -> Option<(usize, Time)> {
+    let mut best: Option<(usize, Time)> = None;
+    for s in sites {
+        let site = view.grid.site(SiteId(s));
+        let start = match avail[s].earliest_start(job.width, view.now.max(job.arrival)) {
+            Some(t) => t,
+            None => continue,
+        };
+        let ct = start + job.exec_time(site.speed);
+        if best.is_none_or(|(_, t)| ct < t) {
+            best = Some((s, ct));
+        }
+    }
+    best
+}
+
 impl BatchScheduler for Mct {
     fn name(&self) -> String {
         format!("MCT {}", self.mode.label())
     }
 
     fn schedule(&mut self, batch: &[BatchJob], view: &GridView<'_>) -> BatchSchedule {
-        let mut avail: Vec<NodeAvailability> = view.avail_clone();
-        let mut out = BatchSchedule::new();
+        // `Vec::clone_from` from a slice: reuse every node buffer.
+        self.avail.truncate(view.avail.len());
+        let kept = self.avail.len();
+        for (mine, theirs) in self.avail.iter_mut().zip(view.avail) {
+            mine.clone_from(theirs);
+        }
+        self.avail.extend_from_slice(&view.avail[kept..]);
+        let mut out = BatchSchedule {
+            assignments: Vec::with_capacity(batch.len()),
+        };
         for bj in batch {
             let job = &bj.job;
-            let cands = candidate_sites(job, bj.secure_only, self.mode, view, Fallback::default());
-            let mut best: Option<(usize, Time)> = None;
-            for &s in &cands {
-                let site = view.grid.site(SiteId(s));
-                let start = match avail[s].earliest_start(job.width, view.now.max(job.arrival)) {
-                    Some(t) => t,
-                    None => continue,
-                };
-                let ct = start + job.exec_time(site.speed);
-                if best.is_none_or(|(_, t)| ct < t) {
-                    best = Some((s, ct));
+            let mode = effective_mode(self.mode, bj.secure_only);
+            // The admissible sites in place, in site order; the fallback
+            // list is built only for a job no site admits.
+            let mut admissible = view
+                .grid
+                .sites()
+                .filter(|s| {
+                    s.fits_width(job.width) && mode.admits(&view.model, job.security_demand, s)
+                })
+                .map(|s| s.id.0)
+                .peekable();
+            let best = match admissible.peek() {
+                Some(_) => earliest(job, admissible, &self.avail, view),
+                None => {
+                    let cands =
+                        candidate_sites(job, bj.secure_only, self.mode, view, Fallback::default());
+                    earliest(job, cands.into_iter(), &self.avail, view)
                 }
-            }
+            };
             let (s, ct) = best.expect("candidate list is never empty for fitting jobs");
-            avail[s].commit(job.width, ct);
+            self.avail[s].commit(job.width, ct);
             out.push(job.id, SiteId(s));
         }
         out

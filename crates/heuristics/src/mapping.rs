@@ -116,7 +116,7 @@ fn map_by_key(
     key_of: impl Fn(i64, i64) -> i64,
 ) -> Vec<(usize, usize)> {
     let (n, m, etc) = (ctx.n_jobs(), ctx.etc.n_sites(), ctx.etc.raw());
-    let span = gridsec_obs::span!("map", jobs = n);
+    let span = gridsec_obs::span!("map", jobs = n => rescans);
     let mut rescans = 0i64;
 
     // The result outlives the call: allocated first, it sits below the
@@ -184,7 +184,7 @@ fn map_by_key(
             }
         }
     }
-    span.end_with("rescans", rescans);
+    span.end_with(rescans);
     out
 }
 

@@ -1,11 +1,13 @@
 //! The flight recorder: a process-wide set of bounded per-thread ring
 //! buffers holding structured spans and events.
 //!
-//! * **Zero-alloc hot path.** A recorded event is a `Copy` struct of
-//!   `&'static str` names and integer fields written into a
-//!   preallocated ring slot; nothing allocates after a thread's first
-//!   event. Each thread owns its ring, so recording takes one relaxed
-//!   atomic load (the enable flag) plus one uncontended mutex lock.
+//! * **Zero-alloc hot path.** A recorded event is a 32-byte `Copy`
+//!   slot — the timestamp and kind in one word, a `&'static` call-site
+//!   descriptor ([`Callsite`]: the name and field keys, built once per
+//!   call site by the macros) and two integer values — written into a
+//!   preallocated ring; nothing allocates after a thread's first event.
+//!   Each thread owns its ring, so recording takes one relaxed atomic
+//!   load (the enable flag) plus one uncontended mutex lock.
 //! * **Bounded.** Rings hold [`RING_CAPACITY`] events and overwrite the
 //!   oldest; the recorder can never grow without bound in a soak.
 //! * **Monotonic timestamps.** All events are stamped from one
@@ -29,32 +31,103 @@ use std::time::Instant;
 /// Events retained per thread before the ring wraps.
 pub const RING_CAPACITY: usize = 4096;
 
-/// What an event marks: the start of a span, its end, or a point event.
+/// What an event marks: the start of a span, its end (with the span's
+/// own fields, or with [`Span::end_with`]'s value in the second field),
+/// or a point event. Stored in the top two bits of a slot's timestamp.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Kind {
     Begin,
     End,
+    EndWith,
     Instant,
 }
 
 impl Kind {
+    const ALL: [Kind; 4] = [Kind::Begin, Kind::End, Kind::EndWith, Kind::Instant];
+
     fn as_str(self) -> &'static str {
         match self {
             Kind::Begin => "begin",
-            Kind::End => "end",
+            Kind::End | Kind::EndWith => "end",
             Kind::Instant => "event",
         }
     }
 }
 
-/// One ring slot: fixed-size, `Copy`, no heap references.
+/// Bits of a slot's stamp below the kind: nanoseconds since the epoch
+/// (2⁶² ns is over a century).
+const NANOS_BITS: u32 = 62;
+
+/// What a `span!` or `event!` call site records besides its values: the
+/// name, up to two field keys, and the key a span's
+/// [`end_with`](Span::end_with) value goes under. The macros build one
+/// `static` per call site, so a ring slot holds a reference, not the
+/// strings.
+#[derive(Debug)]
+pub struct Callsite {
+    name: &'static str,
+    keys: [Option<&'static str>; 2],
+    end_key: Option<&'static str>,
+}
+
+impl Callsite {
+    /// A descriptor with the given name, at most two field keys and at
+    /// most one end key (the macros' `=> key`).
+    pub const fn new(name: &'static str, keys: &[&'static str], end: &[&'static str]) -> Callsite {
+        let keys = match keys {
+            [] => [None, None],
+            [k1] => [Some(*k1), None],
+            [k1, k2] => [Some(*k1), Some(*k2)],
+            _ => panic!("a recorder event has at most two fields"),
+        };
+        let end_key = match end {
+            [] => None,
+            [k] => Some(*k),
+            _ => panic!("a span has at most one end key"),
+        };
+        Callsite {
+            name,
+            keys,
+            end_key,
+        }
+    }
+}
+
+/// One ring slot: 32 bytes, `Copy`, no heap references.
 #[derive(Debug, Clone, Copy)]
 struct RawEvent {
-    nanos: u64,
-    kind: Kind,
-    name: &'static str,
-    f1: Option<(&'static str, i64)>,
-    f2: Option<(&'static str, i64)>,
+    /// Nanoseconds since the epoch, the [`Kind`] in the top two bits.
+    stamp: u64,
+    site: &'static Callsite,
+    values: [i64; 2],
+}
+
+impl RawEvent {
+    fn nanos(&self) -> u64 {
+        self.stamp & ((1 << NANOS_BITS) - 1)
+    }
+
+    fn kind(&self) -> Kind {
+        Kind::ALL[(self.stamp >> NANOS_BITS) as usize]
+    }
+
+    /// The named fields, in declaration order.
+    fn fields(&self) -> impl Iterator<Item = TraceField> + '_ {
+        let [k1, k2] = self.site.keys;
+        let k2 = match self.kind() {
+            Kind::EndWith => self.site.end_key,
+            _ => k2,
+        };
+        [k1, k2]
+            .into_iter()
+            .zip(self.values)
+            .filter_map(|(key, value)| {
+                key.map(|key| TraceField {
+                    key: key.to_string(),
+                    value,
+                })
+            })
+    }
 }
 
 struct RingInner {
@@ -128,21 +201,14 @@ pub fn clear() {
 }
 
 #[inline]
-fn record(
-    kind: Kind,
-    name: &'static str,
-    f1: Option<(&'static str, i64)>,
-    f2: Option<(&'static str, i64)>,
-) {
+fn record(kind: Kind, site: &'static Callsite, values: [i64; 2]) {
     if !is_enabled() {
         return;
     }
     let ev = RawEvent {
-        nanos: now_nanos(),
-        kind,
-        name,
-        f1,
-        f2,
+        stamp: now_nanos() & ((1 << NANOS_BITS) - 1) | (kind as u64) << NANOS_BITS,
+        site,
+        values,
     };
     LOCAL.with(|ring| {
         let mut inner = ring.inner.lock().expect("recorder ring");
@@ -157,87 +223,86 @@ fn record(
     });
 }
 
-/// Records a point event. Prefer the [`event!`](macro@crate::event) macro, which names the
+/// The two value slots of an event with `values.len()` (at most two)
 /// fields.
-pub fn instant(
-    name: &'static str,
-    f1: Option<(&'static str, i64)>,
-    f2: Option<(&'static str, i64)>,
-) {
-    record(Kind::Instant, name, f1, f2);
+#[inline]
+fn slots(values: &[i64]) -> [i64; 2] {
+    let mut slots = [0; 2];
+    slots[..values.len()].copy_from_slice(values);
+    slots
+}
+
+/// Records a point event. Use the [`event!`](macro@crate::event) macro,
+/// which builds the call site's descriptor.
+pub fn instant(site: &'static Callsite, values: &[i64]) {
+    record(Kind::Instant, site, slots(values));
 }
 
 /// An active span: records a `begin` event on creation and an `end`
 /// event (same name and fields, unless [`Span::end_with`] adds one) when
-/// dropped. Prefer the [`span!`](macro@crate::span) macro.
+/// dropped. Use the [`span!`](macro@crate::span) macro.
 #[must_use = "a span records its end when dropped"]
 pub struct Span {
-    name: &'static str,
-    f1: Option<(&'static str, i64)>,
-    f2: Option<(&'static str, i64)>,
+    site: &'static Callsite,
+    values: [i64; 2],
+    kind: Kind,
 }
 
-/// Opens a span. Prefer the [`span!`](macro@crate::span) macro, which names the fields.
-pub fn span(
-    name: &'static str,
-    f1: Option<(&'static str, i64)>,
-    f2: Option<(&'static str, i64)>,
-) -> Span {
-    record(Kind::Begin, name, f1, f2);
-    Span { name, f1, f2 }
+/// Opens a span. Use the [`span!`](macro@crate::span) macro, which builds
+/// the call site's descriptor.
+pub fn span(site: &'static Callsite, values: &[i64]) -> Span {
+    let values = slots(values);
+    record(Kind::Begin, site, values);
+    Span {
+        site,
+        values,
+        kind: Kind::End,
+    }
 }
 
 impl Span {
-    /// Ends the span with `key = value` as the second field of its `end`
-    /// event — for a count only known once the work is done.
-    pub fn end_with(mut self, key: &'static str, value: i64) {
-        self.f2 = Some((key, value));
+    /// Ends the span with `value` as the second field of its `end` event,
+    /// under the key the `span!` call named after `=>` — for a count
+    /// only known once the work is done.
+    pub fn end_with(mut self, value: i64) {
+        debug_assert!(self.site.end_key.is_some(), "span! names no end key");
+        self.values[1] = value;
+        self.kind = Kind::EndWith;
     }
 }
 
 impl Drop for Span {
     fn drop(&mut self) {
-        record(Kind::End, self.name, self.f1, self.f2);
+        record(self.kind, self.site, self.values);
     }
 }
 
 /// Opens a [`Span`] with up to two named integer fields:
 /// `span!("round", shard = 3, batch = 17)`. The guard records the
-/// matching `end` event when it goes out of scope.
+/// matching `end` event when it goes out of scope. A trailing `=> key`
+/// names the field [`Span::end_with`] adds to the `end` event:
+/// `span!("map", jobs = 9 => rescans)`.
 #[macro_export]
 macro_rules! span {
-    ($name:expr) => {
-        $crate::recorder::span($name, None, None)
-    };
-    ($name:expr, $k1:ident = $v1:expr) => {
-        $crate::recorder::span($name, Some((stringify!($k1), ($v1) as i64)), None)
-    };
-    ($name:expr, $k1:ident = $v1:expr, $k2:ident = $v2:expr) => {
-        $crate::recorder::span(
+    ($name:expr $(, $key:ident = $value:expr)* $(=> $end:ident)?) => {{
+        static SITE: $crate::recorder::Callsite = $crate::recorder::Callsite::new(
             $name,
-            Some((stringify!($k1), ($v1) as i64)),
-            Some((stringify!($k2), ($v2) as i64)),
-        )
-    };
+            &[$(stringify!($key)),*],
+            &[$(stringify!($end))?],
+        );
+        $crate::recorder::span(&SITE, &[$(($value) as i64),*])
+    }};
 }
 
 /// Records a point event with up to two named integer fields:
 /// `event!("reshard_rejected", from = 4, to = 2)`.
 #[macro_export]
 macro_rules! event {
-    ($name:expr) => {
-        $crate::recorder::instant($name, None, None)
-    };
-    ($name:expr, $k1:ident = $v1:expr) => {
-        $crate::recorder::instant($name, Some((stringify!($k1), ($v1) as i64)), None)
-    };
-    ($name:expr, $k1:ident = $v1:expr, $k2:ident = $v2:expr) => {
-        $crate::recorder::instant(
-            $name,
-            Some((stringify!($k1), ($v1) as i64)),
-            Some((stringify!($k2), ($v2) as i64)),
-        )
-    };
+    ($name:expr $(, $key:ident = $value:expr)*) => {{
+        static SITE: $crate::recorder::Callsite =
+            $crate::recorder::Callsite::new($name, &[$(stringify!($key)),*], &[]);
+        $crate::recorder::instant(&SITE, &[$(($value) as i64),*])
+    }};
 }
 
 /// One named integer field of a [`TraceEvent`].
@@ -304,6 +369,17 @@ pub fn status() -> RecorderStatus {
     }
 }
 
+/// Heap bytes the rings hold: each recording thread's ring is allocated
+/// whole at its first event.
+pub fn bytes() -> usize {
+    let rings = registry().lock().expect("recorder registry");
+    rings
+        .iter()
+        .map(|ring| ring.inner.lock().expect("recorder ring").events.capacity())
+        .sum::<usize>()
+        * std::mem::size_of::<RawEvent>()
+}
+
 /// Merges every thread's ring into one timestamp-ordered event list
 /// (oldest first). Rings are locked one at a time; recording threads
 /// stall at most for their own ring's copy.
@@ -319,19 +395,12 @@ pub fn snapshot() -> Vec<TraceEvent> {
             inner.events.split_at(inner.next)
         };
         for ev in newer.iter().chain(older) {
-            let mut fields = Vec::new();
-            for f in [ev.f1, ev.f2].into_iter().flatten() {
-                fields.push(TraceField {
-                    key: f.0.to_string(),
-                    value: f.1,
-                });
-            }
             out.push(TraceEvent {
-                t_nanos: ev.nanos,
+                t_nanos: ev.nanos(),
                 thread: ring.thread,
-                kind: ev.kind.as_str().to_string(),
-                name: ev.name.to_string(),
-                fields,
+                kind: ev.kind().as_str().to_string(),
+                name: ev.site.name.to_string(),
+                fields: ev.fields().collect(),
             });
         }
     }
@@ -356,6 +425,12 @@ mod tests {
 
     // The recorder is process-global, so exercise everything from one
     // test to avoid cross-test interference under the parallel runner.
+    /// A ring slot is four words, so a full ring is 128 KiB.
+    #[test]
+    fn a_ring_slot_is_32_bytes() {
+        assert_eq!(std::mem::size_of::<RawEvent>(), 32);
+    }
+
     #[test]
     fn record_wrap_dump_status_round_trip() {
         clear();
@@ -367,7 +442,7 @@ mod tests {
             crate::event!("dispatch", shard = 1);
             let _inner = crate::span!("round", batch = 17);
         }
-        crate::span!("map", jobs = 9).end_with("rescans", 3);
+        crate::span!("map", jobs = 9 => rescans).end_with(3);
         let events = snapshot();
         assert!(events.len() >= 7, "begin/end pairs plus the event");
         let map: Vec<&TraceEvent> = events.iter().filter(|e| e.name == "map").collect();

@@ -88,7 +88,7 @@ const METRICS_KEY: u64 = u64::MAX - 2;
 /// Read scratch size: a read that does not fill it has emptied the
 /// socket (level-triggered epoll re-arms whatever arrives next), and four
 /// that do are the per-wake cap before yielding to other connections.
-const READ_CHUNK: usize = 64 * 1024;
+pub(crate) const READ_CHUNK: usize = 64 * 1024;
 /// Capacity of each shard's submit queue: the hard bound on frames taken
 /// off the sockets but not yet seen by the shard. Overflow parks on its
 /// connection (one frame each, reads paused): it costs throughput, never
@@ -793,7 +793,13 @@ impl IoLoop {
             if reply.seq < conn.next_release {
                 continue; // stale duplicate (dead-shard race); drop
             }
-            conn.out.extend_from_slice(reply.line.as_bytes());
+            if conn.out.is_empty() && reply.line.len() > READ_CHUNK {
+                // A long reply (a whole schedule) becomes the buffer
+                // rather than being copied into it.
+                conn.out = reply.line.into_bytes();
+            } else {
+                conn.out.extend_from_slice(reply.line.as_bytes());
+            }
             if let Some(tx) = reply.flushed {
                 conn.flush_marks
                     .push_back((conn.out_base + conn.out.len() as u64, tx));
@@ -896,6 +902,8 @@ impl IoLoop {
         if conn.out_pos == conn.out.len() {
             conn.out_base += conn.out.len() as u64;
             conn.out.clear();
+            // Drained: what one long reply grew the buffer to goes back.
+            conn.out.shrink_to(READ_CHUNK);
             conn.out_pos = 0;
         } else if conn.out_pos > READ_CHUNK {
             // Compact so a slowly draining connection cannot grow the
@@ -1332,5 +1340,34 @@ pub(crate) mod tests {
         );
         assert_eq!(client.send(&Request::Shutdown).unwrap(), Response::Bye);
         daemon.join();
+    }
+
+    /// A 1 MiB reply (a long `query schedule`) goes out whole, and once
+    /// the socket has taken it the connection's out buffer holds at most
+    /// one read chunk of capacity, not the megabyte.
+    #[test]
+    fn a_drained_long_reply_leaves_at_most_a_read_chunk_of_out_buffer() {
+        let mut rig = Rig::new(1);
+        let line = format!("{}\n", "x".repeat(1 << 20));
+        let mut client = rig.clients[0].try_clone().unwrap();
+        client.set_read_timeout(Some(OWED)).unwrap();
+        let n = line.len();
+        let reader = std::thread::spawn(move || {
+            let mut got = vec![0u8; n];
+            client.read_exact(&mut got).unwrap();
+            got
+        });
+        rig.reply(0).send(Reply {
+            seq: 0,
+            line: line.clone(),
+            flushed: None,
+        });
+        rig.settle(1, "long reply");
+        while rig.io.conns.get(0).unwrap().unwritten() > 0 {
+            rig.pass(OWED);
+        }
+        assert!(reader.join().unwrap() == line.as_bytes(), "reply mangled");
+        let capacity = rig.io.conns.get(0).unwrap().out.capacity();
+        assert!(capacity <= READ_CHUNK, "{capacity} bytes kept");
     }
 }

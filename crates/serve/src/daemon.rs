@@ -60,6 +60,7 @@
 //! aggregated queries stay cumulative.
 
 use crate::conn::{build_io, DirectPath, IoLoop, IoShared, ReplyHandle, RoutingTable};
+use crate::ledger::Ledger;
 use crate::protocol::{Request, ServeMetrics, MAX_LINE_BYTES};
 use crate::reshard::{build_shards, AutoscaleConfig, AutoscalePolicy, SessionFactory, ShardSeed};
 use crate::router::{direct_shards, Router};
@@ -325,7 +326,7 @@ impl Daemon {
             autoscale,
             options,
             archive_metrics: ServeMetrics::merge(&[]),
-            archive_schedule: Vec::new(),
+            archive_schedule: Ledger::new(),
             prev_round_hist: Vec::new(),
             reshard_barrier_nanos: Histogram::new(),
             reshard_migrated_jobs: Histogram::new(),

@@ -36,6 +36,12 @@ pub(crate) struct Page<'a> {
     pub shard_pokes: [u64; 2],
     pub io_events_per_pass: &'a HistogramSnapshot,
     pub recorder: RecorderStatus,
+    /// Heap bytes of each live shard's settled-commit ledger, then of the
+    /// router's archive of retired shards' commits.
+    pub ledger_bytes: &'a [usize],
+    pub archive_ledger_bytes: usize,
+    /// Heap bytes of the flight recorder's rings.
+    pub recorder_bytes: usize,
 }
 
 /// Renders the page: the counter families, the gauges, then the
@@ -59,6 +65,9 @@ pub(crate) fn render(page: &Page<'_>) -> String {
         shard_pokes,
         io_events_per_pass,
         recorder,
+        ledger_bytes,
+        archive_ledger_bytes,
+        recorder_bytes,
     } = page;
     let overwritten = (recorder.recorded).saturating_sub(recorder.retained as u64);
     #[rustfmt::skip]
@@ -85,6 +94,7 @@ pub(crate) fn render(page: &Page<'_>) -> String {
     let gauges = [
         ("gridsec_jobs_scheduled", "Jobs with a standing commitment.", m.jobs_scheduled),
         ("gridsec_connections", "Client connections currently open.", *connections),
+        ("gridsec_recorder_bytes", "Heap bytes held by the flight recorder's per-thread rings.", *recorder_bytes),
     ];
     // The last column: recorded in nanoseconds, shown in seconds.
     #[rustfmt::skip]
@@ -127,6 +137,15 @@ pub(crate) fn render(page: &Page<'_>) -> String {
             let _ = writeln!(out, "{name}{{shard=\"{k}\"}} {v}");
         }
     }
+    let (name, help) = (
+        "gridsec_ledger_bytes",
+        "Heap bytes of the compact settled-commit ledgers, per live shard and for the archive of retired shards.",
+    );
+    family(&mut out, name, "gauge", help);
+    for (k, v) in ledger_bytes.iter().enumerate() {
+        let _ = writeln!(out, "{name}{{shard=\"{k}\"}} {v}");
+    }
+    let _ = writeln!(out, "{name}{{shard=\"archive\"}} {archive_ledger_bytes}");
     for (name, help, value) in gauges {
         family(&mut out, name, "gauge", help);
         let _ = writeln!(out, "{name} {value}");
@@ -222,6 +241,9 @@ mod tests {
             shard_pokes: [123, 124],
             io_events_per_pass: &hist(&[1, 2, 256]),
             recorder,
+            ledger_bytes: &[125, 126],
+            archive_ledger_bytes: 127,
+            recorder_bytes: 128,
         });
         let ServeMetrics {
             jobs_submitted,
@@ -278,7 +300,11 @@ gridsec_io_wakes_total{{outcome=\"coalesced\"}} 122
 gridsec_shard_pokes_total{{outcome=\"sent\"}} 123
 gridsec_shard_pokes_total{{outcome=\"coalesced\"}} 124
 gridsec_io_events_per_pass_sum 259
-gridsec_io_events_per_pass_count 3",
+gridsec_io_events_per_pass_count 3
+gridsec_ledger_bytes{{shard=\"0\"}} 125
+gridsec_ledger_bytes{{shard=\"1\"}} 126
+gridsec_ledger_bytes{{shard=\"archive\"}} 127
+gridsec_recorder_bytes 128",
             pending - 3,
             round_nanos_hist.sum,
             round_nanos_hist.count,

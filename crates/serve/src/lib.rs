@@ -88,6 +88,7 @@ mod conn;
 pub mod daemon;
 mod exposition;
 mod ids;
+pub mod ledger;
 pub mod protocol;
 pub mod replay;
 pub mod reshard;
@@ -97,6 +98,7 @@ pub mod shard;
 
 pub use client::Client;
 pub use daemon::{shard_state_path, ClockMode, Daemon, DaemonExit, DaemonOptions};
+pub use ledger::Ledger;
 pub use protocol::{
     Placed, QueryWhat, Request, Response, ServeMetrics, ShardInfo, ShardTelemetry, TelemetryReport,
     TenantWait, MAX_LINE_BYTES, METRICS_WINDOW,

@@ -52,6 +52,7 @@
 //! threads), so lock-step clients and pipelining clients both stay in
 //! sync.
 
+use crate::conn::READ_CHUNK;
 use gridsec_core::{Job, JobId, SiteId, Time};
 use gridsec_obs::{HistogramSnapshot, RecorderStatus, TraceEvent};
 use serde::{Deserialize, Serialize};
@@ -513,11 +514,16 @@ impl LineDecoder {
         }
     }
 
-    /// Appends freshly read bytes (reclaiming the consumed prefix).
+    /// Appends freshly read bytes (reclaiming the consumed prefix). A
+    /// drained buffer keeps at most one read chunk of capacity, so a burst
+    /// of long or pipelined lines does not pin its peak.
     pub fn push(&mut self, bytes: &[u8]) {
         self.buf.drain(..self.start);
         self.scan -= self.start;
         self.start = 0;
+        if self.buf.is_empty() {
+            self.buf.shrink_to(READ_CHUNK);
+        }
         self.buf.extend_from_slice(bytes);
     }
 
@@ -580,6 +586,26 @@ pub fn encode<T: Serialize>(frame: &T) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Lines pipelined past one read chunk grow the buffer; once every
+    /// line is consumed, the next push gives all but a chunk back.
+    #[test]
+    fn a_drained_decoder_keeps_at_most_a_read_chunk() {
+        let mut decoder = LineDecoder::new(MAX_LINE_BYTES);
+        let burst = "{\"type\":\"drain\"}\n".repeat(4 * READ_CHUNK / 17);
+        decoder.push(burst.as_bytes());
+        assert!(decoder.buf.capacity() > READ_CHUNK);
+        while let Some(line) = decoder.next_line(false) {
+            assert_eq!(line, Line::Frame(b"{\"type\":\"drain\"}"));
+        }
+        decoder.push(b"{\"type\":");
+        assert!(decoder.buf.capacity() <= READ_CHUNK);
+        decoder.push(b"\"drain\"}\n");
+        assert_eq!(
+            decoder.next_line(false),
+            Some(Line::Frame(b"{\"type\":\"drain\"}"))
+        );
+    }
 
     #[test]
     fn request_frames_round_trip() {

@@ -23,9 +23,8 @@
 use crate::conn::{DirectPath, DirectShard, IoShared, RoutingTable};
 use crate::daemon::{shard_state_path, spawn_shard_threads, DaemonOptions, IngestEvent, Reply};
 use crate::exposition;
-use crate::protocol::{
-    encode, Placed, QueryWhat, Request, Response, ServeMetrics, TelemetryReport,
-};
+use crate::ledger::Ledger;
+use crate::protocol::{encode, QueryWhat, Request, Response, ServeMetrics, TelemetryReport};
 use crate::reshard::{build_shards, transfer, AutoscalePolicy, SessionFactory, ShardObservation};
 use crate::shard::{ShardMsg, ShardRuntime, SubmitQueue};
 use gridsec_core::{Grid, JobId, SiteId, Time};
@@ -34,7 +33,7 @@ use gridsec_sim::ShardPlan;
 use std::io;
 use std::sync::atomic::Ordering;
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -160,7 +159,7 @@ pub(crate) struct Router {
     /// themselves live here too.
     pub(crate) archive_metrics: ServeMetrics,
     /// Committed schedules of retired shards, appended in reshard order.
-    pub(crate) archive_schedule: Vec<Placed>,
+    pub(crate) archive_schedule: Ledger,
     /// Per-shard round-latency snapshot at the previous autoscaler
     /// tick: the baseline `delta_since` turns into a trend window.
     /// Cleared on every reshard (shard indices change meaning).
@@ -310,13 +309,25 @@ impl Router {
                 // Archived commits first (reshard order), then the live
                 // shards concatenated in shard order (commit order within
                 // each) — deterministic, and the identity for one shard
-                // with no reshard history.
-                let mut assignments = match whole {
-                    true => self.archive_schedule.clone(),
-                    false => Vec::new(),
-                };
-                let per_shard = ask(txs, |shard| shard.global_schedule())?;
-                assignments.extend(per_shard.into_iter().flatten());
+                // with no reshard history. Every ledger is decoded once,
+                // straight into the reply: the shards take turns
+                // appending to one vector sized for all of them.
+                let archive = whole.then_some(&self.archive_schedule);
+                let live: usize = ask(txs, |shard| shard.session.assignments().len())?
+                    .into_iter()
+                    .sum();
+                let mut assignments = Vec::with_capacity(archive.map_or(0, Ledger::len) + live);
+                assignments.extend(archive.into_iter().flatten());
+                let reply = Arc::new(Mutex::new(assignments));
+                for tx in txs {
+                    let reply = Arc::clone(&reply);
+                    ask(std::slice::from_ref(tx), move |shard| {
+                        shard.append_global_schedule(&mut reply.lock().expect("schedule lock"));
+                    })?;
+                }
+                // A shard may still hold its clone of `reply` for a moment
+                // after answering: take the vector, not the `Arc`.
+                let assignments = std::mem::take(&mut *reply.lock().expect("schedule lock"));
                 Response::Schedule { assignments }
             }
             QueryWhat::Shards => Response::Shards {
@@ -564,7 +575,7 @@ impl Router {
             return Err(SHARD_DOWN.into());
         };
         drop(export_span);
-        let transfer_span = gridsec_obs::span!("reshard_transfer");
+        let transfer_span = gridsec_obs::span!("reshard_transfer" => ids);
         let moved = match transfer(&self.grid, &self.plan, &exports, &new_plan) {
             Ok(t) => t,
             Err(message) => {
@@ -575,7 +586,7 @@ impl Router {
                 return Err(message);
             }
         };
-        transfer_span.end_with("ids", moved.ids as i64);
+        transfer_span.end_with(moved.ids as i64);
         // Rebuild every session before touching the old shards, so a
         // factory failure aborts with the daemon fully intact.
         let specs = {
@@ -672,6 +683,10 @@ impl Router {
         let Ok((metrics, pending)) = self.metrics(&self.shard_txs, true) else {
             return format!("# gridsec-serve: {SHARD_DOWN}\n");
         };
+        let Ok(ledger_bytes) = ask(&self.shard_txs, |shard| shard.session.assignments().bytes())
+        else {
+            return format!("# gridsec-serve: {SHARD_DOWN}\n");
+        };
         let queue_depth: Vec<usize> = self.direct_queues.iter().map(|q| q.len()).collect();
         let (io_wakes, shard_pokes, io_events_per_pass) = self.io.wake_stats();
         exposition::render(&exposition::Page {
@@ -689,6 +704,9 @@ impl Router {
             shard_pokes,
             io_events_per_pass: &io_events_per_pass,
             recorder: gridsec_obs::recorder::status(),
+            ledger_bytes: &ledger_bytes,
+            archive_ledger_bytes: self.archive_schedule.bytes(),
+            recorder_bytes: gridsec_obs::recorder::bytes(),
         })
     }
 

@@ -20,7 +20,8 @@
 //! compiled stream.
 
 use crate::ids::IdMap;
-use crate::protocol::{Placed, ServeMetrics, ShardTelemetry, TenantWait, METRICS_WINDOW};
+use crate::ledger::Ledger;
+use crate::protocol::{ServeMetrics, ShardTelemetry, TenantWait, METRICS_WINDOW};
 use gridsec_core::{Error, Grid, Job, JobId, Result, Site, SiteId, Time};
 use gridsec_obs::Histogram;
 use gridsec_sim::{BatchJob, BatchScheduler, BoundaryClock, RoundDriver, SimConfig};
@@ -358,7 +359,8 @@ pub struct OnlineSession {
     /// The virtual `now`, the queued boundaries and the one armed
     /// periodic boundary.
     clock: BoundaryClock,
-    committed: Vec<Placed>,
+    /// Every commit, in commit order (compact: see [`Ledger`]).
+    committed: Ledger,
     /// Commits currently standing per job: a job counts as scheduled
     /// while it has at least one commit that was not voided by a site
     /// failure.
@@ -409,7 +411,7 @@ impl OnlineSession {
             ),
             scheduler,
             clock: BoundaryClock::new(config.schedule_interval),
-            committed: Vec::new(),
+            committed: Ledger::new(),
             live: IdTable::default(),
             known: IdTable::default(),
             jobs_submitted: 0,
@@ -473,8 +475,9 @@ impl OnlineSession {
         self.jobs_submitted
     }
 
-    /// Every assignment committed so far, in commit order.
-    pub fn assignments(&self) -> &[Placed] {
+    /// Every assignment committed so far, in commit order: a view that
+    /// decodes the compact ledger as it iterates (`to_vec` for a copy).
+    pub fn assignments(&self) -> &Ledger {
         &self.committed
     }
 
@@ -888,7 +891,7 @@ impl OnlineSession {
             }
             self.max_completion = self.max_completion.max(placed.end);
             self.live.add(placed.job, 1);
-            self.committed.push(placed);
+            self.committed.push(&placed);
         }
         Ok(())
     }
@@ -1114,7 +1117,7 @@ mod tests {
         s.submit(job(0, 1.0, 100.0)).unwrap();
         s.submit(job(1, 11.0, 10.0)).unwrap();
         assert_eq!(s.jobs_scheduled(), 1);
-        assert_eq!(s.assignments()[0].site, SiteId(1));
+        assert_eq!(s.assignments().to_vec()[0].site, SiteId(1));
 
         // Site 1 dies at t = 20, mid-execution: job 0 is stranded and
         // requeued, its commit stays in the served history but it no
@@ -1224,14 +1227,14 @@ mod tests {
             s.submit(job(8, 31.0, 5.0)).unwrap();
             s.drain().unwrap();
         }
-        let suffix_a = &a.assignments()[before_a..];
-        assert_eq!(suffix_a, b2.assignments());
+        let suffix_a = &a.assignments().to_vec()[before_a..];
+        assert_eq!(suffix_a, b2.assignments().to_vec());
         // A site failure after restore still requeues the transferred
         // in-flight work (zero lost jobs across the barrier).
         let mut c = session(BatchPolicy::Periodic);
         c.submit(job(0, 1.0, 100.0)).unwrap();
         c.drain().unwrap();
-        let placed_site = c.assignments()[0].site;
+        let placed_site = c.assignments().to_vec()[0].site;
         let mut c2 = OnlineSession::restore(
             grid(),
             Box::new(EarliestCompletion),
@@ -1332,7 +1335,10 @@ mod tests {
                 s.drain().unwrap();
             }
             assert_eq!(pair[0].assignments().len(), 6);
-            assert_eq!(pair[0].assignments(), pair[1].assignments());
+            assert_eq!(
+                pair[0].assignments().to_vec(),
+                pair[1].assignments().to_vec()
+            );
             assert_eq!(pair[0].export_state(), pair[1].export_state());
         }
     }
@@ -1350,6 +1356,6 @@ mod tests {
         // engine's `single_job_completes_with_correct_times`).
         assert_eq!(m.max_completion, Time::new(60.0));
         assert_eq!(s.assignments().len(), 1);
-        assert_eq!(s.assignments()[0].start, Time::new(10.0));
+        assert_eq!(s.assignments().to_vec()[0].start, Time::new(10.0));
     }
 }

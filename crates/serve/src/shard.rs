@@ -480,20 +480,21 @@ impl ShardRuntime {
             tenants: st.tenants,
             history_json: self.history.as_ref().map(|f| f()),
             metrics: self.session.metrics(),
-            schedule: self.global_schedule(),
+            schedule: {
+                let mut schedule = Vec::with_capacity(self.session.assignments().len());
+                self.append_global_schedule(&mut schedule);
+                schedule
+            },
         }
     }
 
-    /// The committed schedule with local site ids translated to global.
-    pub(crate) fn global_schedule(&self) -> Vec<Placed> {
-        self.session
-            .assignments()
-            .iter()
-            .map(|p| Placed {
-                site: self.global_sites[p.site.0],
-                ..*p
-            })
-            .collect()
+    /// Decodes the committed schedule onto the end of `out`, with local
+    /// site ids translated to global.
+    pub(crate) fn append_global_schedule(&self, out: &mut Vec<Placed>) {
+        out.extend(self.session.assignments().iter().map(|p| Placed {
+            site: self.global_sites[p.site.0],
+            ..p
+        }));
     }
 
     /// Topology and the cheap counters (`query what=shards`).

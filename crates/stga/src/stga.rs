@@ -195,14 +195,14 @@ impl BatchScheduler for Stga {
 
         let pop = self.params.ga.population;
         let history_limit = ((pop as f64) * self.params.history_fraction).floor() as usize;
-        let history_span = gridsec_obs::span!("stga_history", limit = history_limit);
+        let history_span = gridsec_obs::span!("stga_history", limit = history_limit => seeds);
         let mut seeds: Vec<Chromosome> = self
             .history
             .lookup(&sig, self.params.similarity_threshold, history_limit)
             .into_iter()
             .map(|c| c.repair(&ctx.candidates, &mut self.rng))
             .collect();
-        history_span.end_with("seeds", seeds.len() as i64);
+        history_span.end_with(seeds.len() as i64);
 
         if self.params.heuristic_seeds {
             let mut a1 = view.avail_clone();
