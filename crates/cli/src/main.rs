@@ -13,10 +13,9 @@ mod spec;
 
 use gridsec_serve::{
     AutoscaleConfig, ClockMode, Daemon, DaemonExit, DaemonOptions, OnlineSession, ScenarioRunner,
-    SessionFactory, ShardSpec,
+    SessionFactory,
 };
 use gridsec_sim::{simulate, ShardPlan};
-use gridsec_stga::SharedHistory;
 use gridsec_workloads::{swf, NasConfig, PsaConfig};
 use spec::{ExperimentSpec, ScenarioSpec};
 use std::sync::{Arc, OnceLock};
@@ -187,11 +186,11 @@ fn serve(args: &[String]) -> Result<(), (i32, String)> {
     // and again after each `reshard` frame or autoscaler action: the
     // spec's scheduler over the shard's subgrid. The spec's workload seeds
     // STGA training (restricted to jobs that fit the shard); serving
-    // traffic comes in over the wire. An STGA history table is restored
+    // traffic comes in over the wire. An STGA history table is opened
     // from the sources the daemon hands over — the shard's
     // `<prefix>.shard<k>.json` at start-up, the contributing old shards'
-    // snapshots at a reshard — and its snapshot is what the daemon writes
-    // back to that file when the shard stops.
+    // snapshots at a reshard — and the daemon reads the scheduler's own
+    // snapshot back into that file when the shard stops.
     let name = Arc::new(OnceLock::new()); // the scheduler's display name, for the banner
     let factory: SessionFactory = {
         let sspec = sspec.clone();
@@ -203,25 +202,12 @@ fn serve(args: &[String]) -> Result<(), (i32, String)> {
                 .filter(|j| ctx.subgrid.sites().any(|s| s.fits_width(j.width)))
                 .cloned()
                 .collect();
-            let history = match &sspec {
-                spec::SchedulerSpec::Stga { params, .. } => {
-                    let cap = params.table_capacity;
-                    let table = SharedHistory::from_snapshots(&ctx.history_sources, cap);
-                    Some(table.map_err(|e| e.to_string())?)
-                }
-                _ => None,
-            };
             let scheduler = sspec
-                .build_send_with_history(&shard_jobs, &ctx.subgrid, history.clone())
+                .build_send(&shard_jobs, &ctx.subgrid, &ctx.history_sources)
                 .map_err(|e| e.to_string())?;
             name.get_or_init(|| scheduler.name());
-            let session = OnlineSession::restore(ctx.subgrid, scheduler, &sim, ctx.seed)
-                .map_err(|e| e.to_string())?;
-            Ok(ShardSpec {
-                session,
-                history: history
-                    .map(|h| Box::new(move || h.to_json()) as Box<dyn Fn() -> String + Send>),
-            })
+            OnlineSession::restore(ctx.subgrid, scheduler, &sim, ctx.seed)
+                .map_err(|e| e.to_string())
         })
     };
     let clock = options.clock;
@@ -439,7 +425,7 @@ fn cmd_chaos(args: &[String]) -> i32 {
             return 1;
         }
     };
-    let scheduler = match spec.scheduler.build_send(&[], &grid) {
+    let scheduler = match spec.scheduler.build_send(&[], &grid, &[]) {
         Ok(s) => s,
         Err(e) => {
             eprintln!("error: {e}");

@@ -9,7 +9,7 @@ use gridsec_sim::{
     ArrivalPhase, ArrivalProcess, BatchScheduler, FaultSpec, Scenario, SimConfig, TrustSpec,
 };
 use gridsec_stga::chromosome::MAX_SITES;
-use gridsec_stga::{GaParams, SharedHistory, StandardGa, Stga, StgaParams};
+use gridsec_stga::{GaParams, HistoryTable, StandardGa, Stga, StgaParams};
 use gridsec_workloads::{swf, GridSpec, NasConfig, PsaConfig};
 use serde::de::DeserializeOwned;
 use serde::{Deserialize, Serialize};
@@ -111,40 +111,13 @@ impl SchedulerSpec {
     /// Instantiates the scheduler; `jobs`/`grid` are used for STGA
     /// training.
     pub fn build(&self, jobs: &[Job], grid: &Grid) -> Result<Box<dyn BatchScheduler>> {
-        Ok(self.build_send(jobs, grid)?)
+        Ok(self.build_send(jobs, grid, &[])?)
     }
 
     /// Whether this spec builds an STGA (the only scheduler with
     /// persistable state — its history table).
     pub fn is_stga(&self) -> bool {
         matches!(self, SchedulerSpec::Stga { .. })
-    }
-
-    /// Like [`SchedulerSpec::build_send`], but an STGA adopts `history`
-    /// (a restored or shared table) instead of opening a fresh one —
-    /// the serving daemon's restart path. Non-STGA schedulers ignore it.
-    pub fn build_send_with_history(
-        &self,
-        jobs: &[Job],
-        grid: &Grid,
-        history: Option<SharedHistory>,
-    ) -> Result<Box<dyn BatchScheduler + Send>> {
-        if let (
-            SchedulerSpec::Stga {
-                params,
-                train_batch,
-            },
-            Some(history),
-        ) = (self, history)
-        {
-            self.check_grid(grid)?;
-            let mut stga = Stga::with_history(*params, history)?;
-            if *train_batch > 0 {
-                stga.train(jobs, grid, *train_batch)?;
-            }
-            return Ok(Box::new(stga));
-        }
-        self.build_send(jobs, grid)
     }
 
     /// Refuses a GA (`stga`, `ga`) on a grid with more sites than a
@@ -168,8 +141,16 @@ impl SchedulerSpec {
     }
 
     /// Like [`SchedulerSpec::build`], but `Send` — movable into the
-    /// serving daemon's scheduling thread.
-    pub fn build_send(&self, jobs: &[Job], grid: &Grid) -> Result<Box<dyn BatchScheduler + Send>> {
+    /// serving daemon's scheduling thread — and an STGA opens its history
+    /// table from the snapshots it inherits, `history`
+    /// ([`HistoryTable::from_snapshots`]: none is a fresh table). Other
+    /// schedulers ignore `history`.
+    pub fn build_send(
+        &self,
+        jobs: &[Job],
+        grid: &Grid,
+        history: &[String],
+    ) -> Result<Box<dyn BatchScheduler + Send>> {
         use gridsec_heuristics as h;
         self.check_grid(grid)?;
         Ok(match self {
@@ -181,7 +162,10 @@ impl SchedulerSpec {
                 params,
                 train_batch,
             } => {
-                let mut stga = Stga::new(*params)?;
+                // Before the table is sized by them.
+                params.validate()?;
+                let table = HistoryTable::from_snapshots(history, params.table_capacity)?;
+                let mut stga = Stga::with_history(*params, table)?;
                 if *train_batch > 0 {
                     stga.train(jobs, grid, *train_batch)?;
                 }

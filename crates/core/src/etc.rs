@@ -125,20 +125,6 @@ impl EtcMatrix {
     pub fn raw(&self) -> &[f64] {
         &self.data
     }
-
-    /// Site index with the smallest execution time for job `j` (ignoring
-    /// availability), or `None` if the job fits nowhere.
-    pub fn fastest_site(&self, j: usize) -> Option<usize> {
-        let row = self.row(j);
-        let (mut best, mut best_t) = (None, f64::INFINITY);
-        for (s, &t) in row.iter().enumerate() {
-            if t < best_t {
-                best_t = t;
-                best = Some(s);
-            }
-        }
-        best
-    }
 }
 
 /// Sorted multiset of node free-times for one site.
@@ -236,11 +222,6 @@ impl NodeAvailability {
         self.free.last().copied().unwrap_or(Time::ZERO)
     }
 
-    /// Number of nodes free at instant `t`.
-    pub fn free_at(&self, t: Time) -> usize {
-        self.free.iter().filter(|&&ft| ft <= t).count()
-    }
-
     /// The sorted free-time multiset as a flat slice (ascending).
     ///
     /// This is the snapshot accessor used to lower availability into flat
@@ -278,14 +259,6 @@ mod tests {
         assert_eq!(etc.get(0, 1), 50.0);
         assert!(etc.get(1, 0).is_infinite());
         assert_eq!(etc.get(1, 1), 50.0);
-        assert_eq!(etc.fastest_site(0), Some(1));
-        assert_eq!(etc.fastest_site(1), Some(1));
-    }
-
-    #[test]
-    fn fastest_site_none_when_nothing_fits() {
-        let etc = EtcMatrix::from_raw(1, 2, vec![f64::INFINITY, f64::INFINITY]);
-        assert_eq!(etc.fastest_site(0), None);
     }
 
     #[test]
@@ -318,8 +291,6 @@ mod tests {
         // Nodes free at 50 and 100.
         assert_eq!(a.ready_time(), Time::new(50.0));
         assert_eq!(a.drain_time(), Time::new(100.0));
-        assert_eq!(a.free_at(Time::new(60.0)), 1);
-        assert_eq!(a.free_at(Time::new(100.0)), 2);
     }
 
     #[test]

@@ -2,8 +2,6 @@
 
 use crate::error::{Error, Result};
 use crate::job::Job;
-use crate::security::RiskMode;
-use crate::security::SecurityModel;
 use crate::site::{Site, SiteId};
 use serde::{Deserialize, Serialize};
 
@@ -101,24 +99,6 @@ impl Grid {
             .fold(0.0, f64::max)
     }
 
-    /// Sites on which `job` fits *and* is admissible under `mode` according
-    /// to `model` (the security-driven site filter of §2).
-    ///
-    /// Returns an empty vector when no site qualifies — callers apply their
-    /// fallback policy (see `gridsec-heuristics`).
-    pub fn admissible_sites(
-        &self,
-        job: &Job,
-        mode: RiskMode,
-        model: &SecurityModel,
-    ) -> Vec<SiteId> {
-        self.sites
-            .iter()
-            .filter(|s| s.fits_width(job.width) && mode.admits(model, job.security_demand, s))
-            .map(|s| s.id)
-            .collect()
-    }
-
     /// Security levels of all sites, in id order.
     pub fn security_levels(&self) -> impl Iterator<Item = f64> + '_ {
         self.sites.iter().map(|s| s.security_level)
@@ -155,7 +135,6 @@ impl Grid {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::security::SecurityModel;
 
     fn grid3() -> Grid {
         Grid::new(vec![
@@ -264,17 +243,5 @@ mod tests {
         sites[0].nodes = 17;
         let g3 = Grid::new(sites).unwrap();
         assert_ne!(g.security_fingerprint(), g3.security_fingerprint());
-    }
-
-    #[test]
-    fn admissible_sites_secure_mode() {
-        let g = grid3();
-        let model = SecurityModel::new(3.0).unwrap();
-        let job = Job::builder(0).security_demand(0.6).build().unwrap();
-        let secure = g.admissible_sites(&job, RiskMode::Secure, &model);
-        // SL ≥ 0.6 → sites 0 (0.9) and 2 (0.7).
-        assert_eq!(secure, vec![SiteId(0), SiteId(2)]);
-        let risky = g.admissible_sites(&job, RiskMode::Risky, &model);
-        assert_eq!(risky.len(), 3);
     }
 }

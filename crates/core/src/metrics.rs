@@ -48,20 +48,16 @@ pub struct MetricsCollector {
     /// attempts — that power was allocated to user jobs).
     busy_node_seconds: Vec<f64>,
     site_nodes: Vec<u32>,
-    site_speeds: Vec<f64>,
 }
 
 impl MetricsCollector {
-    /// Creates a collector for a grid described by per-site node counts and
-    /// speeds (in site-id order).
-    pub fn new(site_nodes: Vec<u32>, site_speeds: Vec<f64>) -> Self {
-        let n = site_nodes.len();
-        assert_eq!(n, site_speeds.len(), "nodes/speeds length mismatch");
+    /// Creates a collector for a grid described by per-site node counts
+    /// (in site-id order).
+    pub fn new(site_nodes: Vec<u32>) -> Self {
         MetricsCollector {
             outcomes: Vec::new(),
-            busy_node_seconds: vec![0.0; n],
+            busy_node_seconds: vec![0.0; site_nodes.len()],
             site_nodes,
-            site_speeds,
         }
     }
 
@@ -149,11 +145,6 @@ impl MetricsCollector {
             overall_utilization,
             utilization_fairness,
         }
-    }
-
-    /// Per-site relative speeds (used by reports that weight by power).
-    pub fn site_speeds(&self) -> &[f64] {
-        &self.site_speeds
     }
 }
 
@@ -253,7 +244,7 @@ mod tests {
 
     #[test]
     fn empty_report() {
-        let c = MetricsCollector::new(vec![4, 8], vec![1.0, 2.0]);
+        let c = MetricsCollector::new(vec![4, 8]);
         let r = c.report(None);
         assert_eq!(r.n_jobs, 0);
         assert_eq!(r.makespan, Time::ZERO);
@@ -263,7 +254,7 @@ mod tests {
 
     #[test]
     fn metrics_match_hand_computation() {
-        let mut c = MetricsCollector::new(vec![2], vec![1.0]);
+        let mut c = MetricsCollector::new(vec![2]);
         // Job 0: arrive 0, start 0, done 10. Job 1: arrive 0, start 10, done 20.
         c.record_outcome(outcome(0, 0.0, 0.0, 10.0, false, 0));
         c.record_outcome(outcome(1, 0.0, 10.0, 20.0, true, 1));
@@ -296,7 +287,7 @@ mod tests {
 
     #[test]
     fn nfail_bounded_by_nrisk_in_practice() {
-        let mut c = MetricsCollector::new(vec![1], vec![1.0]);
+        let mut c = MetricsCollector::new(vec![1]);
         c.record_outcome(outcome(0, 0.0, 0.0, 5.0, true, 0));
         c.record_outcome(outcome(1, 0.0, 0.0, 5.0, true, 1));
         let r = c.report(None);
@@ -305,7 +296,7 @@ mod tests {
 
     #[test]
     fn explicit_horizon_rescales_utilization() {
-        let mut c = MetricsCollector::new(vec![1], vec![1.0]);
+        let mut c = MetricsCollector::new(vec![1]);
         c.record_outcome(outcome(0, 0.0, 0.0, 10.0, false, 0));
         c.record_busy(SiteId(0), 1, Time::new(10.0));
         let r = c.report(Some(Time::new(40.0)));
@@ -314,10 +305,10 @@ mod tests {
 
     #[test]
     fn table2_ratios() {
-        let mut c1 = MetricsCollector::new(vec![1], vec![1.0]);
+        let mut c1 = MetricsCollector::new(vec![1]);
         c1.record_outcome(outcome(0, 0.0, 0.0, 100.0, false, 0));
         let base = c1.report(None);
-        let mut c2 = MetricsCollector::new(vec![1], vec![1.0]);
+        let mut c2 = MetricsCollector::new(vec![1]);
         c2.record_outcome(outcome(0, 0.0, 0.0, 130.0, false, 0));
         let other = c2.report(None);
         assert!((other.alpha_vs(&base) - 1.3).abs() < 1e-12);

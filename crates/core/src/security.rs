@@ -148,17 +148,6 @@ impl RiskMode {
         }
     }
 
-    /// Validates an `FRisky` tolerance.
-    pub fn f_risky(f: f64) -> Result<RiskMode> {
-        if !(0.0..=1.0).contains(&f) {
-            return Err(Error::invalid(
-                "f",
-                format!("risk tolerance must be in [0, 1], got {f}"),
-            ));
-        }
-        Ok(RiskMode::FRisky(f))
-    }
-
     /// Short label used by reports and bench output.
     pub fn label(&self) -> String {
         match *self {
@@ -249,8 +238,6 @@ mod tests {
 
     #[test]
     fn f_risky_validation_and_labels() {
-        assert!(RiskMode::f_risky(1.5).is_err());
-        assert!(RiskMode::f_risky(0.5).is_ok());
         assert_eq!(RiskMode::Secure.label(), "Secure");
         assert_eq!(RiskMode::FRisky(0.5).label(), "0.5-Risky");
         assert_eq!(RiskMode::Risky.tolerance(), 1.0);

@@ -140,7 +140,7 @@ proptest! {
             1..50,
         ),
     ) {
-        let mut c = MetricsCollector::new(vec![4], vec![1.0]);
+        let mut c = MetricsCollector::new(vec![4]);
         for (i, (arrival, wait, service, risk_raw, fails)) in outcomes.iter().enumerate() {
             // failures imply risk taken (the model invariant the engine
             // maintains); mirror it here.

@@ -35,7 +35,7 @@
 //! handle for a control frame, so a shard thread that dies cannot take a
 //! frame's answer with it (the router reads the dropped closure as
 //! `shard_down`). The router never sees a submit. Each shard thread owns an
-//! [`OnlineSession`](crate::OnlineSession) over its subgrid — the GA population pool, the STGA
+//! [`OnlineSession`] over its subgrid — the GA population pool, the STGA
 //! history table and the availability model live there untouched across
 //! rounds. A client disconnecting mid-round just drops its connection;
 //! scheduling continues.
@@ -64,8 +64,8 @@ use crate::ledger::Ledger;
 use crate::protocol::{Request, ServeMetrics, MAX_LINE_BYTES};
 use crate::reshard::{build_shards, AutoscaleConfig, AutoscalePolicy, SessionFactory, ShardSeed};
 use crate::router::{direct_shards, Router};
-use crate::session::SessionState;
-use crate::shard::{ShardMsg, ShardRuntime, ShardSpec, SubmitDrain, SubmitQueue};
+use crate::session::{OnlineSession, SessionState};
+use crate::shard::{ShardMsg, ShardRuntime, SubmitDrain, SubmitQueue};
 use gridsec_core::Grid;
 use gridsec_obs::Histogram;
 use gridsec_sim::ShardPlan;
@@ -118,8 +118,8 @@ pub struct DaemonOptions {
     pub metrics_addr: Option<String>,
     /// Path prefix of the per-shard state files ([`shard_state_path`]).
     /// When set, shard `k`'s file is read at boot and handed to the
-    /// factory as its one `history_sources` entry; a shard built with a
-    /// [`ShardSpec::history`] snapshot writes it back when it stops; and
+    /// factory as its one `history_sources` entry; a shard whose session
+    /// has an [`OnlineSession::snapshot`] writes it back when it stops; and
     /// a reshard that shrinks the shard count removes the retired shards'
     /// files after the swap — their state lives on in the surviving
     /// shards, so a later restart must not resurrect it.
@@ -388,9 +388,10 @@ impl Daemon {
     /// Blocks until a client sends `shutdown` and the daemon winds down:
     /// the router joins the shard threads, then the I/O threads are
     /// reaped. If the router thread panicked instead (a factory that
-    /// panics while a reshard rebuilds the shards), the I/O threads stop
-    /// all the same, every connection closes, and the panic's message is
-    /// returned.
+    /// panics while a reshard rebuilds the shards), the shards are
+    /// stopped and joined all the same — each writes its state file — then
+    /// the I/O threads stop, every connection closes, and the panic's
+    /// message is returned.
     pub fn join(self) -> DaemonExit {
         let router = self.router.join();
         for h in self.io {
@@ -468,14 +469,14 @@ fn boot_seeds(grid: &Grid, plan: &ShardPlan, prefix: Option<&Path>) -> io::Resul
     Ok(seeds)
 }
 
-/// Spawns one scheduling thread per shard spec; shard `k` serves
+/// Spawns one scheduling thread per shard session; shard `k` serves
 /// `plan.sites_of(k)`. Each shard also gets the bounded queue its
 /// submits arrive on, drained by the shard thread ahead of every control
 /// message. Shared by daemon startup and the reshard swap.
 #[allow(clippy::type_complexity)]
 pub(crate) fn spawn_shard_threads(
     plan: &ShardPlan,
-    shards: Vec<ShardSpec>,
+    sessions: Vec<OnlineSession>,
     options: &DaemonOptions,
     start: Instant,
 ) -> (
@@ -483,20 +484,19 @@ pub(crate) fn spawn_shard_threads(
     Vec<Arc<SubmitQueue>>,
     Vec<JoinHandle<()>>,
 ) {
-    let mut shard_txs = Vec::with_capacity(shards.len());
-    let mut direct_queues = Vec::with_capacity(shards.len());
-    let mut shard_handles = Vec::with_capacity(shards.len());
-    for (k, spec) in shards.into_iter().enumerate() {
+    let mut shard_txs = Vec::with_capacity(sessions.len());
+    let mut direct_queues = Vec::with_capacity(sessions.len());
+    let mut shard_handles = Vec::with_capacity(sessions.len());
+    for (k, session) in sessions.into_iter().enumerate() {
         let (tx, rx) = channel::<ShardMsg>();
         let direct = Arc::new(SubmitQueue::new());
         let runtime = ShardRuntime {
             shard: k,
-            session: spec.session,
+            session,
             global_sites: plan.sites_of(k).to_vec(),
             clock: options.clock,
             start,
             max_pending: options.max_pending,
-            history: spec.history,
             state_path: options
                 .state_prefix
                 .as_deref()

@@ -23,9 +23,9 @@
 //! * [`shard`] — multi-tenant sharding: one session + scheduling thread
 //!   per site-disjoint grid shard
 //!   ([`ShardPlan`](gridsec_sim::ShardPlan)), with bounded-queue
-//!   backpressure and an optional history snapshot ([`ShardSpec`]) that
-//!   follows the shard across topologies and — under
-//!   [`DaemonOptions::state_prefix`] — restarts. The
+//!   backpressure. What the shard's scheduler learned
+//!   ([`OnlineSession::snapshot`]) follows the shard across topologies
+//!   and — under [`DaemonOptions::state_prefix`] — restarts. The
 //!   `sharding_equivalence` suite proves a 1-shard daemon bit-identical
 //!   to the engine and an N-shard daemon bit-identical to N independent
 //!   single-shard daemons.
@@ -109,4 +109,3 @@ pub use reshard::{
     ShardBuildContext, ShardObservation, ShardSeed, ShardStateExport,
 };
 pub use session::{Admission, OnlineSession, SessionState};
-pub use shard::ShardSpec;

@@ -30,7 +30,6 @@
 
 use crate::protocol::{Placed, ServeMetrics};
 use crate::session::{IdTable, KnownIds, LiveCommits, OnlineSession, SessionState};
-use crate::shard::ShardSpec;
 use gridsec_core::{Grid, Job, JobId, SiteId, Time};
 use gridsec_sim::{BatchJob, BatchScheduler, ShardPlan, SimConfig};
 use std::collections::{HashMap, HashSet};
@@ -61,8 +60,8 @@ pub struct ShardStateExport {
     /// unrecorded, as `(job, tenant)` sorted by id — follows the job so
     /// per-tenant wait histograms stay correct across the transfer.
     pub tenants: Vec<(JobId, String)>,
-    /// Scheduler history snapshot (e.g. STGA `SharedHistory::to_json`),
-    /// when the shard was built with one.
+    /// The shard's [`OnlineSession::snapshot`] (the STGA's history table
+    /// as JSON), when its scheduler keeps one.
     pub history_json: Option<String>,
     /// Metrics at the barrier — archived by the router so aggregated
     /// queries stay cumulative across reshards.
@@ -313,9 +312,10 @@ pub struct ShardBuildContext {
 /// the daemon boots and again for every shard of every plan it is
 /// resharded to. Constructs the scheduler (from `history_sources` when it
 /// keeps history) and an
-/// [`OnlineSession::restore`](crate::OnlineSession::restore)d session
-/// over exactly `subgrid`, and returns the [`ShardSpec`].
-pub type SessionFactory = Box<dyn FnMut(ShardBuildContext) -> Result<ShardSpec, String> + Send>;
+/// [`OnlineSession::restore`]d session over exactly `subgrid`, and
+/// returns it. What the scheduler learns leaves the shard through
+/// [`OnlineSession::snapshot`], which the daemon reads itself.
+pub type SessionFactory = Box<dyn FnMut(ShardBuildContext) -> Result<OnlineSession, String> + Send>;
 
 /// The [`SessionFactory`] of a scheduler that carries nothing from one
 /// topology to the next: `make` builds shard `ctx.shard`'s scheduler, the
@@ -328,9 +328,7 @@ pub fn stateless_factory(
 ) -> SessionFactory {
     Box::new(move |ctx| {
         let scheduler = make(&ctx)?;
-        OnlineSession::restore(ctx.subgrid, scheduler, &config, ctx.seed)
-            .map(ShardSpec::new)
-            .map_err(|e| e.to_string())
+        OnlineSession::restore(ctx.subgrid, scheduler, &config, ctx.seed).map_err(|e| e.to_string())
     })
 }
 
@@ -345,12 +343,12 @@ pub(crate) fn build_shards(
     plan: &ShardPlan,
     seeds: Vec<ShardSeed>,
     factory: &mut SessionFactory,
-) -> Result<Vec<ShardSpec>, (usize, String)> {
-    let mut specs = Vec::with_capacity(seeds.len());
+) -> Result<Vec<OnlineSession>, (usize, String)> {
+    let mut sessions = Vec::with_capacity(seeds.len());
     for seed in seeds {
         let k = seed.shard;
         let subgrid = plan.subgrid(grid, k).map_err(|e| (k, e.to_string()))?;
-        let spec = factory(ShardBuildContext {
+        let session = factory(ShardBuildContext {
             shard: k,
             subgrid: subgrid.clone(),
             seed: seed.state,
@@ -362,13 +360,13 @@ pub(crate) fn build_shards(
                 format!("session factory failed for shard {k}: {message}"),
             )
         })?;
-        if *spec.session.grid() != subgrid {
+        if *session.grid() != subgrid {
             let message = format!("session factory built shard {k} over the wrong subgrid");
             return Err((k, message));
         }
-        specs.push(spec);
+        sessions.push(session);
     }
-    Ok(specs)
+    Ok(sessions)
 }
 
 /// Thresholds and pacing for the autoscaler.

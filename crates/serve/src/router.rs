@@ -29,7 +29,7 @@ use crate::reshard::{build_shards, transfer, AutoscalePolicy, SessionFactory, Sh
 use crate::shard::{ShardMsg, ShardRuntime, SubmitQueue};
 use gridsec_core::{Grid, JobId, SiteId, Time};
 use gridsec_obs::{Histogram, HistogramSnapshot};
-use gridsec_sim::ShardPlan;
+use gridsec_sim::{Routing, ShardPlan};
 use std::io;
 use std::sync::atomic::Ordering;
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
@@ -178,6 +178,17 @@ pub(crate) struct Router {
     pub(crate) io: Arc<IoShared>,
 }
 
+/// However the router thread ends — a `shutdown` frame, the I/O threads
+/// gone, or a panic unwinding through it — every shard still running is
+/// sent `Stop` (which writes its state file) and joined, before the
+/// daemon's drop guard stops the I/O threads. A shard held after
+/// `GatherState` takes `Stop` too.
+impl Drop for Router {
+    fn drop(&mut self) {
+        stop_shards(&self.shard_txs, &mut self.shard_handles);
+    }
+}
+
 impl Router {
     /// The router loop: takes the ingest queue in order and answers every
     /// frame with exactly one response — one [`Router::respond`] call,
@@ -225,13 +236,8 @@ impl Router {
             }
             self.frame_nanos.record(t0.elapsed().as_nanos() as u64);
         }
-        // Every ingest sender (the I/O threads) is gone:
-        // disconnect the shard channels so the shard threads exit, then
-        // reap them.
-        self.shard_txs.clear();
-        for h in self.shard_handles.drain(..) {
-            let _ = h.join();
-        }
+        // Every ingest sender (the I/O threads) is gone: dropping the
+        // router stops the shards.
     }
 
     /// The one `Request → Response` function of the control plane.
@@ -741,16 +747,15 @@ impl Router {
 }
 
 /// Frame-level derived routing, run on the I/O threads against the
-/// routing table the router publishes: every job's eligible sites must
-/// sit in one and the same shard. The first job that breaks that yields a
-/// typed rejection for the whole frame (nothing was enqueued).
-///
-/// Offline sites are excluded: a job whose eligible-site set shrinks to
-/// one shard under churn routes there cleanly, and a job whose *every*
-/// eligible site is offline gets a typed `site_offline` rejection instead
-/// of queueing on a dead shard. Explicit-`shard` submits bypass this
-/// (they enqueue and defer until a site rejoins — the scenario engine's
-/// replay path).
+/// routing table the router publishes: each job routes by
+/// [`ShardPlan::route_online`] (offline sites excluded), and every job of
+/// the frame must route to one and the same shard. The first job that
+/// breaks that yields a typed rejection for the whole frame (nothing was
+/// enqueued): a job that fits no site or spans shards gets
+/// `route_rejected`, one that fits only offline sites `site_offline`
+/// instead of queueing on a dead shard. Explicit-`shard` submits bypass
+/// this (they enqueue and defer until a site rejoins — the scenario
+/// engine's replay path).
 pub(crate) fn derive_route(
     grid: &Grid,
     plan: &ShardPlan,
@@ -759,56 +764,28 @@ pub(crate) fn derive_route(
 ) -> Result<usize, Box<Response>> {
     let mut target: Option<(usize, JobId)> = None;
     for job in jobs {
-        let eligible: Vec<SiteId> = grid
-            .sites()
-            .filter(|s| s.fits_width(job.width))
-            .map(|s| s.id)
-            .collect();
-        if eligible.is_empty() {
-            return Err(Box::new(Response::RouteRejected {
-                job: job.id,
-                shards: Vec::new(),
-                message: format!("job {} fits no site on any shard", job.id),
-            }));
-        }
-        let online: Vec<SiteId> = eligible.iter().copied().filter(|s| !offline[s.0]).collect();
-        if online.is_empty() {
-            return Err(Box::new(Response::SiteOffline {
-                job: job.id,
-                message: format!(
-                    "job {} is eligible only on offline sites {:?}; resubmit after a rejoin \
-                     (or pass an explicit shard to queue it)",
-                    job.id,
-                    eligible.iter().map(|s| s.0).collect::<Vec<_>>()
-                ),
-                sites: eligible,
-            }));
-        }
-        // Reshard plans need not be contiguous, so the mapped shard list
-        // need not ascend — sort before dedup to leave each shard once.
-        let mut shards: Vec<usize> = online.iter().filter_map(|&s| plan.shard_of(s)).collect();
-        shards.sort_unstable();
-        shards.dedup();
-        match shards.as_slice() {
-            [k] => match target {
-                None => target = Some((*k, job.id)),
-                Some((t, first)) if t != *k => {
-                    let mut shards = vec![t, *k];
-                    shards.sort_unstable();
-                    return Err(Box::new(Response::RouteRejected {
-                        job: job.id,
-                        shards,
-                        message: format!(
-                            "jobs in one frame must route to one shard: job {first} routes to \
-                             shard {t}, job {} to shard {k} (split the frame or pass an \
-                             explicit shard)",
-                            job.id
-                        ),
-                    }));
-                }
-                Some(_) => {}
-            },
-            spanning => {
+        let k = match plan.route_online(grid, offline, job) {
+            Routing::Unique(k) => k,
+            Routing::NoFit => {
+                return Err(Box::new(Response::RouteRejected {
+                    job: job.id,
+                    shards: Vec::new(),
+                    message: format!("job {} fits no site on any shard", job.id),
+                }));
+            }
+            Routing::Offline(sites) => {
+                return Err(Box::new(Response::SiteOffline {
+                    job: job.id,
+                    message: format!(
+                        "job {} is eligible only on offline sites {:?}; resubmit after a rejoin \
+                         (or pass an explicit shard to queue it)",
+                        job.id,
+                        sites.iter().map(|s| s.0).collect::<Vec<_>>()
+                    ),
+                    sites,
+                }));
+            }
+            Routing::Spanning(spanning) => {
                 return Err(Box::new(Response::RouteRejected {
                     job: job.id,
                     message: format!(
@@ -816,9 +793,25 @@ pub(crate) fn derive_route(
                          explicit shard to place it",
                         job.id
                     ),
-                    shards: spanning.to_vec(),
+                    shards: spanning,
                 }));
             }
+        };
+        match target {
+            None => target = Some((k, job.id)),
+            Some((t, first)) if t != k => {
+                return Err(Box::new(Response::RouteRejected {
+                    job: job.id,
+                    shards: vec![t.min(k), t.max(k)],
+                    message: format!(
+                        "jobs in one frame must route to one shard: job {first} routes to \
+                         shard {t}, job {} to shard {k} (split the frame or pass an \
+                         explicit shard)",
+                        job.id
+                    ),
+                }));
+            }
+            Some(_) => {}
         }
     }
     // An empty (or zero-job) frame routes to shard 0: it enqueues

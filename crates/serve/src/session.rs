@@ -434,6 +434,13 @@ impl OnlineSession {
         self.scheduler.name()
     }
 
+    /// What the scheduler learned, as text it can be rebuilt from
+    /// ([`BatchScheduler::snapshot`]) — a shard's one way to carry its
+    /// scheduler's state across a reshard or a restart.
+    pub fn snapshot(&self) -> Option<String> {
+        self.scheduler.snapshot()
+    }
+
     /// The grid this session schedules onto (a shard's subgrid when the
     /// session serves one shard of a larger grid).
     pub fn grid(&self) -> &Grid {
@@ -492,19 +499,14 @@ impl OnlineSession {
     }
 
     /// Like [`OnlineSession::submit`], but with an optional bound on the
-    /// pending queue (serving-mode backpressure). The bound is checked
-    /// *after* the clock advance fires every due boundary, so a rejection
-    /// means the queue is genuinely full at the job's arrival instant —
-    /// not merely full before rounds the arrival itself would trigger.
-    pub fn submit_bounded(&mut self, job: Job, max_pending: Option<usize>) -> Result<Admission> {
-        self.submit_bounded_as(job, max_pending, None)
-    }
-
-    /// Like [`OnlineSession::submit_bounded`], with an optional tenant
-    /// label for queue-wait attribution: the virtual time from the
-    /// job's arrival to its first committed placement is recorded in
-    /// that tenant's wait histogram (see
-    /// [`OnlineSession::telemetry`]). Unlabelled jobs are not
+    /// pending queue (serving-mode backpressure) and an optional tenant
+    /// label. The bound is checked *after* the clock advance fires every
+    /// due boundary, so a rejection means the queue is genuinely full at
+    /// the job's arrival instant — not merely full before rounds the
+    /// arrival itself would trigger. The label is for queue-wait
+    /// attribution: the virtual time from the job's arrival to its first
+    /// committed placement is recorded in that tenant's wait histogram
+    /// (see [`OnlineSession::telemetry`]). Unlabelled jobs are not
     /// attributed; scheduling itself never looks at the label.
     pub fn submit_bounded_as(
         &mut self,
@@ -622,12 +624,7 @@ impl OnlineSession {
     }
 
     /// Replaces the per-site security levels (the trust state) — the
-    /// serving-mode counterpart of the engine's SL random walk.
-    pub fn set_security_levels(&mut self, levels: &[f64]) -> Result<()> {
-        self.set_security_levels_at(levels, None)
-    }
-
-    /// Like [`OnlineSession::set_security_levels`], but applied at a
+    /// serving-mode counterpart of the engine's SL random walk — at a
     /// virtual instant: boundaries strictly before `at` fire first, then
     /// the clock advances, then the levels change.
     pub fn set_security_levels_at(&mut self, levels: &[f64], at: Option<Time>) -> Result<()> {
@@ -1017,9 +1014,9 @@ mod tests {
     #[test]
     fn trust_reconfiguration_validates() {
         let mut s = session(BatchPolicy::Periodic);
-        assert!(s.set_security_levels(&[0.3, 0.8]).is_ok());
-        assert!(s.set_security_levels(&[0.3]).is_err());
-        assert!(s.set_security_levels(&[0.3, 1.4]).is_err());
+        assert!(s.set_security_levels_at(&[0.3, 0.8], None).is_ok());
+        assert!(s.set_security_levels_at(&[0.3], None).is_err());
+        assert!(s.set_security_levels_at(&[0.3, 1.4], None).is_err());
     }
 
     #[test]
@@ -1060,10 +1057,10 @@ mod tests {
         )
         .unwrap();
         // A successful trust reconfiguration notifies the scheduler…
-        s.set_security_levels(&[0.3, 0.8]).unwrap();
+        s.set_security_levels_at(&[0.3, 0.8], None).unwrap();
         assert_eq!(count.load(Ordering::SeqCst), 1);
         // …but a rejected one must not (no state actually changed).
-        assert!(s.set_security_levels(&[0.3, 1.4]).is_err());
+        assert!(s.set_security_levels_at(&[0.3, 1.4], None).is_err());
         assert_eq!(count.load(Ordering::SeqCst), 1);
     }
 
@@ -1081,27 +1078,27 @@ mod tests {
         let mut s = session(BatchPolicy::CountTriggered(2));
         let limit = Some(2);
         assert_eq!(
-            s.submit_bounded(job(0, 1.0, 5.0), limit).unwrap(),
+            s.submit_bounded_as(job(0, 1.0, 5.0), limit, None).unwrap(),
             Admission::Enqueued
         );
         assert_eq!(
-            s.submit_bounded(job(1, 1.0, 5.0), limit).unwrap(),
+            s.submit_bounded_as(job(1, 1.0, 5.0), limit, None).unwrap(),
             Admission::Enqueued
         );
         // Same instant: the count-triggered boundary at t = 1 has not
         // passed yet, so the queue is genuinely full.
         assert_eq!(
-            s.submit_bounded(job(2, 1.0, 5.0), limit).unwrap(),
+            s.submit_bounded_as(job(2, 1.0, 5.0), limit, None).unwrap(),
             Admission::Busy { pending: 2 }
         );
         // A later arrival fires the due boundary first — room again.
         assert_eq!(
-            s.submit_bounded(job(3, 2.0, 5.0), limit).unwrap(),
+            s.submit_bounded_as(job(3, 2.0, 5.0), limit, None).unwrap(),
             Admission::Enqueued
         );
         // The busied id was never consumed; the client resubmits it.
         assert_eq!(
-            s.submit_bounded(job(2, 2.0, 5.0), limit).unwrap(),
+            s.submit_bounded_as(job(2, 2.0, 5.0), limit, None).unwrap(),
             Admission::Enqueued
         );
         let m = s.metrics();
@@ -1168,7 +1165,8 @@ mod tests {
         // The refused id was never consumed, and later finite traffic is
         // admitted as if the frame had not been sent.
         assert_eq!(
-            s.submit_bounded(job(1, 6.0, 10.0), Some(4)).unwrap(),
+            s.submit_bounded_as(job(1, 6.0, 10.0), Some(4), None)
+                .unwrap(),
             Admission::Enqueued
         );
         for at in [Time::INFINITY, Time::new(f64::NEG_INFINITY)] {

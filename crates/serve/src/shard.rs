@@ -8,8 +8,10 @@
 //! `sharding_equivalence` suite).
 //!
 //! What a shard *is* comes from one place, the daemon's
-//! [`SessionFactory`](crate::SessionFactory), which returns a
-//! [`ShardSpec`]; this module is what runs one.
+//! [`SessionFactory`](crate::SessionFactory), which returns the shard's
+//! session; this module is what runs one. What the shard's scheduler
+//! learned leaves it one way, [`OnlineSession::snapshot`]: into the
+//! reshard export and into the shard's state file when it stops.
 //!
 //! The shard thread speaks shard-local site ids internally (its session
 //! runs over the re-indexed subgrid) and translates to global site ids on
@@ -27,33 +29,6 @@ use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// One shard as a [`SessionFactory`](crate::SessionFactory) builds it: the
-/// session over the shard's subgrid plus, for history-backed schedulers,
-/// the snapshot that carries what they learned across topologies and
-/// restarts.
-pub struct ShardSpec {
-    /// The shard's scheduling session (grid = the shard's subgrid).
-    pub session: OnlineSession,
-    /// Optional scheduler-history snapshot (e.g. `SharedHistory::to_json`).
-    /// Taken at a reshard barrier, where the text travels to the
-    /// successor shards' factories as `history_sources`, and when the
-    /// shard stops, where — under a
-    /// [`DaemonOptions::state_prefix`](crate::DaemonOptions::state_prefix)
-    /// — it is written to the shard's state file, which the next boot
-    /// hands back to the factory the same way.
-    pub history: Option<Box<dyn Fn() -> String + Send>>,
-}
-
-impl ShardSpec {
-    /// A shard whose scheduler carries nothing between topologies.
-    pub fn new(session: OnlineSession) -> ShardSpec {
-        ShardSpec {
-            session,
-            history: None,
-        }
-    }
-}
 
 /// A control message to one shard thread (jobs never travel here — they
 /// arrive on the shard's [`DirectSubmit`] queue). No variant carries a
@@ -238,8 +213,7 @@ pub(crate) struct ShardRuntime {
     pub clock: ClockMode,
     pub start: Instant,
     pub max_pending: Option<usize>,
-    pub history: Option<Box<dyn Fn() -> String + Send>>,
-    /// Where `history` is written when the shard stops:
+    /// Where the session's snapshot is written when the shard stops:
     /// `shard_state_path(state_prefix, shard)`, or `None` without a prefix.
     pub state_path: Option<PathBuf>,
     /// The submit queue fed by the I/O threads — the only way jobs reach
@@ -257,40 +231,34 @@ impl ShardRuntime {
     /// run on every exit, a panic in a round included.
     pub(crate) fn run(mut self, rx: Receiver<ShardMsg>) {
         loop {
-            let msg = match self.clock {
-                ClockMode::Virtual => match rx.recv() {
-                    Ok(m) => m,
-                    Err(_) => break, // router gone without a shutdown frame
-                },
-                ClockMode::WallClock => {
-                    let now = Time::new(self.start.elapsed().as_secs_f64());
-                    let timeout = self
-                        .session
-                        .next_boundary()
-                        .map(|b| Duration::from_secs_f64((b.seconds() - now.seconds()).max(0.0)));
-                    match timeout {
-                        None => match rx.recv() {
-                            Ok(m) => m,
-                            Err(_) => break,
-                        },
-                        Some(wait) => match rx.recv_timeout(wait) {
-                            Ok(m) => m,
-                            Err(RecvTimeoutError::Timeout) => {
-                                // Jobs pushed before the boundary make the
-                                // round (their arrival stamps precede it).
-                                self.drain_direct();
-                                let t = Time::new(self.start.elapsed().as_secs_f64());
-                                if self.session.tick(t).is_err() {
-                                    // A scheduler failure on a timer round
-                                    // is fatal for the shard.
-                                    break;
-                                }
-                                continue;
-                            }
-                            Err(RecvTimeoutError::Disconnected) => break,
-                        },
-                    }
+            // A virtual-clock shard has no deadline: it waits for its
+            // next message.
+            let deadline = (self.clock == ClockMode::WallClock)
+                .then(|| self.session.next_boundary())
+                .flatten();
+            let received = match deadline {
+                None => rx.recv().map_err(|_| RecvTimeoutError::Disconnected),
+                Some(b) => {
+                    let now = self.start.elapsed().as_secs_f64();
+                    rx.recv_timeout(Duration::from_secs_f64((b.seconds() - now).max(0.0)))
                 }
+            };
+            let msg = match received {
+                Ok(m) => m,
+                Err(RecvTimeoutError::Timeout) => {
+                    // Jobs pushed before the boundary make the round
+                    // (their arrival stamps precede it).
+                    self.drain_direct();
+                    let t = Time::new(self.start.elapsed().as_secs_f64());
+                    if self.session.tick(t).is_err() {
+                        // A scheduler failure on a timer round is fatal
+                        // for the shard.
+                        break;
+                    }
+                    continue;
+                }
+                // The router is gone without a shutdown frame.
+                Err(RecvTimeoutError::Disconnected) => break,
             };
             // Submits a client (or the seal) put ahead of this message
             // were pushed before it was sent, so draining first keeps the
@@ -478,7 +446,7 @@ impl ShardRuntime {
             live: st.live,
             known: st.known,
             tenants: st.tenants,
-            history_json: self.history.as_ref().map(|f| f()),
+            history_json: self.session.snapshot(),
             metrics: self.session.metrics(),
             schedule: {
                 let mut schedule = Vec::with_capacity(self.session.assignments().len());
@@ -510,14 +478,17 @@ impl ShardRuntime {
         }
     }
 
-    /// Writes the history snapshot to the shard's state file, when there
+    /// Writes the session's snapshot to the shard's state file, when there
     /// are both. Failures are reported on stderr — state files are an
     /// operational convenience, never worth killing the serving path over.
     fn save_state(&self) {
-        let (Some(path), Some(snapshot)) = (&self.state_path, &self.history) else {
+        let Some(path) = &self.state_path else {
             return;
         };
-        if let Err(e) = std::fs::write(path, snapshot()) {
+        let Some(snapshot) = self.session.snapshot() else {
+            return;
+        };
+        if let Err(e) = std::fs::write(path, snapshot) {
             eprintln!(
                 "gridsec-serve: shard {}: cannot write state file {}: {e}",
                 self.shard,
@@ -568,7 +539,6 @@ mod tests {
             clock: ClockMode::Virtual,
             start: Instant::now(),
             max_pending: None,
-            history: None,
             state_path: None,
             direct: SubmitDrain::new(Arc::clone(queue)),
         }

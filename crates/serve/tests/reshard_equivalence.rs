@@ -29,11 +29,11 @@ use gridsec_heuristics::MinMin;
 use gridsec_serve::{
     transfer, AutoscaleConfig, Client, Daemon, DaemonOptions, OnlineSession, Placed, QueryWhat,
     Request, Response, ServeMetrics, SessionFactory, SessionState, ShardBuildContext, ShardSeed,
-    ShardSpec, ShardStateExport,
+    ShardStateExport,
 };
 use gridsec_sim::scheduler::EarliestCompletion;
 use gridsec_sim::{BatchScheduler, ShardPlan, SimConfig};
-use gridsec_stga::{GaParams, SharedHistory, Stga, StgaParams};
+use gridsec_stga::{GaParams, HistoryTable, Stga, StgaParams};
 use gridsec_workloads::PsaConfig;
 use std::time::{Duration, Instant};
 
@@ -66,9 +66,9 @@ fn sim_config() -> SimConfig {
         .with_seed(77)
 }
 
-/// Builds one scheduler; STGA gets the given shared history handle so
-/// the caller can snapshot / restore its table across the reshard.
-fn build_scheduler(name: &str, history: Option<SharedHistory>) -> Box<dyn BatchScheduler + Send> {
+/// Builds one scheduler; STGA starts from the given history table (its
+/// snapshot is what the session hands on across the reshard).
+fn build_scheduler(name: &str, history: Option<HistoryTable>) -> Box<dyn BatchScheduler + Send> {
     let params = StgaParams {
         ga: GaParams::default()
             .with_population(24)
@@ -80,7 +80,7 @@ fn build_scheduler(name: &str, history: Option<SharedHistory>) -> Box<dyn BatchS
         "mct" => Box::new(EarliestCompletion),
         "minmin" => Box::new(MinMin::new(RiskMode::Risky)),
         "stga" => {
-            let history = history.unwrap_or_else(|| SharedHistory::new(params.table_capacity));
+            let history = history.unwrap_or_else(|| HistoryTable::new(params.table_capacity));
             Box::new(Stga::with_history(params, history).expect("valid STGA parameters"))
         }
         other => panic!("unknown scheduler {other}"),
@@ -95,23 +95,18 @@ fn factory(name: &'static str, config: SimConfig) -> SessionFactory {
     Box::new(move |ctx| {
         let history = if name == "stga" {
             let capacity = StgaParams::default().table_capacity;
-            let table = SharedHistory::from_snapshots(&ctx.history_sources, capacity);
+            let table = HistoryTable::from_snapshots(&ctx.history_sources, capacity);
             Some(table.map_err(|e| e.to_string())?)
         } else {
             None
         };
-        let session = OnlineSession::restore(
+        OnlineSession::restore(
             ctx.subgrid,
-            build_scheduler(name, history.clone()),
+            build_scheduler(name, history),
             &config,
             ctx.seed,
         )
-        .map_err(|e| e.to_string())?;
-        let mut spec = ShardSpec::new(session);
-        if let Some(h) = history {
-            spec.history = Some(Box::new(move || h.to_json()));
-        }
-        Ok(spec)
+        .map_err(|e| e.to_string())
     })
 }
 
@@ -269,10 +264,7 @@ fn run_replica(
     let mut exports: Vec<ShardStateExport> = Vec::new();
     for k in 0..plan1.n_shards() {
         let sub = plan1.subgrid(grid, k).unwrap();
-        let ShardSpec {
-            mut session,
-            history,
-        } = fac(ShardBuildContext {
+        let mut session = fac(ShardBuildContext {
             shard: k,
             seed: SessionState::fresh(&sub),
             subgrid: sub,
@@ -305,7 +297,7 @@ fn run_replica(
             live: st.live,
             known: st.known,
             tenants: st.tenants,
-            history_json: history.map(|snapshot| snapshot()),
+            history_json: session.snapshot(),
             metrics: ServeMetrics::merge(&[]),
             schedule: Vec::new(),
         });

@@ -3,15 +3,17 @@
 //! `<prefix>.shard<k>.json` at the shutdown barrier; a daemon restarted
 //! with the same prefix reads those files itself, hands each to the
 //! session factory, and resumes with every learned entry intact (the
-//! kill–restart–resume round trip).
+//! kill–restart–resume round trip). What a shard learned is read from
+//! the files the daemon writes: the scheduler owns its table, and the
+//! daemon takes its snapshot.
 
 use gridsec_core::{Grid, Job, Site, Time};
 use gridsec_serve::{
     shard_state_path, Client, Daemon, DaemonOptions, OnlineSession, QueryWhat, Request, Response,
-    SessionFactory, ShardSpec,
+    SessionFactory,
 };
 use gridsec_sim::{BatchPolicy, ShardPlan, SimConfig};
-use gridsec_stga::{BatchSignature, Chromosome, GaParams, SharedHistory, Stga, StgaParams};
+use gridsec_stga::{BatchSignature, Chromosome, GaParams, HistoryTable, Stga, StgaParams};
 use std::path::Path;
 use std::sync::mpsc::{channel, Receiver};
 
@@ -44,7 +46,7 @@ fn jobs(n: u64, offset: u64) -> Vec<Job> {
         .collect()
 }
 
-fn stga_with(history: SharedHistory, seed: u64) -> Stga {
+fn stga_with(history: HistoryTable, seed: u64) -> Stga {
     Stga::with_history(
         StgaParams {
             ga: GaParams::default()
@@ -61,16 +63,16 @@ fn stga_with(history: SharedHistory, seed: u64) -> Stga {
 /// Spawns a 2-shard STGA daemon over `state_prefix`: the daemon reads
 /// `<prefix>.shard<k>.json` into the factory's `history_sources` at boot
 /// and writes each shard's snapshot back when the shard stops. Returns
-/// the daemon and the live history handles the factory opened, in shard
+/// the daemon and a clone of each table the factory opened, in shard
 /// order.
-fn spawn(state_prefix: &Path) -> (Daemon, [SharedHistory; 2]) {
+fn spawn(state_prefix: &Path) -> (Daemon, [HistoryTable; 2]) {
     let (daemon, opened) = try_spawn(state_prefix).unwrap();
     (daemon, [opened.recv().unwrap(), opened.recv().unwrap()])
 }
 
-/// [`spawn`]'s boot, returning its error; the receiver yields each
-/// history handle the factory opened.
-fn try_spawn(state_prefix: &Path) -> std::io::Result<(Daemon, Receiver<SharedHistory>)> {
+/// [`spawn`]'s boot, returning its error; the receiver yields a clone of
+/// each table the factory opened.
+fn try_spawn(state_prefix: &Path) -> std::io::Result<(Daemon, Receiver<HistoryTable>)> {
     let grid = grid();
     let config = SimConfig::default()
         .with_interval(Time::new(10.0))
@@ -79,15 +81,10 @@ fn try_spawn(state_prefix: &Path) -> std::io::Result<(Daemon, Receiver<SharedHis
     let (opened_tx, opened) = channel();
     let factory: SessionFactory = Box::new(move |ctx| {
         let history =
-            SharedHistory::from_snapshots(&ctx.history_sources, 64).map_err(|e| e.to_string())?;
+            HistoryTable::from_snapshots(&ctx.history_sources, 64).map_err(|e| e.to_string())?;
         opened_tx.send(history.clone()).expect("test is listening");
-        let scheduler = Box::new(stga_with(history.clone(), 5));
-        let session = OnlineSession::restore(ctx.subgrid, scheduler, &config, ctx.seed)
-            .map_err(|e| e.to_string())?;
-        Ok(ShardSpec {
-            session,
-            history: Some(Box::new(move || history.to_json())),
-        })
+        let scheduler = Box::new(stga_with(history, 5));
+        OnlineSession::restore(ctx.subgrid, scheduler, &config, ctx.seed).map_err(|e| e.to_string())
     });
     let options = DaemonOptions {
         state_prefix: Some(state_prefix.to_path_buf()),
@@ -141,26 +138,26 @@ fn history_tables_survive_a_kill_restart_resume_cycle() {
 
     // ---- First life: nothing to read, learn, then die (shutdown saves
     // at the barrier).
-    let (daemon, handles) = spawn(&prefix);
-    assert!(handles.iter().all(SharedHistory::is_empty));
+    let (daemon, opened) = spawn(&prefix);
+    assert!(opened.iter().all(HistoryTable::is_empty));
     serve_batch(&daemon, &jobs(12, 0));
     daemon.join();
-    let first_len = [handles[0].len(), handles[1].len()];
-    assert!(
-        first_len[0] > 0 && first_len[1] > 0,
-        "every shard's STGA must have recorded rounds: {first_len:?}"
-    );
 
-    // ---- The state files exist and are exact snapshots.
-    for (k, &expected_len) in first_len.iter().enumerate() {
+    // ---- The state files exist, are exact snapshots, and hold what
+    // every shard learned.
+    let mut first = Vec::new();
+    for k in 0..2 {
         let path = shard_state_path(&prefix, k);
         let name = path.to_string_lossy();
         assert!(name.ends_with(&format!(".run.v2.shard{k}.json")), "{name}");
         let text = std::fs::read_to_string(&path)
             .unwrap_or_else(|e| panic!("state file {} missing: {e}", path.display()));
-        assert_eq!(text, handles[k].to_json(), "shard {k} snapshot");
-        let table = SharedHistory::from_json(&text).expect("state file parses");
-        assert_eq!(table.len(), expected_len, "shard {k} snapshot length");
+        let mut table = HistoryTable::from_json(&text).expect("state file parses");
+        assert_eq!(table.to_json(), text, "shard {k} snapshot");
+        assert!(
+            !table.is_empty(),
+            "shard {k}'s STGA must have recorded rounds"
+        );
         // Lookups survive: a permissive query returns the learned seeds.
         let probe = BatchSignature {
             ready_times: Vec::new(),
@@ -171,28 +168,28 @@ fn history_tables_survive_a_kill_restart_resume_cycle() {
             !table.lookup(&probe, 0.0, 8).is_empty(),
             "shard {k}: restored table must serve lookups"
         );
+        first.push((text, table.len()));
     }
 
     // ---- Second life: the daemon boots from the files, serves more
     // traffic.
-    let (daemon, handles2) = spawn(&prefix);
+    let (daemon, opened2) = spawn(&prefix);
     for k in 0..2 {
         // Booted from the state file, entry for entry.
-        assert_eq!(handles2[k].to_json(), handles[k].to_json(), "shard {k}");
+        assert_eq!(opened2[k].to_json(), first[k].0, "shard {k}");
     }
     serve_batch(&daemon, &jobs(12, 1_000));
     daemon.join();
-    for k in 0..2 {
-        assert!(
-            handles2[k].len() > first_len[k],
-            "shard {k}: the restored table must keep growing (was {}, now {})",
-            first_len[k],
-            handles2[k].len()
-        );
-        // The re-saved state file reflects the second life.
+    for (k, (_, first_len)) in first.iter().enumerate() {
+        // The re-saved state file reflects the second life: the restored
+        // table kept growing.
         let text = std::fs::read_to_string(shard_state_path(&prefix, k)).unwrap();
-        let table = SharedHistory::from_json(&text).unwrap();
-        assert_eq!(table.len(), handles2[k].len());
+        let table = HistoryTable::from_json(&text).unwrap();
+        assert!(
+            table.len() > *first_len,
+            "shard {k}: the restored table must keep growing (was {first_len}, now {})",
+            table.len()
+        );
         let _ = std::fs::remove_file(shard_state_path(&prefix, k));
     }
 }
@@ -203,7 +200,7 @@ fn a_state_file_holding_more_entries_than_its_capacity_fails_the_boot() {
     // for the daemon's life, and every lookup would score all of it.
     let pid = std::process::id();
     let prefix = std::env::temp_dir().join(format!("gridsec_state_overfull_{pid}"));
-    let history = SharedHistory::new(3);
+    let mut history = HistoryTable::new(3);
     for i in 0..3 {
         let signature = BatchSignature {
             ready_times: vec![f64::from(i)],

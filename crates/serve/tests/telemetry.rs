@@ -4,13 +4,13 @@
 //! reshard state-file GC, and the automatic flight-recorder dump on a
 //! rejected reshard.
 
-use gridsec_core::{Grid, Job, Site, Time};
+use gridsec_core::{BatchSchedule, Grid, Job, Site, Time};
 use gridsec_serve::{
     shard_state_path, stateless_factory, Client, Daemon, DaemonOptions, QueryWhat, Request,
     Response, SessionFactory,
 };
 use gridsec_sim::scheduler::EarliestCompletion;
-use gridsec_sim::{BatchPolicy, ShardPlan, SimConfig};
+use gridsec_sim::{BatchJob, BatchPolicy, BatchScheduler, GridView, ShardPlan, SimConfig};
 use std::path::PathBuf;
 
 fn grid(n_sites: usize) -> Grid {
@@ -267,15 +267,21 @@ fn trace_dump_returns_router_and_round_events() {
 fn shrinking_reshard_gcs_retired_state_files() {
     let dir = tmp_dir("gc");
     let prefix = dir.join("state");
-    // MCT shards that nevertheless carry a history snapshot: with a
-    // state prefix, that is what makes a stopping shard write its file.
-    let mut mct = mct_factory();
-    let factory: SessionFactory = Box::new(move |ctx| {
-        let k = ctx.shard;
-        let mut spec = mct(ctx)?;
-        spec.history = Some(Box::new(move || format!("{{\"shard\":{k}}}")));
-        Ok(spec)
-    });
+    // MCT shards that nevertheless have a snapshot: with a state
+    // prefix, that is what makes a stopping shard write its file.
+    struct Remembers(usize);
+    impl BatchScheduler for Remembers {
+        fn name(&self) -> String {
+            EarliestCompletion.name()
+        }
+        fn schedule(&mut self, batch: &[BatchJob], view: &GridView<'_>) -> BatchSchedule {
+            EarliestCompletion.schedule(batch, view)
+        }
+        fn snapshot(&self) -> Option<String> {
+            Some(format!("{{\"shard\":{}}}", self.0))
+        }
+    }
+    let factory = stateless_factory(config(), |ctx| Ok(Box::new(Remembers(ctx.shard))));
     let daemon = spawn(
         4,
         4,

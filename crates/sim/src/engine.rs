@@ -103,10 +103,7 @@ impl<'a, S: BatchScheduler + ?Sized> Simulator<'a, S> {
         if let Some(d) = &config.sl_dynamics {
             events.push(d.period, EventKind::SlWalk);
         }
-        let metrics = MetricsCollector::new(
-            grid.sites().map(|s| s.nodes).collect(),
-            grid.sites().map(|s| s.speed).collect(),
-        );
+        let metrics = MetricsCollector::new(grid.sites().map(|s| s.nodes).collect());
         Ok(Simulator {
             rounds: RoundDriver::new(
                 grid.clone(),

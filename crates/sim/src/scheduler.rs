@@ -39,17 +39,6 @@ pub struct GridView<'a> {
 }
 
 impl<'a> GridView<'a> {
-    /// Estimated completion time of `job` on `site` given current
-    /// availability (`None` if the job does not fit).
-    pub fn completion_time(&self, job: &Job, site: SiteId) -> Option<Time> {
-        let s = self.grid.get(site)?;
-        if !s.fits_width(job.width) {
-            return None;
-        }
-        let start = self.avail[site.0].earliest_start(job.width, self.now.max(job.arrival))?;
-        Some(start + job.exec_time(s.speed))
-    }
-
     /// A mutable clone of the availability vector for tentative commits.
     pub fn avail_clone(&self) -> Vec<NodeAvailability> {
         self.avail.to_vec()
@@ -80,6 +69,16 @@ pub trait BatchScheduler {
     /// The default is a no-op: stateless heuristics re-derive everything
     /// from the `GridView` each round.
     fn on_reconfigure(&mut self) {}
+
+    /// What the scheduler has learned that should outlive it, as text
+    /// it can be rebuilt from (the STGA's history table as JSON) — what
+    /// the serving daemon hands a reshard's successor shards and writes
+    /// to a shard's state file when the shard stops.
+    ///
+    /// The default is `None`: stateless heuristics carry nothing.
+    fn snapshot(&self) -> Option<String> {
+        None
+    }
 }
 
 /// A trivially simple scheduler: each job (in batch order) goes to the site
@@ -241,29 +240,5 @@ mod tests {
         let batch = vec![bj(0, 10.0, 0.5, false), bj(1, 10.0, 0.5, false)];
         let s = EarliestCompletion.schedule(&batch, &view);
         assert_eq!(s.len(), 2);
-    }
-
-    #[test]
-    fn view_completion_time() {
-        let grid = grid2();
-        let mut a = vec![
-            NodeAvailability::new(1, Time::ZERO),
-            NodeAvailability::new(1, Time::ZERO),
-        ];
-        a[1].commit(1, Time::new(50.0));
-        let view = GridView {
-            grid: &grid,
-            avail: &a,
-            now: Time::new(10.0),
-            model: SecurityModel::default(),
-        };
-        let job = Job::builder(0).work(100.0).build().unwrap();
-        // Site 0: start max(10, 0)=10 (free) → 110.
-        assert_eq!(
-            view.completion_time(&job, SiteId(0)),
-            Some(Time::new(110.0))
-        );
-        // Site 1: busy until 50, speed 4 → 75.
-        assert_eq!(view.completion_time(&job, SiteId(1)), Some(Time::new(75.0)));
     }
 }

@@ -20,8 +20,8 @@
 use gridsec_core::{Error, Grid, Job, Result, SiteId};
 
 /// How a job maps onto shards when no explicit shard is given (routing
-/// derived from the job's eligible sites — the sites it fits on by
-/// width).
+/// derived from the job's eligible sites — the online sites it fits on
+/// by width).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Routing {
     /// Every eligible site lies in this one shard: route there.
@@ -29,6 +29,8 @@ pub enum Routing {
     /// Eligible sites span several shards (listed in ascending order) —
     /// the caller must pick one explicitly.
     Spanning(Vec<usize>),
+    /// The job fits only offline sites (listed in ascending order).
+    Offline(Vec<SiteId>),
     /// No site fits the job at all.
     NoFit,
 }
@@ -207,14 +209,34 @@ impl ShardPlan {
         out
     }
 
-    /// Derived routing: where the job goes when the submitter names no
-    /// shard. Unambiguous only when every eligible site sits in one shard.
+    /// Derived routing with every site online: [`ShardPlan::route_online`]
+    /// with nothing offline.
     pub fn route(&self, grid: &Grid, job: &Job) -> Routing {
-        let eligible = self.eligible_shards(grid, job);
-        match eligible.len() {
-            0 => Routing::NoFit,
-            1 => Routing::Unique(eligible[0]),
-            _ => Routing::Spanning(eligible),
+        self.route_online(grid, &[], job)
+    }
+
+    /// Derived routing: where the job goes when the submitter names no
+    /// shard. Sites the job fits on (by width) whose `offline` entry is
+    /// `true` are left out (a site past the end of `offline` is online).
+    /// Unambiguous only when every remaining site sits in one shard; the
+    /// [`Routing::Unique`] answer allocates nothing, and each shard is
+    /// scanned only up to its first usable site.
+    pub fn route_online(&self, grid: &Grid, offline: &[bool], job: &Job) -> Routing {
+        let usable = |s: &SiteId| {
+            grid.site(*s).fits_width(job.width) && !offline.get(s.0).copied().unwrap_or(false)
+        };
+        let mut shards = (0..self.n_shards()).filter(|&k| self.shards[k].iter().any(usable));
+        match (shards.next(), shards.next()) {
+            (Some(k), None) => Routing::Unique(k),
+            (Some(a), Some(b)) => Routing::Spanning([a, b].into_iter().chain(shards).collect()),
+            (None, _) => {
+                let fitting = grid.sites().filter(|s| s.fits_width(job.width));
+                let sites: Vec<SiteId> = fitting.map(|s| s.id).collect();
+                match sites.is_empty() {
+                    true => Routing::NoFit,
+                    false => Routing::Offline(sites),
+                }
+            }
         }
     }
 }
@@ -352,5 +374,39 @@ mod tests {
         assert_eq!(plan.route(&g, &huge), Routing::NoFit);
         assert_eq!(plan.eligible_shards(&g, &narrow), vec![0, 1]);
         assert_eq!(plan.eligible_shards(&g, &huge), Vec::<usize>::new());
+    }
+
+    #[test]
+    fn routing_leaves_offline_sites_out() {
+        let g = grid(&[2, 2, 8]);
+        let plan =
+            ShardPlan::from_shards(&g, vec![vec![SiteId(2), SiteId(0)], vec![SiteId(1)]]).unwrap();
+        let narrow = Job::builder(0).width(1).build().unwrap();
+        let wide = Job::builder(1).width(4).build().unwrap();
+        let none = [false; 3];
+        assert_eq!(
+            plan.route_online(&g, &none, &narrow),
+            Routing::Spanning(vec![0, 1])
+        );
+        // Site 1 (all of shard 1) offline: the narrow job has one shard left.
+        let one = [false, true, false];
+        assert_eq!(plan.route_online(&g, &one, &narrow), Routing::Unique(0));
+        // Site 2 offline: the wide job fits only there.
+        let two = [false, false, true];
+        assert_eq!(
+            plan.route_online(&g, &two, &wide),
+            Routing::Offline(vec![SiteId(2)])
+        );
+        assert_eq!(
+            plan.route_online(&g, &two, &narrow),
+            Routing::Spanning(vec![0, 1])
+        );
+        let all = [true; 3];
+        assert_eq!(
+            plan.route_online(&g, &all, &narrow),
+            Routing::Offline(vec![SiteId(0), SiteId(1), SiteId(2)])
+        );
+        let huge = Job::builder(2).width(64).build().unwrap();
+        assert_eq!(plan.route_online(&g, &all, &huge), Routing::NoFit);
     }
 }

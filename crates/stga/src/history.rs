@@ -11,7 +11,7 @@
 use crate::chromosome::Chromosome;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::Arc;
 
 /// Eq. 2 as printed: `1 − Σ|aᵢ−bᵢ| / max{max aᵢ, max bᵢ}`, clamped to
 /// `[0, 1]`.
@@ -485,7 +485,7 @@ impl HistoryTable {
     ///
     /// # Panics
     /// Panics if `capacity` is 0.
-    pub fn merge(sources: &[HistoryTable], capacity: usize) -> HistoryTable {
+    fn merge(sources: &[HistoryTable], capacity: usize) -> HistoryTable {
         let mut tagged: Vec<(u64, usize, usize)> = sources
             .iter()
             .enumerate()
@@ -532,6 +532,37 @@ impl HistoryTable {
             table.insert(e.to_signature(), e.chromosome.clone());
         }
         table
+    }
+
+    /// Opens the table a scheduler starts from, given the
+    /// [`HistoryTable::to_json`] snapshots it inherits: none — a fresh
+    /// table of `capacity`; one — that table exactly as saved (a restart
+    /// or a shard split resumes entry for entry); several — their merge,
+    /// at the largest source capacity, so a table split into full copies
+    /// and re-merged keeps its original bound. One snapshot is not merged
+    /// with nothing: a merge re-orders entries by recency (entry order
+    /// breaks lookup ties) and collapses exact duplicates. Errors on a
+    /// zero `capacity` with no source, or on any undecodable snapshot.
+    pub fn from_snapshots(
+        sources: &[String],
+        capacity: usize,
+    ) -> gridsec_core::Result<HistoryTable> {
+        match sources {
+            [] if capacity == 0 => Err(gridsec_core::Error::invalid(
+                "history",
+                "history table capacity must be ≥ 1",
+            )),
+            [] => Ok(HistoryTable::new(capacity)),
+            [one] => HistoryTable::from_json(one),
+            many => {
+                let tables = many
+                    .iter()
+                    .map(|s| HistoryTable::from_json(s))
+                    .collect::<gridsec_core::Result<Vec<_>>>()?;
+                let capacity = tables.iter().map(|t| t.capacity).max().expect("several");
+                Ok(HistoryTable::merge(&tables, capacity))
+            }
+        }
     }
 
     /// Restores a table saved with [`HistoryTable::to_json`], rebuilding
@@ -584,111 +615,6 @@ impl HistoryTable {
             });
         }
         Ok(table)
-    }
-}
-
-/// A thread-safe, shareable history table: several schedulers (e.g. in
-/// parallel parameter sweeps that share training) can read and update the
-/// same table.
-#[derive(Debug, Clone)]
-pub struct SharedHistory(Arc<Mutex<HistoryTable>>);
-
-impl SharedHistory {
-    /// The table under its lock. The lock is held only inside one table
-    /// method, so poison means such a method hit a bug; it is ignored, as
-    /// the non-poisoning lock this type used before did.
-    fn table(&self) -> MutexGuard<'_, HistoryTable> {
-        self.0.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Wraps a fresh table of the given capacity.
-    pub fn new(capacity: usize) -> SharedHistory {
-        SharedHistory(Arc::new(Mutex::new(HistoryTable::new(capacity))))
-    }
-
-    /// Inserts an entry.
-    pub fn insert(&self, signature: BatchSignature, chromosome: Chromosome) {
-        self.table().insert(signature, chromosome);
-    }
-
-    /// Looks up seeds (see [`HistoryTable::lookup`]).
-    pub fn lookup(&self, query: &BatchSignature, threshold: f64, limit: usize) -> Vec<Chromosome> {
-        self.table().lookup(query, threshold, limit)
-    }
-
-    /// Entry count.
-    pub fn len(&self) -> usize {
-        self.table().len()
-    }
-
-    /// Whether the table is empty.
-    pub fn is_empty(&self) -> bool {
-        self.table().is_empty()
-    }
-
-    /// Serialises the table under the lock (see
-    /// [`HistoryTable::to_json`]) — the serving daemon's per-shard state
-    /// snapshot, taken at drain/shutdown barriers.
-    pub fn to_json(&self) -> String {
-        self.table().to_json()
-    }
-
-    /// Restores a shared table from a [`HistoryTable::to_json`] snapshot
-    /// — a daemon restart resumes with the learned history intact.
-    pub fn from_json(text: &str) -> gridsec_core::Result<SharedHistory> {
-        Ok(SharedHistory(Arc::new(Mutex::new(
-            HistoryTable::from_json(text)?,
-        ))))
-    }
-
-    /// Best similarity of any stored entry to `query` (None when empty) —
-    /// lets restart tests assert that lookups survive persistence.
-    pub fn best_similarity(&self, query: &BatchSignature) -> Option<f64> {
-        self.table().best_similarity(query)
-    }
-
-    /// Opens the table a serving shard starts from, given the snapshots it
-    /// inherits: none — a fresh table of `capacity`; one — that table
-    /// exactly as saved ([`SharedHistory::from_json`]: a restart or a
-    /// shard split resumes entry for entry); several — their
-    /// [`SharedHistory::merge_json`]. One snapshot is not merged with
-    /// nothing: a merge re-orders entries by recency (entry order breaks
-    /// lookup ties) and collapses exact duplicates.
-    pub fn from_snapshots(
-        sources: &[String],
-        capacity: usize,
-    ) -> gridsec_core::Result<SharedHistory> {
-        match sources {
-            [] if capacity == 0 => Err(gridsec_core::Error::invalid(
-                "history",
-                "history table capacity must be ≥ 1",
-            )),
-            [] => Ok(SharedHistory::new(capacity)),
-            [one] => SharedHistory::from_json(one),
-            many => SharedHistory::merge_json(many),
-        }
-    }
-
-    /// Merges several [`HistoryTable::to_json`] snapshots into one shared
-    /// table (see [`HistoryTable::merge`]). The merged capacity is the
-    /// largest source capacity, so a table split into full copies and
-    /// re-merged keeps its original bound. Errors on empty input or any
-    /// undecodable snapshot.
-    pub fn merge_json(sources: &[String]) -> gridsec_core::Result<SharedHistory> {
-        if sources.is_empty() {
-            return Err(gridsec_core::Error::invalid(
-                "history",
-                "merge needs at least one snapshot",
-            ));
-        }
-        let tables = sources
-            .iter()
-            .map(|s| HistoryTable::from_json(s))
-            .collect::<gridsec_core::Result<Vec<_>>>()?;
-        let capacity = tables.iter().map(|t| t.capacity).max().expect("non-empty");
-        Ok(SharedHistory(Arc::new(Mutex::new(HistoryTable::merge(
-            &tables, capacity,
-        )))))
     }
 }
 
@@ -811,24 +737,14 @@ mod tests {
     }
 
     #[test]
-    fn shared_history_is_usable_across_clones() {
-        let h = SharedHistory::new(4);
-        let s1 = sig(&[1.0], &[1.0], &[0.6]);
-        let h2 = h.clone();
-        h.insert(s1.clone(), Chromosome::from_genes(vec![0]));
-        assert_eq!(h2.len(), 1);
-        assert_eq!(h2.lookup(&s1, 0.9, 3).len(), 1);
-    }
-
-    #[test]
     fn shared_history_json_roundtrip_preserves_lookups() {
-        let h = SharedHistory::new(4);
+        let mut h = HistoryTable::new(4);
         let s1 = sig(&[1.0], &[1.0], &[0.6]);
         let s2 = sig(&[9.0], &[5.0], &[0.8]);
         h.insert(s1.clone(), Chromosome::from_genes(vec![0]));
         h.insert(s2.clone(), Chromosome::from_genes(vec![1]));
         let json = h.to_json();
-        let back = SharedHistory::from_json(&json).unwrap();
+        let mut back = HistoryTable::from_json(&json).unwrap();
         assert_eq!(back.len(), 2);
         assert_eq!(
             back.lookup(&s1, 0.99, 1),
@@ -839,7 +755,7 @@ mod tests {
         // leak into the restored table.
         h.insert(sig(&[2.0], &[2.0], &[0.5]), Chromosome::from_genes(vec![2]));
         assert_eq!(back.len(), 2);
-        assert!(SharedHistory::from_json("{").is_err());
+        assert!(HistoryTable::from_json("{").is_err());
     }
 
     #[test]
@@ -909,18 +825,19 @@ mod tests {
 
     #[test]
     fn merge_json_takes_max_capacity_and_rejects_garbage() {
-        let a = SharedHistory::new(3);
-        let b = SharedHistory::new(8);
+        let mut a = HistoryTable::new(3);
+        let b = HistoryTable::new(8);
         let s1 = sig(&[1.0], &[1.0], &[0.6]);
         a.insert(s1.clone(), Chromosome::from_genes(vec![0]));
-        let merged = SharedHistory::merge_json(&[a.to_json(), b.to_json()]).unwrap();
+        let mut merged = HistoryTable::from_snapshots(&[a.to_json(), b.to_json()], 1).unwrap();
         assert_eq!(merged.len(), 1);
+        assert_eq!(merged.capacity(), 8);
         assert_eq!(merged.lookup(&s1, 0.99, 1).len(), 1);
-        assert!(SharedHistory::merge_json(&[]).is_err());
-        assert!(SharedHistory::merge_json(&["{".to_string()]).is_err());
+        let garbage = [a.to_json(), "{".to_string()];
+        assert!(HistoryTable::from_snapshots(&garbage, 8).is_err());
     }
 
-    /// Why [`SharedHistory::from_snapshots`] restores one snapshot with
+    /// Why [`HistoryTable::from_snapshots`] restores one snapshot with
     /// `from_json`: merging a table with nothing re-orders its entries by
     /// recency (entry order breaks lookup ties) and collapses exact
     /// duplicates.
@@ -931,30 +848,32 @@ mod tests {
             Chromosome::from_genes(vec![0]),
             Chromosome::from_genes(vec![1]),
         );
-        let live = SharedHistory::new(8);
+        let mut live = HistoryTable::new(8);
         live.insert(s.clone(), a.clone());
         live.insert(s.clone(), b.clone());
         // Both entries tie on every query; entry order puts `a` first,
         // and serving it makes it the more recently used of the two.
         assert_eq!(live.lookup(&s, 0.5, 1), vec![a.clone()]);
         let saved = [live.to_json()];
+        let merge_one =
+            |json: &str| HistoryTable::merge(&[HistoryTable::from_json(json).unwrap()], 8);
 
-        let restored = SharedHistory::from_snapshots(&saved, 8).unwrap();
+        let mut restored = HistoryTable::from_snapshots(&saved, 8).unwrap();
         assert_eq!(restored.to_json(), saved[0]);
         assert_eq!(restored.lookup(&s, 0.5, 1), vec![a.clone()]);
-        let merged = SharedHistory::merge_json(&saved).unwrap();
+        let mut merged = merge_one(&saved[0]);
         assert_ne!(merged.to_json(), saved[0]);
         assert_eq!(merged.lookup(&s, 0.5, 1), vec![b], "recency order");
 
         // An exact duplicate survives a restore and not a merge.
         live.insert(s.clone(), a);
         let saved = live.to_json();
-        assert_eq!(SharedHistory::from_json(&saved).unwrap().len(), 3);
-        assert_eq!(SharedHistory::merge_json(&[saved]).unwrap().len(), 2);
+        assert_eq!(HistoryTable::from_json(&saved).unwrap().len(), 3);
+        assert_eq!(merge_one(&saved).len(), 2);
 
         // No snapshot: a fresh table of the asked-for capacity.
-        assert!(SharedHistory::from_snapshots(&[], 8).unwrap().is_empty());
-        assert!(SharedHistory::from_snapshots(&[], 0).is_err());
+        assert!(HistoryTable::from_snapshots(&[], 8).unwrap().is_empty());
+        assert!(HistoryTable::from_snapshots(&[], 0).is_err());
     }
 
     #[test]
@@ -1095,7 +1014,7 @@ mod tests {
             err.contains("history snapshot holds 3 entries, more than its capacity 2"),
             "{err}"
         );
-        assert!(SharedHistory::from_snapshots(&[over], 2).is_err());
+        assert!(HistoryTable::from_snapshots(&[over], 2).is_err());
     }
 
     /// Vector parts drawn from a small pool: ties, zeros of both signs,

@@ -44,7 +44,7 @@ pub mod stga;
 pub use chromosome::Chromosome;
 pub use conventional::StandardGa;
 pub use ga::{evolve, evolve_with_pool, GaPool, GaResult};
-pub use history::{BatchSignature, HistoryTable, SharedHistory};
+pub use history::{BatchSignature, HistoryTable};
 pub use kernel::{FitnessKernel, KernelScratch};
 pub use params::{GaParams, StgaParams};
 pub use stga::Stga;

@@ -3,7 +3,7 @@
 use crate::chromosome::{gene, Chromosome};
 use crate::fitness::{FitnessKind, RiskCache};
 use crate::ga::{evolve_with_pool, GaPool, GaResult};
-use crate::history::{BatchSignature, SharedHistory};
+use crate::history::{BatchSignature, HistoryTable};
 use crate::params::StgaParams;
 use gridsec_core::etc::NodeAvailability;
 use gridsec_core::rng::{stream, Stream};
@@ -31,7 +31,7 @@ use rand_chacha::ChaCha8Rng;
 /// candidates); previously-failed jobs are pinned to safe sites.
 pub struct Stga {
     params: StgaParams,
-    history: SharedHistory,
+    history: HistoryTable,
     rng: ChaCha8Rng,
     fitness: FitnessKind,
     last_result: Option<GaResult>,
@@ -50,14 +50,14 @@ impl Stga {
     pub fn new(params: StgaParams) -> Result<Stga> {
         // Before the table is sized by it (a zero capacity panics there).
         params.validate()?;
-        let history = SharedHistory::new(params.table_capacity);
+        let history = HistoryTable::new(params.table_capacity);
         Self::with_history(params, history)
     }
 
-    /// Creates an STGA sharing an existing (possibly pre-trained) table.
-    /// Refuses invalid parameters, as [`Stga::new`] does: a population of
-    /// one would otherwise panic the first round.
-    pub fn with_history(params: StgaParams, history: SharedHistory) -> Result<Stga> {
+    /// Creates an STGA that owns an existing (possibly pre-trained or
+    /// restored) table. Refuses invalid parameters, as [`Stga::new`]
+    /// does: a population of one would otherwise panic the first round.
+    pub fn with_history(params: StgaParams, history: HistoryTable) -> Result<Stga> {
         params.validate()?;
         let rng = stream(params.ga.seed, Stream::Genetic);
         Ok(Stga {
@@ -77,8 +77,8 @@ impl Stga {
         self
     }
 
-    /// The shared history table handle.
-    pub fn history(&self) -> &SharedHistory {
+    /// The history table.
+    pub fn history(&self) -> &HistoryTable {
         &self.history
     }
 
@@ -182,6 +182,10 @@ impl BatchScheduler for Stga {
         // the start of every round, so the risk table is the only state
         // that could go stale.
         self.risk_cache.invalidate();
+    }
+
+    fn snapshot(&self) -> Option<String> {
+        Some(self.history.to_json())
     }
 
     fn schedule(&mut self, batch: &[BatchJob], view: &GridView<'_>) -> BatchSchedule {
@@ -441,7 +445,7 @@ mod tests {
     fn a_shared_history_does_not_bypass_validation() {
         let mut p = params_small();
         p.ga.population = 1;
-        let history = SharedHistory::new(p.table_capacity);
+        let history = HistoryTable::new(p.table_capacity);
         assert!(Stga::with_history(p, history.clone()).is_err());
         assert!(Stga::with_history(params_small(), history).is_ok());
     }

@@ -8,10 +8,9 @@
 use gridsec::prelude::*;
 use gridsec::serve::{
     Client, Daemon, DaemonOptions, OnlineSession, QueryWhat, Request, Response, SessionFactory,
-    ShardSpec,
 };
 use gridsec::sim::ShardPlan;
-use gridsec::stga::SharedHistory;
+use gridsec::stga::HistoryTable;
 
 fn main() {
     // 1. A grid, and the batching rules: under Hybrid(8) a round fires as
@@ -50,7 +49,8 @@ fn main() {
     //    whose history table and GA pool stay alive across rounds. What it
     //    learned follows the shard — `history_sources` are the snapshots
     //    it inherits (a state file at boot, the old shards' tables at a
-    //    reshard), `history` is how the daemon takes the next one.
+    //    reshard), and the daemon takes the next one from the scheduler
+    //    itself (`BatchScheduler::snapshot`).
     let params = StgaParams {
         ga: GaParams::default()
             .with_population(40)
@@ -59,15 +59,11 @@ fn main() {
         ..StgaParams::default()
     };
     let factory: SessionFactory = Box::new(move |ctx| {
-        let history = SharedHistory::from_snapshots(&ctx.history_sources, params.table_capacity)
+        let history = HistoryTable::from_snapshots(&ctx.history_sources, params.table_capacity)
             .map_err(|e| e.to_string())?;
-        let stga = Stga::with_history(params, history.clone()).map_err(|e| e.to_string())?;
-        let session = OnlineSession::restore(ctx.subgrid, Box::new(stga), &config, ctx.seed)
-            .map_err(|e| e.to_string())?;
-        Ok(ShardSpec {
-            session,
-            history: Some(Box::new(move || history.to_json())),
-        })
+        let stga = Stga::with_history(params, history).map_err(|e| e.to_string())?;
+        OnlineSession::restore(ctx.subgrid, Box::new(stga), &config, ctx.seed)
+            .map_err(|e| e.to_string())
     });
 
     // 3. One shard covering the whole grid, on an ephemeral port.

@@ -467,7 +467,7 @@ proptest! {
             1..12,
         )
     ) {
-        use gridsec::stga::{BatchSignature, Chromosome, SharedHistory};
+        use gridsec::stga::{BatchSignature, Chromosome, HistoryTable};
 
         let sig = |i: usize, rt: &[f64], etc: &[f64]| BatchSignature {
             // Salt the first component so every signature is distinct.
@@ -480,12 +480,12 @@ proptest! {
             demands: vec![0.5; rt.len()],
         };
         // Split: entries alternate between two shard-local tables.
-        let halves = [SharedHistory::new(64), SharedHistory::new(64)];
+        let mut halves = [HistoryTable::new(64), HistoryTable::new(64)];
         for (i, (rt, etc, genes)) in entries.iter().enumerate() {
             halves[i % 2].insert(sig(i, rt, etc), Chromosome::from_genes(genes.clone()));
         }
-        let merged =
-            SharedHistory::merge_json(&[halves[0].to_json(), halves[1].to_json()])
+        let mut merged =
+            HistoryTable::from_snapshots(&[halves[0].to_json(), halves[1].to_json()], 64)
                 .expect("snapshots merge");
         prop_assert_eq!(merged.len(), halves[0].len() + halves[1].len());
         for (i, (rt, etc, genes)) in entries.iter().enumerate() {
@@ -498,7 +498,7 @@ proptest! {
             );
         }
         // The merged snapshot is stable under a JSON round trip.
-        let rejoined = SharedHistory::from_json(&merged.to_json()).expect("round trip");
+        let rejoined = HistoryTable::from_json(&merged.to_json()).expect("round trip");
         prop_assert_eq!(rejoined.to_json(), merged.to_json());
     }
 }
