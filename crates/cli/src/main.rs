@@ -12,8 +12,7 @@
 mod spec;
 
 use gridsec_serve::{
-    AutoscaleConfig, ClockMode, Daemon, DaemonExit, DaemonOptions, OnlineSession, ScenarioRunner,
-    SessionFactory,
+    AutoscaleConfig, ClockMode, Daemon, DaemonExit, DaemonOptions, ScenarioRunner, SessionFactory,
 };
 use gridsec_sim::{simulate, ShardPlan};
 use gridsec_workloads::{swf, NasConfig, PsaConfig};
@@ -184,34 +183,27 @@ fn serve(args: &[String]) -> Result<(), (i32, String)> {
     let plan = ShardPlan::contiguous(&grid, n_shards).map_err(failed)?;
     // The one description of a shard, called for every shard at start-up
     // and again after each `reshard` frame or autoscaler action: the
-    // spec's scheduler over the shard's subgrid. The spec's workload seeds
-    // STGA training (restricted to jobs that fit the shard); serving
-    // traffic comes in over the wire. An STGA history table is opened
-    // from the sources the daemon hands over — the shard's
+    // spec's scheduler over the shard's subgrid. An STGA history table is
+    // opened from the sources the daemon hands over — the shard's
     // `<prefix>.shard<k>.json` at start-up, the contributing old shards'
     // snapshots at a reshard — and the daemon reads the scheduler's own
-    // snapshot back into that file when the shard stops.
+    // snapshot back into that file when the shard stops. Only a shard
+    // that inherits no table trains one, on the spec's jobs that fit the
+    // shard; serving traffic comes in over the wire.
     let name = Arc::new(OnceLock::new()); // the scheduler's display name, for the banner
     let factory: SessionFactory = {
         let sspec = sspec.clone();
-        let sim = spec.sim.clone();
         let name = Arc::clone(&name);
         Box::new(move |ctx| {
-            let shard_jobs: Vec<gridsec_core::Job> = jobs
-                .iter()
-                .filter(|j| ctx.subgrid.sites().any(|s| s.fits_width(j.width)))
-                .cloned()
-                .collect();
             let scheduler = sspec
-                .build_send(&shard_jobs, &ctx.subgrid, &ctx.history_sources)
+                .build(&jobs, &ctx.subgrid, &ctx.history_sources)
                 .map_err(|e| e.to_string())?;
             name.get_or_init(|| scheduler.name());
-            OnlineSession::restore(ctx.subgrid, scheduler, &sim, ctx.seed)
-                .map_err(|e| e.to_string())
+            Ok(scheduler)
         })
     };
     let clock = options.clock;
-    let daemon = Daemon::spawn(grid, plan, factory, &bind, options)
+    let daemon = Daemon::spawn(grid, plan, spec.sim.clone(), factory, &bind, options)
         .map_err(|e| (1, format!("cannot start daemon on {bind}: {e}")))?;
     let name = name.get().expect("a plan has at least one shard");
     let elastic = if autoscale {
@@ -353,7 +345,7 @@ fn cmd_run(args: &[String]) -> i32 {
     );
     let mut outputs = Vec::new();
     for sspec in &spec.schedulers {
-        let mut scheduler = match sspec.build(&jobs, &grid) {
+        let mut scheduler = match sspec.build(&jobs, &grid, &[]) {
             Ok(s) => s,
             Err(e) => {
                 eprintln!("error: {e}");
@@ -425,7 +417,7 @@ fn cmd_chaos(args: &[String]) -> i32 {
             return 1;
         }
     };
-    let scheduler = match spec.scheduler.build_send(&[], &grid, &[]) {
+    let scheduler = match spec.scheduler.build(&[], &grid, &[]) {
         Ok(s) => s,
         Err(e) => {
             eprintln!("error: {e}");

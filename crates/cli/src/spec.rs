@@ -108,12 +108,6 @@ pub enum SchedulerSpec {
 }
 
 impl SchedulerSpec {
-    /// Instantiates the scheduler; `jobs`/`grid` are used for STGA
-    /// training.
-    pub fn build(&self, jobs: &[Job], grid: &Grid) -> Result<Box<dyn BatchScheduler>> {
-        Ok(self.build_send(jobs, grid, &[])?)
-    }
-
     /// Whether this spec builds an STGA (the only scheduler with
     /// persistable state — its history table).
     pub fn is_stga(&self) -> bool {
@@ -140,12 +134,15 @@ impl SchedulerSpec {
         Ok(())
     }
 
-    /// Like [`SchedulerSpec::build`], but `Send` — movable into the
-    /// serving daemon's scheduling thread — and an STGA opens its history
-    /// table from the snapshots it inherits, `history`
-    /// ([`HistoryTable::from_snapshots`]: none is a fresh table). Other
-    /// schedulers ignore `history`.
-    pub fn build_send(
+    /// Instantiates the scheduler over `grid`, `Send` so the serving
+    /// daemon can move it into a scheduling thread. An STGA that inherits
+    /// no history snapshot makes its first table by training on the
+    /// `jobs` that fit `grid` (when `train_batch` is set); one that
+    /// inherits snapshots opens them ([`HistoryTable::from_snapshots`])
+    /// and never trains — a restore or a reshard keeps what the table
+    /// learned, at the capacity it was saved with. Other schedulers
+    /// ignore `jobs` and `history`.
+    pub fn build(
         &self,
         jobs: &[Job],
         grid: &Grid,
@@ -166,8 +163,10 @@ impl SchedulerSpec {
                 params.validate()?;
                 let table = HistoryTable::from_snapshots(history, params.table_capacity)?;
                 let mut stga = Stga::with_history(*params, table)?;
-                if *train_batch > 0 {
-                    stga.train(jobs, grid, *train_batch)?;
+                if history.is_empty() && *train_batch > 0 {
+                    let fits = |j: &&Job| grid.sites().any(|s| s.fits_width(j.width));
+                    let fitting: Vec<Job> = jobs.iter().filter(fits).cloned().collect();
+                    stga.train(&fitting, grid, *train_batch)?;
                 }
                 Box::new(stga)
             }
@@ -368,7 +367,7 @@ mod tests {
         let spec = ExperimentSpec::example();
         let (jobs, grid) = spec.workload.build().unwrap();
         for s in &spec.schedulers {
-            let b = s.build(&jobs[..50], &grid).unwrap();
+            let b = s.build(&jobs[..50], &grid, &[]).unwrap();
             assert!(!b.name().is_empty());
         }
     }

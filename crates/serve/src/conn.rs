@@ -1080,7 +1080,7 @@ pub(crate) mod tests {
     use super::*;
     use crate::daemon::Daemon;
     use crate::protocol::{encode, Request};
-    use crate::reshard::stateless_factory;
+    use crate::reshard::SessionFactory;
     use gridsec_core::Site;
     use gridsec_sim::scheduler::EarliestCompletion;
     use gridsec_sim::SimConfig;
@@ -1294,13 +1294,14 @@ pub(crate) mod tests {
         const FRAMES: usize = 256;
         let grid = one_site();
         let plan = ShardPlan::contiguous(&grid, 1).unwrap();
-        let factory = stateless_factory(SimConfig::default(), |_| Ok(Box::new(EarliestCompletion)));
+        let factory: SessionFactory = Box::new(|_| Ok(Box::new(EarliestCompletion)));
         let options = DaemonOptions {
             io_threads: 1,
             metrics_addr: Some("127.0.0.1:0".into()),
             ..DaemonOptions::default()
         };
-        let daemon = Daemon::spawn(grid, plan, factory, "127.0.0.1:0", options).unwrap();
+        let config = SimConfig::default();
+        let daemon = Daemon::spawn(grid, plan, config, factory, "127.0.0.1:0", options).unwrap();
         let burst: String = (0..FRAMES as u64)
             .map(|id| {
                 encode(&Request::Submit {

@@ -45,14 +45,16 @@
 //! the router's wait on its queue times out when a sample is due.
 //!
 //! **One way to build a shard.** [`Daemon::spawn`] takes the grid, a
-//! [`ShardPlan`] and a [`SessionFactory`], and that factory is the only
-//! description of a shard the daemon ever uses: boot is a reshard from
-//! nothing. At start-up a shard's seed is [`SessionState::fresh`] plus its
-//! state file, if [`DaemonOptions::state_prefix`] names one; at a
-//! `reshard` frame (or an autoscaler decision) the router drains every
-//! shard to a barrier, exports their state and redistributes it with
-//! [`transfer`](crate::transfer). Either way the seeds go through the same `build_shards`
-//! step — factory call, subgrid check — and the same thread spawn.
+//! [`ShardPlan`], a [`SimConfig`] and a [`SessionFactory`], and that
+//! factory is the only description of a shard the daemon ever uses: boot
+//! is a reshard from nothing. At start-up a shard's seed is
+//! [`SessionState::fresh`] plus its state file, if
+//! [`DaemonOptions::state_prefix`] names one; at a `reshard` frame (or an
+//! autoscaler decision) the router drains every shard to a barrier,
+//! exports their state and redistributes it with
+//! [`transfer`](crate::transfer). Either way the seeds go through the
+//! same `build_shards` step — the factory picks the scheduler, the daemon
+//! restores the session — and the same thread spawn.
 //! Submits that arrive during the barrier wait parked on their
 //! connections and are routed under the new plan, so clients pipelined
 //! across the swap observe nothing but in-order responses; counters and
@@ -68,7 +70,7 @@ use crate::session::{OnlineSession, SessionState};
 use crate::shard::{ShardMsg, ShardRuntime, SubmitDrain, SubmitQueue};
 use gridsec_core::Grid;
 use gridsec_obs::Histogram;
-use gridsec_sim::ShardPlan;
+use gridsec_sim::{ShardPlan, SimConfig};
 use std::io;
 use std::net::{SocketAddr, TcpListener};
 use std::path::{Path, PathBuf};
@@ -231,22 +233,26 @@ pub struct Daemon {
 }
 
 impl Daemon {
-    /// Builds every shard of `plan` through `factory`, binds `bind` (e.g.
-    /// `"127.0.0.1:0"` for an ephemeral port) and starts serving `grid` —
-    /// one scheduling thread per shard. Returns once the listener is
-    /// live; use [`Daemon::addr`] to learn the bound address and
-    /// [`Daemon::join`] to wait for a `shutdown` frame.
+    /// Builds every shard of `plan`, binds `bind` (e.g. `"127.0.0.1:0"`
+    /// for an ephemeral port) and starts serving `grid` — one scheduling
+    /// thread per shard. Returns once the listener is live; use
+    /// [`Daemon::addr`] to learn the bound address and [`Daemon::join`]
+    /// to wait for a `shutdown` frame.
     ///
-    /// The factory runs here, before any thread is spawned or socket
-    /// bound: a factory that fails or builds a session over anything but
-    /// [`ShardPlan::subgrid`]`(grid, k)`, or an unreadable state file, is
-    /// an `Err` naming the shard with nothing left running. The daemon
-    /// keeps the factory for every plan it is later resharded to. An
-    /// [`DaemonOptions::autoscale`] that [`AutoscalePolicy::new`] refuses
-    /// is an `InvalidInput` naming the field, before the factory runs.
+    /// `factory` picks each shard's scheduler; the daemon restores the
+    /// shard's [`OnlineSession`] around it over
+    /// [`ShardPlan::subgrid`]`(grid, k)` with `config` (batch policy,
+    /// interval, security model). Both run here, before any thread is
+    /// spawned or socket bound: a factory or restore that fails, or an
+    /// unreadable state file, is an `Err` naming the shard with nothing
+    /// left running. The daemon keeps the factory and `config` for every
+    /// plan it is later resharded to. An [`DaemonOptions::autoscale`]
+    /// that [`AutoscalePolicy::new`] refuses is an `InvalidInput` naming
+    /// the field, before the factory runs.
     pub fn spawn(
         grid: Grid,
         plan: ShardPlan,
+        config: SimConfig,
         mut factory: SessionFactory,
         bind: &str,
         options: DaemonOptions,
@@ -263,7 +269,8 @@ impl Daemon {
         // Boot is a reshard from nothing.
         let prefix = options.state_prefix.as_deref();
         let seeds = boot_seeds(&grid, &plan, prefix)?;
-        let shards = build_shards(&grid, &plan, seeds, &mut factory).map_err(|(k, message)| {
+        let built = build_shards(&grid, &plan, &config, seeds, &mut factory);
+        let shards = built.map_err(|(k, message)| {
             // The factory does not know where its history source came
             // from; a file it choked on is named here.
             let state_file = prefix.map(|p| shard_state_path(p, k));
@@ -322,6 +329,7 @@ impl Daemon {
             shard_handles,
             offline: vec![false; n_sites],
             start,
+            config,
             factory,
             autoscale,
             options,

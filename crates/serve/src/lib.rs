@@ -30,8 +30,10 @@
 //!   to the engine and an N-shard daemon bit-identical to N independent
 //!   single-shard daemons.
 //! * [`Daemon`] — one constructor, [`Daemon::spawn`], over a grid, a
-//!   plan and a [`SessionFactory`]: the factory builds every shard, at
-//!   boot and at each reshard. The TCP front end is a small pool of epoll-driven I/O
+//!   plan, a [`SimConfig`](gridsec_sim::SimConfig) and a
+//!   [`SessionFactory`]: the factory picks every shard's scheduler and
+//!   the daemon restores the session around it, at boot and at each
+//!   reshard. The TCP front end is a small pool of epoll-driven I/O
 //!   threads multiplexing every client socket (C10k-ready — the thread
 //!   count is fixed, not per-connection). Each I/O thread decodes NDJSON
 //!   frames, routes `submit` frames against a shared routing-table
@@ -48,26 +50,28 @@
 //!   new [`ShardPlan`](gridsec_sim::ShardPlan) at a drain barrier.
 //!   Per-shard state — availability, pending queues, in-flight commits,
 //!   duplicate-id sets, STGA history snapshots — is exported, split or
-//!   merged by the pure [`transfer`] function, and restored into sessions
-//!   the factory builds exactly as it built the boot shards; the
+//!   merged by the pure [`transfer`] function, and restored by the daemon
+//!   around schedulers the factory picks exactly as at boot; the
 //!   `reshard_equivalence` suite proves the post-barrier schedule
-//!   bit-identical to a daemon booted directly on the new topology from
-//!   the same state.
+//!   bit-identical to sessions restored directly on the new topology
+//!   from the same state.
 //! * [`Client`] — a minimal lock-step client for tests and examples.
 //!
 //! ```no_run
 //! use gridsec_core::{Grid, Job, Site};
-//! use gridsec_serve::{stateless_factory, Client, Daemon, DaemonOptions, Request, Response};
+//! use gridsec_serve::{Client, Daemon, DaemonOptions, Request, Response, SessionFactory};
 //! use gridsec_sim::scheduler::EarliestCompletion;
 //! use gridsec_sim::{ShardPlan, SimConfig};
 //!
 //! let grid = Grid::new(vec![Site::builder(0).nodes(4).build().unwrap()]).unwrap();
-//! // One shard over the whole grid; the factory is the only description
-//! // of a shard the daemon needs (see `examples/online_service.rs` for
-//! // one that carries an STGA history table).
+//! // One shard over the whole grid; the factory picks a shard's scheduler
+//! // (see `examples/online_service.rs` for one that carries an STGA
+//! // history table) and the daemon restores the session around it.
 //! let plan = ShardPlan::contiguous(&grid, 1).unwrap();
-//! let factory = stateless_factory(SimConfig::default(), |_| Ok(Box::new(EarliestCompletion)));
-//! let daemon = Daemon::spawn(grid, plan, factory, "127.0.0.1:0", DaemonOptions::default()).unwrap();
+//! let factory: SessionFactory = Box::new(|_| Ok(Box::new(EarliestCompletion)));
+//! let config = SimConfig::default();
+//! let options = DaemonOptions::default();
+//! let daemon = Daemon::spawn(grid, plan, config, factory, "127.0.0.1:0", options).unwrap();
 //! let mut client = Client::connect(daemon.addr()).unwrap();
 //! let job = Job::builder(0).work(100.0).build().unwrap();
 //! client.send(&Request::Submit { jobs: vec![job], shard: None, tenant: None }).unwrap();
@@ -105,7 +109,7 @@ pub use protocol::{
 };
 pub use replay::{ScenarioOutcome, ScenarioRunner};
 pub use reshard::{
-    stateless_factory, transfer, AutoscaleConfig, AutoscalePolicy, ReshardTransfer, SessionFactory,
-    ShardBuildContext, ShardObservation, ShardSeed, ShardStateExport,
+    transfer, AutoscaleConfig, AutoscalePolicy, ReshardTransfer, SessionFactory, ShardBuildContext,
+    ShardObservation, ShardSeed, ShardStateExport,
 };
 pub use session::{Admission, OnlineSession, SessionState};

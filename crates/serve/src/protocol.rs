@@ -126,9 +126,7 @@ pub enum Request {
     /// commits, STGA history snapshots) transfers to the new shards and
     /// the router swaps plans atomically. `shards` lists the global site
     /// ids of every new shard — a full site-disjoint partition of the
-    /// grid. Only daemons started with a session factory (the elastic
-    /// mode) accept this; a malformed partition gets a typed
-    /// `reshard_rejected`.
+    /// grid. A malformed partition gets a typed `reshard_rejected`.
     Reshard {
         /// Global site ids per new shard (every grid site exactly once).
         shards: Vec<Vec<usize>>,
@@ -447,8 +445,8 @@ pub enum Response {
         /// Total topology changes this daemon has completed.
         reshards_completed: usize,
     },
-    /// The `reshard` request was refused — malformed partition, no
-    /// session factory, a session failed to rebuild, or the daemon is
+    /// The `reshard` request was refused — malformed partition, a
+    /// session failed to rebuild, or the daemon is
     /// draining for shutdown. The previous topology keeps serving
     /// untouched.
     ReshardRejected {

@@ -20,7 +20,7 @@
 //! `(grid, old plan, exports, new plan)`: the resharding-equivalence
 //! harness replays it outside the daemon and proves that a daemon
 //! resharded mid-stream schedules the post-barrier suffix bit-identically
-//! to a daemon booted directly on the new topology from the same
+//! to sessions restored directly on the new topology from the same
 //! transferred state.
 //!
 //! [`AutoscalePolicy`] drives the same transfer automatically: it watches
@@ -291,16 +291,13 @@ pub fn transfer(
     })
 }
 
-/// Everything a [`SessionFactory`] needs to build one shard of a plan.
+/// What a [`SessionFactory`] is told about the shard it picks a
+/// scheduler for.
 pub struct ShardBuildContext {
     /// The shard's index in the plan.
     pub shard: usize,
     /// The shard's re-indexed subgrid (dense local site ids).
     pub subgrid: Grid,
-    /// The localized session state to restore from:
-    /// [`SessionState::fresh`] at boot, what [`transfer`] produced at a
-    /// reshard.
-    pub seed: SessionState,
     /// History snapshots the shard inherits — at boot its state file, if
     /// there is one; at a reshard those of the old shards it takes sites
     /// from (ascending old-shard order). A history-backed scheduler
@@ -308,63 +305,41 @@ pub struct ShardBuildContext {
     pub history_sources: Vec<String>,
 }
 
-/// The one description of a daemon's shards: called once per shard when
-/// the daemon boots and again for every shard of every plan it is
-/// resharded to. Constructs the scheduler (from `history_sources` when it
-/// keeps history) and an
-/// [`OnlineSession::restore`]d session over exactly `subgrid`, and
-/// returns it. What the scheduler learns leaves the shard through
+/// The one description of a daemon's shards: picks the scheduler of one
+/// shard, once per shard when the daemon boots and again for every shard
+/// of every plan it is resharded to. The daemon restores the session
+/// around it ([`OnlineSession::restore`] over the shard's subgrid, with
+/// the [`SimConfig`] given to [`Daemon::spawn`](crate::Daemon::spawn)).
+/// What the scheduler learns leaves the shard through
 /// [`OnlineSession::snapshot`], which the daemon reads itself.
-pub type SessionFactory = Box<dyn FnMut(ShardBuildContext) -> Result<OnlineSession, String> + Send>;
-
-/// The [`SessionFactory`] of a scheduler that carries nothing from one
-/// topology to the next: `make` builds shard `ctx.shard`'s scheduler, the
-/// session is restored from the seed, `history_sources` is ignored.
-pub fn stateless_factory(
-    config: SimConfig,
-    mut make: impl FnMut(&ShardBuildContext) -> Result<Box<dyn BatchScheduler + Send>, String>
-        + Send
-        + 'static,
-) -> SessionFactory {
-    Box::new(move |ctx| {
-        let scheduler = make(&ctx)?;
-        OnlineSession::restore(ctx.subgrid, scheduler, &config, ctx.seed).map_err(|e| e.to_string())
-    })
-}
+pub type SessionFactory =
+    Box<dyn FnMut(&ShardBuildContext) -> Result<Box<dyn BatchScheduler + Send>, String> + Send>;
 
 /// Builds the shards of `plan` from their seeds — the one place the
-/// factory is called and its result checked, reached from
+/// factory is called and a session restored, reached from
 /// [`Daemon::spawn`](crate::Daemon::spawn) (fresh seeds) and from every
 /// reshard (transferred seeds). Fails with `(k, message)` on the first
-/// shard `k` the factory cannot build or builds over anything but
-/// `plan.subgrid(grid, k)`.
+/// shard `k` that cannot be built.
 pub(crate) fn build_shards(
     grid: &Grid,
     plan: &ShardPlan,
+    config: &SimConfig,
     seeds: Vec<ShardSeed>,
     factory: &mut SessionFactory,
 ) -> Result<Vec<OnlineSession>, (usize, String)> {
     let mut sessions = Vec::with_capacity(seeds.len());
     for seed in seeds {
         let k = seed.shard;
-        let subgrid = plan.subgrid(grid, k).map_err(|e| (k, e.to_string()))?;
-        let session = factory(ShardBuildContext {
+        let fail = |message: String| (k, format!("cannot build shard {k}: {message}"));
+        let subgrid = plan.subgrid(grid, k).map_err(|e| fail(e.to_string()))?;
+        let ctx = ShardBuildContext {
             shard: k,
-            subgrid: subgrid.clone(),
-            seed: seed.state,
+            subgrid,
             history_sources: seed.history_sources,
-        })
-        .map_err(|message| {
-            (
-                k,
-                format!("session factory failed for shard {k}: {message}"),
-            )
-        })?;
-        if *session.grid() != subgrid {
-            let message = format!("session factory built shard {k} over the wrong subgrid");
-            return Err((k, message));
-        }
-        sessions.push(session);
+        };
+        let scheduler = factory(&ctx).map_err(fail)?;
+        let session = OnlineSession::restore(ctx.subgrid, scheduler, config, seed.state);
+        sessions.push(session.map_err(|e| fail(e.to_string()))?);
     }
     Ok(sessions)
 }

@@ -29,7 +29,7 @@ use crate::reshard::{build_shards, transfer, AutoscalePolicy, SessionFactory, Sh
 use crate::shard::{ShardMsg, ShardRuntime, SubmitQueue};
 use gridsec_core::{Grid, JobId, SiteId, Time};
 use gridsec_obs::{Histogram, HistogramSnapshot};
-use gridsec_sim::{Routing, ShardPlan};
+use gridsec_sim::{Routing, ShardPlan, SimConfig};
 use std::io;
 use std::sync::atomic::Ordering;
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
@@ -151,6 +151,8 @@ pub(crate) struct Router {
     pub(crate) offline: Vec<bool>,
     pub(crate) options: DaemonOptions,
     pub(crate) start: Instant,
+    /// The configuration every shard's session is restored with.
+    pub(crate) config: SimConfig,
     pub(crate) factory: SessionFactory,
     pub(crate) autoscale: Option<AutoscalePolicy>,
     /// Counters of shards retired by reshards, with the gauges
@@ -597,7 +599,13 @@ impl Router {
         // factory failure aborts with the daemon fully intact.
         let specs = {
             let _respawn_span = gridsec_obs::span!("reshard_respawn");
-            build_shards(&self.grid, &new_plan, moved.seeds, &mut self.factory)
+            build_shards(
+                &self.grid,
+                &new_plan,
+                &self.config,
+                moved.seeds,
+                &mut self.factory,
+            )
         };
         let specs = match specs {
             Ok(specs) => specs,

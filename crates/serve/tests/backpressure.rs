@@ -12,7 +12,7 @@
 
 use gridsec_core::{Grid, Job, Site, Time};
 use gridsec_serve::{
-    stateless_factory, Client, ClockMode, Daemon, DaemonOptions, QueryWhat, Request, Response,
+    Client, ClockMode, Daemon, DaemonOptions, QueryWhat, Request, Response, SessionFactory,
 };
 use gridsec_sim::scheduler::EarliestCompletion;
 use gridsec_sim::{BatchPolicy, ShardPlan, SimConfig};
@@ -40,8 +40,8 @@ fn grid() -> Grid {
 fn spawn_daemon(config: SimConfig, options: DaemonOptions) -> Daemon {
     let grid = grid();
     let plan = ShardPlan::contiguous(&grid, 1).unwrap();
-    let factory = stateless_factory(config, |_| Ok(Box::new(EarliestCompletion)));
-    Daemon::spawn(grid, plan, factory, "127.0.0.1:0", options).unwrap()
+    let factory: SessionFactory = Box::new(|_| Ok(Box::new(EarliestCompletion)));
+    Daemon::spawn(grid, plan, config, factory, "127.0.0.1:0", options).unwrap()
 }
 
 fn job(id: u64, arrival: f64, work: f64) -> Job {

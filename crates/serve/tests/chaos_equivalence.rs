@@ -28,13 +28,13 @@ use gridsec_core::RiskMode;
 use gridsec_core::{Grid, Job, Site, Time};
 use gridsec_heuristics::MinMin;
 use gridsec_serve::{
-    stateless_factory, Client, ClockMode, Daemon, DaemonOptions, Placed, QueryWhat, Request,
-    Response, ServeMetrics,
+    Client, ClockMode, Daemon, DaemonOptions, Placed, QueryWhat, Request, Response, ServeMetrics,
+    SessionFactory,
 };
 use gridsec_sim::scheduler::EarliestCompletion;
 use gridsec_sim::{
     ArrivalPhase, ArrivalProcess, BatchPolicy, BatchScheduler, FaultSpec, InjectionKind,
-    InjectionStream, Scenario, ShardPlan, SimConfig, TrustSpec,
+    InjectionStream, Routing, Scenario, ShardPlan, SimConfig, TrustSpec,
 };
 use gridsec_stga::{GaParams, Stga, StgaParams};
 
@@ -156,10 +156,17 @@ fn build_scheduler(name: &str) -> Box<dyn BatchScheduler + Send> {
 /// a fresh [`build_scheduler`]`(scheduler)`.
 fn spawn(grid: &Grid, plan: &ShardPlan, scheduler: &str, config: &SimConfig) -> Daemon {
     let scheduler = scheduler.to_string();
-    let factory = stateless_factory(config.clone(), move |_| Ok(build_scheduler(&scheduler)));
+    let factory: SessionFactory = Box::new(move |_| Ok(build_scheduler(&scheduler)));
     let options = DaemonOptions::default();
-    Daemon::spawn(grid.clone(), plan.clone(), factory, "127.0.0.1:0", options)
-        .expect("daemon spawns")
+    Daemon::spawn(
+        grid.clone(),
+        plan.clone(),
+        config.clone(),
+        factory,
+        "127.0.0.1:0",
+        options,
+    )
+    .expect("daemon spawns")
 }
 
 /// Replays the global stream through a daemon frame by frame: arrivals
@@ -187,11 +194,11 @@ fn replay_stream(
     for inj in &stream.events {
         match &inj.kind {
             InjectionKind::Arrive(job) => {
-                let eligible = plan.eligible_shards(grid, job);
-                if eligible.is_empty() {
-                    continue; // the stream slicer drops these too
-                }
-                let shard = eligible[job.id.0 as usize % eligible.len()];
+                let shard = match plan.route(grid, job) {
+                    Routing::Unique(k) => k,
+                    Routing::Spanning(ks) => ks[job.id.0 as usize % ks.len()],
+                    _ => continue, // the stream slicer drops these too
+                };
                 let frame = Request::Submit {
                     jobs: vec![job.clone()],
                     shard: Some(shard),
@@ -379,15 +386,22 @@ fn wall_clock_churn_soak_under_backpressure_loses_nothing() {
     let stream = churn_scenario(grid.len()).compile(&grid).expect("compiles");
     let plan = ShardPlan::contiguous(&grid, 2).unwrap();
     let config = sim_config().with_interval(Time::new(0.05));
-    let factory = stateless_factory(config, |_| Ok(build_scheduler("minmin")));
+    let factory: SessionFactory = Box::new(|_| Ok(build_scheduler("minmin")));
     let options = DaemonOptions {
         clock: ClockMode::WallClock,
         max_pending: Some(8),
         metrics_addr: Some("127.0.0.1:0".into()),
         ..DaemonOptions::default()
     };
-    let daemon = Daemon::spawn(grid.clone(), plan.clone(), factory, "127.0.0.1:0", options)
-        .expect("daemon spawns");
+    let daemon = Daemon::spawn(
+        grid.clone(),
+        plan.clone(),
+        config,
+        factory,
+        "127.0.0.1:0",
+        options,
+    )
+    .expect("daemon spawns");
 
     let scrape = || {
         let addr = daemon.metrics_addr().expect("metrics listener bound");
@@ -902,11 +916,11 @@ fn scenario_replay_spanning_a_reshard_boundary_stays_accounted() {
         };
         match &inj.kind {
             InjectionKind::Arrive(job) => {
-                let eligible = plan.eligible_shards(&grid, job);
-                if eligible.is_empty() {
-                    continue;
-                }
-                let shard = eligible[job.id.0 as usize % eligible.len()];
+                let shard = match plan.route(&grid, job) {
+                    Routing::Unique(k) => k,
+                    Routing::Spanning(ks) => ks[job.id.0 as usize % ks.len()],
+                    _ => continue,
+                };
                 let mut job = job.clone();
                 job.arrival = Time::new(job.arrival.seconds().max(at.seconds()));
                 match client

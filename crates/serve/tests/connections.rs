@@ -13,7 +13,7 @@
 use gridsec_core::{BatchSchedule, Grid, Job, Site, Time};
 use gridsec_serve::protocol::encode;
 use gridsec_serve::{
-    stateless_factory, Client, ClockMode, Daemon, DaemonOptions, QueryWhat, Request, Response,
+    Client, ClockMode, Daemon, DaemonOptions, QueryWhat, Request, Response, SessionFactory,
 };
 use gridsec_sim::scheduler::{BatchJob, BatchScheduler, EarliestCompletion, GridView};
 use gridsec_sim::{BatchPolicy, ShardPlan, SimConfig};
@@ -64,8 +64,8 @@ fn spawn_with<S: BatchScheduler + Send + 'static>(
 ) -> Daemon {
     let grid = grid();
     let plan = ShardPlan::contiguous(&grid, n_shards).unwrap();
-    let factory = stateless_factory(config(), move |_| Ok(Box::new(make())));
-    Daemon::spawn(grid, plan, factory, "127.0.0.1:0", options).unwrap()
+    let factory: SessionFactory = Box::new(move |_| Ok(Box::new(make())));
+    Daemon::spawn(grid, plan, config(), factory, "127.0.0.1:0", options).unwrap()
 }
 
 fn spawn_daemon(options: DaemonOptions) -> Daemon {

@@ -14,9 +14,7 @@
 use gridsec_core::RiskMode;
 use gridsec_core::{Grid, Job, Site, Time};
 use gridsec_heuristics::{MinMin, Sufferage};
-use gridsec_serve::{
-    stateless_factory, Client, Daemon, DaemonOptions, QueryWhat, Request, Response,
-};
+use gridsec_serve::{Client, Daemon, DaemonOptions, QueryWhat, Request, Response, SessionFactory};
 use gridsec_sim::scheduler::EarliestCompletion;
 use gridsec_sim::{simulate, BatchPolicy, BatchScheduler, ShardPlan, SimConfig};
 use gridsec_stga::{GaParams, Stga, StgaParams};
@@ -71,13 +69,13 @@ fn cross_check(
     // One shard, never resharded: the factory hands over the one
     // scheduler it was given.
     let mut serve_sched = Some(serve_sched);
-    let factory = stateless_factory(config.clone(), move |_| {
-        serve_sched.take().ok_or("one scheduler, one shard".into())
-    });
+    let factory: SessionFactory =
+        Box::new(move |_| serve_sched.take().ok_or("one scheduler, one shard".into()));
     let plan = ShardPlan::contiguous(grid, 1).expect("one shard fits any grid");
     let daemon = Daemon::spawn(
         grid.clone(),
         plan,
+        config.clone(),
         factory,
         "127.0.0.1:0",
         DaemonOptions::default(),

@@ -13,7 +13,7 @@
 use gridsec_core::{Grid, Job, RiskMode, Site, Time};
 use gridsec_heuristics::Mct;
 use gridsec_serve::{
-    stateless_factory, Client, ClockMode, Daemon, DaemonOptions, QueryWhat, Request, Response,
+    Client, ClockMode, Daemon, DaemonOptions, QueryWhat, Request, Response, SessionFactory,
 };
 use gridsec_sim::scheduler::EarliestCompletion;
 use gridsec_sim::{BatchPolicy, ShardPlan, SimConfig};
@@ -103,9 +103,9 @@ fn duplicate_ids_are_refused_across_a_split_and_a_merge() {
         .with_interval(Time::new(10.0))
         .with_batch_policy(BatchPolicy::Periodic);
     let plan = ShardPlan::contiguous(&grid, 2).unwrap(); // [0, 1] [2, 3]
-    let factory = stateless_factory(config, |_| Ok(Box::new(EarliestCompletion)));
+    let factory: SessionFactory = Box::new(|_| Ok(Box::new(EarliestCompletion)));
     let options = DaemonOptions::default();
-    let daemon = Daemon::spawn(grid, plan, factory, "127.0.0.1:0", options).unwrap();
+    let daemon = Daemon::spawn(grid, plan, config, factory, "127.0.0.1:0", options).unwrap();
     let mut client = Client::connect(daemon.addr()).unwrap();
     let job = |id: u64, at: f64, work: f64| {
         Job::builder(id)
@@ -178,12 +178,12 @@ fn wall_clock_submits_after_a_barrier_are_accepted_at_a_50_ms_interval() {
         .with_batch_policy(BatchPolicy::Hybrid(16));
     let plan = ShardPlan::contiguous(&w.grid, 2).unwrap();
     let n_sites = w.grid.len();
-    let factory = stateless_factory(config, |_| Ok(Box::new(Mct::new(RiskMode::Risky))));
+    let factory: SessionFactory = Box::new(|_| Ok(Box::new(Mct::new(RiskMode::Risky))));
     let options = DaemonOptions {
         clock: ClockMode::WallClock,
         ..DaemonOptions::default()
     };
-    let daemon = Daemon::spawn(w.grid, plan, factory, "127.0.0.1:0", options).unwrap();
+    let daemon = Daemon::spawn(w.grid, plan, config, factory, "127.0.0.1:0", options).unwrap();
     let mut client = Client::connect(daemon.addr()).unwrap();
     let contiguous = |n: usize| -> Vec<Vec<usize>> {
         (0..n)

@@ -9,10 +9,10 @@
 //! the suffix. **Run B** replays the prefix through in-process sessions on
 //! the old plan (engine-exact by the sharding-equivalence suite), exports
 //! their state, pushes it through the same pure
-//! [`transfer`](gridsec_serve::transfer) the daemon used, and boots a
-//! daemon directly on the new plan whose factory — the *same* factory,
-//! wrapped — starts each shard from its transferred seed instead of the
-//! fresh one boot hands it, then serves the suffix.
+//! [`transfer`](gridsec_serve::transfer) the daemon used, restores one
+//! session per new shard from its transferred seed around a scheduler
+//! the *same* factory picks — what the daemon's build step does — and
+//! serves the suffix through them.
 //! Per new shard, the post-barrier schedules are bit-identical — the
 //! live daemon's barrier, state export and router swap add nothing and
 //! lose nothing (zero jobs lost is asserted against the cumulative
@@ -32,7 +32,7 @@ use gridsec_serve::{
     ShardStateExport,
 };
 use gridsec_sim::scheduler::EarliestCompletion;
-use gridsec_sim::{BatchScheduler, ShardPlan, SimConfig};
+use gridsec_sim::{BatchScheduler, Routing, ShardPlan, SimConfig};
 use gridsec_stga::{GaParams, HistoryTable, Stga, StgaParams};
 use gridsec_workloads::PsaConfig;
 use std::time::{Duration, Instant};
@@ -88,10 +88,10 @@ fn build_scheduler(name: &str, history: Option<HistoryTable>) -> Box<dyn BatchSc
 }
 
 /// The session factory both runs share: merge inherited histories (STGA),
-/// build a fresh scheduler with the same GA seed, restore the seed state.
+/// build a fresh scheduler with the same GA seed.
 /// Identical construction on both sides is what makes the equivalence a
 /// statement about the *daemon machinery*, not about factory luck.
-fn factory(name: &'static str, config: SimConfig) -> SessionFactory {
+fn factory(name: &'static str) -> SessionFactory {
     Box::new(move |ctx| {
         let history = if name == "stga" {
             let capacity = StgaParams::default().table_capacity;
@@ -100,14 +100,27 @@ fn factory(name: &'static str, config: SimConfig) -> SessionFactory {
         } else {
             None
         };
-        OnlineSession::restore(
-            ctx.subgrid,
-            build_scheduler(name, history),
-            &config,
-            ctx.seed,
-        )
-        .map_err(|e| e.to_string())
+        Ok(build_scheduler(name, history))
     })
+}
+
+/// Restores shard `k` of `plan` from `seed` around a scheduler `fac`
+/// picks, as the daemon's build step does.
+fn restore(
+    fac: &mut SessionFactory,
+    grid: &Grid,
+    plan: &ShardPlan,
+    k: usize,
+    seed: ShardSeed,
+) -> OnlineSession {
+    let subgrid = plan.subgrid(grid, k).unwrap();
+    let ctx = ShardBuildContext {
+        shard: k,
+        subgrid: subgrid.clone(),
+        history_sources: seed.history_sources,
+    };
+    let scheduler = fac(&ctx).expect("factory builds");
+    OnlineSession::restore(subgrid, scheduler, &sim_config(), seed.state).expect("restores")
 }
 
 /// Deterministically assigns each job to one of the shards it is
@@ -115,9 +128,12 @@ fn factory(name: &'static str, config: SimConfig) -> SessionFactory {
 fn assign_shards(jobs: &[Job], grid: &Grid, plan: &ShardPlan) -> Vec<(usize, Job)> {
     jobs.iter()
         .map(|j| {
-            let eligible = plan.eligible_shards(grid, j);
-            assert!(!eligible.is_empty(), "job {} fits nowhere", j.id);
-            (eligible[j.id.0 as usize % eligible.len()], j.clone())
+            let shard = match plan.route(grid, j) {
+                Routing::Unique(k) => k,
+                Routing::Spanning(ks) => ks[j.id.0 as usize % ks.len()],
+                _ => panic!("job {} fits nowhere", j.id),
+            };
+            (shard, j.clone())
         })
         .collect()
 }
@@ -203,7 +219,8 @@ fn run_live(
     let daemon = Daemon::spawn(
         grid.clone(),
         plan1.clone(),
-        factory(name, sim_config()),
+        sim_config(),
+        factory(name),
         "127.0.0.1:0",
         DaemonOptions::default(),
     )
@@ -247,8 +264,8 @@ fn run_live(
 }
 
 /// Run B: the in-process replica — old-plan solo sessions for the
-/// prefix, the same pure transfer, and a daemon booted on the new plan
-/// from the transferred seeds for the suffix. Every session on this side
+/// prefix, the same pure transfer, and new-plan sessions restored from
+/// the transferred seeds for the suffix. Every scheduler on this side
 /// comes out of the factory run A uses.
 fn run_replica(
     name: &'static str,
@@ -258,19 +275,17 @@ fn run_replica(
     prefix: &[(usize, Job)],
     suffix: &[(usize, Job)],
 ) -> Vec<Vec<Placed>> {
-    let mut fac = factory(name, sim_config());
+    let mut fac = factory(name);
     // Prefix on the old plan, in-process: what the live daemon's boot
     // builds, without the daemon.
     let mut exports: Vec<ShardStateExport> = Vec::new();
     for k in 0..plan1.n_shards() {
-        let sub = plan1.subgrid(grid, k).unwrap();
-        let mut session = fac(ShardBuildContext {
+        let fresh = ShardSeed {
             shard: k,
-            seed: SessionState::fresh(&sub),
-            subgrid: sub,
+            state: SessionState::fresh(&plan1.subgrid(grid, k).unwrap()),
             history_sources: Vec::new(),
-        })
-        .expect("factory builds");
+        };
+        let mut session = restore(&mut fac, grid, plan1, k, fresh);
         for (shard, job) in prefix {
             if *shard == k {
                 session.submit(job.clone()).expect("prefix job admissible");
@@ -304,39 +319,28 @@ fn run_replica(
     }
     // The same pure transfer the daemon ran.
     let moved = transfer(grid, plan1, &exports, plan2).expect("transfer");
-    // Booted directly on the final topology from the transferred state:
-    // boot offers every shard a fresh seed, and the first build of each
-    // shard starts from its transferred one instead.
-    let mut seeds: Vec<Option<ShardSeed>> = moved.seeds.into_iter().map(Some).collect();
-    let seeded: SessionFactory = Box::new(move |mut ctx| {
-        if let Some(seed) = seeds[ctx.shard].take() {
-            ctx.seed = seed.state;
-            ctx.history_sources = seed.history_sources;
+    // Restored directly on the final topology from the transferred state.
+    let mut per_shard = Vec::with_capacity(plan2.n_shards());
+    for seed in moved.seeds {
+        let k = seed.shard;
+        let mut session = restore(&mut fac, grid, plan2, k, seed);
+        for (shard, job) in suffix {
+            if *shard == k {
+                session.submit(job.clone()).expect("suffix job admissible");
+            }
         }
-        fac(ctx)
-    });
-    let daemon = Daemon::spawn(
-        grid.clone(),
-        plan2.clone(),
-        seeded,
-        "127.0.0.1:0",
-        DaemonOptions::default(),
-    )
-    .expect("replica daemon binds");
-    let mut client = Client::connect(daemon.addr()).expect("client connects");
-    submit_all(&mut client, suffix);
-    match client.send(&Request::Drain).expect("drain frame") {
-        Response::Drained { .. } => {}
-        other => panic!("drain failed: {other:?}"),
+        session.drain().expect("solo drain");
+        let globals = plan2.sites_of(k);
+        let schedule = session.assignments().iter();
+        per_shard.push(
+            schedule
+                .map(|p| Placed {
+                    site: globals[p.site.0],
+                    ..p
+                })
+                .collect(),
+        );
     }
-    let per_shard: Vec<Vec<Placed>> = (0..plan2.n_shards())
-        .map(|k| query_shard_schedule(&mut client, k))
-        .collect();
-    match client.send(&Request::Shutdown).expect("shutdown frame") {
-        Response::Bye => {}
-        other => panic!("shutdown failed: {other:?}"),
-    }
-    daemon.join();
     per_shard
 }
 
@@ -479,7 +483,8 @@ fn autoscaler_splits_a_pending_shard_and_merges_it_back_when_drained() {
     let daemon = Daemon::spawn(
         grid,
         plan,
-        factory("mct", sim_config()),
+        sim_config(),
+        factory("mct"),
         "127.0.0.1:0",
         options,
     )

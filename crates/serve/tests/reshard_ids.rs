@@ -8,7 +8,7 @@
 
 use gridsec_core::{Grid, Job, Site, Time};
 use gridsec_obs::recorder;
-use gridsec_serve::{stateless_factory, Client, Daemon, DaemonOptions, Request, Response};
+use gridsec_serve::{Client, Daemon, DaemonOptions, Request, Response, SessionFactory};
 use gridsec_sim::scheduler::EarliestCompletion;
 use gridsec_sim::{BatchPolicy, ShardPlan, SimConfig};
 
@@ -39,9 +39,9 @@ fn ids_after(n_jobs: usize) -> Vec<i64> {
         .with_interval(Time::new(10.0))
         .with_batch_policy(BatchPolicy::Periodic);
     let plan = ShardPlan::contiguous(&grid, 2).unwrap();
-    let factory = stateless_factory(config, |_| Ok(Box::new(EarliestCompletion)));
+    let factory: SessionFactory = Box::new(|_| Ok(Box::new(EarliestCompletion)));
     let options = DaemonOptions::default();
-    let daemon = Daemon::spawn(grid, plan, factory, "127.0.0.1:0", options).unwrap();
+    let daemon = Daemon::spawn(grid, plan, config, factory, "127.0.0.1:0", options).unwrap();
     let mut client = Client::connect(daemon.addr()).unwrap();
     let job = |id: usize, at: f64| {
         Job::builder(id as u64)

@@ -9,8 +9,7 @@
 
 use gridsec_core::{BatchSchedule, Grid, Job, Site, Time};
 use gridsec_serve::{
-    shard_state_path, stateless_factory, Client, Daemon, DaemonExit, DaemonOptions, OnlineSession,
-    Request, Response, SessionFactory,
+    shard_state_path, Client, Daemon, DaemonExit, DaemonOptions, Request, Response, SessionFactory,
 };
 use gridsec_sim::scheduler::EarliestCompletion;
 use gridsec_sim::{BatchJob, BatchPolicy, BatchScheduler, GridView, ShardPlan, SimConfig};
@@ -68,14 +67,14 @@ fn a_factory_panic_during_a_reshard_closes_connections_and_join_reports_it() {
     // One shard at boot is the first call; the reshard's first shard is
     // the second.
     let mut calls = 0;
-    let factory = stateless_factory(config, move |_| {
+    let factory: SessionFactory = Box::new(move |_| {
         calls += 1;
         assert!(calls < 2, "factory call {calls} fails on purpose");
         Ok(Box::new(EarliestCompletion))
     });
     let plan = ShardPlan::contiguous(&grid, 1).unwrap();
-    let daemon =
-        Daemon::spawn(grid, plan, factory, "127.0.0.1:0", DaemonOptions::default()).unwrap();
+    let options = DaemonOptions::default();
+    let daemon = Daemon::spawn(grid, plan, config, factory, "127.0.0.1:0", options).unwrap();
 
     reshard_and_see_the_connection_close(&daemon);
     match join_within_5s(daemon) {
@@ -128,15 +127,14 @@ fn a_router_panic_stops_the_shards_and_each_writes_its_state_file_before_join_re
         let history = HistoryTable::from_snapshots(&ctx.history_sources, params.table_capacity)
             .map_err(|e| e.to_string())?;
         let stga = Stga::with_history(params, history).map_err(|e| e.to_string())?;
-        OnlineSession::restore(ctx.subgrid, Box::new(SlowSnapshot(stga)), &config, ctx.seed)
-            .map_err(|e| e.to_string())
+        Ok(Box::new(SlowSnapshot(stga)))
     });
     let plan = ShardPlan::contiguous(&grid(), 1).unwrap();
     let options = DaemonOptions {
         state_prefix: Some(prefix),
         ..DaemonOptions::default()
     };
-    let daemon = Daemon::spawn(grid(), plan, factory, "127.0.0.1:0", options).unwrap();
+    let daemon = Daemon::spawn(grid(), plan, config, factory, "127.0.0.1:0", options).unwrap();
 
     // Something to learn: two rounds of two jobs.
     let mut client = Client::connect(daemon.addr()).unwrap();

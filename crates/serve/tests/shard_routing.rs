@@ -6,8 +6,8 @@
 
 use gridsec_core::{Grid, Job, JobId, Site, SiteId, Time};
 use gridsec_serve::{
-    stateless_factory, Client, Daemon, DaemonOptions, Placed, QueryWhat, Request, Response,
-    ServeMetrics, TelemetryReport,
+    Client, Daemon, DaemonOptions, Placed, QueryWhat, Request, Response, ServeMetrics,
+    SessionFactory, TelemetryReport,
 };
 use gridsec_sim::scheduler::EarliestCompletion;
 use gridsec_sim::{BatchPolicy, ShardPlan, SimConfig};
@@ -60,9 +60,9 @@ fn spawn_plan(grid: Grid, plan: &ShardPlan, policy: BatchPolicy) -> Daemon {
     let config = SimConfig::default()
         .with_interval(Time::new(10.0))
         .with_batch_policy(policy);
-    let factory = stateless_factory(config, |_| Ok(Box::new(EarliestCompletion)));
+    let factory: SessionFactory = Box::new(|_| Ok(Box::new(EarliestCompletion)));
     let options = DaemonOptions::default();
-    Daemon::spawn(grid, plan.clone(), factory, "127.0.0.1:0", options).unwrap()
+    Daemon::spawn(grid, plan.clone(), config, factory, "127.0.0.1:0", options).unwrap()
 }
 
 fn spawn_two_shards(policy: BatchPolicy) -> (Daemon, ShardPlan) {

@@ -22,11 +22,11 @@ use gridsec_core::RiskMode;
 use gridsec_core::{Grid, Job, Site, Time};
 use gridsec_heuristics::{MinMin, Sufferage};
 use gridsec_serve::{
-    stateless_factory, Client, Daemon, DaemonOptions, Placed, QueryWhat, Request, Response,
-    ServeMetrics,
+    Client, Daemon, DaemonOptions, Placed, QueryWhat, Request, Response, ServeMetrics,
+    SessionFactory,
 };
 use gridsec_sim::scheduler::EarliestCompletion;
-use gridsec_sim::{simulate, BatchPolicy, BatchScheduler, ShardPlan, SimConfig};
+use gridsec_sim::{simulate, BatchPolicy, BatchScheduler, Routing, ShardPlan, SimConfig};
 use gridsec_stga::{GaParams, Stga, StgaParams};
 use gridsec_workloads::PsaConfig;
 
@@ -83,10 +83,17 @@ fn build_scheduler(name: &str, seed: u64) -> Box<dyn BatchScheduler + Send> {
 /// [`build_scheduler`]`(scheduler, 9)`.
 fn spawn(grid: &Grid, plan: &ShardPlan, scheduler: &str, config: &SimConfig) -> Daemon {
     let scheduler = scheduler.to_string();
-    let factory = stateless_factory(config.clone(), move |_| Ok(build_scheduler(&scheduler, 9)));
+    let factory: SessionFactory = Box::new(move |_| Ok(build_scheduler(&scheduler, 9)));
     let options = DaemonOptions::default();
-    Daemon::spawn(grid.clone(), plan.clone(), factory, "127.0.0.1:0", options)
-        .expect("daemon binds")
+    Daemon::spawn(
+        grid.clone(),
+        plan.clone(),
+        config.clone(),
+        factory,
+        "127.0.0.1:0",
+        options,
+    )
+    .expect("daemon binds")
 }
 
 const POLICIES: [BatchPolicy; 3] = [
@@ -260,9 +267,11 @@ fn one_shard_stga_is_bit_identical_to_the_engine() {
 fn assign_shards(jobs: &[Job], grid: &Grid, plan: &ShardPlan) -> Vec<(Option<usize>, Job)> {
     jobs.iter()
         .map(|j| {
-            let eligible = plan.eligible_shards(grid, j);
-            assert!(!eligible.is_empty(), "job {} fits nowhere", j.id);
-            let shard = eligible[j.id.0 as usize % eligible.len()];
+            let shard = match plan.route(grid, j) {
+                Routing::Unique(k) => k,
+                Routing::Spanning(ks) => ks[j.id.0 as usize % ks.len()],
+                _ => panic!("job {} fits nowhere", j.id),
+            };
             (Some(shard), j.clone())
         })
         .collect()

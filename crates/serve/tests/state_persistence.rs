@@ -9,8 +9,7 @@
 
 use gridsec_core::{Grid, Job, Site, Time};
 use gridsec_serve::{
-    shard_state_path, Client, Daemon, DaemonOptions, OnlineSession, QueryWhat, Request, Response,
-    SessionFactory,
+    shard_state_path, Client, Daemon, DaemonOptions, QueryWhat, Request, Response, SessionFactory,
 };
 use gridsec_sim::{BatchPolicy, ShardPlan, SimConfig};
 use gridsec_stga::{BatchSignature, Chromosome, GaParams, HistoryTable, Stga, StgaParams};
@@ -83,14 +82,13 @@ fn try_spawn(state_prefix: &Path) -> std::io::Result<(Daemon, Receiver<HistoryTa
         let history =
             HistoryTable::from_snapshots(&ctx.history_sources, 64).map_err(|e| e.to_string())?;
         opened_tx.send(history.clone()).expect("test is listening");
-        let scheduler = Box::new(stga_with(history, 5));
-        OnlineSession::restore(ctx.subgrid, scheduler, &config, ctx.seed).map_err(|e| e.to_string())
+        Ok(Box::new(stga_with(history, 5)))
     });
     let options = DaemonOptions {
         state_prefix: Some(state_prefix.to_path_buf()),
         ..DaemonOptions::default()
     };
-    let daemon = Daemon::spawn(grid, plan, factory, "127.0.0.1:0", options)?;
+    let daemon = Daemon::spawn(grid, plan, config, factory, "127.0.0.1:0", options)?;
     Ok((daemon, opened))
 }
 

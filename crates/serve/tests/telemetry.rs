@@ -6,8 +6,7 @@
 
 use gridsec_core::{BatchSchedule, Grid, Job, Site, Time};
 use gridsec_serve::{
-    shard_state_path, stateless_factory, Client, Daemon, DaemonOptions, QueryWhat, Request,
-    Response, SessionFactory,
+    shard_state_path, Client, Daemon, DaemonOptions, QueryWhat, Request, Response, SessionFactory,
 };
 use gridsec_sim::scheduler::EarliestCompletion;
 use gridsec_sim::{BatchJob, BatchPolicy, BatchScheduler, GridView, ShardPlan, SimConfig};
@@ -49,7 +48,7 @@ fn config() -> SimConfig {
 }
 
 fn mct_factory() -> SessionFactory {
-    stateless_factory(config(), |_| Ok(Box::new(EarliestCompletion)))
+    Box::new(|_| Ok(Box::new(EarliestCompletion)))
 }
 
 /// A virtual-clock daemon over `n_sites` sites in `n_shards` contiguous
@@ -62,7 +61,7 @@ fn spawn(
 ) -> Daemon {
     let grid = grid(n_sites);
     let plan = ShardPlan::contiguous(&grid, n_shards).unwrap();
-    Daemon::spawn(grid, plan, factory, "127.0.0.1:0", options).expect("daemon binds")
+    Daemon::spawn(grid, plan, config(), factory, "127.0.0.1:0", options).expect("daemon binds")
 }
 
 fn submit(client: &mut Client, job: Job, shard: Option<usize>, tenant: Option<&str>) {
@@ -281,7 +280,7 @@ fn shrinking_reshard_gcs_retired_state_files() {
             Some(format!("{{\"shard\":{}}}", self.0))
         }
     }
-    let factory = stateless_factory(config(), |ctx| Ok(Box::new(Remembers(ctx.shard))));
+    let factory: SessionFactory = Box::new(|ctx| Ok(Box::new(Remembers(ctx.shard))));
     let daemon = spawn(
         4,
         4,

@@ -9,7 +9,7 @@
 
 use gridsec_core::{Grid, Site};
 use gridsec_serve::{
-    stateless_factory, AutoscaleConfig, Client, Daemon, DaemonOptions, Request, Response,
+    AutoscaleConfig, Client, Daemon, DaemonOptions, Request, Response, SessionFactory,
 };
 use gridsec_sim::scheduler::EarliestCompletion;
 use gridsec_sim::{ShardPlan, SimConfig};
@@ -32,7 +32,7 @@ fn a_daemon_runs_io_router_and_shard_threads_and_none_per_scrape() {
     )
     .unwrap();
     let plan = ShardPlan::contiguous(&grid, 2).unwrap();
-    let factory = stateless_factory(SimConfig::default(), |_| Ok(Box::new(EarliestCompletion)));
+    let factory: SessionFactory = Box::new(|_| Ok(Box::new(EarliestCompletion)));
     let options = DaemonOptions {
         io_threads: 1,
         metrics_addr: Some("127.0.0.1:0".into()),
@@ -46,7 +46,15 @@ fn a_daemon_runs_io_router_and_shard_threads_and_none_per_scrape() {
         ..DaemonOptions::default()
     };
     let before = threads();
-    let daemon = Daemon::spawn(grid, plan, factory, "127.0.0.1:0", options).unwrap();
+    let daemon = Daemon::spawn(
+        grid,
+        plan,
+        SimConfig::default(),
+        factory,
+        "127.0.0.1:0",
+        options,
+    )
+    .unwrap();
     let expected = before + 1 + 1 + 2; // I/O thread, router, two shards
     assert_eq!(threads(), expected, "threads after spawn");
 

@@ -5,7 +5,7 @@
 
 use gridsec_core::{Grid, Job, JobId, Site, Time};
 use gridsec_serve::{
-    stateless_factory, Client, ClockMode, Daemon, DaemonOptions, QueryWhat, Request, Response,
+    Client, ClockMode, Daemon, DaemonOptions, QueryWhat, Request, Response, SessionFactory,
 };
 use gridsec_sim::scheduler::EarliestCompletion;
 use gridsec_sim::{BatchPolicy, ShardPlan, SimConfig};
@@ -56,8 +56,8 @@ fn spawn_shards(
         .with_interval(Time::new(interval))
         .with_batch_policy(policy);
     let plan = ShardPlan::contiguous(&grid, n_shards).unwrap();
-    let factory = stateless_factory(config, |_| Ok(Box::new(EarliestCompletion)));
-    Daemon::spawn(grid, plan, factory, "127.0.0.1:0", options).unwrap()
+    let factory: SessionFactory = Box::new(|_| Ok(Box::new(EarliestCompletion)));
+    Daemon::spawn(grid, plan, config, factory, "127.0.0.1:0", options).unwrap()
 }
 
 fn shutdown(client: &mut Client, daemon: Daemon) {

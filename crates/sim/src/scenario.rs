@@ -17,7 +17,7 @@
 //! lost) and jobs fitting no online site stay pending until a
 //! wide-enough site rejoins.
 
-use crate::shard::ShardPlan;
+use crate::shard::{Routing, ShardPlan};
 use gridsec_core::rng::{stream, Stream};
 use gridsec_core::{Error, Grid, Job, Result, SiteId, Time};
 use rand::Rng;
@@ -243,9 +243,10 @@ impl InjectionStream {
             .count()
     }
 
-    /// The shard-local view of this stream under `plan`: arrivals are
-    /// assigned round-robin over their eligible shards by job id (the
-    /// same rule the load generator uses for explicit routing), site
+    /// The shard-local view of this stream under `plan`: arrivals go
+    /// where [`ShardPlan::route`] sends them, one that spans several
+    /// shards to the one its id picks round-robin (the same rule the load
+    /// generator uses for explicit routing), site
     /// events are translated to shard-local site ids (foreign-shard
     /// events dropped), and trust vectors are sliced to the shard's
     /// sites. Jobs fitting no site anywhere are dropped — the daemon
@@ -255,11 +256,12 @@ impl InjectionStream {
         for inj in &self.events {
             let kind = match &inj.kind {
                 InjectionKind::Arrive(job) => {
-                    let eligible = plan.eligible_shards(grid, job);
-                    if eligible.is_empty() {
-                        continue;
-                    }
-                    if eligible[job.id.0 as usize % eligible.len()] != shard {
+                    let owner = match plan.route(grid, job) {
+                        Routing::Unique(k) => k,
+                        Routing::Spanning(ks) => ks[job.id.0 as usize % ks.len()],
+                        Routing::NoFit | Routing::Offline(_) => continue,
+                    };
+                    if owner != shard {
                         continue;
                     }
                     InjectionKind::Arrive(job.clone())

@@ -197,18 +197,6 @@ impl ShardPlan {
         Grid::new(sites)
     }
 
-    /// Shards holding at least one site the job fits on (by width),
-    /// ascending. Empty when no site fits.
-    pub fn eligible_shards(&self, grid: &Grid, job: &Job) -> Vec<usize> {
-        let mut out = Vec::new();
-        for (shard, sites) in self.shards.iter().enumerate() {
-            if sites.iter().any(|&s| grid.site(s).fits_width(job.width)) {
-                out.push(shard);
-            }
-        }
-        out
-    }
-
     /// Derived routing with every site online: [`ShardPlan::route_online`]
     /// with nothing offline.
     pub fn route(&self, grid: &Grid, job: &Job) -> Routing {
@@ -372,8 +360,6 @@ mod tests {
         assert_eq!(plan.route(&g, &wide), Routing::Unique(1));
         let huge = Job::builder(2).width(64).build().unwrap();
         assert_eq!(plan.route(&g, &huge), Routing::NoFit);
-        assert_eq!(plan.eligible_shards(&g, &narrow), vec![0, 1]);
-        assert_eq!(plan.eligible_shards(&g, &huge), Vec::<usize>::new());
     }
 
     #[test]

@@ -6,9 +6,7 @@
 //! Run with: `cargo run --release --example online_service`
 
 use gridsec::prelude::*;
-use gridsec::serve::{
-    Client, Daemon, DaemonOptions, OnlineSession, QueryWhat, Request, Response, SessionFactory,
-};
+use gridsec::serve::{Client, Daemon, DaemonOptions, QueryWhat, Request, Response, SessionFactory};
 use gridsec::sim::ShardPlan;
 use gridsec::stga::HistoryTable;
 
@@ -43,8 +41,9 @@ fn main() {
         .with_interval(Time::new(1_000.0))
         .with_batch_policy(BatchPolicy::Hybrid(8));
 
-    // 2. The session factory is the one description of a shard; the
-    //    daemon calls it for every shard of the plan it boots on and of
+    // 2. The session factory is the one description of a shard: it picks
+    //    the shard's scheduler, and the daemon restores the session around
+    //    it with `config`, for every shard of the plan it boots on and of
     //    every plan a `reshard` frame moves it to. Here: a long-lived STGA
     //    whose history table and GA pool stay alive across rounds. What it
     //    learned follows the shard — `history_sources` are the snapshots
@@ -62,14 +61,13 @@ fn main() {
         let history = HistoryTable::from_snapshots(&ctx.history_sources, params.table_capacity)
             .map_err(|e| e.to_string())?;
         let stga = Stga::with_history(params, history).map_err(|e| e.to_string())?;
-        OnlineSession::restore(ctx.subgrid, Box::new(stga), &config, ctx.seed)
-            .map_err(|e| e.to_string())
+        Ok(Box::new(stga))
     });
 
     // 3. One shard covering the whole grid, on an ephemeral port.
     let plan = ShardPlan::contiguous(&grid, 1).unwrap();
-    let daemon =
-        Daemon::spawn(grid, plan, factory, "127.0.0.1:0", DaemonOptions::default()).unwrap();
+    let options = DaemonOptions::default();
+    let daemon = Daemon::spawn(grid, plan, config, factory, "127.0.0.1:0", options).unwrap();
     println!("daemon listening on {}", daemon.addr());
 
     // 4. A client submits a burst of jobs, NDJSON frame by frame.

@@ -290,7 +290,7 @@ proptest! {
     fn shard_slices_partition_every_scenario_stream(
         scenario in arb_scenario()
     ) {
-        use gridsec::sim::{InjectionKind, ShardPlan};
+        use gridsec::sim::{InjectionKind, Routing, ShardPlan};
         let grid = scenario_grid();
         let stream = scenario.compile(&grid).unwrap();
         let plan = ShardPlan::contiguous(&grid, 2).unwrap();
@@ -303,7 +303,7 @@ proptest! {
             .events
             .iter()
             .filter(|e| match &e.kind {
-                InjectionKind::Arrive(job) => !plan.eligible_shards(&grid, job).is_empty(),
+                InjectionKind::Arrive(job) => plan.route(&grid, job) != Routing::NoFit,
                 _ => false,
             })
             .count();
