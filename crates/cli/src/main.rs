@@ -389,41 +389,21 @@ fn cmd_chaos(args: &[String]) -> i32 {
             return 2;
         }
     };
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("error: cannot read {path}: {e}");
-            return 1;
-        }
-    };
-    let spec = match ScenarioSpec::from_json(&text) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return 1;
-        }
-    };
-    let grid = match spec.grid.build() {
-        Ok(g) => g,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return 1;
-        }
-    };
-    let stream = match spec.scenario.compile(&grid) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return 1;
-        }
-    };
-    let scheduler = match spec.scheduler.build(&[], &grid, &[]) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return 1;
-        }
-    };
+    chaos(path, json_out).unwrap_or_else(|msg| {
+        eprintln!("error: {msg}");
+        1
+    })
+}
+
+/// Replays the scenario spec at `path` in process and reports its
+/// ledger; `Ok` carries the exit code, 1 when the ledger does not balance.
+fn chaos(path: &str, json_out: Option<String>) -> Result<i32, String> {
+    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+    let spec = ScenarioSpec::from_json(&text).map_err(|e| e.to_string())?;
+    let grid = spec.grid.build().map_err(|e| e.to_string())?;
+    let stream = spec.scenario.compile(&grid).map_err(|e| e.to_string())?;
+    let scheduler = spec.scheduler.build(&[], &grid, &[]);
+    let scheduler = scheduler.map_err(|e| e.to_string())?;
     let name = scheduler.name();
     println!(
         "chaos: {} injections ({} arrivals) on {} sites, scheduler {name}, seed {}",
@@ -438,13 +418,7 @@ fn cmd_chaos(args: &[String]) -> i32 {
         }
         runner.finish()
     });
-    let outcome = match replay {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("error: replay failed: {e}");
-            return 1;
-        }
-    };
+    let outcome = replay.map_err(|e| format!("replay failed: {e}"))?;
     let m = &outcome.metrics;
     println!(
         "  jobs: {} generated, {} submitted, {} scheduled, {} requeued, {} pending, {} rejected",
@@ -459,31 +433,21 @@ fn cmd_chaos(args: &[String]) -> i32 {
         "  churn: {} site failures, {} rejoins; {} rounds, makespan {}",
         m.sites_failed, m.sites_rejoined, m.rounds, m.max_completion,
     );
-    let balanced = outcome.fully_accounted();
     if let Some(p) = json_out {
         // `metrics` is the replaying session's own snapshot — the frame a
         // daemon fed the same stream answers `query metrics` with — so one
         // consumer parses both.
-        match serde_json::to_string_pretty(&outcome) {
-            Ok(s) => {
-                if let Err(e) = std::fs::write(&p, s) {
-                    eprintln!("error: cannot write {p}: {e}");
-                    return 1;
-                }
-                println!("[wrote {p}]");
-            }
-            Err(e) => {
-                eprintln!("error: serialisation failed: {e}");
-                return 1;
-            }
-        }
+        let s = serde_json::to_string_pretty(&outcome);
+        let s = s.map_err(|e| format!("serialisation failed: {e}"))?;
+        std::fs::write(&p, s).map_err(|e| format!("cannot write {p}: {e}"))?;
+        println!("[wrote {p}]");
     }
-    if balanced {
+    if outcome.fully_accounted() {
         println!("  ledger: balanced (every job scheduled, pending, or typed-rejected)");
-        0
+        Ok(0)
     } else {
         eprintln!("error: ledger does NOT balance — jobs were lost");
-        1
+        Ok(1)
     }
 }
 

@@ -257,9 +257,18 @@ pub struct ScenarioSpec {
 }
 
 impl ScenarioSpec {
-    /// Parses a scenario spec from JSON text.
+    /// Parses a scenario spec from JSON text, refusing an STGA with a
+    /// `train_batch`: a replay has no jobs before its first round to
+    /// train on, so the table would learn nothing.
     pub fn from_json(text: &str) -> Result<ScenarioSpec> {
-        parse_spec("scenario spec", text)
+        let spec: ScenarioSpec = parse_spec("scenario spec", text)?;
+        match spec.scheduler {
+            SchedulerSpec::Stga { train_batch, .. } if train_batch > 0 => Err(Error::invalid(
+                "train_batch",
+                "a scenario replay has no training set; set it to 0",
+            )),
+            _ => Ok(spec),
+        }
     }
 
     /// A ready-to-edit churn example: two tenants (one heavy-tailed, one

@@ -236,6 +236,22 @@ fn run_and_chaos_refuse_replicas_by_name() {
     }
 }
 
+/// A scenario replay has no jobs to train an STGA on before its first
+/// round, so a `train_batch` it cannot honour is refused by name rather
+/// than accepted and silently trained on nothing.
+#[test]
+fn chaos_refuses_a_train_batch_by_name() {
+    let spec = scenario_spec();
+    let min_min = "\"algorithm\": \"min_min\",\n    \"mode\": \"Risky\"";
+    assert!(spec.contains(min_min));
+    for (batch, refused) in [(8, true), (0, false)] {
+        let stga = format!("\"algorithm\": \"stga\",\n    \"train_batch\": {batch}");
+        let (code, stderr) = exit_of("chaos", "train_batch", &spec.replace(min_min, &stga));
+        assert_eq!(code == Some(1), refused, "train_batch {batch}: {stderr}");
+        assert_eq!(stderr.contains("`train_batch`"), refused, "{stderr}");
+    }
+}
+
 #[test]
 fn chaos_refuses_a_site_that_fails_the_site_checks() {
     let spec = scenario_spec();

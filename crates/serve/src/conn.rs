@@ -1,14 +1,12 @@
-//! The event-driven connection layer: a few I/O threads multiplex every
-//! client socket through epoll instead of spawning a reader + writer
-//! thread per connection.
+//! The event-driven connection layer's I/O shell: a few I/O threads
+//! multiplex every client socket through epoll instead of spawning a
+//! reader + writer thread per connection.
 //!
-//! Each accepted connection lives on exactly one I/O thread (round-robin
-//! at accept time), which owns its socket, its NDJSON frame decoder
-//! ([`LineDecoder`]), its bounded outbound buffer, and the per-client
-//! sequence counter. The connection's [`ReplySink`] is the cross-thread
-//! half: shard threads and the router push [`Reply`] frames into it from
-//! anywhere, the owning I/O thread releases them **in request (sequence)
-//! order** into the socket.
+//! Each accepted connection lives on one I/O thread (round-robin at
+//! accept time), which owns its socket and its [`ConnCore`], where every
+//! protocol decision is made; this shell only moves bytes and frames. The
+//! connection's [`ReplySink`] is its cross-thread half, a mailbox any
+//! thread may send [`Reply`] frames into.
 //!
 //! There is **one submit path**: a `submit` is routed where it is decoded,
 //! against the shared [`RoutingTable`] snapshot, and pushed onto the
@@ -44,33 +42,16 @@
 //!   and wrote the byte that ends the next `wait`, or found it set by an
 //!   earlier send with no clear between the two, whose byte is answered
 //!   by a clear that follows both.
-//!
-//! A submit that cannot be pushed right now is **parked on its
-//! connection** ([`ParkReason`]): the connection keeps that one frame,
-//! stops decoding and drops read interest (TCP is the backpressure), so
-//! per-client order holds by construction. It retries on wakes the loop
-//! already takes —
-//!
-//! * *fenced*: an earlier control frame of this connection is unanswered
-//!   (the shard drains its queue ahead of every control message, so the
-//!   submit would overtake it) — retried when that reply is released;
-//! * *sealed*: the router sealed the table ahead of a reshard/shutdown
-//!   barrier (pushes hold the table's read lock, so once the sealed table
-//!   is written nothing can reach a retiring shard) — retried, against
-//!   the *new* plan, on the next publish;
-//! * *full*: the shard's queue is at [`DIRECT_QUEUE_CAP`] — retried every
-//!   loop pass, with a short poll timeout while any such connection
-//!   exists (the shard frees space without waking this thread).
 
+use crate::conn_core::{ConnCore, ParkReason, Step, Submit};
 use crate::daemon::{DaemonOptions, IngestEvent, Reply};
-use crate::protocol::{parse_request, Line, LineDecoder, Request, Response};
+use crate::protocol::Response;
 use crate::router::{derive_route, shard_down, shutting_down, SHUTTING_DOWN_PAGE};
 use crate::shard::{ShardMsg, SubmitQueue, Wake};
 use epoll::{Events, Interest, Poller, WakeReader, Waker};
-use gridsec_core::{Grid, Job};
+use gridsec_core::Grid;
 use gridsec_obs::{Histogram, HistogramSnapshot};
 use gridsec_sim::ShardPlan;
-use std::collections::{BTreeMap, VecDeque};
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
@@ -98,15 +79,10 @@ pub(crate) const DIRECT_QUEUE_CAP: usize = 1024;
 /// long a full queue of MCT work lasts, so the shard does not run dry.
 const FULL_RETRY: Duration = Duration::from_millis(1);
 
-/// A decoded `submit` frame: in a shard's queue once routed, or parked
-/// on its connection until it can be.
+/// A decoded `submit` frame with the route its reply takes.
 pub(crate) struct DirectSubmit {
-    pub(crate) jobs: Vec<Job>,
-    /// The target the client named, if any (re-routed on every retry).
-    pub(crate) shard: Option<usize>,
-    pub(crate) tenant: Option<String>,
+    pub(crate) frame: Submit,
     pub(crate) reply: ReplyHandle,
-    pub(crate) seq: u64,
 }
 
 /// One shard's submit endpoints.
@@ -138,18 +114,6 @@ pub(crate) struct RoutingTable {
     pub(crate) offline: Arc<Vec<bool>>,
     pub(crate) direct: DirectPath,
 }
-
-/// Why a decoded `submit` is waiting on its connection (also the index
-/// of its [`IoShared::parked`] counter and [`PARK_LABELS`] entry).
-#[derive(Clone, Copy, PartialEq, Eq)]
-pub(crate) enum ParkReason {
-    Fenced,
-    Sealed,
-    Full,
-}
-
-/// Exposition labels of the [`ParkReason`]s, in counter order.
-pub(crate) const PARK_LABELS: [&str; 3] = ["fenced", "sealed", "full"];
 
 /// Exposition labels of [`WakeStats`]' counter pairs, in index order:
 /// a wake that was sent, one that rode on a wake already under way.
@@ -224,17 +188,8 @@ impl IoShared {
     }
 }
 
-#[derive(Default)]
-struct SinkQueue {
-    /// Replies not yet released, by sequence number.
-    held: BTreeMap<u64, Reply>,
-    /// Total bytes of held (not yet released) reply lines — counted
-    /// against the connection's write-buffer bound.
-    held_bytes: usize,
-}
-
-/// The cross-thread half of a connection: any thread may push replies;
-/// the owning I/O thread drains them in sequence order.
+/// The cross-thread half of a connection: a mailbox any thread may send
+/// replies into, emptied into the core by the connection's I/O thread.
 pub(crate) struct ReplySink {
     io: Arc<IoLoopHandle>,
     /// Slab token of the owning connection (validated by pointer
@@ -243,24 +198,10 @@ pub(crate) struct ReplySink {
     closed: AtomicBool,
     /// True while this sink is already on its I/O thread's ready list.
     queued: AtomicBool,
-    q: Mutex<SinkQueue>,
+    mailbox: Mutex<Vec<Reply>>,
 }
 
-impl ReplySink {
-    fn push(&self, reply: Reply) {
-        if self.closed.load(Ordering::Acquire) {
-            return; // connection gone; the response has no reader
-        }
-        let mut q = self.q.lock().expect("sink lock");
-        q.held_bytes += reply.line.len();
-        if let Some(dup) = q.held.insert(reply.seq, reply) {
-            q.held_bytes -= dup.line.len(); // dead-shard race: one answer is enough
-        }
-    }
-}
-
-/// Cloneable sender of [`Reply`] frames to one connection — the
-/// replacement for the per-client `Sender<Reply>`.
+/// Cloneable sender of [`Reply`] frames to one connection.
 #[derive(Clone)]
 pub(crate) struct ReplyHandle(Arc<ReplySink>);
 
@@ -269,13 +210,14 @@ impl ReplyHandle {
     /// lists the sink unless it is listed, then wakes the thread unless a
     /// wake is pending.
     pub(crate) fn send(&self, reply: Reply) {
-        self.0.push(reply);
-        if !self.0.queued.swap(true, Ordering::AcqRel) {
-            let io = &self.0.io;
-            io.ready
-                .lock()
-                .expect("ready lock")
-                .push(Arc::clone(&self.0));
+        let sink = &self.0;
+        if sink.closed.load(Ordering::Acquire) {
+            return; // connection gone; the response has no reader
+        }
+        sink.mailbox.lock().expect("sink lock").push(reply);
+        if !sink.queued.swap(true, Ordering::AcqRel) {
+            let io = &sink.io;
+            io.ready.lock().expect("ready lock").push(Arc::clone(sink));
             let pending = io.wake_pending.swap(true, Ordering::AcqRel);
             if !pending {
                 io.waker.wake();
@@ -289,79 +231,35 @@ impl ReplyHandle {
 struct Conn {
     stream: TcpStream,
     sink: Arc<ReplySink>,
-    /// Sequence number the next decoded frame will take.
-    seq: u64,
-    /// Sequence number of the next reply to release into the socket.
-    next_release: u64,
-    /// Seq of the latest control frame handed to the router; submits
-    /// are fenced until its reply is released (`next_release` past it).
-    last_control_seq: Option<u64>,
-    decoder: LineDecoder,
-    /// The submit that could not be dispatched yet; while set, nothing
-    /// is read or decoded.
-    parked: Option<(DirectSubmit, ParkReason)>,
-    /// Outbound bytes: `out[out_pos..]` is unwritten.
-    out: Vec<u8>,
-    out_pos: usize,
-    /// Absolute stream offset of `out[0]` (for flush marks).
-    out_base: u64,
-    /// `(absolute_offset, signal)`: signalled once the socket has
-    /// consumed every byte before `absolute_offset`.
-    flush_marks: VecDeque<(u64, Sender<()>)>,
-    read_closed: bool,
-    /// Current epoll interest (to avoid redundant `modify` calls).
-    want_read: bool,
-    want_write: bool,
+    core: ConnCore,
+    /// The registered epoll interest `(read, write)`: `modify` on a change.
+    interest: (bool, bool),
     last_activity: Instant,
-    /// A scrape: reads nothing, gets one reply, is not a client.
-    scrape: bool,
 }
 
 impl Conn {
-    fn unwritten(&self) -> usize {
-        self.out.len() - self.out_pos
-    }
-}
-
-/// A minimal slab: stable `usize` tokens, O(1) insert/remove.
-struct Slab<T> {
-    slots: Vec<Option<T>>,
-    free: Vec<usize>,
-}
-
-impl<T> Slab<T> {
-    fn new() -> Slab<T> {
-        Slab {
-            slots: Vec::new(),
-            free: Vec::new(),
+    /// Writes as much of the core's out bytes as the socket takes, then
+    /// signals the flush marks passed. `false`: the socket failed.
+    fn write(&mut self) -> bool {
+        let mut passed = Vec::new();
+        while !self.core.unwritten().is_empty() {
+            match self.stream.write(self.core.unwritten()) {
+                Ok(0) => break,
+                Ok(n) => {
+                    self.core.on_written(n, &mut passed);
+                    self.last_activity = Instant::now();
+                }
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                // Unsignalled, the marks passed drop, which their waiters
+                // read as the connection gone.
+                Err(_) => return false,
+            }
         }
-    }
-    /// The token the next [`Slab::insert`] fills.
-    fn vacant(&self) -> usize {
-        self.free.last().copied().unwrap_or(self.slots.len())
-    }
-    fn insert(&mut self, value: T) {
-        match self.free.pop() {
-            Some(i) => self.slots[i] = Some(value),
-            None => self.slots.push(Some(value)),
+        for tx in passed {
+            let _ = tx.send(());
         }
-    }
-    fn remove(&mut self, token: usize) -> Option<T> {
-        let v = self.slots.get_mut(token)?.take();
-        if v.is_some() {
-            self.free.push(token);
-        }
-        v
-    }
-    fn get(&self, token: usize) -> Option<&T> {
-        self.slots.get(token)?.as_ref()
-    }
-    fn get_mut(&mut self, token: usize) -> Option<&mut T> {
-        self.slots.get_mut(token)?.as_mut()
-    }
-    /// One past the highest token ever handed out.
-    fn token_bound(&self) -> usize {
-        self.slots.len()
+        true
     }
 }
 
@@ -376,14 +274,15 @@ pub(crate) struct IoLoop {
     /// The [`DaemonOptions::metrics_addr`] listener (thread 0 only).
     metrics: Option<TcpListener>,
     ingest: Sender<IngestEvent>,
-    conns: Slab<Conn>,
+    /// Connections by token (`free` lists the unused ones). An entry point
+    /// takes a connection out while it serves it and puts it back after.
+    conns: Vec<Option<Conn>>,
+    free: Vec<usize>,
     index: usize,
     /// Round-robin cursor for distributing accepted connections
     /// (thread 0 only).
     next_assign: usize,
-    max_line: usize,
-    max_write_buffer: usize,
-    idle_timeout: Option<Duration>,
+    options: DaemonOptions,
     last_sweep: Instant,
     /// Connections parked sealed or full, retried every loop pass
     /// (hints: a stale token is harmless), and how many of them on full.
@@ -424,12 +323,11 @@ impl IoLoop {
             listener,
             metrics,
             ingest,
-            conns: Slab::new(),
+            conns: Vec::new(),
+            free: Vec::new(),
             index,
             next_assign: 0,
-            max_line: options.max_line_bytes,
-            max_write_buffer: options.max_write_buffer,
-            idle_timeout: options.idle_timeout,
+            options: options.clone(),
             last_sweep: Instant::now(),
             waiting: Vec::new(),
             waiting_full: 0,
@@ -444,7 +342,7 @@ impl IoLoop {
         let mut scratch = vec![0u8; READ_CHUNK];
         // Half the idle timeout bounds reap latency at ~1.5x the
         // configured timeout without a busy sweep.
-        let sweep = self.idle_timeout.map(|t| t / 2);
+        let sweep = self.options.idle_timeout.map(|t| t / 2);
         while self.pass(&mut events, &mut scratch, sweep).is_some() {}
     }
 
@@ -509,12 +407,12 @@ impl IoLoop {
                 return;
             };
             match listener.accept() {
-                Ok((stream, _)) if scrape => self.scrape(stream),
+                Ok((stream, _)) if scrape => self.adopt(stream, true),
                 Ok((stream, _)) => {
                     let target = self.next_assign % self.shared.loops.len();
                     self.next_assign = self.next_assign.wrapping_add(1);
                     if target == self.index {
-                        self.register(stream, false);
+                        self.adopt(stream, false);
                     } else {
                         let l = &self.shared.loops[target];
                         l.inbox.lock().expect("inbox lock").push(stream);
@@ -530,395 +428,194 @@ impl IoLoop {
         }
     }
 
-    /// Adopts a scrape and asks the router for its page (reply `seq` 0).
-    /// With the router gone, the page is the shutdown line.
-    fn scrape(&mut self, stream: TcpStream) {
-        let Some(token) = self.register(stream, true) else {
-            return;
-        };
-        let sink = &self.conns.get(token).expect("just registered").sink;
-        let reply = ReplyHandle(Arc::clone(sink));
-        if self.ingest.send(IngestEvent::Scrape(reply)).is_err() {
-            sink.push(Reply::page(SHUTTING_DOWN_PAGE.into()));
-            self.finish(token);
-        }
-    }
-
-    /// Adopts a connection onto this thread and returns its token: a
-    /// client (read interest, counted in [`IoShared::connections`]) or a
-    /// scrape (read side closed from the start, one reply expected).
-    fn register(&mut self, stream: TcpStream, scrape: bool) -> Option<usize> {
+    /// Adopts a connection onto this thread: a client (read interest,
+    /// counted in [`IoShared::connections`]) or a scrape, which reads
+    /// nothing and asks the router for its page as reply `seq` 0 — with
+    /// the router gone, the page is the shutdown line.
+    fn adopt(&mut self, stream: TcpStream, scrape: bool) {
         if stream.set_nonblocking(true).is_err() || stream.set_nodelay(true).is_err() {
-            return None;
+            return;
         }
-        let token = self.conns.vacant();
-        let interest = Interest {
-            readable: !scrape,
-            writable: false,
-        };
-        self.poller
-            .add(stream.as_raw_fd(), token as u64, interest)
-            .ok()?;
+        let o = &self.options;
+        let mut core = ConnCore::new(o.max_line_bytes, o.max_write_buffer, scrape);
+        let (readable, writable) = core.interest();
+        let token = self.free.last().copied().unwrap_or(self.conns.len());
+        let (fd, interest) = (stream.as_raw_fd(), Interest { readable, writable });
+        if self.poller.add(fd, token as u64, interest).is_err() {
+            return;
+        }
+        if self.free.pop().is_none() {
+            self.conns.push(None);
+        }
         let sink = Arc::new(ReplySink {
             io: Arc::clone(&self.handle),
             token,
             closed: AtomicBool::new(false),
             queued: AtomicBool::new(false),
-            q: Mutex::default(),
+            mailbox: Mutex::default(),
         });
-        self.conns.insert(Conn {
-            stream,
-            sink,
-            seq: u64::from(scrape),
-            next_release: 0,
-            last_control_seq: None,
-            decoder: LineDecoder::new(self.max_line),
-            parked: None,
-            out: Vec::new(),
-            out_pos: 0,
-            out_base: 0,
-            flush_marks: VecDeque::new(),
-            read_closed: scrape,
-            want_read: !scrape,
-            want_write: false,
-            last_activity: Instant::now(),
-            scrape,
-        });
-        if !scrape {
+        if scrape {
+            let page = ReplyHandle(Arc::clone(&sink));
+            if self.ingest.send(IngestEvent::Scrape(page)).is_err() {
+                core.on_reply(Reply::page(SHUTTING_DOWN_PAGE.into()));
+            }
+        } else {
             self.shared.connections.fetch_add(1, Ordering::SeqCst);
         }
-        Some(token)
+        let conn = Conn {
+            stream,
+            sink,
+            core,
+            interest: (readable, writable),
+            last_activity: Instant::now(),
+        };
+        self.finish(token, conn);
     }
 
     /// Tears a connection down (fd closes on drop; epoll deregisters the
     /// fd implicitly at close, `delete` just keeps the table tidy).
-    fn kill(&mut self, token: usize) {
-        if let Some(conn) = self.conns.remove(token) {
-            conn.sink.closed.store(true, Ordering::Release);
-            let _ = self.poller.delete(conn.stream.as_raw_fd());
-            if !conn.scrape {
-                self.shared.connections.fetch_sub(1, Ordering::SeqCst);
-            }
-        }
+    fn close(&mut self, token: usize, conn: Conn) {
+        conn.sink.closed.store(true, Ordering::Release);
+        let _ = self.poller.delete(conn.stream.as_raw_fd());
+        let client = usize::from(conn.core.is_client());
+        self.shared.connections.fetch_sub(client, Ordering::SeqCst);
+        self.free.push(token);
     }
 
     fn conn_ready(&mut self, token: usize, ev: epoll::Event, scratch: &mut [u8]) {
-        let Some(conn) = self.conns.get(token) else {
-            return; // already killed this iteration
+        let Some(mut conn) = self.conns[token].take() else {
+            return; // closed earlier in this pass
         };
-        if ev.hangup && (conn.read_closed || conn.parked.is_some()) {
-            // Peer is gone in both directions: no response can ever be
-            // delivered, and the hang-up is level-triggered (a parked
-            // connection does not read its way to the error) — reap now.
-            self.kill(token);
-            return;
+        // A hang-up while nothing is read: the peer is gone both ways, no
+        // reply can be delivered, and the hang-up is level-triggered (a
+        // parked connection does not read its way to the error) — reap.
+        let dead = (ev.hangup && !conn.core.reading())
+            || (ev.writable && !conn.write())
+            || (ev.readable && !self.read(token, &mut conn, scratch));
+        if dead {
+            return self.close(token, conn);
         }
-        if ev.writable {
-            self.try_write(token);
-        }
-        if ev.readable && self.conns.get(token).is_some() {
-            self.do_read(token, scratch);
-        }
-        self.finish(token);
+        self.finish(token, conn);
     }
 
     /// Reads until a short read (the socket is empty — no second `read`
     /// to be told `WouldBlock`; an EOF behind the data is its own event),
-    /// EOF, a parked submit, or the fairness cap, decoding and
-    /// dispatching after every chunk.
-    fn do_read(&mut self, token: usize, scratch: &mut [u8]) {
+    /// EOF, a parked submit, or the fairness cap, dispatching after every
+    /// chunk. `false`: the socket failed.
+    fn read(&mut self, token: usize, conn: &mut Conn, scratch: &mut [u8]) -> bool {
         let mut total = 0usize;
-        loop {
-            let Some(conn) = self.conns.get_mut(token) else {
-                return;
-            };
-            if conn.read_closed || conn.parked.is_some() {
-                return;
-            }
+        while conn.core.reading() {
             match conn.stream.read(scratch) {
-                Ok(0) => {
-                    conn.read_closed = true;
-                    self.pump_input(token);
-                    return;
-                }
+                Ok(0) => conn.core.on_read(&[]),
                 Ok(n) => {
                     conn.last_activity = Instant::now();
-                    conn.decoder.push(&scratch[..n]);
-                    self.pump_input(token);
+                    conn.core.on_read(&scratch[..n]);
+                    self.pump(token, conn);
                     total += n;
                     if n < scratch.len() || total >= 4 * READ_CHUNK {
-                        return; // emptied, or fairness: level-triggering re-arms
+                        break; // emptied, or fairness: level-triggering re-arms
                     }
                 }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(_) => {
-                    self.kill(token);
-                    return;
-                }
+                Err(_) => return false,
             }
         }
+        true
     }
 
-    /// Retries the parked submit, then decodes and dispatches buffered
-    /// lines until they run out (after EOF: including the unterminated
-    /// tail) or a submit parks. Safe to call at any time.
-    fn pump_input(&mut self, token: usize) {
-        loop {
-            let Some(conn) = self.conns.get_mut(token) else {
-                return;
-            };
-            if let Some((submit, was)) = conn.parked.take() {
-                if !self.dispatch(token, submit, Some(was)) {
-                    return;
-                }
-                continue;
-            }
-            let parsed = match conn.decoder.next_line(conn.read_closed) {
-                None => return,
-                Some(Line::Frame(body)) => parse_request(body),
-                Some(Line::TooLong(n)) => Err(format!(
-                    "frame too long ({n} bytes > {} limit)",
-                    self.max_line
-                )),
-            };
-            let Some(request) = parsed.transpose() else {
-                continue; // blank keep-alive line, no sequence consumed
-            };
-            let seq = conn.seq;
-            conn.seq += 1;
-            let reply = ReplyHandle(Arc::clone(&conn.sink));
-            match request {
-                Ok(Request::Submit {
-                    jobs,
-                    shard,
-                    tenant,
-                }) => {
-                    let submit = DirectSubmit {
-                        jobs,
-                        shard,
-                        tenant,
-                        reply,
-                        seq,
-                    };
-                    if !self.dispatch(token, submit, None) {
-                        return;
+    /// Performs every step the core has ready.
+    fn pump(&mut self, token: usize, conn: &mut Conn) {
+        while let Some(step) = conn.core.next_step() {
+            match step {
+                Step::Submit(submit) => self.push(token, conn, submit),
+                Step::Control(request, seq) => {
+                    let frame =
+                        IngestEvent::Frame(request, ReplyHandle(Arc::clone(&conn.sink)), seq);
+                    if self.ingest.send(frame).is_err() {
+                        conn.core.on_reply(Reply::frame(seq, &shutting_down()));
                     }
                 }
-                Ok(control) => {
-                    // To the router; later submits are fenced behind it.
-                    conn.last_control_seq = Some(seq);
-                    let sent = self.ingest.send(IngestEvent::Frame(control, reply, seq));
-                    if sent.is_err() {
-                        self.local_reply(token, seq, &shutting_down());
-                    }
-                }
-                Err(message) => self.local_reply(token, seq, &Response::Error { message }),
-            }
-        }
-    }
-
-    /// Queues a locally generated response (no wake needed — the caller
-    /// is the owning I/O thread and pumps before it polls again).
-    fn local_reply(&mut self, token: usize, seq: u64, response: &Response) {
-        if let Some(conn) = self.conns.get(token) {
-            conn.sink.push(Reply::frame(seq, response));
-        }
-    }
-
-    /// The one submit path: pushes `submit` onto its shard's queue,
-    /// answers it locally (routing rejections, a closed table), or parks
-    /// it (`false`) — `was` is the reason it was parked for until now.
-    fn dispatch(&mut self, token: usize, submit: DirectSubmit, was: Option<ParkReason>) -> bool {
-        let Some(conn) = self.conns.get(token) else {
-            return false;
-        };
-        let seq = submit.seq;
-        let fenced = conn
-            .last_control_seq
-            .is_some_and(|s| conn.next_release <= s);
-        let outcome = if fenced {
-            Err((submit, ParkReason::Fenced))
-        } else {
-            // The read guard is held across the push: the router's write
-            // of a sealed table returns only once every push routed under
-            // the old one has landed, so nothing races a retiring shard.
-            let table = self.shared.table.read().expect("table lock");
-            push_submit(&table, submit, &mut self.pokes, &self.handle.stats)
-        };
-        match outcome {
-            Ok(None) => true,
-            Ok(Some(response)) => {
-                self.local_reply(token, seq, &response);
-                true
-            }
-            Err((submit, reason)) => {
-                if was != Some(reason) {
+                Step::Parked(reason) => {
                     self.shared.parked[reason as usize].fetch_add(1, Ordering::Relaxed);
                 }
-                if reason != ParkReason::Fenced {
-                    self.waiting.push(token);
-                    self.waiting_full += usize::from(reason == ParkReason::Full);
-                }
-                self.conns.get_mut(token).expect("checked above").parked = Some((submit, reason));
-                false
+            }
+        }
+    }
+
+    /// The one submit path: pushes `frame` onto its shard's queue, or
+    /// hands its core the local answer (routing rejections, a closed
+    /// table) or the park.
+    fn push(&mut self, token: usize, conn: &mut Conn, frame: Submit) {
+        let seq = frame.seq;
+        let submit = DirectSubmit {
+            frame,
+            reply: ReplyHandle(Arc::clone(&conn.sink)),
+        };
+        // The read guard is held across the push: the router's write of
+        // a sealed table returns only once every push routed under the
+        // old one has landed, so nothing races a retiring shard.
+        let table = self.shared.table.read().expect("table lock");
+        let outcome = push_submit(&table, submit, &mut self.pokes, &self.handle.stats);
+        drop(table);
+        match outcome {
+            Ok(None) => {}
+            Ok(Some(response)) => conn.core.on_reply(Reply::frame(seq, &response)),
+            Err((back, reason)) => {
+                self.waiting.push(token);
+                self.waiting_full += usize::from(reason == ParkReason::Full);
+                conn.core.park(back.frame, reason);
             }
         }
     }
 
     /// Retries every connection parked on a sealed table or a full
-    /// queue; `dispatch` re-lists the ones that park again.
+    /// queue; `push` re-lists the ones that park again.
     fn retry_waiting(&mut self) {
         self.waiting_full = 0;
         for token in std::mem::take(&mut self.waiting) {
-            self.pump_input(token);
-            self.finish(token);
+            let Some(mut conn) = self.conns[token].take() else {
+                continue;
+            };
+            if let Some(submit) = conn.core.retry() {
+                self.push(token, &mut conn, submit);
+            }
+            self.finish(token, conn);
         }
     }
 
-    /// Moves in-sequence replies from the reorder buffer into the
-    /// outbound one; returns the bytes still held for reordering and
-    /// whether nothing is.
-    fn release(&mut self, token: usize) -> (usize, bool) {
-        let Some(conn) = self.conns.get_mut(token) else {
-            return (0, true);
-        };
-        let mut q = conn.sink.q.lock().expect("sink lock");
-        while let Some(entry) = q.held.first_entry() {
-            if *entry.key() > conn.next_release {
-                break;
-            }
-            let reply = entry.remove();
-            q.held_bytes -= reply.line.len();
-            if reply.seq < conn.next_release {
-                continue; // stale duplicate (dead-shard race); drop
-            }
-            if conn.out.is_empty() && reply.line.len() > READ_CHUNK {
-                // A long reply (a whole schedule) becomes the buffer
-                // rather than being copied into it.
-                conn.out = reply.line.into_bytes();
-            } else {
-                conn.out.extend_from_slice(reply.line.as_bytes());
-            }
-            if let Some(tx) = reply.flushed {
-                conn.flush_marks
-                    .push_back((conn.out_base + conn.out.len() as u64, tx));
-            }
-            conn.next_release += 1;
-        }
-        (q.held_bytes, q.held.is_empty())
-    }
-
-    /// Releases in-sequence replies (resuming a connection fenced behind
-    /// one of them), writes, enforces the write bound, updates epoll
-    /// interest and closes finished connections. Safe to call repeatedly.
-    fn finish(&mut self, token: usize) {
-        let (mut held_bytes, mut held_empty) = self.release(token);
-        let fenced = |c: &Conn| matches!(c.parked, Some((_, ParkReason::Fenced)));
-        if self.conns.get(token).is_some_and(fenced) {
-            self.pump_input(token);
-            // What the resumed frames answered locally.
-            (held_bytes, held_empty) = self.release(token);
-        }
-        let Some(conn) = self.conns.get_mut(token) else {
-            return;
-        };
-        // A scrape's backlog is its one page, bounded already.
-        let backlog = conn.unwritten() + held_bytes;
-        if !conn.scrape && backlog > self.max_write_buffer {
+    /// Ends an entry point's turn with a connection: performs what its core
+    /// has ready (a submit fenced behind a reply just moved in among it),
+    /// then closes it over the write bound, on a failed write or finished,
+    /// or writes, re-arms epoll interest and puts it back.
+    fn finish(&mut self, token: usize, mut conn: Conn) {
+        self.pump(token, &mut conn);
+        if conn.core.over_limit() {
             // The client is not reading: cut it loose rather than buffer
-            // without bound (satellite: unbounded reply memory).
+            // without bound.
             self.shared.slow_disconnects.fetch_add(1, Ordering::SeqCst);
-            self.kill(token);
-            return;
+            return self.close(token, conn);
         }
-        self.try_write(token);
-        let Some(conn) = self.conns.get_mut(token) else {
-            return;
-        };
-        // Done? (EOF seen, every frame answered, every byte written. A
-        // parked frame is an unanswered one, and after EOF lines stay
-        // undecoded only behind a parked frame.)
-        let idle_out = conn.unwritten() == 0 && conn.next_release == conn.seq && held_empty;
-        if conn.read_closed && idle_out {
-            self.kill(token);
-            return;
+        if !conn.write() || conn.core.finished() {
+            return self.close(token, conn);
         }
-        // Re-arm epoll interest to match what we are waiting for.
-        let want_read = !conn.read_closed && conn.parked.is_none();
-        let want_write = conn.unwritten() > 0;
-        if want_read != conn.want_read || want_write != conn.want_write {
-            conn.want_read = want_read;
-            conn.want_write = want_write;
-            let _ = self.poller.modify(
-                conn.stream.as_raw_fd(),
-                token as u64,
-                Interest {
-                    readable: want_read,
-                    writable: want_write,
-                },
-            );
+        let interest = conn.core.interest();
+        if interest != conn.interest {
+            conn.interest = interest;
+            let (readable, writable) = interest;
+            let fd = conn.stream.as_raw_fd();
+            let _ = self
+                .poller
+                .modify(fd, token as u64, Interest { readable, writable });
         }
-    }
-
-    /// Writes as much of the outbound buffer as the socket accepts,
-    /// signalling flush marks as they are passed.
-    fn try_write(&mut self, token: usize) {
-        let Some(conn) = self.conns.get_mut(token) else {
-            return;
-        };
-        let mut dead = false;
-        while conn.out_pos < conn.out.len() {
-            match conn.stream.write(&conn.out[conn.out_pos..]) {
-                Ok(0) => break,
-                Ok(n) => {
-                    conn.out_pos += n;
-                    conn.last_activity = Instant::now();
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(_) => {
-                    dead = true;
-                    break;
-                }
-            }
-        }
-        if dead {
-            self.kill(token);
-            return;
-        }
-        let Some(conn) = self.conns.get_mut(token) else {
-            return;
-        };
-        let written_abs = conn.out_base + conn.out_pos as u64;
-        while conn
-            .flush_marks
-            .front()
-            .is_some_and(|(off, _)| *off <= written_abs)
-        {
-            let (_, tx) = conn.flush_marks.pop_front().expect("checked");
-            let _ = tx.send(());
-        }
-        if conn.out_pos == conn.out.len() {
-            conn.out_base += conn.out.len() as u64;
-            conn.out.clear();
-            // Drained: what one long reply grew the buffer to goes back.
-            conn.out.shrink_to(READ_CHUNK);
-            conn.out_pos = 0;
-        } else if conn.out_pos > READ_CHUNK {
-            // Compact so a slowly draining connection cannot grow the
-            // buffer by its own written prefix.
-            conn.out.drain(..conn.out_pos);
-            conn.out_base += conn.out_pos as u64;
-            conn.out_pos = 0;
-        }
+        self.conns[token] = Some(conn);
     }
 
     /// Adopts the connections thread 0 accepted for this thread.
     fn process_inbox(&mut self) {
         let streams = std::mem::take(&mut *self.handle.inbox.lock().expect("inbox lock"));
         for stream in streams {
-            self.register(stream, false);
+            self.adopt(stream, false);
         }
     }
 
@@ -933,26 +630,27 @@ impl IoLoop {
         let ready: Vec<Arc<ReplySink>> =
             std::mem::take(&mut *self.handle.ready.lock().expect("ready lock"));
         for sink in ready {
-            // Reset *before* pumping so a send racing with this pass
-            // re-queues the sink rather than being missed.
+            // Reset *before* emptying the mailbox so a send racing with
+            // this pass re-queues the sink rather than being missed.
             sink.queued.store(false, Ordering::Release);
-            let token = sink.token;
-            if self
-                .conns
-                .get(token)
-                .is_some_and(|c| Arc::ptr_eq(&c.sink, &sink))
-            {
-                self.finish(token);
+            let slot = &mut self.conns[sink.token];
+            let Some(mut conn) = slot.take_if(|c| Arc::ptr_eq(&c.sink, &sink)) else {
+                continue;
+            };
+            for reply in sink.mailbox.lock().expect("sink lock").drain(..) {
+                conn.core.on_reply(reply);
             }
+            self.finish(sink.token, conn);
         }
     }
 
-    /// Reaps connections idle past the timeout — the half-open-peer
-    /// defence: a client that vanished without FIN never fires an epoll
-    /// event, so readiness alone would leak it (and its routing state)
-    /// forever.
+    /// Reaps connections idle past the timeout that the daemon owes
+    /// nothing — the half-open-peer defence: a client that vanished
+    /// without FIN never fires an epoll event, so readiness alone would
+    /// leak it (and its routing state) forever. A client waiting on a
+    /// slow reply is not idle, however long the reply takes.
     fn sweep_idle(&mut self) {
-        let Some(timeout) = self.idle_timeout else {
+        let Some(timeout) = self.options.idle_timeout else {
             return;
         };
         let now = Instant::now();
@@ -960,14 +658,11 @@ impl IoLoop {
             return;
         }
         self.last_sweep = now;
-        for token in 0..self.conns.token_bound() {
-            let idle = self
-                .conns
-                .get(token)
-                .is_some_and(|c| now.duration_since(c.last_activity) > timeout);
-            if idle {
+        for token in 0..self.conns.len() {
+            let idle = |c: &Conn| now.duration_since(c.last_activity) > timeout && !c.core.owed();
+            if let Some(conn) = self.conns[token].take_if(|c| idle(c)) {
                 self.shared.idle_reaped.fetch_add(1, Ordering::SeqCst);
-                self.kill(token);
+                self.close(token, conn);
             }
         }
     }
@@ -989,15 +684,16 @@ fn push_submit(
         DirectPath::Closed => return Ok(Some(shutting_down())),
     };
     let n_shards = table.plan.n_shards();
-    let target = match submit.shard {
+    let frame = &submit.frame;
+    let target = match frame.shard {
         Some(k) if k >= n_shards => return Ok(Some(Response::UnknownShard { shard: k, n_shards })),
         Some(k) => k,
-        None => match derive_route(&table.grid, &table.plan, &table.offline, &submit.jobs) {
+        None => match derive_route(&table.grid, &table.plan, &table.offline, &frame.jobs) {
             Ok(k) => k,
             Err(response) => return Ok(Some(*response)),
         },
     };
-    let n_jobs = submit.jobs.len();
+    let n_jobs = frame.jobs.len();
     let d = &direct[target];
     let (pushed, wake) = d.queue.push(submit);
     match wake {
@@ -1005,7 +701,7 @@ fn push_submit(
         Wake::Coalesced => {}
         // A dead shard neither drains a full queue nor answers a queued
         // submit (one that raced its exit may be answered twice; the
-        // sink keeps one).
+        // core keeps one).
         Wake::Dead => return Ok(Some(shard_down())),
     }
     stats.shard_pokes[usize::from(wake == Wake::Coalesced)].fetch_add(1, Ordering::Relaxed);
@@ -1081,7 +777,7 @@ pub(crate) mod tests {
     use crate::daemon::Daemon;
     use crate::protocol::{encode, Request};
     use crate::reshard::SessionFactory;
-    use gridsec_core::Site;
+    use gridsec_core::{Job, Site};
     use gridsec_sim::scheduler::EarliestCompletion;
     use gridsec_sim::SimConfig;
     use std::io::{BufRead, BufReader};
@@ -1125,7 +821,7 @@ pub(crate) mod tests {
             let clients = (0..n)
                 .map(|_| {
                     let client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
-                    io.register(listener.accept().unwrap().0, false);
+                    io.adopt(listener.accept().unwrap().0, false);
                     client
                 })
                 .collect();
@@ -1141,7 +837,7 @@ pub(crate) mod tests {
         /// The reply handle of connection `k` (tokens are handed out in
         /// registration order).
         pub(crate) fn reply(&self, k: usize) -> ReplyHandle {
-            ReplyHandle(Arc::clone(&self.io.conns.get(k).unwrap().sink))
+            ReplyHandle(Arc::clone(&self.io.conns[k].as_ref().unwrap().sink))
         }
 
         fn pass(&mut self, timeout: Duration) -> usize {
@@ -1152,7 +848,7 @@ pub(crate) mod tests {
 
         fn released(&self) -> u64 {
             (0..self.clients.len())
-                .map(|k| self.io.conns.get(k).unwrap().next_release)
+                .map(|k| self.io.conns[k].as_ref().unwrap().core.released())
                 .sum()
         }
 
@@ -1364,11 +1060,17 @@ pub(crate) mod tests {
             flushed: None,
         });
         rig.settle(1, "long reply");
-        while rig.io.conns.get(0).unwrap().unwritten() > 0 {
+        while !rig.io.conns[0]
+            .as_ref()
+            .unwrap()
+            .core
+            .unwritten()
+            .is_empty()
+        {
             rig.pass(OWED);
         }
         assert!(reader.join().unwrap() == line.as_bytes(), "reply mangled");
-        let capacity = rig.io.conns.get(0).unwrap().out.capacity();
+        let capacity = rig.io.conns[0].as_ref().unwrap().core.out_capacity();
         assert!(capacity <= READ_CHUNK, "{capacity} bytes kept");
     }
 }

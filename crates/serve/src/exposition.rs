@@ -9,7 +9,8 @@
 //! `ServeMetrics`, without a rest pattern, so a new field of either does
 //! not build until it is rendered or listed as wire-only.
 
-use crate::conn::{PARK_LABELS, WAKE_OUTCOMES};
+use crate::conn::WAKE_OUTCOMES;
+use crate::conn_core::PARK_LABELS;
 use crate::protocol::ServeMetrics;
 use gridsec_obs::recorder::RecorderStatus;
 use gridsec_obs::HistogramSnapshot;

@@ -89,6 +89,7 @@
 
 pub mod client;
 mod conn;
+mod conn_core;
 pub mod daemon;
 mod exposition;
 mod ids;

@@ -175,8 +175,8 @@ impl SubmitQueue {
 /// queue goes `dead` (from here on the I/O threads answer `shard_down`
 /// themselves), then the submit that was being handled and whatever is
 /// still queued are answered `shard_down`. A submit pushed across the
-/// `swap` may be answered from both sides; the sink keeps one answer per
-/// sequence number.
+/// `swap` may be answered from both sides; its connection keeps one
+/// answer per sequence number.
 pub(crate) struct SubmitDrain {
     queue: Arc<SubmitQueue>,
     /// Reply route of the submit being handled, so a panic under it
@@ -197,7 +197,7 @@ impl Drop for SubmitDrain {
     fn drop(&mut self) {
         self.queue.wake.swap(DEAD, Ordering::AcqRel);
         let down = shard_down();
-        let queued = std::iter::from_fn(|| self.queue.pop().map(|d| (d.reply, d.seq)));
+        let queued = std::iter::from_fn(|| self.queue.pop().map(|d| (d.reply, d.frame.seq)));
         for (reply, seq) in self.in_flight.take().into_iter().chain(queued) {
             reply.send(Reply::frame(seq, &down));
         }
@@ -317,8 +317,8 @@ impl ShardRuntime {
         #[cfg(test)]
         crate::conn::seam::fire(); // a test's push, forced between the two steps
         while let Some(d) = self.direct.queue.pop() {
-            self.direct.in_flight = Some((d.reply, d.seq));
-            let response = self.handle_submit(d.jobs, d.tenant.as_deref());
+            self.direct.in_flight = Some((d.reply, d.frame.seq));
+            let response = self.handle_submit(d.frame.jobs, d.frame.tenant.as_deref());
             if let Some((reply, seq)) = self.direct.in_flight.take() {
                 reply.send(Reply::frame(seq, &response));
             }
@@ -522,6 +522,7 @@ impl Reply {
 mod tests {
     use super::*;
     use crate::conn::{seam, tests::Rig};
+    use crate::conn_core::Submit;
     use gridsec_core::{Grid, Site};
     use gridsec_sim::scheduler::EarliestCompletion;
     use gridsec_sim::SimConfig;
@@ -546,11 +547,13 @@ mod tests {
 
     fn submit(seq: u64, reply: &ReplyHandle) -> DirectSubmit {
         DirectSubmit {
-            jobs: vec![Job::builder(seq).work(1.0).build().unwrap()],
-            shard: None,
-            tenant: None,
+            frame: Submit {
+                jobs: vec![Job::builder(seq).work(1.0).build().unwrap()],
+                shard: None,
+                tenant: None,
+                seq,
+            },
             reply: reply.clone(),
-            seq,
         }
     }
 

@@ -262,6 +262,49 @@ fn idle_sweep_reaps_half_open_connections() {
     daemon.join();
 }
 
+/// A client waiting on a slow reply is owed it, not idle: with the
+/// round of its second submit blocked, a `drain` behind it waits five
+/// idle timeouts in silence, and once the round goes on the client reads
+/// every answer instead of EOF.
+#[test]
+fn idle_sweep_spares_a_client_the_daemon_still_owes_a_reply() {
+    let probe = Probe::new(false);
+    let daemon = spawn_probed(
+        1,
+        &probe,
+        DaemonOptions {
+            idle_timeout: Some(Duration::from_millis(200)),
+            ..DaemonOptions::default()
+        },
+    );
+    let mut stream = TcpStream::connect(daemon.addr()).unwrap();
+    // Job 1's arrival fires the boundary at 10: that round blocks.
+    for line in [submit_line(0, 0.0, None), submit_line(1, 20.0, None)] {
+        stream.write_all(line.as_bytes()).unwrap();
+    }
+    stream
+        .write_all(encode(&Request::Drain).as_bytes())
+        .unwrap();
+    std::thread::sleep(Duration::from_secs(1));
+    probe.open_gate();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let mut client = Client::from_stream(stream).unwrap();
+    for expected in ["accepted", "accepted", "drained"] {
+        let reply = client.read_response();
+        let tag = match &reply {
+            Ok(Response::Accepted { .. }) => "accepted",
+            Ok(Response::Drained { .. }) => "drained",
+            _ => "",
+        };
+        assert_eq!(tag, expected, "{reply:?}");
+    }
+    assert_eq!(daemon.idle_reaped(), 0);
+    assert_eq!(client.send(&Request::Shutdown).unwrap(), Response::Bye);
+    daemon.join();
+}
+
 /// One scraper that connects and never reads must not delay another
 /// scraper: a scrape is a connection on I/O thread 0 whose page is
 /// written without blocking, so the stuck one holds only its own
