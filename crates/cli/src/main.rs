@@ -55,8 +55,9 @@ fn print_usage() {
          gridsec chaos <scenario.json> [--json <out.json>]\n\
          \n\
          chaos: compiles the scenario's injection program (arrivals, site\n\
-         failures/rejoins, trust re-ratings) and replays it through the engine,\n\
-         printing the zero-lost-jobs ledger. `example-scenario` writes a starter\n\
+         failures/rejoins, trust re-ratings) and replays it through an online\n\
+         session (the daemon's scheduling core, in process), printing the\n\
+         zero-lost-jobs ledger. `example-scenario` writes a starter\n\
          churn spec.\n\
          \n\
          serve: starts the online scheduling daemon (NDJSON frames over TCP) with\n\
@@ -66,7 +67,8 @@ fn print_usage() {
          --shards <n> partitions the grid into n site-disjoint shards, each with\n\
          \x20            its own scheduler on its own thread (default 1).\n\
          --state <prefix> persists each shard's STGA history table to\n\
-         \x20            <prefix>.shard<k>.json at drain/shutdown and reloads on boot.\n\
+         \x20            <prefix>.shard<k>.json when the shard stops (at shutdown, or\n\
+         \x20            when a reshard retires it) and reloads on boot.\n\
          --max-pending <n> bounds each shard's pending queue (busy frames past it).\n\
          --metrics-addr <addr> serves a plaintext Prometheus-style exposition page\n\
          \x20            over TCP (write-on-connect; scrape with curl or nc).\n\
@@ -412,12 +414,7 @@ fn chaos(path: &str, json_out: Option<String>) -> Result<i32, String> {
         grid.len(),
         spec.scenario.seed,
     );
-    let replay = ScenarioRunner::new(grid, scheduler, &spec.sim).and_then(|mut runner| {
-        for inj in &stream.events {
-            runner.apply(inj)?;
-        }
-        runner.finish()
-    });
+    let replay = ScenarioRunner::new(grid, scheduler, &spec.sim).and_then(|r| r.run(&stream));
     let outcome = replay.map_err(|e| format!("replay failed: {e}"))?;
     let m = &outcome.metrics;
     println!(

@@ -1,27 +1,25 @@
-//! A compressed map from job ids to small values, laid out like a Roaring
-//! bitmap (Chambi, Lemire, Kaser & Godin, 2016): the storage under a
-//! session's [`IdTable`](crate::session::IdTable)s.
+//! A session's accepted-id set, [`KnownIds`]: every job id it has
+//! accepted, which duplicate-id protection reads on every submit. This
+//! module owns the set's whole format — the compressed chunks of one set,
+//! and the inheritance a reshard hands over whole and the session's first
+//! change settles.
 //!
-//! Ids fall into chunks of 4096 keyed by `id >> 12`. A chunk holding
-//! many ids is a 512-byte bitmap, so the ids a daemon hands out in order
-//! cost a bit each on a line the previous id already touched. Every other
-//! id sits in a sparse tier of its own, an ordered set of whole ids, so
-//! ids scattered over all of `u64` cost no more than they would in a hash
-//! table and no client-chosen id is ever hashed. A chunk's sparse ids
-//! become a bitmap once there are [`PROMOTE`] of them, or at once when
-//! the chunk before it is at least half full (ids handed out in order);
-//! a bitmap left with fewer than [`DEMOTE`] ids goes back to the sparse
-//! tier.
-//!
-//! An id's value is [`Merge::ONE`] unless the side map says otherwise; the
-//! side map is read only when it is not empty, which for an accepted-id
-//! set is always and for standing commits is whenever no job holds two.
-//! Every operation is O(log n) in the worst case.
+//! One set is laid out like a Roaring bitmap (Chambi, Lemire, Kaser &
+//! Godin, 2016). Ids fall into chunks of 4096 keyed by `id >> 12`. A chunk
+//! holding many ids is a 512-byte bitmap, so the ids a daemon hands out in
+//! order cost a bit each on a line the previous id already touched. Every
+//! other id sits in a sparse tier of its own, an ordered set of whole ids,
+//! so ids scattered over all of `u64` cost no more than they would in a
+//! hash table and no client-chosen id is ever hashed. A chunk's sparse ids
+//! become a bitmap once there are [`PROMOTE`] of them, or at once when the
+//! chunk before it is at least half full (ids handed out in order); a
+//! bitmap left with fewer than [`DEMOTE`] ids goes back to the sparse
+//! tier. Every operation is O(log n) in the worst case.
 
-use crate::session::Merge;
 use gridsec_core::JobId;
 use std::collections::{BTreeMap, BTreeSet, HashSet};
 use std::fmt;
+use std::sync::Arc;
 
 /// Ids per chunk, as a shift.
 const CHUNK_BITS: u32 = 12;
@@ -80,35 +78,18 @@ impl Bitmap {
     }
 }
 
-/// A set of job ids, each with a value (see the module doc).
-#[derive(Clone)]
-pub(crate) struct IdMap<V> {
+/// One compressed set of job ids (see the module doc).
+#[derive(Clone, Default)]
+struct IdSet {
     /// Dense chunks by key.
     dense: BTreeMap<u64, Box<Bitmap>>,
     /// Ids of every chunk that is not dense.
     sparse: BTreeSet<u64>,
-    /// The values other than [`Merge::ONE`].
-    values: BTreeMap<u64, V>,
     len: usize,
 }
 
-impl<V> Default for IdMap<V> {
-    fn default() -> IdMap<V> {
-        IdMap {
-            dense: BTreeMap::new(),
-            sparse: BTreeSet::new(),
-            values: BTreeMap::new(),
-            len: 0,
-        }
-    }
-}
-
-impl<V> IdMap<V> {
-    pub(crate) fn len(&self) -> usize {
-        self.len
-    }
-
-    pub(crate) fn contains(&self, id: JobId) -> bool {
+impl IdSet {
+    fn contains(&self, id: JobId) -> bool {
         match self.dense.get(&key(id.0)) {
             Some(b) => {
                 let (w, mask) = slot(id.0);
@@ -165,7 +146,7 @@ impl<V> IdMap<V> {
     }
 
     /// Drops `id`; false if it was not there.
-    fn drop_id(&mut self, id: u64) -> bool {
+    fn remove(&mut self, id: u64) -> bool {
         let k = key(id);
         let Some(b) = self.dense.get_mut(&k) else {
             let gone = self.sparse.remove(&id);
@@ -206,88 +187,18 @@ impl<V> IdMap<V> {
             self.sparse.extend(b.ids(k));
         }
     }
-}
 
-impl<V: Merge> IdMap<V> {
-    /// `id`'s value, given that the map holds it.
-    fn value(&self, id: u64) -> V {
-        if self.values.is_empty() {
-            return V::ONE;
-        }
-        self.values.get(&id).copied().unwrap_or(V::ONE)
-    }
-
-    fn set_value(&mut self, id: u64, v: V) {
-        if v != V::ONE {
-            self.values.insert(id, v);
-        } else if !self.values.is_empty() {
-            self.values.remove(&id);
-        }
-    }
-
-    pub(crate) fn get(&self, id: JobId) -> Option<V> {
-        self.contains(id).then(|| self.value(id.0))
-    }
-
-    /// Sets `id`'s value; returns the one it replaced.
-    pub(crate) fn insert(&mut self, id: JobId, v: V) -> Option<V> {
-        let old = (!self.add(id.0)).then(|| self.value(id.0));
-        self.set_value(id.0, v);
-        old
-    }
-
-    pub(crate) fn remove(&mut self, id: JobId) -> Option<V> {
-        if !self.drop_id(id.0) {
-            return None;
-        }
-        if self.values.is_empty() {
-            return Some(V::ONE);
-        }
-        Some(self.values.remove(&id.0).unwrap_or(V::ONE))
-    }
-
-    /// Merges `v` into `id`'s value (sets it when `id` is new).
-    pub(crate) fn merge_in(&mut self, id: JobId, v: V) {
-        if self.add(id.0) {
-            self.set_value(id.0, v);
-        } else {
-            let mut w = self.value(id.0);
-            w.merge(v);
-            self.set_value(id.0, w);
-        }
-    }
-
-    /// Every entry, in ascending id order.
-    pub(crate) fn iter(&self) -> impl Iterator<Item = (JobId, V)> + '_ {
-        self.ids().map(|id| (JobId(id), self.value(id)))
-    }
-
-    /// Merges every entry of `other` whose id is not in `skip` into this
-    /// map, chunk by chunk: a bitmap is one word OR per 64 ids, and only
-    /// the ids both maps hold, where merging two [`Merge::ONE`]s is not
-    /// one, and the values other than it are handled one at a time.
-    pub(crate) fn union(&mut self, other: &IdMap<V>, skip: &HashSet<JobId>) {
-        let counts = {
-            let mut two = V::ONE;
-            two.merge(V::ONE);
-            two != V::ONE
-        };
-        // Ids whose own value must travel first, while this map still
-        // tells which ids it held; the OR below leaves them alone.
-        let mut aside: Vec<u64> = skip.iter().map(|id| id.0).collect();
-        for (&id, &v) in &other.values {
-            if !skip.contains(&JobId(id)) {
-                self.merge_in(JobId(id), v);
-                aside.push(id);
-            }
-        }
-        aside.sort_unstable();
+    /// Adds every id of `other` that is not in `skip`, chunk by chunk: a
+    /// bitmap is one word OR per 64 ids, a sparse id one insert.
+    fn union(&mut self, other: &IdSet, skip: &HashSet<JobId>) {
+        let mut skip: Vec<u64> = skip.iter().map(|id| id.0).collect();
+        skip.sort_unstable();
         for (&k, theirs) in &other.dense {
             let mut words = theirs.words;
             let range = span(k);
-            let from = aside.partition_point(|&id| id < *range.start());
-            let to = aside.partition_point(|&id| id <= *range.end());
-            for &id in &aside[from..to] {
+            let from = skip.partition_point(|&id| id < *range.start());
+            let to = skip.partition_point(|&id| id <= *range.end());
+            for &id in &skip[from..to] {
                 let (w, mask) = slot(id);
                 words[w] &= !mask;
             }
@@ -295,79 +206,215 @@ impl<V: Merge> IdMap<V> {
                 Some(b) => b,
                 None => self.promote(k),
             };
-            let mut both = [0u64; WORDS];
             let mut len = 0;
-            for ((o, t), b) in ours.words.iter_mut().zip(words).zip(&mut both) {
-                *b = *o & t;
+            for (o, t) in ours.words.iter_mut().zip(words) {
                 *o |= t;
                 len += o.count_ones();
             }
             let added = (len - ours.len) as usize;
             ours.len = len;
             self.len += added;
-            if counts {
-                let base = k << CHUNK_BITS;
-                for (w, &word) in both.iter().enumerate() {
-                    for id in bits(word).map(|b| base + ((w as u64) << 6) + b) {
-                        let mut v = self.value(id);
-                        v.merge(V::ONE);
-                        self.set_value(id, v);
-                    }
-                }
-            }
             if len < DEMOTE {
                 self.demote(k);
             }
         }
         for &id in &other.sparse {
-            if aside.binary_search(&id).is_err() {
-                self.merge_in(JobId(id), V::ONE);
+            if skip.binary_search(&id).is_err() {
+                self.add(id);
             }
         }
-    }
-
-    /// How many of this map's ids `other` holds, less those in `skip`:
-    /// a popcount per pair of bitmaps, a lookup per sparse id.
-    pub(crate) fn overlap(&self, other: &IdMap<V>, skip: &HashSet<JobId>) -> usize {
-        let mut n = 0;
-        for (&k, ours) in &self.dense {
-            n += match other.dense.get(&k) {
-                Some(theirs) => (ours.words.iter().zip(&theirs.words))
-                    .map(|(a, b)| (a & b).count_ones() as usize)
-                    .sum(),
-                None => (other.sparse.range(span(k)))
-                    .filter(|&&id| {
-                        let (w, mask) = slot(id);
-                        ours.words[w] & mask != 0
-                    })
-                    .count(),
-            };
-        }
-        n += self
-            .sparse
-            .iter()
-            .filter(|&&id| other.contains(JobId(id)))
-            .count();
-        let skipped = skip
-            .iter()
-            .filter(|&&id| self.contains(id) && other.contains(id));
-        n - skipped.count()
     }
 }
 
-impl<V: fmt::Debug> fmt::Debug for IdMap<V> {
-    /// The ids in order, then the values other than [`Merge::ONE`].
+impl fmt::Debug for IdSet {
+    /// The ids in order.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        struct Ids<'a, V>(&'a IdMap<V>);
-        impl<V> fmt::Debug for Ids<'_, V> {
-            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-                f.debug_set().entries(self.0.ids()).finish()
+        f.debug_set().entries(self.ids()).finish()
+    }
+}
+
+/// Every job id a session has accepted, held by shared ownership so that
+/// a reshard barrier hands it over whole: exporting it is O(1), and
+/// [`transfer`](crate::transfer) moves only the ids of pending and
+/// in-flight jobs one at a time.
+///
+/// Each whole set is compressed (see the module doc): at 10⁶ ids handed
+/// out in order that is 0.14 requested bytes per id, for every other id
+/// 0.27, and for ids drawn from all of `u64` 15.4, less than a `HashMap`
+/// took (`crates/serve/tests/id_budget.rs`). Every operation is O(log n)
+/// in the worst case, and no id is hashed.
+///
+/// The set a session builds is *settled*: one set. A set a reshard seeds
+/// is *inherited*: the whole sets of the old sessions it takes over, each
+/// less the ids that left it for other shards, plus the ids moved in from
+/// them. The session's first change to an inherited set unions the
+/// smaller sets into the largest, chunk by chunk (a word OR per 64 ids of
+/// a bitmap). By then the old sessions and their exports are gone, so the
+/// largest changes hands without a copy.
+#[derive(Debug, Clone)]
+pub struct KnownIds {
+    /// Whole sets, each with the ids that left it.
+    parts: Vec<Part>,
+    /// Ids moved in one at a time.
+    moved_in: IdSet,
+}
+
+#[derive(Debug, Clone)]
+struct Part {
+    table: Arc<IdSet>,
+    left: HashSet<JobId>,
+}
+
+impl Default for KnownIds {
+    /// An empty settled set.
+    fn default() -> KnownIds {
+        KnownIds {
+            parts: vec![Part {
+                table: Arc::default(),
+                left: HashSet::new(),
+            }],
+            moved_in: IdSet::default(),
+        }
+    }
+}
+
+impl KnownIds {
+    /// An inheritance with nothing in it yet, for
+    /// [`transfer`](crate::transfer) to fill.
+    pub fn inherit() -> KnownIds {
+        KnownIds {
+            parts: Vec::new(),
+            moved_in: IdSet::default(),
+        }
+    }
+
+    fn is_settled(&self) -> bool {
+        matches!(self.parts.as_slice(), [p] if p.left.is_empty()) && self.moved_in.len == 0
+    }
+
+    /// The part a settle keeps: the largest set, the first of equals.
+    fn largest(&self) -> Option<usize> {
+        (0..self.parts.len())
+            .rev()
+            .max_by_key(|&i| self.parts[i].table.len)
+    }
+
+    /// Whether `id` was accepted: held by a set it did not leave, or
+    /// moved in.
+    pub fn contains(&self, id: JobId) -> bool {
+        let mut held = self.parts.iter().filter(|p| !p.left.contains(&id));
+        held.any(|p| p.table.contains(id)) || self.moved_in.contains(id)
+    }
+
+    /// The one set, after settling an inheritance. Copies the set only
+    /// if something else (an export, an old session) still holds it.
+    fn settled(&mut self) -> &mut IdSet {
+        if !self.is_settled() {
+            let mut base = match self.largest() {
+                Some(i) => self.parts.swap_remove(i),
+                None => Part {
+                    table: Arc::default(),
+                    left: HashSet::new(),
+                },
+            };
+            let table = Arc::make_mut(&mut base.table);
+            for &id in &base.left {
+                table.remove(id.0);
+            }
+            for p in &self.parts {
+                table.union(&p.table, &p.left);
+            }
+            table.union(&self.moved_in, &HashSet::new());
+            base.left.clear();
+            self.parts = vec![base];
+            self.moved_in = IdSet::default();
+        }
+        Arc::make_mut(&mut self.parts[0].table)
+    }
+
+    /// Adds `id`; false if it was already there.
+    pub fn insert(&mut self, id: JobId) -> bool {
+        self.settled().add(id.0)
+    }
+
+    /// Drops `id`; false if it was not there.
+    pub fn remove(&mut self, id: JobId) -> bool {
+        self.settled().remove(id.0)
+    }
+
+    /// Every id in ascending order (of a settled copy, when the set is
+    /// inherited).
+    pub fn entries(&self) -> Vec<JobId> {
+        if self.is_settled() {
+            return self.parts[0].table.ids().map(JobId).collect();
+        }
+        self.clone().settled().ids().map(JobId).collect()
+    }
+
+    /// Takes `whole` over as it is, less the ids in `left`; returns the
+    /// ids handled one at a time (its own moved-in ids and the ids that
+    /// left).
+    pub fn take_over(&mut self, whole: &KnownIds, left: &HashSet<JobId>) -> usize {
+        for p in &whole.parts {
+            self.parts.push(Part {
+                table: Arc::clone(&p.table),
+                left: p.left.union(left).copied().collect(),
+            });
+        }
+        for id in whole.moved_in.ids().map(JobId) {
+            if !left.contains(&id) {
+                self.move_in(id);
             }
         }
-        f.debug_struct("IdMap")
-            .field("ids", &Ids(self))
-            .field("values", &self.values)
-            .finish()
+        whole.moved_in.len + left.len() * whole.parts.len()
+    }
+
+    /// Adds one id moved in from another shard.
+    pub fn move_in(&mut self, id: JobId) {
+        self.moved_in.add(id.0);
+    }
+
+    /// The ids the first settle handles one at a time: all but the
+    /// largest set's.
+    pub fn settle_cost(&self) -> usize {
+        if self.is_settled() {
+            return 0;
+        }
+        let big = self.largest();
+        let parts = self.parts.iter().enumerate().map(|(i, p)| {
+            let whole = if Some(i) == big { 0 } else { p.table.len };
+            whole + p.left.len()
+        });
+        parts.sum::<usize>() + self.moved_in.len
+    }
+}
+
+impl PartialEq for KnownIds {
+    /// Equal when they hold the same ids, however they are split.
+    fn eq(&self, other: &KnownIds) -> bool {
+        self.entries() == other.entries()
+    }
+}
+
+#[cfg(test)]
+impl KnownIds {
+    /// Whether both hold one whole set (not copies of it).
+    pub(crate) fn shares(&self, other: &KnownIds) -> bool {
+        let tables = |t: &KnownIds| t.parts.iter().map(|p| Arc::as_ptr(&p.table)).collect();
+        let ours: HashSet<_> = tables(self);
+        tables(other).iter().any(|t| ours.contains(t))
+    }
+}
+
+/// A settled set of these ids — for the tests of this crate.
+#[cfg(test)]
+impl FromIterator<JobId> for KnownIds {
+    fn from_iter<I: IntoIterator<Item = JobId>>(ids: I) -> KnownIds {
+        let mut t = KnownIds::default();
+        for id in ids {
+            t.insert(id);
+        }
+        t
     }
 }
 
@@ -375,18 +422,18 @@ impl<V: fmt::Debug> fmt::Debug for IdMap<V> {
 mod tests {
     use super::*;
 
-    fn ids<V>(m: &IdMap<V>) -> Vec<u64> {
+    fn ids(m: &IdSet) -> Vec<u64> {
         m.ids().collect()
     }
 
     /// What a bitmap and the sparse tier hold, per chunk key.
-    fn layout<V>(m: &IdMap<V>) -> (Vec<u64>, usize) {
+    fn layout(m: &IdSet) -> (Vec<u64>, usize) {
         (m.dense.keys().copied().collect(), m.sparse.len())
     }
 
     #[test]
     fn a_chunk_turns_dense_at_the_threshold_and_sparse_below_half_of_it() {
-        let mut m = IdMap::<()>::default();
+        let mut m = IdSet::default();
         let base = 5 << CHUNK_BITS;
         for i in 0..PROMOTE as u64 - 1 {
             assert!(m.add(base + 2 * i));
@@ -395,59 +442,67 @@ mod tests {
         m.add(u64::MAX);
         m.add(base + 4095);
         assert_eq!(layout(&m), (vec![5], 1));
-        assert_eq!(m.len(), PROMOTE + 1);
+        assert_eq!(m.len, PROMOTE + 1);
         for i in 0..=(PROMOTE as u64 - DEMOTE as u64) {
-            assert!(m.drop_id(base + 2 * i));
+            assert!(m.remove(base + 2 * i));
         }
         assert_eq!(layout(&m), (vec![], DEMOTE as usize));
         assert!(m.contains(JobId(base + 4095)) && !m.contains(JobId(base)));
-        assert_eq!(ids(&m).len(), m.len());
+        assert_eq!(ids(&m).len(), m.len);
     }
 
     #[test]
     fn ids_in_order_fill_the_next_chunk_as_a_bitmap_at_once() {
-        let mut m = IdMap::<u32>::default();
+        let mut m = IdSet::default();
         for id in 0..(1 << CHUNK_BITS) + 1 {
-            m.merge_in(JobId(id), 1);
+            m.add(id);
         }
         assert_eq!(layout(&m), (vec![0, 1], 0));
         assert_eq!(ids(&m), (0..(1 << CHUNK_BITS) + 1).collect::<Vec<_>>());
-        assert!(m.values.is_empty());
     }
 
     #[test]
-    fn values_other_than_one_live_beside_the_ids() {
-        let mut m = IdMap::<u32>::default();
-        m.merge_in(JobId(7), 1);
-        m.merge_in(JobId(7), 1);
-        m.insert(JobId(9), 0);
-        assert_eq!((m.get(JobId(7)), m.get(JobId(9))), (Some(2), Some(0)));
-        assert_eq!(m.insert(JobId(7), 1), Some(2));
-        assert_eq!(m.remove(JobId(9)), Some(0));
-        assert!(m.values.is_empty());
-        assert_eq!(m.get(JobId(8)), None);
-    }
-
-    #[test]
-    fn a_union_ors_bitmaps_and_adds_counts_where_both_hold_an_id() {
-        let mut a = IdMap::<u32>::default();
-        let mut b = IdMap::<u32>::default();
+    fn a_union_ors_bitmaps_and_skips_the_ids_that_left() {
+        let mut a = IdSet::default();
+        let mut b = IdSet::default();
         for id in 0..200 {
-            a.merge_in(JobId(id), 1);
-            b.merge_in(JobId(id + 100), 1);
+            a.add(id);
+            b.add(id + 100);
         }
-        b.insert(JobId(150), 3);
-        b.insert(JobId(5000), 1);
+        b.add(5000);
         let skip = HashSet::from([JobId(120), JobId(250)]);
-        assert_eq!(a.overlap(&b, &skip), 99);
         a.union(&b, &skip);
-        // 0..300 less 250, which only `b` held, plus 5000.
-        assert_eq!(a.len(), 300);
-        assert_eq!(a.get(JobId(110)), Some(2));
-        assert_eq!(a.get(JobId(150)), Some(4));
-        assert_eq!(a.get(JobId(120)), Some(1));
-        assert_eq!(a.get(JobId(250)), None);
-        assert_eq!(a.get(JobId(299)), Some(1));
-        assert_eq!(a.get(JobId(5000)), Some(1));
+        // 0..300 less 250, which only `b` held, plus 5000; 120 stays
+        // because `a` held it itself.
+        assert_eq!(a.len, 300);
+        let want: Vec<u64> = (0..300).filter(|&id| id != 250).chain([5000]).collect();
+        assert_eq!(ids(&a), want);
+        assert_eq!(layout(&a), (vec![0], 1));
+    }
+
+    /// An inherited set reads as the union of its parts, each less the
+    /// ids that left it, and its first change settles it into the largest
+    /// part in place when nothing else holds that.
+    #[test]
+    fn an_inherited_table_settles_into_its_largest_part_in_place() {
+        let big: KnownIds = (0..100).map(JobId).collect();
+        let small: KnownIds = [5, 200, 201].map(JobId).into_iter().collect();
+        let big_table = Arc::as_ptr(&big.parts[0].table);
+        let mut t = KnownIds::inherit();
+        assert_eq!(t.take_over(&small, &HashSet::from([JobId(201)])), 1);
+        assert_eq!(t.take_over(&big, &HashSet::from([JobId(7)])), 1);
+        t.move_in(JobId(7));
+        t.move_in(JobId(300));
+        drop((big, small));
+        // 99 of the big set's ids, plus 200, 7 (moved back in) and 300.
+        assert_eq!(t.entries().len(), 102);
+        assert!(t.contains(JobId(5)) && t.contains(JobId(7)));
+        assert!(!t.contains(JobId(201)));
+        // The small set's 3 ids, the 2 ids that left, 2 moved in.
+        assert_eq!(t.settle_cost(), 7);
+        assert!(t.insert(JobId(400)));
+        assert!(std::ptr::eq(Arc::as_ptr(&t.parts[0].table), big_table));
+        assert_eq!((t.entries().len(), t.settle_cost()), (103, 0));
+        assert!(t.contains(JobId(5)) && !t.contains(JobId(201)));
     }
 }

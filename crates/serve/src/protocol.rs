@@ -164,7 +164,7 @@ pub use gridsec_sim::CommittedAssignment as Placed;
 pub struct ServeMetrics {
     /// Jobs accepted over the session.
     pub jobs_submitted: usize,
-    /// Jobs with at least one committed assignment.
+    /// Accepted jobs with a standing commit (one no site failure voided).
     pub jobs_scheduled: usize,
     /// Jobs waiting for the next round.
     pub pending: usize,
@@ -314,7 +314,7 @@ pub struct ShardInfo {
     pub scheduler: String,
     /// Jobs accepted by this shard.
     pub jobs_submitted: usize,
-    /// Jobs with at least one committed assignment.
+    /// Accepted jobs with a standing commit (one no site failure voided).
     pub jobs_scheduled: usize,
     /// Jobs waiting for the shard's next round.
     pub pending: usize,
@@ -411,7 +411,7 @@ pub enum Response {
     Drained {
         /// Total rounds run so far.
         rounds: usize,
-        /// Jobs with at least one committed assignment.
+        /// Accepted jobs with a standing commit (one no site failure voided).
         jobs_scheduled: usize,
     },
     /// The shard topology (response to `query what=shards`).

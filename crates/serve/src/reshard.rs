@@ -8,13 +8,14 @@
 //! and a pure state transfer: every shard is drained (no boundary armed,
 //! pending only where offline sites strand jobs), each exports a
 //! [`ShardStateExport`] (availability, pending queue, in-flight commits,
-//! duplicate-id set, scheduler history snapshot), and [`transfer`]
-//! redistributes that state over the new plan deterministically. The id
-//! tables change hands whole: only the ids of pending and in-flight jobs
-//! move one at a time, so a barrier's cost is bounded by live state, not
-//! by how many jobs the daemon has served. The router then builds the new
-//! shards and atomically swaps the plan — clients pipelined across the
-//! swap observe responses in sequence order, nothing else.
+//! standing-commit count, duplicate-id set, scheduler history snapshot),
+//! and [`transfer`] redistributes that state over the new plan
+//! deterministically. The accepted-id sets change hands whole: only the
+//! ids of pending and in-flight jobs move one at a time, so a barrier's
+//! cost is bounded by live state, not by how many jobs the daemon has
+//! served. The router then builds the new shards and atomically swaps
+//! the plan — clients pipelined across the swap observe responses in
+//! sequence order, nothing else.
 //!
 //! `transfer` is deliberately a pure function of
 //! `(grid, old plan, exports, new plan)`: the resharding-equivalence
@@ -29,7 +30,7 @@
 //! shards.
 
 use crate::protocol::{Placed, ServeMetrics};
-use crate::session::{IdTable, KnownIds, LiveCommits, OnlineSession, SessionState};
+use crate::session::{KnownIds, OnlineSession, SessionState};
 use gridsec_core::{Grid, Job, JobId, SiteId, Time};
 use gridsec_sim::{BatchJob, BatchScheduler, ShardPlan, SimConfig};
 use std::collections::{HashMap, HashSet};
@@ -50,11 +51,10 @@ pub struct ShardStateExport {
     pub pending: Vec<BatchJob>,
     /// In-flight commits `(job, global site, end)`, in commit order.
     pub inflight: Vec<(Job, SiteId, Time)>,
-    /// Standing commit counts per job: the exporting session's own
-    /// compressed id table, owned jointly with it until the session is
-    /// retired.
-    pub live: LiveCommits,
-    /// Every accepted job id, a compressed id table owned like `live`.
+    /// Standing commits: at least one per in-flight entry.
+    pub live: usize,
+    /// Every accepted job id: the exporting session's own compressed id
+    /// set, owned jointly with it until the session is retired.
     pub known: KnownIds,
     /// Tenant attribution for jobs whose queue wait is still
     /// unrecorded, as `(job, tenant)` sorted by id — follows the job so
@@ -95,10 +95,11 @@ pub struct ReshardTransfer {
     /// Pending or in-flight jobs whose owning shard changed site set.
     pub jobs_migrated: usize,
     /// Job ids the barrier handles one at a time: the exports' pending,
-    /// in-flight and tenant entries, the moves and hand-overs here, and
-    /// what each new session's restore and first union of its inherited
-    /// tables will touch. Bounded by live state and the ids accepted
-    /// since the previous reshard, never by every id ever accepted.
+    /// in-flight and tenant entries, the moves and hand-overs of accepted
+    /// ids here, and what each new session's restore and first union of
+    /// its inherited id sets will touch. Bounded by live state and the
+    /// ids accepted since the previous reshard, never by every id ever
+    /// accepted.
     pub ids: usize,
 }
 
@@ -114,15 +115,16 @@ pub struct ReshardTransfer {
 ///   (ascending) of its old shard where the job fits.
 /// - **In-flight commit**: goes to the new shard of its commit site, so a
 ///   later `fail_site` requeues it exactly where the failure lands.
-/// - **Live / known ids**: follow the job's commits (first commit's shard
-///   for the live count); ids with no surviving commit anchor at the new
-///   shard of their old shard's first site. Known ids additionally cover
-///   every shard that received one of the job's pending or in-flight
-///   entries, so duplicate-id protection survives the transfer. So the
-///   anchor takes the old shard's tables over whole, and only the ids of
-///   pending and in-flight jobs move one at a time: into the shards
-///   their entries went to, and out of the anchor's copy when none went
-///   there.
+/// - **Standing commits**: each in-flight entry carries one to the new
+///   shard of its commit site; the rest (`live − in-flight`, commits of
+///   jobs that already finished) go to the *anchor*, the new shard of
+///   the old shard's first site. An export claiming fewer standing
+///   commits than it has in-flight entries is refused.
+/// - **Known ids**: the anchor takes the old shard's accepted-id set over
+///   whole, and only the ids of pending and in-flight jobs move one at a
+///   time: into every shard that received one of the job's entries, so
+///   duplicate-id protection survives the transfer, and out of the
+///   anchor's copy when none went there.
 /// - **History**: a new shard inherits the snapshot of every old shard it
 ///   shares a site with, in old-shard order.
 pub fn transfer(
@@ -160,8 +162,8 @@ pub fn transfer(
     let mut clocks = vec![Time::ZERO; n_new];
     let mut pending: Vec<Vec<BatchJob>> = vec![Vec::new(); n_new];
     let mut inflight: Vec<Vec<(Job, SiteId, Time)>> = vec![Vec::new(); n_new];
-    let mut live: Vec<LiveCommits> = (0..n_new).map(|_| IdTable::inherit()).collect();
-    let mut known: Vec<KnownIds> = (0..n_new).map(|_| IdTable::inherit()).collect();
+    let mut live = vec![0usize; n_new];
+    let mut known: Vec<KnownIds> = (0..n_new).map(|_| KnownIds::inherit()).collect();
     let mut tenants: Vec<Vec<(JobId, String)>> = vec![Vec::new(); n_new];
     let mut histories: Vec<Vec<String>> = vec![Vec::new(); n_new];
     let mut jobs_migrated = 0usize;
@@ -208,31 +210,26 @@ pub fn transfer(
             placed_in.entry(bj.job.id).or_default().push(k);
             pending[k].push(bj.clone());
         }
-        // First-commit shard per job, for live-count attribution.
-        let mut first_commit: HashMap<JobId, usize> = HashMap::new();
         for (job, site, end) in &e.inflight {
             let k = dest_of(*site);
             if migrates(k) {
                 jobs_migrated += 1;
             }
-            first_commit.entry(job.id).or_insert(k);
+            live[k] += 1;
             placed_in.entry(job.id).or_default().push(k);
             inflight[k].push((job.clone(), *site, *end));
         }
-        // The anchor takes both tables over whole, less the ids that move
+        live[anchor] += e.live.checked_sub(e.inflight.len()).ok_or_else(|| {
+            format!(
+                "shard {old}'s export claims {} standing commits but carries {} in-flight entries",
+                e.live,
+                e.inflight.len()
+            )
+        })?;
+        // The anchor takes the id set over whole, less the ids that move
         // elsewhere one at a time.
-        let mut left_live = HashSet::new();
-        for (&id, &k) in first_commit.iter().filter(|(_, &k)| k != anchor) {
-            if let Some(n) = e.live.get(id) {
-                left_live.insert(id);
-                live[k].move_in(id, n);
-            }
-        }
         let mut left_known = HashSet::new();
-        for (&id, ks) in placed_in
-            .iter()
-            .filter(|(&id, _)| e.known.get(id).is_some())
-        {
+        for (&id, ks) in placed_in.iter().filter(|(&id, _)| e.known.contains(id)) {
             let mut ks = ks.clone();
             ks.sort_unstable();
             ks.dedup();
@@ -240,13 +237,12 @@ pub fn transfer(
                 left_known.insert(id);
             }
             for k in ks.into_iter().filter(|&k| k != anchor) {
-                known[k].move_in(id, ());
+                known[k].move_in(id);
             }
         }
-        ids += live[anchor].take_over(&e.live, &left_live);
         ids += known[anchor].take_over(&e.known, &left_known);
         // Tenant attribution follows the job's first placed entry (its
-        // pending slot; unplaced ids anchor like unanchored live ids).
+        // pending slot; unplaced ids go to the anchor).
         for (id, name) in &e.tenants {
             let k = placed_in.get(id).map_or(anchor, |ks| ks[0]);
             tenants[k].push((*id, name.clone()));
@@ -264,9 +260,9 @@ pub fn transfer(
         };
         let mut tn = std::mem::take(&mut tenants[k]);
         tn.sort_unstable_by_key(|(id, _)| id.0);
-        // Restore re-interns the tenants; the first change to each table
+        // Restore re-interns the tenants; the first change to the id set
         // unions what it inherited.
-        ids += tn.len() + live[k].settle_cost() + known[k].settle_cost();
+        ids += tn.len() + known[k].settle_cost();
         seeds.push(ShardSeed {
             shard: k,
             state: SessionState {
@@ -277,7 +273,7 @@ pub fn transfer(
                     .into_iter()
                     .map(|(job, site, end)| (job, to_local(site), end))
                     .collect(),
-                live: std::mem::take(&mut live[k]),
+                live: live[k],
                 known: std::mem::take(&mut known[k]),
                 tenants: tn,
             },
@@ -533,7 +529,7 @@ mod tests {
                 .collect(),
             pending: Vec::new(),
             inflight: Vec::new(),
-            live: LiveCommits::default(),
+            live: 0,
             known: KnownIds::default(),
             tenants: Vec::new(),
             history_json: None,
@@ -556,11 +552,12 @@ mod tests {
             job: job(7, 1),
             secure_only: false,
         });
-        e0.live = [(JobId(7), 0)].into_iter().collect();
-        e0.known = [(JobId(7), ())].into_iter().collect();
+        // Two commits of finished jobs on shard 0, one in flight on 1.
+        e0.live = 2;
+        e0.known = [JobId(5), JobId(6), JobId(7)].into_iter().collect();
         e1.inflight.push((job(8, 2), SiteId(3), Time::new(12.0)));
-        e1.live = [(JobId(8), 1)].into_iter().collect();
-        e1.known = [(JobId(8), ())].into_iter().collect();
+        e1.live = 1;
+        e1.known = [JobId(8)].into_iter().collect();
 
         let t = transfer(&g, &old, &[e0, e1], &new).unwrap();
         assert_eq!(t.seeds.len(), 1);
@@ -573,11 +570,8 @@ mod tests {
         assert_eq!(s.inflight.len(), 1);
         // Inflight site id localized (identity here: 1 shard over 4 sites).
         assert_eq!(s.inflight[0].1, SiteId(3));
-        assert_eq!(s.live, [(JobId(7), 0), (JobId(8), 1)].into_iter().collect());
-        assert_eq!(
-            s.known,
-            [(JobId(7), ()), (JobId(8), ())].into_iter().collect()
-        );
+        assert_eq!(s.live, 3);
+        assert_eq!(s.known, (5..9).map(JobId).collect());
         // Both jobs changed shard site set → both migrated.
         assert_eq!(t.jobs_migrated, 2);
         // Merged shard inherits both histories in old-shard order.
@@ -592,10 +586,10 @@ mod tests {
         let mut e = export_for(&old, 0, &g, 4.0);
         e.history_json = Some("h".into());
         e.inflight.push((job(1, 1), SiteId(2), Time::new(6.0)));
-        // A live id with no surviving commit anchors at the first site's
-        // shard.
-        e.live = [(JobId(1), 1), (JobId(2), 0)].into_iter().collect();
-        e.known = [(JobId(1), ()), (JobId(2), ())].into_iter().collect();
+        // The in-flight job's commit goes with it; the finished job's
+        // anchors at the first site's shard.
+        e.live = 2;
+        e.known = [JobId(1), JobId(2)].into_iter().collect();
 
         let t = transfer(&g, &old, &[e], &new).unwrap();
         let (s0, s1) = (&t.seeds[0].state, &t.seeds[1].state);
@@ -603,10 +597,9 @@ mod tests {
         assert_eq!(s1.inflight.len(), 1);
         // SiteId(2) is local 0 in shard 1.
         assert_eq!(s1.inflight[0].1, SiteId(0));
-        assert_eq!(s1.live, [(JobId(1), 1)].into_iter().collect());
-        assert_eq!(s0.live, [(JobId(2), 0)].into_iter().collect());
-        assert_eq!(s0.known, [(JobId(2), ())].into_iter().collect());
-        assert_eq!(s1.known, [(JobId(1), ())].into_iter().collect());
+        assert_eq!((s0.live, s1.live), (1, 1));
+        assert_eq!(s0.known, [JobId(2)].into_iter().collect());
+        assert_eq!(s1.known, [JobId(1)].into_iter().collect());
         // Split: both new shards inherit the single source history.
         assert_eq!(t.seeds[0].history_sources, vec!["h"]);
         assert_eq!(t.seeds[1].history_sources, vec!["h"]);
@@ -625,7 +618,7 @@ mod tests {
             job: job(3, 1),
             secure_only: false,
         });
-        e0.known = [(JobId(3), ())].into_iter().collect();
+        e0.known = [JobId(3)].into_iter().collect();
         let e1 = export_for(&plan, 1, &g, 2.0);
         let t = transfer(&g, &plan, &[e0, e1], &plan).unwrap();
         assert_eq!(t.jobs_migrated, 0);
@@ -640,6 +633,21 @@ mod tests {
         let e0 = export_for(&old, 0, &g, 1.0);
         let err = transfer(&g, &old, &[e0], &new).unwrap_err();
         assert!(err.contains("one export per old shard"), "{err}");
+    }
+
+    #[test]
+    fn transfer_rejects_fewer_standing_commits_than_inflight_entries() {
+        let g = grid();
+        let old = ShardPlan::contiguous(&g, 2).unwrap();
+        let new = ShardPlan::contiguous(&g, 1).unwrap();
+        let e0 = export_for(&old, 0, &g, 1.0);
+        let mut e1 = export_for(&old, 1, &g, 1.0);
+        e1.inflight.push((job(8, 1), SiteId(2), Time::new(12.0)));
+        e1.inflight.push((job(9, 1), SiteId(3), Time::new(12.0)));
+        e1.live = 1;
+        let err = transfer(&g, &old, &[e0, e1], &new).unwrap_err();
+        assert!(err.contains("shard 1"), "{err}");
+        assert!(err.contains("1 standing commits"), "{err}");
     }
 
     fn obs(sites: &[usize], pending: usize) -> ShardObservation {

@@ -618,8 +618,8 @@ impl Router {
         // Point of no return: retire the old shards (they persist their
         // state files on Stop), archive their history, swap in the new.
         // The old sessions and the exports are gone before the new shards
-        // start, so each new session owns the id tables it inherited and
-        // settles them without a copy.
+        // start, so each new session owns the accepted-id sets it
+        // inherited and settles them without a copy.
         let _swap_span = gridsec_obs::span!("reshard_swap");
         stop_shards(&self.shard_txs, &mut self.shard_handles);
         for e in exports {

@@ -19,14 +19,13 @@
 //! ([`ScenarioRunner`](crate::ScenarioRunner)) is a session fed from a
 //! compiled stream.
 
-use crate::ids::IdMap;
+pub use crate::ids::KnownIds;
 use crate::ledger::Ledger;
 use crate::protocol::{ServeMetrics, ShardTelemetry, TenantWait, METRICS_WINDOW};
 use gridsec_core::{Error, Grid, Job, JobId, Result, Site, SiteId, Time};
 use gridsec_obs::Histogram;
 use gridsec_sim::{BatchJob, BatchScheduler, BoundaryClock, RoundDriver, SimConfig};
-use std::collections::{HashMap, HashSet, VecDeque};
-use std::sync::Arc;
+use std::collections::{HashMap, VecDeque};
 
 /// Outcome of a bounded submit: either the job joined the pending queue
 /// or the queue was full even after every due round ran.
@@ -64,14 +63,15 @@ pub struct SessionState {
     /// Tracked in-flight commits `(job, local site, end)`, in commit
     /// order — the reservations a later `fail_site` could requeue.
     pub inflight: Vec<(Job, SiteId, Time)>,
-    /// Standing commit counts per job, a compressed id map in which a
-    /// count of one is the id's presence alone. Owned jointly with the
-    /// exporting session (an [`IdTable`] is shared, not copied); the
-    /// session restored from this state takes it over.
-    pub live: LiveCommits,
+    /// Standing commits: assignments committed and not voided by a site
+    /// failure since. Never fewer than the in-flight entries, each of
+    /// which holds one.
+    pub live: usize,
     /// Every job id the session has accepted (duplicate-id protection
     /// must survive the transfer), about a bit per id handed out in
-    /// order. Owned like `live`.
+    /// order. Owned jointly with the exporting session (a [`KnownIds`]
+    /// is shared, not copied); the session restored from this state
+    /// takes it over.
     pub known: KnownIds,
     /// Tenant attribution for jobs whose queue wait has not been
     /// recorded yet (still pending or awaiting their first commit),
@@ -95,260 +95,10 @@ impl SessionState {
                 .collect(),
             pending: Vec::new(),
             inflight: Vec::new(),
-            live: IdTable::default(),
-            known: IdTable::default(),
+            live: 0,
+            known: KnownIds::default(),
             tenants: Vec::new(),
         }
-    }
-}
-
-/// How two entries for one job id combine when id tables merge: an
-/// accepted-id set keeps one, standing-commit counts add up.
-pub trait Merge: Copy + PartialEq {
-    /// The value almost every id holds (a job committed once). An
-    /// [`IdTable`] stores it as the id's presence alone; only the other
-    /// values take room of their own.
-    const ONE: Self;
-
-    /// Folds `other` into `self`.
-    fn merge(&mut self, other: Self);
-}
-
-impl Merge for () {
-    const ONE: () = ();
-
-    fn merge(&mut self, _: ()) {}
-}
-
-impl Merge for u32 {
-    const ONE: u32 = 1;
-
-    fn merge(&mut self, n: u32) {
-        *self += n;
-    }
-}
-
-/// The ids a session has accepted: one bit per id handed out in order.
-pub type KnownIds = IdTable<()>;
-
-/// The standing commits per job: a job counts as scheduled while it has
-/// one. A count of one is the id's presence alone; other counts sit
-/// beside the ids.
-pub type LiveCommits = IdTable<u32>;
-
-/// One of a session's job-id tables, held by shared ownership so that a
-/// reshard barrier hands it over whole: exporting it is O(1), and
-/// [`transfer`](crate::transfer) moves only the ids of pending and
-/// in-flight jobs one at a time.
-///
-/// Each whole table is a compressed id map: ids in 4096-id chunks, a
-/// chunk holding many ids a 512-byte bitmap and the rest an ordered set
-/// of whole ids, and a value other than [`Merge::ONE`] beside its id. At
-/// 10⁶ ids handed out in order that is 0.14 requested bytes per id, for
-/// every other id 0.27, and for ids drawn from all of `u64` 15.4, less
-/// than a `HashMap` took (`crates/serve/tests/id_budget.rs`). Every
-/// operation is O(log n) in the worst case, and no id is hashed.
-///
-/// The table a session builds is *settled*: one map. A table a reshard
-/// seeds is *inherited*: the whole tables of the old sessions it takes
-/// over, each less the ids that left it for other shards, plus the ids
-/// moved in from them. The session's first change to an inherited table
-/// unions the smaller tables into the largest, chunk by chunk (a word OR
-/// per 64 ids of a bitmap). By then the old sessions and their exports
-/// are gone, so the largest changes hands without a copy.
-#[derive(Debug, Clone)]
-pub struct IdTable<V> {
-    /// Whole tables, each with the ids that left it.
-    parts: Vec<Part<V>>,
-    /// Entries moved in one at a time.
-    moved_in: IdMap<V>,
-}
-
-#[derive(Debug, Clone)]
-struct Part<V> {
-    table: Arc<IdMap<V>>,
-    left: HashSet<JobId>,
-}
-
-impl<V> Default for IdTable<V> {
-    /// An empty settled table.
-    fn default() -> IdTable<V> {
-        IdTable {
-            parts: vec![Part {
-                table: Arc::default(),
-                left: HashSet::new(),
-            }],
-            moved_in: IdMap::default(),
-        }
-    }
-}
-
-impl<V: Merge> IdTable<V> {
-    /// An inheritance with nothing in it yet, for
-    /// [`transfer`](crate::transfer) to fill.
-    pub fn inherit() -> IdTable<V> {
-        IdTable {
-            parts: Vec::new(),
-            moved_in: IdMap::default(),
-        }
-    }
-
-    fn is_settled(&self) -> bool {
-        matches!(self.parts.as_slice(), [p] if p.left.is_empty()) && self.moved_in.len() == 0
-    }
-
-    /// The part a settle keeps: the largest table, the first of equals.
-    fn largest(&self) -> Option<usize> {
-        (0..self.parts.len())
-            .rev()
-            .max_by_key(|&i| self.parts[i].table.len())
-    }
-
-    /// The entry for `id`: merged over every table that still holds it.
-    pub fn get(&self, id: JobId) -> Option<V> {
-        let held = self.parts.iter().filter(|p| !p.left.contains(&id));
-        let mut entries = held
-            .filter_map(|p| p.table.get(id))
-            .chain(self.moved_in.get(id));
-        let first = entries.next()?;
-        Some(entries.fold(first, |mut v, w| {
-            v.merge(w);
-            v
-        }))
-    }
-
-    /// The number of ids, counted once each however many inherited tables
-    /// hold them. O(1) once settled; before that, O(the entries a settle
-    /// would union).
-    pub fn len(&self) -> usize {
-        let Some(big) = self.largest() else {
-            return self.moved_in.len();
-        };
-        let base = &self.parts[big];
-        if self.is_settled() {
-            return base.table.len();
-        }
-        let mut rest = self.moved_in.clone();
-        let others = self.parts.iter().enumerate().filter(|&(i, _)| i != big);
-        for (_, p) in others {
-            rest.union(&p.table, &p.left);
-        }
-        let gone = base.left.iter().filter(|&&id| base.table.contains(id));
-        base.table.len() - gone.count() + rest.len() - rest.overlap(&base.table, &base.left)
-    }
-
-    /// Whether the table holds no id.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The one map, after settling an inheritance. Copies the map only
-    /// if something else (an export, an old session) still holds it.
-    fn settled(&mut self) -> &mut IdMap<V> {
-        if !self.is_settled() {
-            let mut base = match self.largest() {
-                Some(i) => self.parts.swap_remove(i),
-                None => Part {
-                    table: Arc::default(),
-                    left: HashSet::new(),
-                },
-            };
-            let table = Arc::make_mut(&mut base.table);
-            for &id in &base.left {
-                table.remove(id);
-            }
-            for p in &self.parts {
-                table.union(&p.table, &p.left);
-            }
-            table.union(&self.moved_in, &HashSet::new());
-            base.left.clear();
-            self.parts = vec![base];
-            self.moved_in = IdMap::default();
-        }
-        Arc::make_mut(&mut self.parts[0].table)
-    }
-
-    /// Sets `id`'s entry; returns the one it replaced.
-    pub fn insert(&mut self, id: JobId, v: V) -> Option<V> {
-        self.settled().insert(id, v)
-    }
-
-    /// Removes `id`; returns its entry.
-    pub fn remove(&mut self, id: JobId) -> Option<V> {
-        self.settled().remove(id)
-    }
-
-    /// Merges `v` into `id`'s entry (adds it when `id` is new).
-    pub fn add(&mut self, id: JobId, v: V) {
-        self.settled().merge_in(id, v);
-    }
-
-    /// Every entry in ascending id order (of a settled copy, when the
-    /// table is inherited).
-    pub fn entries(&self) -> Vec<(JobId, V)> {
-        if self.is_settled() {
-            return self.parts[0].table.iter().collect();
-        }
-        self.clone().settled().iter().collect()
-    }
-
-    /// Takes `whole` over as it is, less the ids in `left`; returns the
-    /// entries handled one at a time (its own moved-in entries and the
-    /// ids that left).
-    pub fn take_over(&mut self, whole: &IdTable<V>, left: &HashSet<JobId>) -> usize {
-        for p in &whole.parts {
-            self.parts.push(Part {
-                table: Arc::clone(&p.table),
-                left: p.left.union(left).copied().collect(),
-            });
-        }
-        for (id, v) in whole.moved_in.iter() {
-            if !left.contains(&id) {
-                self.move_in(id, v);
-            }
-        }
-        whole.moved_in.len() + left.len() * whole.parts.len()
-    }
-
-    /// Adds one entry moved in from another shard.
-    pub fn move_in(&mut self, id: JobId, v: V) {
-        self.moved_in.merge_in(id, v);
-    }
-
-    /// The entries the first settle handles one at a time: all but the
-    /// largest table's.
-    pub fn settle_cost(&self) -> usize {
-        if self.is_settled() {
-            return 0;
-        }
-        let big = self.largest();
-        let parts = self.parts.iter().enumerate().map(|(i, p)| {
-            let whole = if Some(i) == big { 0 } else { p.table.len() };
-            whole + p.left.len()
-        });
-        parts.sum::<usize>() + self.moved_in.len()
-    }
-}
-
-impl LiveCommits {
-    /// Voids one standing commit of `id` (a site failure stranded it);
-    /// the id leaves with its last.
-    pub fn release(&mut self, id: JobId) {
-        let live = self.settled();
-        if let Some(n) = live.get(id) {
-            if n == 1 {
-                live.remove(id);
-            } else {
-                live.insert(id, n - 1);
-            }
-        }
-    }
-}
-
-impl<V: Merge> PartialEq for IdTable<V> {
-    /// Equal when they hold the same entries, however they are split.
-    fn eq(&self, other: &IdTable<V>) -> bool {
-        self.entries() == other.entries()
     }
 }
 
@@ -361,10 +111,11 @@ pub struct OnlineSession {
     clock: BoundaryClock,
     /// Every commit, in commit order (compact: see [`Ledger`]).
     committed: Ledger,
-    /// Commits currently standing per job: a job counts as scheduled
-    /// while it has at least one commit that was not voided by a site
-    /// failure.
-    live: LiveCommits,
+    /// Commits currently standing: each round adds its assignments, a
+    /// site failure takes away the ones it strands. A job has at most one
+    /// at a time — a round commits only pending jobs, and a strand voids
+    /// the commit before it requeues the job.
+    live: usize,
     known: KnownIds,
     jobs_submitted: usize,
     jobs_requeued: usize,
@@ -412,8 +163,8 @@ impl OnlineSession {
             scheduler,
             clock: BoundaryClock::new(config.schedule_interval),
             committed: Ledger::new(),
-            live: IdTable::default(),
-            known: IdTable::default(),
+            live: 0,
+            known: KnownIds::default(),
             jobs_submitted: 0,
             jobs_requeued: 0,
             sites_failed: 0,
@@ -470,11 +221,11 @@ impl OnlineSession {
         self.rounds.n_rounds()
     }
 
-    /// Jobs with at least one standing committed assignment (cheap
-    /// counter). A job whose only commit was voided by a site failure
-    /// drops out until it is rescheduled.
+    /// Accepted jobs with a standing committed assignment (cheap
+    /// counter). A job whose commit was voided by a site failure drops
+    /// out until it is rescheduled.
     pub fn jobs_scheduled(&self) -> usize {
-        self.live.len()
+        self.live
     }
 
     /// Jobs accepted over the session (cheap counter).
@@ -551,7 +302,7 @@ impl OnlineSession {
                 ),
             ));
         }
-        if self.known.insert(job.id, ()).is_some() {
+        if !self.known.insert(job.id) {
             return Err(Error::invalid(
                 "submit",
                 format!("duplicate job id {}", job.id),
@@ -667,9 +418,7 @@ impl OnlineSession {
     pub fn fail_site(&mut self, site: SiteId, at: Option<Time>) -> Result<Vec<JobId>> {
         self.advance_for_injection("fail_site", at)?;
         let stranded = self.rounds.fail_site(site, self.clock.now())?;
-        for &id in &stranded {
-            self.live.release(id);
-        }
+        self.live -= stranded.len();
         self.jobs_requeued += stranded.len();
         self.sites_failed += 1;
         self.scheduler.on_reconfigure();
@@ -697,7 +446,7 @@ impl OnlineSession {
     pub fn metrics(&self) -> ServeMetrics {
         ServeMetrics {
             jobs_submitted: self.jobs_submitted,
-            jobs_scheduled: self.live.len(),
+            jobs_scheduled: self.live,
             pending: self.rounds.pending_len(),
             rounds: self.rounds.n_rounds(),
             round_nanos: self.round_nanos.iter().copied().collect(),
@@ -743,8 +492,8 @@ impl OnlineSession {
     /// Snapshots the transferable session state (local site ids). Taken
     /// at a drain barrier: every queued boundary has fired, so the clock
     /// and availability fully describe the session and no armed-boundary
-    /// state needs to travel. The id tables are shared, not copied: the
-    /// cost is the pending, in-flight and tenant entries, however many
+    /// state needs to travel. The accepted-id set is shared, not copied:
+    /// the cost is the pending, in-flight and tenant entries, however many
     /// jobs the session has served.
     pub fn export_state(&self) -> SessionState {
         let mut tenants: Vec<(JobId, String)> = self
@@ -764,7 +513,7 @@ impl OnlineSession {
                 .collect(),
             pending: self.rounds.pending_jobs().to_vec(),
             inflight: self.rounds.inflight_commits(),
-            live: self.live.clone(),
+            live: self.live,
             known: self.known.clone(),
             tenants,
         }
@@ -774,10 +523,10 @@ impl OnlineSession {
     /// of a resharded session. The clock resumes at the exported instant,
     /// per-site availability (and offline flags) is restored, pending
     /// jobs re-enter the queue in order, and in-flight commits are
-    /// re-adopted for the zero-lost-jobs guarantee, and the id tables are
-    /// taken over as they are (the first change to one settles it; see
-    /// [`IdTable`]). Counters and the committed history start at zero —
-    /// the daemon archives the pre-reshard totals.
+    /// re-adopted for the zero-lost-jobs guarantee, with the standing
+    /// commits, and the accepted-id set is taken over as it is (the first
+    /// change settles it; see [`KnownIds`]). Counters and the committed
+    /// history start at zero — the daemon archives the pre-reshard totals.
     ///
     /// `state.sites` must cover the grid exactly. No boundary is armed:
     /// this mirrors the exporting session's post-drain state, and the
@@ -887,7 +636,7 @@ impl OnlineSession {
                 self.tenant_wait[t].record((wait * 1e6) as u64);
             }
             self.max_completion = self.max_completion.max(placed.end);
-            self.live.add(placed.job, 1);
+            self.live += 1;
             self.committed.push(&placed);
         }
         Ok(())
@@ -899,19 +648,6 @@ mod tests {
     use super::*;
     use gridsec_sim::scheduler::EarliestCompletion;
     use gridsec_sim::BatchPolicy;
-
-    /// A settled table of these entries (repeats merge) — for the tests
-    /// of this crate.
-    impl<V: Merge> FromIterator<(JobId, V)> for IdTable<V> {
-        fn from_iter<I: IntoIterator<Item = (JobId, V)>>(entries: I) -> IdTable<V> {
-            let mut t = IdTable::default();
-            for (id, v) in entries {
-                t.move_in(id, v);
-            }
-            t.settled();
-            t
-        }
-    }
 
     fn grid() -> Grid {
         Grid::new(vec![
@@ -1209,7 +945,7 @@ mod tests {
         }
         let state = b.export_state();
         assert_eq!(state.pending.len(), 0);
-        assert_eq!(state.live.len(), 2);
+        assert_eq!(state.live, 2);
         assert_eq!(state.inflight.len(), 2);
         let config = SimConfig::default()
             .with_interval(Time::new(10.0))
@@ -1245,55 +981,19 @@ mod tests {
         assert_eq!(c2.pending(), 1);
     }
 
-    /// An export shares the id tables, not copies; the session's next
-    /// change copies only because the export still holds them, and leaves
-    /// the export as it was.
+    /// An export shares the accepted-id set, not a copy; the session's
+    /// next change copies only because the export still holds it, and
+    /// leaves the export as it was.
     #[test]
     fn export_shares_the_id_tables() {
         let mut s = session(BatchPolicy::Periodic);
         s.submit(job(0, 1.0, 10.0)).unwrap();
         s.drain().unwrap();
         let state = s.export_state();
-        assert!(Arc::ptr_eq(
-            &state.known.parts[0].table,
-            &s.known.parts[0].table
-        ));
-        assert!(Arc::ptr_eq(
-            &state.live.parts[0].table,
-            &s.live.parts[0].table
-        ));
+        assert!(state.known.shares(&s.known));
         s.submit(job(1, 20.0, 10.0)).unwrap();
-        assert_eq!(s.known.get(JobId(1)), Some(()));
-        assert_eq!(state.known, [(JobId(0), ())].into_iter().collect());
-    }
-
-    /// An inherited table reads as the union of its parts — each less
-    /// the ids that left it, counts added — and its first change settles
-    /// it into the largest part in place when nothing else holds that.
-    #[test]
-    fn an_inherited_table_settles_into_its_largest_part_in_place() {
-        let big: LiveCommits = (0..100).map(|i| (JobId(i), 1)).collect();
-        let small: LiveCommits = [(JobId(5), 2), (JobId(200), 1), (JobId(201), 1)]
-            .into_iter()
-            .collect();
-        let big_table = Arc::as_ptr(&big.parts[0].table);
-        let mut t = LiveCommits::inherit();
-        assert_eq!(t.take_over(&small, &HashSet::from([JobId(201)])), 1);
-        assert_eq!(t.take_over(&big, &HashSet::from([JobId(7)])), 1);
-        t.move_in(JobId(7), 3);
-        t.move_in(JobId(300), 1);
-        drop((big, small));
-        // 99 of the big table's ids, plus 200, 7 (moved back in) and 300.
-        assert_eq!(t.len(), 102);
-        assert_eq!(t.get(JobId(5)), Some(3));
-        assert_eq!(t.get(JobId(7)), Some(3));
-        assert_eq!(t.get(JobId(201)), None);
-        // The small table's 3 entries, the 2 ids that left, 2 moved in.
-        assert_eq!(t.settle_cost(), 7);
-        t.settled().insert(JobId(400), 1);
-        assert!(std::ptr::eq(Arc::as_ptr(&t.parts[0].table), big_table));
-        assert_eq!((t.len(), t.settle_cost()), (103, 0));
-        assert_eq!((t.get(JobId(5)), t.get(JobId(201))), (Some(3), None));
+        assert!(s.known.contains(JobId(1)) && !state.known.shares(&s.known));
+        assert_eq!(state.known, [JobId(0)].into_iter().collect());
     }
 
     /// What `Daemon::spawn` rests on: restoring the state of a session

@@ -1,21 +1,21 @@
-//! Memory budget of a session's job-id tables, counted rather than timed
-//! so it holds on any host. A counting global allocator (requested bytes
+//! Memory budget of a session's accepted-id set, counted rather than
+//! timed so it holds on any host. A counting global allocator (requested bytes
 //! live, and one count per `alloc` or `realloc`) makes this its own test
 //! binary, with a single test so nothing else allocates while it counts.
 //!
 //! At 10⁶ ids, per id: ids in order and every other id (one of two shards
 //! sharing a counter) cost at most one byte, and ids drawn uniformly from
-//! all of `u64` cost no more than in the `HashMap` the tables were until
-//! they became compressed id maps (`referee/id_table.rs`: about 18.9 bytes
-//! per accepted id and 35.7 per standing commit right after its last
-//! resize). And 10⁴ ids in order allocate once per new chunk, plus what
-//! the sparse tier allocates before the first chunk becomes a bitmap.
+//! all of `u64` cost no more than in the `HashMap` the set was until it
+//! became compressed (`referee/id_table.rs`: about 18.9 bytes per id
+//! right after its last resize). And 10⁴ ids in order allocate once per
+//! new chunk, plus what the sparse tier allocates before the first chunk
+//! becomes a bitmap.
 
 #[path = "referee/id_table.rs"]
 mod referee;
 
 use gridsec_core::JobId;
-use gridsec_serve::session::{KnownIds, LiveCommits};
+use gridsec_serve::session::KnownIds;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::hint::black_box;
 use std::sync::atomic::{AtomicIsize, AtomicUsize, Ordering};
@@ -86,30 +86,19 @@ fn random_u64() -> Ids {
     }))
 }
 
-/// Bytes per id of an accepted-id set and a standing-commit table (each
-/// job committed once, as a round commits it), shipped and referee.
-fn per_id(ids: fn() -> Ids) -> [f64; 4] {
+/// Bytes per id of an accepted-id set, shipped and referee.
+fn per_id(ids: fn() -> Ids) -> [f64; 2] {
     let known = cost(|| {
         let mut t = KnownIds::default();
-        ids().for_each(|id| assert!(t.insert(id, ()).is_none()));
-        t
-    });
-    let live = cost(|| {
-        let mut t = LiveCommits::default();
-        ids().for_each(|id| t.add(id, 1));
+        ids().for_each(|id| assert!(t.insert(id)));
         t
     });
     let known_ref = cost(|| {
         let mut t = referee::KnownIds::default();
-        ids().for_each(|id| assert!(t.insert(id, ()).is_none()));
+        ids().for_each(|id| assert!(t.insert(id)));
         t
     });
-    let live_ref = cost(|| {
-        let mut t = referee::LiveCommits::default();
-        ids().for_each(|id| t.add(id, 1));
-        t
-    });
-    [known.0, live.0, known_ref.0, live_ref.0]
+    [known.0, known_ref.0]
 }
 
 #[test]
@@ -120,16 +109,12 @@ fn id_tables_stay_within_their_byte_and_allocation_budgets() {
         ("random u64", random_u64),
     ];
     for (name, ids) in shapes {
-        let [known, live, known_ref, live_ref] = per_id(ids);
-        println!(
-            "{name}: bytes per id known {known:.2} (HashMap {known_ref:.2}), \
-             live {live:.2} (HashMap {live_ref:.2})"
-        );
+        let [known, known_ref] = per_id(ids);
+        println!("{name}: bytes per id {known:.2} (HashMap {known_ref:.2})");
         if name == "random u64" {
-            assert!(known <= known_ref, "{name}: known {known} > {known_ref}");
-            assert!(live <= live_ref, "{name}: live {live} > {live_ref}");
+            assert!(known <= known_ref, "{name}: {known} > {known_ref}");
         } else {
-            assert!(known <= 1.0 && live <= 1.0, "{name}: {known} / {live}");
+            assert!(known <= 1.0, "{name}: {known}");
         }
     }
 
@@ -137,7 +122,7 @@ fn id_tables_stay_within_their_byte_and_allocation_budgets() {
     // the 63 ids of a chunk before the 64th makes it a bitmap.
     let (_, sparse) = cost(|| {
         let mut t = KnownIds::default();
-        (0..63).for_each(|i| assert!(t.insert(JobId(i), ()).is_none()));
+        (0..63).for_each(|i| assert!(t.insert(JobId(i))));
         t
     });
     // 10⁴ ids in order span three chunks: the first promoted, each later
@@ -145,7 +130,7 @@ fn id_tables_stay_within_their_byte_and_allocation_budgets() {
     // the chunk index's one node.
     let (_, allocs) = cost(|| {
         let mut t = KnownIds::default();
-        (0..10_000).for_each(|i| assert!(t.insert(JobId(i), ()).is_none()));
+        (0..10_000).for_each(|i| assert!(t.insert(JobId(i))));
         t
     });
     println!("10^4 ids in order: {allocs} allocations ({sparse} before the promotion)");

@@ -1,27 +1,23 @@
-//! The shipped job-id tables ≡ their referee. Every whole table of a
-//! session's `IdTable` is a compressed id map (bitmaps for dense chunks,
-//! an ordered set for the rest, values other than one beside the ids);
-//! the referee in `referee/id_table.rs` is the `HashMap`-backed table it
-//! replaced. Both are driven with the same random operations and every
-//! answer is compared: `insert`, `remove`, `add`, `get`, `len`, the
-//! entries in order, `take_over` with a `left` set, `move_in`, the first
-//! change that settles an inheritance of 2–4 parts (some of them still
-//! inherited themselves), and `fail_site`'s decrement-to-zero
-//! (`release`).
+//! The shipped accepted-id set ≡ its referee. Every whole set of a
+//! session's `KnownIds` is compressed (bitmaps for dense chunks, an
+//! ordered set for the rest); the referee in `referee/id_table.rs` is the
+//! `HashMap`-backed table it replaced. Both are driven with the same
+//! random operations and every answer is compared: `insert`, `remove`,
+//! `contains`, the ids in order, `take_over` with a `left` set,
+//! `move_in`, and the first change that settles an inheritance of 2–4
+//! parts (some of them still inherited themselves).
 //!
 //! Ids come in five shapes: chunk edges (0, 4095, 4096, 2⁶⁴ − 1, …),
 //! runs in order, every other id (two shards sharing one counter),
 //! uniformly random `u64`, and a few crowded chunks that a fill phase
 //! pushes past the bitmap threshold and a drain phase back under it.
-//! Standing-commit counts take the values 0, 1 and more.
 
 #[path = "referee/id_table.rs"]
 mod referee;
 
 use gridsec_core::JobId;
-use gridsec_serve::session::{IdTable, LiveCommits, Merge};
+use gridsec_serve::session::KnownIds;
 use std::collections::HashSet;
-use std::fmt::Debug;
 
 /// SplitMix64: a seeded stream with no dependency.
 struct Rng(u64);
@@ -136,48 +132,28 @@ impl Ids {
     }
 }
 
-/// A value type both tables are checked with.
-trait Value: Merge + Debug + Eq {
-    fn draw(rng: &mut Rng) -> Self;
-
-    /// `fail_site`'s decrement, where the type has one.
-    fn release(_ours: &mut IdTable<Self>, _theirs: &mut referee::IdTable<Self>, _id: JobId) {}
+/// The same set twice.
+struct Pair {
+    ours: KnownIds,
+    theirs: referee::KnownIds,
 }
 
-impl Value for () {
-    fn draw(_: &mut Rng) {}
-}
-
-impl Value for u32 {
-    fn draw(rng: &mut Rng) -> u32 {
-        [0, 1, 1, 1, 1, 2, 3, 7][rng.below(8) as usize]
-    }
-
-    fn release(ours: &mut LiveCommits, theirs: &mut referee::LiveCommits, id: JobId) {
-        // A count of zero has nothing to void (both would underflow).
-        if theirs.get(id) != Some(0) {
-            ours.release(id);
-            theirs.release(id);
+impl Pair {
+    fn settled() -> Pair {
+        Pair {
+            ours: KnownIds::default(),
+            theirs: referee::KnownIds::default(),
         }
     }
-}
 
-/// The same table twice.
-struct Pair<V> {
-    ours: IdTable<V>,
-    theirs: referee::IdTable<V>,
-}
-
-impl<V: Value> Pair<V> {
-    fn settled() -> Pair<V> {
+    fn inherit() -> Pair {
         Pair {
-            ours: IdTable::default(),
-            theirs: referee::IdTable::default(),
+            ours: KnownIds::inherit(),
+            theirs: referee::KnownIds::inherit(),
         }
     }
 
     fn check(&self, what: &str) {
-        assert_eq!(self.ours.len(), self.theirs.len(), "{what}: len");
         assert_eq!(
             self.ours.entries(),
             self.theirs.entries(),
@@ -185,27 +161,19 @@ impl<V: Value> Pair<V> {
         );
     }
 
-    /// One random operation on both, growing the table with chance
-    /// `grow` percent; every answer compared. A shrinking step mostly
-    /// names ids already seen.
+    /// One random operation on both, growing the set with chance `grow`
+    /// percent, else removing or only looking up; every answer compared.
+    /// A shrinking step mostly names ids already seen.
     fn step(&mut self, rng: &mut Rng, ids: &mut Ids, grow: u64) {
         let id = ids.draw(rng, if grow < 50 { 90 } else { 30 });
-        let v = V::draw(rng);
         let (ours, theirs) = (&mut self.ours, &mut self.theirs);
         let roll = rng.below(100);
-        if roll < grow / 2 {
-            assert_eq!(ours.insert(id, v), theirs.insert(id, v), "insert {id:?}");
-        } else if roll < grow {
-            ours.add(id, v);
-            theirs.add(id, v);
+        if roll < grow {
+            assert_eq!(ours.insert(id), theirs.insert(id), "insert {id:?}");
         } else if roll < grow + (90 - grow) / 2 {
             assert_eq!(ours.remove(id), theirs.remove(id), "remove {id:?}");
-        } else if roll < 90 {
-            V::release(ours, theirs, id);
-        } else {
-            assert_eq!(ours.len(), theirs.len(), "len");
         }
-        assert_eq!(ours.get(id), theirs.get(id), "get {id:?}");
+        assert_eq!(ours.contains(id), theirs.contains(id), "contains {id:?}");
     }
 
     /// A fill phase, a drain phase and a mixed one.
@@ -219,9 +187,9 @@ impl<V: Value> Pair<V> {
     }
 }
 
-/// One case: 2–4 shard tables, an inheritance of all of them with random
+/// One case: 2–4 shard sets, an inheritance of all of them with random
 /// `left` sets and moved-in ids, its first change, and more operations.
-fn case<V: Value>(seed: u64) {
+fn case(seed: u64) {
     let mut rng = Rng(seed);
     let shape = SHAPES[(seed % SHAPES.len() as u64) as usize];
     let n_parts = 2 + rng.below(3);
@@ -230,14 +198,14 @@ fn case<V: Value>(seed: u64) {
     let mut all_ids = Vec::new();
     for p in 0..n_parts {
         let mut ids = Ids::new(shape, &mut rng, p);
-        let mut pair = Pair::<V>::settled();
+        let mut pair = Pair::settled();
         if matches!(shape, Shape::Sequential | Shape::EveryOther) {
             // A served run first: up to three chunks filled in order, so
             // the chunk after a full one starts as a bitmap.
             for _ in 0..rng.below(3 * 4096) {
                 let id = ids.draw(&mut rng, 0);
-                pair.ours.add(id, V::ONE);
-                pair.theirs.add(id, V::ONE);
+                pair.ours.insert(id);
+                pair.theirs.insert(id);
             }
         }
         pair.run(&mut rng, &mut ids, ops);
@@ -245,25 +213,19 @@ fn case<V: Value>(seed: u64) {
             // Still inherited from an earlier reshard (a split that a
             // merge undoes before the shard changed anything).
             let left: HashSet<JobId> = (0..rng.below(10)).map(|_| ids.draw(&mut rng, 90)).collect();
-            let mut heir = Pair::<V> {
-                ours: IdTable::inherit(),
-                theirs: referee::IdTable::inherit(),
-            };
+            let mut heir = Pair::inherit();
             heir.ours.take_over(&pair.ours, &left);
             heir.theirs.take_over(&pair.theirs, &left);
-            let (id, v) = (ids.draw(&mut rng, 50), V::draw(&mut rng));
-            heir.ours.move_in(id, v);
-            heir.theirs.move_in(id, v);
+            let id = ids.draw(&mut rng, 50);
+            heir.ours.move_in(id);
+            heir.theirs.move_in(id);
             pair = heir;
         }
         all_ids.extend(ids.seen);
         parts.push(pair);
     }
 
-    let mut heir = Pair::<V> {
-        ours: IdTable::inherit(),
-        theirs: referee::IdTable::inherit(),
-    };
+    let mut heir = Pair::inherit();
     let pick = |rng: &mut Rng| JobId(all_ids[rng.below(all_ids.len() as u64) as usize]);
     for part in &parts {
         let left: HashSet<JobId> = (0..rng.below(20)).map(|_| pick(&mut rng)).collect();
@@ -274,15 +236,19 @@ fn case<V: Value>(seed: u64) {
         );
     }
     for _ in 0..rng.below(30) {
-        let (id, v) = (pick(&mut rng), V::draw(&mut rng));
-        heir.ours.move_in(id, v);
-        heir.theirs.move_in(id, v);
+        let id = pick(&mut rng);
+        heir.ours.move_in(id);
+        heir.theirs.move_in(id);
     }
     assert_eq!(heir.ours.settle_cost(), heir.theirs.settle_cost(), "cost");
     heir.check("inherited");
     for _ in 0..50 {
         let id = pick(&mut rng);
-        assert_eq!(heir.ours.get(id), heir.theirs.get(id), "inherited get");
+        assert_eq!(
+            heir.ours.contains(id),
+            heir.theirs.contains(id),
+            "inherited contains"
+        );
     }
 
     // Half the cases settle while the old tables are still held (the
@@ -291,16 +257,12 @@ fn case<V: Value>(seed: u64) {
     if rng.chance(50) {
         parts.clear();
     }
-    // The first change: an insert, an add or a remove.
-    let (id, v) = (pick(&mut rng), V::draw(&mut rng));
+    // The first change: a remove one time in three, else an insert.
+    let id = pick(&mut rng);
     let (ours, theirs) = (&mut heir.ours, &mut heir.theirs);
     match rng.below(3) {
-        0 => assert_eq!(ours.insert(id, v), theirs.insert(id, v), "first insert"),
         1 => assert_eq!(ours.remove(id), theirs.remove(id), "first remove"),
-        _ => {
-            ours.add(id, v);
-            theirs.add(id, v);
-        }
+        _ => assert_eq!(ours.insert(id), theirs.insert(id), "first insert"),
     }
     assert_eq!(heir.ours.settle_cost(), 0, "settled");
     heir.check("settled");
@@ -315,35 +277,28 @@ fn case<V: Value>(seed: u64) {
 #[test]
 fn accepted_id_sets_match_the_referee() {
     for seed in 0..50 {
-        case::<()>(seed);
-    }
-}
-
-#[test]
-fn standing_commit_counts_match_the_referee() {
-    for seed in 1_000..1_050 {
-        case::<u32>(seed);
+        case(seed);
     }
 }
 
 /// The crowded shape's fill phase takes a chunk past the bitmap
 /// threshold; removing its ids one by one takes it back under the sparse
-/// one, with both tables compared at every step.
+/// one, with both sets compared at every step.
 #[test]
 fn the_cases_cross_the_bitmap_threshold_both_ways() {
     let mut rng = Rng(7);
     let mut ids = Ids::new(Shape::Crowded, &mut rng, 0);
-    let mut pair = Pair::<u32>::settled();
+    let mut pair = Pair::settled();
     let mut peak = 0;
     for _ in 0..300 {
         pair.step(&mut rng, &mut ids, 75);
-        peak = peak.max(pair.ours.len());
+        peak = peak.max(pair.ours.entries().len());
     }
     // Two chunks: more than 64 ids in one of them, then fewer than 32
     // in both.
     assert!(peak > 2 * 64, "fill reached {peak} ids");
     let mut seen = ids.seen;
-    while pair.ours.len() >= 32 {
+    while pair.ours.entries().len() >= 32 {
         let id = JobId(seen.swap_remove(rng.below(seen.len() as u64) as usize));
         assert_eq!(pair.ours.remove(id), pair.theirs.remove(id), "remove");
         pair.check("draining");

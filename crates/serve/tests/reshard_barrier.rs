@@ -4,8 +4,10 @@
 //!   a merge, an id the old shards settled is refused on its anchor
 //!   shard, an id that was in flight at the barrier is refused on the
 //!   shard that received it, and a new id is accepted. `jobs_scheduled`
-//!   follows the standing commits, counting a job that stands on two
-//!   merged shards once.
+//!   follows the standing commits: each accepted submit with a standing
+//!   commit counts, two that share an id on merged shards included, so
+//!   after the merge the whole grid's ledger balances (`jobs_submitted`
+//!   = `jobs_scheduled` + `pending`).
 //! * A wall-clock daemon at the 50 ms interval the benchmark workloads
 //!   use accepts submits stamped right after every barrier, although a
 //!   drain fires the armed boundary up to one interval ahead of real time.
@@ -13,7 +15,8 @@
 use gridsec_core::{Grid, Job, RiskMode, Site, Time};
 use gridsec_heuristics::Mct;
 use gridsec_serve::{
-    Client, ClockMode, Daemon, DaemonOptions, QueryWhat, Request, Response, SessionFactory,
+    Client, ClockMode, Daemon, DaemonOptions, QueryWhat, Request, Response, ServeMetrics,
+    SessionFactory,
 };
 use gridsec_sim::scheduler::EarliestCompletion;
 use gridsec_sim::{BatchPolicy, ShardPlan, SimConfig};
@@ -45,15 +48,20 @@ fn drain(client: &mut Client) {
     }
 }
 
-/// `jobs_scheduled` of the whole grid, then of each of `n` shards.
-fn scheduled(client: &mut Client, n: usize) -> (usize, Vec<usize>) {
-    let mut query = |shard| match client.send(&Request::Query {
+/// The metrics of the whole grid (`None`) or of one shard.
+fn metrics(client: &mut Client, shard: Option<usize>) -> ServeMetrics {
+    match client.send(&Request::Query {
         what: QueryWhat::Metrics,
         shard,
     }) {
-        Ok(Response::Metrics { metrics }) => metrics.jobs_scheduled,
+        Ok(Response::Metrics { metrics }) => metrics,
         other => panic!("metrics query failed: {other:?}"),
-    };
+    }
+}
+
+/// `jobs_scheduled` of the whole grid, then of each of `n` shards.
+fn scheduled(client: &mut Client, n: usize) -> (usize, Vec<usize>) {
+    let mut query = |shard| metrics(client, shard).jobs_scheduled;
     (query(None), (0..n).map(|k| query(Some(k))).collect())
 }
 
@@ -147,10 +155,18 @@ fn duplicate_ids_are_refused_across_a_split_and_a_merge() {
     // Job 1 now stands on shards 0 and 1.
     assert_eq!(scheduled(&mut client, 4), (7, vec![3, 2, 1, 1]));
 
-    // Merge: both halves of each old pair land on one shard, where job 1
-    // counts once.
+    // Merge: both halves of each old pair land on one shard, where both
+    // accepted submits of id 1 keep their standing commits.
     reshard(&mut client, &[&[0, 1], &[2, 3]]);
-    assert_eq!(scheduled(&mut client, 2), (6, vec![4, 2]));
+    assert_eq!(scheduled(&mut client, 2), (7, vec![5, 2]));
+    let m = metrics(&mut client, None);
+    assert_eq!(
+        m.jobs_submitted,
+        m.jobs_scheduled + m.pending,
+        "submitted vs {} scheduled + {} pending",
+        m.jobs_scheduled,
+        m.pending
+    );
     // Settled 0 and 10, in-flight 3, 1 and 11, then new ids.
     refused(submit(&mut client, 0, job(0, 200.0, 1.0)));
     refused(submit(&mut client, 1, job(10, 200.0, 1.0)));

@@ -87,11 +87,6 @@ impl Chromosome {
         &self.genes
     }
 
-    /// Mutable gene view (used by the genetic operators).
-    pub(crate) fn genes_mut(&mut self) -> &mut [u16] {
-        &mut self.genes
-    }
-
     /// Adapts this chromosome to a (possibly different-sized) batch:
     /// truncates extra genes, extends missing ones randomly, and replaces
     /// any gene that is not in the job's candidate list with a random

@@ -375,7 +375,7 @@ fn solve_single_job(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ops::crossover_in_place_tracked;
+    use crate::ops::crossover_into;
     use gridsec_core::etc::EtcMatrix;
     use gridsec_core::rng::{stream, Stream};
     use gridsec_core::Time;
@@ -671,13 +671,12 @@ mod tests {
         // of one with the other hands each child the other's genome.
         let a = Chromosome::from_genes(vec![0, 1, 2, 0, 1, 2]);
         let b = Chromosome::from_genes(vec![0, 1, 2, 0, 1, 0]);
-        let mut child = a.clone();
-        let mut other = b.clone();
+        let (mut child, mut other) = (vec![0; 6], vec![0; 6]);
         let mut rng = stream(18, Stream::Genetic);
-        let cut = crossover_in_place_tracked(&mut child, &mut other, &mut rng).unwrap();
-        assert_eq!(child, b);
+        let cut = crossover_into(a.genes(), b.genes(), &mut child, &mut other, &mut rng).unwrap();
+        assert_eq!(child, b.genes());
         assert_eq!(
-            plan_child(child.genes(), (7, a.genes()), (9, b.genes()), cut),
+            plan_child(&child, (7, a.genes()), (9, b.genes()), cut),
             Plan::Inherit { parent: 9 }
         );
         // A population of the two, evolved on a one-node and on a

@@ -1,49 +1,15 @@
 //! Genetic operators (§3): single-point crossover and point mutation.
 
-use crate::chromosome::{gene, Chromosome};
+use crate::chromosome::gene;
 use rand::Rng;
 
-/// Single-point crossover: swaps the tails of two chromosomes after a
-/// random cut point (paper: "random swapping of two portions of two
-/// arbitrarily selected chromosomes").
-///
-/// Both parents must have equal length ≥ 2; the cut is chosen in
-/// `1..len`, so both children differ from their parents whenever the
-/// tails differ.
-pub fn crossover<R: Rng + ?Sized>(
-    a: &Chromosome,
-    b: &Chromosome,
-    rng: &mut R,
-) -> (Chromosome, Chromosome) {
-    let mut ca = vec![0; a.len()];
-    let mut cb = vec![0; b.len()];
-    crossover_into(a.genes(), b.genes(), &mut ca, &mut cb, rng);
-    (Chromosome::from_genes(ca), Chromosome::from_genes(cb))
-}
-
-/// [`crossover`] on two already-materialised children: swaps the tails of
-/// `a` and `b` in place, allocation-free. RNG consumption is identical to
-/// `crossover` (one cut draw when `len ≥ 2`, none otherwise).
-pub fn crossover_in_place<R: Rng + ?Sized>(a: &mut Chromosome, b: &mut Chromosome, rng: &mut R) {
-    let _ = crossover_in_place_tracked(a, b, rng);
-}
-
-/// [`crossover_in_place`] that also reports the cut point, or `None` when
-/// the chromosomes are too short to cross. Both children differ from
-/// their respective parents only at genes `cut..len` — the touched-gene
-/// bound the GA's inherit rule compares. RNG consumption
-/// is identical to the untracked form (which delegates here).
-pub fn crossover_in_place_tracked<R: Rng + ?Sized>(
-    a: &mut Chromosome,
-    b: &mut Chromosome,
-    rng: &mut R,
-) -> Option<usize> {
-    cross_tails(a.genes_mut(), b.genes_mut(), rng)
-}
-
-/// [`crossover_in_place_tracked`] into caller-owned rows: writes the two
-/// children of genomes `a` and `b` into `ca` (`a[..cut] ++ b[cut..]`) and
-/// `cb` (the other way round), and returns the cut. With fewer than two
+/// Single-point crossover (paper: "random swapping of two portions of two
+/// arbitrarily selected chromosomes") into caller-owned rows: writes the
+/// two children of genomes `a` and `b` into `ca` (`a[..cut] ++ b[cut..]`)
+/// and `cb` (the other way round), and returns the cut, drawn in `1..len`
+/// so both children differ from their parents whenever the tails differ.
+/// Both children differ from their parents only at genes `cut..len` — the
+/// touched-gene bound the GA's inherit rule compares. With fewer than two
 /// genes the children are plain copies and nothing is drawn. The children
 /// are written as copies of `a` and `b` crossed in place: two whole-row
 /// copies, of one length all round, and one tail swap cost less than four
@@ -77,20 +43,13 @@ fn cross_tails<R: Rng + ?Sized>(a: &mut [u16], b: &mut [u16], rng: &mut R) -> Op
     Some(cut)
 }
 
-/// Point mutation: re-draws the site of one random job from its candidate
-/// list (paper: "randomly changing the site assignment of a randomly
-/// selected job … to some other site").
-///
-/// When the job has more than one candidate the new gene is guaranteed to
-/// differ from the old one.
-pub fn mutate<R: Rng + ?Sized>(c: &mut Chromosome, candidates: &[Vec<usize>], rng: &mut R) {
-    let _ = mutate_tracked(c.genes_mut(), candidates, rng);
-}
-
-/// [`mutate`] on a genome, reporting which gene changed (`None` when the
-/// drawn job had at most one candidate and the genome was left
-/// untouched) — the second half of the GA's touched-gene tracking. RNG
-/// consumption is identical to the untracked form (which delegates here).
+/// Point mutation (paper: "randomly changing the site assignment of a
+/// randomly selected job … to some other site") on a genome: re-draws
+/// the site of one random job from its candidate list and reports which
+/// gene changed — the second half of the GA's touched-gene tracking. When
+/// the job has more than one candidate the new gene is guaranteed to
+/// differ from the old one; otherwise the genome is left untouched and
+/// the result is `None`.
 pub fn mutate_tracked<R: Rng + ?Sized>(
     genes: &mut [u16],
     candidates: &[Vec<usize>],
@@ -116,50 +75,57 @@ pub fn mutate_tracked<R: Rng + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::chromosome::Chromosome;
     use gridsec_core::rng::{stream, Stream};
+
+    /// The two children of `a` and `b`, with the cut.
+    fn cross<R: Rng>(a: &[u16], b: &[u16], rng: &mut R) -> (Vec<u16>, Vec<u16>, Option<usize>) {
+        let (mut ca, mut cb) = (vec![0; a.len()], vec![0; b.len()]);
+        let cut = crossover_into(a, b, &mut ca, &mut cb, rng);
+        (ca, cb, cut)
+    }
 
     #[test]
     fn crossover_swaps_tails() {
         let mut rng = stream(1, Stream::Genetic);
-        let a = Chromosome::from_genes(vec![0, 0, 0, 0, 0]);
-        let b = Chromosome::from_genes(vec![1, 1, 1, 1, 1]);
-        let (c, d) = crossover(&a, &b, &mut rng);
+        let (c, d, cut) = cross(&[0; 5], &[1; 5], &mut rng);
         // Each child is a prefix of one parent + suffix of the other.
-        let cut = c.genes().iter().position(|&g| g == 1).unwrap();
+        let cut = cut.unwrap();
         assert!((1..5).contains(&cut));
-        assert!(c.genes()[..cut].iter().all(|&g| g == 0));
-        assert!(c.genes()[cut..].iter().all(|&g| g == 1));
-        assert!(d.genes()[..cut].iter().all(|&g| g == 1));
-        assert!(d.genes()[cut..].iter().all(|&g| g == 0));
+        assert_eq!(c.iter().position(|&g| g == 1), Some(cut));
+        assert!(c[..cut].iter().all(|&g| g == 0));
+        assert!(c[cut..].iter().all(|&g| g == 1));
+        assert!(d[..cut].iter().all(|&g| g == 1));
+        assert!(d[cut..].iter().all(|&g| g == 0));
     }
 
     #[test]
     fn crossover_preserves_multiset_per_position() {
         let mut rng = stream(2, Stream::Genetic);
-        let a = Chromosome::from_genes(vec![0, 1, 2, 3]);
-        let b = Chromosome::from_genes(vec![4, 5, 6, 7]);
-        let (c, d) = crossover(&a, &b, &mut rng);
+        let (a, b) = ([0, 1, 2, 3], [4, 5, 6, 7]);
+        let (c, d, _) = cross(&a, &b, &mut rng);
         for i in 0..4 {
-            let mut got = [c.genes()[i], d.genes()[i]];
+            let mut got = [c[i], d[i]];
             got.sort_unstable();
-            let mut want = [a.genes()[i], b.genes()[i]];
+            let mut want = [a[i], b[i]];
             want.sort_unstable();
             assert_eq!(got, want);
         }
     }
 
+    /// Children written over a reused row's stale genes ≡ children
+    /// written into fresh rows, with the same RNG consumption.
     #[test]
     fn in_place_crossover_matches_allocating_crossover() {
         for seed in 0..20 {
             let mut r1 = stream(seed, Stream::Genetic);
             let mut r2 = stream(seed, Stream::Genetic);
-            let a = Chromosome::from_genes(vec![0, 1, 2, 3, 4, 5]);
-            let b = Chromosome::from_genes(vec![9, 8, 7, 6, 5, 4]);
-            let (ca, cb) = crossover(&a, &b, &mut r1);
-            let mut da = a.clone();
-            let mut db = b.clone();
-            crossover_in_place(&mut da, &mut db, &mut r2);
-            assert_eq!((da, db), (ca, cb), "seed {seed}");
+            let a = [0, 1, 2, 3, 4, 5];
+            let b = [9, 8, 7, 6, 5, 4];
+            let fresh = cross(&a, &b, &mut r1);
+            let (mut da, mut db) = ([3; 6], [7; 6]);
+            let cut = crossover_into(&a, &b, &mut da, &mut db, &mut r2);
+            assert_eq!((da.to_vec(), db.to_vec(), cut), fresh, "seed {seed}");
             // Both paths consumed the same RNG state.
             assert_eq!(r1.gen::<u64>(), r2.gen::<u64>());
         }
@@ -168,11 +134,9 @@ mod tests {
     #[test]
     fn crossover_of_singletons_is_identity() {
         let mut rng = stream(3, Stream::Genetic);
-        let a = Chromosome::from_genes(vec![0]);
-        let b = Chromosome::from_genes(vec![1]);
-        let (c, d) = crossover(&a, &b, &mut rng);
-        assert_eq!(c, a);
-        assert_eq!(d, b);
+        let mut untouched = rng.clone();
+        assert_eq!(cross(&[0], &[1], &mut rng), (vec![0], vec![1], None));
+        assert_eq!(rng.gen::<u64>(), untouched.gen::<u64>(), "nothing drawn");
     }
 
     #[test]
@@ -180,17 +144,10 @@ mod tests {
         let mut rng = stream(4, Stream::Genetic);
         let cands = vec![vec![0, 1, 2]; 6];
         for _ in 0..50 {
-            let mut c = Chromosome::from_genes(vec![0; 6]);
-            let before = c.clone();
-            mutate(&mut c, &cands, &mut rng);
-            let diff = c
-                .genes()
-                .iter()
-                .zip(before.genes())
-                .filter(|(x, y)| x != y)
-                .count();
-            assert_eq!(diff, 1);
-            assert!(c.is_feasible(&cands));
+            let mut genes = vec![0; 6];
+            assert!(mutate_tracked(&mut genes, &cands, &mut rng).is_some());
+            assert_eq!(genes.iter().filter(|&&g| g != 0).count(), 1);
+            assert!(Chromosome::from_genes(genes).is_feasible(&cands));
         }
     }
 
@@ -198,18 +155,17 @@ mod tests {
     fn tracked_ops_report_exact_touched_genes() {
         for seed in 0..30 {
             let mut rng = stream(100 + seed, Stream::Genetic);
-            let a0 = Chromosome::from_genes(vec![0, 1, 2, 3, 4, 5, 6, 7]);
-            let b0 = Chromosome::from_genes(vec![7, 6, 5, 4, 3, 2, 1, 0]);
-            let mut a = a0.clone();
-            let mut b = b0.clone();
-            let cut = crossover_in_place_tracked(&mut a, &mut b, &mut rng).unwrap();
+            let a0 = [0, 1, 2, 3, 4, 5, 6, 7];
+            let b0 = [7, 6, 5, 4, 3, 2, 1, 0];
+            let (mut a, b, cut) = cross(&a0, &b0, &mut rng);
+            let cut = cut.unwrap();
             // Genes before the cut are untouched in both children.
-            assert_eq!(a.genes()[..cut], a0.genes()[..cut]);
-            assert_eq!(b.genes()[..cut], b0.genes()[..cut]);
+            assert_eq!(a[..cut], a0[..cut]);
+            assert_eq!(b[..cut], b0[..cut]);
             let cands = vec![vec![0usize, 1, 2, 3, 4, 5, 6, 7]; 8];
             let before = a.clone();
-            let j = mutate_tracked(a.genes_mut(), &cands, &mut rng).unwrap();
-            for (i, (x, y)) in a.genes().iter().zip(before.genes()).enumerate() {
+            let j = mutate_tracked(&mut a, &cands, &mut rng).unwrap();
+            for (i, (x, y)) in a.iter().zip(&before).enumerate() {
                 assert_eq!(i == j, x != y, "only the reported gene may change");
             }
         }
@@ -219,8 +175,8 @@ mod tests {
     fn mutation_noop_with_single_candidate() {
         let mut rng = stream(5, Stream::Genetic);
         let cands = vec![vec![2]; 3];
-        let mut c = Chromosome::from_genes(vec![2, 2, 2]);
-        mutate(&mut c, &cands, &mut rng);
-        assert_eq!(c.genes(), &[2, 2, 2]);
+        let mut genes = [2, 2, 2];
+        assert_eq!(mutate_tracked(&mut genes, &cands, &mut rng), None);
+        assert_eq!(genes, [2, 2, 2]);
     }
 }

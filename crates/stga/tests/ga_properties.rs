@@ -10,7 +10,7 @@ use gridsec_stga::chromosome::Chromosome;
 use gridsec_stga::fitness::FitnessKind;
 use gridsec_stga::ga::evolve;
 use gridsec_stga::history::{similarity, BatchSignature, HistoryTable};
-use gridsec_stga::ops::{crossover, mutate};
+use gridsec_stga::ops::{crossover_into, mutate_tracked};
 use gridsec_stga::GaParams;
 use proptest::prelude::*;
 use referee::evaluate;
@@ -34,12 +34,11 @@ proptest! {
         let mut rng = stream(seed, Stream::Genetic);
         let a = Chromosome::random(&cands, &mut rng);
         let b = Chromosome::random(&cands, &mut rng);
-        let (c, d) = crossover(&a, &b, &mut rng);
-        prop_assert!(c.is_feasible(&cands));
-        prop_assert!(d.is_feasible(&cands));
-        let mut e = c.clone();
-        mutate(&mut e, &cands, &mut rng);
-        prop_assert!(e.is_feasible(&cands));
+        let (mut c, mut d) = (vec![0; cands.len()], vec![0; cands.len()]);
+        crossover_into(a.genes(), b.genes(), &mut c, &mut d, &mut rng);
+        prop_assert!(Chromosome::from_genes(d).is_feasible(&cands));
+        mutate_tracked(&mut c, &cands, &mut rng);
+        prop_assert!(Chromosome::from_genes(c).is_feasible(&cands));
     }
 
     #[test]

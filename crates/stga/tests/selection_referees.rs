@@ -14,9 +14,8 @@
 mod referee;
 
 use gridsec_core::rng::{stream, Stream};
-use gridsec_stga::ops::{crossover_in_place_tracked, crossover_into};
+use gridsec_stga::ops::crossover_into;
 use gridsec_stga::selection::{elite_indices_into, RouletteWheel, Sweep};
-use gridsec_stga::Chromosome;
 use proptest::prelude::*;
 use rand::{Rng, RngCore};
 
@@ -162,8 +161,11 @@ proptest! {
         prop_assert_eq!(sweep.elites(), &want_elites[..]);
     }
 
-    /// Children written from their parents ≡ clones crossed in place:
-    /// the same genes, the same cut, the same RNG position afterwards.
+    /// Children written from their parents ≡ the splice built here,
+    /// `a[..cut] ++ b[cut..]` and `b[..cut] ++ a[cut..]` with the cut drawn
+    /// as `gen_range(1..n)` from a clone of the RNG: the same genes, the
+    /// same cut, the same RNG position afterwards. Below two genes there
+    /// is no cut, the children are copies and nothing is drawn.
     #[test]
     fn spliced_children_match_clones_crossed_in_place(
         (a, b) in (0usize..12).prop_flat_map(|n| (
@@ -177,11 +179,13 @@ proptest! {
         // Arena rows holding stale genes.
         let (mut ca, mut cb) = (vec![9; a.len()], vec![9; a.len()]);
         let cut = crossover_into(&a, &b, &mut ca, &mut cb, &mut new_rng);
-        let (mut wa, mut wb) = (Chromosome::from_genes(a), Chromosome::from_genes(b));
-        let want_cut = crossover_in_place_tracked(&mut wa, &mut wb, &mut old_rng);
+        let n = a.len();
+        let want_cut = (n >= 2).then(|| old_rng.gen_range(1..n));
+        let at = want_cut.unwrap_or(n);
+        let splice = |x: &[u16], y: &[u16]| [&x[..at], &y[at..]].concat();
         prop_assert_eq!(cut, want_cut);
-        prop_assert_eq!(&ca[..], wa.genes());
-        prop_assert_eq!(&cb[..], wb.genes());
+        prop_assert_eq!(ca, splice(&a, &b));
+        prop_assert_eq!(cb, splice(&b, &a));
         prop_assert_eq!(new_rng.next_u64(), old_rng.next_u64());
     }
 }
